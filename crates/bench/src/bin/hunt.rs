@@ -144,11 +144,7 @@ fn main() {
                     db_watch.txn_manager().active_count(),
                     db_watch.latch_probe(),
                 );
-                eprintln!(
-                    "lock stats: {:?}",
-                    db_watch.lock_manager().stats().snapshot()
-                );
-                eprintln!("op stats: {:?}", db_watch.op_stats().snapshot());
+                eprintln!("registry: {}", db_watch.obs_json());
                 for (i, p) in phases_watch.lock().iter().enumerate() {
                     eprintln!("worker {i}: {p}");
                 }

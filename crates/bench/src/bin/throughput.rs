@@ -1,23 +1,21 @@
-//! `throughput` — multi-threaded aggregate ops/sec sweep isolating the
-//! optimistic plan/validate/apply write path against the pessimistic
-//! (single exclusive hold) baseline and whole-tree locking.
+//! `throughput` — multi-threaded aggregate ops/sec sweep of the DGL
+//! protocol against whole-tree locking, with the durable / snapshot /
+//! hash-index / sharded contender pairs each isolating one subsystem.
 //!
 //! Usage:
 //! ```text
 //! throughput [--smoke] [--chaos [SEED]] [--out PATH] [--prom PATH] \
-//!            [--obs-off] [--threads N,N,..] [--txns N] [--shards N,N,..] \
+//!            [--threads N,N,..] [--txns N] [--shards N,N,..] \
 //!            [--net] [--connections N,N,..]
 //! ```
 //! Writes `BENCH_throughput.json` (or PATH) and prints a markdown table
-//! plus the headline read-heavy speedup. `--smoke` runs a seconds-scale
+//! plus the headline ratios. `--smoke` runs a seconds-scale
 //! configuration for CI. `--chaos` (needs a build with
 //! `--features chaos`) arms a seeded fault schedule for the whole
 //! sweep, turning the run into a chaos smoke: the sweep must still
 //! reach every commit target with faults firing. `--prom PATH` also
 //! writes a Prometheus-format dump of every DGL contender's
-//! observability registry. `--obs-off` disables registry recording
-//! (percentile columns read 0) — diff ops/sec against a default run to
-//! measure the observability overhead. `--net` adds the loopback
+//! observability registry. `--net` adds the loopback
 //! `dgl-net` contender: real `dgl-client` connections driving a
 //! `dgl-server` over the wire protocol, swept over the connection
 //! count (`--connections`, default 8,64,256,1000; smoke 4,16). Net
@@ -47,7 +45,6 @@ fn main() {
     } else {
         throughput::ThroughputConfig::default()
     };
-    cfg.obs_recording = !args.iter().any(|a| a == "--obs-off");
     if let Some(n) = args
         .iter()
         .position(|a| a == "--txns")
@@ -126,7 +123,7 @@ fn main() {
         prom.push_str(&net_prom);
     }
 
-    println!("## Aggregate throughput — optimistic vs pessimistic write path\n");
+    println!("## Aggregate throughput\n");
     println!("{}", throughput::render(&rows));
     // Label the headlines with the in-process thread axis — net rows
     // reuse the threads column for the connection count.
@@ -136,18 +133,6 @@ fn main() {
         .map(|r| r.threads)
         .max()
         .unwrap_or(0);
-    if let Some(speedup) = throughput::headline_speedup(&rows) {
-        println!(
-            "headline: optimistic / pessimistic = {speedup:.2}x aggregate ops/sec \
-             (read-heavy 90/10 mix, {max_threads} threads)"
-        );
-    }
-    if let Some(reduction) = throughput::headline_x_latch_reduction(&rows) {
-        println!(
-            "headline: exclusive-latch p95 hold shrinks {reduction:.2}x \
-             (pessimistic / optimistic, read-heavy 90/10 mix, {max_threads} threads)"
-        );
-    }
     if let Some(snap) = throughput::headline_snapshot_speedup(&rows) {
         println!(
             "headline: snapshot reads / locked reads = {snap:.2}x aggregate ops/sec \
@@ -191,8 +176,7 @@ fn main() {
             "note: {cores} core(s) available — aggregate ops/sec cannot reflect \
              reader parallelism (sharded scaling included: with every shard's \
              worker multiplexed onto one core the router's fan-out cost shows \
-             but its parallelism cannot); the latch hold-time ratio is the \
-             portable signal"
+             but its parallelism cannot)"
         );
     }
 

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use dgl_core::{DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree};
 use dgl_lockmgr::LockManagerConfig;
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::{ObjectId, RTreeConfig};
 use dgl_workload::{Dataset, DatasetKind};
 use serde::Serialize;
@@ -55,10 +56,10 @@ pub fn insertion_policy(n: usize, fanout: usize, seed: u64) -> PolicyAblation {
         db.commit(t).unwrap();
         let delta = db.with_tree(|t| t.io_stats().snapshot()).since(&before);
         let per_insert = delta.logical_reads as f64 / (dataset.len() - half) as f64;
-        let changing = db.op_stats().snapshot();
+        let obs = db.obs().snapshot();
         results.push((
             per_insert,
-            changing.granule_changing_inserts as f64 / changing.inserts as f64,
+            obs.ctr(Ctr::GranuleChangingInserts) as f64 / obs.ctr(Ctr::Inserts) as f64,
         ));
     }
     PolicyAblation {
@@ -165,7 +166,7 @@ pub fn external_granule(threads: u64, txns_per_thread: u64, seed: u64) -> Extern
         })
         .unwrap();
         let elapsed = start.elapsed().as_secs_f64();
-        let waits = db.lock_manager().stats().snapshot().waits;
+        let waits = db.obs().hist(Hist::LockWait).count;
         out[i] = Some((
             commits as f64 / elapsed,
             waits as f64 / commits.max(1) as f64,

@@ -17,6 +17,7 @@ use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, ObjectId,
     TransactionalRTree,
 };
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::RTreeConfig;
 use dgl_workload::{Dataset, DatasetKind};
 use serde::Serialize;
@@ -76,7 +77,7 @@ pub fn run_comparison(
         }
         db.commit(t).unwrap();
 
-        let before = db.op_stats().snapshot();
+        let before = db.obs().snapshot();
         let start = Instant::now();
         let mut doomed = preload.objects.iter();
         let mut fresh = replacements.objects.iter();
@@ -97,17 +98,18 @@ pub fn run_comparison(
         db.validate().unwrap();
         assert_eq!(db.len(), n, "replacements keep the tree size constant");
 
-        let s = db.op_stats().snapshot().since(&before);
+        let s = db.obs().snapshot().since(&before);
+        let commit = s.hist(Hist::Commit);
         rows.push(MaintenanceRow {
             mode: match mode {
                 MaintenanceMode::Inline => "inline",
                 MaintenanceMode::Background => "background",
             },
-            commits: s.commits,
-            avg_commit_micros: s.commit_nanos as f64 / s.commits.max(1) as f64 / 1_000.0,
+            commits: commit.count,
+            avg_commit_micros: commit.sum as f64 / commit.count.max(1) as f64 / 1_000.0,
             wall_ms: wall.as_secs_f64() * 1_000.0,
             wall_quiesced_ms: wall_quiesced.as_secs_f64() * 1_000.0,
-            deferred_deletes: s.deferred_deletes,
+            deferred_deletes: s.ctr(Ctr::DeferredDeletes),
         });
     }
     rows

@@ -296,7 +296,6 @@ fn run_cell(cfg: &NetConfig, conns: u64, dump: Option<&mut String>) -> Throughpu
         timeout_aborts: None,
         deadlock_aborts: None,
         elapsed_secs: elapsed,
-        optimistic_replans: None,
         plan_validation_failures: None,
         avg_x_latch_nanos: None,
         x_latch_total_nanos: None,

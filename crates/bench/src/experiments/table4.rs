@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use dgl_core::baseline::{PredicateConfig, PredicateRTree, TreeLockRTree};
 use dgl_core::{DglConfig, DglRTree, InsertPolicy, TransactionalRTree};
 use dgl_lockmgr::LockManagerConfig;
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::RTreeConfig;
 use dgl_workload::{Op, OpMix, OpStream};
 use serde::Serialize;
@@ -191,9 +192,14 @@ pub fn run_protocol(
     .unwrap();
     let elapsed = start.elapsed().as_secs_f64();
 
-    // Protocol-specific statistics.
-    let (lock_requests, waits) = db.lock_stats();
-    let predicate_checks = db.predicate_checks();
+    // Protocol-specific costs, all from the protocol's one registry.
+    let obs = db
+        .obs_registry()
+        .expect("every Table-4 protocol keeps a registry")
+        .snapshot();
+    let lock_requests = obs.lock_requests();
+    let waits = obs.hist(Hist::LockWait).count;
+    let predicate_checks = obs.ctr(Ctr::PredicateChecks);
     ProtocolMetrics {
         protocol: db.name().to_string(),
         txns_per_sec: commits as f64 / elapsed,

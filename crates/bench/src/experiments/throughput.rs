@@ -1,15 +1,14 @@
-//! Multi-threaded aggregate throughput: optimistic vs pessimistic write
-//! path vs whole-tree locking vs the space-partitioned sharded router,
-//! swept over threads × operation mix (× shard count).
+//! Multi-threaded aggregate throughput: the DGL protocol vs whole-tree
+//! locking vs the space-partitioned sharded router, swept over threads ×
+//! operation mix (× shard count).
 //!
-//! This is the perf artefact for the optimistic plan/validate/apply
-//! split: the pessimistic contender is the *same* DGL protocol with
-//! [`WritePathMode::Pessimistic`] (plan and apply under one exclusive
-//! latch hold — the historical single-writer behavior), so the delta
-//! between the two isolates exactly what the optimistic split buys.
-//! `tree-lock` rides along as the coarse-locking floor, and
-//! `dgl-sharded-N` points measure what spatial partitioning buys once
-//! the single tree's structure latch saturates.
+//! `dgl-optimistic` is the stock protocol (plan under the shared latch,
+//! validate + apply under a short exclusive one). `tree-lock` rides along
+//! as the coarse-locking floor, the durable / snapshot / hash pairs each
+//! isolate one subsystem, and `dgl-sharded-N` points measure what spatial
+//! partitioning buys once the single tree's structure latch saturates.
+//! Every per-cell counter and percentile is a
+//! [`RegistrySnapshot::since`] delta of the contender's registry.
 //!
 //! Emitted as `BENCH_throughput.json` by the `throughput` binary.
 
@@ -18,8 +17,8 @@ use std::time::{Duration, Instant};
 
 use dgl_core::baseline::TreeLockRTree;
 use dgl_core::{
-    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, OpStatsSnapshot, ShardedDglRTree,
-    ShardingConfig, SnapshotReadRTree, SyncPolicy, TransactionalRTree, WritePathMode,
+    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, ShardedDglRTree, ShardingConfig,
+    SnapshotReadRTree, SyncPolicy, TransactionalRTree,
 };
 use dgl_lockmgr::LockManagerConfig;
 use dgl_obs::{Ctr, Hist, RegistrySnapshot};
@@ -49,10 +48,6 @@ pub struct ThroughputConfig {
     pub preload: u64,
     /// Workload seed.
     pub seed: u64,
-    /// Whether the DGL contenders record into the observability registry
-    /// (`DglConfig::obs_recording`). Defaults on; `--obs-off` runs the
-    /// same sweep with a disabled registry for overhead A/B measurement.
-    pub obs_recording: bool,
     /// Shard counts for the `dgl-sharded-N` contenders (the unsharded
     /// contenders are the 1-shard baseline). Empty disables them.
     pub shards: Vec<u64>,
@@ -73,7 +68,6 @@ impl Default for ThroughputConfig {
             fanout: 16,
             preload: 4_000,
             seed: 42,
-            obs_recording: true,
             shards: vec![2, 4],
             min_cell_secs: 0.25,
         }
@@ -82,7 +76,7 @@ impl Default for ThroughputConfig {
 
 impl ThroughputConfig {
     /// Tiny run for CI smoke checks: the sweep still crosses every code
-    /// path (both latch modes, contention at 8 threads) in ~seconds.
+    /// path (every contender, contention at 8 threads) in ~seconds.
     /// Shard contenders are off by default here; the CI sharded leg adds
     /// them back with `--shards`.
     pub fn smoke() -> Self {
@@ -161,20 +155,17 @@ impl Drop for BenchDir {
 
 fn contenders(cfg: &ThroughputConfig) -> Vec<Contender> {
     let fanout = cfg.fanout;
-    let obs_recording = cfg.obs_recording;
     let lock = LockManagerConfig {
         wait_timeout: Duration::from_secs(10),
         ..Default::default()
     };
-    let base_config = |write_path: WritePathMode| DglConfig {
+    let base_config = || DglConfig {
         rtree: RTreeConfig::with_fanout(fanout),
         policy: InsertPolicy::Modified,
-        write_path,
         lock: lock.clone(),
-        obs_recording,
         ..Default::default()
     };
-    let dgl_with = |write_path: WritePathMode| Arc::new(DglRTree::new(base_config(write_path)));
+    let stock = || Arc::new(DglRTree::new(base_config()));
     // The durability pair shares one code path (`open`) and differs only
     // in whether a WAL is attached, so the delta isolates the full cost
     // of durable commits (logging + group-commit fsync waits).
@@ -189,44 +180,32 @@ fn contenders(cfg: &ThroughputConfig) -> Vec<Contender> {
                         sync: SyncPolicy::Batch(GROUP_COMMIT_WINDOW),
                         ..Default::default()
                     },
-                    ..base_config(WritePathMode::Optimistic)
+                    ..base_config()
                 },
             )
             .expect("open bench dir"),
         );
         (db, dir)
     };
-    let optimistic = dgl_with(WritePathMode::Optimistic);
-    let pessimistic = dgl_with(WritePathMode::Pessimistic);
+    let optimistic = stock();
     let (durable, durable_dir) = durable_with("durable", true);
     let (durable_off, durable_off_dir) = durable_with("durable-off", false);
-    let snapshot = Arc::new(SnapshotReadRTree::new(DglRTree::new(base_config(
-        WritePathMode::Optimistic,
-    ))));
-    // The hash-index pair: identical optimistic protocol, differing only
+    let snapshot = Arc::new(SnapshotReadRTree::new(DglRTree::new(base_config())));
+    // The hash-index pair: identical protocol, differing only
     // in whether point reads consult the object→leaf hash index
     // (`hash_reads`). The dup-probe and index maintenance run on both
     // (the index IS the payload table), so the delta isolates exactly
     // what the read-path fast path buys.
-    let hash_on = dgl_with(WritePathMode::Optimistic);
+    let hash_on = stock();
     let hash_off = Arc::new(DglRTree::new(DglConfig {
         hash_reads: false,
-        ..base_config(WritePathMode::Optimistic)
+        ..base_config()
     }));
     let mut out = vec![
         Contender {
             label: "dgl-optimistic".to_string(),
             db: Arc::<DglRTree>::clone(&optimistic) as Arc<dyn TransactionalRTree>,
             dgl: Some(optimistic),
-            snap: None,
-            sharded: None,
-            shards: 1,
-            _dir: None,
-        },
-        Contender {
-            label: "dgl-pessimistic".to_string(),
-            db: Arc::<DglRTree>::clone(&pessimistic) as Arc<dyn TransactionalRTree>,
-            dgl: Some(pessimistic),
             snap: None,
             sharded: None,
             shards: 1,
@@ -300,7 +279,7 @@ fn contenders(cfg: &ThroughputConfig) -> Vec<Contender> {
     // purely what partitioning the structure latch + lock space buys.
     for &n in &cfg.shards {
         let sharded = Arc::new(ShardedDglRTree::new(
-            base_config(WritePathMode::Optimistic),
+            base_config(),
             ShardingConfig {
                 shards: n.max(1) as usize,
                 max_object_extent: 0.05,
@@ -354,9 +333,8 @@ pub struct ThroughputRow {
     pub deadlock_aborts: Option<u64>,
     /// Wall-clock seconds (≥ the configured cell floor).
     pub elapsed_secs: f64,
-    /// Optimistic replans forced by stale-plan detection (DGL only).
-    pub optimistic_replans: Option<u64>,
-    /// Stale plans detected under the exclusive latch (DGL only).
+    /// Stale plans detected under the exclusive latch, each forcing a
+    /// replan (DGL only).
     pub plan_validation_failures: Option<u64>,
     /// Mean exclusive-latch hold of the write path, nanoseconds (DGL only).
     /// Kept for JSON compatibility; the percentile columns below are the
@@ -511,20 +489,16 @@ fn dgl_handle(c: &Contender) -> Option<&DglRTree> {
         .or_else(|| c.snap.as_deref().map(SnapshotReadRTree::inner))
 }
 
-fn op_snapshot(c: &Contender) -> Option<OpStatsSnapshot> {
+fn obs_snapshot(c: &Contender) -> RegistrySnapshot {
     match (dgl_handle(c), &c.sharded) {
-        (Some(d), _) => Some(d.op_stats().snapshot()),
-        (_, Some(s)) => Some(s.stats_snapshot()),
-        _ => None,
-    }
-}
-
-fn obs_snapshot(c: &Contender) -> Option<RegistrySnapshot> {
-    match (dgl_handle(c), &c.sharded) {
-        (Some(d), _) => Some(d.obs().snapshot()),
-        (_, Some(s)) => Some(s.obs_snapshot()),
+        (Some(d), _) => d.obs().snapshot(),
+        (_, Some(s)) => s.obs_snapshot(),
         // Baselines report through the trait's registry hook.
-        _ => c.db.obs_registry().map(|r| r.snapshot()),
+        _ => {
+            c.db.obs_registry()
+                .expect("every in-process contender keeps a registry")
+                .snapshot()
+        }
     }
 }
 
@@ -535,7 +509,6 @@ fn run_point(
     threads: u64,
     cfg: &ThroughputConfig,
 ) -> ThroughputRow {
-    let op_before = op_snapshot(c);
     let obs_before = obs_snapshot(c);
     let db = &c.db;
     let start = Instant::now();
@@ -556,52 +529,17 @@ fn run_point(
     }
     let elapsed = start.elapsed().as_secs_f64();
 
-    let (replans, failures, avg_x, total_x) = match (op_snapshot(c), op_before) {
-        (Some(after), Some(before)) => {
-            let delta = after.since(&before);
-            (
-                Some(delta.optimistic_replans),
-                Some(delta.plan_validation_failures),
-                Some(delta.avg_x_latch_nanos()),
-                Some(delta.x_latch_nanos),
-            )
-        }
-        _ => (None, None, None, None),
-    };
-    // Percentiles come from the registry's log2 histograms; the sweep
-    // reuses one index across thread counts, so take per-point deltas.
-    // The exclusive-latch histogram only exists for DGL contenders —
-    // `tree-lock` has no structure latch, so those columns stay None.
+    // Counters and percentiles come from the contender's registry; the
+    // sweep reuses one index across thread counts, so take per-point
+    // deltas. The exclusive-latch histogram and the stale-plan counter
+    // only exist for DGL contenders — `tree-lock` has no structure latch
+    // and no optimistic write path, so those columns stay None.
     let is_dgl = dgl_handle(c).is_some() || c.sharded.is_some();
-    let (wait, hold, commit, kinds, snap_scans, verdicts, hash) =
-        match (obs_snapshot(c), obs_before) {
-            (Some(after), Some(before)) => {
-                let delta = after.since(&before);
-                (
-                    Some(*delta.hist(Hist::LockWait)),
-                    is_dgl.then(|| *delta.hist(Hist::LatchHold)),
-                    Some(*delta.hist(Hist::Commit)),
-                    Some([
-                        *delta.hist(Hist::LockWaitScan),
-                        *delta.hist(Hist::LockWaitPoint),
-                        *delta.hist(Hist::LockWaitWrite),
-                    ]),
-                    Some(delta.ctr(Ctr::SnapshotScans)),
-                    Some((
-                        delta.ctr(Ctr::LockTimeouts),
-                        delta.ctr(Ctr::LockDeadlocks) + delta.ctr(Ctr::GlobalDeadlocks),
-                    )),
-                    Some((delta.ctr(Ctr::HashHits), delta.ctr(Ctr::HashMisses))),
-                )
-            }
-            _ => (None, None, None, None, None, None, None),
-        };
-    // hits/(hits+misses): null when the cell issued no hash lookups at
-    // all (hash-off or a write-only interval), never a fake 0 or 1.
-    let hash_hit_rate = hash.and_then(|(h, m)| {
-        let total = h + m;
-        (total > 0).then(|| h as f64 / total as f64)
-    });
+    let delta = obs_snapshot(c).since(&obs_before);
+    let wait = delta.hist(Hist::LockWait);
+    let hold = is_dgl.then(|| delta.hist(Hist::LatchHold));
+    let commit = delta.hist(Hist::Commit);
+    let (hits, misses) = (delta.ctr(Ctr::HashHits), delta.ctr(Ctr::HashMisses));
     ThroughputRow {
         protocol: c.label.clone(),
         mix: mix_label.to_string(),
@@ -611,32 +549,33 @@ fn run_point(
         ops_per_sec: ops as f64 / elapsed,
         commits,
         aborts,
-        timeout_aborts: verdicts.map(|v| v.0),
-        deadlock_aborts: verdicts.map(|v| v.1),
+        timeout_aborts: Some(delta.ctr(Ctr::LockTimeouts)),
+        deadlock_aborts: Some(delta.ctr(Ctr::LockDeadlocks) + delta.ctr(Ctr::GlobalDeadlocks)),
         elapsed_secs: elapsed,
-        optimistic_replans: replans,
-        plan_validation_failures: failures,
-        avg_x_latch_nanos: avg_x,
-        x_latch_total_nanos: total_x,
-        lock_wait_p50_nanos: wait.map(|h| h.p50()),
-        lock_wait_p95_nanos: wait.map(|h| h.p95()),
-        lock_wait_p99_nanos: wait.map(|h| h.p99()),
-        lock_wait_scan_count: kinds.map(|k| k[0].count),
-        lock_wait_scan_p95_nanos: kinds.map(|k| k[0].p95()),
-        lock_wait_point_count: kinds.map(|k| k[1].count),
-        lock_wait_point_p95_nanos: kinds.map(|k| k[1].p95()),
-        lock_wait_write_count: kinds.map(|k| k[2].count),
-        lock_wait_write_p95_nanos: kinds.map(|k| k[2].p95()),
-        snapshot_scans: snap_scans,
-        hash_hits: hash.map(|(h, _)| h),
-        hash_misses: hash.map(|(_, m)| m),
-        hash_hit_rate,
+        plan_validation_failures: is_dgl.then(|| delta.ctr(Ctr::PlanValidationFailures)),
+        avg_x_latch_nanos: hold.map(|h| h.mean()),
+        x_latch_total_nanos: hold.map(|h| h.sum),
+        lock_wait_p50_nanos: Some(wait.p50()),
+        lock_wait_p95_nanos: Some(wait.p95()),
+        lock_wait_p99_nanos: Some(wait.p99()),
+        lock_wait_scan_count: Some(delta.hist(Hist::LockWaitScan).count),
+        lock_wait_scan_p95_nanos: Some(delta.hist(Hist::LockWaitScan).p95()),
+        lock_wait_point_count: Some(delta.hist(Hist::LockWaitPoint).count),
+        lock_wait_point_p95_nanos: Some(delta.hist(Hist::LockWaitPoint).p95()),
+        lock_wait_write_count: Some(delta.hist(Hist::LockWaitWrite).count),
+        lock_wait_write_p95_nanos: Some(delta.hist(Hist::LockWaitWrite).p95()),
+        snapshot_scans: Some(delta.ctr(Ctr::SnapshotScans)),
+        hash_hits: Some(hits),
+        hash_misses: Some(misses),
+        // hits/(hits+misses): null when the cell issued no hash lookups
+        // at all (hash-off or a write-only interval), never a fake 0 or 1.
+        hash_hit_rate: (hits + misses > 0).then(|| hits as f64 / (hits + misses) as f64),
         x_latch_p50_nanos: hold.map(|h| h.p50()),
         x_latch_p95_nanos: hold.map(|h| h.p95()),
         x_latch_p99_nanos: hold.map(|h| h.p99()),
-        commit_p50_nanos: commit.map(|h| h.p50()),
-        commit_p95_nanos: commit.map(|h| h.p95()),
-        commit_p99_nanos: commit.map(|h| h.p99()),
+        commit_p50_nanos: Some(commit.p50()),
+        commit_p95_nanos: Some(commit.p95()),
+        commit_p99_nanos: Some(commit.p99()),
     }
 }
 
@@ -698,7 +637,7 @@ pub fn to_json(cfg: &ThroughputConfig, rows: &[ThroughputRow]) -> String {
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"mix\": \"{}\", \"threads\": {}, \"shards\": {}, \"connections\": {}, \"ops_per_sec\": {:.1}, \"commits\": {}, \"aborts\": {}, \"timeout_aborts\": {}, \"deadlock_aborts\": {}, \"elapsed_secs\": {:.3}, \"optimistic_replans\": {}, \"plan_validation_failures\": {}, \"avg_x_latch_nanos\": {}, \"x_latch_total_nanos\": {}, \"lock_wait_p50_nanos\": {}, \"lock_wait_p95_nanos\": {}, \"lock_wait_p99_nanos\": {}, \"lock_wait_scan_count\": {}, \"lock_wait_scan_p95_nanos\": {}, \"lock_wait_point_count\": {}, \"lock_wait_point_p95_nanos\": {}, \"lock_wait_write_count\": {}, \"lock_wait_write_p95_nanos\": {}, \"snapshot_scans\": {}, \"hash_hits\": {}, \"hash_misses\": {}, \"hash_hit_rate\": {}, \"x_latch_p50_nanos\": {}, \"x_latch_p95_nanos\": {}, \"x_latch_p99_nanos\": {}, \"commit_p50_nanos\": {}, \"commit_p95_nanos\": {}, \"commit_p99_nanos\": {}}}{}\n",
+            "    {{\"protocol\": \"{}\", \"mix\": \"{}\", \"threads\": {}, \"shards\": {}, \"connections\": {}, \"ops_per_sec\": {:.1}, \"commits\": {}, \"aborts\": {}, \"timeout_aborts\": {}, \"deadlock_aborts\": {}, \"elapsed_secs\": {:.3}, \"plan_validation_failures\": {}, \"avg_x_latch_nanos\": {}, \"x_latch_total_nanos\": {}, \"lock_wait_p50_nanos\": {}, \"lock_wait_p95_nanos\": {}, \"lock_wait_p99_nanos\": {}, \"lock_wait_scan_count\": {}, \"lock_wait_scan_p95_nanos\": {}, \"lock_wait_point_count\": {}, \"lock_wait_point_p95_nanos\": {}, \"lock_wait_write_count\": {}, \"lock_wait_write_p95_nanos\": {}, \"snapshot_scans\": {}, \"hash_hits\": {}, \"hash_misses\": {}, \"hash_hit_rate\": {}, \"x_latch_p50_nanos\": {}, \"x_latch_p95_nanos\": {}, \"x_latch_p99_nanos\": {}, \"commit_p50_nanos\": {}, \"commit_p95_nanos\": {}, \"commit_p99_nanos\": {}}}{}\n",
             r.protocol,
             r.mix,
             r.threads,
@@ -710,7 +649,6 @@ pub fn to_json(cfg: &ThroughputConfig, rows: &[ThroughputRow]) -> String {
             json_opt(r.timeout_aborts),
             json_opt(r.deadlock_aborts),
             r.elapsed_secs,
-            json_opt(r.optimistic_replans),
             json_opt(r.plan_validation_failures),
             json_opt(r.avg_x_latch_nanos),
             json_opt(r.x_latch_total_nanos),
@@ -770,7 +708,7 @@ pub fn render(rows: &[ThroughputRow]) -> String {
                     (Some(t), Some(d)) => format!("{t}/{d}"),
                     _ => "-".to_string(),
                 },
-                r.optimistic_replans
+                r.plan_validation_failures
                     .map_or_else(|| "-".to_string(), |v| v.to_string()),
                 tri(
                     r.lock_wait_p50_nanos,
@@ -819,57 +757,6 @@ pub fn render(rows: &[ThroughputRow]) -> String {
         ],
         &body,
     )
-}
-
-/// The headline ratio: optimistic over pessimistic aggregate ops/sec on
-/// the read-heavy mix at the highest swept thread count.
-pub fn headline_speedup(rows: &[ThroughputRow]) -> Option<f64> {
-    // In-process rows only: `dgl-net` rows reuse the threads column for
-    // the connection count, which would otherwise hijack the max.
-    let max_threads = rows
-        .iter()
-        .filter(|r| r.connections.is_none())
-        .map(|r| r.threads)
-        .max()?;
-    let pick = |proto: &str| {
-        rows.iter()
-            .find(|r| {
-                r.protocol == proto && r.mix == "read-heavy-90-10" && r.threads == max_threads
-            })
-            .map(|r| r.ops_per_sec)
-    };
-    Some(pick("dgl-optimistic")? / pick("dgl-pessimistic")?)
-}
-
-/// Exclusive-latch hold-time reduction on the same point: pessimistic
-/// over optimistic p95 hold (tail holds are what shut readers out, so
-/// the headline compares percentiles, not means). Unlike aggregate
-/// ops/sec it is meaningful even when the harness runs on fewer cores
-/// than threads (a saturated single core caps ops/sec at work/sec
-/// regardless of how short the critical section is — the shorter hold
-/// only converts to throughput once readers can actually run in
-/// parallel).
-pub fn headline_x_latch_reduction(rows: &[ThroughputRow]) -> Option<f64> {
-    // In-process rows only: `dgl-net` rows reuse the threads column for
-    // the connection count, which would otherwise hijack the max.
-    let max_threads = rows
-        .iter()
-        .filter(|r| r.connections.is_none())
-        .map(|r| r.threads)
-        .max()?;
-    let pick = |proto: &str| {
-        rows.iter()
-            .find(|r| {
-                r.protocol == proto && r.mix == "read-heavy-90-10" && r.threads == max_threads
-            })
-            .and_then(|r| r.x_latch_p95_nanos)
-            .map(|v| v as f64)
-    };
-    let opt = pick("dgl-optimistic")?;
-    if opt == 0.0 {
-        return None;
-    }
-    Some(pick("dgl-pessimistic")? / opt)
 }
 
 /// The durability tax: durable over non-durable commit-latency p95 on
@@ -988,7 +875,7 @@ mod tests {
         // share this test binary and must not be starved of cores. The
         // 30ms floor still exercises the repeat-until-floor machinery
         // (and keeps the total measured time bounded as the sweep grows
-        // cells — 90 × 30ms here is still only a few seconds).
+        // cells — 80 × 30ms here is still only a few seconds).
         let cfg = ThroughputConfig {
             threads: vec![1, 2],
             txns_per_thread: 5,
@@ -996,13 +883,12 @@ mod tests {
             fanout: 8,
             preload: 60,
             seed: 3,
-            obs_recording: true,
             shards: vec![2],
             min_cell_secs: 0.03,
         };
         let (rows, prom) = run_sweep_with_dump(&cfg);
-        // 5 mixes × 9 contenders × 2 thread counts.
-        assert_eq!(rows.len(), 90);
+        // 5 mixes × 8 contenders × 2 thread counts.
+        assert_eq!(rows.len(), 80);
         let base = cfg.txns_per_thread;
         for r in &rows {
             assert!(r.ops_per_sec > 0.0, "{r:?}");
@@ -1017,7 +903,7 @@ mod tests {
         // those columns must be null, not zero. Its lock-wait and commit
         // percentiles, though, are real (wired through the obs registry).
         for r in rows.iter().filter(|r| r.protocol == "tree-lock") {
-            assert!(r.optimistic_replans.is_none(), "{r:?}");
+            assert!(r.plan_validation_failures.is_none(), "{r:?}");
             assert!(r.avg_x_latch_nanos.is_none(), "{r:?}");
             assert!(r.x_latch_total_nanos.is_none(), "{r:?}");
             assert!(r.x_latch_p95_nanos.is_none(), "{r:?}");
@@ -1090,7 +976,6 @@ mod tests {
         }
         let json = to_json(&cfg, &rows);
         assert!(json.contains("\"bench\": \"throughput\""));
-        assert!(json.contains("dgl-pessimistic"));
         assert!(json.contains("dgl-sharded-2"));
         assert!(json.contains("\"shards\": 2"));
         // In-process rows have no wire: the connections column is null.
@@ -1116,9 +1001,7 @@ mod tests {
         assert!(prom.contains("# contender dgl-snapshot mix scan-heavy"));
         assert!(prom.contains("# contender dgl-sharded-2 mix balanced"));
         assert!(prom.contains("dgl_x_latch_hold_nanos_count"));
-        assert!(headline_speedup(&rows).unwrap() > 0.0);
         assert!(headline_snapshot_speedup(&rows).unwrap() > 0.0);
-        assert!(headline_x_latch_reduction(&rows).unwrap() > 0.0);
         let (n, ratio) = headline_shard_scaling(&rows).expect("shard headline");
         assert_eq!(n, 2);
         assert!(ratio > 0.0);

@@ -19,6 +19,7 @@ use std::time::Duration;
 use dgl_core::baseline::{ZOrderConfig, ZOrderRTree};
 use dgl_core::{DglConfig, DglRTree, ObjectId, Rect2, TransactionalRTree};
 use dgl_lockmgr::LockManagerConfig;
+use dgl_obs::Hist;
 use dgl_rtree::RTreeConfig;
 use dgl_workload::{Dataset, DatasetKind};
 use serde::Serialize;
@@ -61,7 +62,8 @@ pub fn lock_overhead_sweep(n: usize, seed: u64) -> Vec<LockOverheadRow> {
             .into_iter()
             .enumerate()
         {
-            let before = db.lock_stats().0;
+            let obs = db.obs_registry().expect("both protocols keep a registry");
+            let before = obs.snapshot();
             let mut state = seed | 1;
             for _ in 0..SCANS {
                 state ^= state << 13;
@@ -78,7 +80,7 @@ pub fn lock_overhead_sweep(n: usize, seed: u64) -> Vec<LockOverheadRow> {
                     .unwrap();
                 db.commit(t).unwrap();
             }
-            per_db[i] = (db.lock_stats().0 - before) as f64 / SCANS as f64;
+            per_db[i] = obs.snapshot().since(&before).lock_requests() as f64 / SCANS as f64;
         }
         rows.push(LockOverheadRow {
             query_edge,
@@ -189,7 +191,11 @@ pub fn false_conflicts(txns_per_side: u64, seed: u64) -> FalseConflictResult {
             });
         })
         .unwrap();
-        waits[i] = db.lock_stats().1;
+        waits[i] = db
+            .obs_registry()
+            .expect("both protocols keep a registry")
+            .hist(Hist::LockWait)
+            .count;
     }
     FalseConflictResult {
         dgl_waits: waits[0],

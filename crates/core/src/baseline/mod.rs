@@ -37,11 +37,9 @@ use parking_lot::{Mutex, RwLock};
 
 use dgl_geom::Rect2;
 use dgl_lockmgr::{LockManager, LockManagerConfig, TxnId};
-use dgl_obs::Registry;
 use dgl_rtree::{ObjectId, RTree2, RTreeConfig};
 use dgl_txn::{Journal, TxnManager};
 
-use crate::stats::OpStats;
 use crate::{ScanHit, TxnError};
 
 /// Undo records for the baselines (physical-immediate deletes).
@@ -74,18 +72,13 @@ pub(crate) struct BaseInner {
     /// protocol, whose tombstones persist to commit) reserves a deleted
     /// id until its deleter commits.
     pub reserved: Mutex<HashMap<TxnId, HashSet<ObjectId>>>,
-    pub stats: OpStats,
-    /// Shared observability registry: the lock manager reports its wait
-    /// histogram here, and protocols record commit latency, so baseline
-    /// contenders emit real percentile columns in benches instead of
-    /// all-zero placeholders.
-    pub obs: Arc<Registry>,
 }
 
 impl BaseInner {
     pub fn new(rtree: RTreeConfig, world: Rect2, lock: LockManagerConfig) -> Self {
-        let obs = Arc::new(Registry::new());
-        let lm = Arc::new(LockManager::with_obs(lock, Arc::clone(&obs)));
+        // The lock manager's own registry is the protocol's one telemetry
+        // sink: op counts and commit latency land next to its lock waits.
+        let lm = Arc::new(LockManager::new(lock));
         Self {
             tree: RwLock::new(RTree2::new(rtree, world)),
             tm: TxnManager::new(Arc::clone(&lm)),
@@ -93,9 +86,12 @@ impl BaseInner {
             undo: Journal::new(),
             payloads: Mutex::new(HashMap::new()),
             reserved: Mutex::new(HashMap::new()),
-            stats: OpStats::default(),
-            obs,
         }
+    }
+
+    /// The protocol's telemetry sink (the lock manager's registry).
+    pub fn obs(&self) -> &Arc<dgl_obs::Registry> {
+        self.lm.obs()
     }
 
     pub fn check_active(&self, txn: TxnId) -> Result<(), TxnError> {

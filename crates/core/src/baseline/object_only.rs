@@ -18,9 +18,9 @@ use dgl_lockmgr::{
     LockMode::{self, S, X},
     LockOutcome, RequestKind, ResourceId, TxnId,
 };
+use dgl_obs::Ctr;
 use dgl_rtree::{ObjectId, RTreeConfig};
 
-use crate::stats::OpStats;
 use crate::{ScanHit, TransactionalRTree, TxnError};
 
 use super::BaseInner;
@@ -80,21 +80,21 @@ impl TransactionalRTree for ObjectOnlyRTree {
 
     fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.inserts);
+        self.inner.obs().incr(Ctr::Inserts);
         self.obj_lock(txn, oid, X)?;
         self.inner.do_insert(txn, oid, rect)
     }
 
     fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.deletes);
+        self.inner.obs().incr(Ctr::Deletes);
         self.obj_lock(txn, oid, X)?;
         Ok(self.inner.do_delete(txn, oid, rect))
     }
 
     fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_singles);
+        self.inner.obs().incr(Ctr::ReadSingles);
         self.obj_lock(txn, oid, S)?;
         let tree = self.inner.tree.read();
         Ok(match tree.lookup(oid, rect) {
@@ -105,7 +105,7 @@ impl TransactionalRTree for ObjectOnlyRTree {
 
     fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_singles);
+        self.inner.obs().incr(Ctr::UpdateSingles);
         self.obj_lock(txn, oid, X)?;
         let present = self.inner.tree.read().lookup(oid, rect).is_some();
         if !present {
@@ -116,7 +116,7 @@ impl TransactionalRTree for ObjectOnlyRTree {
 
     fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_scans);
+        self.inner.obs().incr(Ctr::ReadScans);
         // Lock only the objects found — the classic mistake: nothing stops
         // a concurrent insert into the scanned range.
         let hits = {
@@ -131,7 +131,7 @@ impl TransactionalRTree for ObjectOnlyRTree {
 
     fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_scans);
+        self.inner.obs().incr(Ctr::UpdateScans);
         let mut hits = {
             let tree = self.inner.tree.read();
             self.inner.hits(&tree, &query)
@@ -155,5 +155,9 @@ impl TransactionalRTree for ObjectOnlyRTree {
 
     fn name(&self) -> &'static str {
         "object-only (unsound)"
+    }
+
+    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
+        Some(self.inner.obs())
     }
 }

@@ -25,10 +25,10 @@ use dgl_lockmgr::{
     LockMode::{self, S, X},
     LockOutcome, RequestKind, ResourceId, TxnId,
 };
+use dgl_obs::Ctr;
 use dgl_rtree::{ObjectId, RTreeConfig};
 
-use crate::stats::OpStats;
-use crate::{OpStatsSnapshot, ScanHit, TransactionalRTree, TxnError};
+use crate::{ScanHit, TransactionalRTree, TxnError};
 
 use super::BaseInner;
 
@@ -92,11 +92,6 @@ impl PredicateRTree {
         }
     }
 
-    /// Protocol statistics (including `predicate_checks`).
-    pub fn op_stats(&self) -> OpStatsSnapshot {
-        self.inner.stats.snapshot()
-    }
-
     /// Current predicate-table size (testing aid).
     pub fn predicate_count(&self) -> usize {
         self.preds.lock().len()
@@ -135,7 +130,7 @@ impl PredicateRTree {
                     p.txn != txn && p.mode != *mode && p.rect.intersects(rect)
                 })
             });
-            OpStats::add(&self.inner.stats.predicate_checks, checks);
+            self.inner.obs().add(Ctr::PredicateChecks, checks);
             if !conflict {
                 for (rect, mode) in wanted {
                     table.push(PredEntry {
@@ -220,7 +215,7 @@ impl TransactionalRTree for PredicateRTree {
 
     fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.inserts);
+        self.inner.obs().incr(Ctr::Inserts);
         self.register_predicate(txn, rect, PredMode::Write)?;
         self.obj_lock(txn, oid, X)?;
         match self.inner.do_insert(txn, oid, rect) {
@@ -231,7 +226,7 @@ impl TransactionalRTree for PredicateRTree {
 
     fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.deletes);
+        self.inner.obs().incr(Ctr::Deletes);
         // A delete both *reads* the region (it verifies presence/absence —
         // the not-found answer must be repeatable) and writes it; the pair
         // installs atomically to avoid the upgrade deadlock.
@@ -242,7 +237,7 @@ impl TransactionalRTree for PredicateRTree {
 
     fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_singles);
+        self.inner.obs().incr(Ctr::ReadSingles);
         self.obj_lock(txn, oid, S)?;
         let tree = self.inner.tree.read();
         Ok(match tree.lookup(oid, rect) {
@@ -253,7 +248,7 @@ impl TransactionalRTree for PredicateRTree {
 
     fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_singles);
+        self.inner.obs().incr(Ctr::UpdateSingles);
         self.obj_lock(txn, oid, X)?;
         let present = self.inner.tree.read().lookup(oid, rect).is_some();
         if !present {
@@ -264,7 +259,7 @@ impl TransactionalRTree for PredicateRTree {
 
     fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_scans);
+        self.inner.obs().incr(Ctr::ReadScans);
         self.register_predicate(txn, query, PredMode::Read)?;
         let tree = self.inner.tree.read();
         Ok(self.inner.hits(&tree, &query))
@@ -272,7 +267,7 @@ impl TransactionalRTree for PredicateRTree {
 
     fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_scans);
+        self.inner.obs().incr(Ctr::UpdateScans);
         // SIX-equivalent: both a read predicate (repeatable hit set) and a
         // write predicate (other scans must not read past us), installed
         // atomically to avoid the upgrade deadlock.
@@ -306,12 +301,7 @@ impl TransactionalRTree for PredicateRTree {
         "predicate (GiST-style)"
     }
 
-    fn lock_stats(&self) -> (u64, u64) {
-        let s = self.inner.lm.stats().snapshot();
-        (s.requests, s.waits)
-    }
-
-    fn predicate_checks(&self) -> u64 {
-        self.inner.stats.snapshot().predicate_checks
+    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
+        Some(self.inner.obs())
     }
 }

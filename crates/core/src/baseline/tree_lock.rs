@@ -7,10 +7,10 @@ use dgl_lockmgr::{
     LockMode::{self, S, X},
     LockOutcome, RequestKind, ResourceId, TxnId,
 };
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::{ObjectId, RTreeConfig};
 
-use crate::stats::OpStats;
-use crate::{OpStatsSnapshot, ScanHit, TransactionalRTree, TxnError};
+use crate::{ScanHit, TransactionalRTree, TxnError};
 
 use super::BaseInner;
 
@@ -28,11 +28,6 @@ impl TreeLockRTree {
         Self {
             inner: BaseInner::new(rtree, world, lock),
         }
-    }
-
-    /// Protocol statistics.
-    pub fn op_stats(&self) -> OpStatsSnapshot {
-        self.inner.stats.snapshot()
     }
 
     /// The lock manager (statistics).
@@ -73,8 +68,8 @@ impl TransactionalRTree for TreeLockRTree {
         let start = std::time::Instant::now();
         self.inner.commit_now(txn);
         self.inner
-            .obs
-            .record(dgl_obs::Hist::Commit, start.elapsed().as_nanos() as u64);
+            .obs()
+            .record(Hist::Commit, start.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -86,21 +81,21 @@ impl TransactionalRTree for TreeLockRTree {
 
     fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.inserts);
+        self.inner.obs().incr(Ctr::Inserts);
         self.tree_lock(txn, X)?;
         self.inner.do_insert(txn, oid, rect)
     }
 
     fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.deletes);
+        self.inner.obs().incr(Ctr::Deletes);
         self.tree_lock(txn, X)?;
         Ok(self.inner.do_delete(txn, oid, rect))
     }
 
     fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_singles);
+        self.inner.obs().incr(Ctr::ReadSingles);
         self.tree_lock(txn, S)?;
         let tree = self.inner.tree.read();
         Ok(match tree.lookup(oid, rect) {
@@ -111,7 +106,7 @@ impl TransactionalRTree for TreeLockRTree {
 
     fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_singles);
+        self.inner.obs().incr(Ctr::UpdateSingles);
         self.tree_lock(txn, X)?;
         let tree = self.inner.tree.read();
         if tree.lookup(oid, rect).is_none() {
@@ -123,7 +118,7 @@ impl TransactionalRTree for TreeLockRTree {
 
     fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_scans);
+        self.inner.obs().incr(Ctr::ReadScans);
         self.tree_lock(txn, S)?;
         let tree = self.inner.tree.read();
         Ok(self.inner.hits(&tree, &query))
@@ -131,7 +126,7 @@ impl TransactionalRTree for TreeLockRTree {
 
     fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_scans);
+        self.inner.obs().incr(Ctr::UpdateScans);
         self.tree_lock(txn, X)?;
         let tree = self.inner.tree.read();
         let mut hits = self.inner.hits(&tree, &query);
@@ -156,12 +151,7 @@ impl TransactionalRTree for TreeLockRTree {
         "tree-lock"
     }
 
-    fn lock_stats(&self) -> (u64, u64) {
-        let s = self.inner.lm.stats().snapshot();
-        (s.requests, s.waits)
-    }
-
     fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
-        Some(&self.inner.obs)
+        Some(self.inner.obs())
     }
 }

@@ -32,9 +32,9 @@ use dgl_lockmgr::{
     LockMode::{self, IX, S, X},
     LockOutcome, RequestKind, ResourceId, TxnId,
 };
+use dgl_obs::Ctr;
 use dgl_rtree::{ObjectId, RTreeConfig};
 
-use crate::stats::OpStats;
 use crate::{ScanHit, TransactionalRTree, TxnError};
 
 use super::BaseInner;
@@ -101,12 +101,6 @@ impl ZOrderRTree {
             grid_bits: config.grid_bits,
             range_granules: config.range_granules,
         }
-    }
-
-    /// Protocol statistics (`zorder` granule locks are counted via
-    /// `lock_stats`).
-    pub fn op_stats(&self) -> crate::OpStatsSnapshot {
-        self.inner.stats.snapshot()
     }
 
     /// Grid coordinate of a world coordinate along one dimension.
@@ -213,7 +207,7 @@ impl TransactionalRTree for ZOrderRTree {
 
     fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.inserts);
+        self.inner.obs().incr(Ctr::Inserts);
         self.lock_range(txn, &rect, IX)?;
         self.obj_lock(txn, oid, X)?;
         self.inner.do_insert(txn, oid, rect)
@@ -221,7 +215,7 @@ impl TransactionalRTree for ZOrderRTree {
 
     fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.deletes);
+        self.inner.obs().incr(Ctr::Deletes);
         // Like the granular protocol's absent-delete: the presence check
         // is a read of the range, so take S as well as IX (supremum SIX
         // is computed by the lock manager).
@@ -233,7 +227,7 @@ impl TransactionalRTree for ZOrderRTree {
 
     fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_singles);
+        self.inner.obs().incr(Ctr::ReadSingles);
         self.obj_lock(txn, oid, S)?;
         let tree = self.inner.tree.read();
         Ok(match tree.lookup(oid, rect) {
@@ -244,7 +238,7 @@ impl TransactionalRTree for ZOrderRTree {
 
     fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_singles);
+        self.inner.obs().incr(Ctr::UpdateSingles);
         self.lock_range(txn, &rect, IX)?;
         self.obj_lock(txn, oid, X)?;
         let present = self.inner.tree.read().lookup(oid, rect).is_some();
@@ -256,7 +250,7 @@ impl TransactionalRTree for ZOrderRTree {
 
     fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.read_scans);
+        self.inner.obs().incr(Ctr::ReadScans);
         self.lock_range(txn, &query, S)?;
         let tree = self.inner.tree.read();
         Ok(self.inner.hits(&tree, &query))
@@ -264,7 +258,7 @@ impl TransactionalRTree for ZOrderRTree {
 
     fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         self.inner.check_active(txn)?;
-        OpStats::bump(&self.inner.stats.update_scans);
+        self.inner.obs().incr(Ctr::UpdateScans);
         self.lock_range(txn, &query, S)?;
         self.lock_range(txn, &query, IX)?;
         let mut hits = {
@@ -292,9 +286,8 @@ impl TransactionalRTree for ZOrderRTree {
         "zorder-krl"
     }
 
-    fn lock_stats(&self) -> (u64, u64) {
-        let s = self.inner.lm.stats().snapshot();
-        (s.requests, s.waits)
+    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
+        Some(self.inner.obs())
     }
 }
 

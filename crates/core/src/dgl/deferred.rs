@@ -30,10 +30,10 @@ use dgl_lockmgr::{
     LockMode::{self, IX, SIX},
     LockOutcome, RequestKind, ResourceId, TxnId,
 };
+use dgl_obs::Ctr;
 use dgl_rtree::{Entry, Orphan};
 
 use crate::locks::LockList;
-use crate::stats::OpStats;
 
 use super::{DeferredDelete, DglCore};
 
@@ -90,7 +90,7 @@ impl DglCore {
             sys,
             done: false,
         };
-        OpStats::bump(&self.stats.deferred_deletes);
+        self.obs.incr(Ctr::DeferredDeletes);
 
         // Phase 1: remove + condense.
         let orphans = self.deferred_remove_phase(sys, d);
@@ -197,8 +197,8 @@ impl DglCore {
                 }
                 Err((res, mode, dur)) => {
                     drop(latch);
-                    OpStats::bump(&self.stats.op_retries);
-                    OpStats::bump(&self.stats.deferred_retries);
+                    self.obs.incr(Ctr::OpRetries);
+                    self.obs.incr(Ctr::DeferredRetries);
                     self.system_wait(sys, res, mode, dur);
                 }
             }
@@ -231,8 +231,8 @@ impl DglCore {
                     }
                     Err((res, mode, dur)) => {
                         drop(latch);
-                        OpStats::bump(&self.stats.op_retries);
-                        OpStats::bump(&self.stats.deferred_retries);
+                        self.obs.incr(Ctr::OpRetries);
+                        self.obs.incr(Ctr::DeferredRetries);
                         self.system_wait(sys, res, mode, dur);
                         continue;
                     }
@@ -291,8 +291,8 @@ impl DglCore {
                 }
                 Err((res, mode, dur)) => {
                     drop(latch);
-                    OpStats::bump(&self.stats.op_retries);
-                    OpStats::bump(&self.stats.deferred_retries);
+                    self.obs.incr(Ctr::OpRetries);
+                    self.obs.incr(Ctr::DeferredRetries);
                     self.system_wait(sys, res, mode, dur);
                 }
             }
@@ -314,8 +314,8 @@ impl DglCore {
                     // parties are abortable and will clear the path.
                     let nap = Duration::from_millis(1);
                     std::thread::sleep(nap);
-                    OpStats::add(
-                        &self.stats.backoff_nanos,
+                    self.obs.add(
+                        Ctr::MaintBackoffNanos,
                         u64::try_from(nap.as_nanos()).unwrap_or(u64::MAX),
                     );
                 }

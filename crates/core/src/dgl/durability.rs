@@ -65,7 +65,7 @@ use std::time::Instant;
 
 use dgl_geom::Rect2;
 use dgl_lockmgr::TxnId;
-use dgl_obs::Hist;
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::codec::{checkpoint_tree, restore_tree, TreeCheckpoint};
 use dgl_rtree::persist::{decode_file_image, encode_file_image};
 use dgl_rtree::{ObjectId, PersistError, RTree2};
@@ -75,7 +75,6 @@ use dgl_wal::{
     UndoOp, Wal, WalConfig, WalError, WalRecord,
 };
 
-use crate::stats::OpStats;
 use crate::{TransactionalRTree, TxnError};
 
 use super::{DglConfig, DglCore, DglRTree, UndoRecord};
@@ -349,11 +348,11 @@ impl DglCore {
         let res = self.run_checkpoint();
         match res {
             Ok(()) => {
-                OpStats::bump(&self.stats.checkpoints);
+                self.obs.incr(Ctr::Checkpoints);
                 Ok(())
             }
             Err(_) => {
-                OpStats::bump(&self.stats.checkpoint_failures);
+                self.obs.incr(Ctr::CheckpointFailures);
                 Err(TxnError::Durability)
             }
         }

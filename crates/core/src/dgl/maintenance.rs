@@ -38,8 +38,8 @@
 //! deletion, and a dead worker would strand them all and hang `quiesce`
 //! forever. Execution therefore runs under `catch_unwind`; a panicked
 //! record is requeued (front of the queue, `attempts + 1`) up to
-//! [`MAINT_MAX_ATTEMPTS`] times, after which it is dropped and counted in
-//! `OpStats::maint_failed` — and `quiesce` reports
+//! [`MAINT_MAX_ATTEMPTS`] times, after which it is dropped, the core's
+//! `maint_failed` flag is raised (and counted) — and `quiesce` reports
 //! [`TxnError::MaintenanceFailed`] instead of pretending the tree is
 //! clean. The system operation itself aborts its transaction on unwind
 //! (see `deferred.rs`), so a requeued record starts from scratch against
@@ -47,6 +47,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -54,7 +55,6 @@ use std::time::Instant;
 use dgl_obs::{Ctr, Hist};
 use parking_lot::{Condvar, Mutex};
 
-use crate::stats::OpStats;
 use crate::TxnError;
 
 use super::{DeferredDelete, DglCore};
@@ -118,7 +118,6 @@ impl MaintenanceHandle {
     /// Hands one committed deferred deletion to the subsystem: runs it now
     /// (inline) or enqueues it (background).
     pub(crate) fn dispatch(&self, core: &DglCore, d: DeferredDelete) {
-        OpStats::bump(&core.stats.maint_enqueued);
         core.obs.incr(Ctr::MaintEnqueued);
         // Backlog-drain latency is measured dispatch → physical completion,
         // so the timestamp rides along with the queued record.
@@ -132,7 +131,7 @@ impl MaintenanceHandle {
     /// Hands a checkpoint request to the subsystem: runs it now (inline)
     /// or enqueues it behind the pending deletions (background), so
     /// commits never pay for snapshot encoding in background mode. The
-    /// outcome lands in `OpStats::checkpoints` / `checkpoint_failures`.
+    /// outcome lands in the `checkpoints` / `checkpoint_failures` counters.
     pub(crate) fn dispatch_checkpoint(&self, core: &DglCore) {
         match self {
             Self::Inline => {
@@ -161,15 +160,22 @@ impl MaintenanceHandle {
         if let Self::Background(w) = self {
             w.wait_drained();
         }
-        if core
-            .stats
-            .maint_failed
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0
-        {
+        if core.maint_failed.load(Ordering::Relaxed) {
             Err(TxnError::MaintenanceFailed)
         } else {
             Ok(())
+        }
+    }
+
+    /// Work items queued or executing right now (always 0 in inline
+    /// mode, where dispatch runs the item before returning).
+    pub(crate) fn backlog(&self) -> usize {
+        match self {
+            Self::Inline => 0,
+            Self::Background(w) => {
+                let st = w.shared.state.lock();
+                st.queue.len() + st.running
+            }
         }
     }
 }
@@ -181,7 +187,6 @@ fn run_caught(core: &DglCore, d: DeferredDelete) -> bool {
 
 /// Records the dispatch → completion latency of one applied deletion.
 fn record_drain(core: &DglCore, enqueued: Instant) {
-    OpStats::bump(&core.stats.maint_completed);
     core.obs.incr(Ctr::MaintCompleted);
     core.obs.record(
         Hist::MaintDrain,
@@ -198,14 +203,25 @@ fn run_with_retries(core: &DglCore, d: DeferredDelete, enqueued: Instant) {
             record_drain(core, enqueued);
             return;
         }
-        OpStats::bump(&core.stats.maint_panics);
         attempts += 1;
-        if attempts >= MAINT_MAX_ATTEMPTS {
-            OpStats::bump(&core.stats.maint_failed);
+        if !note_panic(core, attempts) {
             return;
         }
-        OpStats::bump(&core.stats.maint_requeues);
     }
+}
+
+/// Accounts for a deletion whose `attempts`-th execution panicked and
+/// returns whether it gets another try. Out of budget, it is dropped and
+/// the failure flag `quiesce` reports from is raised.
+fn note_panic(core: &DglCore, attempts: u32) -> bool {
+    core.obs.incr(Ctr::MaintPanics);
+    if attempts >= MAINT_MAX_ATTEMPTS {
+        core.maint_failed.store(true, Ordering::Relaxed);
+        core.obs.incr(Ctr::MaintFailed);
+        return false;
+    }
+    core.obs.incr(Ctr::MaintRequeues);
+    true
 }
 
 struct QueuedDelete {
@@ -290,10 +306,6 @@ impl MaintenanceWorker {
             attempts: 0,
             enqueued,
         }));
-        OpStats::raise(
-            &core.stats.maint_queue_peak,
-            (st.queue.len() + st.running) as u64,
-        );
         self.shared.cond.notify_all();
     }
 
@@ -399,7 +411,7 @@ fn worker_loop(core: &DglCore, shared: &Shared) {
                 // inside; a panic is contained like any maintenance
                 // panic — the next threshold crossing retries.
                 if catch_unwind(AssertUnwindSafe(|| core.run_checkpoint_guarded())).is_err() {
-                    OpStats::bump(&core.stats.checkpoint_failures);
+                    core.obs.incr(Ctr::CheckpointFailures);
                 }
                 continue;
             }
@@ -415,12 +427,9 @@ fn worker_loop(core: &DglCore, shared: &Shared) {
             record_drain(core, enqueued);
             continue;
         }
-        OpStats::bump(&core.stats.maint_panics);
-        if attempts + 1 >= MAINT_MAX_ATTEMPTS {
-            OpStats::bump(&core.stats.maint_failed);
+        if !note_panic(core, attempts + 1) {
             continue;
         }
-        OpStats::bump(&core.stats.maint_requeues);
         {
             let mut st = shared.state.lock();
             st.queue.push_front(WorkItem::Delete(QueuedDelete {

@@ -34,12 +34,9 @@
 //! This preserves the paper's requirement that locks be negotiated
 //! *before modification* (§3.3, Table 3): validation proves the tree the
 //! locks were computed against is the tree being modified, so the lock
-//! set is exactly what a pessimistic attempt would have taken — only the
-//! latch mode during planning differs, which the paper leaves to the
-//! orthogonal physical-consistency protocol.
-//! [`WritePathMode::Pessimistic`] restores the historical behavior (plan
-//! and apply under one exclusive hold, no validation) as a benchmark
-//! baseline.
+//! set is exactly what planning under the exclusive latch would have
+//! taken — only the latch mode during planning differs, which the paper
+//! leaves to the orthogonal physical-consistency protocol.
 //!
 //! If a conditional lock request would block (either phase), the attempt
 //! aborts cleanly: all latches are dropped, the lock is awaited
@@ -112,7 +109,6 @@ use dgl_txn::{CommitClock, Journal, TxnManager};
 use dgl_obs::{Ctr, Hist, Registry};
 
 use crate::locks::LockList;
-use crate::stats::OpStats;
 use crate::{TransactionalRTree, TxnError};
 
 /// Which insertion policy the protocol runs (§3.4).
@@ -131,21 +127,6 @@ pub enum InsertPolicy {
     Modified,
 }
 
-/// How write operations interleave the tree latch with planning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WritePathMode {
-    /// Plan under the *shared* latch (concurrent with scans and other
-    /// planners), validate the structure version under a short *exclusive*
-    /// latch, then apply — the optimistic latch-coupling split described
-    /// in the module docs.
-    #[default]
-    Optimistic,
-    /// Plan and apply under one exclusive latch hold (the historical
-    /// single-writer behavior). Kept as a measurable baseline for the
-    /// throughput benchmarks; never required for correctness.
-    Pessimistic,
-}
-
 /// Configuration for [`DglRTree`].
 #[derive(Debug, Clone)]
 pub struct DglConfig {
@@ -155,9 +136,6 @@ pub struct DglConfig {
     pub world: Rect2,
     /// Insertion policy.
     pub policy: InsertPolicy,
-    /// Write-path latch discipline (optimistic plan/validate/apply by
-    /// default).
-    pub write_path: WritePathMode,
     /// Lock manager configuration.
     pub lock: LockManagerConfig,
     /// Lock-wait timeout backstop. `Some` overrides `lock.wait_timeout`
@@ -176,12 +154,6 @@ pub struct DglConfig {
     /// ([`DglRTree::open`] / [`DglRTree::recover`]); purely in-memory
     /// indexes ([`DglRTree::new`]) never touch disk regardless.
     pub durability: DurabilityConfig,
-    /// Always-on observability recording (counters + histograms in the
-    /// shared [`dgl_obs::Registry`]). On by default — the recording cost
-    /// is a few relaxed atomics per operation (measured <3% ops/sec on
-    /// the contended read-heavy point; see EXPERIMENTS.md). Off builds a
-    /// disabled registry for overhead A/B measurement.
-    pub obs_recording: bool,
     /// Global deadlock detection: a background thread that unions the
     /// lock manager's wait-for graph with deferred-gate wait edges (and,
     /// on a sharded index, every shard's graph plus 2PC session edges),
@@ -234,13 +206,11 @@ impl Default for DglConfig {
             rtree: RTreeConfig::default(),
             world: Rect2::unit(),
             policy: InsertPolicy::default(),
-            write_path: WritePathMode::default(),
             lock: LockManagerConfig::default(),
             wait_timeout: None,
             buffer_pages: None,
             maintenance: MaintenanceConfig::default(),
             durability: DurabilityConfig::default(),
-            obs_recording: true,
             global_detector: true,
             coarse_external_granule: false,
             hash_reads: true,
@@ -333,14 +303,16 @@ pub(crate) struct DglCore {
     /// Each is a detector wait edge `waiter → gate_holder`.
     pub(crate) gate_waiters: Mutex<HashSet<TxnId>>,
     pub(crate) policy: InsertPolicy,
-    pub(crate) write_path: WritePathMode,
     pub(crate) coarse_external: bool,
     pub(crate) hash_reads: bool,
     pub(crate) skip_growth_compensation: bool,
-    pub(crate) stats: OpStats,
-    /// Shared observability registry — the same instance the lock manager
-    /// reports into, so lock waits and latch holds land in one place.
+    /// The one telemetry sink — the same instance the lock manager
+    /// reports into. Nothing here steers behaviour; state that does is a
+    /// named field (`maint_failed`, `gc_pending`, `ckpt_pending`).
     pub(crate) obs: Arc<Registry>,
+    /// A deferred deletion exhausted its retry budget and was dropped;
+    /// `quiesce` reports [`TxnError::MaintenanceFailed`] from now on.
+    pub(crate) maint_failed: AtomicBool,
     /// The write-ahead log, attached once by the directory-backed
     /// constructors *after* recovery replay (so replayed operations are
     /// not re-logged). Empty for purely in-memory indexes.
@@ -375,34 +347,27 @@ pub(crate) struct DglCore {
     pub(crate) checkpoint_threshold: Option<u64>,
 }
 
-/// The latch a write operation holds while planning. In optimistic mode
-/// this is the *shared* latch plus the structure version it was acquired
-/// at; in pessimistic mode it is the exclusive latch for the whole
-/// attempt. Either way, [`DglCore::upgrade`] trades it for the exclusive
-/// [`ApplyGuard`] once planning and conditional lock acquisition succeed.
-pub(crate) enum PlanLatch<'a> {
-    /// Shared latch + the tree's structure version at acquisition time.
-    Shared(RwLockReadGuard<'a, RTree2>, u64),
-    /// Exclusive latch held since `start` (pessimistic baseline mode).
-    Exclusive(RwLockWriteGuard<'a, RTree2>, Instant),
+/// The latch a write operation holds while planning: the *shared* latch
+/// plus the structure version it was acquired at. [`DglCore::upgrade`]
+/// trades it for the exclusive [`ApplyGuard`] once planning and
+/// conditional lock acquisition succeed.
+pub(crate) struct PlanLatch<'a> {
+    guard: RwLockReadGuard<'a, RTree2>,
+    planned_version: u64,
 }
 
 impl PlanLatch<'_> {
     /// Read access to the tree for the planning traversal.
     pub(crate) fn tree(&self) -> &RTree2 {
-        match self {
-            PlanLatch::Shared(g, _) => g,
-            PlanLatch::Exclusive(g, _) => g,
-        }
+        &self.guard
     }
 }
 
 /// Exclusive tree latch held for the apply step. Dropping it records the
-/// hold duration in [`OpStats`] (`x_latch_holds` / `x_latch_nanos`) — the
-/// quantity the optimistic split exists to shrink.
+/// hold duration in [`Hist::LatchHold`] — the quantity the optimistic
+/// split exists to shrink.
 pub(crate) struct ApplyGuard<'a> {
     guard: RwLockWriteGuard<'a, RTree2>,
-    stats: &'a OpStats,
     obs: &'a Registry,
     start: Instant,
 }
@@ -432,19 +397,17 @@ impl Drop for ApplyGuard<'_> {
             // so a failure here is a genuine invariant breach that chaos
             // tests must see. `catch_unwind` keeps a (hypothetical) panic
             // inside validation from escalating to a double-panic abort.
-            OpStats::bump(&self.stats.apply_unwinds);
+            self.obs.incr(Ctr::ApplyUnwinds);
             self.guard.invalidate_plans();
             let intact = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.guard.validate(false).is_ok()
             }))
             .unwrap_or(false);
             if !intact {
-                OpStats::bump(&self.stats.unwind_validate_failures);
+                self.obs.incr(Ctr::UnwindValidateFailures);
             }
         }
         let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        OpStats::bump(&self.stats.x_latch_holds);
-        OpStats::add(&self.stats.x_latch_nanos, nanos);
         self.obs.record(Hist::LatchHold, nanos);
     }
 }
@@ -475,7 +438,7 @@ impl Drop for UnwindRollback<'_> {
         // System transactions have their own cleanup (the maintenance
         // worker's requeue path); only user transactions roll back here.
         if self.core.tm.is_active(self.txn) && !self.core.lm.is_system(self.txn) {
-            OpStats::bump(&self.core.stats.unwind_rollbacks);
+            self.core.obs.incr(Ctr::UnwindRollbacks);
             // Rollback itself must not escalate to a double-panic abort.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.core.rollback_now(self.txn);
@@ -533,7 +496,7 @@ impl DglRTree {
         config: &DglConfig,
         clock: Arc<CommitClock>,
     ) -> Self {
-        let obs = Self::new_registry(config);
+        let obs = Arc::new(Registry::new());
         tree.io_stats().attach_obs(Arc::clone(&obs));
         let lm = Arc::new(LockManager::with_obs(
             config.effective_lock(),
@@ -554,12 +517,11 @@ impl DglRTree {
             gate_holder: Mutex::new(None),
             gate_waiters: Mutex::new(HashSet::new()),
             policy: config.policy,
-            write_path: config.write_path,
             coarse_external: config.coarse_external_granule,
             hash_reads: config.hash_reads,
             skip_growth_compensation: config.testing_skip_growth_compensation,
-            stats: OpStats::default(),
             obs,
+            maint_failed: AtomicBool::new(false),
             wal: OnceLock::new(),
             wal_started: Mutex::new(HashSet::new()),
             wal_committed: Mutex::new(HashSet::new()),
@@ -676,24 +638,15 @@ impl DglRTree {
         Ok(db)
     }
 
-    /// Builds the shared observability registry for a new index
-    /// (disabled when `obs_recording` is off, for overhead A/B runs).
-    fn new_registry(config: &DglConfig) -> Arc<Registry> {
-        Arc::new(if config.obs_recording {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        })
-    }
-
-    /// The lock manager (statistics, tracing).
+    /// The lock manager (lock-table inspection).
     pub fn lock_manager(&self) -> &Arc<LockManager> {
         &self.core.lm
     }
 
-    /// The shared observability registry (counters, histograms, and — in
-    /// detail mode under the `dgl-obs/full` feature — the structured
-    /// event stream).
+    /// The observability registry: every counter and histogram this
+    /// index, its lock manager and its transaction manager record, and —
+    /// in detail mode under the `dgl-obs/full` feature — the structured
+    /// event stream.
     pub fn obs(&self) -> &Arc<Registry> {
         &self.core.obs
     }
@@ -720,14 +673,16 @@ impl DglRTree {
         dgl_obs::json_snapshot(&self.core.obs.snapshot())
     }
 
-    /// The transaction manager (statistics).
+    /// The transaction manager (active-set inspection).
     pub fn txn_manager(&self) -> &TxnManager {
         &self.core.tm
     }
 
-    /// Protocol operation statistics.
-    pub fn op_stats(&self) -> &OpStats {
-        &self.core.stats
+    /// Maintenance work items (deferred deletions, checkpoints, version
+    /// GC passes) queued or executing right now — the queue's own depth,
+    /// not a counter difference. Always 0 in inline mode.
+    pub fn maintenance_backlog(&self) -> usize {
+        self.maint.backlog()
     }
 
     /// Read access to the underlying tree (experiments; takes the latch).
@@ -760,12 +715,6 @@ impl DglRTree {
     /// remain and their ids stay reserved.
     pub fn quiesce(&self) -> Result<(), TxnError> {
         self.maint.quiesce(&self.core)
-    }
-
-    /// Protocol operation statistics (alias of [`Self::op_stats`], the
-    /// name generic drivers use via [`TransactionalRTree::exec_stats`]).
-    pub fn stats(&self) -> &OpStats {
-        &self.core.stats
     }
 
     // --- commit phases --------------------------------------------------
@@ -864,8 +813,6 @@ impl DglRTree {
             self.maint.dispatch(&self.core, d);
         }
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        OpStats::bump(&self.core.stats.commits);
-        OpStats::add(&self.core.stats.commit_nanos, nanos);
         self.core.obs.record(Hist::Commit, nanos);
         // Enough log grew since the last cut? Hand a checkpoint to the
         // maintenance subsystem (runs here in inline mode).
@@ -903,57 +850,40 @@ impl DglCore {
         let guard = self.tree.write();
         ApplyGuard {
             guard,
-            stats: &self.stats,
             obs: &self.obs,
             start: Instant::now(),
         }
     }
 
     /// Starts a write attempt's planning phase: shared latch + recorded
-    /// structure version in optimistic mode, exclusive latch in
-    /// pessimistic mode.
+    /// structure version.
     pub(crate) fn plan_latch(&self) -> PlanLatch<'_> {
-        match self.write_path {
-            WritePathMode::Optimistic => {
-                let g = self.latch_shared();
-                let v = g.version();
-                PlanLatch::Shared(g, v)
-            }
-            WritePathMode::Pessimistic => {
-                Self::assert_no_payloads_held();
-                PlanLatch::Exclusive(self.tree.write(), Instant::now())
-            }
+        let guard = self.latch_shared();
+        let planned_version = guard.version();
+        PlanLatch {
+            guard,
+            planned_version,
         }
     }
 
     /// Trades the planning latch for the exclusive apply latch,
-    /// validating the structure version in optimistic mode. `None` means
-    /// the plan is stale (another writer applied in between) and the
-    /// caller must replan — its locks are retained per 2PL and re-grant
-    /// instantly on the next attempt.
+    /// validating the structure version. `None` means the plan is stale
+    /// (another writer applied in between) and the caller must replan —
+    /// its locks are retained per 2PL and re-grant instantly on the next
+    /// attempt.
     pub(crate) fn upgrade<'a>(&'a self, plan: PlanLatch<'a>) -> Option<ApplyGuard<'a>> {
-        match plan {
-            PlanLatch::Exclusive(guard, start) => Some(ApplyGuard {
-                guard,
-                stats: &self.stats,
-                obs: &self.obs,
-                start,
-            }),
-            PlanLatch::Shared(g, planned_version) => {
-                drop(g);
-                let apply = self.latch_exclusive();
-                // Failpoint: force a validation failure (stale plan) to
-                // exercise the replan loop under chaos.
-                let forced_stale = dgl_faults::fired!("dgl/validate");
-                if apply.version() == planned_version && !forced_stale {
-                    Some(apply)
-                } else {
-                    drop(apply);
-                    OpStats::bump(&self.stats.plan_validation_failures);
-                    OpStats::bump(&self.stats.optimistic_replans);
-                    None
-                }
-            }
+        let planned_version = plan.planned_version;
+        drop(plan);
+        let apply = self.latch_exclusive();
+        // Failpoint: force a validation failure (stale plan) to exercise
+        // the replan loop under chaos.
+        let forced_stale = dgl_faults::fired!("dgl/validate");
+        if apply.version() == planned_version && !forced_stale {
+            Some(apply)
+        } else {
+            drop(apply);
+            self.obs.incr(Ctr::PlanValidationFailures);
+            None
         }
     }
 
@@ -1287,20 +1217,11 @@ impl TransactionalRTree for DglRTree {
         }
     }
 
-    fn lock_stats(&self) -> (u64, u64) {
-        let s = self.core.lm.stats().snapshot();
-        (s.requests, s.waits)
-    }
-
     fn quiesce(&self) {
         // The trait method is infallible; a maintenance failure is
         // surfaced via `validate` and the inherent fallible
         // [`DglRTree::quiesce`].
         let _ = DglRTree::quiesce(self);
-    }
-
-    fn exec_stats(&self) -> Option<&OpStats> {
-        Some(&self.core.stats)
     }
 
     fn obs_registry(&self) -> Option<&Arc<Registry>> {

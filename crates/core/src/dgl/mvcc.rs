@@ -69,7 +69,6 @@ use dgl_lockmgr::TxnId;
 use dgl_obs::{Ctr, Hist, Registry};
 use dgl_rtree::ObjectId;
 
-use crate::stats::OpStats;
 use crate::{ScanHit, TransactionalRTree, TxnError};
 
 use super::{DglCore, DglRTree, UndoRecord};
@@ -409,7 +408,6 @@ impl DglCore {
              ({}): future timestamps are not yet stable",
             self.clock.now()
         );
-        OpStats::bump(&self.stats.snapshot_scans);
         self.obs.incr(Ctr::SnapshotScans);
         let tree = self.latch_shared();
         let mut hits = Vec::new();
@@ -503,7 +501,6 @@ impl DglCore {
              ({}): future timestamps are not yet stable",
             self.clock.now()
         );
-        OpStats::bump(&self.stats.snapshot_point_reads);
         self.obs.incr(Ctr::SnapshotPointReads);
         let t0 = Instant::now();
         let live = self.payloads.get(&oid, |s| s.chain.visible_at(ts));
@@ -531,7 +528,6 @@ impl DglCore {
              ({}): future timestamps are not yet stable",
             self.clock.now()
         );
-        OpStats::bump(&self.stats.snapshot_point_reads);
         self.obs.incr(Ctr::SnapshotPointReads);
         let tree = self.latch_shared();
         let live = self
@@ -591,8 +587,7 @@ impl DglCore {
                 }
             });
         }
-        OpStats::bump(&self.stats.version_gc_runs);
-        OpStats::add(&self.stats.versions_reclaimed, reclaimed);
+        self.obs.incr(Ctr::VersionGcRuns);
         self.obs.add(Ctr::VersionsReclaimed, reclaimed);
     }
 }
@@ -624,7 +619,7 @@ pub struct Snapshot<'a> {
 impl DglRTree {
     /// Registers a snapshot at the current commit timestamp.
     pub fn begin_snapshot(&self) -> Snapshot<'_> {
-        OpStats::bump(&self.core.stats.snapshot_begins);
+        self.core.obs.incr(Ctr::SnapshotBegins);
         Snapshot {
             ts: self.core.clock.begin_snapshot(),
             db: self,
@@ -636,7 +631,7 @@ impl DglRTree {
     /// this constructor exists for tests and recovery tooling.
     #[doc(hidden)]
     pub fn begin_snapshot_at(&self, ts: u64) -> Snapshot<'_> {
-        OpStats::bump(&self.core.stats.snapshot_begins);
+        self.core.obs.incr(Ctr::SnapshotBegins);
         Snapshot {
             ts: self.core.clock.begin_snapshot_at(ts),
             db: self,
@@ -770,7 +765,7 @@ impl SnapshotReadRTree {
         let mut snaps = self.snaps.lock();
         let state = snaps.entry(txn.0).or_default();
         let ts = *state.ts.get_or_insert_with(|| {
-            OpStats::bump(&self.inner.core.stats.snapshot_begins);
+            self.inner.core.obs.incr(Ctr::SnapshotBegins);
             self.inner.core.clock.begin_snapshot()
         });
         (ts, state.wrote)
@@ -934,16 +929,8 @@ impl TransactionalRTree for SnapshotReadRTree {
         "dgl-snapshot"
     }
 
-    fn lock_stats(&self) -> (u64, u64) {
-        self.inner.lock_stats()
-    }
-
     fn quiesce(&self) {
         TransactionalRTree::quiesce(&self.inner);
-    }
-
-    fn exec_stats(&self) -> Option<&OpStats> {
-        self.inner.exec_stats()
     }
 
     fn obs_registry(&self) -> Option<&std::sync::Arc<Registry>> {
@@ -1055,7 +1042,7 @@ mod tests {
             );
         });
         assert_eq!(
-            db.inner().lock_manager().stats().snapshot().timeouts,
+            db.inner().obs().ctr(Ctr::LockTimeouts),
             0,
             "no timeout verdict anywhere in the cycle's resolution"
         );

@@ -11,7 +11,6 @@ use dgl_rtree::ObjectId;
 
 use crate::granules::overlapping_granules;
 use crate::locks::LockList;
-use crate::stats::OpStats;
 use crate::{ScanHit, TxnError};
 
 use super::{DglCore, UnwindRollback};
@@ -35,10 +34,10 @@ impl DglCore {
         self.check_active(txn)?;
         let _unwind = UnwindRollback { core: self, txn };
         let _kind = dgl_obs::op_kind_scope(OpKind::Point);
-        OpStats::bump(&self.stats.read_singles);
+        self.obs.incr(Ctr::ReadSingles);
         let locks = super::single_lock(Self::object(oid), S, Commit);
         while let Err((res, mode, dur)) = locks.try_acquire(&self.lm, txn) {
-            OpStats::bump(&self.stats.op_retries);
+            self.obs.incr(Ctr::OpRetries);
             self.wait_or_abort(txn, res, mode, dur)?;
         }
         if self.hash_reads {
@@ -119,7 +118,7 @@ impl DglCore {
         self.check_active(txn)?;
         let _unwind = UnwindRollback { core: self, txn };
         let _kind = dgl_obs::op_kind_scope(OpKind::Scan);
-        OpStats::bump(&self.stats.read_scans);
+        self.obs.incr(Ctr::ReadScans);
         loop {
             dgl_faults::failpoint!("dgl/plan" => {
                 self.rollback_now(txn);
@@ -143,7 +142,7 @@ impl DglCore {
                 }
                 Err((res, mode, dur)) => {
                     drop(tree);
-                    OpStats::bump(&self.stats.op_retries);
+                    self.obs.incr(Ctr::OpRetries);
                     self.wait_or_abort(txn, res, mode, dur)?;
                 }
             }
@@ -166,7 +165,7 @@ impl DglCore {
         // them as scans would break the "scans vanish from the wait
         // histogram" claim.
         let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        OpStats::bump(&self.stats.update_scans);
+        self.obs.incr(Ctr::UpdateScans);
         loop {
             let tree = self.latch_shared();
             let set = overlapping_granules(&tree, &[query]);
@@ -218,7 +217,7 @@ impl DglCore {
                 }
                 Err((res, mode, dur)) => {
                     drop(tree);
-                    OpStats::bump(&self.stats.op_retries);
+                    self.obs.incr(Ctr::OpRetries);
                     self.wait_or_abort(txn, res, mode, dur)?;
                 }
             }

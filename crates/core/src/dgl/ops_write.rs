@@ -14,7 +14,6 @@ use dgl_obs::{span, Ctr, Hist, OpKind};
 
 use crate::granules::overlapping_granules;
 use crate::locks::LockList;
-use crate::stats::OpStats;
 use crate::TxnError;
 
 use super::{DeferredDelete, DglCore, InsertPolicy, UndoRecord, UnwindRollback};
@@ -26,7 +25,7 @@ impl DglCore {
         self.check_active(txn)?;
         let _unwind = UnwindRollback { core: self, txn };
         let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        OpStats::bump(&self.stats.inserts);
+        self.obs.incr(Ctr::Inserts);
         // The commit-duration X on the object name must be held BEFORE
         // consulting `payloads`: a concurrent inserter publishes its
         // entry there while still uncommitted, so an unlocked check can
@@ -40,7 +39,7 @@ impl DglCore {
         // the payload entry atomically under its exclusive latch.
         let name_lock = super::single_lock(Self::object(oid), X, Commit);
         if let Err((res, mode, dur)) = name_lock.try_acquire(&self.lm, txn) {
-            OpStats::bump(&self.stats.op_retries);
+            self.obs.incr(Ctr::OpRetries);
             self.wait_or_abort(txn, res, mode, dur)?;
         }
         // The probe is a striped O(1) membership check on the hash index
@@ -85,7 +84,7 @@ impl DglCore {
             );
             if let Err((res, mode, dur)) = locks.try_acquire(&self.lm, txn) {
                 drop(latch);
-                OpStats::bump(&self.stats.op_retries);
+                self.obs.incr(Ctr::OpRetries);
                 self.wait_or_abort(txn, res, mode, dur)?;
                 continue;
             }
@@ -145,7 +144,7 @@ impl DglCore {
                 return Err(e);
             }
             if plan.changes_granules() {
-                OpStats::bump(&self.stats.granule_changing_inserts);
+                self.obs.incr(Ctr::GranuleChangingInserts);
             }
             self.end_op(txn);
             return Ok(());
@@ -320,7 +319,7 @@ impl DglCore {
         self.check_active(txn)?;
         let _unwind = UnwindRollback { core: self, txn };
         let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        OpStats::bump(&self.stats.deletes);
+        self.obs.incr(Ctr::Deletes);
         loop {
             dgl_faults::failpoint!("dgl/plan" => {
                 self.rollback_now(txn);
@@ -392,7 +391,7 @@ impl DglCore {
                         }
                         Err((res, mode, dur)) => {
                             drop(latch);
-                            OpStats::bump(&self.stats.op_retries);
+                            self.obs.incr(Ctr::OpRetries);
                             self.wait_or_abort(txn, res, mode, dur)?;
                         }
                     }
@@ -418,7 +417,7 @@ impl DglCore {
                         }
                         Err((res, mode, dur)) => {
                             drop(latch);
-                            OpStats::bump(&self.stats.op_retries);
+                            self.obs.incr(Ctr::OpRetries);
                             self.wait_or_abort(txn, res, mode, dur)?;
                         }
                     }
@@ -438,10 +437,10 @@ impl DglCore {
         self.check_active(txn)?;
         let _unwind = UnwindRollback { core: self, txn };
         let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        OpStats::bump(&self.stats.update_singles);
+        self.obs.incr(Ctr::UpdateSingles);
         // UpdateSingle never mutates the tree (only the payload table), so
-        // the whole operation runs under the planning latch — in optimistic
-        // mode it never takes the exclusive latch at all. The commit IX/X
+        // the whole operation runs under the shared planning latch and
+        // never takes the exclusive latch at all. The commit IX/X
         // locks make every observation repeatable, and the payload table
         // has its own mutex.
         loop {
@@ -458,7 +457,7 @@ impl DglCore {
                     }
                     Err((res, mode, dur)) => {
                         drop(latch);
-                        OpStats::bump(&self.stats.op_retries);
+                        self.obs.incr(Ctr::OpRetries);
                         self.wait_or_abort(txn, res, mode, dur)?;
                         continue;
                     }
@@ -501,7 +500,7 @@ impl DglCore {
                 }
                 Err((res, mode, dur)) => {
                     drop(latch);
-                    OpStats::bump(&self.stats.op_retries);
+                    self.obs.incr(Ctr::OpRetries);
                     self.wait_or_abort(txn, res, mode, dur)?;
                 }
             }

@@ -78,7 +78,6 @@ use dgl_rtree::ObjectId;
 use dgl_txn::CommitClock;
 use dgl_wal::{read_segment, scan_dir, segment_path, Wal, WalConfig, WalRecord};
 
-use crate::stats::{OpStats, OpStatsSnapshot};
 use crate::{ScanHit, TransactionalRTree, TxnError};
 
 use super::deadlock_global::{self, CommittingMap, GlobalDetector, SessionMap};
@@ -258,12 +257,10 @@ pub struct ShardedDglRTree {
     /// multi-shard commits are atomic only in the absence of failures,
     /// exactly as in-memory single-tree commits are).
     coord: Option<Wal>,
-    /// Router-level registry: global commit latency plus the
-    /// coordinator WAL's flush metrics.
+    /// Router-level registry: global commit latency, executor
+    /// accounting and the coordinator WAL's flush metrics (the shard
+    /// registries count participant work).
     obs: Arc<Registry>,
-    /// Router-level counters: global commits and executor accounting
-    /// (shard-level stats count participant work).
-    stats: OpStats,
 }
 
 impl std::fmt::Debug for ShardedDglRTree {
@@ -303,11 +300,7 @@ impl ShardedDglRTree {
         let shards = (0..n)
             .map(|_| DglRTree::new_with_clock(config.clone(), Arc::clone(&clock)))
             .collect();
-        let obs = Arc::new(if config.obs_recording {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        });
+        let obs = Arc::new(Registry::new());
         Self::assemble(shards, config.world, &sharding, None, obs, 1, clock, detect)
     }
 
@@ -333,11 +326,7 @@ impl ShardedDglRTree {
 
         // Router registry: global commit latency + coordinator flush
         // metrics land here.
-        let obs = Arc::new(if config.obs_recording {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        });
+        let obs = Arc::new(Registry::new());
         let (decisions, coord) = if config.durability.enabled {
             let coord_dir = dir.join("coord");
             std::fs::create_dir_all(&coord_dir)?;
@@ -422,7 +411,6 @@ impl ShardedDglRTree {
             detector,
             coord,
             obs,
-            stats: OpStats::default(),
         }
     }
 
@@ -717,34 +705,11 @@ impl ShardedDglRTree {
 
     // --- merged exports -------------------------------------------------
 
-    /// One operation-statistics view over the whole index: physical
-    /// per-shard work summed, with the global (router-level) commit and
-    /// executor counters in place of the per-participant ones — a
+    /// The one merged export over the whole index: per-shard registries
+    /// merged metric-wise with the router registry, except the
+    /// commit-latency histogram, which is the router's alone — a
     /// participant commit is an internal phase of a global commit, not
     /// a second commit.
-    pub fn stats_snapshot(&self) -> OpStatsSnapshot {
-        let merged = self
-            .shards
-            .iter()
-            .map(|s| s.op_stats().snapshot())
-            .fold(OpStatsSnapshot::default(), |a, b| a.merge(&b));
-        let router = self.stats.snapshot();
-        OpStatsSnapshot {
-            commits: router.commits,
-            commit_nanos: router.commit_nanos,
-            exec_attempts: router.exec_attempts,
-            exec_retries: router.exec_retries,
-            exec_backoff_nanos: router.exec_backoff_nanos,
-            exec_panics: router.exec_panics,
-            exec_giveups: router.exec_giveups,
-            ..merged
-        }
-    }
-
-    /// One observability snapshot over the whole index: per-shard
-    /// registries merged metric-wise with the router registry, except
-    /// the commit-latency histogram, which is the router's alone (see
-    /// [`Self::stats_snapshot`] for the rationale).
     pub fn obs_snapshot(&self) -> RegistrySnapshot {
         let router = self.obs.snapshot();
         let mut merged = self
@@ -876,8 +841,6 @@ impl TransactionalRTree for ShardedDglRTree {
         self.committing.lock().remove(&txn.0);
         result?;
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        OpStats::bump(&self.stats.commits);
-        OpStats::add(&self.stats.commit_nanos, nanos);
         self.obs.record(Hist::Commit, nanos);
         Ok(())
     }
@@ -965,19 +928,8 @@ impl TransactionalRTree for ShardedDglRTree {
         "dgl-sharded"
     }
 
-    fn lock_stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(r, w), s| {
-            let (sr, sw) = s.lock_stats();
-            (r + sr, w + sw)
-        })
-    }
-
     fn quiesce(&self) {
         let _ = ShardedDglRTree::quiesce(self);
-    }
-
-    fn exec_stats(&self) -> Option<&OpStats> {
-        Some(&self.stats)
     }
 
     fn obs_registry(&self) -> Option<&Arc<Registry>> {

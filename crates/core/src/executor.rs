@@ -8,14 +8,16 @@
 //! transactions can finish. [`TxnExecutor`] packages that loop —
 //! classification via [`TxnError::is_retryable`], capped exponential
 //! backoff with jitter, a retry budget, panic containment, and attempt
-//! accounting in [`OpStats`] — so workloads, stress tests and benchmarks
+//! accounting in the protocol's [`dgl_obs::Registry`] — so workloads,
+//! stress tests and benchmarks
 //! share one tested implementation instead of hand-rolling it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::stats::OpStats;
+use dgl_obs::{Ctr, Hist, Registry};
+
 use crate::{TransactionalRTree, TxnError, TxnId};
 
 /// Retry/backoff policy for [`TxnExecutor`].
@@ -40,8 +42,8 @@ pub struct RetryPolicy {
     /// a pathologically wedged system still surfaces as a giveup.
     pub timeout_free_retries: u32,
     /// Catch panics that unwind out of the transaction body, roll the
-    /// transaction back and retry (the panic is counted in
-    /// [`OpStats`] as `exec_panics`). Disable to let panics propagate —
+    /// transaction back and retry (the panic is counted as
+    /// `exec_panics`). Disable to let panics propagate —
     /// useful when the body's panics are genuine test assertions.
     pub catch_panics: bool,
 }
@@ -113,8 +115,7 @@ static RUN_SALT: AtomicU64 = AtomicU64::new(0);
 pub struct TxnExecutor<'a> {
     db: &'a dyn TransactionalRTree,
     policy: RetryPolicy,
-    stats: Option<&'a OpStats>,
-    obs: Option<&'a std::sync::Arc<dgl_obs::Registry>>,
+    obs: Option<&'a Registry>,
     rng_state: std::cell::Cell<u64>,
 }
 
@@ -126,9 +127,9 @@ enum Attempt<T> {
 }
 
 impl<'a> TxnExecutor<'a> {
-    /// Creates an executor over `db`. Attempt/backoff counters go to the
-    /// protocol's own [`OpStats`] when it exposes them
-    /// (see [`TransactionalRTree::exec_stats`]).
+    /// Creates an executor over `db`. Attempt/backoff accounting goes to
+    /// the protocol's registry when it has one
+    /// (see [`TransactionalRTree::obs_registry`]).
     pub fn new(db: &'a dyn TransactionalRTree, policy: RetryPolicy) -> Self {
         let salt = RUN_SALT
             .fetch_add(1, Ordering::Relaxed)
@@ -136,8 +137,7 @@ impl<'a> TxnExecutor<'a> {
         Self {
             db,
             policy,
-            stats: db.exec_stats(),
-            obs: db.obs_registry(),
+            obs: db.obs_registry().map(|r| &**r),
             rng_state: std::cell::Cell::new((policy.jitter_seed ^ salt) | 1),
         }
     }
@@ -165,7 +165,7 @@ impl<'a> TxnExecutor<'a> {
         let mut timeout_free = self.policy.timeout_free_retries;
         loop {
             attempt += 1;
-            self.bump(|s| &s.exec_attempts);
+            self.incr(Ctr::ExecAttempts);
 
             let txn = self.db.begin();
             let outcome = if self.policy.catch_panics {
@@ -201,7 +201,7 @@ impl<'a> TxnExecutor<'a> {
                     // the catch_unwind boundary itself) already restored
                     // invariants; make sure the transaction is dead.
                     let _ = self.db.abort(txn);
-                    self.bump(|s| &s.exec_panics);
+                    self.incr(Ctr::ExecPanics);
                     TxnError::Injected
                 }
             };
@@ -218,17 +218,14 @@ impl<'a> TxnExecutor<'a> {
             } else {
                 budgeted += 1;
                 if budgeted >= self.policy.max_attempts {
-                    self.bump(|s| &s.exec_giveups);
+                    self.incr(Ctr::ExecGiveups);
                     return Err(ExecError::RetriesExhausted {
                         attempts: attempt,
                         last: err,
                     });
                 }
             }
-            self.bump(|s| &s.exec_retries);
-            if let Some(obs) = self.obs {
-                obs.incr(dgl_obs::Ctr::ExecRetries);
-            }
+            self.incr(Ctr::ExecRetries);
             self.sleep_backoff(attempt);
         }
     }
@@ -248,9 +245,8 @@ impl<'a> TxnExecutor<'a> {
             return;
         }
         let jittered = nanos / 2 + self.next_rand() % (nanos / 2 + 1);
-        self.bump_add(|s| &s.exec_backoff_nanos, jittered);
         if let Some(obs) = self.obs {
-            obs.record(dgl_obs::Hist::ExecBackoff, jittered);
+            obs.record(Hist::ExecBackoff, jittered);
         }
         std::thread::sleep(Duration::from_nanos(jittered));
     }
@@ -265,15 +261,9 @@ impl<'a> TxnExecutor<'a> {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    fn bump(&self, f: impl Fn(&OpStats) -> &AtomicU64) {
-        if let Some(s) = self.stats {
-            OpStats::bump(f(s));
-        }
-    }
-
-    fn bump_add(&self, f: impl Fn(&OpStats) -> &AtomicU64, n: u64) {
-        if let Some(s) = self.stats {
-            OpStats::add(f(s), n);
+    fn incr(&self, ctr: Ctr) {
+        if let Some(obs) = self.obs {
+            obs.incr(ctr);
         }
     }
 }
@@ -304,10 +294,10 @@ mod tests {
         let exec = TxnExecutor::new(&db, fast_policy());
         exec.run(|txn| db.insert(txn, ObjectId(1), r(0.1))).unwrap();
         assert_eq!(db.len(), 1);
-        let s = db.stats().snapshot();
-        assert_eq!(s.exec_attempts, 1);
-        assert_eq!(s.exec_retries, 0);
-        assert_eq!(s.commits, 1);
+        let s = db.obs().snapshot();
+        assert_eq!(s.ctr(Ctr::ExecAttempts), 1);
+        assert_eq!(s.ctr(Ctr::ExecRetries), 0);
+        assert_eq!(s.hist(Hist::Commit).count, 1);
     }
 
     #[test]
@@ -317,10 +307,10 @@ mod tests {
         exec.run(|txn| db.insert(txn, ObjectId(1), r(0.1))).unwrap();
         let out = exec.run(|txn| db.insert(txn, ObjectId(1), r(0.1)));
         assert_eq!(out, Err(ExecError::Fatal(TxnError::DuplicateObject)));
-        let s = db.stats().snapshot();
+        let s = db.obs().snapshot();
         // One attempt for the successful run, one for the fatal run.
-        assert_eq!(s.exec_attempts, 2);
-        assert_eq!(s.exec_retries, 0);
+        assert_eq!(s.ctr(Ctr::ExecAttempts), 2);
+        assert_eq!(s.ctr(Ctr::ExecRetries), 0);
         // The duplicate attempt's transaction must not linger.
         assert_eq!(db.txn_manager().active_count(), 0);
         assert_eq!(db.lock_manager().resource_count(), 0);
@@ -342,10 +332,10 @@ mod tests {
         .unwrap();
         assert_eq!(tries.load(Ordering::Relaxed), 3);
         assert_eq!(db.len(), 1);
-        let s = db.stats().snapshot();
-        assert_eq!(s.exec_attempts, 3);
-        assert_eq!(s.exec_retries, 2);
-        assert!(s.exec_backoff_nanos > 0, "retries must back off");
+        let s = db.obs().snapshot();
+        assert_eq!(s.ctr(Ctr::ExecAttempts), 3);
+        assert_eq!(s.ctr(Ctr::ExecRetries), 2);
+        assert!(s.hist(Hist::ExecBackoff).sum > 0, "retries must back off");
     }
 
     #[test]
@@ -363,10 +353,10 @@ mod tests {
                 last: TxnError::Deadlock
             })
         );
-        let s = db.stats().snapshot();
-        assert_eq!(s.exec_attempts, 5);
-        assert_eq!(s.exec_retries, 4);
-        assert_eq!(s.exec_giveups, 1);
+        let s = db.obs().snapshot();
+        assert_eq!(s.ctr(Ctr::ExecAttempts), 5);
+        assert_eq!(s.ctr(Ctr::ExecRetries), 4);
+        assert_eq!(s.ctr(Ctr::ExecGiveups), 1);
     }
 
     #[test]
@@ -386,9 +376,9 @@ mod tests {
         .unwrap();
         assert_eq!(tries.load(Ordering::Relaxed), 9);
         assert_eq!(db.len(), 1);
-        let s = db.stats().snapshot();
-        assert_eq!(s.exec_attempts, 9);
-        assert_eq!(s.exec_giveups, 0);
+        let s = db.obs().snapshot();
+        assert_eq!(s.ctr(Ctr::ExecAttempts), 9);
+        assert_eq!(s.ctr(Ctr::ExecGiveups), 0);
     }
 
     #[test]
@@ -416,7 +406,7 @@ mod tests {
                 last: TxnError::Timeout
             })
         );
-        assert_eq!(db.stats().snapshot().exec_giveups, 1);
+        assert_eq!(db.obs().ctr(Ctr::ExecGiveups), 1);
     }
 
     #[test]
@@ -433,9 +423,9 @@ mod tests {
         })
         .unwrap();
         assert_eq!(db.len(), 1, "second attempt's insert committed");
-        let s = db.stats().snapshot();
-        assert_eq!(s.exec_panics, 1);
-        assert_eq!(s.exec_attempts, 2);
+        let s = db.obs().snapshot();
+        assert_eq!(s.ctr(Ctr::ExecPanics), 1);
+        assert_eq!(s.ctr(Ctr::ExecAttempts), 2);
         assert_eq!(db.txn_manager().active_count(), 0);
         assert_eq!(db.lock_manager().resource_count(), 0);
         db.validate().unwrap();

@@ -48,17 +48,15 @@ mod error;
 mod executor;
 pub mod granules;
 mod locks;
-mod stats;
 mod traits;
 
 pub use dgl::{
     DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode,
     MvccStats, RecoverError, ShardedDglRTree, ShardedSnapshot, ShardingConfig, Snapshot,
-    SnapshotReadRTree, WritePathMode,
+    SnapshotReadRTree,
 };
 pub use error::TxnError;
 pub use executor::{ExecError, RetryPolicy, TxnExecutor};
-pub use stats::{OpStats, OpStatsSnapshot};
 pub use traits::{ScanHit, TransactionalRTree};
 
 // Re-exports for downstream convenience.

@@ -83,18 +83,6 @@ pub trait TransactionalRTree: Send + Sync {
     /// Protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// Lock-manager statistics `(requests, waits)`, for protocols backed
-    /// by the shared lock manager (0 otherwise). Benchmark reporting aid.
-    fn lock_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Predicate-table rectangle comparisons (predicate locking only).
-    /// Benchmark reporting aid.
-    fn predicate_checks(&self) -> u64 {
-        0
-    }
-
     /// Blocks until any background maintenance (deferred physical
     /// deletions queued by committed transactions) has been fully applied.
     /// Protocols without background machinery return immediately — the
@@ -103,16 +91,12 @@ pub trait TransactionalRTree: Send + Sync {
     /// and, for protocols that expose one, an inherent fallible `quiesce`.
     fn quiesce(&self) {}
 
-    /// The protocol's operation counters, when it keeps them. Lets generic
-    /// drivers ([`TxnExecutor`](crate::TxnExecutor), workload harnesses)
-    /// record retry/backoff accounting without knowing the concrete type.
-    fn exec_stats(&self) -> Option<&crate::OpStats> {
-        None
-    }
-
-    /// The protocol's observability registry, when it keeps one. Generic
-    /// drivers use it for backoff histograms; benches snapshot it for
-    /// percentile columns.
+    /// The protocol's observability registry — the one place its lock
+    /// requests, operation counts, retries and latencies are recorded
+    /// (`None` for a remote handle with no local state). Generic drivers
+    /// ([`TxnExecutor`](crate::TxnExecutor)) record attempt/backoff
+    /// accounting into it; benches and the paper tables read it through
+    /// [`RegistrySnapshot::since`](dgl_obs::RegistrySnapshot::since).
     fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
         None
     }

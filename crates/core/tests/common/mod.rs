@@ -11,7 +11,8 @@ use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
     TransactionalRTree,
 };
-use dgl_lockmgr::LockManagerConfig;
+use dgl_lockmgr::{LockDuration, LockManagerConfig, LockMode};
+use dgl_obs::{Event, Res};
 use dgl_rtree::RTreeConfig;
 
 pub fn lock_config(timeout_ms: u64) -> LockManagerConfig {
@@ -19,6 +20,68 @@ pub fn lock_config(timeout_ms: u64) -> LockManagerConfig {
         wait_timeout: Duration::from_millis(timeout_ms),
         ..Default::default()
     }
+}
+
+/// Switches on `db`'s lock-grant event stream for the Table 3
+/// conformance assertions. The stream only exists under the
+/// `dgl-obs/full` feature (enabled by this crate's dev-dependencies); a
+/// build without it must fail here, not pass on an empty event list.
+pub fn traced(db: DglRTree) -> DglRTree {
+    db.obs().set_detail(true);
+    assert!(
+        db.obs().detail(),
+        "lock-grant events need the dgl-obs/full feature"
+    );
+    db
+}
+
+/// Drains `db`'s event stream and returns every granted lock request
+/// (immediate or after a wait) as `(resource, mode, duration)`, in grant
+/// order.
+pub fn take_grants(db: &DglRTree) -> Vec<(Res, LockMode, LockDuration)> {
+    assert!(db.obs().detail(), "call `traced` on the index first");
+    const MODES: [LockMode; 5] = [
+        LockMode::IS,
+        LockMode::IX,
+        LockMode::S,
+        LockMode::SIX,
+        LockMode::X,
+    ];
+    db.obs()
+        .take_events()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::LockGranted {
+                res,
+                mode,
+                duration,
+                ..
+            } => {
+                let mode = *MODES
+                    .iter()
+                    .find(|m| m.name() == mode)
+                    .expect("a LockMode::name()");
+                let duration = match duration {
+                    "short" => LockDuration::Short,
+                    "commit" => LockDuration::Commit,
+                    other => panic!("unknown lock duration {other:?}"),
+                };
+                Some((res, mode, duration))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// [`take_grants`] as the sorted `(is_page, mode, duration)` multiset
+/// the Table 3 assertions are written against.
+pub fn grants(db: &DglRTree) -> Vec<(bool, LockMode, LockDuration)> {
+    let mut v: Vec<_> = take_grants(db)
+        .into_iter()
+        .map(|(res, mode, dur)| (matches!(res, Res::Page(_)), mode, dur))
+        .collect();
+    v.sort();
+    v
 }
 
 pub fn dgl(fanout: usize, policy: InsertPolicy) -> DglRTree {

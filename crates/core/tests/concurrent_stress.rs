@@ -11,6 +11,7 @@ use std::time::Duration;
 use common::{dgl, ids, lock_config};
 use dgl_core::baseline::{PredicateConfig, PredicateRTree, TreeLockRTree};
 use dgl_core::{InsertPolicy, ObjectId, Rect2, TransactionalRTree, TxnError};
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::RTreeConfig;
 
 /// Deterministic xorshift per thread.
@@ -247,25 +248,10 @@ fn stress_dgl_coarse_external_granule() {
     stress(Arc::new(db), 4, 40);
 }
 
-#[test]
-fn stress_dgl_pessimistic_write_path() {
-    // The pre-optimistic baseline mode (plan and apply under one
-    // exclusive latch hold) must stay correct — it is the benchmark
-    // comparator, not dead code.
-    use dgl_core::{DglConfig, WritePathMode};
-    let db = dgl_core::DglRTree::new(DglConfig {
-        rtree: RTreeConfig::with_fanout(6),
-        lock: lock_config(20_000),
-        write_path: WritePathMode::Pessimistic,
-        ..Default::default()
-    });
-    stress(Arc::new(db), 6, 50);
-}
-
 /// High-thread write-heavy contention: after quiesce the invariants must
 /// hold AND the optimistic validation path must actually have fired —
-/// `plan_validation_failures` / `optimistic_replans` non-zero proves the
-/// version check is load-bearing, not dead code.
+/// `plan_validation_failures` non-zero proves the version check is
+/// load-bearing, not dead code.
 #[test]
 fn high_thread_contention_exercises_replan_counters() {
     let db = dgl(4, InsertPolicy::Modified);
@@ -310,24 +296,20 @@ fn high_thread_contention_exercises_replan_counters() {
             }
         })
         .unwrap();
-        let s = db.op_stats().snapshot();
-        if s.optimistic_replans > 0 {
+        if db.obs().ctr(Ctr::PlanValidationFailures) > 0 {
             break;
         }
     }
     db.validate().expect("post-stress invariants");
-    let s = db.op_stats().snapshot();
+    let s = db.obs().snapshot();
     assert!(
-        s.plan_validation_failures > 0,
+        s.ctr(Ctr::PlanValidationFailures) > 0,
         "contended optimistic writers never failed validation: \
          the version check looks like dead code"
     );
-    assert_eq!(
-        s.plan_validation_failures, s.optimistic_replans,
-        "every validation failure forces exactly one replan"
-    );
-    assert!(s.x_latch_holds > 0, "apply steps record exclusive holds");
-    assert!(s.x_latch_nanos > 0, "exclusive holds record their duration");
+    let holds = s.hist(Hist::LatchHold);
+    assert!(holds.count > 0, "apply steps record exclusive holds");
+    assert!(holds.sum > 0, "exclusive holds record their duration");
 }
 
 /// Reader/writer parallelism regression: a writer parked on a lock wait

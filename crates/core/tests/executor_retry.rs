@@ -13,6 +13,7 @@ use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, ObjectId, RetryPolicy, TransactionalRTree, TxnError,
     TxnExecutor,
 };
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::RTreeConfig;
 
 /// A protocol whose lock waits give up after `ms` milliseconds — set
@@ -81,7 +82,7 @@ fn executor_retries_timeouts_until_blocker_releases() {
             db.commit(t1).expect("blocker commit");
         });
 
-        let before = db.op_stats().snapshot();
+        let before = db.obs().snapshot();
         let exec = TxnExecutor::new(
             &db,
             RetryPolicy {
@@ -95,9 +96,15 @@ fn executor_retries_timeouts_until_blocker_releases() {
             .run(|txn| db.read_single(txn, oid, rect))
             .expect("eventually reads through");
         assert_eq!(version, Some(1), "sees the committed insert");
-        let delta = db.op_stats().snapshot().since(&before);
-        assert!(delta.exec_retries >= 1, "at least one attempt timed out");
-        assert!(delta.exec_backoff_nanos > 0, "backoff was actually slept");
+        let delta = db.obs().snapshot().since(&before);
+        assert!(
+            delta.ctr(Ctr::ExecRetries) >= 1,
+            "at least one attempt timed out"
+        );
+        assert!(
+            delta.hist(Hist::ExecBackoff).sum > 0,
+            "backoff was actually slept"
+        );
     });
 
     assert_eq!(db.txn_manager().active_count(), 0);

@@ -9,17 +9,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{dgl_background, ids, lock_config, r, RectGen};
+use common::{dgl_background, grants, ids, lock_config, r, traced, RectGen};
 use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, ObjectId, Rect2,
     TransactionalRTree, TxnError, TxnId,
 };
 use dgl_lockmgr::{
-    LockDuration::{self, Commit, Short},
+    LockDuration::{Commit, Short},
     LockManagerConfig,
-    LockMode::{self, IX, SIX, X},
-    ResourceId, TraceEventKind,
+    LockMode::{IX, SIX, X},
 };
+use dgl_obs::Ctr;
 use dgl_rtree::codec::{checkpoint_tree, restore_tree};
 use dgl_rtree::{RTree2, RTreeConfig};
 
@@ -68,9 +68,9 @@ fn recovery_applies_pending_deletions_before_first_txn() {
         // `from_snapshot` drains the maintenance queue before returning,
         // so the tombstoned entries are already physically gone.
         assert_eq!(db.len(), 35, "{mode:?}: pending deletions applied");
-        let s = db.op_stats().snapshot();
+        let s = db.obs().snapshot();
         assert_eq!(
-            (s.maint_enqueued, s.maint_completed),
+            (s.ctr(Ctr::MaintEnqueued), s.ctr(Ctr::MaintCompleted)),
             (5, 5),
             "{mode:?}: every tombstone fed the maintenance queue"
         );
@@ -124,10 +124,10 @@ fn from_snapshot_then_new_deferrals_drain_through_quiesce() {
         db.commit(txn).unwrap();
     }
     db.quiesce().expect("quiesce drains the refilled queue");
-    let s = db.op_stats().snapshot();
-    assert_eq!(db.op_stats().maintenance_backlog(), 0);
+    let s = db.obs().snapshot();
+    assert_eq!(db.maintenance_backlog(), 0);
     assert_eq!(
-        (s.maint_enqueued, s.maint_completed),
+        (s.ctr(Ctr::MaintEnqueued), s.ctr(Ctr::MaintCompleted)),
         (7, 7),
         "3 snapshot tombstones + 4 fresh deletes, all completed"
     );
@@ -186,7 +186,7 @@ fn background_commit_defers_physical_deletion() {
 
     std::thread::sleep(SETTLE);
     assert_eq!(
-        db.op_stats().maintenance_backlog(),
+        db.maintenance_backlog(),
         1,
         "physical deletion pending behind the scanner"
     );
@@ -201,8 +201,11 @@ fn background_commit_defers_physical_deletion() {
 
     db.commit(scanner).unwrap();
     db.quiesce().expect("quiesce");
-    let s = db.op_stats().snapshot();
-    assert_eq!((s.maint_enqueued, s.maint_completed), (1, 1));
+    let s = db.obs().snapshot();
+    assert_eq!(
+        (s.ctr(Ctr::MaintEnqueued), s.ctr(Ctr::MaintCompleted)),
+        (1, 1)
+    );
     assert_eq!(db.len(), 9, "deletion applied after quiesce");
     db.validate().unwrap();
     let t3 = db.begin();
@@ -256,7 +259,7 @@ fn user_operations_cannot_touch_system_transactions() {
         .unwrap());
     db.commit(t2).unwrap();
     std::thread::sleep(SETTLE);
-    assert_eq!(db.op_stats().maintenance_backlog(), 1);
+    assert_eq!(db.maintenance_backlog(), 1);
 
     // Probe every plausible id with user-facing calls. Finished user
     // transactions and the live system transaction alike must answer
@@ -276,8 +279,11 @@ fn user_operations_cannot_touch_system_transactions() {
     // The worker survived the probing: the deletion still completes.
     db.commit(scanner).unwrap();
     db.quiesce().expect("quiesce");
-    let s = db.op_stats().snapshot();
-    assert_eq!((s.maint_enqueued, s.maint_completed), (1, 1));
+    let s = db.obs().snapshot();
+    assert_eq!(
+        (s.ctr(Ctr::MaintEnqueued), s.ctr(Ctr::MaintCompleted)),
+        (1, 1)
+    );
     assert_eq!(db.len(), 9);
     db.validate().unwrap();
 }
@@ -344,10 +350,14 @@ fn quiesce_drains_background_queue_under_load() {
     .unwrap();
 
     db.quiesce().expect("quiesce");
-    let s = db.op_stats().snapshot();
-    assert_eq!(s.maint_enqueued, s.maint_completed, "queue fully drained");
-    assert_eq!(db.op_stats().maintenance_backlog(), 0);
-    assert_eq!(s.maint_enqueued, THREADS * OBJECTS / 2);
+    let s = db.obs().snapshot();
+    assert_eq!(
+        s.ctr(Ctr::MaintEnqueued),
+        s.ctr(Ctr::MaintCompleted),
+        "queue fully drained"
+    );
+    assert_eq!(db.maintenance_backlog(), 0);
+    assert_eq!(s.ctr(Ctr::MaintEnqueued), THREADS * OBJECTS / 2);
     assert_eq!(db.len() as u64, THREADS * OBJECTS / 2);
     db.validate().unwrap();
 }
@@ -461,12 +471,11 @@ fn background_mode_blocks_delete_phantoms() {
 /// IX/SIX granule locks — same discipline as inline mode.
 #[test]
 fn background_deferred_delete_takes_short_granule_locks() {
-    let db = DglRTree::new(DglConfig {
+    let db = traced(DglRTree::new(DglConfig {
         rtree: RTreeConfig::with_fanout(8),
         world: Rect2::unit(),
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
-            trace: true,
             wait_timeout: Duration::from_secs(5),
             ..Default::default()
         },
@@ -475,7 +484,7 @@ fn background_deferred_delete_takes_short_granule_locks() {
             ..Default::default()
         },
         ..Default::default()
-    });
+    }));
     let rect = r([0.2, 0.2], [0.25, 0.25]);
     let t = db.begin();
     db.insert(t, ObjectId(1), rect).unwrap();
@@ -483,7 +492,7 @@ fn background_deferred_delete_takes_short_granule_locks() {
         .unwrap();
     db.commit(t).unwrap();
     db.quiesce().expect("quiesce");
-    let _ = db.lock_manager().drain_trace();
+    let _ = db.obs().take_events();
 
     let t = db.begin();
     assert!(db.delete(t, ObjectId(1), rect).unwrap());
@@ -504,26 +513,4 @@ fn background_deferred_delete_takes_short_granule_locks() {
         deferred.iter().all(|(_, m, _)| *m == IX || *m == SIX),
         "deferred delete modes are IX / SIX: {deferred:?}"
     );
-}
-
-/// Granted lock requests from the trace as `(is_page, mode, duration)`
-/// tuples, sorted (same helper as the table3_conformance suite).
-fn grants(db: &DglRTree) -> Vec<(bool, LockMode, LockDuration)> {
-    let mut v: Vec<_> = db
-        .lock_manager()
-        .drain_trace()
-        .into_iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                TraceEventKind::Granted | TraceEventKind::GrantedAfterWait
-            )
-        })
-        .map(|e| {
-            let is_page = matches!(e.resource, Some(ResourceId::Page(_)));
-            (is_page, e.mode.unwrap(), e.duration.unwrap())
-        })
-        .collect();
-    v.sort();
-    v
 }

@@ -10,11 +10,22 @@
 //! The offline proptest shim does not replay `.proptest-regressions`
 //! files, so interesting histories are additionally pinned as explicit
 //! fixed-seed regression tests below.
+//!
+//! Each history runs under a [`HISTORY_DEADLINE`]: the intermittent
+//! `quiesce → dispatch_version_gc → quiesce` wedge (ROADMAP item 0) then
+//! arrives as a failed test with the wait-for view, the maintenance
+//! backlog and the maintenance counters printed, instead of parking
+//! until CI kills the job.
+
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
 
 use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, ObjectId, Rect2,
     TransactionalRTree,
 };
+use dgl_obs::Ctr;
 use dgl_rtree::RTreeConfig;
 use proptest::prelude::*;
 
@@ -77,11 +88,59 @@ fn check(db: &DglRTree, label: &str, i: usize) -> Result<(), TestCaseError> {
         .map_err(|e| TestCaseError::fail(format!("{label} step {i}: validate: {e}")))
 }
 
+/// Far beyond any healthy history (they finish in milliseconds).
+const HISTORY_DEADLINE: Duration = Duration::from_secs(60);
+
+/// What a wedged tree can say for itself, in registry metric names.
+fn wedge_report(label: &str, db: &DglRTree) -> String {
+    let snap = db.obs().snapshot();
+    let mut out = format!(
+        "--- {label}: maintenance_backlog={}\n",
+        db.maintenance_backlog()
+    );
+    for c in Ctr::ALL {
+        if c.name().starts_with("maint_") || matches!(c, Ctr::VersionGcRuns | Ctr::SnapshotBegins) {
+            out.push_str(&format!("{}={}\n", c.name(), snap.ctr(c)));
+        }
+    }
+    out.push_str(&db.merged_locktable_dump());
+    out
+}
+
+/// Runs [`drive`] on a worker thread under [`HISTORY_DEADLINE`]; on
+/// expiry prints both trees' [`wedge_report`] and fails.
+fn run_differential(steps: &[Step]) -> Result<(), TestCaseError> {
+    let on = Arc::new(db(true));
+    let off = Arc::new(db(false));
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = {
+        let (on, off, steps) = (Arc::clone(&on), Arc::clone(&off), steps.to_vec());
+        std::thread::spawn(move || {
+            let _ = done_tx.send(drive(&on, &off, &steps));
+        })
+    };
+    match done_rx.recv_timeout(HISTORY_DEADLINE) {
+        Ok(result) => {
+            worker.join().expect("worker already reported");
+            result
+        }
+        // The worker panicked before reporting: surface its panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("worker dropped its sender"))
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            // The worker is parked for good; joining it would hang this
+            // thread too, so it is left behind for process exit.
+            eprintln!("{}", wedge_report("hash-on", &on));
+            eprintln!("{}", wedge_report("hash-off", &off));
+            panic!("history wedged past {HISTORY_DEADLINE:?}: {steps:?}");
+        }
+    }
+}
+
 /// Drives both trees through `steps`, asserting identical answers, then
 /// cross-checks index against tree on both at the end.
-fn run_differential(steps: &[Step]) -> Result<(), TestCaseError> {
-    let on = db(true);
-    let off = db(false);
+fn drive(on: &DglRTree, off: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
     let mut t_on = on.begin();
     let mut t_off = off.begin();
     for (i, step) in steps.iter().enumerate() {
@@ -142,8 +201,8 @@ fn run_differential(steps: &[Step]) -> Result<(), TestCaseError> {
             Step::QuiesceAndCheck => {
                 on.commit(t_on).unwrap();
                 off.commit(t_off).unwrap();
-                check(&on, "hash-on", i)?;
-                check(&off, "hash-off", i)?;
+                check(on, "hash-on", i)?;
+                check(off, "hash-off", i)?;
                 t_on = on.begin();
                 t_off = off.begin();
             }
@@ -151,8 +210,8 @@ fn run_differential(steps: &[Step]) -> Result<(), TestCaseError> {
     }
     on.abort(t_on).ok();
     off.abort(t_off).ok();
-    check(&on, "hash-on", steps.len())?;
-    check(&off, "hash-off", steps.len())?;
+    check(on, "hash-on", steps.len())?;
+    check(off, "hash-off", steps.len())?;
     // Final committed contents agree between the two configurations.
     let t = on.begin();
     let mut a: Vec<(u64, u64)> = on

@@ -1,6 +1,6 @@
 //! Table 3 conformance: each operation of the protocol requests exactly
-//! the locks the paper's Table 3 prescribes — verified against the lock
-//! manager's request trace.
+//! the locks the paper's Table 3 prescribes — verified against the
+//! registry's `Event::LockGranted` stream.
 
 mod common;
 
@@ -8,54 +8,31 @@ use std::time::Duration;
 
 use dgl_core::{DglConfig, DglRTree, InsertPolicy, ObjectId, Rect2, TransactionalRTree};
 use dgl_lockmgr::{
-    LockDuration::{self, Commit, Short},
+    LockDuration::{Commit, Short},
     LockManagerConfig,
-    LockMode::{self, IX, S, SIX, X},
-    ResourceId, TraceEventKind,
+    LockMode::{IX, S, SIX, X},
 };
+use dgl_obs::Res;
 use dgl_pager::PageId;
 use dgl_rtree::RTreeConfig;
 
-use common::r;
+use common::{grants, r, take_grants, traced};
 
 fn traced_db(fanout: usize, policy: InsertPolicy) -> DglRTree {
-    DglRTree::new(DglConfig {
+    traced(DglRTree::new(DglConfig {
         rtree: RTreeConfig::with_fanout(fanout),
         world: Rect2::unit(),
         policy,
         lock: LockManagerConfig {
-            trace: true,
             wait_timeout: Duration::from_secs(5),
             ..Default::default()
         },
         ..Default::default()
-    })
-}
-
-/// Granted lock requests from the trace as `(is_page, mode, duration)`
-/// tuples, sorted.
-fn grants(db: &DglRTree) -> Vec<(bool, LockMode, LockDuration)> {
-    let mut v: Vec<_> = db
-        .lock_manager()
-        .drain_trace()
-        .into_iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                TraceEventKind::Granted | TraceEventKind::GrantedAfterWait
-            )
-        })
-        .map(|e| {
-            let is_page = matches!(e.resource, Some(ResourceId::Page(_)));
-            (is_page, e.mode.unwrap(), e.duration.unwrap())
-        })
-        .collect();
-    v.sort();
-    v
+    }))
 }
 
 fn clear_trace(db: &DglRTree) {
-    let _ = db.lock_manager().drain_trace();
+    let _ = db.obs().take_events();
 }
 
 #[test]
@@ -384,19 +361,10 @@ fn root_split_inherits_scanner_ext_s_onto_new_granules() {
         db.insert(t, ObjectId(i), r([0.2 + o, 0.1], [0.21 + o, 0.11]))
             .unwrap();
         if db.with_tree(|tr| tr.height()) > 2 {
-            let fresh_s: Vec<PageId> = db
-                .lock_manager()
-                .drain_trace()
+            let fresh_s: Vec<PageId> = take_grants(&db)
                 .into_iter()
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        TraceEventKind::Granted | TraceEventKind::GrantedAfterWait
-                    ) && e.mode == Some(S)
-                        && e.duration == Some(Commit)
-                })
-                .filter_map(|e| match e.resource {
-                    Some(ResourceId::Page(p)) if !before.contains(&p) => Some(p),
+                .filter_map(|grant| match grant {
+                    (Res::Page(p), S, Commit) if !before.contains(&PageId(p)) => Some(PageId(p)),
                     _ => None,
                 })
                 .collect();

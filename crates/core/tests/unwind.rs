@@ -15,6 +15,7 @@ use dgl_core::{
     RetryPolicy, TransactionalRTree, TxnError, TxnExecutor,
 };
 use dgl_faults::FaultSpec;
+use dgl_obs::Ctr;
 use dgl_rtree::codec::{checkpoint_tree, restore_tree};
 use dgl_rtree::{RTree2, RTreeConfig};
 
@@ -65,9 +66,11 @@ fn assert_clean(db: &DglRTree) {
 /// succeeds on the same object id.
 #[test]
 fn panic_between_validate_and_apply_unwinds_cleanly() {
-    let db = populated();
+    // Taken before setup: `populated()` runs the write path, which must
+    // not meet a failpoint another test in this binary has armed.
     let _l = lock_faults();
-    let before = db.op_stats().snapshot();
+    let db = populated();
+    let before = db.obs().snapshot();
 
     let oid = ObjectId(500);
     let rect = r([0.4, 0.4], [0.45, 0.45]);
@@ -79,11 +82,18 @@ fn panic_between_validate_and_apply_unwinds_cleanly() {
     }
 
     assert_clean(&db);
-    let delta = db.op_stats().snapshot().since(&before);
-    assert!(delta.apply_unwinds >= 1, "ApplyGuard saw the unwind");
-    assert!(delta.unwind_rollbacks >= 1, "txn rolled back on unwind");
+    let delta = db.obs().snapshot().since(&before);
+    assert!(
+        delta.ctr(Ctr::ApplyUnwinds) >= 1,
+        "ApplyGuard saw the unwind"
+    );
+    assert!(
+        delta.ctr(Ctr::UnwindRollbacks) >= 1,
+        "txn rolled back on unwind"
+    );
     assert_eq!(
-        delta.unwind_validate_failures, 0,
+        delta.ctr(Ctr::UnwindValidateFailures),
+        0,
         "nothing was mutated, so the repair validation passes"
     );
 
@@ -99,8 +109,10 @@ fn panic_between_validate_and_apply_unwinds_cleanly() {
 /// retained from earlier operations of the same transaction).
 #[test]
 fn panic_at_plan_start_unwinds_cleanly() {
-    let db = populated();
+    // Taken before setup: `populated()` runs the write path, which must
+    // not meet a failpoint another test in this binary has armed.
     let _l = lock_faults();
+    let db = populated();
 
     let oid = ObjectId(501);
     let rect = r([0.5, 0.5], [0.55, 0.55]);
@@ -126,8 +138,10 @@ fn panic_at_plan_start_unwinds_cleanly() {
 /// guard rolls the transaction back, so its writes never surface.
 #[test]
 fn panic_in_commit_rolls_back() {
-    let db = populated();
+    // Taken before setup: `populated()` runs the write path, which must
+    // not meet a failpoint another test in this binary has armed.
     let _l = lock_faults();
+    let db = populated();
 
     let oid = ObjectId(502);
     let rect = r([0.6, 0.6], [0.65, 0.65]);
@@ -153,9 +167,11 @@ fn panic_in_commit_rolls_back() {
 /// immediately succeeds" — here the executor IS the fresh transaction.)
 #[test]
 fn executor_retries_through_injected_panic() {
-    let db = populated();
+    // Taken before setup: `populated()` runs the write path, which must
+    // not meet a failpoint another test in this binary has armed.
     let _l = lock_faults();
-    let before = db.op_stats().snapshot();
+    let db = populated();
+    let before = db.obs().snapshot();
 
     let _g = dgl_faults::register("dgl/apply", FaultSpec::panic().nth(1));
     let exec = TxnExecutor::new(&db, RetryPolicy::default());
@@ -164,9 +180,9 @@ fn executor_retries_through_injected_panic() {
     exec.run(|txn| db.insert(txn, oid, rect))
         .expect("retry after injected panic commits");
 
-    let delta = db.op_stats().snapshot().since(&before);
-    assert!(delta.exec_panics >= 1, "the panic was counted");
-    assert!(delta.exec_retries >= 1, "and retried");
+    let delta = db.obs().snapshot().since(&before);
+    assert!(delta.ctr(Ctr::ExecPanics) >= 1, "the panic was counted");
+    assert!(delta.ctr(Ctr::ExecRetries) >= 1, "and retried");
     assert_clean(&db);
 }
 
@@ -176,6 +192,7 @@ fn executor_retries_through_injected_panic() {
 #[test]
 fn maintenance_panic_is_requeued_then_completes() {
     for background in [false, true] {
+        let _l = lock_faults(); // before the setup writes, see above
         let db = if background {
             dgl_background(5, InsertPolicy::Modified)
         } else {
@@ -187,8 +204,7 @@ fn maintenance_panic_is_requeued_then_completes() {
         db.insert(txn, oid, rect).expect("insert");
         db.commit(txn).expect("commit");
 
-        let _l = lock_faults();
-        let before = db.op_stats().snapshot();
+        let before = db.obs().snapshot();
         {
             // First two executions of the system operation panic; the
             // third succeeds (still under the MAINT_MAX_ATTEMPTS budget).
@@ -200,11 +216,11 @@ fn maintenance_panic_is_requeued_then_completes() {
             db.quiesce().expect("quiesce succeeds after requeues");
         }
 
-        let delta = db.op_stats().snapshot().since(&before);
-        assert_eq!(delta.maint_panics, 2, "background={background}");
-        assert_eq!(delta.maint_requeues, 2, "background={background}");
-        assert_eq!(delta.maint_failed, 0, "background={background}");
-        assert_eq!(delta.maint_completed, 1, "background={background}");
+        let delta = db.obs().snapshot().since(&before);
+        assert_eq!(delta.ctr(Ctr::MaintPanics), 2, "background={background}");
+        assert_eq!(delta.ctr(Ctr::MaintRequeues), 2, "background={background}");
+        assert_eq!(delta.ctr(Ctr::MaintFailed), 0, "background={background}");
+        assert_eq!(delta.ctr(Ctr::MaintCompleted), 1, "background={background}");
         assert_eq!(db.len(), 0, "physical deletion eventually applied");
         assert_clean(&db);
     }
@@ -217,6 +233,7 @@ fn maintenance_panic_is_requeued_then_completes() {
 #[test]
 fn maintenance_permafailure_surfaces_through_quiesce() {
     for background in [false, true] {
+        let _l = lock_faults(); // before the setup writes, see above
         let db = if background {
             dgl_background(5, InsertPolicy::Modified)
         } else {
@@ -228,8 +245,7 @@ fn maintenance_permafailure_surfaces_through_quiesce() {
         db.insert(txn, oid, rect).expect("insert");
         db.commit(txn).expect("commit");
 
-        let _l = lock_faults();
-        let before = db.op_stats().snapshot();
+        let before = db.obs().snapshot();
         {
             let _g = dgl_faults::register("maint/deferred", FaultSpec::panic());
             let txn = db.begin();
@@ -242,10 +258,11 @@ fn maintenance_permafailure_surfaces_through_quiesce() {
             );
         }
 
-        let delta = db.op_stats().snapshot().since(&before);
-        assert_eq!(delta.maint_failed, 1, "background={background}");
+        let delta = db.obs().snapshot().since(&before);
+        assert_eq!(delta.ctr(Ctr::MaintFailed), 1, "background={background}");
         assert_eq!(
-            delta.maint_panics, 4,
+            delta.ctr(Ctr::MaintPanics),
+            4,
             "background={background}: MAINT_MAX_ATTEMPTS executions"
         );
         // The record was dropped; latches, locks and transactions are

@@ -7,8 +7,10 @@
 //! exactly that, plus what any production lock manager needs around it:
 //! lock conversion (a transaction re-requesting a resource holds the
 //! supremum of its modes), FIFO-fair grant queues, deadlock detection over
-//! a waits-for graph, a wait timeout backstop, per-manager statistics, and
-//! an optional request trace used by the Table 3 conformance tests.
+//! a waits-for graph, and a wait timeout backstop. Every request, wait and
+//! verdict is counted in the manager's [`dgl_obs::Registry`]; in detail
+//! mode each grant is also an [`dgl_obs::Event::LockGranted`], which the
+//! Table 3 conformance tests assert against.
 //!
 //! Resources are named by [`ResourceId`]: a page id (leaf granule or
 //! external granule — the paper's key trick is that granules map to purely
@@ -22,14 +24,13 @@ mod deadlock;
 mod manager;
 mod mode;
 mod resource;
-mod stats;
-mod trace;
 
+// The registry types appear in this crate's public API (`with_obs`,
+// `obs()`); re-exported so dependents can name them.
+pub use dgl_obs;
 pub use manager::{
     obs_res, GrantEntry, LockManager, LockManagerConfig, LockOutcome, ResourceTableEntry, WaitEdge,
     WaiterEntry,
 };
 pub use mode::LockMode;
 pub use resource::{LockDuration, RequestKind, ResourceId, TxnId};
-pub use stats::{LockStats, LockStatsSnapshot};
-pub use trace::{TraceEvent, TraceEventKind};

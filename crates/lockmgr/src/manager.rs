@@ -7,8 +7,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::deadlock::WaitForGraph;
-use crate::stats::LockStats;
-use crate::trace::{Trace, TraceEvent, TraceEventKind};
 use crate::{LockDuration, LockMode, RequestKind, ResourceId, TxnId};
 use dgl_obs::{Ctr, Event, Hist, Registry, Res};
 
@@ -46,8 +44,6 @@ pub struct LockManagerConfig {
     pub shards: usize,
     /// Backstop timeout for unconditional waits.
     pub wait_timeout: Duration,
-    /// Record a [`TraceEvent`] per request (used by conformance tests).
-    pub trace: bool,
 }
 
 impl Default for LockManagerConfig {
@@ -55,7 +51,6 @@ impl Default for LockManagerConfig {
         Self {
             shards: 16,
             wait_timeout: Duration::from_secs(10),
-            trace: false,
         }
     }
 }
@@ -272,8 +267,6 @@ pub struct LockManager {
     /// post-commit deferred-deletion system operations, which cannot be
     /// rolled back).
     system_txns: Mutex<HashSet<TxnId>>,
-    stats: LockStats,
-    trace: Trace,
     wait_timeout: Duration,
     obs: Arc<Registry>,
 }
@@ -312,20 +305,9 @@ impl LockManager {
             waiting_on: Mutex::new(HashMap::new()),
             poisoned: Mutex::new(HashSet::new()),
             system_txns: Mutex::new(HashSet::new()),
-            stats: LockStats::default(),
-            trace: if config.trace {
-                Trace::enabled()
-            } else {
-                Trace::disabled()
-            },
             wait_timeout: config.wait_timeout,
             obs,
         }
-    }
-
-    /// Lock-manager statistics.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
     }
 
     /// The observability registry this manager reports into.
@@ -349,11 +331,6 @@ impl LockManager {
     /// Whether `txn` is currently marked as a system transaction.
     pub fn is_system(&self, txn: TxnId) -> bool {
         self.system_txns.lock().contains(&txn)
-    }
-
-    /// Drains and returns the trace buffer (empty when tracing is off).
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        self.trace.drain()
     }
 
     fn shard(&self, res: &ResourceId) -> &Mutex<HashMap<ResourceId, ResourceState>> {
@@ -382,7 +359,6 @@ impl LockManager {
         // Chaos hook: delay (slow lock manager) or panic (requester dies
         // before touching the lock table — nothing to clean up yet).
         dgl_faults::failpoint!("lockmgr/acquire");
-        LockStats::bump(&self.stats.requests);
         self.obs.incr(match dur {
             LockDuration::Short => Ctr::LockReqShort,
             LockDuration::Commit => Ctr::LockReqCommit,
@@ -392,9 +368,7 @@ impl LockManager {
         // Conditional requests never wait, so they cannot extend a cycle
         // and are left to fail or succeed on their own.
         if kind == RequestKind::Unconditional && self.take_poison(txn) {
-            LockStats::bump(&self.stats.deadlocks);
             self.obs.incr(Ctr::LockDeadlocks);
-            self.record(txn, res, mode, dur, TraceEventKind::Aborted);
             return LockOutcome::Deadlock;
         }
         let cell;
@@ -410,8 +384,6 @@ impl LockManager {
                 if held.covers(mode) {
                     // Already strong enough; just record the duration slot.
                     state.grant_of_mut(txn).expect("just found").set(mode, dur);
-                    LockStats::bump(&self.stats.immediate_grants);
-                    self.record(txn, res, mode, dur, TraceEventKind::Granted);
                     self.emit_granted(txn, res, mode, dur);
                     return LockOutcome::Granted;
                 }
@@ -419,20 +391,16 @@ impl LockManager {
                 let want = held.supremum(mode);
                 if state.compatible_with_others(txn, want) {
                     state.grant_of_mut(txn).expect("just found").set(mode, dur);
-                    LockStats::bump(&self.stats.conversions);
-                    LockStats::bump(&self.stats.immediate_grants);
-                    self.record(txn, res, mode, dur, TraceEventKind::Granted);
+                    self.obs.incr(Ctr::LockConversions);
                     self.emit_granted(txn, res, mode, dur);
                     return LockOutcome::Granted;
                 }
                 if kind == RequestKind::Conditional {
-                    LockStats::bump(&self.stats.conditional_failures);
                     self.obs.incr(Ctr::LockConditionalFail);
-                    self.record(txn, res, mode, dur, TraceEventKind::ConditionalFail);
                     self.emit_blocked(txn, res, mode, state);
                     return LockOutcome::WouldBlock;
                 }
-                LockStats::bump(&self.stats.conversions);
+                self.obs.incr(Ctr::LockConversions);
                 self.emit_blocked(txn, res, mode, state);
                 cell = Arc::new(WaitCell::new());
                 // Conversions queue ahead of ordinary waiters (after any
@@ -453,10 +421,8 @@ impl LockManager {
             } else {
                 if state.compatible_with_others(txn, mode) && state.waiters.is_empty() {
                     state.grants.push(Grant::new(txn, mode, dur));
-                    LockStats::bump(&self.stats.immediate_grants);
                     drop(shard);
                     self.txn_index.lock().entry(txn).or_default().insert(res);
-                    self.record(txn, res, mode, dur, TraceEventKind::Granted);
                     self.emit_granted(txn, res, mode, dur);
                     // Chaos hook: delay-only site (bookkeeping is already
                     // consistent here; a panic would be indistinguishable
@@ -465,9 +431,7 @@ impl LockManager {
                     return LockOutcome::Granted;
                 }
                 if kind == RequestKind::Conditional {
-                    LockStats::bump(&self.stats.conditional_failures);
                     self.obs.incr(Ctr::LockConditionalFail);
-                    self.record(txn, res, mode, dur, TraceEventKind::ConditionalFail);
                     self.emit_blocked(txn, res, mode, state);
                     return LockOutcome::WouldBlock;
                 }
@@ -483,7 +447,6 @@ impl LockManager {
                 });
             }
         }
-        LockStats::bump(&self.stats.waits);
         let wait_start = Instant::now();
         self.waiting_on.lock().insert(txn, (res, wait_start));
         let finish_wait = |granted: bool| {
@@ -512,9 +475,7 @@ impl LockManager {
         if self.is_poisoned(txn) && self.cancel_waiter(res, txn) {
             self.take_poison(txn);
             self.waiting_on.lock().remove(&txn);
-            LockStats::bump(&self.stats.deadlocks);
             self.obs.incr(Ctr::LockDeadlocks);
-            self.record(txn, res, mode, dur, TraceEventKind::Aborted);
             finish_wait(false);
             return LockOutcome::Deadlock;
         }
@@ -524,9 +485,7 @@ impl LockManager {
         // victim's wait and block.
         if self.resolve_deadlocks(txn) && self.cancel_waiter(res, txn) {
             self.waiting_on.lock().remove(&txn);
-            LockStats::bump(&self.stats.deadlocks);
             self.obs.incr(Ctr::LockDeadlocks);
-            self.record(txn, res, mode, dur, TraceEventKind::Aborted);
             finish_wait(false);
             return LockOutcome::Deadlock;
         }
@@ -538,9 +497,7 @@ impl LockManager {
         // on demand. Skipped if the wait was already granted.
         if dgl_faults::fired!("lockmgr/timeout") && self.cancel_waiter(res, txn) {
             self.waiting_on.lock().remove(&txn);
-            LockStats::bump(&self.stats.timeouts);
             self.obs.incr(Ctr::LockTimeouts);
-            self.record(txn, res, mode, dur, TraceEventKind::Aborted);
             finish_wait(false);
             return LockOutcome::Timeout;
         }
@@ -552,7 +509,6 @@ impl LockManager {
                 Some(WaitVerdict::Granted) => {
                     drop(guard);
                     self.waiting_on.lock().remove(&txn);
-                    self.record(txn, res, mode, dur, TraceEventKind::GrantedAfterWait);
                     finish_wait(true);
                     self.emit_granted(txn, res, mode, dur);
                     return LockOutcome::Granted;
@@ -563,9 +519,7 @@ impl LockManager {
                     // by a remote wound is consumed with it.
                     self.take_poison(txn);
                     self.waiting_on.lock().remove(&txn);
-                    LockStats::bump(&self.stats.deadlocks);
                     self.obs.incr(Ctr::LockDeadlocks);
-                    self.record(txn, res, mode, dur, TraceEventKind::Aborted);
                     finish_wait(false);
                     return LockOutcome::Deadlock;
                 }
@@ -574,9 +528,7 @@ impl LockManager {
                         drop(guard);
                         if self.cancel_waiter(res, txn) {
                             self.waiting_on.lock().remove(&txn);
-                            LockStats::bump(&self.stats.timeouts);
                             self.obs.incr(Ctr::LockTimeouts);
-                            self.record(txn, res, mode, dur, TraceEventKind::Aborted);
                             finish_wait(false);
                             return LockOutcome::Timeout;
                         }
@@ -634,13 +586,6 @@ impl LockManager {
             }
         }
         self.notify(wakeups);
-        self.trace.record(TraceEvent {
-            txn,
-            resource: None,
-            mode: None,
-            duration: None,
-            kind: TraceEventKind::ShortReleased,
-        });
     }
 
     /// Releases every lock of `txn` (transaction commit or rollback).
@@ -669,13 +614,6 @@ impl LockManager {
             }
         }
         self.notify(wakeups);
-        self.trace.record(TraceEvent {
-            txn,
-            resource: None,
-            mode: None,
-            duration: None,
-            kind: TraceEventKind::AllReleased,
-        });
     }
 
     /// The mode `txn` currently holds on `res`, if any.
@@ -933,15 +871,6 @@ impl LockManager {
     /// Removes `txn`'s waiter on `res`. Returns false if it is no longer
     /// queued (i.e. it was granted concurrently).
     fn cancel_waiter(&self, res: ResourceId, txn: TxnId) -> bool {
-        self.cancel_waiter_with_verdict(res, txn, WaitVerdict::Cancelled)
-    }
-
-    fn cancel_waiter_with_verdict(
-        &self,
-        res: ResourceId,
-        txn: TxnId,
-        verdict: WaitVerdict,
-    ) -> bool {
         let mut wakeups = Vec::new();
         let removed = {
             let mut shard = self.shard(&res).lock();
@@ -952,7 +881,7 @@ impl LockManager {
                 return false;
             };
             let w = state.waiters.remove(pos).expect("position exists");
-            w.cell.settle(verdict);
+            w.cell.settle(WaitVerdict::Cancelled);
             // Removing a waiter may unblock those behind it.
             Self::process_queue(res, state, &mut wakeups);
             if state.grants.is_empty() && state.waiters.is_empty() {
@@ -1008,36 +937,17 @@ impl LockManager {
             if victim == txn {
                 return true;
             }
-            // Cancel the victim's wait; if it raced to a grant, loop and
-            // re-examine.
             // Cancel the victim's wait (a no-op if it raced to a grant or
-            // is no longer waiting — the next loop pass re-examines).
+            // is no longer waiting — the next loop pass re-examines). The
+            // victim's own `lock()` call counts the deadlock when it
+            // returns the verdict.
             let waiting = self.waiting_on.lock().get(&victim).map(|(r, _)| *r);
             if let Some(res) = waiting {
-                if self.cancel_waiter_with_verdict(res, victim, WaitVerdict::Cancelled) {
-                    LockStats::bump(&self.stats.deadlocks);
-                }
+                self.cancel_waiter(res, victim);
             }
         }
         // Could not stabilize; sacrifice the requester as a backstop.
         true
-    }
-
-    fn record(
-        &self,
-        txn: TxnId,
-        res: ResourceId,
-        mode: LockMode,
-        dur: LockDuration,
-        kind: TraceEventKind,
-    ) {
-        self.trace.record(TraceEvent {
-            txn,
-            resource: Some(res),
-            mode: Some(mode),
-            duration: Some(dur),
-            kind,
-        });
     }
 
     /// Emits grant evidence to the event stream (detail mode only).

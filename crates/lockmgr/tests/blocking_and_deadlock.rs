@@ -11,6 +11,7 @@ use dgl_lockmgr::{
     RequestKind::Unconditional,
     ResourceId, TxnId,
 };
+use dgl_obs::Ctr;
 use dgl_pager::PageId;
 
 use LockMode::*;
@@ -139,7 +140,45 @@ fn two_txn_deadlock_is_detected_and_victim_aborts() {
         assert_eq!(h1.join().unwrap(), LockOutcome::Granted);
     })
     .unwrap();
-    assert!(m.stats().snapshot().deadlocks >= 1);
+    assert_eq!(m.obs().ctr(Ctr::LockDeadlocks), 1);
+}
+
+/// The victim is *not* the transaction that closed the cycle: T1 (older)
+/// holds A, T2 (younger) holds B and waits for A, then T1's request for B
+/// closes the cycle and wounds T2. One `Deadlock` outcome is returned, so
+/// the counter must read exactly one (the canceller used to bump it too).
+#[test]
+fn deadlock_wounding_another_waiter_is_counted_once() {
+    let m = mgr_with_timeout(10_000);
+    let (a, b) = (page(1), page(2));
+    assert_eq!(
+        m.lock(TxnId(1), a, X, Commit, Unconditional),
+        LockOutcome::Granted
+    );
+    assert_eq!(
+        m.lock(TxnId(2), b, X, Commit, Unconditional),
+        LockOutcome::Granted
+    );
+    crossbeam::scope(|s| {
+        let m2 = Arc::clone(&m);
+        let victim = s.spawn(move |_| {
+            let out = m2.lock(TxnId(2), a, X, Commit, Unconditional);
+            m2.release_all(TxnId(2));
+            out
+        });
+        while m.waiter_count() == 0 {
+            std::thread::yield_now();
+        }
+        // T1 closes the cycle; the younger T2 is wounded and T1 is
+        // granted once T2's rollback releases B.
+        let closer = m.lock(TxnId(1), b, X, Commit, Unconditional);
+        let outcomes = [victim.join().unwrap(), closer];
+        assert_eq!(outcomes, [LockOutcome::Deadlock, LockOutcome::Granted]);
+    })
+    .unwrap();
+    assert_eq!(m.obs().ctr(Ctr::LockDeadlocks), 1);
+    m.release_all(TxnId(1));
+    assert_eq!(m.resource_count(), 0);
 }
 
 #[test]
@@ -176,7 +215,7 @@ fn timeout_backstop_fires_when_holder_never_releases() {
     );
     let out = m.lock(TxnId(2), page(1), S, Commit, Unconditional);
     assert_eq!(out, LockOutcome::Timeout);
-    assert_eq!(m.stats().snapshot().timeouts, 1);
+    assert_eq!(m.obs().ctr(Ctr::LockTimeouts), 1);
     // The queue must be clean: releasing T1 leaves an empty table.
     m.release_all(TxnId(1));
     assert_eq!(m.resource_count(), 0);

@@ -9,6 +9,7 @@ use dgl_lockmgr::{
     RequestKind::Conditional,
     ResourceId, TxnId,
 };
+use dgl_obs::{Ctr, Hist};
 use dgl_pager::PageId;
 
 fn mgr() -> LockManager {
@@ -63,9 +64,8 @@ fn incompatible_conditional_fails_without_queueing() {
     );
     // T2 holds nothing.
     assert_eq!(m.held(T2, page(1)), None);
-    let s = m.stats().snapshot();
-    assert_eq!(s.conditional_failures, 2);
-    assert_eq!(s.waits, 0);
+    assert_eq!(m.obs().ctr(Ctr::LockConditionalFail), 2);
+    assert_eq!(m.obs().hist(Hist::LockWait).count, 0);
 }
 
 #[test]
@@ -95,7 +95,7 @@ fn self_conversion_ix_plus_s_yields_six() {
         LockOutcome::Granted
     );
     assert_eq!(m.held(T1, page(1)), Some(SIX), "IX + S converts to SIX");
-    assert_eq!(m.stats().snapshot().conversions, 1);
+    assert_eq!(m.obs().ctr(Ctr::LockConversions), 1);
 }
 
 #[test]
@@ -266,30 +266,14 @@ fn six_admits_only_is() {
 }
 
 #[test]
-fn stats_count_requests_and_grants() {
+fn registry_counts_requests_and_conditional_failures() {
     let m = mgr();
     m.lock(T1, page(1), S, Commit, Conditional);
-    m.lock(T2, page(1), S, Commit, Conditional);
+    m.lock(T2, page(1), S, Short, Conditional);
     m.lock(T3, page(1), X, Commit, Conditional); // fails
-    let s = m.stats().snapshot();
-    assert_eq!(s.requests, 3);
-    assert_eq!(s.immediate_grants, 2);
-    assert_eq!(s.conditional_failures, 1);
-}
-
-#[test]
-fn trace_records_requests_when_enabled() {
-    let m = LockManager::new(LockManagerConfig {
-        trace: true,
-        ..Default::default()
-    });
-    m.lock(T1, page(1), IX, Commit, Conditional);
-    m.lock(T2, page(1), S, Commit, Conditional); // fails
-    m.release_all(T1);
-    let events = m.drain_trace();
-    assert_eq!(events.len(), 3);
-    assert_eq!(events[0].mode, Some(IX));
-    assert_eq!(events[1].kind, dgl_lockmgr::TraceEventKind::ConditionalFail);
-    assert_eq!(events[2].kind, dgl_lockmgr::TraceEventKind::AllReleased);
-    assert!(m.drain_trace().is_empty(), "drain empties the buffer");
+    let s = m.obs().snapshot();
+    assert_eq!(s.ctr(Ctr::LockReqCommit), 2);
+    assert_eq!(s.ctr(Ctr::LockReqShort), 1);
+    assert_eq!(s.ctr(Ctr::LockConditionalFail), 1);
+    assert_eq!(s.hist(Hist::LockWait).count, 0);
 }

@@ -1,5 +1,5 @@
-//! The central metrics registry: typed histograms + counters, runtime
-//! enable/detail switches, and the (feature-gated) event ring.
+//! The central metrics registry: typed histograms + counters, the
+//! runtime detail switch, and the (feature-gated) event ring.
 
 use crate::counter::ShardedCounter;
 use crate::event::Event;
@@ -113,153 +113,191 @@ impl Hist {
     }
 }
 
-/// Every monotonic counter the workspace records into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ctr {
+/// Declares [`Ctr`] from one list — variant, doc and stable export name
+/// — so the enum, [`Ctr::ALL`] and [`Ctr::name`] cannot drift apart.
+/// Export order is declaration order; append, never reorder or rename.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
+        /// Every monotonic counter the workspace records into.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Ctr {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl Ctr {
+            /// All counters, in export order.
+            pub const ALL: [Ctr; [$($name),+].len()] = [$(Ctr::$variant),+];
+
+            /// Stable metric name (exported as `dgl_<name>_total`).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Ctr::$variant => $name,)+
+                }
+            }
+
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+counters! {
     /// Short-duration lock requests (Table 2's cheap majority).
-    LockReqShort,
+    LockReqShort => "lock_requests_short",
     /// Commit-duration lock requests (held to commit; Table 2's
     /// granule-changing overhead signal).
-    LockReqCommit,
+    LockReqCommit => "lock_requests_commit",
     /// Conditional lock requests that failed (would have blocked).
-    LockConditionalFail,
+    LockConditionalFail => "lock_conditional_failures",
     /// Aborted attempts retried by the executor.
-    ExecRetries,
+    ExecRetries => "exec_retries",
     /// Pages read through the pager (logical reads).
-    PageReads,
+    PageReads => "page_reads",
     /// Pages written through the pager.
-    PageWrites,
-    /// Deferred deletions enqueued to the maintenance worker.
-    MaintEnqueued,
+    PageWrites => "page_writes",
+    /// Deferred deletions handed to the maintenance subsystem (inline
+    /// runs and background enqueues alike).
+    MaintEnqueued => "maint_enqueued",
     /// Deferred deletions physically completed.
-    MaintCompleted,
+    MaintCompleted => "maint_completed",
     /// WAL flush batches (`fsync` calls).
-    WalFsyncs,
+    WalFsyncs => "wal_fsyncs",
     /// Bytes appended to the WAL (headers + framed records).
-    WalAppendedBytes,
+    WalAppendedBytes => "wal_appended_bytes",
     /// Records appended to the WAL.
-    WalRecords,
+    WalRecords => "wal_records",
     /// Commits acknowledged by WAL flushes; divided by `wal_fsyncs`
     /// this is the mean group-commit batch size.
-    WalGroupCommitCommits,
+    WalGroupCommitCommits => "wal_group_commit_commits",
     /// Region scans served from an MVCC snapshot (zero lock-manager
     /// requests; compare against `lock_requests_*` staying flat).
-    SnapshotScans,
+    SnapshotScans => "snapshot_scans",
     /// Point reads served from an MVCC snapshot.
-    SnapshotPointReads,
-    /// Object versions reclaimed by the epoch-based version GC.
-    VersionsReclaimed,
+    SnapshotPointReads => "snapshot_point_reads",
+    /// Object versions (chain entries and retired dead objects)
+    /// reclaimed by version GC below the min-active-snapshot watermark.
+    VersionsReclaimed => "versions_reclaimed",
     /// Cycles resolved by the global (cross-shard + gate) deadlock
     /// detector: one per wounded victim.
-    GlobalDeadlocks,
+    GlobalDeadlocks => "global_deadlocks",
     /// Stall-watchdog firings: a wait exceeded the stall threshold with
     /// no deadlock cycle found (diagnostic, never an abort).
-    WatchdogStalls,
-    /// Lock waits resolved as a deadlock verdict: the waiter was chosen
-    /// as a victim (locally or by the global detector) and must abort.
-    LockDeadlocks,
+    WatchdogStalls => "watchdog_stalls",
+    /// Lock requests that returned a deadlock verdict: the requester was
+    /// chosen as a victim (locally or by the global detector) and must
+    /// abort. Counted once, by the victim.
+    LockDeadlocks => "lock_deadlocks",
     /// Lock waits resolved by the wait-timeout backstop.
-    LockTimeouts,
+    LockTimeouts => "lock_timeouts",
     /// Requests decoded and dispatched by the network server.
-    NetRequests,
+    NetRequests => "net_requests",
     /// Bytes read from client connections (frames incl. length prefix).
-    NetBytesIn,
+    NetBytesIn => "net_bytes_in",
     /// Bytes written to client connections (frames incl. length prefix).
-    NetBytesOut,
+    NetBytesOut => "net_bytes_out",
     /// Transactions aborted server-side because their session died or
     /// timed out (connection drop, idle/txn timeout, drain force-close).
-    SessionAborts,
+    SessionAborts => "session_aborts",
     /// Point accesses answered by the hash index without a tree
     /// traversal (`read_single`, snapshot point reads, and the verified
     /// leaf hints of delete/update).
-    HashHits,
+    HashHits => "hash_hits",
     /// Point accesses that fell back to the tree traversal (stale leaf
     /// hint, or the hash read path disabled by config).
-    HashMisses,
+    HashMisses => "hash_misses",
     /// Insert duplicate probes answered by the hash index's O(1)
     /// membership check (every insert; the traversal the probe used to
     /// cost is gone).
-    DupProbesSkipped,
-}
-
-impl Ctr {
-    /// All counters, in export order.
-    pub const ALL: [Ctr; 26] = [
-        Ctr::LockReqShort,
-        Ctr::LockReqCommit,
-        Ctr::LockConditionalFail,
-        Ctr::ExecRetries,
-        Ctr::PageReads,
-        Ctr::PageWrites,
-        Ctr::MaintEnqueued,
-        Ctr::MaintCompleted,
-        Ctr::WalFsyncs,
-        Ctr::WalAppendedBytes,
-        Ctr::WalRecords,
-        Ctr::WalGroupCommitCommits,
-        Ctr::SnapshotScans,
-        Ctr::SnapshotPointReads,
-        Ctr::VersionsReclaimed,
-        Ctr::GlobalDeadlocks,
-        Ctr::WatchdogStalls,
-        Ctr::LockDeadlocks,
-        Ctr::LockTimeouts,
-        Ctr::NetRequests,
-        Ctr::NetBytesIn,
-        Ctr::NetBytesOut,
-        Ctr::SessionAborts,
-        Ctr::HashHits,
-        Ctr::HashMisses,
-        Ctr::DupProbesSkipped,
-    ];
-
-    /// Stable metric name (exported as `dgl_<name>_total`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Ctr::LockReqShort => "lock_requests_short",
-            Ctr::LockReqCommit => "lock_requests_commit",
-            Ctr::LockConditionalFail => "lock_conditional_failures",
-            Ctr::ExecRetries => "exec_retries",
-            Ctr::PageReads => "page_reads",
-            Ctr::PageWrites => "page_writes",
-            Ctr::MaintEnqueued => "maint_enqueued",
-            Ctr::MaintCompleted => "maint_completed",
-            Ctr::WalFsyncs => "wal_fsyncs",
-            Ctr::WalAppendedBytes => "wal_appended_bytes",
-            Ctr::WalRecords => "wal_records",
-            Ctr::WalGroupCommitCommits => "wal_group_commit_commits",
-            Ctr::SnapshotScans => "snapshot_scans",
-            Ctr::SnapshotPointReads => "snapshot_point_reads",
-            Ctr::VersionsReclaimed => "versions_reclaimed",
-            Ctr::GlobalDeadlocks => "global_deadlocks",
-            Ctr::WatchdogStalls => "watchdog_stalls",
-            Ctr::LockDeadlocks => "lock_deadlocks",
-            Ctr::LockTimeouts => "lock_timeouts",
-            Ctr::NetRequests => "net_requests",
-            Ctr::NetBytesIn => "net_bytes_in",
-            Ctr::NetBytesOut => "net_bytes_out",
-            Ctr::SessionAborts => "session_aborts",
-            Ctr::HashHits => "hash_hits",
-            Ctr::HashMisses => "hash_misses",
-            Ctr::DupProbesSkipped => "dup_probes_skipped",
-        }
-    }
-
-    fn index(self) -> usize {
-        self as usize
-    }
+    DupProbesSkipped => "dup_probes_skipped",
+    /// `insert` operations started.
+    Inserts => "inserts",
+    /// `delete` operations started.
+    Deletes => "deletes",
+    /// `read_single` operations started.
+    ReadSingles => "read_singles",
+    /// `update_single` operations started.
+    UpdateSingles => "update_singles",
+    /// `read_scan` operations started.
+    ReadScans => "read_scans",
+    /// `update_scan` operations started.
+    UpdateScans => "update_scans",
+    /// Operation attempts that found a conditional lock blocked, waited,
+    /// and re-planned (the retry loop of the latch/lock interplay).
+    OpRetries => "op_retries",
+    /// Lock-acquisition retries inside deferred-deletion system
+    /// operations (subset of `op_retries`).
+    DeferredRetries => "deferred_retries",
+    /// Inserts that changed a granule boundary (grew a leaf BR or split
+    /// a node) — the quantity of the paper's §3.4 fanout experiment.
+    GranuleChangingInserts => "granule_changing_inserts",
+    /// Deferred (post-commit) physical deletions executed.
+    DeferredDeletes => "deferred_deletes",
+    /// Nanoseconds system operations slept in retry backoff.
+    MaintBackoffNanos => "maint_backoff_nanos",
+    /// Write attempts whose plan went stale between the shared-latch
+    /// planning phase and the exclusive-latch apply (another writer
+    /// bumped the structure version); each one replans before any
+    /// mutation, keeping its locks.
+    PlanValidationFailures => "plan_validation_failures",
+    /// Transaction attempts started by the executor (first tries and
+    /// retries alike).
+    ExecAttempts => "exec_attempts",
+    /// Transaction-body panics the executor caught, rolled back and
+    /// converted into retries.
+    ExecPanics => "exec_panics",
+    /// Executor runs that exhausted their retry budget and gave up.
+    ExecGiveups => "exec_giveups",
+    /// Transactions rolled back by the unwind guard because a panic tore
+    /// through an in-flight operation.
+    UnwindRollbacks => "unwind_rollbacks",
+    /// Panics that unwound through the apply phase's exclusive tree
+    /// latch; the latch guard re-validated structural invariants before
+    /// release.
+    ApplyUnwinds => "apply_unwinds",
+    /// Apply-phase unwinds whose post-panic structural validation failed
+    /// — an invariant breach that chaos tests treat as fatal.
+    UnwindValidateFailures => "unwind_validate_failures",
+    /// Panics caught inside maintenance (deferred-deletion) execution.
+    MaintPanics => "maint_panics",
+    /// Deferred deletions put back on the queue after a caught panic.
+    MaintRequeues => "maint_requeues",
+    /// Deferred deletions dropped after exhausting their retry budget
+    /// (mirror of the flag that makes `quiesce` report
+    /// `MaintenanceFailed`).
+    MaintFailed => "maint_failed",
+    /// Completed checkpoints (snapshot written, log truncated).
+    Checkpoints => "checkpoints",
+    /// Checkpoint attempts that failed (log poisoned or snapshot I/O
+    /// error); the previous checkpoint remains the recovery base.
+    CheckpointFailures => "checkpoint_failures",
+    /// MVCC snapshots begun.
+    SnapshotBegins => "snapshot_begins",
+    /// Version-GC passes executed by the maintenance subsystem.
+    VersionGcRuns => "version_gc_runs",
+    /// Predicate-table rectangle comparisons (predicate-locking baseline
+    /// only; Table 4's cost axis).
+    PredicateChecks => "predicate_checks",
+    /// Lock requests that strengthened a mode the transaction already
+    /// held on the resource.
+    LockConversions => "lock_conversions",
+    /// Transactions begun.
+    TxnsStarted => "txns_started",
+    /// Transactions committed.
+    TxnsCommitted => "txns_committed",
+    /// Transactions rolled back (user abort or deadlock/timeout victim).
+    TxnsAborted => "txns_aborted",
 }
 
 /// The workspace-wide metrics registry.
 ///
 /// One `Arc<Registry>` is shared by the lock manager, the DGL write/read
 /// paths, the executor, the maintenance worker, and the pager. Counter
-/// and histogram recording is always compiled in and guarded by one
-/// relaxed [`AtomicBool`] load; the structured event stream additionally
-/// needs the `full` cargo feature *and* the runtime detail flag.
+/// and histogram recording is always on; the structured event stream
+/// additionally needs the `full` cargo feature *and* the runtime detail
+/// flag.
 #[derive(Debug)]
 pub struct Registry {
-    enabled: AtomicBool,
     detail: AtomicBool,
     hists: [Histogram; Hist::ALL.len()],
     ctrs: [ShardedCounter; Ctr::ALL.len()],
@@ -276,10 +314,9 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A registry with always-on recording enabled and detail mode off.
+    /// A registry with detail mode off.
     pub fn new() -> Self {
         Self {
-            enabled: AtomicBool::new(true),
             detail: AtomicBool::new(false),
             hists: std::array::from_fn(|_| Histogram::default()),
             ctrs: std::array::from_fn(|_| ShardedCounter::default()),
@@ -288,23 +325,6 @@ impl Registry {
             #[cfg(feature = "full")]
             dropped_events: ShardedCounter::default(),
         }
-    }
-
-    /// A registry with all recording switched off (for overhead A/B runs).
-    pub fn disabled() -> Self {
-        let reg = Self::new();
-        reg.enabled.store(false, Ordering::Relaxed);
-        reg
-    }
-
-    /// Whether counter/histogram recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns counter/histogram recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether detail (event-stream) mode is on. Always `false` unless
@@ -321,16 +341,12 @@ impl Registry {
 
     /// Records one observation into `hist`.
     pub fn record(&self, hist: Hist, value: u64) {
-        if self.enabled() {
-            self.hists[hist.index()].record(value);
-        }
+        self.hists[hist.index()].record(value);
     }
 
     /// Adds `n` to `ctr`.
     pub fn add(&self, ctr: Ctr, n: u64) {
-        if self.enabled() {
-            self.ctrs[ctr.index()].add(n);
-        }
+        self.ctrs[ctr.index()].add(n);
     }
 
     /// Adds 1 to `ctr`.
@@ -452,6 +468,12 @@ impl RegistrySnapshot {
         self.ctrs[ctr.index()]
     }
 
+    /// Total lock requests: short- plus commit-duration (Table 4's
+    /// "lock requests per transaction" numerator).
+    pub fn lock_requests(&self) -> u64 {
+        self.ctr(Ctr::LockReqShort) + self.ctr(Ctr::LockReqCommit)
+    }
+
     /// Metric-wise difference `self - earlier` (per-phase accounting).
     pub fn since(&self, earlier: &RegistrySnapshot) -> RegistrySnapshot {
         RegistrySnapshot {
@@ -483,18 +505,6 @@ impl Default for RegistrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = Registry::disabled();
-        reg.record(Hist::LockWait, 100);
-        reg.incr(Ctr::LockReqShort);
-        assert_eq!(reg.hist(Hist::LockWait).count, 0);
-        assert_eq!(reg.ctr(Ctr::LockReqShort), 0);
-        reg.set_enabled(true);
-        reg.record(Hist::LockWait, 100);
-        assert_eq!(reg.hist(Hist::LockWait).count, 1);
-    }
 
     #[test]
     fn snapshot_merge_sums_per_metric() {

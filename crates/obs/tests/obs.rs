@@ -226,6 +226,26 @@ fn hash_metrics_export_with_stable_names() {
     assert_eq!(delta.hist(Hist::HashLookup).count, 0);
 }
 
+/// The operator-facing catalogue (README.md "Metric catalogue": name,
+/// unit, layer, what a bad value means) has one row per exported series —
+/// adding a metric without documenting it fails here.
+#[test]
+fn readme_catalogue_lists_every_metric() {
+    let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(readme).unwrap();
+    let names = Ctr::ALL
+        .iter()
+        .map(|c| c.name())
+        .chain(Hist::ALL.iter().map(|h| h.name()));
+    for name in names {
+        let rows = readme
+            .lines()
+            .filter(|l| l.starts_with(&format!("| `{name}` |")))
+            .count();
+        assert_eq!(rows, 1, "README.md metric catalogue rows for `{name}`");
+    }
+}
+
 #[test]
 fn json_snapshot_has_percentiles_and_counters() {
     let reg = Registry::new();

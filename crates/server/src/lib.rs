@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use dgl_core::{
     DglRTree, ShardedDglRTree, ShardedSnapshot, Snapshot, TransactionalRTree, TxnError,
 };
-use dgl_obs::Registry;
+use dgl_obs::{Registry, RegistrySnapshot};
 use dgl_proto::{write_frame, ErrorCode, Response};
 use parking_lot::Mutex;
 
@@ -116,11 +116,12 @@ impl Backend {
         }
     }
 
-    /// Prometheus dump of the backend's own registries.
-    pub fn prometheus_dump(&self) -> String {
+    /// One snapshot over the backend's own registries (per-shard
+    /// registries merged for a sharded index).
+    pub fn obs_snapshot(&self) -> RegistrySnapshot {
         match self {
-            Backend::Single(t) => t.prometheus_dump(),
-            Backend::Sharded(t) => t.prometheus_dump(),
+            Backend::Single(t) => t.obs().snapshot(),
+            Backend::Sharded(t) => t.obs_snapshot(),
         }
     }
 
@@ -177,6 +178,16 @@ pub(crate) struct Shared {
     pub(crate) open_txns: AtomicUsize,
     /// Live session threads (drain completion signal).
     pub(crate) live_sessions: AtomicUsize,
+}
+
+impl Shared {
+    /// Net-layer + backend metrics as one Prometheus exposition: the two
+    /// registries are merged metric-wise (each records what the other
+    /// leaves at zero), so every series appears exactly once.
+    pub(crate) fn prometheus_dump(&self) -> String {
+        let merged = self.backend.obs_snapshot().merge(&self.obs.snapshot());
+        dgl_obs::prometheus_text(&merged)
+    }
 }
 
 /// A running server. Dropping it (or calling [`Server::shutdown`])
@@ -239,9 +250,7 @@ impl Server {
 
     /// Net-layer + backend metrics as one Prometheus text dump.
     pub fn prometheus_dump(&self) -> String {
-        let mut out = self.shared.backend.prometheus_dump();
-        out.push_str(&dgl_obs::prometheus_text(&self.shared.obs.snapshot()));
-        out
+        self.shared.prometheus_dump()
     }
 
     /// Enters drain mode without waiting: new connections and `Begin`s

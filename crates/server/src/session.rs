@@ -507,11 +507,9 @@ fn handle<'a>(
             Some(_) => Response::Done,
             None => err(ErrorCode::UnknownSnapshot, format!("no snapshot {snap}")),
         },
-        Request::Stats => {
-            let mut text = shared.backend.prometheus_dump();
-            text.push_str(&dgl_obs::prometheus_text(&shared.obs.snapshot()));
-            Response::StatsText { text }
-        }
+        Request::Stats => Response::StatsText {
+            text: shared.prometheus_dump(),
+        },
         Request::Count => Response::CountIs {
             count: tree.len() as u64,
         },

@@ -25,5 +25,5 @@ mod snapshot;
 
 pub use dgl_lockmgr::TxnId;
 pub use journal::Journal;
-pub use manager::{TxnManager, TxnStats, TxnStatsSnapshot};
+pub use manager::TxnManager;
 pub use snapshot::CommitClock;

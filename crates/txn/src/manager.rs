@@ -5,37 +5,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use dgl_lockmgr::dgl_obs::Ctr;
 use dgl_lockmgr::{LockManager, TxnId};
-
-/// Transaction-level counters.
-#[derive(Debug, Default)]
-pub struct TxnStats {
-    started: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-}
-
-/// A point-in-time copy of [`TxnStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TxnStatsSnapshot {
-    /// Transactions begun.
-    pub started: u64,
-    /// Transactions committed.
-    pub committed: u64,
-    /// Transactions rolled back (user abort or deadlock victim).
-    pub aborted: u64,
-}
-
-impl TxnStatsSnapshot {
-    /// Counter-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &TxnStatsSnapshot) -> TxnStatsSnapshot {
-        TxnStatsSnapshot {
-            started: self.started - earlier.started,
-            committed: self.committed - earlier.committed,
-            aborted: self.aborted - earlier.aborted,
-        }
-    }
-}
 
 /// Allocates transaction ids, tracks the active set, and performs the
 /// terminal transitions.
@@ -44,13 +15,14 @@ impl TxnStatsSnapshot {
 /// transitions release *all* locks of the transaction through the attached
 /// [`LockManager`] — the protocol layer runs its deferred deletions /
 /// undo actions *before* calling them, matching the paper's requirement
-/// that commit-duration locks protect the deferred work.
+/// that commit-duration locks protect the deferred work. Begins, commits
+/// and aborts are counted in the lock manager's registry
+/// (`txns_started` / `txns_committed` / `txns_aborted`).
 #[derive(Debug)]
 pub struct TxnManager {
     lock_manager: Arc<LockManager>,
     next_id: AtomicU64,
     active: Mutex<HashMap<TxnId, Instant>>,
-    stats: TxnStats,
 }
 
 impl TxnManager {
@@ -60,7 +32,6 @@ impl TxnManager {
             lock_manager,
             next_id: AtomicU64::new(1),
             active: Mutex::new(HashMap::new()),
-            stats: TxnStats::default(),
         }
     }
 
@@ -73,7 +44,7 @@ impl TxnManager {
     pub fn begin(&self) -> TxnId {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.active.lock().insert(id, Instant::now());
-        self.stats.started.fetch_add(1, Ordering::Relaxed);
+        self.lock_manager.obs().incr(Ctr::TxnsStarted);
         id
     }
 
@@ -93,7 +64,7 @@ impl TxnManager {
     /// Panics if the transaction is not active (double termination).
     pub fn commit(&self, txn: TxnId) {
         self.retire(txn, "commit");
-        self.stats.committed.fetch_add(1, Ordering::Relaxed);
+        self.lock_manager.obs().incr(Ctr::TxnsCommitted);
         self.lock_manager.release_all(txn);
     }
 
@@ -104,7 +75,7 @@ impl TxnManager {
     /// Panics if the transaction is not active (double termination).
     pub fn abort(&self, txn: TxnId) {
         self.retire(txn, "abort");
-        self.stats.aborted.fetch_add(1, Ordering::Relaxed);
+        self.lock_manager.obs().incr(Ctr::TxnsAborted);
         self.lock_manager.release_all(txn);
     }
 
@@ -117,15 +88,6 @@ impl TxnManager {
     /// locks (the paper's operation/transaction duration split).
     pub fn end_operation(&self, txn: TxnId) {
         self.lock_manager.release_short(txn);
-    }
-
-    /// Copies the transaction counters.
-    pub fn stats(&self) -> TxnStatsSnapshot {
-        TxnStatsSnapshot {
-            started: self.stats.started.load(Ordering::Relaxed),
-            committed: self.stats.committed.load(Ordering::Relaxed),
-            aborted: self.stats.aborted.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -170,7 +132,7 @@ mod tests {
         assert!(!m.is_active(t));
         assert_eq!(lm.locks_held(t), 0);
         assert_eq!(lm.resource_count(), 0);
-        assert_eq!(m.stats().committed, 1);
+        assert_eq!(lm.obs().ctr(Ctr::TxnsCommitted), 1);
     }
 
     #[test]
@@ -181,7 +143,7 @@ mod tests {
         lm.lock(t, ResourceId::Tree, LockMode::X, Commit, Conditional);
         m.abort(t);
         assert_eq!(lm.locks_held(t), 0);
-        assert_eq!(m.stats().aborted, 1);
+        assert_eq!(lm.obs().ctr(Ctr::TxnsAborted), 1);
     }
 
     #[test]
@@ -206,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_lifecycle() {
+    fn registry_tracks_lifecycle() {
         let m = setup();
         let a = m.begin();
         let b = m.begin();
@@ -214,8 +176,15 @@ mod tests {
         m.commit(a);
         m.abort(b);
         m.commit(c);
-        let s = m.stats();
-        assert_eq!((s.started, s.committed, s.aborted), (3, 2, 1));
+        let s = m.lock_manager().obs().snapshot();
+        assert_eq!(
+            (
+                s.ctr(Ctr::TxnsStarted),
+                s.ctr(Ctr::TxnsCommitted),
+                s.ctr(Ctr::TxnsAborted)
+            ),
+            (3, 2, 1)
+        );
         assert_eq!(m.active_count(), 0);
     }
 }

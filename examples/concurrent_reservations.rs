@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use granular_rtree::core::{DglConfig, DglRTree, Rect2, TransactionalRTree, TxnError};
+use granular_rtree::obs::{Ctr, Hist};
 use granular_rtree::rtree::ObjectId;
 
 const AGENTS: u64 = 8;
@@ -88,7 +89,7 @@ fn main() {
     );
     db.validate().unwrap();
 
-    let stats = db.txn_manager().stats();
+    let obs = db.obs().snapshot();
     println!(
         "{} agents made {} committed claims ({} plots of 36 available)",
         AGENTS,
@@ -97,12 +98,15 @@ fn main() {
     );
     println!(
         "transactions: {} started, {} committed, {} aborted",
-        stats.started, stats.committed, stats.aborted
+        obs.ctr(Ctr::TxnsStarted),
+        obs.ctr(Ctr::TxnsCommitted),
+        obs.ctr(Ctr::TxnsAborted)
     );
-    let lock_stats = db.lock_manager().stats().snapshot();
     println!(
         "lock manager: {} requests, {} waits, {} deadlock victims",
-        lock_stats.requests, lock_stats.waits, lock_stats.deadlocks
+        obs.lock_requests(),
+        obs.hist(Hist::LockWait).count,
+        obs.ctr(Ctr::LockDeadlocks)
     );
     println!("concurrent_reservations OK — no double bookings");
 }

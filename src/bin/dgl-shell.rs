@@ -460,29 +460,47 @@ fn run_command(
             Ok(Some(msg))
         }
         "stats" => {
-            let ls = db.lock_manager().stats().snapshot();
-            let ts = db.txn_manager().stats();
-            let os = db.op_stats().snapshot();
+            // Every number below is read from the registry and labelled
+            // with the registry's metric name — the names `connect`
+            // mode's `stats` (the server's Prometheus dump) shows for
+            // the same facts. Only `objects`, `txns_active` and
+            // `maint_pending` are live state rather than metrics.
+            use granular_rtree::obs::{Ctr, Hist};
+            let snap = db.obs().snapshot();
+            let ctrs = |list: &[Ctr]| {
+                list.iter()
+                    .map(|c| format!("{}={}", c.name(), snap.ctr(*c)))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
             Ok(Some(format!(
-                "objects {} | txns: {} started, {} committed, {} aborted ({} active)\n\
-                 locks: {} requests, {} waits, {} deadlocks | ops: {} ins, {} del, {} scans, {} retries\n\
-                 maintenance: {} enqueued, {} completed, {} pending | avg commit {}µs",
+                "objects={} txns_active={} maint_pending={}\n\
+                 txns: {}\n\
+                 locks: {} {}_count={}\n\
+                 ops: {}\n\
+                 retries: {}\n\
+                 maintenance: {}\n\
+                 commit: {}_count={} mean={}µs",
                 db.len(),
-                ts.started,
-                ts.committed,
-                ts.aborted,
                 db.txn_manager().active_count(),
-                ls.requests,
-                ls.waits,
-                ls.deadlocks,
-                os.inserts,
-                os.deletes,
-                os.read_scans,
-                os.op_retries,
-                os.maint_enqueued,
-                os.maint_completed,
-                db.op_stats().maintenance_backlog(),
-                os.avg_commit_nanos() / 1_000,
+                db.maintenance_backlog(),
+                ctrs(&[Ctr::TxnsStarted, Ctr::TxnsCommitted, Ctr::TxnsAborted]),
+                ctrs(&[Ctr::LockReqShort, Ctr::LockReqCommit, Ctr::LockDeadlocks]),
+                Hist::LockWait.name(),
+                snap.hist(Hist::LockWait).count,
+                ctrs(&[
+                    Ctr::Inserts,
+                    Ctr::Deletes,
+                    Ctr::ReadSingles,
+                    Ctr::UpdateSingles,
+                    Ctr::ReadScans,
+                    Ctr::UpdateScans,
+                ]),
+                ctrs(&[Ctr::OpRetries, Ctr::ExecRetries]),
+                ctrs(&[Ctr::MaintEnqueued, Ctr::MaintCompleted]),
+                Hist::Commit.name(),
+                snap.hist(Hist::Commit).count,
+                snap.hist(Hist::Commit).mean() / 1_000,
             )))
         }
         "tree" => Ok(Some(db.with_tree(|t| {

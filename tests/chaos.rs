@@ -29,6 +29,7 @@ use dgl_core::{
     ShardedDglRTree, ShardingConfig, TransactionalRTree,
 };
 use dgl_faults::FaultSpec;
+use dgl_obs::Ctr;
 use dgl_rtree::RTreeConfig;
 use dgl_workload::{drive, DriveConfig, DriveReport, OpMix, OpStream};
 
@@ -192,7 +193,7 @@ fn chaos_run(seed: u64) {
     });
 
     let fires = dgl_faults::total_fires() - fires_before;
-    let stats = db.op_stats().snapshot();
+    let stats = db.obs().snapshot();
     eprintln!(
         "chaos seed {seed:#x}: {} commits, {} retries, {} giveups, \
          {} injected faults, {} exec panics, {} maint panics",
@@ -200,8 +201,8 @@ fn chaos_run(seed: u64) {
         report.retries,
         report.giveups,
         fires,
-        stats.exec_panics,
-        stats.maint_panics
+        stats.ctr(Ctr::ExecPanics),
+        stats.ctr(Ctr::MaintPanics)
     );
 
     // Every fault resolved cleanly: nothing fatal, no phantoms.

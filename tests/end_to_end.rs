@@ -3,6 +3,7 @@
 //! of the underlying index.
 
 use granular_rtree::core::{DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree};
+use granular_rtree::obs::Ctr;
 use granular_rtree::rtree::codec::{checkpoint_tree, restore_tree};
 use granular_rtree::rtree::RTreeConfig;
 use granular_rtree::workload::{Dataset, DatasetKind};
@@ -71,9 +72,9 @@ fn clustered_data_exercises_granule_adaptation() {
     assert_eq!(db.len(), 750);
     db.validate().unwrap();
     // A decent share of inserts changed granule boundaries at fanout 8.
-    let stats = db.op_stats().snapshot();
-    assert!(stats.granule_changing_inserts > 0);
-    assert_eq!(stats.deferred_deletes, 750);
+    let stats = db.obs().snapshot();
+    assert!(stats.ctr(Ctr::GranuleChangingInserts) > 0);
+    assert_eq!(stats.ctr(Ctr::DeferredDeletes), 750);
 }
 
 #[test]

@@ -81,17 +81,15 @@ fn measure(fanout: usize, seed: u64) -> Overhead {
     for oid in 0..PRELOAD {
         insert_one(oid);
     }
-    let ops_before = db.op_stats().snapshot();
-    let obs_before = db.obs().snapshot();
+    let before = db.obs().snapshot();
     for oid in PRELOAD..PRELOAD + MEASURED {
         insert_one(oid);
     }
-    let ops = db.op_stats().snapshot().since(&ops_before);
-    let obs = db.obs().snapshot().since(&obs_before);
-    assert_eq!(ops.inserts, MEASURED);
+    let obs = db.obs().snapshot().since(&before);
+    assert_eq!(obs.ctr(Ctr::Inserts), MEASURED);
     Overhead {
         fanout,
-        changing_fraction: ops.granule_changing_inserts as f64 / MEASURED as f64,
+        changing_fraction: obs.ctr(Ctr::GranuleChangingInserts) as f64 / MEASURED as f64,
         commit_reqs_per_insert: obs.ctr(Ctr::LockReqCommit) as f64 / MEASURED as f64,
         short_reqs_per_insert: obs.ctr(Ctr::LockReqShort) as f64 / MEASURED as f64,
     }

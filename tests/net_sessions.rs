@@ -356,3 +356,35 @@ fn session_churn_leaves_no_residue() {
     tree.validate().expect("invariants");
     server.shutdown().expect("drain");
 }
+
+/// The wire `Stats` reply (and `Server::prometheus_dump`) is one
+/// exposition over the backend and net-layer registries merged — not two
+/// expositions concatenated, which repeated every `# TYPE` line and left
+/// each fact split across a zero copy and a real one.
+#[test]
+fn stats_reply_exposes_every_series_exactly_once() {
+    let mut server = start_server(ServerConfig::default());
+    let mut client = preload(server.addr(), 4);
+    let text = client.stats().expect("stats");
+
+    let mut seen = BTreeSet::new();
+    for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
+        assert!(seen.insert(line), "series declared twice: {line}");
+    }
+    assert!(!seen.is_empty(), "stats reply carries no series");
+    let sample = |name: &str| -> u64 {
+        let mut values = text
+            .lines()
+            .filter_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .map(|v| v.parse::<u64>().expect("counter value"));
+        let value = values.next().unwrap_or_else(|| panic!("no {name} sample"));
+        assert!(values.next().is_none(), "{name} sampled twice");
+        value
+    };
+    assert!(sample("dgl_net_requests_total") > 0, "net layer merged in");
+    assert!(
+        sample("dgl_lock_requests_commit_total") > 0,
+        "core layer merged in"
+    );
+    server.shutdown().expect("drain");
+}

@@ -32,7 +32,7 @@ use granular_rtree::core::{
     TransactionalRTree, TxnError, TxnId,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
-use granular_rtree::obs::Event;
+use granular_rtree::obs::{Event, Hist};
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
 /// The fault registry is process-global and the negative control arms
@@ -619,7 +619,7 @@ fn sharded_oracle_run(seed: u64, shards: usize, maint: MaintenanceMode) {
 
     // Vacuousness guard: some writer must actually have waited on a
     // shard's predicate locks during the run.
-    let (_, waits) = db.lock_stats();
+    let waits = db.obs_snapshot().hist(Hist::LockWait).count;
     assert!(
         waits > 0,
         "oracle vacuous: no lock ever waited across {shards} shards"
@@ -746,7 +746,7 @@ fn snapshot_scan_is_phantom_free_without_locks() {
 
     // The rescans below are the zero-lock claim: bracket them (and only
     // them) with the lock manager's request counter.
-    let (req_before, waits_before) = db.lock_stats();
+    let before = db.obs().snapshot();
     for _ in 0..4 {
         assert_eq!(
             snap.read_scan(REGION),
@@ -759,10 +759,10 @@ fn snapshot_scan_is_phantom_free_without_locks() {
         Some(1),
         "snapshot predates the delete, so the victim is still visible"
     );
-    let (req_after, waits_after) = db.lock_stats();
+    let during = db.obs().snapshot().since(&before);
     assert_eq!(
-        (req_before, waits_before),
-        (req_after, waits_after),
+        (during.lock_requests(), during.hist(Hist::LockWait).count),
+        (0, 0),
         "snapshot reads must issue zero lock-manager requests"
     );
 

@@ -35,6 +35,7 @@ use granular_rtree::core::{
     DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
     SyncPolicy, TransactionalRTree, TxnError,
 };
+use granular_rtree::obs::Ctr;
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
 /// The fault registry is process-global: matrix cells must not overlap.
@@ -929,14 +930,14 @@ fn recovery_drains_replayed_deferred_deletions() {
     let recovered = DglRTree::recover(dir.path(), config).expect("recover");
     // Replay enqueued each committed delete's physical phase on the
     // background worker and `recover` quiesced it: no backlog remains.
-    assert_eq!(recovered.op_stats().maintenance_backlog(), 0);
-    let s = recovered.op_stats().snapshot();
+    assert_eq!(recovered.maintenance_backlog(), 0);
+    let s = recovered.obs().snapshot();
     assert!(
-        s.maint_enqueued >= 10 && s.maint_enqueued == s.maint_completed,
+        s.ctr(Ctr::MaintEnqueued) >= 10 && s.ctr(Ctr::MaintEnqueued) == s.ctr(Ctr::MaintCompleted),
         "replayed deletes must flow through the maintenance queue \
          (enqueued {}, completed {})",
-        s.maint_enqueued,
-        s.maint_completed
+        s.ctr(Ctr::MaintEnqueued),
+        s.ctr(Ctr::MaintCompleted)
     );
     assert_eq!(recovered.len(), 20, "10 of 30 objects deleted");
     let seen = contents(&recovered);
