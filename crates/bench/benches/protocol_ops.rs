@@ -85,9 +85,55 @@ fn bench_read_single(c: &mut Criterion) {
     group.finish();
 }
 
+/// A point read inside a transaction that already holds `held` commit
+/// locks: the end of an operation must cost what the operation locked,
+/// not what the transaction holds (EXPERIMENTS.md, "End-of-operation cost
+/// vs locks held").
+fn bench_long_txn(c: &mut Criterion) {
+    const PROBES: usize = 16;
+    let dataset = Dataset::generate(DatasetKind::UniformRects { mean_extent: 0.02 }, 4_000, 42);
+    let mut group = c.benchmark_group("long_txn");
+    for held in [0usize, 64, 1024] {
+        let db = preloaded(0, 4_000);
+        let t = db.begin();
+        for (oid, rect) in &dataset.objects[..held] {
+            db.read_single(t, *oid, *rect).unwrap();
+        }
+        group.bench_function(format!("point_read_holding_{held}"), |b| {
+            let mut i = 0;
+            b.iter(|| {
+                let (oid, rect) = dataset.objects[held + i % PROBES];
+                i += 1;
+                black_box(db.read_single(t, oid, rect).unwrap())
+            });
+        });
+        db.commit(t).unwrap();
+    }
+    // The same property seen from the load path: 50 000 inserts cost the
+    // same whether a transaction carries 8 of them or 1 024.
+    let load = Dataset::generate(DatasetKind::UniformRects { mean_extent: 0.02 }, 50_000, 42);
+    group.sample_size(3);
+    for per_txn in [8usize, 1024] {
+        group.bench_function(format!("load_50k_at_{per_txn}_per_txn"), |b| {
+            b.iter(|| {
+                let db = protocols(24).remove(0);
+                for chunk in load.objects.chunks(per_txn) {
+                    let t = db.begin();
+                    for (oid, rect) in chunk {
+                        db.insert(t, *oid, *rect).unwrap();
+                    }
+                    db.commit(t).unwrap();
+                }
+                black_box(db.len())
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_read_scan, bench_insert_commit, bench_read_single
+    targets = bench_read_scan, bench_insert_commit, bench_read_single, bench_long_txn
 }
 criterion_main!(benches);

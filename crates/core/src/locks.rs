@@ -1,41 +1,79 @@
 //! Lock-list assembly and acquisition helpers shared by the protocols.
 
-use std::collections::BTreeMap;
-
 use dgl_lockmgr::{
     LockDuration, LockManager, LockMode, LockOutcome, RequestKind, ResourceId, TxnId,
 };
+
+/// One requirement: `(resource, commit duration?)` → mode.
+type Want = ((ResourceId, bool), LockMode);
+
+/// Requirements kept on the stack; an operation that needs more spills to
+/// the heap. Point operations need one, an insert or a ~50-hit scan a
+/// handful.
+const INLINE: usize = 8;
 
 /// A deduplicated list of lock requirements for one operation attempt.
 ///
 /// Requirements on the same `(resource, duration)` merge by mode supremum;
 /// requests are issued in resource order for determinism.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct LockList {
-    wants: BTreeMap<(ResourceId, bool), LockMode>, // bool: true = commit duration
+    /// Sorted by key: `inline[..len]`, or all of `spill` once it is in use.
+    inline: [Want; INLINE],
+    len: usize,
+    spill: Vec<Want>,
 }
 
 impl LockList {
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            inline: [((ResourceId::Tree, false), LockMode::IS); INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn wants(&self) -> &[Want] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
     }
 
     pub fn add(&mut self, res: ResourceId, mode: LockMode, dur: LockDuration) {
         let key = (res, dur == LockDuration::Commit);
-        self.wants
-            .entry(key)
-            .and_modify(|m| *m = m.supremum(mode))
-            .or_insert(mode);
+        match self.wants().binary_search_by_key(&key, |w| w.0) {
+            Ok(at) => {
+                let held = if self.spill.is_empty() {
+                    &mut self.inline[at].1
+                } else {
+                    &mut self.spill[at].1
+                };
+                *held = held.supremum(mode);
+            }
+            Err(at) if self.spill.is_empty() && self.len < INLINE => {
+                self.inline.copy_within(at..self.len, at + 1);
+                self.inline[at] = (key, mode);
+                self.len += 1;
+            }
+            Err(at) => {
+                if self.spill.is_empty() {
+                    self.spill = self.inline.to_vec();
+                }
+                self.spill.insert(at, (key, mode));
+            }
+        }
     }
 
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.wants.len()
+        self.wants().len()
     }
 
     /// Iterates `(resource, mode, duration)` in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (ResourceId, LockMode, LockDuration)> + '_ {
-        self.wants.iter().map(|((res, commit), mode)| {
+        self.wants().iter().map(|((res, commit), mode)| {
             let dur = if *commit {
                 LockDuration::Commit
             } else {
@@ -88,6 +126,22 @@ mod tests {
         let reqs: Vec<_> = l.iter().collect();
         assert!(reqs.contains(&(page(1), SIX, Commit)), "IX+S merges to SIX");
         assert!(reqs.contains(&(page(1), IX, Short)));
+    }
+
+    #[test]
+    fn a_list_longer_than_the_inline_buffer_stays_sorted_and_merged() {
+        let mut l = LockList::new();
+        // Descending, so every add shifts; 20 > INLINE forces the spill.
+        for n in (0..20).rev() {
+            l.add(page(n), IX, Commit);
+        }
+        l.add(page(3), S, Commit); // merges after the spill
+        l.add(ResourceId::Object(1), X, Commit);
+        assert_eq!(l.len(), 21);
+        let reqs: Vec<_> = l.iter().collect();
+        assert!(reqs.windows(2).all(|w| w[0].0 < w[1].0), "canonical order");
+        assert_eq!(reqs[3], (page(3), SIX, Commit));
+        assert_eq!(reqs[20], (ResourceId::Object(1), X, Commit));
     }
 
     #[test]

@@ -439,3 +439,51 @@ fn update_scan_takes_six_cover_s_rest_x_objects() {
     );
     db.commit(t).unwrap();
 }
+
+#[test]
+fn end_of_operation_work_does_not_grow_with_the_transaction() {
+    // One 1 024-insert transaction: the lock table visits an operation's
+    // end makes never exceed the short locks that operation asked for —
+    // whatever the transaction has accumulated by then — so loading is
+    // linear in operations per transaction.
+    use common::RectGen;
+    use dgl_obs::Ctr;
+    let db = common::dgl(8, InsertPolicy::Modified);
+    let reading = || {
+        (
+            db.obs().ctr(Ctr::LockReqShort),
+            db.obs().ctr(Ctr::LockReleaseVisits),
+        )
+    };
+    let mut gen = RectGen::new(17);
+    let t = db.begin();
+    let mut short_total = 0;
+    for i in 0..1_024u64 {
+        let rect = gen.rect(0.02);
+        let (short, visits) = reading();
+        db.insert(t, ObjectId(i), rect).unwrap();
+        let (short, visits) = (reading().0 - short, reading().1 - visits);
+        assert!(
+            visits <= short,
+            "insert {i}: {visits} release visits for {short} short requests"
+        );
+        short_total += short;
+        if i % 64 == 0 {
+            // A point read takes one commit lock and no short lock: its
+            // end of operation touches nothing.
+            let visits = reading().1;
+            assert_eq!(db.read_single(t, ObjectId(i), rect).unwrap(), Some(1));
+            assert_eq!(reading().1, visits, "point read after {i} inserts");
+        }
+    }
+    assert!(
+        short_total > 0,
+        "splits and granule growth take short locks"
+    );
+    let held = db.lock_manager().locks_held(t) as u64;
+    assert!(held >= 1_024, "an X lock per object, at least");
+    let visits = reading().1;
+    db.commit(t).unwrap();
+    assert_eq!(reading().1 - visits, held, "commit visits each lock once");
+    assert_eq!(db.lock_manager().resource_count(), 0);
+}

@@ -1,6 +1,7 @@
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -71,22 +72,11 @@ struct Grant {
 }
 
 impl Grant {
-    fn new(txn: TxnId, mode: LockMode, dur: LockDuration) -> Self {
-        let mut g = Self {
-            txn,
-            commit_mode: None,
-            short_mode: None,
-        };
-        g.set(mode, dur);
-        g
-    }
-
-    fn set(&mut self, mode: LockMode, dur: LockDuration) {
-        let slot = match dur {
+    fn slot(&mut self, dur: LockDuration) -> &mut Option<LockMode> {
+        match dur {
             LockDuration::Commit => &mut self.commit_mode,
             LockDuration::Short => &mut self.short_mode,
-        };
-        *slot = Some(slot.map_or(mode, |m| m.supremum(mode)));
+        }
     }
 
     /// Effective held mode (supremum of both duration slots).
@@ -150,10 +140,6 @@ impl ResourceState {
         self.grants.iter().find(|g| g.txn == txn)
     }
 
-    fn grant_of_mut(&mut self, txn: TxnId) -> Option<&mut Grant> {
-        self.grants.iter_mut().find(|g| g.txn == txn)
-    }
-
     /// Whether `mode` requested by `txn` is compatible with all grants held
     /// by *other* transactions.
     fn compatible_with_others(&self, txn: TxnId, mode: LockMode) -> bool {
@@ -164,11 +150,80 @@ impl ResourceState {
     }
 }
 
-struct Wakeup {
-    txn: TxnId,
-    res: ResourceId,
-    cell: Arc<WaitCell>,
+/// Everything the manager knows about one transaction outside the
+/// resource table. Created lazily by the first request, wound or system
+/// mark (stand-alone callers use ids no transaction manager ever began)
+/// and dropped once it says nothing.
+///
+/// Invariants, maintained under the resource stripe by
+/// [`LockManager::fill`]: a grant of the transaction with a short slot is
+/// listed in `short`; any grant of it is listed in `commit` or `short`;
+/// neither list repeats a resource.
+#[derive(Debug, Default)]
+struct TxnRecord {
+    /// Resources on which the transaction has a commit-duration slot.
+    commit: Vec<ResourceId>,
+    /// Resources on which it has a short-duration slot: all that the end
+    /// of an operation has to visit.
+    short: Vec<ResourceId>,
+    /// The resource its blocked unconditional request is queued on, and
+    /// since when (victim cancellation finds the wait through this; the
+    /// stall watchdog reads its age).
+    waiting_on: Option<(ResourceId, Instant)>,
+    /// Wounded by [`LockManager::cancel_and_poison`], verdict not yet
+    /// delivered.
+    poisoned: bool,
+    /// Exempt from deadlock victim selection.
+    system: bool,
 }
+
+impl TxnRecord {
+    fn is_idle(&self) -> bool {
+        self.commit.is_empty()
+            && self.short.is_empty()
+            && self.waiting_on.is_none()
+            && !(self.poisoned || self.system)
+    }
+}
+
+/// Multiply-mix hasher for the table's fixed-width keys: one folded
+/// 64×64→128 multiply per word instead of SipHash's rounds. Seeded per
+/// manager (object ids arrive from clients) by [`MixBuild`].
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[derive(Clone)]
+struct MixBuild(u64);
+
+impl BuildHasher for MixBuild {
+    type Hasher = MixHasher;
+
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
+}
+
+type Stripe<K, V> = Mutex<HashMap<K, V, MixBuild>>;
 
 /// One granted lock in a [`LockManager::table_snapshot`].
 #[derive(Debug, Clone, Copy)]
@@ -250,23 +305,15 @@ pub struct ResourceTableEntry {
 /// # lm.release_all(t2);
 /// ```
 pub struct LockManager {
-    shards: Vec<Mutex<HashMap<ResourceId, ResourceState>>>,
-    txn_index: Mutex<HashMap<TxnId, HashSet<ResourceId>>>,
-    /// Which resource each blocked transaction is waiting on, and since
-    /// when (victim cancellation needs to find the wait to cancel; the
-    /// global detector's stall watchdog needs the wait's age).
-    waiting_on: Mutex<HashMap<TxnId, (ResourceId, Instant)>>,
-    /// Transactions wounded by [`LockManager::cancel_and_poison`] whose
-    /// deadlock verdict has not yet been consumed. A poisoned
-    /// transaction's next unconditional `lock()` call returns
-    /// [`LockOutcome::Deadlock`] without waiting; callers with waits the
-    /// lock manager cannot see (the deferred-gate poll) consume the mark
-    /// through [`LockManager::take_poison`]. Cleared on `release_all`.
-    poisoned: Mutex<HashSet<TxnId>>,
-    /// Transactions exempt from deadlock victim selection (the protocol's
-    /// post-commit deferred-deletion system operations, which cannot be
-    /// rolled back).
-    system_txns: Mutex<HashSet<TxnId>>,
+    /// The resource table. Lock order: a resource stripe, then a
+    /// transaction stripe; neither is held across a wait.
+    shards: Vec<Stripe<ResourceId, ResourceState>>,
+    /// Per-transaction records, as many stripes as `shards`, picked by
+    /// the (sequential) transaction id.
+    txns: Vec<Stripe<TxnId, TxnRecord>>,
+    hasher: MixBuild,
+    /// Transactions parked in an unconditional wait.
+    parked: AtomicUsize,
     wait_timeout: Duration,
     obs: Arc<Registry>,
 }
@@ -297,14 +344,19 @@ impl LockManager {
     /// waits and latch holds land in one place).
     pub fn with_obs(config: LockManagerConfig, obs: Arc<Registry>) -> Self {
         assert!(config.shards > 0, "need at least one shard");
+        // A power of two, so a stripe is a mask of the key's hash or id.
+        let stripes = config.shards.next_power_of_two();
+        let hasher = MixBuild(RandomState::new().hash_one(stripes));
+        fn table<K, V>(stripes: usize, hasher: &MixBuild) -> Vec<Stripe<K, V>> {
+            (0..stripes)
+                .map(|_| Mutex::new(HashMap::with_hasher(hasher.clone())))
+                .collect()
+        }
         Self {
-            shards: (0..config.shards)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            txn_index: Mutex::new(HashMap::new()),
-            waiting_on: Mutex::new(HashMap::new()),
-            poisoned: Mutex::new(HashSet::new()),
-            system_txns: Mutex::new(HashSet::new()),
+            shards: table(stripes, &hasher),
+            txns: table(stripes, &hasher),
+            hasher,
+            parked: AtomicUsize::new(0),
             wait_timeout: config.wait_timeout,
             obs,
         }
@@ -320,23 +372,77 @@ impl LockManager {
     /// transaction. Used for the deferred physical deletions that run
     /// after commit and must not be rolled back.
     pub fn set_system(&self, txn: TxnId) {
-        self.system_txns.lock().insert(txn);
+        self.record(txn, |r| r.system = true);
     }
 
     /// Clears the system mark (call when the system operation finishes).
     pub fn clear_system(&self, txn: TxnId) {
-        self.system_txns.lock().remove(&txn);
+        self.peek(txn, |r| r.system = false);
     }
 
     /// Whether `txn` is currently marked as a system transaction.
     pub fn is_system(&self, txn: TxnId) -> bool {
-        self.system_txns.lock().contains(&txn)
+        self.peek(txn, |r| r.system)
     }
 
-    fn shard(&self, res: &ResourceId) -> &Mutex<HashMap<ResourceId, ResourceState>> {
-        let mut h = DefaultHasher::new();
-        res.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    /// The stripe comes from hash bits the in-stripe map uses neither for
+    /// bucketing (the low ones) nor for its control bytes (the top seven).
+    fn shard(&self, res: &ResourceId) -> &Stripe<ResourceId, ResourceState> {
+        &self.shards[(self.hasher.hash_one(res) >> 32) as usize & (self.shards.len() - 1)]
+    }
+
+    fn txn_stripe(&self, txn: TxnId) -> &Stripe<TxnId, TxnRecord> {
+        &self.txns[txn.0 as usize & (self.txns.len() - 1)]
+    }
+
+    /// Runs `f` on `txn`'s record, creating it if need be.
+    fn record<R>(&self, txn: TxnId, f: impl FnOnce(&mut TxnRecord) -> R) -> R {
+        f(self.txn_stripe(txn).lock().entry(txn).or_default())
+    }
+
+    /// Runs `f` on `txn`'s record if it has one (`R::default()` if not),
+    /// then drops a record that no longer says anything.
+    fn peek<R: Default>(&self, txn: TxnId, f: impl FnOnce(&mut TxnRecord) -> R) -> R {
+        let mut stripe = self.txn_stripe(txn).lock();
+        let Some(rec) = stripe.get_mut(&txn) else {
+            return R::default();
+        };
+        let out = f(rec);
+        if rec.is_idle() {
+            stripe.remove(&txn);
+        }
+        out
+    }
+
+    /// Records `mode` in the `dur` slot of `txn`'s grant on `res`, creating
+    /// the grant if need be. A slot going `None → Some` lists `res` in the
+    /// transaction's record — the one place the lists grow. Called under
+    /// `res`'s stripe.
+    fn fill(
+        &self,
+        state: &mut ResourceState,
+        txn: TxnId,
+        res: ResourceId,
+        mode: LockMode,
+        dur: LockDuration,
+    ) {
+        let idx = state.grants.iter().position(|g| g.txn == txn);
+        let idx = idx.unwrap_or_else(|| {
+            state.grants.push(Grant {
+                txn,
+                commit_mode: None,
+                short_mode: None,
+            });
+            state.grants.len() - 1
+        });
+        let slot = state.grants[idx].slot(dur);
+        if slot.is_none() {
+            self.record(txn, |r| match dur {
+                LockDuration::Commit => r.commit.push(res),
+                LockDuration::Short => r.short.push(res),
+            });
+        }
+        *slot = Some(slot.map_or(mode, |m| m.supremum(mode)));
     }
 
     /// Requests a lock on `res` in `mode` for `txn`.
@@ -379,77 +485,77 @@ impl LockManager {
                 !state.waiters.iter().any(|w| w.txn == txn),
                 "{txn} issued a second request on {res} while already waiting"
             );
-            if let Some(g) = state.grant_of(txn) {
-                let held = g.mode();
-                if held.covers(mode) {
-                    // Already strong enough; just record the duration slot.
-                    state.grant_of_mut(txn).expect("just found").set(mode, dur);
-                    self.emit_granted(txn, res, mode, dur);
-                    return LockOutcome::Granted;
-                }
-                // Conversion to a stronger mode.
-                let want = held.supremum(mode);
-                if state.compatible_with_others(txn, want) {
-                    state.grant_of_mut(txn).expect("just found").set(mode, dur);
-                    self.obs.incr(Ctr::LockConversions);
-                    self.emit_granted(txn, res, mode, dur);
-                    return LockOutcome::Granted;
-                }
-                if kind == RequestKind::Conditional {
-                    self.obs.incr(Ctr::LockConditionalFail);
-                    self.emit_blocked(txn, res, mode, state);
-                    return LockOutcome::WouldBlock;
-                }
-                self.obs.incr(Ctr::LockConversions);
+            // A transaction that already holds the resource is asking for
+            // a *conversion*: it ends up with the supremum, is not held
+            // behind queued waiters, and needs nothing at all if what it
+            // holds already covers the request.
+            let held = state.grant_of(txn).map(Grant::mode);
+            let conversion = held.is_some();
+            let covered = held.is_some_and(|h| h.covers(mode));
+            let want = held.map_or(mode, |h| h.supremum(mode));
+            let grantable = covered
+                || (conversion || state.waiters.is_empty())
+                    && state.compatible_with_others(txn, want);
+            if !grantable && kind == RequestKind::Conditional {
+                self.obs.incr(Ctr::LockConditionalFail);
                 self.emit_blocked(txn, res, mode, state);
-                cell = Arc::new(WaitCell::new());
-                // Conversions queue ahead of ordinary waiters (after any
-                // conversions already queued), the standard anti-starvation
-                // placement.
-                let pos = state.waiters.iter().take_while(|w| w.conversion).count();
-                state.waiters.insert(
-                    pos,
-                    Waiter {
-                        txn,
-                        want,
-                        req_mode: mode,
-                        duration: dur,
-                        conversion: true,
-                        cell: Arc::clone(&cell),
-                    },
-                );
-            } else {
-                if state.compatible_with_others(txn, mode) && state.waiters.is_empty() {
-                    state.grants.push(Grant::new(txn, mode, dur));
-                    drop(shard);
-                    self.txn_index.lock().entry(txn).or_default().insert(res);
-                    self.emit_granted(txn, res, mode, dur);
+                return LockOutcome::WouldBlock;
+            }
+            if conversion && !covered {
+                self.obs.incr(Ctr::LockConversions);
+            }
+            if grantable {
+                self.fill(state, txn, res, mode, dur);
+                drop(shard);
+                self.emit_granted(txn, res, mode, dur);
+                if !conversion {
                     // Chaos hook: delay-only site (bookkeeping is already
                     // consistent here; a panic would be indistinguishable
                     // from one in the caller).
                     dgl_faults::failpoint!("lockmgr/grant");
-                    return LockOutcome::Granted;
                 }
-                if kind == RequestKind::Conditional {
-                    self.obs.incr(Ctr::LockConditionalFail);
-                    self.emit_blocked(txn, res, mode, state);
-                    return LockOutcome::WouldBlock;
-                }
-                self.emit_blocked(txn, res, mode, state);
-                cell = Arc::new(WaitCell::new());
-                state.waiters.push_back(Waiter {
+                return LockOutcome::Granted;
+            }
+            self.emit_blocked(txn, res, mode, state);
+            cell = Arc::new(WaitCell::new());
+            // Conversions queue ahead of ordinary waiters (after any
+            // conversions already queued), the standard anti-starvation
+            // placement.
+            let pos = if conversion {
+                state.waiters.iter().take_while(|w| w.conversion).count()
+            } else {
+                state.waiters.len()
+            };
+            state.waiters.insert(
+                pos,
+                Waiter {
                     txn,
-                    want: mode,
+                    want,
                     req_mode: mode,
                     duration: dur,
-                    conversion: false,
+                    conversion,
                     cell: Arc::clone(&cell),
-                });
-            }
+                },
+            );
         }
         let wait_start = Instant::now();
-        self.waiting_on.lock().insert(txn, (res, wait_start));
-        let finish_wait = |granted: bool| {
+        self.record(txn, |r| r.waiting_on = Some((res, wait_start)));
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        // Every way out of the wait: the record stops saying "waiting" (a
+        // deadlock verdict also consumes any poison mark a remote wound
+        // left — it is being delivered), the verdict and the wait are
+        // counted.
+        let finish_wait = |outcome: LockOutcome| {
+            self.peek(txn, |r| {
+                r.waiting_on = None;
+                r.poisoned &= outcome != LockOutcome::Deadlock;
+            });
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+            match outcome {
+                LockOutcome::Deadlock => self.obs.incr(Ctr::LockDeadlocks),
+                LockOutcome::Timeout => self.obs.incr(Ctr::LockTimeouts),
+                _ => {}
+            }
             let nanos = wait_start.elapsed().as_nanos() as u64;
             self.obs.record(Hist::LockWait, nanos);
             // Per-operation-kind breakdown (scan vs point vs write): the
@@ -463,43 +569,29 @@ impl LockManager {
                 self.obs.emit(Event::LockWaitEnd {
                     txn: txn.0,
                     res: obs_res(res),
-                    granted,
+                    granted: outcome == LockOutcome::Granted,
                     wait_nanos: nanos,
                 });
             }
+            outcome
         };
 
         // A wound (cancel_and_poison) may have landed between the poison
         // check at the top and enqueuing the waiter — its cancel found no
         // waiter to cancel. Re-check now that the waiter is visible.
-        if self.is_poisoned(txn) && self.cancel_waiter(res, txn) {
-            self.take_poison(txn);
-            self.waiting_on.lock().remove(&txn);
-            self.obs.incr(Ctr::LockDeadlocks);
-            finish_wait(false);
-            return LockOutcome::Deadlock;
+        // Then, about to block: if this wait closes a cycle, abort the
+        // youngest non-system member. If that is us, give up; otherwise
+        // cancel the victim's wait and block. (If either verdict raced
+        // with a grant, the wait below picks the grant up immediately.)
+        if (self.is_poisoned(txn) || self.resolve_deadlocks(txn)) && self.cancel_waiter(res, txn) {
+            return finish_wait(LockOutcome::Deadlock);
         }
-
-        // About to block: if this wait closes a cycle, abort the youngest
-        // non-system member. If that is us, give up; otherwise cancel the
-        // victim's wait and block.
-        if self.resolve_deadlocks(txn) && self.cancel_waiter(res, txn) {
-            self.waiting_on.lock().remove(&txn);
-            self.obs.incr(Ctr::LockDeadlocks);
-            finish_wait(false);
-            return LockOutcome::Deadlock;
-        }
-        // (If the victim verdict raced with a grant, the wait below picks
-        // the grant up immediately.)
 
         // Chaos hook: force the timeout verdict without waiting out the
         // backstop — exercises the Timeout path (distinct from Deadlock)
         // on demand. Skipped if the wait was already granted.
         if dgl_faults::fired!("lockmgr/timeout") && self.cancel_waiter(res, txn) {
-            self.waiting_on.lock().remove(&txn);
-            self.obs.incr(Ctr::LockTimeouts);
-            finish_wait(false);
-            return LockOutcome::Timeout;
+            return finish_wait(LockOutcome::Timeout);
         }
 
         let deadline = Instant::now() + self.wait_timeout;
@@ -508,29 +600,19 @@ impl LockManager {
             match &*guard {
                 Some(WaitVerdict::Granted) => {
                     drop(guard);
-                    self.waiting_on.lock().remove(&txn);
-                    finish_wait(true);
+                    finish_wait(LockOutcome::Granted);
                     self.emit_granted(txn, res, mode, dur);
                     return LockOutcome::Granted;
                 }
                 Some(WaitVerdict::Cancelled) => {
                     drop(guard);
-                    // The verdict is being delivered; a poison mark left
-                    // by a remote wound is consumed with it.
-                    self.take_poison(txn);
-                    self.waiting_on.lock().remove(&txn);
-                    self.obs.incr(Ctr::LockDeadlocks);
-                    finish_wait(false);
-                    return LockOutcome::Deadlock;
+                    return finish_wait(LockOutcome::Deadlock);
                 }
                 None => {
                     if cell.cv.wait_until(&mut guard, deadline).timed_out() {
                         drop(guard);
                         if self.cancel_waiter(res, txn) {
-                            self.waiting_on.lock().remove(&txn);
-                            self.obs.incr(Ctr::LockTimeouts);
-                            finish_wait(false);
-                            return LockOutcome::Timeout;
+                            return finish_wait(LockOutcome::Timeout);
                         }
                         // Granted concurrently with the timeout.
                         guard = cell.state.lock();
@@ -544,76 +626,56 @@ impl LockManager {
     ///
     /// Grants whose only slot was short disappear; grants that also have a
     /// commit slot are downgraded to it. Either way waiting requests are
-    /// re-examined.
+    /// re-examined. Visits only the resources on the record's short list:
+    /// none after an operation that took commit locks alone.
     pub fn release_short(&self, txn: TxnId) {
-        let resources: Vec<ResourceId> = self
-            .txn_index
-            .lock()
-            .get(&txn)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        let mut dropped = Vec::new();
-        let mut wakeups = Vec::new();
-        for res in resources {
-            let mut shard = self.shard(&res).lock();
-            let Some(state) = shard.get_mut(&res) else {
-                continue;
-            };
-            let Some(idx) = state.grants.iter().position(|g| g.txn == txn) else {
-                continue;
-            };
-            if state.grants[idx].short_mode.take().is_none() {
-                continue; // commit-only grant: nothing to release
-            }
-            if state.grants[idx].commit_mode.is_none() {
-                state.grants.swap_remove(idx);
-                dropped.push(res);
-            }
-            Self::process_queue(res, state, &mut wakeups);
-            if state.grants.is_empty() && state.waiters.is_empty() {
-                shard.remove(&res);
-            }
-        }
-        if !dropped.is_empty() {
-            let mut index = self.txn_index.lock();
-            if let Some(set) = index.get_mut(&txn) {
-                for res in &dropped {
-                    set.remove(res);
-                }
-                if set.is_empty() {
-                    index.remove(&txn);
-                }
-            }
-        }
-        self.notify(wakeups);
+        let short = self.peek(txn, |r| std::mem::take(&mut r.short));
+        self.release(txn, short, false);
     }
 
-    /// Releases every lock of `txn` (transaction commit or rollback).
+    /// Releases every lock of `txn` (transaction commit or rollback) and
+    /// any poison mark: a wound that raced the transaction's own abort is
+    /// moot, and must not linger for a later user of the record.
     pub fn release_all(&self, txn: TxnId) {
-        // A wound that raced the transaction's own abort is moot; drop
-        // the mark so a recycled slot in the poison set cannot linger.
-        self.poisoned.lock().remove(&txn);
-        let resources: Vec<ResourceId> = self
-            .txn_index
-            .lock()
-            .remove(&txn)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
+        let rec = self.peek(txn, |r| {
+            let kept = TxnRecord {
+                waiting_on: r.waiting_on,
+                system: r.system,
+                ..TxnRecord::default()
+            };
+            std::mem::replace(r, kept)
+        });
+        self.release(txn, rec.commit.into_iter().chain(rec.short), true);
+    }
+
+    /// Drops `txn`'s short slot — with `all`, its whole grant — on each of
+    /// `resources`, one table visit apiece, and wakes what that unblocks.
+    fn release(&self, txn: TxnId, resources: impl IntoIterator<Item = ResourceId>, all: bool) {
+        let mut visits = 0;
         let mut wakeups = Vec::new();
         for res in resources {
+            visits += 1;
             let mut shard = self.shard(&res).lock();
-            let Some(state) = shard.get_mut(&res) else {
+            let Entry::Occupied(mut entry) = shard.entry(res) else {
                 continue;
             };
-            if let Some(idx) = state.grants.iter().position(|g| g.txn == txn) {
+            let state = entry.get_mut();
+            let Some(idx) = state.grants.iter().position(|g| g.txn == txn) else {
+                continue; // listed twice (both slots): dropped by the first visit
+            };
+            state.grants[idx].short_mode = None;
+            if all || state.grants[idx].commit_mode.is_none() {
                 state.grants.swap_remove(idx);
             }
-            Self::process_queue(res, state, &mut wakeups);
+            self.process_queue(res, state, &mut wakeups);
             if state.grants.is_empty() && state.waiters.is_empty() {
-                shard.remove(&res);
+                entry.remove();
             }
         }
-        self.notify(wakeups);
+        if visits > 0 {
+            self.obs.add(Ctr::LockReleaseVisits, visits);
+        }
+        Self::notify(wakeups);
     }
 
     /// The mode `txn` currently holds on `res`, if any.
@@ -651,7 +713,9 @@ impl LockManager {
 
     /// Number of distinct resources `txn` holds locks on.
     pub fn locks_held(&self, txn: TxnId) -> usize {
-        self.txn_index.lock().get(&txn).map_or(0, HashSet::len)
+        self.peek(txn, |r| {
+            r.commit.len() + r.short.iter().filter(|s| !r.commit.contains(s)).count()
+        })
     }
 
     /// A structured snapshot of the live lock table (grants and wait
@@ -692,10 +756,10 @@ impl LockManager {
     }
 
     /// Number of transactions currently blocked in an unconditional
-    /// wait. Cheap (one mutex, no shard walk) — the global detector
+    /// wait. Cheap (one atomic load, no table walk) — the global detector
     /// polls this to skip graph building while nothing waits.
     pub fn waiter_count(&self) -> usize {
-        self.waiting_on.lock().len()
+        self.parked.load(Ordering::SeqCst)
     }
 
     /// A cheap flat snapshot of every blocking edge in the lock table:
@@ -706,24 +770,18 @@ impl LockManager {
     /// own mutex, so the snapshot is per-resource consistent, like
     /// [`LockManager::table_snapshot`].
     pub fn wait_edges(&self) -> Vec<WaitEdge> {
-        let started: HashMap<TxnId, Instant> = self
-            .waiting_on
-            .lock()
-            .iter()
-            .map(|(t, (_, at))| (*t, *at))
-            .collect();
-        let system = self.system_txns.lock().clone();
         let now = Instant::now();
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
             for (res, state) in shard.iter() {
                 for (i, w) in state.waiters.iter().enumerate() {
-                    let waited = started
-                        .get(&w.txn)
-                        .map(|at| now.saturating_duration_since(*at))
-                        .unwrap_or_default();
-                    let waiter_system = system.contains(&w.txn);
+                    let (waited, waiter_system) = self.peek(w.txn, |r| {
+                        let since = r
+                            .waiting_on
+                            .map(|(_, at)| now.saturating_duration_since(at));
+                        (since.unwrap_or_default(), r.system)
+                    });
                     let mut push = |holder: TxnId| {
                         out.push(WaitEdge {
                             waiter: w.txn,
@@ -763,24 +821,23 @@ impl LockManager {
     /// The mark is cleared by `release_all` (the victim's rollback), so
     /// a wound can never leak onto a later transaction.
     pub fn cancel_and_poison(&self, txn: TxnId) -> bool {
-        self.poisoned.lock().insert(txn);
-        let waiting = self.waiting_on.lock().get(&txn).map(|(r, _)| *r);
-        match waiting {
-            Some(res) => self.cancel_waiter(res, txn),
-            None => false,
-        }
+        let waiting = self.record(txn, |r| {
+            r.poisoned = true;
+            r.waiting_on
+        });
+        waiting.is_some_and(|(res, _)| self.cancel_waiter(res, txn))
     }
 
     /// Consumes `txn`'s poison mark, returning whether one was set.
     /// Callers that wait outside the lock table (the MVCC deferred-gate
     /// poll) probe this to pick up a remote wound.
     pub fn take_poison(&self, txn: TxnId) -> bool {
-        self.poisoned.lock().remove(&txn)
+        self.peek(txn, |r| std::mem::take(&mut r.poisoned))
     }
 
     /// Whether `txn` is marked poisoned (without consuming the mark).
     pub fn is_poisoned(&self, txn: TxnId) -> bool {
-        self.poisoned.lock().contains(&txn)
+        self.peek(txn, |r| r.poisoned)
     }
 
     /// Renders the entire lock table (grants and wait queues) for hang
@@ -815,10 +872,11 @@ impl LockManager {
                 let _ = writeln!(out, " ]");
             }
         }
-        let waiting = self.waiting_on.lock();
-        let _ = writeln!(out, "waiting_on: {waiting:?}");
-        let system = self.system_txns.lock();
-        let _ = writeln!(out, "system: {system:?}");
+        for stripe in &self.txns {
+            for (txn, rec) in stripe.lock().iter() {
+                let _ = writeln!(out, "{txn}: {rec:?}");
+            }
+        }
         out
     }
 
@@ -830,7 +888,12 @@ impl LockManager {
     /// all *other* grants; ordinary waiters when compatible with all grants.
     /// Processing stops at the first ungrantable waiter (strict FIFO, no
     /// starvation).
-    fn process_queue(res: ResourceId, state: &mut ResourceState, wakeups: &mut Vec<Wakeup>) {
+    fn process_queue(
+        &self,
+        res: ResourceId,
+        state: &mut ResourceState,
+        wakeups: &mut Vec<Arc<WaitCell>>,
+    ) {
         while let Some(front) = state.waiters.front() {
             let ok = if front.conversion {
                 state.compatible_with_others(front.txn, front.want)
@@ -841,30 +904,15 @@ impl LockManager {
                 break;
             }
             let w = state.waiters.pop_front().expect("front exists");
-            match state.grant_of_mut(w.txn) {
-                Some(g) => g.set(w.req_mode, w.duration),
-                None => state.grants.push(Grant::new(w.txn, w.req_mode, w.duration)),
-            }
-            wakeups.push(Wakeup {
-                txn: w.txn,
-                res,
-                cell: w.cell,
-            });
+            self.fill(state, w.txn, res, w.req_mode, w.duration);
+            wakeups.push(w.cell);
         }
     }
 
-    fn notify(&self, wakeups: Vec<Wakeup>) {
-        if wakeups.is_empty() {
-            return;
-        }
-        {
-            let mut index = self.txn_index.lock();
-            for w in &wakeups {
-                index.entry(w.txn).or_default().insert(w.res);
-            }
-        }
-        for w in wakeups {
-            w.cell.settle(WaitVerdict::Granted);
+    /// Settles granted waiters' cells; called with no stripe held.
+    fn notify(wakeups: Vec<Arc<WaitCell>>) {
+        for cell in wakeups {
+            cell.settle(WaitVerdict::Granted);
         }
     }
 
@@ -883,13 +931,13 @@ impl LockManager {
             let w = state.waiters.remove(pos).expect("position exists");
             w.cell.settle(WaitVerdict::Cancelled);
             // Removing a waiter may unblock those behind it.
-            Self::process_queue(res, state, &mut wakeups);
+            self.process_queue(res, state, &mut wakeups);
             if state.grants.is_empty() && state.waiters.is_empty() {
                 shard.remove(&res);
             }
             true
         };
-        self.notify(wakeups);
+        Self::notify(wakeups);
         removed
     }
 
@@ -931,9 +979,12 @@ impl LockManager {
             let Some(members) = graph.cycle_through(txn) else {
                 return false;
             };
-            let system = self.system_txns.lock();
+            let system: HashSet<TxnId> = members
+                .iter()
+                .copied()
+                .filter(|t| self.is_system(*t))
+                .collect();
             let victim = crate::deadlock::select_victim(&members, &system);
-            drop(system);
             if victim == txn {
                 return true;
             }
@@ -941,8 +992,7 @@ impl LockManager {
             // is no longer waiting — the next loop pass re-examines). The
             // victim's own `lock()` call counts the deadlock when it
             // returns the verdict.
-            let waiting = self.waiting_on.lock().get(&victim).map(|(r, _)| *r);
-            if let Some(res) = waiting {
+            if let Some((res, _)) = self.peek(victim, |r| r.waiting_on) {
                 self.cancel_waiter(res, victim);
             }
         }

@@ -452,6 +452,81 @@ fn poison_is_delivered_on_the_next_unconditional_request() {
 }
 
 #[test]
+fn short_lock_granted_by_anothers_release_is_dropped_at_own_operation_end() {
+    // The grant is recorded by the *releasing* thread (T1's release_all
+    // hands T2 its short SIX); it must still land on T2's short list, or
+    // T2's end of operation would leave it behind.
+    let m = mgr_with_timeout(5_000);
+    assert_eq!(
+        m.lock(TxnId(2), page(9), IX, Commit, Unconditional),
+        LockOutcome::Granted
+    );
+    assert_eq!(
+        m.lock(TxnId(1), page(1), X, Commit, Unconditional),
+        LockOutcome::Granted
+    );
+    crossbeam::scope(|s| {
+        let m2 = Arc::clone(&m);
+        let h = s.spawn(move |_| m2.lock(TxnId(2), page(1), SIX, Short, Unconditional));
+        while m.waiter_count() == 0 {
+            std::thread::yield_now();
+        }
+        m.release_all(TxnId(1));
+        assert_eq!(h.join().unwrap(), LockOutcome::Granted);
+    })
+    .unwrap();
+    assert_eq!(m.waiter_count(), 0);
+    assert_eq!(m.held(TxnId(2), page(1)), Some(SIX));
+    assert_eq!(m.locks_held(TxnId(2)), 2);
+    let before = m.obs().ctr(Ctr::LockReleaseVisits);
+    m.release_short(TxnId(2));
+    assert_eq!(m.obs().ctr(Ctr::LockReleaseVisits), before + 1);
+    assert_eq!(m.held(TxnId(2), page(1)), None, "short grant dropped");
+    assert_eq!(m.held(TxnId(2), page(9)), Some(IX), "commit grant kept");
+    m.release_all(TxnId(2));
+    assert_eq!(m.resource_count(), 0);
+}
+
+#[test]
+fn a_wound_before_the_victim_has_any_record_is_delivered_then_cleared() {
+    // The detector may wound a transaction the manager has never heard of
+    // (it has requested nothing yet): the mark creates the record.
+    let m = mgr_with_timeout(10_000);
+    assert!(!m.cancel_and_poison(TxnId(4)), "nothing parked to cancel");
+    assert_eq!(m.locks_held(TxnId(4)), 0);
+    // Conditional requests never wait, so they do not consume the mark…
+    assert_eq!(
+        m.lock(
+            TxnId(4),
+            page(1),
+            S,
+            Commit,
+            dgl_lockmgr::RequestKind::Conditional
+        ),
+        LockOutcome::Granted
+    );
+    assert!(m.is_poisoned(TxnId(4)));
+    // …the next unconditional one delivers it, grantable or not.
+    assert_eq!(
+        m.lock(TxnId(4), page(2), S, Commit, Unconditional),
+        LockOutcome::Deadlock
+    );
+    assert!(!m.is_poisoned(TxnId(4)));
+    assert_eq!(m.obs().ctr(Ctr::LockDeadlocks), 1);
+    // A mark the victim never consumed dies with its rollback, locks and
+    // all, and does not greet the next request under that id.
+    m.cancel_and_poison(TxnId(4));
+    m.release_all(TxnId(4));
+    assert!(!m.is_poisoned(TxnId(4)));
+    assert_eq!(m.resource_count(), 0);
+    assert_eq!(
+        m.lock(TxnId(4), page(2), S, Commit, Unconditional),
+        LockOutcome::Granted
+    );
+    m.release_all(TxnId(4));
+}
+
+#[test]
 fn system_transactions_are_spared() {
     // T2 is a system txn (young id 9 would normally die); victim selection
     // must pick the non-system member even though it is older.

@@ -277,3 +277,52 @@ fn registry_counts_requests_and_conditional_failures() {
     assert_eq!(s.ctr(Ctr::LockConditionalFail), 1);
     assert_eq!(s.hist(Hist::LockWait).count, 0);
 }
+
+#[test]
+fn end_of_operation_visits_only_short_locks() {
+    // The end of an operation costs what that operation locked, not what
+    // the transaction holds: 200 commit locks are never looked at.
+    let m = mgr();
+    for i in 0..200 {
+        assert_eq!(
+            m.lock(T1, ResourceId::Object(i), X, Commit, Conditional),
+            LockOutcome::Granted
+        );
+    }
+    let visits = || m.obs().ctr(Ctr::LockReleaseVisits);
+    assert_eq!(
+        m.lock(T1, page(1), SIX, Short, Conditional),
+        LockOutcome::Granted
+    );
+    assert_eq!(m.locks_held(T1), 201);
+    m.release_short(T1);
+    assert_eq!(visits(), 1, "one short lock, one table visit");
+    assert_eq!(m.held(T1, page(1)), None, "the short-only grant is gone");
+    m.release_short(T1);
+    assert_eq!(visits(), 1, "nothing short left: no visit at all");
+    // A point read inside a long transaction: a commit-only re-request.
+    assert_eq!(
+        m.lock(T1, ResourceId::Object(7), S, Commit, Conditional),
+        LockOutcome::Granted
+    );
+    m.release_short(T1);
+    assert_eq!(visits(), 1, "commit locks are not the operation's to drop");
+    assert_eq!(m.locks_held(T1), 200);
+    m.release_all(T1);
+    assert_eq!(visits(), 201, "commit visits each held lock exactly once");
+    assert_eq!(m.locks_held(T1), 0);
+    assert_eq!(m.resource_count(), 0);
+}
+
+#[test]
+fn locks_held_counts_a_resource_with_both_slots_once() {
+    let m = mgr();
+    m.lock(T1, page(1), IX, Commit, Conditional);
+    m.lock(T1, page(1), SIX, Short, Conditional);
+    m.lock(T1, page(2), S, Short, Conditional);
+    assert_eq!(m.locks_held(T1), 2, "distinct resources, not list entries");
+    m.release_short(T1);
+    assert_eq!(m.locks_held(T1), 1);
+    m.release_all(T1);
+    assert_eq!(m.resource_count(), 0);
+}

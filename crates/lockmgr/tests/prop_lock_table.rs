@@ -94,7 +94,17 @@ proptest! {
                     }
                 }
                 Action::ReleaseShort(t) => {
-                    lm.release_short(TxnId(u64::from(t) + 1));
+                    let txn = TxnId(u64::from(t) + 1);
+                    lm.release_short(txn);
+                    // The short list named every short slot.
+                    for entry in lm.table_snapshot() {
+                        for g in entry.grants.iter().filter(|g| g.txn == txn) {
+                            prop_assert_eq!(
+                                g.short_mode, None,
+                                "{} keeps a short slot on {} after release_short", txn, entry.res
+                            );
+                        }
+                    }
                     for ((ot, _), h) in oracle.iter_mut() {
                         if *ot == t {
                             h.short = None;
@@ -118,6 +128,18 @@ proptest! {
                     prop_assert_eq!(got, want, "held({}, {})", t, r);
                 }
             }
+            // The per-transaction record agrees with the table: a
+            // transaction's lists name exactly the resources it has a
+            // grant on, each counted once.
+            let table = lm.table_snapshot();
+            for t in 0..4u8 {
+                let txn = TxnId(u64::from(t) + 1);
+                let granted = table
+                    .iter()
+                    .filter(|e| e.grants.iter().any(|g| g.txn == txn))
+                    .count();
+                prop_assert_eq!(lm.locks_held(txn), granted, "locks_held({})", txn);
+            }
             // Global invariant: no two incompatible grants.
             for r in 0..6u8 {
                 let res = ResourceId::Page(PageId(u64::from(r)));
@@ -138,5 +160,6 @@ proptest! {
             lm.release_all(TxnId(u64::from(t) + 1));
         }
         prop_assert_eq!(lm.resource_count(), 0);
+        prop_assert!(lm.table_snapshot().is_empty());
     }
 }

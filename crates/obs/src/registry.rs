@@ -287,6 +287,9 @@ counters! {
     TxnsCommitted => "txns_committed",
     /// Transactions rolled back (user abort or deadlock/timeout victim).
     TxnsAborted => "txns_aborted",
+    /// Resource-table visits made by `release_short` and `release_all`:
+    /// the end-of-operation and end-of-transaction work, countable.
+    LockReleaseVisits => "lock_release_visits",
 }
 
 /// The workspace-wide metrics registry.
