@@ -3,12 +3,14 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [table2|granule-change|table4|scaling|zorder|ablations|maintenance|all]
+//! repro [--quick] [table2|granule-change|table4|scaling|zorder|ablations|maintenance|connections|all]
 //! ```
 //! `--quick` shrinks the datasets (2,000 objects instead of the paper's
 //! 32,000, fewer transactions) for smoke runs.
 
-use dgl_bench::experiments::{ablation, granule_change, maintenance, table2, table4, zorder};
+use dgl_bench::experiments::{
+    ablation, connections, granule_change, maintenance, table2, table4, zorder,
+};
 use dgl_bench::report;
 use dgl_workload::OpMix;
 
@@ -166,5 +168,11 @@ fn main() {
         let rows =
             maintenance::run_comparison(n.min(4_000), if quick { 100 } else { 500 }, 3, seed);
         println!("{}", maintenance::render(&rows));
+    }
+
+    if all || which.contains(&"connections") {
+        let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+        println!("## Server throughput vs connection count (loopback, {cores} core(s))\n");
+        println!("{}", connections::render(&connections::run_sweep(quick)));
     }
 }

@@ -1,10 +1,9 @@
-//! The experiments, one module per paper artefact.
+//! The experiments, one module per artefact.
 
 pub mod ablation;
+pub mod connections;
 pub mod granule_change;
 pub mod maintenance;
-pub mod net;
 pub mod table2;
 pub mod table4;
-pub mod throughput;
 pub mod zorder;

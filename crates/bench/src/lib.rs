@@ -1,6 +1,8 @@
 //! Experiment harness for the ICDE-98 reproduction.
 //!
-//! Each experiment regenerates one quantitative artefact of the paper:
+//! Each experiment regenerates one quantitative artefact of the paper.
+//! Speed questions belong to the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`); the last row is the one it cannot ask.
 //!
 //! | Paper artefact | Module |
 //! |---|---|
@@ -9,6 +11,7 @@
 //! | Table 4 — granular vs predicate (vs whole-tree) locking under multi-user load | [`experiments::table4`] |
 //! | Design ablations — modified-vs-base insertion policy, per-node vs single external granule | [`experiments::ablation`] |
 //! | §3.7 — deferred-deletion schedule (inline vs background worker) commit-path latency | [`experiments::maintenance`] |
+//! | (not in the paper) server throughput vs loopback connection count | [`experiments::connections`] |
 //!
 //! The `repro` binary runs everything and prints paper-style tables;
 //! the Criterion benches under `benches/` time the same code paths.
@@ -16,7 +19,5 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "chaos")]
-pub mod chaos;
 pub mod experiments;
 pub mod report;

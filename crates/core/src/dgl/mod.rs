@@ -173,11 +173,12 @@ pub struct DglConfig {
     /// Consult the hash index on the point-access read paths
     /// (`read_single`, snapshot point reads, and the leaf-locate step of
     /// `delete`/`update_single`): a hit answers in O(1) with no tree
-    /// traversal. On by default; off is the measured ablation
-    /// (`dgl-hash-off` in the benchmarks) — reads fall back to the
-    /// latched tree traversal, while writes keep maintaining the index
-    /// (it *is* the payload table, so the duplicate probe always uses
-    /// it).
+    /// traversal. On by default. `false` is the reference side of
+    /// `prop_hashidx_differential`; not a supported mode: reads fall
+    /// back to the latched tree traversal, while writes keep maintaining
+    /// the index (it *is* the payload table, so the duplicate probe
+    /// always uses it).
+    #[doc(hidden)]
     pub hash_reads: bool,
     /// TESTING ONLY — deliberately omit the §3.3 growth-compensation
     /// locks (the short IX on granules overlapping the grown region).

@@ -78,14 +78,31 @@ fn db(hash_reads: bool) -> DglRTree {
     })
 }
 
-fn check(db: &DglRTree, label: &str, i: usize) -> Result<(), TestCaseError> {
+/// Quiesce, GC, validate — and prove the two sides really differ: the
+/// hash-on tree has consulted the index once the history has point-read
+/// a live object (`read_live`), the hash-off reference never has.
+fn check(db: &DglRTree, hash_reads: bool, read_live: bool, i: usize) -> Result<(), TestCaseError> {
+    let label = if hash_reads { "hash-on" } else { "hash-off" };
     db.quiesce()
         .map_err(|e| TestCaseError::fail(format!("{label} step {i}: quiesce: {e}")))?;
     db.dispatch_version_gc();
     db.quiesce()
         .map_err(|e| TestCaseError::fail(format!("{label} step {i}: gc quiesce: {e}")))?;
     db.validate()
-        .map_err(|e| TestCaseError::fail(format!("{label} step {i}: validate: {e}")))
+        .map_err(|e| TestCaseError::fail(format!("{label} step {i}: validate: {e}")))?;
+    let obs = db.obs().snapshot();
+    let (hits, misses) = (obs.ctr(Ctr::HashHits), obs.ctr(Ctr::HashMisses));
+    if hash_reads {
+        prop_assert!(
+            hits > 0 || !read_live,
+            "{} step {}: point read of a live object never consulted the index",
+            label,
+            i
+        );
+    } else {
+        prop_assert_eq!(hits + misses, 0, "{} step {}: index consulted", label, i);
+    }
+    Ok(())
 }
 
 /// Far beyond any healthy history (they finish in milliseconds).
@@ -143,6 +160,7 @@ fn run_differential(steps: &[Step]) -> Result<(), TestCaseError> {
 fn drive(on: &DglRTree, off: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
     let mut t_on = on.begin();
     let mut t_off = off.begin();
+    let mut read_live = false;
     for (i, step) in steps.iter().enumerate() {
         let ctx = format!("step {i}: {step:?}");
         match *step {
@@ -167,6 +185,7 @@ fn drive(on: &DglRTree, off: &DglRTree, steps: &[Step]) -> Result<(), TestCaseEr
                 let b = off
                     .read_single(t_off, ObjectId(u64::from(k)), rect_for(k))
                     .unwrap();
+                read_live |= a.is_some();
                 prop_assert_eq!(a, b, "{}", ctx);
             }
             Step::UpdateSingle(k) => {
@@ -201,8 +220,8 @@ fn drive(on: &DglRTree, off: &DglRTree, steps: &[Step]) -> Result<(), TestCaseEr
             Step::QuiesceAndCheck => {
                 on.commit(t_on).unwrap();
                 off.commit(t_off).unwrap();
-                check(on, "hash-on", i)?;
-                check(off, "hash-off", i)?;
+                check(on, true, read_live, i)?;
+                check(off, false, read_live, i)?;
                 t_on = on.begin();
                 t_off = off.begin();
             }
@@ -210,8 +229,8 @@ fn drive(on: &DglRTree, off: &DglRTree, steps: &[Step]) -> Result<(), TestCaseEr
     }
     on.abort(t_on).ok();
     off.abort(t_off).ok();
-    check(on, "hash-on", steps.len())?;
-    check(off, "hash-off", steps.len())?;
+    check(on, true, read_live, steps.len())?;
+    check(off, false, read_live, steps.len())?;
     // Final committed contents agree between the two configurations.
     let t = on.begin();
     let mut a: Vec<(u64, u64)> = on

@@ -70,41 +70,6 @@ impl OpMix {
         }
     }
 
-    /// A scan-dominated mix (analytics over a slowly churning dataset) —
-    /// the workload where snapshot reads pay off: most operations are
-    /// region scans, with just enough writes to keep version chains and
-    /// lock conflicts alive.
-    pub fn scan_heavy() -> Self {
-        Self {
-            insert: 10,
-            delete: 5,
-            read_scan: 70,
-            update_scan: 0,
-            read_single: 10,
-            update_single: 5,
-            scan_extent: 0.25,
-            object_extent: 0.02,
-        }
-    }
-
-    /// A point-read-dominated mix (key-value-style access over spatial
-    /// data) — the workload the object→leaf hash index exists for: most
-    /// operations are single-object reads and updates of known ids, with
-    /// enough inserts to keep the duplicate probe and index maintenance
-    /// on the hot path and a trickle of scans for granule conflicts.
-    pub fn point_heavy() -> Self {
-        Self {
-            insert: 15,
-            delete: 5,
-            read_scan: 5,
-            update_scan: 0,
-            read_single: 60,
-            update_single: 15,
-            scan_extent: 0.05,
-            object_extent: 0.01,
-        }
-    }
-
     /// A balanced mix.
     pub fn balanced() -> Self {
         Self {
