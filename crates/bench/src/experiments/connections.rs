@@ -138,7 +138,7 @@ fn drive_connection(
 /// `conns` client connections, all connected and handshaken before the
 /// barrier starts the measured interval, committing `commits_total`
 /// transactions between them (at least one each) for at least `min_secs`.
-fn run_cell(conns: u64, commits_total: u64, preload: u64, min_secs: f64) -> ConnectionsRow {
+pub fn run_cell(conns: u64, commits_total: u64, preload: u64, min_secs: f64) -> ConnectionsRow {
     let mut server = Server::start(
         preloaded_backend(preload),
         ServerConfig {
@@ -225,14 +225,5 @@ mod tests {
             assert_eq!(r.session_aborts, 0, "{r:?}");
         }
         assert_eq!(render(&rows).lines().count(), 4);
-    }
-
-    /// The acceptance cell: one thousand concurrent sessions — every
-    /// socket connected and handshaken before the barrier drops — with
-    /// zero non-retryable protocol errors (asserted inside the cell).
-    #[test]
-    fn sustains_thousand_concurrent_connections() {
-        let row = run_cell(1000, 1000, 100, 0.0);
-        assert!(row.commits >= 1000, "{row:?}");
     }
 }

@@ -1,23 +1,24 @@
-//! Global deadlock detection: one wait-for graph over every wait source.
+//! The detector thread: cycles that leave one lock table, and the stall
+//! watchdog.
 //!
-//! The per-shard lock manager detects cycles only inside its own lock
-//! table. Two kinds of waits escape it:
+//! What breaks a lock cycle is one policy (DESIGN.md §12 has the table):
+//! a cycle inside one lock table is refused by that `LockManager` at block
+//! time; a cycle that leaves one table is wounded here; the lock-wait
+//! timeout backstops both; the watchdog only reports. Two kinds of waits
+//! leave a table:
 //!
 //! * **Cross-shard lock cycles** — T1 holds a granule on shard A and
 //!   waits on shard B while T2 holds B and waits on A. Each shard sees
-//!   one edge of the cycle; neither sees a cycle. The historical remedy
-//!   was a tight per-shard wait timeout (the old `CROSS_SHARD_WAIT`
-//!   bound), which also aborted innocently slow waiters — the
-//!   timeout-convoy pathology the throughput experiments measured.
+//!   one edge of the cycle; neither sees a cycle.
 //! * **Gate cycles** — a deferred physical deletion holds the
 //!   system-operation gate exclusively *across its own lock waits*,
-//!   while a lock-holding transaction polls for shared gate access. The
+//!   while a lock-holding transaction waits for shared gate access. The
 //!   gate is not a lock-manager resource, so the cycle (system op waits
-//!   for T's granule lock, T waits for the gate) is invisible to lock
-//!   deadlock detection.
+//!   for T's granule lock, T waits for the gate) is invisible to the lock
+//!   manager.
 //!
 //! [`GlobalDetector`] owns a background thread that periodically unions
-//! every source into one graph:
+//! every source into one [`WaitForGraph`]:
 //!
 //! * `LockManager::wait_edges()` from every shard (waiter → each
 //!   transaction it cannot be granted before);
@@ -27,20 +28,24 @@
 //!   (including sessions mid-commit, whose participant union must stay
 //!   visible while `commit_parts` runs).
 //!
-//! Cycles are resolved by **wounding**: the youngest non-system member
-//! gets `LockManager::cancel_and_poison`, which unparks its blocked
+//! The cycle search and the youngest-non-system victim rule are the lock
+//! manager's (`dgl_lockmgr::{WaitForGraph, youngest_non_system}`); what is
+//! decided here is the node identity and its rank ([`Key`]), the
+//! *ownership rule* — only cycles whose edges span ≥ 2 shards or include a
+//! gate edge are wounded, because a single-table cycle already cost its
+//! lock manager a victim — and [`WOUND_QUIET`]. A wound is
+//! `LockManager::cancel_and_poison`: it unparks the victim's blocked
 //! `lock()` with a [`LockOutcome::Deadlock`](dgl_lockmgr::LockOutcome)
-//! verdict (or, for a gate poll, surfaces through
+//! verdict (or, for a gate wait, surfaces through
 //! `LockManager::take_poison`). The victim rolls back through the
 //! ordinary deadlock path; everyone else keeps waiting and is granted
-//! moments later. To avoid double-victims, the detector only wounds
-//! cycles a per-shard detector *cannot* resolve: cycles whose edges span
-//! ≥ 2 shards, or cycles containing a gate edge.
+//! moments later.
 //!
-//! Long waits with **no** cycle are not aborted: the stall watchdog
-//! flags them (counter + event + an optional merged lock-table dump to
-//! the file named by `DGL_WATCHDOG_DUMP`) and lets them keep waiting —
-//! a stall is diagnosed, not punished with a spurious abort.
+//! Long waits with **no** cycle — on a lock or on the gate, whoever holds
+//! it — are not aborted: the stall watchdog flags them (counter + event +
+//! an optional merged lock-table dump to the file named by
+//! `DGL_WATCHDOG_DUMP`) and lets them keep waiting — a stall is
+//! diagnosed, not punished with a spurious abort.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -48,8 +53,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use dgl_lockmgr::{obs_res, ResourceId, TxnId};
-use dgl_obs::{Ctr, Event, Registry};
+use dgl_lockmgr::{obs_res, youngest_non_system, TxnId, WaitForGraph};
+use dgl_obs::{Ctr, Event, Registry, Res};
 
 use super::DglCore;
 
@@ -121,16 +126,19 @@ impl Key {
     }
 }
 
-/// One blocking edge with its provenance.
-struct EdgeInfo {
+/// One wait seen by a pass, with its provenance.
+struct Wait {
     from: Key,
-    to: Key,
-    shard: usize,
-    gate: bool,
-    res: Option<ResourceId>,
+    /// Whom it waits for: a grant holder or a waiter queued ahead, or the
+    /// gate's registered holder. `None` for a gate wait with no registered
+    /// holder (a checkpoint holds the gate as nobody's transaction) — no
+    /// graph edge, but still the watchdog's business.
+    to: Option<Key>,
+    /// [`Res::Gate`] marks a gate wait.
+    res: Res,
     waited: Duration,
-    /// The raw (shard, local id) of the waiter — what a wound must be
-    /// delivered to when `from` is local.
+    /// The raw (shard, local id) of the waiter: the lock table (or gate)
+    /// the wait is on, and the watchdog's identity for it.
     raw_waiter: (usize, TxnId),
 }
 
@@ -277,61 +285,58 @@ fn run_pass(shared: &Shared, state: &mut PassState) {
         }
     };
 
-    let mut edges: Vec<EdgeInfo> = Vec::new();
+    let mut waits: Vec<Wait> = Vec::new();
     for (i, core) in shared.cores.iter().enumerate() {
         for e in core.lm.wait_edges() {
-            edges.push(EdgeInfo {
+            waits.push(Wait {
                 from: canon(i, e.waiter),
-                to: canon(i, e.holder),
-                shard: i,
-                gate: false,
-                res: Some(e.res),
+                to: Some(canon(i, e.holder)),
+                res: obs_res(e.res),
                 waited: e.waited,
                 raw_waiter: (i, e.waiter),
             });
         }
-        // Gate edges: every registered gate poller waits on the system
-        // transaction holding the gate exclusively. Snapshot the holder
-        // first — a waiter observed after the holder cleared simply
-        // yields no edge this pass.
+        // Gate waits: every registered gate waiter waits on the system
+        // transaction holding the gate exclusively, if one is registered.
+        // Snapshot the holder first — a waiter observed after the holder
+        // cleared simply yields no edge this pass.
         let holder = *core.gate_holder.lock();
-        if let Some(h) = holder {
-            for w in core.gate_waiters.lock().iter() {
-                edges.push(EdgeInfo {
-                    from: canon(i, *w),
-                    to: Key::Local(i, h),
-                    shard: i,
-                    gate: true,
-                    res: None,
-                    waited: Duration::ZERO,
-                    raw_waiter: (i, *w),
-                });
-            }
+        for (w, since) in core.gate_waiters.lock().iter() {
+            waits.push(Wait {
+                from: canon(i, *w),
+                to: holder.map(|h| Key::Local(i, h)),
+                res: Res::Gate,
+                waited: now.saturating_duration_since(*since),
+                raw_waiter: (i, *w),
+            });
         }
     }
 
-    // Adjacency + per-pair provenance (self-edges from session collapse
+    // The graph + per-pair provenance (self-edges from session collapse
     // — one participant of a global txn behind another — are not waits).
-    let mut adj: HashMap<Key, Vec<Key>> = HashMap::new();
+    let mut graph: WaitForGraph<Key> = WaitForGraph::new();
     let mut prov: HashMap<(Key, Key), (HashSet<usize>, bool)> = HashMap::new();
-    for e in &edges {
-        if e.from == e.to {
+    for w in &waits {
+        let Some(to) = w.to.filter(|to| *to != w.from) else {
             continue;
-        }
-        let entry = prov.entry((e.from, e.to)).or_default();
-        entry.0.insert(e.shard);
-        entry.1 |= e.gate;
-        let succ = adj.entry(e.from).or_default();
-        if !succ.contains(&e.to) {
-            succ.push(e.to);
-        }
+        };
+        let entry = prov.entry((w.from, to)).or_default();
+        entry.0.insert(w.raw_waiter.0);
+        entry.1 |= w.res == Res::Gate;
+        graph.add_edge(w.from, to);
     }
 
+    let is_system = |k: &Key| match k {
+        Key::Global(_) => false,
+        Key::Local(s, t) => shared.cores[*s].lm.is_system(*t),
+    };
     let mut cycle_members: HashSet<Key> = HashSet::new();
     // Bounded like the lock manager's resolver: each iteration finds at
     // most one cycle and wounds at most one victim.
     for _ in 0..8 {
-        let Some(cycle) = find_cycle(&adj) else { break };
+        let Some(cycle) = graph.find_cycle(Key::rank) else {
+            break;
+        };
         cycle_members.extend(cycle.iter().copied());
 
         let mut shards_involved: HashSet<usize> = HashSet::new();
@@ -344,28 +349,28 @@ fn run_pass(shared: &Shared, state: &mut PassState) {
             }
         }
         // Ownership rule: a single-shard pure-lock cycle belongs to that
-        // shard's lock manager (its detector fires on the same cycle and
-        // wounding here too would claim a second victim). This detector
-        // resolves only what no shard can: multi-shard cycles and cycles
-        // through the gate.
+        // shard's lock manager (it refuses the same cycle at block time,
+        // and wounding here too would claim a second victim). This thread
+        // resolves only what no lock table can: multi-shard cycles and
+        // cycles through the gate.
         let ours = gate || shards_involved.len() >= 2;
         let recently_wounded = cycle.iter().any(|k| state.wounded.contains_key(k));
+        // Not ours, quieted, or all-system (then nothing is wounded: system
+        // operations always make progress once user locks clear): set the
+        // first member aside in our *model* so the next iteration can look
+        // for further cycles.
+        let mut aside = cycle[0];
         if ours && !recently_wounded {
-            if let Some(victim) = select_victim(shared, &cycle) {
+            if let Some(victim) = youngest_non_system(&cycle, Key::rank, is_system) {
                 wound(shared, victim, &cycle, gate, &global_parts);
                 state.wounded.insert(victim, Instant::now());
-                adj.remove(&victim);
-                continue;
+                aside = victim;
             }
         }
-        // Not ours (or all-system, or quieted): break the cycle in our
-        // *model* so the next iteration can look for further cycles.
-        if let Some(first) = cycle.first() {
-            adj.remove(first);
-        }
+        graph.remove(&aside);
     }
 
-    watchdog(shared, state, &edges, &cycle_members);
+    watchdog(shared, state, &waits, &cycle_members);
 }
 
 /// Builds the session identity maps: `(shard, local txn) → gtxn` and its
@@ -400,63 +405,6 @@ fn session_identity(
     (alias, parts_of)
 }
 
-/// Finds one cycle in the adjacency map (iterative DFS with an explicit
-/// path stack), returned as the member sequence in wait order.
-fn find_cycle(adj: &HashMap<Key, Vec<Key>>) -> Option<Vec<Key>> {
-    let mut done: HashSet<Key> = HashSet::new();
-    let mut starts: Vec<Key> = adj.keys().copied().collect();
-    // Deterministic exploration order → deterministic victim choice.
-    starts.sort_by_key(Key::rank);
-    for start in starts {
-        if done.contains(&start) {
-            continue;
-        }
-        let mut path: Vec<Key> = Vec::new();
-        let mut on_path: HashSet<Key> = HashSet::new();
-        // (node, next successor index) stack.
-        let mut stack: Vec<(Key, usize)> = vec![(start, 0)];
-        path.push(start);
-        on_path.insert(start);
-        while let Some(&(node, idx)) = stack.last() {
-            let succs = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-            if idx < succs.len() {
-                stack.last_mut().expect("just peeked").1 += 1;
-                let next = succs[idx];
-                if on_path.contains(&next) {
-                    let at = path.iter().position(|k| *k == next).expect("on path");
-                    return Some(path[at..].to_vec());
-                }
-                if !done.contains(&next) {
-                    stack.push((next, 0));
-                    path.push(next);
-                    on_path.insert(next);
-                }
-            } else {
-                stack.pop();
-                let finished = path.pop().expect("path tracks stack");
-                on_path.remove(&finished);
-                done.insert(finished);
-            }
-        }
-    }
-    None
-}
-
-/// The youngest non-system cycle member (deterministic across passes and
-/// shards); `None` when every member is a system transaction — then
-/// nothing is wounded and the cycle must dissolve by other means (system
-/// operations always make progress once user locks clear).
-fn select_victim(shared: &Shared, cycle: &[Key]) -> Option<Key> {
-    cycle
-        .iter()
-        .filter(|k| match k {
-            Key::Global(_) => true,
-            Key::Local(s, t) => !shared.cores[*s].lm.is_system(*t),
-        })
-        .max_by_key(|k| k.rank())
-        .copied()
-}
-
 /// Delivers the wound: poisons (and cancels any parked wait of) every
 /// local participant of the victim, bumps the counter and emits the
 /// victim event with the full cycle as evidence.
@@ -485,41 +433,37 @@ fn wound(
     });
 }
 
-/// Stall watchdog: lock waits past [`STALL_THRESHOLD`] that are not part
-/// of any cycle found this pass are *reported* — counter, event, and an
-/// appended merged lock-table dump when `DGL_WATCHDOG_DUMP` names a file
-/// — and left to wait. This replaces the old tight cross-shard wait
-/// timeout, which converted every slow-but-innocent wait into a spurious
-/// `Timeout` abort.
-fn watchdog(shared: &Shared, state: &mut PassState, edges: &[EdgeInfo], in_cycle: &HashSet<Key>) {
+/// Stall watchdog: waits past [`STALL_THRESHOLD`] — on a lock or on the
+/// gate — that are not part of any cycle found this pass are *reported*:
+/// counter, event, and an appended merged lock-table dump when
+/// `DGL_WATCHDOG_DUMP` names a file — and left to wait. Nobody is aborted:
+/// a slow-but-innocent wait must not become a spurious `Timeout`.
+fn watchdog(shared: &Shared, state: &mut PassState, waits: &[Wait], in_cycle: &HashSet<Key>) {
     let now = Instant::now();
     let mut still_waiting: HashSet<(usize, TxnId)> = HashSet::new();
-    for e in edges {
-        if e.gate {
+    for w in waits {
+        still_waiting.insert(w.raw_waiter);
+        if w.waited < STALL_THRESHOLD || in_cycle.contains(&w.from) {
             continue;
         }
-        still_waiting.insert(e.raw_waiter);
-        if e.waited < STALL_THRESHOLD || in_cycle.contains(&e.from) {
-            continue;
-        }
-        let last = state.stall_flagged.get(&e.raw_waiter);
+        let last = state.stall_flagged.get(&w.raw_waiter);
         if last.is_some_and(|at| now.saturating_duration_since(*at) < STALL_REFLAG) {
             continue;
         }
-        state.stall_flagged.insert(e.raw_waiter, now);
+        state.stall_flagged.insert(w.raw_waiter, now);
         shared.obs.incr(Ctr::WatchdogStalls);
-        let res = e.res.expect("lock edges carry a resource");
         shared.obs.emit(Event::WatchdogStall {
-            txn: e.from.txn_id(),
-            res: obs_res(res),
-            wait_nanos: e.waited.as_nanos() as u64,
+            txn: w.from.txn_id(),
+            res: w.res,
+            wait_nanos: w.waited.as_nanos() as u64,
         });
         if let Ok(path) = std::env::var("DGL_WATCHDOG_DUMP") {
             if !path.is_empty() {
                 let dump = format!(
-                    "=== watchdog stall: {} waited {:?} on {res} ===\n{}",
-                    e.from.label(),
-                    e.waited,
+                    "=== watchdog stall: {} waited {:?} on {} ===\n{}",
+                    w.from.label(),
+                    w.waited,
+                    w.res,
                     merged_dump(shared)
                 );
                 let _ = std::fs::OpenOptions::new()
@@ -583,14 +527,23 @@ pub(crate) fn render_merged(
             let _ = writeln!(out, " ]");
         }
         let holder = *core.gate_holder.lock();
-        if let Some(h) = holder {
-            let mut waiters: Vec<u64> = core.gate_waiters.lock().iter().map(|t| t.0).collect();
-            waiters.sort_unstable();
-            let _ = writeln!(
-                out,
-                "  gate: held by system txn {} — gate-waiters {waiters:?}",
-                h.0
-            );
+        let mut waiters: Vec<u64> = core.gate_waiters.lock().keys().map(|t| t.0).collect();
+        waiters.sort_unstable();
+        match holder {
+            Some(h) => {
+                let _ = writeln!(
+                    out,
+                    "  gate: held by system txn {} — gate-waiters {waiters:?}",
+                    h.0
+                );
+            }
+            None if !waiters.is_empty() => {
+                let _ = writeln!(
+                    out,
+                    "  gate: no registered holder — gate-waiters {waiters:?}"
+                );
+            }
+            None => {}
         }
         for e in core.lm.wait_edges() {
             let _ = writeln!(
@@ -636,34 +589,6 @@ pub(crate) fn render_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn find_cycle_reports_members_in_wait_order() {
-        let a = Key::Local(0, TxnId(1));
-        let b = Key::Local(0, TxnId(2));
-        let c = Key::Local(1, TxnId(3));
-        let mut adj: HashMap<Key, Vec<Key>> = HashMap::new();
-        adj.insert(a, vec![b]);
-        adj.insert(b, vec![c]);
-        adj.insert(c, vec![a]);
-        let cycle = find_cycle(&adj).expect("three-node cycle");
-        assert_eq!(cycle.len(), 3);
-        for (i, k) in cycle.iter().enumerate() {
-            let next = cycle[(i + 1) % cycle.len()];
-            assert!(adj[k].contains(&next), "consecutive members are edges");
-        }
-    }
-
-    #[test]
-    fn find_cycle_ignores_acyclic_chains() {
-        let a = Key::Local(0, TxnId(1));
-        let b = Key::Local(0, TxnId(2));
-        let c = Key::Global(9);
-        let mut adj: HashMap<Key, Vec<Key>> = HashMap::new();
-        adj.insert(a, vec![b, c]);
-        adj.insert(b, vec![c]);
-        assert!(find_cycle(&adj).is_none());
-    }
 
     #[test]
     fn victim_rank_prefers_youngest_and_globals() {

@@ -84,11 +84,6 @@ use super::{DglConfig, DglCore, DglRTree, UndoRecord};
 /// [`DglRTree::recover`]; [`DglRTree::new`] stays purely in-memory.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Attach a write-ahead log when opening a directory. Off turns
-    /// `open` into "load whatever is recoverable, then run in memory"
-    /// (existing log files are left untouched) — the durability-off
-    /// contender of the throughput benchmarks.
-    pub enabled: bool,
     /// When commits are flushed: every commit immediately, or group
     /// commit within a batching window.
     pub sync: SyncPolicy,
@@ -101,7 +96,6 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             sync: SyncPolicy::Immediate,
             checkpoint_threshold: Some(8 << 20),
         }
@@ -487,7 +481,7 @@ impl DglRTree {
         fs::create_dir_all(dir)?;
         let listing = scan_dir(dir)?;
         if listing.segments.is_empty() && listing.snapshots.is_empty() {
-            let db = Self::new_in_memory_shell(&config, Arc::new(CommitClock::new()));
+            let db = Self::new_with_clock(config.clone(), Arc::new(CommitClock::new()));
             db.attach_fresh_generation(dir, 0, &config)?;
             return Ok(db);
         }
@@ -496,9 +490,8 @@ impl DglRTree {
 
     /// Recovers an index from `dir`: newest intact snapshot, undo peel of
     /// uncommitted in-flight transactions, committed-tail replay through
-    /// the normal write path, tombstone re-enqueue, then (with durability
-    /// enabled) a fresh log generation so the next crash recovers from
-    /// this point.
+    /// the normal write path, tombstone re-enqueue, then a fresh log
+    /// generation so the next crash recovers from this point.
     ///
     /// Transactions that were *prepared* under two-phase commit but never
     /// locally decided are presumed aborted here — a standalone index has
@@ -534,7 +527,7 @@ impl DglRTree {
         let listing = scan_dir(dir)?;
         if listing.segments.is_empty() && listing.snapshots.is_empty() {
             // Nothing to recover: equivalent to a fresh open.
-            let db = Self::new_in_memory_shell(&config, clock);
+            let db = Self::new_with_clock(config.clone(), clock);
             db.attach_fresh_generation(dir, 0, &config)?;
             return Ok(db);
         }
@@ -598,7 +591,7 @@ impl DglRTree {
                 ));
             }
             drop(segments);
-            let db = Self::new_in_memory_shell(&config, clock);
+            let db = Self::new_with_clock(config.clone(), clock);
             db.attach_fresh_generation(dir, max_gen + 1, &config)?;
             return Ok(db);
         };
@@ -776,27 +769,14 @@ impl DglRTree {
         }
     }
 
-    /// An empty index shaped by `config` with no log attached yet.
-    fn new_in_memory_shell(config: &DglConfig, clock: Arc<CommitClock>) -> Self {
-        let tree = match config.buffer_pages {
-            Some(pages) => RTree2::with_buffer(config.rtree, config.world, pages),
-            None => RTree2::new(config.rtree, config.world),
-        };
-        Self::build(tree, dgl_hashidx::StripedMap::new(), config, clock)
-    }
-
     /// Publishes the current tree as generation `gen` (snapshot + fresh
     /// log segment), prunes older generations, and attaches the log.
-    /// No-op when durability is disabled.
     fn attach_fresh_generation(
         &self,
         dir: &Path,
         gen: u64,
         config: &DglConfig,
     ) -> Result<(), RecoverError> {
-        if !config.durability.enabled {
-            return Ok(());
-        }
         let image = {
             let tree = self.core.latch_shared();
             checkpoint_tree(&tree)

@@ -90,7 +90,7 @@ use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dgl_hashidx::StripedMap;
 use dgl_wal::Wal;
@@ -136,16 +136,11 @@ pub struct DglConfig {
     pub world: Rect2,
     /// Insertion policy.
     pub policy: InsertPolicy,
-    /// Lock manager configuration.
+    /// Lock manager configuration. `lock.wait_timeout` is the single
+    /// backstop behind deadlock detection: a wait that hits it surfaces as
+    /// [`TxnError::Timeout`] (distinct from [`TxnError::Deadlock`]) with
+    /// the transaction rolled back.
     pub lock: LockManagerConfig,
-    /// Lock-wait timeout backstop. `Some` overrides `lock.wait_timeout`
-    /// — the convenient top-level knob, so callers tuning retry behavior
-    /// don't have to reach into [`LockManagerConfig`]. A wait that hits it
-    /// surfaces as [`TxnError::Timeout`] (distinct from
-    /// [`TxnError::Deadlock`]) with the transaction rolled back.
-    pub wait_timeout: Option<Duration>,
-    /// Optional LRU buffer model (pages) for disk-access accounting.
-    pub buffer_pages: Option<usize>,
     /// Maintenance subsystem: when (and where) deferred physical
     /// deletions run — inline in `commit` or on a background worker.
     pub maintenance: MaintenanceConfig,
@@ -154,16 +149,6 @@ pub struct DglConfig {
     /// ([`DglRTree::open`] / [`DglRTree::recover`]); purely in-memory
     /// indexes ([`DglRTree::new`]) never touch disk regardless.
     pub durability: DurabilityConfig,
-    /// Global deadlock detection: a background thread that unions the
-    /// lock manager's wait-for graph with deferred-gate wait edges (and,
-    /// on a sharded index, every shard's graph plus 2PC session edges),
-    /// finds cycles no single shard can see, and *wounds* the youngest
-    /// non-system member — its blocked wait returns
-    /// [`TxnError::Deadlock`] instead of stalling until a timeout. Also
-    /// arms the stall watchdog (long waits with no cycle are reported,
-    /// not aborted). On by default; the thread spawns lazily on the
-    /// first wait it could ever need to break.
-    pub global_detector: bool,
     /// ABLATION: collapse every external granule onto one shared resource
     /// — the "single extra lockable granule which covers the space that is
     /// not covered by the R-tree leaf granules" design that §3.1 rejects
@@ -189,18 +174,6 @@ pub struct DglConfig {
     pub testing_skip_growth_compensation: bool,
 }
 
-impl DglConfig {
-    /// The lock manager configuration with the top-level `wait_timeout`
-    /// override applied.
-    fn effective_lock(&self) -> LockManagerConfig {
-        let mut lock = self.lock.clone();
-        if let Some(t) = self.wait_timeout {
-            lock.wait_timeout = t;
-        }
-        lock
-    }
-}
-
 impl Default for DglConfig {
     fn default() -> Self {
         Self {
@@ -208,11 +181,8 @@ impl Default for DglConfig {
             world: Rect2::unit(),
             policy: InsertPolicy::default(),
             lock: LockManagerConfig::default(),
-            wait_timeout: None,
-            buffer_pages: None,
             maintenance: MaintenanceConfig::default(),
             durability: DurabilityConfig::default(),
-            global_detector: true,
             coarse_external_granule: false,
             hash_reads: true,
             testing_skip_growth_compensation: false,
@@ -299,10 +269,11 @@ pub(crate) struct DglCore {
     /// deadlock detector reads this to attribute gate waits to a holder
     /// — the edge the lock manager's own graph cannot see.
     pub(crate) gate_holder: Mutex<Option<TxnId>>,
-    /// Transactions currently polling for shared gate access while
-    /// holding granule locks (the poisonable gate wait in [`mvcc`]).
-    /// Each is a detector wait edge `waiter → gate_holder`.
-    pub(crate) gate_waiters: Mutex<HashSet<TxnId>>,
+    /// Transactions currently waiting for shared gate access while
+    /// holding granule locks (the poisonable gate wait in [`mvcc`]), and
+    /// since when. Each is a detector wait edge `waiter → gate_holder`
+    /// and, past the stall threshold, a watchdog report.
+    pub(crate) gate_waiters: Mutex<HashMap<TxnId, Instant>>,
     pub(crate) policy: InsertPolicy,
     pub(crate) coarse_external: bool,
     pub(crate) hash_reads: bool,
@@ -471,12 +442,11 @@ pub struct DglRTree {
     // Declared before `core` so a drop tears the worker down (which joins
     // the thread) while the core it references is still guaranteed alive.
     maint: MaintenanceHandle,
-    /// Lazily spawned global deadlock detector (set on the first gate
-    /// wait by a lock-holding transaction; never set when
-    /// [`DglConfig::global_detector`] is off — e.g. on the shards of a
-    /// sharded index, whose router runs one unified detector instead).
+    /// The detector thread watching this tree's gate, spawned on the
+    /// first gate wait by a lock-holding transaction. Stays empty on the
+    /// shards of a sharded index: nothing routes such a wait to a shard,
+    /// and the router's one thread reads every shard's gate itself.
     detector: OnceLock<GlobalDetector>,
-    detector_enabled: bool,
     core: Arc<DglCore>,
 }
 
@@ -499,10 +469,7 @@ impl DglRTree {
     ) -> Self {
         let obs = Arc::new(Registry::new());
         tree.io_stats().attach_obs(Arc::clone(&obs));
-        let lm = Arc::new(LockManager::with_obs(
-            config.effective_lock(),
-            Arc::clone(&obs),
-        ));
+        let lm = Arc::new(LockManager::with_obs(config.lock.clone(), Arc::clone(&obs)));
         let core = Arc::new(DglCore {
             tree: RwLock::new(tree),
             tm: TxnManager::new(Arc::clone(&lm)),
@@ -516,7 +483,7 @@ impl DglRTree {
             gc_drops: AtomicU64::new(0),
             deferred_gate: RwLock::new(()),
             gate_holder: Mutex::new(None),
-            gate_waiters: Mutex::new(HashSet::new()),
+            gate_waiters: Mutex::new(HashMap::new()),
             policy: config.policy,
             coarse_external: config.coarse_external_granule,
             hash_reads: config.hash_reads,
@@ -534,22 +501,14 @@ impl DglRTree {
         Self {
             maint: MaintenanceHandle::new(&core, config.maintenance),
             detector: OnceLock::new(),
-            detector_enabled: config.global_detector,
             core,
         }
     }
 
-    /// Arms the global deadlock detector for this tree (idempotent).
-    /// Returns whether a detector is (now) watching — `false` when the
-    /// config disabled it, in which case gate waits fall back to the
-    /// bounded-patience behavior.
-    pub(crate) fn ensure_detector(&self) -> bool {
-        if !self.detector_enabled {
-            return false;
-        }
+    /// Arms the detector thread for this tree (idempotent).
+    pub(crate) fn ensure_detector(&self) {
         self.detector
             .get_or_init(|| GlobalDetector::spawn_single(Arc::clone(&self.core)));
-        true
     }
 
     /// Creates an empty index.
@@ -561,10 +520,7 @@ impl DglRTree {
     /// indexes hand every shard the same clock so one snapshot timestamp
     /// is consistent index-wide).
     pub(crate) fn new_with_clock(config: DglConfig, clock: Arc<CommitClock>) -> Self {
-        let tree = match config.buffer_pages {
-            Some(pages) => RTree2::with_buffer(config.rtree, config.world, pages),
-            None => RTree2::new(config.rtree, config.world),
-        };
+        let tree = RTree2::new(config.rtree, config.world);
         Self::build(tree, StripedMap::new(), &config, clock)
     }
 

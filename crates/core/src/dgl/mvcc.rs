@@ -48,15 +48,17 @@
 //!
 //! A deferred deletion keeps the gate exclusive *across its own lock
 //! waits* (orphans are out of the tree for the whole multi-latch window,
-//! so it cannot release early), and the lock manager's deadlock detector
-//! cannot see the gate. A thread that holds granule locks of an active
-//! locking transaction must therefore never block on the gate
-//! unboundedly: the system operation may be waiting for exactly those
-//! locks, and the resulting cycle is invisible to — and unbreakable by —
-//! deadlock detection. [`SnapshotReadRTree`] handles this for
-//! transactions mixing writes and snapshot reads by switching their
-//! reads to a bounded gate wait ([`DglCore::try_snapshot_scan`]) and
-//! rolling the transaction back on expiry, like a lock-wait timeout.
+//! so it cannot release early), and the lock manager cannot see the gate.
+//! A thread that holds granule locks of an active locking transaction may
+//! therefore complete a cycle by waiting for the gate: the system
+//! operation may be waiting for exactly those locks. [`SnapshotReadRTree`]
+//! handles this for transactions mixing writes and snapshot reads with the
+//! *watched* gate wait ([`DglCore::gate_read_watched`]): the wait is
+//! registered where the detector thread reads it as a wait-for edge, a
+//! genuine cycle is wounded (the transaction rolls back with
+//! [`TxnError::Deadlock`]), an innocent wait — behind a system operation
+//! or a checkpoint — simply lasts as long as its holder, and the stall
+//! watchdog reports it past its threshold. There is no bounded variant.
 //! Users of the raw [`Snapshot`] handle must keep it off threads that
 //! hold granule locks.
 
@@ -296,54 +298,15 @@ impl DglCore {
         self.snapshot_scan_gated(ts, query)
     }
 
-    /// [`Self::snapshot_scan`] with a bounded gate wait, for callers whose
-    /// thread may hold granule locks of an active locking transaction.
-    /// A deferred deletion holds the gate exclusively *while waiting for
-    /// user locks* (orphans are out of the tree, so it cannot let readers
-    /// in), and the lock manager's deadlock detector cannot see the gate —
-    /// so a lock holder blocking here unboundedly completes a cycle
-    /// nothing can break. Returns `None` if the gate stayed writer-held
-    /// past `patience`; the caller must roll its transaction back (the
-    /// moral equivalent of a lock-wait timeout).
-    pub(crate) fn try_snapshot_scan(
-        &self,
-        ts: u64,
-        query: &Rect2,
-        patience: Duration,
-    ) -> Option<Vec<ScanHit>> {
-        let _gate = self.try_gate_read(patience)?;
-        Some(self.snapshot_scan_gated(ts, query))
-    }
-
-    /// Bounded shared acquisition of the system-operation gate: polls
-    /// `try_read` (the vendored lock has no timed wait) until `patience`
-    /// runs out. The poll interval is coarse — this path only spins while
-    /// a deferred deletion is mid-flight, and its caller aborts on `None`
-    /// anyway. Fallback for indexes running without the global deadlock
-    /// detector; with it armed, [`Self::gate_read_watched`] waits
-    /// unboundedly under detection instead.
-    fn try_gate_read(&self, patience: Duration) -> Option<parking_lot::RwLockReadGuard<'_, ()>> {
-        let deadline = std::time::Instant::now() + patience;
-        loop {
-            if let Some(gate) = self.deferred_gate.try_read() {
-                return Some(gate);
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
     /// Shared gate acquisition for a lock-holding transaction, watched
-    /// by the global deadlock detector: registers `txn` as a *gate
-    /// waiter* (the wait-for edge `txn → gate holder` the detector
-    /// unions into its graph) and polls without a deadline. If the wait
-    /// really is part of a cycle — the gate-holding system operation is
-    /// blocked on one of `txn`'s own granule locks — the detector wounds
-    /// `txn` and the poll returns `Err(TxnError::Deadlock)`; an innocent
-    /// wait simply outlasts the system operation, with no spurious
-    /// timeout abort.
+    /// by the detector thread: registers `txn` as a *gate waiter* (the
+    /// wait-for edge `txn → gate holder` the detector unions into its
+    /// graph, stamped so the watchdog can age it) and polls without a
+    /// deadline. If the wait really is part of a cycle — the gate-holding
+    /// system operation is blocked on one of `txn`'s own granule locks —
+    /// the detector wounds `txn` and the poll returns
+    /// `Err(TxnError::Deadlock)`; an innocent wait simply outlasts the
+    /// system operation or checkpoint, with no spurious timeout abort.
     pub(crate) fn gate_read_watched(
         &self,
         txn: TxnId,
@@ -357,7 +320,7 @@ impl DglCore {
                 self.0.gate_waiters.lock().remove(&self.1);
             }
         }
-        self.gate_waiters.lock().insert(txn);
+        self.gate_waiters.lock().insert(txn, Instant::now());
         let _dereg = Deregister(self, txn);
         loop {
             if self.lm.take_poison(txn) {
@@ -371,9 +334,8 @@ impl DglCore {
     }
 
     /// [`Self::snapshot_scan`] through the watched gate wait — for
-    /// lock-holding transactions on an index with the global detector
-    /// armed. `Err(TxnError::Deadlock)` means the detector wounded `txn`
-    /// (the caller rolls it back).
+    /// lock-holding transactions. `Err(TxnError::Deadlock)` means the
+    /// detector wounded `txn` (the caller rolls it back).
     pub(crate) fn snapshot_scan_watched(
         &self,
         ts: u64,
@@ -461,24 +423,6 @@ impl DglCore {
         }
         let _gate = self.deferred_gate.read();
         self.snapshot_read_single_gated(ts, oid)
-    }
-
-    /// Bounded-gate-wait variant of [`Self::snapshot_read_single`]; see
-    /// [`Self::try_snapshot_scan`] for why lock holders must not block on
-    /// the gate unboundedly. `None` means the gate stayed writer-held —
-    /// never returned on the hash fast path, which doesn't touch the gate
-    /// at all (so a lock-holding reader cannot gate-deadlock here).
-    pub(crate) fn try_snapshot_read_single(
-        &self,
-        ts: u64,
-        oid: ObjectId,
-        patience: Duration,
-    ) -> Option<Option<u64>> {
-        if self.hash_reads {
-            return Some(self.snapshot_read_single_hash(ts, oid));
-        }
-        let _gate = self.try_gate_read(patience)?;
-        Some(self.snapshot_read_single_gated(ts, oid))
     }
 
     /// Gateless, latchless snapshot point read off the hash index.
@@ -731,19 +675,10 @@ struct TxnSnapState {
     /// Registered snapshot timestamp, set at the first read.
     ts: Option<u64>,
     /// Whether the transaction has issued a write — i.e. may hold
-    /// granule locks, in which case its reads must not block on the
-    /// system-operation gate unboundedly (module docs, "The gate and
-    /// lock holders").
+    /// granule locks, in which case its reads take the watched gate wait
+    /// (module docs, "The gate and lock holders").
     wrote: bool,
 }
-
-/// How long a read of a lock-holding transaction waits for the
-/// system-operation gate before the transaction is rolled back, on an
-/// index running **without** the global deadlock detector. Large against
-/// a normal condensation (microseconds), small against the deadlock it
-/// exists to break. With the detector armed (the default) gate waits are
-/// unbounded and gate cycles are resolved by wounding instead.
-const GATE_PATIENCE: Duration = Duration::from_millis(5);
 
 impl SnapshotReadRTree {
     /// Wraps an index; reads go through snapshots from here on.
@@ -787,14 +722,15 @@ impl SnapshotReadRTree {
         }
     }
 
-    /// Rolls the transaction back after its gate wait failed and reports
-    /// the verdict: `Deadlock` when the global detector wounded it,
-    /// `Timeout` when the detector-less bounded wait expired. Retryable
-    /// with a fresh transaction either way.
-    fn gate_abort<T>(&self, txn: TxnId, e: TxnError) -> Result<T, TxnError> {
-        let _ = self.inner.abort(txn);
-        self.release(txn);
-        Err(e)
+    /// The outcome of a lock holder's watched read: an `Err` means the
+    /// detector wounded the transaction in its gate wait, so it is rolled
+    /// back here (retryable with a fresh transaction).
+    fn watched<T>(&self, txn: TxnId, r: Result<T, TxnError>) -> Result<T, TxnError> {
+        if r.is_err() {
+            let _ = self.inner.abort(txn);
+            self.release(txn);
+        }
+        r
     }
 
     /// After a failed inner operation: if the error killed the
@@ -856,21 +792,9 @@ impl TransactionalRTree for SnapshotReadRTree {
         }
         let (ts, wrote) = self.snap_ts(txn);
         if wrote {
-            if self.inner.ensure_detector() {
-                match self.inner.core.snapshot_read_single_watched(ts, oid, txn) {
-                    Ok(v) => Ok(v),
-                    Err(e) => self.gate_abort(txn, e),
-                }
-            } else {
-                match self
-                    .inner
-                    .core
-                    .try_snapshot_read_single(ts, oid, GATE_PATIENCE)
-                {
-                    Some(v) => Ok(v),
-                    None => self.gate_abort(txn, TxnError::Timeout),
-                }
-            }
+            self.inner.ensure_detector();
+            let r = self.inner.core.snapshot_read_single_watched(ts, oid, txn);
+            self.watched(txn, r)
         } else {
             Ok(self.inner.core.snapshot_read_single(ts, oid))
         }
@@ -892,17 +816,9 @@ impl TransactionalRTree for SnapshotReadRTree {
         }
         let (ts, wrote) = self.snap_ts(txn);
         if wrote {
-            if self.inner.ensure_detector() {
-                match self.inner.core.snapshot_scan_watched(ts, &query, txn) {
-                    Ok(hits) => Ok(hits),
-                    Err(e) => self.gate_abort(txn, e),
-                }
-            } else {
-                match self.inner.core.try_snapshot_scan(ts, &query, GATE_PATIENCE) {
-                    Some(hits) => Ok(hits),
-                    None => self.gate_abort(txn, TxnError::Timeout),
-                }
-            }
+            self.inner.ensure_detector();
+            let r = self.inner.core.snapshot_scan_watched(ts, &query, txn);
+            self.watched(txn, r)
         } else {
             Ok(self.inner.core.snapshot_scan(ts, &query))
         }
@@ -1055,29 +971,6 @@ mod tests {
         let hits = db.read_scan(reader, Rect2::unit()).unwrap();
         assert_eq!(hits.len(), 1, "aborted insert never became visible");
         db.commit(reader).unwrap();
-    }
-
-    #[test]
-    fn lock_holders_time_out_on_a_writer_held_gate_without_the_detector() {
-        // With the global detector disabled the historical safety valve
-        // remains: a lock-holding transaction's gate wait is bounded and
-        // expires as a timeout rather than stalling forever.
-        let config = crate::DglConfig {
-            global_detector: false,
-            ..crate::DglConfig::default()
-        };
-        let db = SnapshotReadRTree::new(DglRTree::new(config));
-        let gate = db.inner().core.deferred_gate.write();
-        let txn = db.begin();
-        db.insert(txn, ObjectId(2), Rect2::new([0.3, 0.3], [0.4, 0.4]))
-            .unwrap();
-        let r = db.read_scan(txn, Rect2::unit());
-        assert_eq!(r, Err(TxnError::Timeout), "bounded gate wait expires");
-        assert!(
-            db.inner().core.check_active(txn).is_err(),
-            "the victim was rolled back"
-        );
-        drop(gate);
     }
 
     #[test]

@@ -250,10 +250,10 @@ pub struct ShardedDglRTree {
     /// has left `sessions`, but their identity union must stay visible
     /// to the detector until every participant finishes.
     committing: Arc<Mutex<CommittingMap>>,
-    /// Unified deadlock detector + stall watchdog over every shard
-    /// (`None` when disabled via [`DglConfig::global_detector`]).
-    detector: Option<GlobalDetector>,
-    /// Coordinator decision log (`None` when durability is off — then
+    /// The one detector thread + stall watchdog over every shard: lock
+    /// edges, gate edges and session identity (held for its `Drop`).
+    _detector: GlobalDetector,
+    /// Coordinator decision log (`None` for an in-memory index — then
     /// multi-shard commits are atomic only in the absence of failures,
     /// exactly as in-memory single-tree commits are).
     coord: Option<Wal>,
@@ -272,36 +272,16 @@ impl std::fmt::Debug for ShardedDglRTree {
     }
 }
 
-/// Per-shard configuration derived from the router's. Cross-shard
-/// deadlock cycles (T1 holds a granule on shard A and waits on shard B,
-/// T2 the reverse) are invisible to each shard's own detector; the
-/// historical remedy was a tight 50 ms per-shard wait timeout injected
-/// here, which also aborted innocently slow waiters — the timeout
-/// convoy the throughput experiments measured. The router now runs a
-/// [`GlobalDetector`] over the union of every shard's wait-for graph
-/// instead: genuine cross-shard cycles are wounded within a few
-/// milliseconds, slow-but-innocent waits are merely flagged by the
-/// stall watchdog, and the lock manager's 10-second default stays as
-/// the backstop of last resort. The shards' own single-tree detectors
-/// are kept for purely local cycles; their gate detectors are disabled
-/// (the router's unified detector covers gate edges too).
-fn shard_config(mut config: DglConfig) -> DglConfig {
-    config.global_detector = false;
-    config
-}
-
 impl ShardedDglRTree {
     /// Creates an empty in-memory sharded index (no durability).
     pub fn new(config: DglConfig, sharding: ShardingConfig) -> Self {
-        let detect = config.global_detector;
-        let config = shard_config(config);
         let n = sharding.shards.max(1);
         let clock = Arc::new(CommitClock::new());
         let shards = (0..n)
             .map(|_| DglRTree::new_with_clock(config.clone(), Arc::clone(&clock)))
             .collect();
         let obs = Arc::new(Registry::new());
-        Self::assemble(shards, config.world, &sharding, None, obs, 1, clock, detect)
+        Self::assemble(shards, config.world, &sharding, None, obs, 1, clock)
     }
 
     /// Opens (or crash-recovers) a sharded index from `dir`.
@@ -310,49 +290,40 @@ impl ShardedDglRTree {
     /// segments; `dir/coord/` holds the coordinator's append-only
     /// decision log. Each shard recovers independently, resolving
     /// prepared-but-undecided 2PC participants against the decision set
-    /// read from `coord/`. With `config.durability.enabled == false`
-    /// this loads whatever is recoverable and runs in memory, like
-    /// [`DglRTree::open`].
+    /// read from `coord/`.
     pub fn open(
         dir: impl AsRef<Path>,
         config: DglConfig,
         sharding: ShardingConfig,
     ) -> Result<Self, RecoverError> {
         let dir = dir.as_ref();
-        let detect = config.global_detector;
-        let config = shard_config(config);
         let n = sharding.shards.max(1);
         std::fs::create_dir_all(dir)?;
 
         // Router registry: global commit latency + coordinator flush
         // metrics land here.
         let obs = Arc::new(Registry::new());
-        let (decisions, coord) = if config.durability.enabled {
-            let coord_dir = dir.join("coord");
-            std::fs::create_dir_all(&coord_dir)?;
-            let (decisions, max_gen, any) = read_decisions(&coord_dir)?;
-            // A fresh generation per open: the previous segment may have
-            // a torn tail; decisions already read stay where they are
-            // until the next checkpoint prunes the resolved ones.
-            let gen = if any { max_gen + 1 } else { 0 };
-            let wal = Wal::create(
-                &coord_dir,
+        let coord_dir = dir.join("coord");
+        std::fs::create_dir_all(&coord_dir)?;
+        let (decisions, max_gen, any) = read_decisions(&coord_dir)?;
+        // A fresh generation per open: the previous segment may have
+        // a torn tail; decisions already read stay where they are
+        // until the next checkpoint prunes the resolved ones.
+        let gen = if any { max_gen + 1 } else { 0 };
+        let coord = Wal::create(
+            &coord_dir,
+            gen,
+            &WalRecord::Checkpoint {
                 gen,
-                &WalRecord::Checkpoint {
-                    gen,
-                    undo: Vec::new(),
-                    prepared: Vec::new(),
-                },
-                WalConfig {
-                    sync: config.durability.sync,
-                },
-                Arc::clone(&obs),
-            )
-            .map_err(RecoverError::Wal)?;
-            (decisions, Some(wal))
-        } else {
-            (HashSet::new(), None)
-        };
+                undo: Vec::new(),
+                prepared: Vec::new(),
+            },
+            WalConfig {
+                sync: config.durability.sync,
+            },
+            Arc::clone(&obs),
+        )
+        .map_err(RecoverError::Wal)?;
 
         let resolver = |gtxn: u64| decisions.contains(&gtxn);
         let clock = Arc::new(CommitClock::new());
@@ -372,11 +343,10 @@ impl ShardedDglRTree {
             shards,
             config.world,
             &sharding,
-            coord,
+            Some(coord),
             obs,
             next,
             clock,
-            detect,
         ))
     }
 
@@ -389,18 +359,15 @@ impl ShardedDglRTree {
         obs: Arc<Registry>,
         next_gtxn: u64,
         clock: Arc<CommitClock>,
-        detect: bool,
     ) -> Self {
         let sessions: Arc<Mutex<SessionMap>> = Arc::new(Mutex::new(HashMap::new()));
         let committing: Arc<Mutex<CommittingMap>> = Arc::new(Mutex::new(HashMap::new()));
-        let detector = detect.then(|| {
-            GlobalDetector::spawn_sharded(
-                shards.iter().map(|s| Arc::clone(&s.core)).collect(),
-                Arc::clone(&sessions),
-                Arc::clone(&committing),
-                Arc::clone(&obs),
-            )
-        });
+        let detector = GlobalDetector::spawn_sharded(
+            shards.iter().map(|s| Arc::clone(&s.core)).collect(),
+            Arc::clone(&sessions),
+            Arc::clone(&committing),
+            Arc::clone(&obs),
+        );
         Self {
             grid: GridDirectory::new(world, shards.len(), sharding.max_object_extent),
             shards,
@@ -408,7 +375,7 @@ impl ShardedDglRTree {
             next_gtxn: AtomicU64::new(next_gtxn),
             sessions,
             committing,
-            detector,
+            _detector: detector,
             coord,
             obs,
         }
@@ -696,11 +663,6 @@ impl ShardedDglRTree {
     /// Whether the index is durably backed (coordinator log attached).
     pub fn is_durable(&self) -> bool {
         self.coord.is_some()
-    }
-
-    /// Whether the unified deadlock detector is running.
-    pub fn detector_active(&self) -> bool {
-        self.detector.is_some()
     }
 
     // --- merged exports -------------------------------------------------

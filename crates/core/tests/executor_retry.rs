@@ -1,5 +1,5 @@
-//! Lock-wait timeouts end-to-end: `DglConfig::wait_timeout` overrides
-//! the lock manager's default, a timed-out wait surfaces as the distinct
+//! Lock-wait timeouts end-to-end: a wait that outlasts
+//! `DglConfig::lock.wait_timeout` surfaces as the distinct
 //! [`TxnError::Timeout`] (not `Deadlock`), and the abort-retry executor
 //! turns transient timeouts into eventual commits once the blocker
 //! releases its locks.
@@ -13,17 +13,19 @@ use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, ObjectId, RetryPolicy, TransactionalRTree, TxnError,
     TxnExecutor,
 };
+use dgl_lockmgr::LockManagerConfig;
 use dgl_obs::{Ctr, Hist};
 use dgl_rtree::RTreeConfig;
 
-/// A protocol whose lock waits give up after `ms` milliseconds — set
-/// purely through [`DglConfig::wait_timeout`]; the nested lock config is
-/// left at its 10-second default to prove the override is what applies.
+/// A protocol whose lock waits give up after `ms` milliseconds.
 fn db_with_timeout(ms: u64) -> DglRTree {
     DglRTree::new(DglConfig {
         rtree: RTreeConfig::with_fanout(6),
         policy: InsertPolicy::Modified,
-        wait_timeout: Some(Duration::from_millis(ms)),
+        lock: LockManagerConfig {
+            wait_timeout: Duration::from_millis(ms),
+            ..Default::default()
+        },
         ..Default::default()
     })
 }
@@ -52,7 +54,7 @@ fn blocked_wait_times_out_with_distinct_error() {
     assert!(err.is_retryable(), "timeouts are worth retrying");
     assert!(
         waited < Duration::from_secs(5),
-        "the 80 ms DglConfig override applied, not the 10 s lock default \
+        "the configured 80 ms backstop applied, not the 10 s default \
          (waited {waited:?})"
     );
     // The timed-out transaction was rolled back by the protocol.

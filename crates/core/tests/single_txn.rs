@@ -306,3 +306,26 @@ fn interleaved_insert_delete_same_txn() {
         db.validate().unwrap();
     });
 }
+
+/// Compile-time pin of the configuration surface: `DglConfig` has nine
+/// fields and `DurabilityConfig` two. A new field breaks this pattern, so
+/// a mode cannot arrive unseen — say in the PR what it forks and what
+/// deletes it again.
+#[test]
+fn config_field_sets_are_pinned() {
+    let dgl_core::DglConfig {
+        rtree: _,
+        world: _,
+        policy: _,
+        lock: _,
+        maintenance: _,
+        durability,
+        coarse_external_granule: _,
+        hash_reads: _,
+        testing_skip_growth_compensation: _,
+    } = dgl_core::DglConfig::default();
+    let dgl_core::DurabilityConfig {
+        sync: _,
+        checkpoint_threshold: _,
+    } = durability;
+}

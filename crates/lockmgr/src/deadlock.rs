@@ -1,102 +1,155 @@
-//! Waits-for-graph deadlock detection.
+//! Waits-for-graph deadlock detection: the one cycle search and the one
+//! victim rule of the workspace.
 //!
 //! The graph is derived from the lock table on demand (when a transaction
 //! is about to block) rather than maintained incrementally: edges go from
 //! each waiter to (a) every holder whose granted mode is incompatible with
 //! the waiter's requested mode and (b) every waiter queued ahead of it,
 //! because grants are FIFO — a waiter cannot be granted before those ahead
-//! of it, so those edges represent real waiting under our grant policy.
+//! of it, so those edges represent real waiting under our grant policy
+//! ([`LockManager::wait_edges`](crate::LockManager::wait_edges) is the one
+//! place that rule is written).
 //!
-//! Detection runs a DFS from the transaction that is about to block; any
-//! cycle through it means granting would deadlock. The victim is the
-//! youngest (highest-id) non-system member of the cycle: ordinary
-//! transactions can always be rolled back and retried, while the
-//! protocol's post-commit system operations cannot and are spared unless
-//! the whole cycle is system work. A wait timeout in the manager
-//! backstops the (rare) cross-shard race where a cycle forms between two
-//! detection passes.
+//! Who breaks which cycle:
+//!
+//! * A cycle inside one lock table is refused synchronously: the
+//!   [`LockManager`](crate::LockManager) searches for a cycle through the
+//!   transaction that is about to block and aborts the youngest
+//!   (highest-id) non-system member — ordinary transactions can always be
+//!   rolled back and retried, while the protocol's post-commit system
+//!   operations cannot and are spared unless the whole cycle is system
+//!   work.
+//! * A cycle that leaves one table (two or more shards, or through the
+//!   deferred-deletion gate) is found by the protocol layer's detector
+//!   thread, which unions every table's `wait_edges()` into one
+//!   [`WaitForGraph`] over its own node identity and applies
+//!   [`youngest_non_system`] to it.
+//! * The manager's wait timeout is the single backstop behind both.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 use crate::TxnId;
 
-/// A snapshot waits-for graph.
-#[derive(Debug, Default)]
-pub(crate) struct WaitForGraph {
-    edges: HashMap<TxnId, HashSet<TxnId>>,
+/// A snapshot waits-for graph over node identity `K` (a [`TxnId`] inside
+/// one lock table; the detector thread's shard-qualified key across
+/// several).
+#[derive(Debug)]
+pub struct WaitForGraph<K> {
+    /// Successors in insertion order, so a search over the same edges
+    /// explores — and therefore answers — the same way every time.
+    edges: HashMap<K, Vec<K>>,
 }
 
-impl WaitForGraph {
-    pub(crate) fn new() -> Self {
+impl<K> Default for WaitForGraph<K> {
+    fn default() -> Self {
+        Self {
+            edges: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> WaitForGraph<K> {
+    /// An empty graph.
+    pub fn new() -> Self {
         Self::default()
     }
 
     /// Adds an edge `waiter → holder` (ignoring self-edges, which arise
-    /// when a transaction converts its own lock).
-    pub(crate) fn add_edge(&mut self, waiter: TxnId, holder: TxnId) {
-        if waiter != holder {
-            self.edges.entry(waiter).or_default().insert(holder);
+    /// when a transaction converts its own lock, and repeats).
+    pub fn add_edge(&mut self, waiter: K, holder: K) {
+        if waiter == holder {
+            return;
         }
+        let succ = self.edges.entry(waiter).or_default();
+        if !succ.contains(&holder) {
+            succ.push(holder);
+        }
+    }
+
+    /// Forgets `node`'s outgoing edges — it no longer waits (wounded, or
+    /// set aside so a further search can look past a cycle through it).
+    pub fn remove(&mut self, node: &K) {
+        self.edges.remove(node);
     }
 
     /// Whether a cycle through `start` exists.
     #[cfg(test)]
-    pub(crate) fn has_cycle_through(&self, start: TxnId) -> bool {
+    pub(crate) fn has_cycle_through(&self, start: K) -> bool {
         self.cycle_through(start).is_some()
     }
 
-    /// Finds a cycle through `start`, returning its members (including
-    /// `start`), or `None`. Used for victim selection: the lock manager
-    /// aborts the youngest non-system member.
-    pub(crate) fn cycle_through(&self, start: TxnId) -> Option<Vec<TxnId>> {
+    /// Finds a cycle through `start`, returning its members in wait order
+    /// (`start` first; each member waits for the next, the last for
+    /// `start`), or `None`.
+    pub fn cycle_through(&self, start: K) -> Option<Vec<K>> {
         // Iterative DFS from start keeping the current path; a path edge
         // back to start closes a cycle through it.
-        let mut path: Vec<TxnId> = vec![start];
-        // Per path frame: iterator position over successors.
-        let mut frames: Vec<Vec<TxnId>> = vec![self.successors(start)];
-        let mut visited: HashSet<TxnId> = HashSet::new();
-        visited.insert(start);
-        while let Some(frame) = frames.last_mut() {
-            match frame.pop() {
-                Some(next) if next == start => return Some(path.clone()),
-                Some(next) => {
+        let mut path: Vec<K> = vec![start];
+        // Per path frame: the next successor to try.
+        let mut cursor: Vec<usize> = vec![0];
+        let mut visited: HashSet<K> = HashSet::from([start]);
+        while let Some(node) = path.last() {
+            let depth = path.len() - 1;
+            let succ = self.edges.get(node).map_or(&[][..], Vec::as_slice);
+            match succ.get(cursor[depth]) {
+                Some(&next) if next == start => return Some(path),
+                Some(&next) => {
+                    cursor[depth] += 1;
                     if visited.insert(next) {
                         path.push(next);
-                        frames.push(self.successors(next));
+                        cursor.push(0);
                     }
                 }
                 None => {
-                    frames.pop();
                     path.pop();
+                    cursor.pop();
                 }
             }
         }
         None
     }
 
-    fn successors(&self, t: TxnId) -> Vec<TxnId> {
-        self.edges.get(&t).into_iter().flatten().copied().collect()
+    /// Finds one cycle anywhere in the graph: the first
+    /// [`Self::cycle_through`] hit trying waiters in ascending `rank`
+    /// (a deterministic order, so the same edges yield the same cycle).
+    pub fn find_cycle<R: Ord>(&self, rank: impl FnMut(&K) -> R) -> Option<Vec<K>> {
+        let mut starts: Vec<K> = self.edges.keys().copied().collect();
+        starts.sort_by_key(rank);
+        starts.into_iter().find_map(|s| self.cycle_through(s))
     }
 
     #[cfg(test)]
     pub(crate) fn edge_count(&self) -> usize {
-        self.edges.values().map(HashSet::len).sum()
+        self.edges.values().map(Vec::len).sum()
     }
 }
 
-/// Victim selection for a detected cycle: the youngest (highest-id)
-/// member that is *not* a system transaction — system operations (the
-/// protocol's post-commit deferred deletions) cannot be rolled back and
-/// are sacrificed only when the entire cycle is system work.
+/// The victim rule: the youngest (highest-`rank`) cycle member that is
+/// *not* a system transaction — system operations (the protocol's
+/// post-commit deferred deletions) cannot be rolled back. `None` when the
+/// entire cycle is system work; what happens then is the caller's call
+/// (the lock manager sacrifices the youngest system member, the detector
+/// thread wounds nobody).
+pub fn youngest_non_system<K: Copy, R: Ord>(
+    members: &[K],
+    rank: impl Fn(&K) -> R,
+    is_system: impl Fn(&K) -> bool,
+) -> Option<K> {
+    members
+        .iter()
+        .copied()
+        .filter(|k| !is_system(k))
+        .max_by_key(|k| rank(k))
+}
+
+/// [`youngest_non_system`] for a cycle inside one lock table, falling back
+/// to the youngest member when every one is a system transaction.
 ///
 /// `members` must be non-empty (a cycle has at least two members; a
 /// self-edge is filtered out before detection).
 pub(crate) fn select_victim(members: &[TxnId], system: &HashSet<TxnId>) -> TxnId {
-    members
-        .iter()
-        .copied()
-        .filter(|t| !system.contains(t))
-        .max()
+    youngest_non_system(members, |t| *t, |t| system.contains(t))
         .or_else(|| members.iter().copied().max())
         .expect("cycle is non-empty")
 }
@@ -170,6 +223,52 @@ mod tests {
         // All-system cycle: the youngest system member goes.
         let all: HashSet<TxnId> = [t(3), t(9), t(5)].into_iter().collect();
         assert_eq!(select_victim(&[t(3), t(9), t(5)], &all), t(9));
+    }
+
+    /// The detector thread's node identity, in miniature: participants of
+    /// one global transaction collapse into a `Global` node.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    enum Key {
+        Local(usize, u64),
+        Global(u64),
+    }
+
+    #[test]
+    fn find_cycle_reports_members_in_wait_order() {
+        let (a, b, c) = (Key::Local(0, 1), Key::Local(0, 2), Key::Local(1, 3));
+        let mut g = WaitForGraph::new();
+        g.add_edge(a, b);
+        g.add_edge(b, c);
+        g.add_edge(c, a);
+        let cycle = g.find_cycle(|k| *k).expect("three-node cycle");
+        assert_eq!(cycle.len(), 3);
+        for (i, k) in cycle.iter().enumerate() {
+            let next = cycle[(i + 1) % cycle.len()];
+            assert!(g.edges[k].contains(&next), "consecutive members are edges");
+        }
+        // Setting one member aside breaks the only cycle.
+        g.remove(&b);
+        assert!(g.find_cycle(|k| *k).is_none());
+    }
+
+    #[test]
+    fn find_cycle_ignores_acyclic_chains() {
+        let (a, b, c) = (Key::Local(0, 1), Key::Local(0, 2), Key::Global(9));
+        let mut g = WaitForGraph::new();
+        g.add_edge(a, b);
+        g.add_edge(a, c);
+        g.add_edge(b, c);
+        assert!(g.find_cycle(|k| *k).is_none());
+    }
+
+    #[test]
+    fn all_system_cycle_has_no_non_system_victim() {
+        let members = [t(3), t(9), t(5)];
+        assert_eq!(youngest_non_system(&members, |t| *t, |_| true), None);
+        assert_eq!(
+            youngest_non_system(&members, |t| *t, |t| *t == TxnId(9)),
+            Some(t(5))
+        );
     }
 }
 

@@ -27,6 +27,7 @@ mod resource;
 
 // The registry types appear in this crate's public API (`with_obs`,
 // `obs()`); re-exported so dependents can name them.
+pub use deadlock::{youngest_non_system, WaitForGraph};
 pub use dgl_obs;
 pub use manager::{
     obs_res, GrantEntry, LockManager, LockManagerConfig, LockOutcome, ResourceTableEntry, WaitEdge,

@@ -941,31 +941,6 @@ impl LockManager {
         removed
     }
 
-    /// Builds a snapshot waits-for graph. Edges: waiter → incompatible
-    /// holder, waiter → every waiter queued ahead of it (grants are FIFO,
-    /// so those are real waits).
-    fn build_wait_graph(&self) -> WaitForGraph {
-        let mut graph = WaitForGraph::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for state in shard.values() {
-                for (i, w) in state.waiters.iter().enumerate() {
-                    for g in &state.grants {
-                        if g.txn != w.txn && !w.want.compatible(g.mode()) {
-                            graph.add_edge(w.txn, g.txn);
-                        }
-                    }
-                    if !w.conversion {
-                        for ahead in state.waiters.iter().take(i) {
-                            graph.add_edge(w.txn, ahead.txn);
-                        }
-                    }
-                }
-            }
-        }
-        graph
-    }
-
     /// Resolves any waits-for cycles through `txn` by aborting victims.
     /// Returns true if `txn` itself must abort (it was the chosen victim).
     ///
@@ -975,7 +950,10 @@ impl LockManager {
     /// blocked `lock()` call returns [`LockOutcome::Deadlock`]).
     fn resolve_deadlocks(&self, txn: TxnId) -> bool {
         for _ in 0..16 {
-            let graph = self.build_wait_graph();
+            let mut graph = WaitForGraph::new();
+            for e in self.wait_edges() {
+                graph.add_edge(e.waiter, e.holder);
+            }
             let Some(members) = graph.cycle_through(txn) else {
                 return false;
             };

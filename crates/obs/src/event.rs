@@ -17,6 +17,9 @@ pub enum Res {
     Object(u64),
     /// The whole-tree resource.
     Tree,
+    /// The deferred-deletion gate — not a lock-manager resource, but a
+    /// thing lock holders wait on (stall watchdog evidence).
+    Gate,
 }
 
 impl std::fmt::Display for Res {
@@ -25,6 +28,7 @@ impl std::fmt::Display for Res {
             Res::Page(p) => write!(f, "page:P{p}"),
             Res::Object(o) => write!(f, "obj:{o}"),
             Res::Tree => write!(f, "tree"),
+            Res::Gate => write!(f, "gate"),
         }
     }
 }

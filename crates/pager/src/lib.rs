@@ -1,4 +1,4 @@
-//! Paged node storage with I/O accounting and an LRU buffer-pool model.
+//! Paged node storage with I/O accounting, and Table 2's buffer-pool model.
 //!
 //! The ICDE-98 paper evaluates its protocol in terms of *disk page
 //! accesses* (Table 2) and argues, via the five-minute rule, that the top
@@ -11,9 +11,13 @@
 //!   type flows into the lock manager.
 //! * [`Store`] — a slotted in-memory page store with stable ids, free-list
 //!   reuse, and per-access accounting.
-//! * [`IoStats`] / [`BufferPool`] — logical-read counters plus an LRU
-//!   residency model of configurable capacity that classifies each logical
-//!   read as a buffer hit or a simulated disk read.
+//! * [`IoStats`] — logical-read, write and allocation counters of a
+//!   store.
+//! * [`BufferPool`] — a stand-alone LRU residency model of configurable
+//!   capacity. No store embeds it: its one consumer is the Table 2
+//!   experiment, which replays each insert's page accesses through a pool
+//!   sized to the tree's top levels to classify them as buffer hits or
+//!   simulated disk reads.
 //! * [`codec`] — a fixed-size page serialization layer (see
 //!   [`codec::PagePayload`]) so trees can be checkpointed to byte pages and
 //!   reloaded, as a real access method would.

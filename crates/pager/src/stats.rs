@@ -2,9 +2,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dgl_obs::{Ctr, Registry};
-use parking_lot::Mutex;
-
-use crate::{BufferPool, PageId};
 
 /// Page reads are mirrored into the observability registry once per this
 /// many local reads (power of two). Writes are rare enough to mirror
@@ -13,18 +10,16 @@ const OBS_READ_BATCH: u64 = 64;
 
 /// I/O accounting for a page store.
 ///
-/// Logical reads are counted with relaxed atomics so read paths stay cheap;
-/// the optional buffer model (a [`BufferPool`] behind a mutex) additionally
-/// classifies each read as a hit or a simulated disk read. Experiments that
-/// need per-phase numbers take a [`StatsSnapshot`] before and after and
-/// subtract.
+/// Logical reads are counted with relaxed atomics so read paths stay
+/// cheap. Whether a read would have hit a buffer pool is not this type's
+/// question: Table 2 replays its traversals through a stand-alone
+/// [`BufferPool`](crate::BufferPool). Experiments that need per-phase
+/// numbers take a [`StatsSnapshot`] before and after and subtract.
 #[derive(Debug)]
 pub struct IoStats {
     logical_reads: AtomicU64,
-    disk_reads: AtomicU64,
     writes: AtomicU64,
     allocations: AtomicU64,
-    buffer: Option<Mutex<BufferPool>>,
     /// Workspace observability registry, attached (at most once) by the
     /// index that owns this store. Writes mirror into its `page_writes`
     /// counter exactly; reads mirror into `page_reads` in batches of
@@ -37,9 +32,6 @@ pub struct IoStats {
 pub struct StatsSnapshot {
     /// Total page reads issued.
     pub logical_reads: u64,
-    /// Reads that missed the buffer model (equals `logical_reads` when no
-    /// buffer model is attached: every access is assumed to touch disk).
-    pub disk_reads: u64,
     /// Page writes (mutable accesses).
     pub writes: u64,
     /// Pages allocated.
@@ -51,7 +43,6 @@ impl StatsSnapshot {
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             logical_reads: self.logical_reads - earlier.logical_reads,
-            disk_reads: self.disk_reads - earlier.disk_reads,
             writes: self.writes - earlier.writes,
             allocations: self.allocations - earlier.allocations,
         }
@@ -59,14 +50,12 @@ impl StatsSnapshot {
 }
 
 impl IoStats {
-    /// Accounting without a buffer model: every read counts as a disk read.
+    /// Fresh counters, no registry attached.
     pub fn new() -> Self {
         Self {
             logical_reads: AtomicU64::new(0),
-            disk_reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             allocations: AtomicU64::new(0),
-            buffer: None,
             obs: OnceLock::new(),
         }
     }
@@ -79,15 +68,7 @@ impl IoStats {
         let _ = self.obs.set(obs);
     }
 
-    /// Accounting with an LRU buffer model of `buffer_pages` pages.
-    pub fn with_buffer(buffer_pages: usize) -> Self {
-        Self {
-            buffer: Some(Mutex::new(BufferPool::new(buffer_pages))),
-            ..Self::new()
-        }
-    }
-
-    pub(crate) fn record_read(&self, page: PageId) {
+    pub(crate) fn record_read(&self) {
         // Mirror into the registry in batches of 64: the read path is the
         // hottest counter in the workspace (~20 page touches per scan), so
         // the per-read cost must stay one branch on a value we already
@@ -99,16 +80,6 @@ impl IoStats {
                 obs.add(Ctr::PageReads, OBS_READ_BATCH);
             }
         }
-        match &self.buffer {
-            Some(pool) => {
-                if pool.lock().access(page) {
-                    self.disk_reads.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                self.disk_reads.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     pub(crate) fn record_write(&self) {
@@ -118,36 +89,22 @@ impl IoStats {
         }
     }
 
-    pub(crate) fn record_alloc(&self, page: PageId) {
+    pub(crate) fn record_alloc(&self) {
         self.allocations.fetch_add(1, Ordering::Relaxed);
-        // A freshly allocated page is created in the buffer pool (it is
-        // dirty there); it does not need a disk read to be accessed.
-        if let Some(pool) = &self.buffer {
-            pool.lock().access(page);
-        }
-    }
-
-    pub(crate) fn record_free(&self, page: PageId) {
-        if let Some(pool) = &self.buffer {
-            pool.lock().evict(page);
-        }
     }
 
     /// Copies the current counter values.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             logical_reads: self.logical_reads.load(Ordering::Relaxed),
-            disk_reads: self.disk_reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             allocations: self.allocations.load(Ordering::Relaxed),
         }
     }
 
-    /// Resets all counters to zero (the buffer residency state is kept, so
-    /// a warmed-up pool stays warm across experiment phases).
+    /// Resets all counters to zero.
     pub fn reset(&self) {
         self.logical_reads.store(0, Ordering::Relaxed);
-        self.disk_reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
         self.allocations.store(0, Ordering::Relaxed);
     }
@@ -164,47 +121,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn without_buffer_every_read_is_a_disk_read() {
+    fn every_read_is_counted_and_reset_zeroes() {
         let stats = IoStats::new();
-        stats.record_read(PageId(1));
-        stats.record_read(PageId(1));
-        let s = stats.snapshot();
-        assert_eq!(s.logical_reads, 2);
-        assert_eq!(s.disk_reads, 2);
-    }
-
-    #[test]
-    fn with_buffer_repeat_reads_hit() {
-        let stats = IoStats::with_buffer(8);
-        stats.record_read(PageId(1));
-        stats.record_read(PageId(1));
-        stats.record_read(PageId(2));
-        let s = stats.snapshot();
-        assert_eq!(s.logical_reads, 3);
-        assert_eq!(s.disk_reads, 2, "only cold reads hit disk");
+        stats.record_read();
+        stats.record_read();
+        assert_eq!(stats.snapshot().logical_reads, 2);
+        stats.reset();
+        assert_eq!(stats.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn snapshot_since_subtracts() {
         let stats = IoStats::new();
-        stats.record_read(PageId(1));
+        stats.record_read();
         let before = stats.snapshot();
-        stats.record_read(PageId(2));
+        stats.record_read();
         stats.record_write();
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.logical_reads, 1);
         assert_eq!(delta.writes, 1);
-    }
-
-    #[test]
-    fn reset_keeps_buffer_warm() {
-        let stats = IoStats::with_buffer(8);
-        stats.record_read(PageId(1));
-        stats.reset();
-        stats.record_read(PageId(1));
-        let s = stats.snapshot();
-        assert_eq!(s.logical_reads, 1);
-        assert_eq!(s.disk_reads, 0, "page stayed resident across reset");
     }
 
     #[test]
@@ -213,8 +148,8 @@ mod tests {
         let reg = Arc::new(Registry::new());
         stats.attach_obs(Arc::clone(&reg));
         // Reads mirror in batches of OBS_READ_BATCH; writes are exact.
-        for i in 0..3 * OBS_READ_BATCH + 7 {
-            stats.record_read(PageId(i));
+        for _ in 0..3 * OBS_READ_BATCH + 7 {
+            stats.record_read();
         }
         stats.record_write();
         let snap = reg.snapshot();
@@ -225,15 +160,5 @@ mod tests {
         );
         assert_eq!(snap.ctr(Ctr::PageWrites), 1);
         assert_eq!(stats.snapshot().logical_reads, 3 * OBS_READ_BATCH + 7);
-    }
-
-    #[test]
-    fn freeing_evicts_from_buffer() {
-        let stats = IoStats::with_buffer(8);
-        stats.record_read(PageId(1));
-        stats.record_free(PageId(1));
-        stats.reset();
-        stats.record_read(PageId(1));
-        assert_eq!(stats.snapshot().disk_reads, 1);
     }
 }

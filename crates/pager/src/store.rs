@@ -42,24 +42,13 @@ impl<T> Default for Store<T> {
 }
 
 impl<T> Store<T> {
-    /// Creates an empty store with accounting enabled (no buffer model).
+    /// Creates an empty store with accounting enabled.
     pub fn new() -> Self {
         Self {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             stats: IoStats::new(),
-        }
-    }
-
-    /// Creates an empty store whose reads are classified against an LRU
-    /// buffer pool of `buffer_pages` pages.
-    pub fn with_buffer(buffer_pages: usize) -> Self {
-        Self {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            stats: IoStats::with_buffer(buffer_pages),
         }
     }
 
@@ -121,7 +110,7 @@ impl<T> Store<T> {
             self.slots.push(Some(payload));
             PageId(self.slots.len() as u64 - 1)
         };
-        self.stats.record_alloc(id);
+        self.stats.record_alloc();
         id
     }
 
@@ -137,7 +126,6 @@ impl<T> Store<T> {
         let payload = slot.take().unwrap_or_else(|| panic!("double free of {id}"));
         self.free.push(id.0);
         self.live -= 1;
-        self.stats.record_free(id);
         payload
     }
 
@@ -149,7 +137,7 @@ impl<T> Store<T> {
         // Failpoint (delay flavor): models a buffer-pool miss that has to
         // wait for disk, stretching latch hold times under chaos.
         dgl_faults::failpoint!("pager/read");
-        self.stats.record_read(id);
+        self.stats.record_read();
         self.slots
             .get(id.0 as usize)
             .and_then(Option::as_ref)
@@ -170,7 +158,7 @@ impl<T> Store<T> {
 
     /// Mutably reads a page, counting the access as a read plus a write.
     pub fn read_mut(&mut self, id: PageId) -> &mut T {
-        self.stats.record_read(id);
+        self.stats.record_read();
         self.stats.record_write();
         self.slots
             .get_mut(id.0 as usize)

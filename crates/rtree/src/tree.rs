@@ -107,21 +107,6 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Like [`RTree::new`] but reads are classified against an LRU buffer
-    /// model of `buffer_pages` pages (Table 2 experiments).
-    pub fn with_buffer(config: RTreeConfig, world: Rect<D>, buffer_pages: usize) -> Self {
-        let mut store = Store::with_buffer(buffer_pages);
-        let root = store.alloc(Node::new(0));
-        Self {
-            store,
-            root,
-            world,
-            config,
-            object_count: 0,
-            version: 0,
-        }
-    }
-
     /// Reassembles a tree from restored parts (checkpoint restore).
     pub(crate) fn from_parts(
         store: Store<Node<D>>,

@@ -246,24 +246,6 @@ fn io_stats_count_insert_traversals() {
 }
 
 #[test]
-fn buffered_tree_classifies_hits() {
-    let mut t = RTree2::with_buffer(RTreeConfig::with_fanout(8), Rect::unit(), 1024);
-    for (i, rect) in gen_rects(200, 51).iter().enumerate() {
-        t.insert(ObjectId(i as u64), *rect);
-    }
-    t.io_stats().reset();
-    // Re-searching with a huge buffer: everything resident, no disk reads.
-    let _ = t.search(&Rect::unit());
-    let _ = t.search(&Rect::unit());
-    let snap = t.io_stats().snapshot();
-    assert!(snap.logical_reads > 0);
-    assert_eq!(
-        snap.disk_reads, 0,
-        "with all pages resident the second pass must be hit-only"
-    );
-}
-
-#[test]
 fn version_bumps_on_every_structural_mutation() {
     let mut t = small_tree(4);
     assert_eq!(t.version(), 0);

@@ -29,6 +29,7 @@ use dgl_core::{
     ShardedDglRTree, ShardingConfig, TransactionalRTree,
 };
 use dgl_faults::FaultSpec;
+use dgl_lockmgr::LockManagerConfig;
 use dgl_obs::Ctr;
 use dgl_rtree::RTreeConfig;
 use dgl_workload::{drive, DriveConfig, DriveReport, OpMix, OpStream};
@@ -132,7 +133,10 @@ fn chaos_run(seed: u64) {
         policy: InsertPolicy::Modified,
         // Short waits: injected delays and panic recovery must never
         // stretch into a hang; timeouts are retried by the executor.
-        wait_timeout: Some(Duration::from_millis(250)),
+        lock: LockManagerConfig {
+            wait_timeout: Duration::from_millis(250),
+            ..Default::default()
+        },
         maintenance: MaintenanceConfig {
             mode: MaintenanceMode::Background,
             ..Default::default()
@@ -289,7 +293,10 @@ fn chaos_sharded_run(seed: u64) {
             // the detector in milliseconds; this bound exists so a
             // stalled detector (the failpoint below) cannot wedge the
             // storm. Timeout retries are budget-free in the executor.
-            wait_timeout: Some(Duration::from_millis(250)),
+            lock: LockManagerConfig {
+                wait_timeout: Duration::from_millis(250),
+                ..Default::default()
+            },
             maintenance: MaintenanceConfig {
                 mode: MaintenanceMode::Background,
                 ..Default::default()
@@ -301,7 +308,6 @@ fn chaos_sharded_run(seed: u64) {
             max_object_extent: 0.05,
         },
     );
-    assert!(db.detector_active(), "detector armed for this leg");
 
     let fires_before = dgl_faults::total_fires();
     let mut schedule = arm_schedule(seed);

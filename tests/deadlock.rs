@@ -11,14 +11,32 @@
 //! proper `TxnError::Deadlock` verdict.
 //!
 //! These tests build the classic crossing-lock-order deadlock over the
-//! public API and assert the new contract: exactly one `Deadlock`
-//! victim, zero `Timeout` aborts, survivor commits.
+//! public API and assert the contract: exactly one `Deadlock` victim,
+//! zero `Timeout` aborts, survivor commits — and pin the rest of the
+//! cycle-breaking policy around it: a cycle inside one shard is its lock
+//! manager's alone, the wait timeout backs the detector thread up, and
+//! the watchdog reports long lock and gate waits without aborting anyone.
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dgl_core::{DglConfig, Rect2, ShardedDglRTree, ShardingConfig, TransactionalRTree, TxnError};
+use dgl_core::{
+    DglConfig, DglRTree, Rect2, ShardedDglRTree, ShardingConfig, SnapshotReadRTree,
+    TransactionalRTree, TxnError,
+};
+use dgl_faults::FaultSpec;
+use dgl_lockmgr::LockManagerConfig;
 use dgl_obs::Ctr;
 use dgl_rtree::ObjectId;
+
+/// The fault registry is process-global and two tests here arm it (one
+/// switches every detector pass off): the tests of this file run one at a
+/// time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Small rectangle centered on (cx, cy) — routes by its center cell.
 fn around(cx: f64, cy: f64) -> Rect2 {
@@ -43,10 +61,28 @@ fn sharded() -> ShardedDglRTree {
 const REGION_A: (f64, f64) = (0.75, 0.25); // shard 1
 const REGION_B: (f64, f64) = (0.25, 0.75); // shard 2
 
+type Verdict = Result<(), TxnError>;
+
+/// T1 inserts object 3 into region `into1` on a thread of its own; once it
+/// has had time to park, T2 inserts object 4 into `into2` here — so the
+/// two lock orders genuinely cross.
+fn crossing_inserts(
+    db: &ShardedDglRTree,
+    (t1, into1): (dgl_core::TxnId, (f64, f64)),
+    (t2, into2): (dgl_core::TxnId, (f64, f64)),
+) -> (Verdict, Verdict) {
+    std::thread::scope(|s| {
+        let h1 = s.spawn(move || db.insert(t1, ObjectId(3), around(into1.0, into1.1)));
+        std::thread::sleep(Duration::from_millis(20));
+        let r2 = db.insert(t2, ObjectId(4), around(into2.0, into2.1));
+        (h1.join().expect("T1 thread"), r2)
+    })
+}
+
 #[test]
 fn cross_shard_cycle_wounds_one_victim_with_deadlock_not_timeout() {
+    let _serial = serial();
     let db = sharded();
-    assert!(db.detector_active(), "detector on by default");
 
     // Committed seed objects so the scans hold real granule locks.
     let setup = db.begin();
@@ -70,14 +106,7 @@ fn cross_shard_cycle_wounds_one_victim_with_deadlock_not_timeout() {
     // T2 into A (blocks behind T1's S on shard 1). Classic distributed
     // deadlock — no single shard ever sees the cycle.
     let started = Instant::now();
-    let (r1, r2) = std::thread::scope(|s| {
-        let db1 = &db;
-        let h1 = s.spawn(move || db1.insert(t1, ObjectId(3), around(REGION_B.0, REGION_B.1)));
-        // Give T1 time to park so the lock orders genuinely cross.
-        std::thread::sleep(Duration::from_millis(20));
-        let r2 = db.insert(t2, ObjectId(4), around(REGION_A.0, REGION_A.1));
-        (h1.join().expect("T1 thread"), r2)
-    });
+    let (r1, r2) = crossing_inserts(&db, (t1, REGION_B), (t2, REGION_A));
     let elapsed = started.elapsed();
 
     // Exactly one victim, wounded with Deadlock — and fast: the
@@ -124,6 +153,7 @@ fn watchdog_flags_a_long_stall_without_aborting_anyone() {
     // spurious `Timeout` abort by the old tight cross-shard wait
     // timeout. The watchdog's contract is report-only: counter, event,
     // merged lock-table dump — and the waiter keeps waiting.
+    let _serial = serial();
     let dump_path = match std::env::var("DGL_WATCHDOG_DUMP") {
         Ok(p) if !p.is_empty() => std::path::PathBuf::from(p),
         _ => {
@@ -135,7 +165,6 @@ fn watchdog_flags_a_long_stall_without_aborting_anyone() {
     };
 
     let db = sharded();
-    assert!(db.detector_active());
     let setup = db.begin();
     db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
         .unwrap();
@@ -192,6 +221,7 @@ fn commit_time_maintenance_cannot_close_a_cross_shard_cycle() {
     // reliably under the old ordering (progress only via 10 s wait
     // timeouts); under the fix it completes quickly with zero timeout
     // verdicts — genuine cross-shard cycles are wounded as deadlocks.
+    let _serial = serial();
     let db = std::sync::Arc::new(ShardedDglRTree::new(
         DglConfig::default(),
         ShardingConfig {
@@ -264,14 +294,109 @@ fn commit_time_maintenance_cannot_close_a_cross_shard_cycle() {
 }
 
 #[test]
+fn single_shard_cycle_is_claimed_by_the_lock_manager_alone() {
+    // The ownership rule: a cycle wholly inside one shard's lock table is
+    // refused by that shard's lock manager at block time; the detector
+    // thread sees the same edges and must not claim a second victim.
+    let _serial = serial();
+    let db = sharded();
+    let setup = db.begin();
+    db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
+        .unwrap();
+    db.commit(setup).unwrap();
+
+    // Both scan region A (compatible S locks on shard 1's granules), then
+    // both insert into it: each IX waits behind the other's S.
+    let t1 = db.begin();
+    let t2 = db.begin();
+    db.read_scan(t1, around(REGION_A.0, REGION_A.1)).unwrap();
+    db.read_scan(t2, around(REGION_A.0, REGION_A.1)).unwrap();
+    let (r1, r2) = crossing_inserts(&db, (t1, REGION_A), (t2, REGION_A));
+
+    let deadlocks = [&r1, &r2]
+        .iter()
+        .filter(|r| matches!(r, Err(TxnError::Deadlock)))
+        .count();
+    assert_eq!(deadlocks, 1, "exactly one victim: r1={r1:?} r2={r2:?}");
+    for (t, r) in [(t1, r1), (t2, r2)] {
+        if r.is_ok() {
+            db.commit(t).expect("survivor commits");
+        }
+    }
+    // Let the thread run a few passes over whatever it snapshotted.
+    std::thread::sleep(Duration::from_millis(20));
+    let obs = db.obs_snapshot();
+    assert_eq!(obs.ctr(Ctr::LockDeadlocks), 1, "the shard's verdict");
+    assert_eq!(obs.ctr(Ctr::GlobalDeadlocks), 0, "not the thread's cycle");
+    assert_eq!(obs.ctr(Ctr::LockTimeouts), 0);
+    db.validate().unwrap();
+}
+
+#[test]
+fn watchdog_flags_a_long_gate_wait_without_aborting_anyone() {
+    // A checkpoint holds the deferred-deletion gate exclusively as nobody's
+    // transaction — no holder, so no wait-for edge. A lock holder's watched
+    // gate wait behind it is unbounded, so it must not be able to park
+    // without a counter moving: the watchdog flags it; nobody is aborted.
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("dgl-gate-stall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = SnapshotReadRTree::new(DglRTree::open(&dir, DglConfig::default()).expect("open"));
+    let setup = db.begin();
+    db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
+        .unwrap();
+    db.commit(setup).unwrap();
+
+    // The checkpoint sleeps between its cut and its snapshot write, gate
+    // held, well past the 50 ms stall threshold.
+    let _slow = dgl_faults::register(
+        "wal/checkpoint",
+        FaultSpec::delay(Duration::from_millis(300)).nth(1),
+    );
+    // A writer: its reads take the watched gate wait.
+    let txn = db.begin();
+    db.insert(txn, ObjectId(2), around(REGION_B.0, REGION_B.1))
+        .unwrap();
+    let hits = std::thread::scope(|s| {
+        let ckpt = s.spawn(|| db.inner().checkpoint());
+        while dgl_faults::site_stats("wal/checkpoint").map_or(0, |(_, fires)| fires) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let hits = db.read_scan(txn, Rect2::unit());
+        ckpt.join().expect("checkpoint thread").expect("checkpoint");
+        hits
+    });
+    let hits = hits.expect("the scan outlasts the checkpoint");
+    assert_eq!(hits.len(), 1, "the committed prefix at the snapshot");
+    db.commit(txn).unwrap();
+
+    let obs = db.inner().obs();
+    assert!(
+        obs.ctr(Ctr::WatchdogStalls) >= 1,
+        "the gate wait must have been flagged"
+    );
+    assert_eq!(obs.ctr(Ctr::GlobalDeadlocks), 0, "no cycle, no victim");
+    assert_eq!(obs.ctr(Ctr::LockDeadlocks), 0);
+    assert_eq!(obs.ctr(Ctr::LockTimeouts), 0, "report-only: nobody aborted");
+    db.validate().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn detector_disabled_falls_back_to_the_wait_timeout() {
-    // With the detector off the cycle is only broken by the per-shard
-    // wait timeout — the historical behavior, kept reachable for
-    // comparison runs. Use a short timeout so the test stays fast.
+    // The one backstop backs up the one detector: with every detector pass
+    // skipped (the `deadlock/detector-stall` failpoint in its error form)
+    // the cross-shard cycle is only broken by the lock-wait timeout. Use a
+    // short timeout so the test stays fast.
+    let _serial = serial();
+    let _off = dgl_faults::register("deadlock/detector-stall", FaultSpec::error());
     let db = ShardedDglRTree::new(
         DglConfig {
-            global_detector: false,
-            wait_timeout: Some(Duration::from_millis(100)),
+            lock: LockManagerConfig {
+                wait_timeout: Duration::from_millis(100),
+                ..LockManagerConfig::default()
+            },
             ..DglConfig::default()
         },
         ShardingConfig {
@@ -279,7 +404,6 @@ fn detector_disabled_falls_back_to_the_wait_timeout() {
             max_object_extent: 0.05,
         },
     );
-    assert!(!db.detector_active());
 
     let setup = db.begin();
     db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
@@ -293,16 +417,14 @@ fn detector_disabled_falls_back_to_the_wait_timeout() {
     db.read_scan(t1, around(REGION_A.0, REGION_A.1)).unwrap();
     db.read_scan(t2, around(REGION_B.0, REGION_B.1)).unwrap();
 
-    let (r1, r2) = std::thread::scope(|s| {
-        let db1 = &db;
-        let h1 = s.spawn(move || db1.insert(t1, ObjectId(3), around(REGION_B.0, REGION_B.1)));
-        std::thread::sleep(Duration::from_millis(20));
-        let r2 = db.insert(t2, ObjectId(4), around(REGION_A.0, REGION_A.1));
-        (h1.join().expect("T1 thread"), r2)
-    });
+    let (r1, r2) = crossing_inserts(&db, (t1, REGION_B), (t2, REGION_A));
 
     // At least one side must have been timed out (both may be — that is
     // exactly the spurious-double-abort risk the detector removes).
+    assert!(
+        dgl_faults::site_stats("deadlock/detector-stall").is_some_and(|(_, fires)| fires > 0),
+        "the detector thread ran, and skipped its passes"
+    );
     assert!(
         matches!(r1, Err(TxnError::Timeout)) || matches!(r2, Err(TxnError::Timeout)),
         "timeout fallback must break the cycle: r1={r1:?} r2={r2:?}"

@@ -13,6 +13,7 @@ use granular_rtree::core::{
     DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
     SyncPolicy, TransactionalRTree, TxnError,
 };
+use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::Ctr;
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
@@ -51,13 +52,15 @@ fn config(sync: SyncPolicy) -> DglConfig {
     DglConfig {
         rtree: RTreeConfig::with_fanout(6),
         policy: InsertPolicy::Modified,
-        wait_timeout: Some(Duration::from_millis(500)),
+        lock: LockManagerConfig {
+            wait_timeout: Duration::from_millis(500),
+            ..Default::default()
+        },
         maintenance: MaintenanceConfig {
             mode: MaintenanceMode::Background,
             ..Default::default()
         },
         durability: DurabilityConfig {
-            enabled: true,
             sync,
             checkpoint_threshold: None,
         },

@@ -16,6 +16,7 @@ use dgl_server::{Backend, Server, ServerConfig};
 use granular_rtree::core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
 };
+use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::rtree::RTreeConfig;
 
 /// The fault registry is process-global: runs must not overlap.
@@ -87,7 +88,10 @@ fn injected_faults_surface_as_typed_errors_not_drops() {
     let backend = Backend::Single(DglRTree::new(DglConfig {
         rtree: RTreeConfig::with_fanout(5),
         policy: InsertPolicy::Modified,
-        wait_timeout: Some(Duration::from_millis(250)),
+        lock: LockManagerConfig {
+            wait_timeout: Duration::from_millis(250),
+            ..Default::default()
+        },
         maintenance: MaintenanceConfig {
             mode: MaintenanceMode::Inline,
             ..Default::default()

@@ -35,6 +35,7 @@ use granular_rtree::core::{
     DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
     SyncPolicy, TransactionalRTree, TxnError,
 };
+use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::Ctr;
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
@@ -139,13 +140,15 @@ fn durable_config(sync: SyncPolicy, maint: MaintenanceMode, threshold: Option<u6
     DglConfig {
         rtree: RTreeConfig::with_fanout(5),
         policy: InsertPolicy::Modified,
-        wait_timeout: Some(Duration::from_millis(500)),
+        lock: LockManagerConfig {
+            wait_timeout: Duration::from_millis(500),
+            ..Default::default()
+        },
         maintenance: MaintenanceConfig {
             mode: maint,
             ..Default::default()
         },
         durability: DurabilityConfig {
-            enabled: true,
             sync,
             checkpoint_threshold: threshold,
         },
