@@ -4,25 +4,19 @@
 //! What breaks a lock cycle is one policy (DESIGN.md §12 has the table):
 //! a cycle inside one lock table is refused by that `LockManager` at block
 //! time; a cycle that leaves one table is wounded here; the lock-wait
-//! timeout backstops both; the watchdog only reports. Two kinds of waits
-//! leave a table:
-//!
-//! * **Cross-shard lock cycles** — T1 holds a granule on shard A and
-//!   waits on shard B while T2 holds B and waits on A. Each shard sees
-//!   one edge of the cycle; neither sees a cycle.
-//! * **Gate cycles** — a deferred physical deletion holds the
-//!   system-operation gate exclusively *across its own lock waits*,
-//!   while a lock-holding transaction waits for shared gate access. The
-//!   gate is not a lock-manager resource, so the cycle (system op waits
-//!   for T's granule lock, T waits for the gate) is invisible to the lock
-//!   manager.
+//! timeout backstops both; the watchdog only reports. A cycle leaves a
+//! table only across shards: T1 holds a granule on shard A and waits on
+//! shard B while T2 holds B and waits on A. Each shard sees one edge of
+//! the cycle; neither sees a cycle. (Every wait in the system is a
+//! lock-manager wait — snapshot reads wait for nobody, and the
+//! system-operation gate is private to system operations and checkpoints
+//! — so there is no other kind of edge to union.)
 //!
 //! [`GlobalDetector`] owns a background thread that periodically unions
 //! every source into one [`WaitForGraph`]:
 //!
 //! * `LockManager::wait_edges()` from every shard (waiter → each
 //!   transaction it cannot be granted before);
-//! * gate edges from `DglCore::gate_waiters` → `DglCore::gate_holder`;
 //! * 2PC session identity from the router: per-shard participant ids of
 //!   one global transaction collapse into a single `Key::Global` node
 //!   (including sessions mid-commit, whose participant union must stay
@@ -31,21 +25,19 @@
 //! The cycle search and the youngest-non-system victim rule are the lock
 //! manager's (`dgl_lockmgr::{WaitForGraph, youngest_non_system}`); what is
 //! decided here is the node identity and its rank ([`Key`]), the
-//! *ownership rule* — only cycles whose edges span ≥ 2 shards or include a
-//! gate edge are wounded, because a single-table cycle already cost its
-//! lock manager a victim — and [`WOUND_QUIET`]. A wound is
-//! `LockManager::cancel_and_poison`: it unparks the victim's blocked
-//! `lock()` with a [`LockOutcome::Deadlock`](dgl_lockmgr::LockOutcome)
-//! verdict (or, for a gate wait, surfaces through
-//! `LockManager::take_poison`). The victim rolls back through the
-//! ordinary deadlock path; everyone else keeps waiting and is granted
+//! *ownership rule* — only cycles whose edges span ≥ 2 shards are wounded,
+//! because a single-table cycle already cost its lock manager a victim —
+//! and [`WOUND_QUIET`]. A wound is `LockManager::cancel_and_poison`: it
+//! unparks the victim's blocked `lock()` with a
+//! [`LockOutcome::Deadlock`](dgl_lockmgr::LockOutcome) verdict (or marks
+//! it for its next unconditional request). The victim rolls back through
+//! the ordinary deadlock path; everyone else keeps waiting and is granted
 //! moments later.
 //!
-//! Long waits with **no** cycle — on a lock or on the gate, whoever holds
-//! it — are not aborted: the stall watchdog flags them (counter + event +
-//! an optional merged lock-table dump to the file named by
-//! `DGL_WATCHDOG_DUMP`) and lets them keep waiting — a stall is
-//! diagnosed, not punished with a spurious abort.
+//! Long lock waits with **no** cycle are not aborted: the stall watchdog
+//! flags them (counter + event + an optional merged lock-table dump to the
+//! file named by `DGL_WATCHDOG_DUMP`) and lets them keep waiting — a stall
+//! is diagnosed, not punished with a spurious abort.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -65,8 +57,7 @@ use super::DglCore;
 pub(crate) const STALL_THRESHOLD: Duration = Duration::from_millis(50);
 
 /// Detection pass cadence. A genuine deadlock therefore costs a few
-/// milliseconds instead of a 50 ms timeout (and instead of the 10 s
-/// lock-manager backstop for gate cycles).
+/// milliseconds instead of the 10 s lock-manager backstop.
 const DETECT_INTERVAL: Duration = Duration::from_millis(2);
 
 /// A wounded victim suppresses re-wounding of cycles it appears in for
@@ -129,16 +120,12 @@ impl Key {
 /// One wait seen by a pass, with its provenance.
 struct Wait {
     from: Key,
-    /// Whom it waits for: a grant holder or a waiter queued ahead, or the
-    /// gate's registered holder. `None` for a gate wait with no registered
-    /// holder (a checkpoint holds the gate as nobody's transaction) — no
-    /// graph edge, but still the watchdog's business.
-    to: Option<Key>,
-    /// [`Res::Gate`] marks a gate wait.
+    /// Whom it waits for: a grant holder or a waiter queued ahead.
+    to: Key,
     res: Res,
     waited: Duration,
-    /// The raw (shard, local id) of the waiter: the lock table (or gate)
-    /// the wait is on, and the watchdog's identity for it.
+    /// The raw (shard, local id) of the waiter: the lock table the wait
+    /// is on, and the watchdog's identity for it.
     raw_waiter: (usize, TxnId),
 }
 
@@ -147,10 +134,9 @@ struct Shared {
     shutdown: Mutex<bool>,
     cv: Condvar,
     cores: Vec<Arc<DglCore>>,
-    sessions: Option<Arc<Mutex<SessionMap>>>,
-    committing: Option<Arc<Mutex<CommittingMap>>>,
-    /// Where victim/stall counters and events land: the router registry
-    /// for a sharded index, the tree's own registry for a single tree.
+    sessions: Arc<Mutex<SessionMap>>,
+    committing: Arc<Mutex<CommittingMap>>,
+    /// Where victim/stall counters and events land: the router registry.
     obs: Arc<Registry>,
 }
 
@@ -180,29 +166,12 @@ impl std::fmt::Debug for GlobalDetector {
 }
 
 impl GlobalDetector {
-    /// Detector for a standalone tree: lock edges + gate edges, no
-    /// session union. Only gate cycles are wounded (pure lock cycles
-    /// stay owned by the lock manager's own detector).
-    pub(crate) fn spawn_single(core: Arc<DglCore>) -> Self {
-        let obs = Arc::clone(&core.obs);
-        Self::spawn(vec![core], None, None, obs)
-    }
-
-    /// Unified detector for a sharded index: every shard's lock edges
-    /// and gate edges, collapsed over the router's session identity.
-    pub(crate) fn spawn_sharded(
+    /// Unified detector for a sharded index: every shard's lock edges,
+    /// collapsed over the router's session identity.
+    pub(crate) fn spawn(
         cores: Vec<Arc<DglCore>>,
         sessions: Arc<Mutex<SessionMap>>,
         committing: Arc<Mutex<CommittingMap>>,
-        obs: Arc<Registry>,
-    ) -> Self {
-        Self::spawn(cores, Some(sessions), Some(committing), obs)
-    }
-
-    fn spawn(
-        cores: Vec<Arc<DglCore>>,
-        sessions: Option<Arc<Mutex<SessionMap>>>,
-        committing: Option<Arc<Mutex<CommittingMap>>>,
         obs: Arc<Registry>,
     ) -> Self {
         let shared = Arc::new(Shared {
@@ -268,11 +237,7 @@ fn run_pass(shared: &Shared, state: &mut PassState) {
         .retain(|_, at| now.saturating_duration_since(*at) < WOUND_QUIET);
 
     // Cheap skip: nothing is waiting anywhere.
-    let busy = shared
-        .cores
-        .iter()
-        .any(|c| c.lm.waiter_count() > 0 || !c.gate_waiters.lock().is_empty());
-    if !busy {
+    if shared.cores.iter().all(|c| c.lm.waiter_count() == 0) {
         state.stall_flagged.clear();
         return;
     }
@@ -290,40 +255,24 @@ fn run_pass(shared: &Shared, state: &mut PassState) {
         for e in core.lm.wait_edges() {
             waits.push(Wait {
                 from: canon(i, e.waiter),
-                to: Some(canon(i, e.holder)),
+                to: canon(i, e.holder),
                 res: obs_res(e.res),
                 waited: e.waited,
                 raw_waiter: (i, e.waiter),
             });
         }
-        // Gate waits: every registered gate waiter waits on the system
-        // transaction holding the gate exclusively, if one is registered.
-        // Snapshot the holder first — a waiter observed after the holder
-        // cleared simply yields no edge this pass.
-        let holder = *core.gate_holder.lock();
-        for (w, since) in core.gate_waiters.lock().iter() {
-            waits.push(Wait {
-                from: canon(i, *w),
-                to: holder.map(|h| Key::Local(i, h)),
-                res: Res::Gate,
-                waited: now.saturating_duration_since(*since),
-                raw_waiter: (i, *w),
-            });
-        }
     }
 
-    // The graph + per-pair provenance (self-edges from session collapse
-    // — one participant of a global txn behind another — are not waits).
+    // The graph + per-pair provenance: the shards an edge was seen on
+    // (self-edges from session collapse — one participant of a global txn
+    // behind another — are not waits).
     let mut graph: WaitForGraph<Key> = WaitForGraph::new();
-    let mut prov: HashMap<(Key, Key), (HashSet<usize>, bool)> = HashMap::new();
-    for w in &waits {
-        let Some(to) = w.to.filter(|to| *to != w.from) else {
-            continue;
-        };
-        let entry = prov.entry((w.from, to)).or_default();
-        entry.0.insert(w.raw_waiter.0);
-        entry.1 |= w.res == Res::Gate;
-        graph.add_edge(w.from, to);
+    let mut prov: HashMap<(Key, Key), HashSet<usize>> = HashMap::new();
+    for w in waits.iter().filter(|w| w.to != w.from) {
+        prov.entry((w.from, w.to))
+            .or_default()
+            .insert(w.raw_waiter.0);
+        graph.add_edge(w.from, w.to);
     }
 
     let is_system = |k: &Key| match k {
@@ -340,20 +289,17 @@ fn run_pass(shared: &Shared, state: &mut PassState) {
         cycle_members.extend(cycle.iter().copied());
 
         let mut shards_involved: HashSet<usize> = HashSet::new();
-        let mut gate = false;
         for (i, k) in cycle.iter().enumerate() {
             let next = cycle[(i + 1) % cycle.len()];
-            if let Some((shards, g)) = prov.get(&(*k, next)) {
+            if let Some(shards) = prov.get(&(*k, next)) {
                 shards_involved.extend(shards.iter().copied());
-                gate |= *g;
             }
         }
-        // Ownership rule: a single-shard pure-lock cycle belongs to that
-        // shard's lock manager (it refuses the same cycle at block time,
-        // and wounding here too would claim a second victim). This thread
-        // resolves only what no lock table can: multi-shard cycles and
-        // cycles through the gate.
-        let ours = gate || shards_involved.len() >= 2;
+        // Ownership rule: a single-shard cycle belongs to that shard's
+        // lock manager (it refuses the same cycle at block time, and
+        // wounding here too would claim a second victim). This thread
+        // resolves only what no lock table can: multi-shard cycles.
+        let ours = shards_involved.len() >= 2;
         let recently_wounded = cycle.iter().any(|k| state.wounded.contains_key(k));
         // Not ours, quieted, or all-system (then nothing is wounded: system
         // operations always make progress once user locks clear): set the
@@ -362,7 +308,7 @@ fn run_pass(shared: &Shared, state: &mut PassState) {
         let mut aside = cycle[0];
         if ours && !recently_wounded {
             if let Some(victim) = youngest_non_system(&cycle, Key::rank, is_system) {
-                wound(shared, victim, &cycle, gate, &global_parts);
+                wound(shared, victim, &cycle, &global_parts);
                 state.wounded.insert(victim, Instant::now());
                 aside = victim;
             }
@@ -384,22 +330,18 @@ fn session_identity(
 ) {
     let mut alias = HashMap::new();
     let mut parts_of: HashMap<u64, Vec<(usize, TxnId)>> = HashMap::new();
-    if let Some(sessions) = &shared.sessions {
-        for (g, parts) in sessions.lock().iter() {
-            for (s, t) in parts.iter().enumerate() {
-                if let Some(t) = t {
-                    alias.insert((s, *t), *g);
-                    parts_of.entry(*g).or_default().push((s, *t));
-                }
+    for (g, parts) in shared.sessions.lock().iter() {
+        for (s, t) in parts.iter().enumerate() {
+            if let Some(t) = t {
+                alias.insert((s, *t), *g);
+                parts_of.entry(*g).or_default().push((s, *t));
             }
         }
     }
-    if let Some(committing) = &shared.committing {
-        for (g, parts) in committing.lock().iter() {
-            for &(s, t) in parts {
-                alias.insert((s, t), *g);
-                parts_of.entry(*g).or_default().push((s, t));
-            }
+    for (g, parts) in shared.committing.lock().iter() {
+        for &(s, t) in parts {
+            alias.insert((s, t), *g);
+            parts_of.entry(*g).or_default().push((s, t));
         }
     }
     (alias, parts_of)
@@ -412,7 +354,6 @@ fn wound(
     shared: &Shared,
     victim: Key,
     cycle: &[Key],
-    gate: bool,
     global_parts: &HashMap<u64, Vec<(usize, TxnId)>>,
 ) {
     match victim {
@@ -429,12 +370,11 @@ fn wound(
     shared.obs.emit(Event::DeadlockVictim {
         txn: victim.txn_id(),
         cycle: cycle.iter().map(Key::label).collect(),
-        gate,
     });
 }
 
-/// Stall watchdog: waits past [`STALL_THRESHOLD`] — on a lock or on the
-/// gate — that are not part of any cycle found this pass are *reported*:
+/// Stall watchdog: lock waits past [`STALL_THRESHOLD`] that are not part
+/// of any cycle found this pass are *reported*:
 /// counter, event, and an appended merged lock-table dump when
 /// `DGL_WATCHDOG_DUMP` names a file — and left to wait. Nobody is aborted:
 /// a slow-but-innocent wait must not become a spurious `Timeout`.
@@ -477,27 +417,19 @@ fn watchdog(shared: &Shared, state: &mut PassState, waits: &[Wait], in_cycle: &H
     state.stall_flagged.retain(|w, _| still_waiting.contains(w));
 }
 
-/// Renders the union the detector reasons over: every shard's lock
-/// table, gate state, and the session identity map. Shared by the
+/// Renders the union the detector reasons over: every shard's lock table
+/// and wait-for edges, and the session identity map. Shared by the
 /// watchdog dump and the shell's `locktable --merged`.
 fn merged_dump(shared: &Shared) -> String {
     render_merged(
         &shared.cores,
-        shared
-            .sessions
-            .as_ref()
-            .map(|s| s.lock().clone())
-            .unwrap_or_default(),
-        shared
-            .committing
-            .as_ref()
-            .map(|c| c.lock().clone())
-            .unwrap_or_default(),
+        shared.sessions.lock().clone(),
+        shared.committing.lock().clone(),
     )
 }
 
 /// Textual merged wait-state dump over `cores` with session identities
-/// and gate edges annotated (see [`merged_dump`]).
+/// annotated (see [`merged_dump`]).
 pub(crate) fn render_merged(
     cores: &[Arc<DglCore>],
     sessions: SessionMap,
@@ -525,25 +457,6 @@ pub(crate) fn render_merged(
                 );
             }
             let _ = writeln!(out, " ]");
-        }
-        let holder = *core.gate_holder.lock();
-        let mut waiters: Vec<u64> = core.gate_waiters.lock().keys().map(|t| t.0).collect();
-        waiters.sort_unstable();
-        match holder {
-            Some(h) => {
-                let _ = writeln!(
-                    out,
-                    "  gate: held by system txn {} — gate-waiters {waiters:?}",
-                    h.0
-                );
-            }
-            None if !waiters.is_empty() => {
-                let _ = writeln!(
-                    out,
-                    "  gate: no registered holder — gate-waiters {waiters:?}"
-                );
-            }
-            None => {}
         }
         for e in core.lm.wait_edges() {
             let _ = writeln!(

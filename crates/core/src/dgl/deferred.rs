@@ -14,14 +14,22 @@
 //!    own plan/lock/apply cycle with the insert rules (plus a short SIX on
 //!    the target node when the orphan is an index entry, since inserting a
 //!    child shrinks that node's external granule);
-//! 4. only then releases its short locks — so any scanner whose predicate
-//!    could observe the in-flight orphans is held at an SIX-locked granule
-//!    until the subtree is whole again.
+//! 4. only then releases its short locks — so any *locking* scanner whose
+//!    predicate could observe the in-flight orphans is held at an
+//!    SIX-locked granule until the subtree is whole again.
+//!
+//! Between steps 2 and 3 the orphans are out of the tree for several latch
+//! sessions. They are not out of sight: the re-insertion queue *is*
+//! [`Latched::orphans`](super::Latched), changed only in the exclusive
+//! latch session of the tree mutation it mirrors — filled where the entry
+//! is removed, popped where an orphan is re-linked, an index entry swapped
+//! for its objects where it is exploded. Lock-free snapshot scans search
+//! it beside the tree, so they never wait for a system operation.
 //!
 //! System operations are serialized by a gate (at most one runs at a
-//! time), are exempt from deadlock victim selection (they cannot be rolled
-//! back), and retry with backoff if a wait is ever aborted by the timeout
-//! backstop.
+//! time; only they and checkpoints ever take it), are exempt from deadlock
+//! victim selection (they cannot be rolled back), and retry with backoff
+//! if a wait is ever aborted by the timeout backstop.
 
 use std::time::Duration;
 
@@ -53,7 +61,6 @@ impl Drop for SysCleanup<'_> {
         if self.done {
             return;
         }
-        *self.core.gate_holder.lock() = None;
         self.core.lm.clear_system(self.sys);
         if self.core.tm.is_active(self.sys) {
             // Abort (not commit): releases the short locks without
@@ -75,16 +82,12 @@ impl DglCore {
         // to clean up beyond the guard below, making this the safe place
         // for chaos schedules to kill maintenance work.
         dgl_faults::failpoint!("maint/deferred");
-        // Exclusive: one system operation at a time, and snapshot readers
-        // (who hold the gate shared) never observe the multi-latch-session
-        // window while condensation orphans are out of the tree.
-        let _gate = self.deferred_gate.write();
+        // One system operation at a time: the in-flight orphan list has
+        // one writer.
+        let _gate = self.deferred_gate.lock();
+        self.assert_no_orphans();
         let sys = self.tm.begin();
         self.lm.set_system(sys);
-        // Publish the gate holder so the global deadlock detector can
-        // attribute gate waits to this system transaction (the edge its
-        // lock waits close a cycle through).
-        *self.gate_holder.lock() = Some(sys);
         let mut cleanup = SysCleanup {
             core: self,
             sys,
@@ -92,37 +95,48 @@ impl DglCore {
         };
         self.obs.incr(Ctr::DeferredDeletes);
 
-        // Phase 1: remove + condense.
-        let orphans = self.deferred_remove_phase(sys, d);
+        // Phase 1: remove + condense; publishes the orphans.
+        self.deferred_remove_phase(sys, d);
 
-        // Phase 2: re-insert orphans, highest level first. Short locks
-        // from phase 1 remain held until the very end.
-        if let Some(mut orphans) = orphans {
-            orphans.sort_by_key(|o| std::cmp::Reverse(o.level));
-            let mut queue: Vec<Orphan<2>> = orphans;
-            while let Some(orphan) = queue.pop() {
-                self.deferred_reinsert_phase(sys, orphan, &mut queue);
-            }
+        // Phase 2: re-insert the published orphans, one latch session
+        // each, from the back of the list. Short locks from phase 1
+        // remain held until the very end.
+        while let Some(orphan) = self.next_orphan() {
+            // Failpoint between two latch sessions, orphans out of the
+            // tree and no latch held: a Delay spec stretches the window
+            // snapshot reads must see through. (A panic here would strand
+            // the orphans, like a panic anywhere else in the window.)
+            dgl_faults::failpoint!("maint/reinsert");
+            self.deferred_reinsert_phase(sys, orphan);
         }
 
         cleanup.done = true;
-        *self.gate_holder.lock() = None;
         self.lm.clear_system(sys);
         // Releases every short lock of the system operation.
         self.tm.commit(sys);
     }
 
-    /// Phase 1: lock (retry loop), then remove the tombstoned entry and
-    /// condense. Returns the orphans, or `None` if the entry vanished
-    /// (e.g. the tree was restored from a checkpoint without the journal).
-    fn deferred_remove_phase(&self, sys: TxnId, d: DeferredDelete) -> Option<Vec<Orphan<2>>> {
+    /// The orphan the next re-insertion session takes: the back of the
+    /// in-flight list (only this system operation changes the list, so it
+    /// is still the back when that session pops it).
+    fn next_orphan(&self) -> Option<Orphan<2>> {
+        self.latch_shared().orphans.last().cloned()
+    }
+
+    /// Phase 1: lock (retry loop), then remove the tombstoned entry,
+    /// condense, and publish the orphans in the same latch session. A
+    /// vanished entry (e.g. the tree was restored from a checkpoint
+    /// without the journal) is a no-op.
+    fn deferred_remove_phase(&self, sys: TxnId, d: DeferredDelete) {
         loop {
             // Same optimistic plan/validate/apply split as user writes:
             // the planning traversal and conditional lock calls run under
             // the shared latch, so a system operation grinding through a
             // big condense no longer stalls every concurrent scan.
             let latch = self.plan_latch();
-            let plan = latch.tree().plan_delete(d.oid, d.rect)?;
+            let Some(plan) = latch.tree().plan_delete(d.oid, d.rect) else {
+                return;
+            };
             let mut locks = LockList::new();
             let leaf_mode = if plan.leaf_eliminated { SIX } else { IX };
             locks.add(Self::page(plan.leaf), leaf_mode, Short);
@@ -137,7 +151,13 @@ impl DglCore {
                     let Some(mut apply) = self.upgrade(latch) else {
                         continue;
                     };
-                    let result = apply.apply_delete(&plan);
+                    let mut result = apply.apply_delete(&plan);
+                    // The orphans leave the tree and enter the in-flight
+                    // list in one latch session; highest level first, so
+                    // re-insertion (which pops from the back) starts at
+                    // the leaf level.
+                    result.orphans.sort_by_key(|o| std::cmp::Reverse(o.level));
+                    *apply.orphans() = std::mem::take(&mut result.orphans);
                     // Tree entry and index slot vanish atomically under
                     // the exclusive latch — the latchless duplicate probe
                     // in `insert_op` depends on this. If an active snapshot
@@ -193,7 +213,7 @@ impl DglCore {
                         },
                         "delete plan must predict eliminations exactly"
                     );
-                    return Some(result.orphans);
+                    return;
                 }
                 Err((res, mode, dur)) => {
                     drop(latch);
@@ -205,10 +225,12 @@ impl DglCore {
         }
     }
 
-    /// Phase 2 step: re-insert one orphan with the Table 3 re-insertion
-    /// locks. Orphans whose home level no longer exists (the root shrank
-    /// below them) are exploded into their objects, which are queued.
-    fn deferred_reinsert_phase(&self, sys: TxnId, orphan: Orphan<2>, queue: &mut Vec<Orphan<2>>) {
+    /// Phase 2 step: re-insert `orphan` (the back of the in-flight list)
+    /// with the Table 3 re-insertion locks, popping it in the session that
+    /// re-links it. An orphan whose home level no longer exists (the root
+    /// shrank below it) is exploded into its objects, which take its place
+    /// in the list.
+    fn deferred_reinsert_phase(&self, sys: TxnId, orphan: Orphan<2>) {
         loop {
             let latch = self.plan_latch();
             let root_level = latch.tree().peek_node(latch.tree().root()).level;
@@ -225,8 +247,9 @@ impl DglCore {
                         let Some(mut apply) = self.upgrade(latch) else {
                             continue;
                         };
+                        apply.orphans().pop();
                         let objects = apply.explode(orphan);
-                        queue.extend(objects);
+                        apply.orphans().extend(objects);
                         return;
                     }
                     Err((res, mode, dur)) => {
@@ -282,6 +305,7 @@ impl DglCore {
                         Entry::Object { oid, .. } => Some(*oid),
                         Entry::Child { .. } => None,
                     };
+                    apply.orphans().pop();
                     let result = apply.apply_reinsert(&plan, orphan.entry);
                     if let Some(oid) = orphan_oid {
                         self.payloads.update(&oid, |slot| slot.leaf = result.home);

@@ -363,7 +363,8 @@ impl DglCore {
         // mid-flight spans several latch sessions (orphan re-insertion),
         // and a cut between them would capture orphans outside the tree.
         // Also serializes concurrent checkpoints.
-        let _gate = self.deferred_gate.write();
+        let _gate = self.deferred_gate.lock();
+        self.assert_no_orphans();
         let (info, image) = {
             let _cut = self.commit_cut.write();
             let tree = self.latch_shared();

@@ -79,10 +79,9 @@ mod shard;
 
 pub use durability::{DurabilityConfig, RecoverError};
 pub use maintenance::{MaintenanceConfig, MaintenanceMode};
-pub use mvcc::{MvccStats, Snapshot, SnapshotReadRTree};
+pub use mvcc::{MvccStats, Snapshot};
 pub use shard::{ShardedDglRTree, ShardedSnapshot, ShardingConfig};
 
-use deadlock_global::GlobalDetector;
 use maintenance::MaintenanceHandle;
 use mvcc::{DeadObject, VersionChain};
 
@@ -103,7 +102,7 @@ use dgl_lockmgr::{
     TxnId,
 };
 use dgl_pager::PageId;
-use dgl_rtree::{ObjectId, RTree2, RTreeConfig};
+use dgl_rtree::{Entry, ObjectId, Orphan, RTree2, RTreeConfig};
 use dgl_txn::{CommitClock, Journal, TxnManager};
 
 use dgl_obs::{Ctr, Hist, Registry};
@@ -227,11 +226,60 @@ pub(crate) struct PayloadSlot {
     pub chain: VersionChain,
 }
 
+/// What the tree latch protects: the tree, and the entries a deferred
+/// deletion currently holds out of it.
+///
+/// `orphans` is the re-insertion queue of the one system operation in
+/// flight (§3.7): filled by the latch session that removes and condenses,
+/// popped by the session that re-links an entry, an index entry swapped
+/// for its objects by the session that explodes it. Living inside the
+/// latch makes the invariant structural — every change to the list shares
+/// an exclusive hold with the tree mutation it mirrors — so under any one
+/// shared hold *tree ∪ orphans ∪ dead list* is a partition of the
+/// committed objects. That is what lets snapshot reads search all three
+/// and wait for nobody ([`mvcc`]). Empty whenever no system operation is
+/// mid-flight.
+pub(crate) struct Latched {
+    tree: RTree2,
+    pub(crate) orphans: Vec<Orphan<2>>,
+}
+
+impl Latched {
+    /// Exact lookup of `(oid, rect)` that also sees an in-flight object
+    /// orphan (shadows [`RTree2::lookup`], which already finds entries
+    /// inside an orphaned subtree through `locate_leaf`'s store scan).
+    pub(crate) fn lookup(&self, oid: ObjectId, rect: Rect2) -> Option<Option<u64>> {
+        self.tree.lookup(oid, rect).or_else(|| {
+            self.orphans.iter().find_map(|o| match o.entry {
+                Entry::Object {
+                    mbr,
+                    oid: orphan,
+                    tombstone,
+                } if orphan == oid && mbr == rect => Some(tombstone),
+                _ => None,
+            })
+        })
+    }
+}
+
+impl Deref for Latched {
+    type Target = RTree2;
+    fn deref(&self) -> &RTree2 {
+        &self.tree
+    }
+}
+
+impl DerefMut for Latched {
+    fn deref_mut(&mut self) -> &mut RTree2 {
+        &mut self.tree
+    }
+}
+
 /// The protocol state and implementation, shared between the public
 /// [`DglRTree`] facade and the background maintenance worker (which holds
 /// its own `Arc` so deferred system operations can run off-thread).
 pub(crate) struct DglCore {
-    pub(crate) tree: RwLock<RTree2>,
+    pub(crate) tree: RwLock<Latched>,
     pub(crate) lm: Arc<LockManager>,
     pub(crate) tm: TxnManager,
     pub(crate) undo: Journal<UndoRecord>,
@@ -258,22 +306,11 @@ pub(crate) struct DglCore {
     /// Snapshot drops since startup (every [`mvcc`] `GC_EVERY_DROPS`]th
     /// triggers a GC dispatch).
     pub(crate) gc_drops: AtomicU64,
-    /// Serializes post-commit deferred deletions (system operations) and
-    /// checkpoints, which hold it exclusively. Snapshot reads hold it
-    /// *shared*: they take no granule locks, so this is what keeps them
-    /// from observing the multi-latch-session window while condensation
-    /// orphans are out of the tree.
-    pub(crate) deferred_gate: RwLock<()>,
-    /// The system transaction currently holding [`Self::deferred_gate`]
-    /// exclusively (a deferred physical deletion mid-flight). The global
-    /// deadlock detector reads this to attribute gate waits to a holder
-    /// — the edge the lock manager's own graph cannot see.
-    pub(crate) gate_holder: Mutex<Option<TxnId>>,
-    /// Transactions currently waiting for shared gate access while
-    /// holding granule locks (the poisonable gate wait in [`mvcc`]), and
-    /// since when. Each is a detector wait edge `waiter → gate_holder`
-    /// and, past the stall threshold, a watchdog report.
-    pub(crate) gate_waiters: Mutex<HashMap<TxnId, Instant>>,
+    /// Serializes system operations (post-commit deferred deletions) and
+    /// checkpoints. Nobody else takes it — no user transaction and no
+    /// snapshot read can ever wait on it — and whoever takes it finds
+    /// [`Latched::orphans`] empty ([`Self::assert_no_orphans`]).
+    pub(crate) deferred_gate: Mutex<()>,
     pub(crate) policy: InsertPolicy,
     pub(crate) coarse_external: bool,
     pub(crate) hash_reads: bool,
@@ -324,7 +361,7 @@ pub(crate) struct DglCore {
 /// trades it for the exclusive [`ApplyGuard`] once planning and
 /// conditional lock acquisition succeed.
 pub(crate) struct PlanLatch<'a> {
-    guard: RwLockReadGuard<'a, RTree2>,
+    guard: RwLockReadGuard<'a, Latched>,
     planned_version: u64,
 }
 
@@ -339,7 +376,7 @@ impl PlanLatch<'_> {
 /// hold duration in [`Hist::LatchHold`] — the quantity the optimistic
 /// split exists to shrink.
 pub(crate) struct ApplyGuard<'a> {
-    guard: RwLockWriteGuard<'a, RTree2>,
+    guard: RwLockWriteGuard<'a, Latched>,
     obs: &'a Registry,
     start: Instant,
 }
@@ -354,6 +391,15 @@ impl Deref for ApplyGuard<'_> {
 impl DerefMut for ApplyGuard<'_> {
     fn deref_mut(&mut self) -> &mut RTree2 {
         &mut self.guard
+    }
+}
+
+impl ApplyGuard<'_> {
+    /// The in-flight orphan list, writable — handed out by the exclusive
+    /// latch only, so no change to it can leave the latch session of the
+    /// tree mutation it mirrors.
+    pub(crate) fn orphans(&mut self) -> &mut Vec<Orphan<2>> {
+        &mut self.guard.orphans
     }
 }
 
@@ -442,11 +488,6 @@ pub struct DglRTree {
     // Declared before `core` so a drop tears the worker down (which joins
     // the thread) while the core it references is still guaranteed alive.
     maint: MaintenanceHandle,
-    /// The detector thread watching this tree's gate, spawned on the
-    /// first gate wait by a lock-holding transaction. Stays empty on the
-    /// shards of a sharded index: nothing routes such a wait to a shard,
-    /// and the router's one thread reads every shard's gate itself.
-    detector: OnceLock<GlobalDetector>,
     core: Arc<DglCore>,
 }
 
@@ -471,7 +512,10 @@ impl DglRTree {
         tree.io_stats().attach_obs(Arc::clone(&obs));
         let lm = Arc::new(LockManager::with_obs(config.lock.clone(), Arc::clone(&obs)));
         let core = Arc::new(DglCore {
-            tree: RwLock::new(tree),
+            tree: RwLock::new(Latched {
+                tree,
+                orphans: Vec::new(),
+            }),
             tm: TxnManager::new(Arc::clone(&lm)),
             lm,
             undo: Journal::new(),
@@ -481,9 +525,7 @@ impl DglRTree {
             clock,
             gc_pending: AtomicBool::new(false),
             gc_drops: AtomicU64::new(0),
-            deferred_gate: RwLock::new(()),
-            gate_holder: Mutex::new(None),
-            gate_waiters: Mutex::new(HashMap::new()),
+            deferred_gate: Mutex::new(()),
             policy: config.policy,
             coarse_external: config.coarse_external_granule,
             hash_reads: config.hash_reads,
@@ -500,15 +542,8 @@ impl DglRTree {
         });
         Self {
             maint: MaintenanceHandle::new(&core, config.maintenance),
-            detector: OnceLock::new(),
             core,
         }
-    }
-
-    /// Arms the detector thread for this tree (idempotent).
-    pub(crate) fn ensure_detector(&self) {
-        self.detector
-            .get_or_init(|| GlobalDetector::spawn_single(Arc::clone(&self.core)));
     }
 
     /// Creates an empty index.
@@ -608,10 +643,9 @@ impl DglRTree {
         &self.core.obs
     }
 
-    /// Renders the detector's merged wait-for view of this tree: the
-    /// lock-manager wait edges plus the deferred-deletion gate edge when
-    /// one is registered. The sharded router's variant of the same dump
-    /// unions this across every shard.
+    /// Renders the detector's merged wait-for view of this tree: the lock
+    /// table and the lock-manager wait edges. The sharded router's variant
+    /// of the same dump unions this across every shard.
     pub fn merged_locktable_dump(&self) -> String {
         deadlock_global::render_merged(
             std::slice::from_ref(&self.core),
@@ -792,9 +826,19 @@ impl DglCore {
         );
     }
 
+    /// Called with the system-operation gate just taken: the previous
+    /// holder re-linked every orphan before it let go, so nothing is out
+    /// of the tree.
+    pub(crate) fn assert_no_orphans(&self) {
+        assert!(
+            self.latch_shared().orphans.is_empty(),
+            "condensation orphans outlived their system operation"
+        );
+    }
+
     /// Shared tree latch (scans, planning). Asserts the latch →
     /// `payloads` ordering in debug builds.
-    pub(crate) fn latch_shared(&self) -> RwLockReadGuard<'_, RTree2> {
+    pub(crate) fn latch_shared(&self) -> RwLockReadGuard<'_, Latched> {
         Self::assert_no_payloads_held();
         self.tree.read()
     }

@@ -38,40 +38,28 @@
 //! papers over for locking scans: a deferred physical deletion spans
 //! several latch sessions while orphans from node condensation await
 //! re-insertion, and locking scans are held out by its short SIX granule
-//! locks. Snapshot scans take no locks, so they take the system-operation
-//! gate in *shared* mode instead ([`DglCore::deferred_gate`] is a
-//! `RwLock`): system operations and checkpoints hold it exclusively, so
-//! a snapshot scan never observes the tree mid-condensation, and
-//! concurrent snapshot scans never serialize against each other.
-//!
-//! # The gate and lock holders
-//!
-//! A deferred deletion keeps the gate exclusive *across its own lock
-//! waits* (orphans are out of the tree for the whole multi-latch window,
-//! so it cannot release early), and the lock manager cannot see the gate.
-//! A thread that holds granule locks of an active locking transaction may
-//! therefore complete a cycle by waiting for the gate: the system
-//! operation may be waiting for exactly those locks. [`SnapshotReadRTree`]
-//! handles this for transactions mixing writes and snapshot reads with the
-//! *watched* gate wait ([`DglCore::gate_read_watched`]): the wait is
-//! registered where the detector thread reads it as a wait-for edge, a
-//! genuine cycle is wounded (the transaction rolls back with
-//! [`TxnError::Deadlock`]), an innocent wait — behind a system operation
-//! or a checkpoint — simply lasts as long as its holder, and the stall
-//! watchdog reports it past its threshold. There is no bounded variant.
-//! Users of the raw [`Snapshot`] handle must keep it off threads that
-//! hold granule locks.
+//! locks. Snapshot scans take no locks; instead the orphans stay
+//! searchable. The system operation keeps them in
+//! [`Latched::orphans`](super::Latched), which changes only in the
+//! exclusive latch session of the tree mutation it mirrors, so under one
+//! shared-latch hold every committed object sits in exactly one of the
+//! tree, the in-flight orphans (as an object entry, or inside the intact
+//! subtree under an index entry) and the dead list — and
+//! [`DglCore::snapshot_scan`] searches all three. A snapshot read
+//! therefore acquires nothing but the tree latch and payload stripes: it
+//! waits for no transaction, no system operation and no checkpoint, and
+//! may run on any thread, including one whose transaction holds granule
+//! locks.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dgl_geom::Rect2;
 use dgl_lockmgr::TxnId;
-use dgl_obs::{Ctr, Hist, Registry};
-use dgl_rtree::ObjectId;
+use dgl_obs::{Ctr, Hist};
+use dgl_rtree::{Entry, ObjectId};
 
-use crate::{ScanHit, TransactionalRTree, TxnError};
+use crate::ScanHit;
 
 use super::{DglCore, DglRTree, UndoRecord};
 
@@ -287,83 +275,10 @@ impl DglCore {
     }
 
     /// Region scan against snapshot timestamp `ts`: shared latch + chain
-    /// visibility, no lock-manager calls. Results are sorted by object id
-    /// so repeated scans of one snapshot are bit-identical even as the
-    /// tree is reorganized around them.
+    /// visibility, no lock-manager calls and no gate. Results are sorted
+    /// by object id so repeated scans of one snapshot are bit-identical
+    /// even as the tree is reorganized around them.
     pub(crate) fn snapshot_scan(&self, ts: u64, query: &Rect2) -> Vec<ScanHit> {
-        // Shared gate: no deferred deletion is mid-condensation (see the
-        // module docs), then the shared latch for a structurally
-        // consistent search. Gate before latch, like every system path.
-        let _gate = self.deferred_gate.read();
-        self.snapshot_scan_gated(ts, query)
-    }
-
-    /// Shared gate acquisition for a lock-holding transaction, watched
-    /// by the detector thread: registers `txn` as a *gate waiter* (the
-    /// wait-for edge `txn → gate holder` the detector unions into its
-    /// graph, stamped so the watchdog can age it) and polls without a
-    /// deadline. If the wait really is part of a cycle — the gate-holding
-    /// system operation is blocked on one of `txn`'s own granule locks —
-    /// the detector wounds `txn` and the poll returns
-    /// `Err(TxnError::Deadlock)`; an innocent wait simply outlasts the
-    /// system operation or checkpoint, with no spurious timeout abort.
-    pub(crate) fn gate_read_watched(
-        &self,
-        txn: TxnId,
-    ) -> Result<parking_lot::RwLockReadGuard<'_, ()>, TxnError> {
-        if let Some(gate) = self.deferred_gate.try_read() {
-            return Ok(gate);
-        }
-        struct Deregister<'a>(&'a DglCore, TxnId);
-        impl Drop for Deregister<'_> {
-            fn drop(&mut self) {
-                self.0.gate_waiters.lock().remove(&self.1);
-            }
-        }
-        self.gate_waiters.lock().insert(txn, Instant::now());
-        let _dereg = Deregister(self, txn);
-        loop {
-            if self.lm.take_poison(txn) {
-                return Err(TxnError::Deadlock);
-            }
-            if let Some(gate) = self.deferred_gate.try_read() {
-                return Ok(gate);
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// [`Self::snapshot_scan`] through the watched gate wait — for
-    /// lock-holding transactions. `Err(TxnError::Deadlock)` means the
-    /// detector wounded `txn` (the caller rolls it back).
-    pub(crate) fn snapshot_scan_watched(
-        &self,
-        ts: u64,
-        query: &Rect2,
-        txn: TxnId,
-    ) -> Result<Vec<ScanHit>, TxnError> {
-        let _gate = self.gate_read_watched(txn)?;
-        Ok(self.snapshot_scan_gated(ts, query))
-    }
-
-    /// [`Self::snapshot_read_single`] through the watched gate wait; see
-    /// [`Self::snapshot_scan_watched`].
-    pub(crate) fn snapshot_read_single_watched(
-        &self,
-        ts: u64,
-        oid: ObjectId,
-        txn: TxnId,
-    ) -> Result<Option<u64>, TxnError> {
-        if self.hash_reads {
-            // The hash fast path never touches the gate, so a
-            // lock-holding reader cannot join a gate cycle here.
-            return Ok(self.snapshot_read_single_hash(ts, oid));
-        }
-        let _gate = self.gate_read_watched(txn)?;
-        Ok(self.snapshot_read_single_gated(ts, oid))
-    }
-
-    fn snapshot_scan_gated(&self, ts: u64, query: &Rect2) -> Vec<ScanHit> {
         assert!(
             ts <= self.clock.now(),
             "snapshot read at timestamp {ts} above the commit clock \
@@ -372,6 +287,23 @@ impl DglCore {
         );
         self.obs.incr(Ctr::SnapshotScans);
         let tree = self.latch_shared();
+        let mut entries = tree.search(query);
+        // Entries a deferred deletion holds out of the tree right now
+        // (module docs): an object orphan by its rectangle, an index
+        // orphan by descending its still-live subtree.
+        for orphan in &tree.orphans {
+            if !orphan.entry.mbr().intersects(query) {
+                continue;
+            }
+            match orphan.entry {
+                Entry::Object {
+                    mbr,
+                    oid,
+                    tombstone,
+                } => entries.push((oid, mbr, tombstone)),
+                Entry::Child { child, .. } => tree.search_from(child, query, &mut entries),
+            }
+        }
         let mut hits = Vec::new();
         // The tombstone flag is a *locking-path* visibility device
         // (set at logical delete, before the deleter commits);
@@ -381,7 +313,7 @@ impl DglCore {
         // the shared latch excludes the structural removals that
         // retire entries, and commit stamping is atomic against this
         // snapshot's timestamp via the clock critical section.
-        for (oid, rect, _tombstone) in tree.search(query) {
+        for (oid, rect, _tombstone) in entries {
             if let Some(version) = self
                 .payloads
                 .get(&oid, |s| s.chain.visible_at(ts))
@@ -393,8 +325,8 @@ impl DglCore {
         {
             // Dead objects moved out of the tree by deferred deletion;
             // the move happens under the exclusive latch, so holding the
-            // shared latch across both lookups sees each object exactly
-            // once.
+            // shared latch across all three lookups sees each object
+            // exactly once.
             let dead = self.dead.lock();
             for d in dead.iter() {
                 if d.rect.intersects(query) {
@@ -415,30 +347,21 @@ impl DglCore {
 
     /// Point read against snapshot timestamp `ts` — the payload version
     /// visible at `ts`, or `None` if the object did not exist then. No
-    /// lock-manager calls; with `hash_reads` on, no gate and no latch
-    /// either (see [`Self::snapshot_read_single_hash`]).
-    pub(crate) fn snapshot_read_single(&self, ts: u64, oid: ObjectId) -> Option<u64> {
-        if self.hash_reads {
-            return self.snapshot_read_single_hash(ts, oid);
-        }
-        let _gate = self.deferred_gate.read();
-        self.snapshot_read_single_gated(ts, oid)
-    }
-
-    /// Gateless, latchless snapshot point read off the hash index.
+    /// lock-manager calls, and it never looks at the tree: the slot's
+    /// version chain (or the dead list) fully decides visibility.
     ///
-    /// Safe without the system-operation gate or tree latch because it
-    /// never looks at the tree: the slot's version chain (or the dead
-    /// list) fully decides visibility. The one structural transition that
-    /// moves a chain — deferred physical deletion retiring an object —
-    /// pushes the dead-list copy *before* removing the index entry, and
-    /// this reader checks index first, dead list second, so every
-    /// interleaving finds the chain at least once (finding it twice is
-    /// harmless: both copies answer `visible_at(ts)` identically). A
+    /// With `hash_reads` on it takes no latch either. The one structural
+    /// transition that moves a chain — deferred physical deletion retiring
+    /// an object — pushes the dead-list copy *before* removing the index
+    /// entry, and this reader checks index first, dead list second, so
+    /// every interleaving finds the chain at least once (finding it twice
+    /// is harmless: both copies answer `visible_at(ts)` identically). A
     /// retired-without-dead-copy object (`retire == false`) is only
     /// possible when no registered snapshot predates the delete marker,
-    /// so this snapshot's `ts` sees the delete either way.
-    fn snapshot_read_single_hash(&self, ts: u64, oid: ObjectId) -> Option<u64> {
+    /// so this snapshot's `ts` sees the delete either way. The
+    /// `hash_reads: false` reference side holds the shared latch across
+    /// both lookups instead, which makes that transition atomic to it.
+    pub(crate) fn snapshot_read_single(&self, ts: u64, oid: ObjectId) -> Option<u64> {
         assert!(
             ts <= self.clock.now(),
             "snapshot read at timestamp {ts} above the commit clock \
@@ -446,53 +369,33 @@ impl DglCore {
             self.clock.now()
         );
         self.obs.incr(Ctr::SnapshotPointReads);
+        let _latch = (!self.hash_reads).then(|| self.latch_shared());
         let t0 = Instant::now();
-        let live = self.payloads.get(&oid, |s| s.chain.visible_at(ts));
-        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.obs.record(Hist::HashLookup, nanos);
-        if let Some(Some(version)) = live {
-            self.obs.incr(Ctr::HashHits);
-            return Some(version);
-        }
-        // Slot absent (physically removed), or present but with nothing
-        // visible at `ts` (e.g. a delete/reinsert cycle whose older
-        // incarnation may still be visible): consult the dead list.
-        self.obs.incr(Ctr::HashMisses);
-        self.dead
-            .lock()
-            .iter()
-            .filter(|d| d.oid == oid)
-            .find_map(|d| d.chain.visible_at(ts))
-    }
-
-    fn snapshot_read_single_gated(&self, ts: u64, oid: ObjectId) -> Option<u64> {
-        assert!(
-            ts <= self.clock.now(),
-            "snapshot read at timestamp {ts} above the commit clock \
-             ({}): future timestamps are not yet stable",
-            self.clock.now()
-        );
-        self.obs.incr(Ctr::SnapshotPointReads);
-        let tree = self.latch_shared();
         let live = self
             .payloads
             .get(&oid, |s| s.chain.visible_at(ts))
             .flatten();
-        if live.is_some() {
-            return live;
+        if self.hash_reads {
+            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.obs.record(Hist::HashLookup, nanos);
+            self.obs.incr(if live.is_some() {
+                Ctr::HashHits
+            } else {
+                Ctr::HashMisses
+            });
         }
-        // A physically removed (or removed-and-reinserted) object: its
-        // pre-delete versions live in the dead list. Several dead entries
-        // can share an oid across delete/reinsert cycles; at most one is
+        // Slot absent (physically removed), or present but with nothing
+        // visible at `ts` (a delete/reinsert cycle whose older incarnation
+        // may still be visible): consult the dead list. Several dead
+        // entries can share an oid across such cycles; at most one is
         // visible at any timestamp.
-        let from_dead = self
-            .dead
-            .lock()
-            .iter()
-            .filter(|d| d.oid == oid)
-            .find_map(|d| d.chain.visible_at(ts));
-        drop(tree);
-        from_dead
+        live.or_else(|| {
+            self.dead
+                .lock()
+                .iter()
+                .filter(|d| d.oid == oid)
+                .find_map(|d| d.chain.visible_at(ts))
+        })
     }
 
     /// One version-GC pass: prunes every chain (live and dead) below the
@@ -545,15 +448,16 @@ pub(crate) const GC_EVERY_DROPS: u64 = 32;
 
 /// A registered read timestamp over a [`DglRTree`]: reads through it see
 /// exactly the transactions committed at [`Snapshot::ts`], issue **no
-/// lock-manager requests**, never abort, and wait only for in-flight
-/// system operations (the shared gate), never for other transactions'
-/// locks. Dropping the snapshot unregisters the timestamp (unpinning its
+/// lock-manager requests**, never abort, and wait for nobody — not for
+/// other transactions' locks, not for system operations, not for
+/// checkpoints (they acquire only the tree latch and payload stripes).
+/// Dropping the snapshot unregisters the timestamp (unpinning its
 /// versions for GC).
 ///
-/// Do not read through a `Snapshot` from a thread that holds granule
-/// locks of an active locking transaction — see the module docs ("The
-/// gate and lock holders"); [`SnapshotReadRTree`] exists for mixed
-/// read/write transactions.
+/// A snapshot may be read from any thread, including one whose locking
+/// transaction holds granule locks: `begin_snapshot()` inside a
+/// transaction is the way to mix serializable writes with lock-free
+/// reads of the committed prefix.
 #[derive(Debug)]
 pub struct Snapshot<'a> {
     db: &'a DglRTree,
@@ -650,210 +554,6 @@ impl Drop for Snapshot<'_> {
     }
 }
 
-// --- snapshot-read contender --------------------------------------------
-
-/// A [`TransactionalRTree`] whose *read* operations are served from an
-/// MVCC snapshot (begun lazily at the transaction's first read and held
-/// to commit — repeatable within the transaction) while every write runs
-/// the unchanged granular-locking protocol of the inner [`DglRTree`].
-///
-/// This is the benchmark contender `dgl-snapshot`: it trades external
-/// consistency of reads (a scan sees the commit prefix at its snapshot
-/// timestamp, not writes committed mid-transaction) for a scan path with
-/// zero lock-manager traffic.
-#[derive(Debug)]
-pub struct SnapshotReadRTree {
-    inner: DglRTree,
-    /// Transaction id → per-transaction snapshot state (created lazily,
-    /// so transactions that never read don't pin the GC watermark).
-    snaps: parking_lot::Mutex<HashMap<u64, TxnSnapState>>,
-}
-
-/// Per-transaction bookkeeping of the snapshot-read wrapper.
-#[derive(Debug, Default, Clone, Copy)]
-struct TxnSnapState {
-    /// Registered snapshot timestamp, set at the first read.
-    ts: Option<u64>,
-    /// Whether the transaction has issued a write — i.e. may hold
-    /// granule locks, in which case its reads take the watched gate wait
-    /// (module docs, "The gate and lock holders").
-    wrote: bool,
-}
-
-impl SnapshotReadRTree {
-    /// Wraps an index; reads go through snapshots from here on.
-    pub fn new(inner: DglRTree) -> Self {
-        Self {
-            inner,
-            snaps: parking_lot::Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The wrapped index (writes, statistics, maintenance).
-    pub fn inner(&self) -> &DglRTree {
-        &self.inner
-    }
-
-    /// The transaction's snapshot timestamp (registered on first use)
-    /// and whether it has written.
-    fn snap_ts(&self, txn: TxnId) -> (u64, bool) {
-        let mut snaps = self.snaps.lock();
-        let state = snaps.entry(txn.0).or_default();
-        let ts = *state.ts.get_or_insert_with(|| {
-            self.inner.core.obs.incr(Ctr::SnapshotBegins);
-            self.inner.core.clock.begin_snapshot()
-        });
-        (ts, state.wrote)
-    }
-
-    /// Marks the transaction as a lock holder — called *before* the
-    /// write is attempted, because even a failed-but-survivable write
-    /// (e.g. a duplicate insert) can leave locks behind.
-    fn mark_wrote(&self, txn: TxnId) {
-        self.snaps.lock().entry(txn.0).or_default().wrote = true;
-    }
-
-    /// Unregisters the transaction's snapshot (commit, abort, rollback).
-    fn release(&self, txn: TxnId) {
-        if let Some(state) = self.snaps.lock().remove(&txn.0) {
-            if let Some(ts) = state.ts {
-                self.inner.core.clock.end_snapshot(ts);
-            }
-        }
-    }
-
-    /// The outcome of a lock holder's watched read: an `Err` means the
-    /// detector wounded the transaction in its gate wait, so it is rolled
-    /// back here (retryable with a fresh transaction).
-    fn watched<T>(&self, txn: TxnId, r: Result<T, TxnError>) -> Result<T, TxnError> {
-        if r.is_err() {
-            let _ = self.inner.abort(txn);
-            self.release(txn);
-        }
-        r
-    }
-
-    /// After a failed inner operation: if the error killed the
-    /// transaction (deadlock/timeout rollback, durability failure), its
-    /// snapshot must not stay registered and pin the GC watermark.
-    /// Survivable errors (e.g. `DuplicateObject`) keep the snapshot —
-    /// the transaction continues and its reads stay repeatable.
-    fn release_if_dead(&self, txn: TxnId) {
-        if self.inner.core.check_active(txn).is_err() {
-            self.release(txn);
-        }
-    }
-}
-
-impl TransactionalRTree for SnapshotReadRTree {
-    fn begin(&self) -> TxnId {
-        self.inner.begin()
-    }
-
-    fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
-        let r = self.inner.commit(txn);
-        self.release(txn);
-        r
-    }
-
-    fn abort(&self, txn: TxnId) -> Result<(), TxnError> {
-        let r = self.inner.abort(txn);
-        self.release(txn);
-        r
-    }
-
-    fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
-        self.mark_wrote(txn);
-        let r = self.inner.insert(txn, oid, rect);
-        if r.is_err() {
-            self.release_if_dead(txn);
-        }
-        r
-    }
-
-    fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
-        self.mark_wrote(txn);
-        let r = self.inner.delete(txn, oid, rect);
-        if r.is_err() {
-            self.release_if_dead(txn);
-        }
-        r
-    }
-
-    fn read_single(
-        &self,
-        txn: TxnId,
-        oid: ObjectId,
-        _rect: Rect2,
-    ) -> Result<Option<u64>, TxnError> {
-        if let Err(e) = self.inner.core.check_active(txn) {
-            self.release(txn);
-            return Err(e);
-        }
-        let (ts, wrote) = self.snap_ts(txn);
-        if wrote {
-            self.inner.ensure_detector();
-            let r = self.inner.core.snapshot_read_single_watched(ts, oid, txn);
-            self.watched(txn, r)
-        } else {
-            Ok(self.inner.core.snapshot_read_single(ts, oid))
-        }
-    }
-
-    fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
-        self.mark_wrote(txn);
-        let r = self.inner.update_single(txn, oid, rect);
-        if r.is_err() {
-            self.release_if_dead(txn);
-        }
-        r
-    }
-
-    fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
-        if let Err(e) = self.inner.core.check_active(txn) {
-            self.release(txn);
-            return Err(e);
-        }
-        let (ts, wrote) = self.snap_ts(txn);
-        if wrote {
-            self.inner.ensure_detector();
-            let r = self.inner.core.snapshot_scan_watched(ts, &query, txn);
-            self.watched(txn, r)
-        } else {
-            Ok(self.inner.core.snapshot_scan(ts, &query))
-        }
-    }
-
-    fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
-        self.mark_wrote(txn);
-        let r = self.inner.update_scan(txn, query);
-        if r.is_err() {
-            self.release_if_dead(txn);
-        }
-        r
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        TransactionalRTree::validate(&self.inner)
-    }
-
-    fn name(&self) -> &'static str {
-        "dgl-snapshot"
-    }
-
-    fn quiesce(&self) {
-        TransactionalRTree::quiesce(&self.inner);
-    }
-
-    fn obs_registry(&self) -> Option<&std::sync::Arc<Registry>> {
-        self.inner.obs_registry()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,81 +596,6 @@ mod tests {
         assert_eq!(c.current(), Some(1));
         let mut fresh = VersionChain::pending(1);
         assert!(!fresh.pop_pending(), "aborted insert empties the chain");
-    }
-
-    #[test]
-    fn gate_cycle_is_wounded_as_a_deadlock_not_a_timeout() {
-        // The PR-7 deferred-gate cycle: a system operation holds the gate
-        // exclusively and blocks on a granule lock held by `txn`, while
-        // `txn` (a lock holder) waits for shared gate access. Neither
-        // wait is visible to the other's detector alone; the *global*
-        // detector unions the gate edge with the lock edge, finds the
-        // cycle, and wounds the user transaction — which sees a clean
-        // `TxnError::Deadlock`, never a timeout, and releases the locks
-        // the system operation needs.
-        let db = SnapshotReadRTree::new(DglRTree::new(crate::DglConfig::default()));
-        let setup = db.begin();
-        db.insert(setup, ObjectId(1), Rect2::new([0.1, 0.1], [0.2, 0.2]))
-            .unwrap();
-        db.commit(setup).unwrap();
-
-        let txn = db.begin();
-        db.insert(txn, ObjectId(2), Rect2::new([0.3, 0.3], [0.4, 0.4]))
-            .unwrap();
-
-        // Play the system operation by hand, exactly as deferred.rs does:
-        // exclusive gate, system-flagged transaction, registered holder.
-        let core = &db.inner().core;
-        let gate = core.deferred_gate.write();
-        let sys = core.tm.begin();
-        core.lm.set_system(sys);
-        *core.gate_holder.lock() = Some(sys);
-
-        std::thread::scope(|s| {
-            let blocked = s.spawn(|| {
-                // The system op needs the object lock `txn` holds X.
-                core.lm.lock(
-                    sys,
-                    dgl_lockmgr::ResourceId::Object(2),
-                    dgl_lockmgr::LockMode::X,
-                    dgl_lockmgr::LockDuration::Short,
-                    dgl_lockmgr::RequestKind::Unconditional,
-                )
-            });
-            // Let the system wait park before closing the cycle.
-            std::thread::sleep(Duration::from_millis(30));
-            let start = std::time::Instant::now();
-            let r = db.read_scan(txn, Rect2::unit());
-            assert_eq!(r, Err(TxnError::Deadlock), "wounded, not timed out");
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "the detector resolved the cycle promptly"
-            );
-            assert!(
-                db.inner().core.check_active(txn).is_err(),
-                "the victim was rolled back (its locks are released)"
-            );
-            // The victim's rollback unblocks the system operation.
-            assert_eq!(
-                blocked.join().unwrap(),
-                dgl_lockmgr::LockOutcome::Granted,
-                "the system operation proceeds once the victim dies"
-            );
-        });
-        assert_eq!(
-            db.inner().obs().ctr(Ctr::LockTimeouts),
-            0,
-            "no timeout verdict anywhere in the cycle's resolution"
-        );
-        *core.gate_holder.lock() = None;
-        core.lm.clear_system(sys);
-        core.tm.commit(sys);
-        drop(gate);
-
-        let reader = db.begin();
-        let hits = db.read_scan(reader, Rect2::unit()).unwrap();
-        assert_eq!(hits.len(), 1, "aborted insert never became visible");
-        db.commit(reader).unwrap();
     }
 
     #[test]

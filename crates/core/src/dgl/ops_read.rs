@@ -67,39 +67,27 @@ impl DglCore {
             self.obs.record(Hist::HashLookup, nanos);
             self.obs.incr(Ctr::HashHits);
             // Differential check (debug builds): the traversal path must
-            // agree with the index. Only when the deferred gate is free:
-            // a mid-flight physical deletion legitimately has
-            // condensation orphans out of the tree while their slots
-            // remain indexed, so the two paths may diverge spuriously.
-            // `try_read` (not `read`): we hold a commit-duration object
-            // lock here, and a blocking gate wait is invisible to the
-            // deadlock detector — a reader holding S while a system
-            // operation waits on a page lock held by a writer queued on
-            // that same object would wedge.
-            #[cfg(debug_assertions)]
-            if let Some(_gate) = self.deferred_gate.try_read() {
-                let state = {
-                    let tree = self.latch_shared();
-                    tree.lookup(oid, rect)
-                };
-                let via_tree = match state {
-                    Some(None) => self.payloads.get(&oid, |s| s.chain.current()).flatten(),
-                    Some(Some(_)) | None => None,
-                };
-                debug_assert_eq!(
-                    answer, via_tree,
-                    "hash fast path diverged from the tree path for {oid}"
-                );
-            }
+            // agree with the index — mid-condensation too, since the
+            // latched lookup sees in-flight orphans.
+            debug_assert_eq!(
+                answer,
+                self.read_single_via_tree(oid, rect),
+                "hash fast path diverged from the tree path for {oid}"
+            );
             self.end_op(txn);
             return Ok(answer);
         }
-        let state = {
-            let tree = self.latch_shared();
-            tree.lookup(oid, rect)
-        };
+        let answer = self.read_single_via_tree(oid, rect);
         self.end_op(txn);
-        Ok(match state {
+        Ok(answer)
+    }
+
+    /// ReadSingle's answer by tree lookup (one latch hold): the
+    /// `hash_reads: false` reference path, and the debug cross-check of
+    /// the fast path. Caller holds the object lock.
+    fn read_single_via_tree(&self, oid: ObjectId, rect: Rect2) -> Option<u64> {
+        let state = self.latch_shared().lookup(oid, rect);
+        match state {
             Some(None) => self
                 .payloads
                 .get(&oid, |slot| slot.chain.current())
@@ -107,7 +95,7 @@ impl DglCore {
             // Tombstoned (committed delete pending physical removal) or
             // absent.
             Some(Some(_)) | None => None,
-        })
+        }
     }
 
     /// ReadScan: commit-duration S locks on **every** granule overlapping

@@ -251,7 +251,7 @@ pub struct ShardedDglRTree {
     /// to the detector until every participant finishes.
     committing: Arc<Mutex<CommittingMap>>,
     /// The one detector thread + stall watchdog over every shard: lock
-    /// edges, gate edges and session identity (held for its `Drop`).
+    /// edges and session identity (held for its `Drop`).
     _detector: GlobalDetector,
     /// Coordinator decision log (`None` for an in-memory index — then
     /// multi-shard commits are atomic only in the absence of failures,
@@ -362,7 +362,7 @@ impl ShardedDglRTree {
     ) -> Self {
         let sessions: Arc<Mutex<SessionMap>> = Arc::new(Mutex::new(HashMap::new()));
         let committing: Arc<Mutex<CommittingMap>> = Arc::new(Mutex::new(HashMap::new()));
-        let detector = GlobalDetector::spawn_sharded(
+        let detector = GlobalDetector::spawn(
             shards.iter().map(|s| Arc::clone(&s.core)).collect(),
             Arc::clone(&sessions),
             Arc::clone(&committing),
@@ -690,7 +690,7 @@ impl ShardedDglRTree {
 
     /// Renders the unioned cross-shard wait state the global deadlock
     /// detector reasons over: every shard's lock table, wait-for edges,
-    /// gate state, and the global-session identity map (the shell's
+    /// and the global-session identity map (the shell's
     /// `locktable --merged`, and the stall watchdog's dump format).
     pub fn merged_locktable_dump(&self) -> String {
         deadlock_global::render_merged(

@@ -53,7 +53,6 @@ mod traits;
 pub use dgl::{
     DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode,
     MvccStats, RecoverError, ShardedDglRTree, ShardedSnapshot, ShardingConfig, Snapshot,
-    SnapshotReadRTree,
 };
 pub use error::TxnError;
 pub use executor::{ExecError, RetryPolicy, TxnExecutor};

@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{dgl_background, grants, ids, lock_config, r, traced, RectGen};
+use common::{
+    dgl_background, grants, ids, lock_config, r, traced, wait_until, within_deadline, RectGen,
+};
 use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, ObjectId, Rect2,
     TransactionalRTree, TxnError, TxnId,
@@ -135,18 +137,17 @@ fn from_snapshot_then_new_deferrals_drain_through_quiesce() {
     db.validate().unwrap();
 }
 
-/// In background mode `commit` must NOT execute the physical deletion
-/// inline. A scanner parked on ext(root) blocks the system operation (its
-/// BR adjustment needs short SIX there) without blocking the logical
-/// delete, making the deferral window observable and deterministic: after
-/// the deleting transaction commits, the tombstone is still physically
-/// present, the backlog is nonzero, and the id is still reserved. Once
-/// the scanner commits, `quiesce` completes the deletion.
-#[test]
-fn background_commit_defers_physical_deletion() {
-    let db = dgl_background(4, InsertPolicy::Modified);
-    // Two corner clusters -> a height-2 tree whose empty middle belongs
-    // to ext(root).
+/// A scan of the empty middle between [`two_corner_clusters`]: commit S
+/// on ext(root) only.
+const EMPTY_MIDDLE: Rect2 = Rect2 {
+    lo: [0.45, 0.45],
+    hi: [0.55, 0.55],
+};
+
+/// Two corner clusters -> a height-2 tree whose empty middle belongs to
+/// ext(root). Returns the victim: the extreme corner of the top-right
+/// cluster, so its removal shrinks its leaf granule and changes ext(root).
+fn two_corner_clusters(db: &DglRTree) -> (ObjectId, Rect2) {
     let t = db.begin();
     for i in 0..5u64 {
         let o = 0.012 * i as f64;
@@ -168,18 +169,25 @@ fn background_commit_defers_physical_deletion() {
     }
     db.commit(t).unwrap();
     assert!(db.with_tree(|t| t.height()) >= 2, "need a real ext(root)");
+    (ObjectId(9), r([0.898, 0.898], [0.918, 0.918]))
+}
+
+/// In background mode `commit` must NOT execute the physical deletion
+/// inline. A scanner parked on ext(root) blocks the system operation (its
+/// BR adjustment needs short SIX there) without blocking the logical
+/// delete, making the deferral window observable and deterministic: after
+/// the deleting transaction commits, the tombstone is still physically
+/// present, the backlog is nonzero, and the id is still reserved. Once
+/// the scanner commits, `quiesce` completes the deletion.
+#[test]
+fn background_commit_defers_physical_deletion() {
+    let db = dgl_background(4, InsertPolicy::Modified);
+    let (victim, vrect) = two_corner_clusters(&db);
 
     // Scanner on the empty middle: commit S on ext(root) only.
     let scanner = db.begin();
-    assert!(db
-        .read_scan(scanner, r([0.45, 0.45], [0.55, 0.55]))
-        .unwrap()
-        .is_empty());
+    assert!(db.read_scan(scanner, EMPTY_MIDDLE).unwrap().is_empty());
 
-    // The victim is the extreme corner of the top-right cluster, so its
-    // removal shrinks its leaf granule and changes ext(root).
-    let victim = ObjectId(9);
-    let vrect = r([0.898, 0.898], [0.918, 0.918]);
     let t2 = db.begin();
     assert!(db.delete(t2, victim, vrect).unwrap());
     db.commit(t2).unwrap(); // enqueues; must not block on the scanner
@@ -215,6 +223,62 @@ fn background_commit_defers_physical_deletion() {
         "id free once the deletion is applied"
     );
     db.commit(t3).unwrap();
+}
+
+/// The one-driver wedge (ROADMAP 0(a), ISSUE 20): a delete is committed;
+/// the worker's system operation takes the gate and queues its SIX on
+/// ext(root) behind the driver's open scanner; the driver reads through a
+/// snapshot. When snapshot reads took the gate shared, the `hash_reads:
+/// false` point read (and any snapshot scan) parked behind the worker,
+/// which was waiting for the driver's own lock — one thread, asleep for
+/// good, outside every lock table. Same shape as
+/// [`background_commit_defers_physical_deletion`], so the order is given
+/// by the lock conflict itself, not by a delay.
+#[test]
+fn snapshot_reads_by_a_lock_holder_cannot_wedge_behind_the_worker() {
+    for hash_reads in [true, false] {
+        let db = Arc::new(DglRTree::new(DglConfig {
+            rtree: RTreeConfig::with_fanout(4),
+            maintenance: MaintenanceConfig {
+                mode: MaintenanceMode::Background,
+                ..Default::default()
+            },
+            hash_reads,
+            ..Default::default()
+        }));
+        let (victim, vrect) = two_corner_clusters(&db);
+        let dump = {
+            let db = Arc::clone(&db);
+            move || db.merged_locktable_dump()
+        };
+        let driver = Arc::clone(&db);
+        within_deadline(dump, move || {
+            let db = driver;
+            let scanner = db.begin();
+            assert!(db.read_scan(scanner, EMPTY_MIDDLE).unwrap().is_empty());
+            let t2 = db.begin();
+            assert!(db.delete(t2, victim, vrect).unwrap());
+            db.commit(t2).unwrap();
+            // The worker holds the gate and waits for the scanner's lock.
+            wait_until(|| db.lock_manager().waiter_count() == 1);
+            assert_eq!(
+                db.begin_snapshot().read_single(victim),
+                None,
+                "hash_reads={hash_reads}: the delete is committed and stamped"
+            );
+            assert_eq!(db.begin_snapshot().read_single(ObjectId(0)), Some(1));
+            assert_eq!(
+                ids(&db.begin_snapshot().read_scan(Rect2::unit())),
+                (0..9).collect::<Vec<u64>>(),
+                "hash_reads={hash_reads}"
+            );
+            db.commit(scanner).unwrap();
+            db.quiesce().expect("quiesce");
+        });
+        assert_eq!(db.obs().ctr(Ctr::LockTimeouts), 0);
+        assert_eq!(db.len(), 9, "deletion applied after quiesce");
+        db.validate().unwrap();
+    }
 }
 
 /// Transaction ids are sequential and shared with the worker's *system*

@@ -19,11 +19,10 @@
 //!   rolled back and retried, while the protocol's post-commit system
 //!   operations cannot and are spared unless the whole cycle is system
 //!   work.
-//! * A cycle that leaves one table (two or more shards, or through the
-//!   deferred-deletion gate) is found by the protocol layer's detector
-//!   thread, which unions every table's `wait_edges()` into one
-//!   [`WaitForGraph`] over its own node identity and applies
-//!   [`youngest_non_system`] to it.
+//! * A cycle that leaves one table (two or more shards) is found by the
+//!   protocol layer's detector thread, which unions every table's
+//!   `wait_edges()` into one [`WaitForGraph`] over its own node identity
+//!   and applies [`youngest_non_system`] to it.
 //! * The manager's wait timeout is the single backstop behind both.
 
 use std::collections::{HashMap, HashSet};

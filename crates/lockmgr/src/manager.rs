@@ -473,7 +473,8 @@ impl LockManager {
         // wait: consume the poison and deliver the deadlock verdict.
         // Conditional requests never wait, so they cannot extend a cycle
         // and are left to fail or succeed on their own.
-        if kind == RequestKind::Unconditional && self.take_poison(txn) {
+        if kind == RequestKind::Unconditional && self.peek(txn, |r| std::mem::take(&mut r.poisoned))
+        {
             self.obs.incr(Ctr::LockDeadlocks);
             return LockOutcome::Deadlock;
         }
@@ -765,7 +766,7 @@ impl LockManager {
     /// A cheap flat snapshot of every blocking edge in the lock table:
     /// waiter → each transaction it cannot be granted before, with the
     /// waiter's system flag and how long it has been blocked. This is
-    /// the per-manager contribution to the global (cross-shard + gate)
+    /// the per-manager contribution to the global (cross-shard)
     /// wait-for graph; each shard of the lock table is read under its
     /// own mutex, so the snapshot is per-resource consistent, like
     /// [`LockManager::table_snapshot`].
@@ -812,11 +813,10 @@ impl LockManager {
     /// Wounds `txn` from outside its own thread: marks it poisoned and
     /// cancels its blocked unconditional wait (if any), making that
     /// `lock()` call return [`LockOutcome::Deadlock`] remotely. If the
-    /// victim is not currently parked in this manager (it may be polling
-    /// the deferred gate, or between retries), the poison mark alone
-    /// guarantees its next unconditional request — or its next
-    /// [`LockManager::take_poison`] probe — delivers the verdict.
-    /// Returns `true` if a parked wait was cancelled right here.
+    /// victim is not currently parked in this manager (it may be between
+    /// retries), the poison mark alone guarantees its next unconditional
+    /// request delivers the verdict. Returns `true` if a parked wait was
+    /// cancelled right here.
     ///
     /// The mark is cleared by `release_all` (the victim's rollback), so
     /// a wound can never leak onto a later transaction.
@@ -826,13 +826,6 @@ impl LockManager {
             r.waiting_on
         });
         waiting.is_some_and(|(res, _)| self.cancel_waiter(res, txn))
-    }
-
-    /// Consumes `txn`'s poison mark, returning whether one was set.
-    /// Callers that wait outside the lock table (the MVCC deferred-gate
-    /// poll) probe this to pick up a remote wound.
-    pub fn take_poison(&self, txn: TxnId) -> bool {
-        self.peek(txn, |r| std::mem::take(&mut r.poisoned))
     }
 
     /// Whether `txn` is marked poisoned (without consuming the mark).

@@ -17,9 +17,6 @@ pub enum Res {
     Object(u64),
     /// The whole-tree resource.
     Tree,
-    /// The deferred-deletion gate — not a lock-manager resource, but a
-    /// thing lock holders wait on (stall watchdog evidence).
-    Gate,
 }
 
 impl std::fmt::Display for Res {
@@ -28,7 +25,6 @@ impl std::fmt::Display for Res {
             Res::Page(p) => write!(f, "page:P{p}"),
             Res::Object(o) => write!(f, "obj:{o}"),
             Res::Tree => write!(f, "tree"),
-            Res::Gate => write!(f, "gate"),
         }
     }
 }
@@ -91,9 +87,6 @@ pub enum Event {
         /// Every cycle member, rendered as stable diagnostic labels
         /// (`"g:<gtxn>"` / `"s<shard>:<txn>"`).
         cycle: Vec<String>,
-        /// Whether the cycle crossed a deferred-gate edge (vs pure
-        /// lock-table edges).
-        gate: bool,
     },
     /// The stall watchdog flagged a wait past the threshold with no
     /// deadlock cycle found. Diagnostic only — nothing is aborted.

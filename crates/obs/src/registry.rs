@@ -178,8 +178,8 @@ counters! {
     /// Object versions (chain entries and retired dead objects)
     /// reclaimed by version GC below the min-active-snapshot watermark.
     VersionsReclaimed => "versions_reclaimed",
-    /// Cycles resolved by the global (cross-shard + gate) deadlock
-    /// detector: one per wounded victim.
+    /// Cycles resolved by the global (cross-shard) deadlock detector:
+    /// one per wounded victim.
     GlobalDeadlocks => "global_deadlocks",
     /// Stall-watchdog firings: a wait exceeded the stall threshold with
     /// no deadlock cycle found (diagnostic, never an abort).

@@ -304,7 +304,21 @@ impl<const D: usize> RTree<D> {
     /// caller's (protocol's) business. Reads are counted.
     pub fn search(&self, query: &Rect<D>) -> Vec<(ObjectId, Rect<D>, Option<u64>)> {
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
+        self.search_from(self.root, query, &mut out);
+        out
+    }
+
+    /// [`RTree::search`] over the subtree rooted at the live page `start`,
+    /// appending to `out`. `start` need not be reachable from the root: the
+    /// subtree under an orphaned index entry stays intact (and live) while
+    /// a deferred deletion holds it out of the tree.
+    pub fn search_from(
+        &self,
+        start: PageId,
+        query: &Rect<D>,
+        out: &mut Vec<(ObjectId, Rect<D>, Option<u64>)>,
+    ) {
+        let mut stack = vec![start];
         while let Some(pid) = stack.pop() {
             let node = self.node(pid);
             for e in &node.entries {
@@ -326,7 +340,6 @@ impl<const D: usize> RTree<D> {
                 }
             }
         }
-        out
     }
 
     /// Exact lookup of `(oid, rect)`: returns the tombstone state if

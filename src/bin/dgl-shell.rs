@@ -588,10 +588,10 @@ fn run_command(
             Ok(Some("ok (snapshot written, log truncated)".into()))
         }
         "locktable" if parts.get(1) == Some(&"--merged") => {
-            // The global detector's view: lock-manager wait edges plus
-            // the deferred-deletion gate edge, annotated. On the sharded
-            // router the same dump unions every shard's graph; here it
-            // is the single shard's slice of that picture.
+            // The global detector's view: the lock table with its
+            // wait-for edges annotated. On the sharded router the same
+            // dump unions every shard's graph; here it is the single
+            // shard's slice of that picture.
             let dump = db.merged_locktable_dump();
             if dump.trim().is_empty() {
                 return Ok(Some("(no wait edges)".into()));
@@ -653,7 +653,7 @@ commands:
   stats --histograms                     latency histograms + obs counters
   locktable                              live lock table (grants and waiters)
   locktable --merged                     detector's merged wait-for graph
-                                         (lock waits + gate edges annotated)
+                                         (lock table + wait-for edges)
   quiesce                                drain the background maintenance queue
   save <path> | load <path>              snapshot persistence (no log)
   open <dir>                             durable index: WAL + checkpoints in <dir>

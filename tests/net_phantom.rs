@@ -11,16 +11,22 @@
 //! in-process backend handle: after the run the tree must validate,
 //! and the final region content must equal the committed history.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use common::{wait_until, within_deadline};
+
 use dgl_client::{Client, ClientError};
 use dgl_server::{Backend, Server, ServerConfig};
 use granular_rtree::core::{
-    DglConfig, DglRTree, MaintenanceConfig, MaintenanceMode, Rect2, ShardedDglRTree, ShardingConfig,
+    DglConfig, DglRTree, MaintenanceConfig, MaintenanceMode, Rect2, ShardedDglRTree,
+    ShardingConfig, TransactionalRTree,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
+use granular_rtree::obs::Ctr;
 
 const REGION: Rect2 = Rect2 {
     lo: [0.35, 0.35],
@@ -368,5 +374,85 @@ fn net_snapshot_scan_is_frozen_under_churn() {
         "fresh snapshot resurrected a delete"
     );
     c.end_snapshot(snap2).expect("end snapshot");
+    server.shutdown().expect("drain");
+}
+
+/// The snapshot-read wedge, over the wire (ISSUE 20): session B deletes an
+/// object; session A's `Search` queues behind B's IX; B commits, and the
+/// inline deferred deletion inside its commit waits for A's freshly
+/// granted S; A then asks for a `SnapshotScan`. When snapshot scans took
+/// the system-operation gate shared, A's session thread parked behind the
+/// system operation — which was waiting for A's own lock — and took its
+/// own transaction-timeout reaper down with it. Now both sessions answer.
+#[test]
+fn net_snapshot_scan_inside_a_transaction_cannot_wedge_a_committing_delete() {
+    // The default 10 s lock wait: nothing here may come near it.
+    let mut server = Server::start(
+        Backend::Single(DglRTree::new(DglConfig::default())),
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let addr = server.addr();
+    fn db(backend: &Backend) -> &DglRTree {
+        match backend {
+            Backend::Single(db) => db,
+            Backend::Sharded(_) => unreachable!("single-tree server"),
+        }
+    }
+    let backend = Arc::clone(server.backend());
+    let rect = |i: u64| {
+        let o = 0.1 * i as f64;
+        Rect2::new([o, o], [o + 0.05, o + 0.05])
+    };
+    let mut setup = Client::connect(addr).expect("connect");
+    let txn = setup.begin().expect("begin");
+    for i in 1..=2 {
+        setup.insert(txn, i, rect(i)).expect("setup insert");
+    }
+    setup.commit(txn).expect("setup commit");
+
+    let one_waiter = {
+        let backend = Arc::clone(&backend);
+        move || wait_until(|| db(&backend).lock_manager().waiter_count() == 1)
+    };
+    let dump = {
+        let backend = Arc::clone(&backend);
+        move || db(&backend).merged_locktable_dump()
+    };
+    let fresh = within_deadline(dump, move || {
+        let mut b = Client::connect(addr).expect("B connect");
+        let tb = b.begin().expect("B begin");
+        assert!(b.delete(tb, 1, rect(1)).expect("B delete"));
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                let mut a = Client::connect(addr).expect("A connect");
+                let ta = a.begin().expect("A begin");
+                // Queues behind B's IX on the leaf granule.
+                a.search(ta, Rect2::unit()).expect("A search");
+                // Granted by B's commit, whose deferred deletion now
+                // waits behind this S — gate held.
+                one_waiter();
+                let (snap, _) = a.begin_snapshot().expect("A begin snapshot");
+                let fresh = a
+                    .snapshot_scan(snap, Rect2::unit())
+                    .expect("A snapshot scan");
+                a.end_snapshot(snap).expect("A end snapshot");
+                a.commit(ta).expect("A commit");
+                fresh
+            });
+            one_waiter(); // A's search is parked behind B.
+            b.commit(tb).expect("B commit"); // answers once A commits
+            a.join().expect("session A")
+        })
+    });
+    assert_eq!(
+        fresh.iter().map(|h| h.oid.0).collect::<Vec<_>>(),
+        [2],
+        "B was stamped before its deferred deletion ran: the delete is visible"
+    );
+    assert_eq!(server.obs().snapshot().ctr(Ctr::SessionAborts), 0);
+    assert_eq!(db(&backend).obs().ctr(Ctr::LockTimeouts), 0);
+    db(&backend).validate().expect("invariants");
     server.shutdown().expect("drain");
 }

@@ -23,16 +23,21 @@
 //! Three fixed seeds run in CI; `phantom_oracle_replayable` reads
 //! `PHANTOM_SEED=<n>` for replaying a failure.
 
+mod common;
+
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
+
+use common::{wait_until, within_deadline};
 
 use granular_rtree::core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
     TransactionalRTree, TxnError, TxnId,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
-use granular_rtree::obs::{Event, Hist};
+use granular_rtree::obs::{Ctr, Event, Hist};
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
 /// The fault registry is process-global and the negative control arms
@@ -813,6 +818,69 @@ fn locking_readers_still_block_writers_snapshot_readers_never_do() {
     db.commit(searcher).expect("searcher commit");
 }
 
+/// The wedge a snapshot read used to close (ROADMAP 0(a), ISSUE 20): T1
+/// deletes an object; T2's locking scan queues behind T1's IX; T1 commits,
+/// and its inline deferred deletion — a system operation — waits for IX
+/// behind T2's freshly granted S. T2's thread then reads through a
+/// snapshot. When snapshot scans took the system-operation gate shared,
+/// that read parked behind the system operation, which was waiting for
+/// T2's own lock: two threads asleep for good, in a cycle no lock table
+/// sees. A snapshot read waits for nobody now, so both threads finish.
+#[test]
+fn lock_holders_snapshot_scan_cannot_wedge_an_inline_deferred_deletion() {
+    let _serial = serialize();
+    let db = Arc::new(DglRTree::new(DglConfig::default()));
+    let rect = |i: u64| {
+        let o = 0.1 * i as f64;
+        Rect2::new([o, o], [o + 0.05, o + 0.05])
+    };
+    let setup = db.begin();
+    for i in 1..=2 {
+        db.insert(setup, ObjectId(i), rect(i))
+            .expect("setup insert");
+    }
+    db.commit(setup).expect("setup commit");
+
+    let fresh = within_deadline(
+        {
+            let db = Arc::clone(&db);
+            move || db.merged_locktable_dump()
+        },
+        {
+            let db = Arc::clone(&db);
+            move || {
+                let one_waiter = || wait_until(|| db.lock_manager().waiter_count() == 1);
+                let t1 = db.begin();
+                assert!(db.delete(t1, ObjectId(1), rect(1)).expect("T1 delete"));
+                std::thread::scope(|s| {
+                    let b = s.spawn(|| {
+                        let t2 = db.begin();
+                        // Queues behind T1's IX on the leaf granule.
+                        db.read_scan(t2, Rect2::unit()).expect("T2 scan");
+                        // Granted by T1's commit, whose deferred deletion
+                        // now waits behind this S — gate held.
+                        one_waiter();
+                        let fresh = db.begin_snapshot().read_scan(Rect2::unit());
+                        db.commit(t2).expect("T2 commit");
+                        fresh
+                    });
+                    one_waiter(); // T2 is parked behind T1.
+                    db.commit(t1).expect("T1 commit"); // returns once T2 commits
+                    b.join().expect("thread B")
+                })
+            }
+        },
+    );
+    assert_eq!(
+        fresh.iter().map(|h| h.oid.0).collect::<Vec<_>>(),
+        [2],
+        "T1 was stamped before its deferred deletion ran: the delete is visible"
+    );
+    assert_eq!(db.obs().ctr(Ctr::LockTimeouts), 0);
+    assert_eq!(db.obs().ctr(Ctr::LockDeadlocks), 0);
+    db.validate().expect("invariants");
+}
+
 /// Negative control: the snapshot plane's safety assertion has teeth —
 /// reading at a timestamp above the commit clock (state that is not yet
 /// stable) panics instead of returning garbage.
@@ -972,4 +1040,200 @@ fn sharded_snapshot_is_atomic_across_shards() {
         "fresh sharded snapshot must see every committed pair"
     );
     db.validate().expect("sharded invariants");
+}
+
+// --- the condensation window ---------------------------------------------
+//
+// Between the latch session that removes an entry and condenses, and the
+// sessions that re-insert the orphans, committed objects are out of the
+// tree. Snapshot scans take no locks and no gate, so they must find them
+// where the system operation published them.
+
+/// A grid of `n` small objects inside the lower-left quadrant (one shard
+/// of a 2×2 grid), committed in one transaction.
+fn preload_grid(db: &dyn TransactionalRTree, n: u64) -> Vec<(ObjectId, Rect2)> {
+    let objects: Vec<(ObjectId, Rect2)> = (0..n)
+        .map(|i| {
+            let (x, y) = (0.02 + 0.06 * (i % 7) as f64, 0.02 + 0.06 * (i / 7) as f64);
+            (ObjectId(i), Rect2::new([x, y], [x + 0.01, y + 0.01]))
+        })
+        .collect();
+    let txn = db.begin();
+    for &(oid, rect) in &objects {
+        db.insert(txn, oid, rect).expect("grid insert");
+    }
+    db.commit(txn).expect("grid commit");
+    objects
+}
+
+/// The first object whose physical deletion underflows its leaf (object
+/// orphans) and — when `index_orphan` — the leaf's parent too, orphaning
+/// the sibling leaf as an index entry. The node above keeps two entries,
+/// so no root shrink hides the window.
+fn condensing_victim(
+    db: &DglRTree,
+    objects: &[(ObjectId, Rect2)],
+    index_orphan: bool,
+) -> (ObjectId, Rect2) {
+    db.with_tree(|t| {
+        let min = t.config().min_entries;
+        objects.iter().copied().find(|&(oid, rect)| {
+            let path = t.find_path(oid, rect).expect("grid object is in the tree");
+            let fill: Vec<usize> = path
+                .iter()
+                .rev()
+                .map(|p| t.peek_node(*p).entries.len())
+                .collect();
+            match (fill.as_slice(), index_orphan) {
+                ([leaf, parent, ..], false) => *leaf == min && *parent > min,
+                ([leaf, parent, grandparent, ..], true) => {
+                    *leaf == min && *parent == min && *grandparent > min
+                }
+                _ => false,
+            }
+        })
+    })
+    .expect("the grid has a leaf at minimum fill under a parent of the wanted fill")
+}
+
+/// Commits the delete of `victim` on a thread of its own with
+/// `maint/reinsert` armed as a 300 ms delay — its inline deferred deletion
+/// sleeps between two latch sessions, orphans out of the tree — and takes
+/// `scan` of the world from here while it sleeps: the scan returns before
+/// the commit does and holds every other committed object exactly once.
+/// Locking point reads in the same window find every object too (they
+/// lock the object, not a granule, so the system operation's short SIX
+/// locks do not hold them off — the lookup itself must see the orphans).
+/// `dump` is the index's `merged_locktable_dump`, printed if this wedges.
+fn scan_sees_through_the_condensation_window<D>(
+    db: Arc<D>,
+    objects: Vec<(ObjectId, Rect2)>,
+    victim: (ObjectId, Rect2),
+    dump: fn(&D) -> String,
+    scan: fn(&D) -> Vec<granular_rtree::core::ScanHit>,
+) where
+    D: TransactionalRTree + Send + Sync + 'static,
+{
+    let dump_db = Arc::clone(&db);
+    within_deadline(
+        move || dump(&dump_db),
+        move || window_schedule(db.as_ref(), &objects, victim, scan),
+    );
+}
+
+fn window_schedule<D: TransactionalRTree + Sync>(
+    db: &D,
+    objects: &[(ObjectId, Rect2)],
+    victim: (ObjectId, Rect2),
+    scan: fn(&D) -> Vec<granular_rtree::core::ScanHit>,
+) {
+    let _slow = dgl_faults::register(
+        "maint/reinsert",
+        dgl_faults::FaultSpec::delay(Duration::from_millis(300)).nth(1),
+    );
+    let committed = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let txn = db.begin();
+            assert!(db.delete(txn, victim.0, victim.1).expect("victim delete"));
+            db.commit(txn).expect("victim commit");
+            committed.store(true, Ordering::SeqCst);
+        });
+        wait_until(|| dgl_faults::site_stats("maint/reinsert").is_some_and(|(_, fires)| fires > 0));
+        let seen: Vec<u64> = scan(db).iter().map(|h| h.oid.0).collect();
+        let reader = db.begin();
+        for &(oid, rect) in objects {
+            assert_eq!(
+                db.read_single(reader, oid, rect).expect("point read"),
+                (oid != victim.0).then_some(1),
+                "locking point read of {oid} mid-condensation"
+            );
+        }
+        db.commit(reader).expect("reader commit");
+        assert!(
+            !committed.load(Ordering::SeqCst),
+            "the reads must return while the deferred deletion still sleeps"
+        );
+        let expected: Vec<u64> = objects
+            .iter()
+            .map(|(o, _)| o.0)
+            .filter(|o| *o != victim.0 .0)
+            .collect();
+        assert_eq!(
+            seen, expected,
+            "every committed object exactly once, orphans included"
+        );
+    });
+    db.validate().expect("invariants");
+}
+
+/// Fanout 4 at minimum fill 2: an underflowing node always leaves an entry
+/// behind to orphan (the 40 % default rounds to 1, where an eliminated
+/// node is always empty).
+fn condensing_config(hash_reads: bool) -> DglConfig {
+    DglConfig {
+        rtree: RTreeConfig::with_fanout(4).with_min_entries(2),
+        hash_reads,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn snapshot_scan_sees_object_orphans_mid_condensation() {
+    let _serial = serialize();
+    // Both point-read paths: the hash index, and the tree lookup of the
+    // `hash_reads: false` reference side.
+    for hash_reads in [true, false] {
+        let db = Arc::new(DglRTree::new(condensing_config(hash_reads)));
+        let objects = preload_grid(db.as_ref(), 40);
+        let victim = condensing_victim(&db, &objects, false);
+        scan_sees_through_the_condensation_window(
+            db,
+            objects,
+            victim,
+            DglRTree::merged_locktable_dump,
+            |db| db.begin_snapshot().read_scan(Rect2::unit()),
+        );
+    }
+}
+
+#[test]
+fn snapshot_scan_descends_an_orphaned_subtree_mid_condensation() {
+    let _serial = serialize();
+    let db = Arc::new(DglRTree::new(condensing_config(true)));
+    let objects = preload_grid(db.as_ref(), 40);
+    let victim = condensing_victim(&db, &objects, true);
+    scan_sees_through_the_condensation_window(
+        db,
+        objects,
+        victim,
+        DglRTree::merged_locktable_dump,
+        |db| db.begin_snapshot().read_scan(Rect2::unit()),
+    );
+}
+
+#[test]
+fn sharded_snapshot_scan_sees_orphans_mid_condensation() {
+    let _serial = serialize();
+    let db = Arc::new(ShardedDglRTree::new(
+        condensing_config(true),
+        ShardingConfig {
+            shards: 4,
+            max_object_extent: 0.05,
+        },
+    ));
+    let objects = preload_grid(db.as_ref(), 40);
+    let home = db
+        .shard_handles()
+        .iter()
+        .find(|shard| shard.len() == objects.len())
+        .expect("the grid lives on one shard");
+    let victim = condensing_victim(home, &objects, true);
+    scan_sees_through_the_condensation_window(
+        db,
+        objects,
+        victim,
+        ShardedDglRTree::merged_locktable_dump,
+        |db| db.begin_snapshot().read_scan(Rect2::unit()),
+    );
 }
