@@ -83,7 +83,7 @@ pub use mvcc::{MvccStats, Snapshot};
 pub use shard::{ShardedDglRTree, ShardedSnapshot, ShardingConfig};
 
 use maintenance::MaintenanceHandle;
-use mvcc::{DeadObject, VersionChain};
+use mvcc::{DeadObject, DirtyList, VersionChain};
 
 use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
@@ -294,6 +294,9 @@ pub(crate) struct DglCore {
     /// still see (pruned by the version GC). A leaf lock like
     /// `payloads`; taken after it, never before.
     pub(crate) dead: Mutex<Vec<DeadObject>>,
+    /// The chains version GC has to look at (see [`DirtyList`] for the
+    /// invariant). Leaf locks, taken outside any payload stripe closure.
+    pub(crate) dirty: DirtyList,
     /// The MVCC commit clock + active-snapshot registry. Shared across
     /// every shard of a sharded index so one snapshot timestamp is
     /// consistent index-wide. Ordering: the clock's internal mutex may
@@ -303,8 +306,8 @@ pub(crate) struct DglCore {
     /// A version-GC pass has been dispatched and not yet run (dedupes
     /// requests, mirrors `ckpt_pending`).
     pub(crate) gc_pending: AtomicBool,
-    /// Snapshot drops since startup (every [`mvcc`] `GC_EVERY_DROPS`]th
-    /// triggers a GC dispatch).
+    /// Snapshot drops since startup (every `GC_EVERY_DROPS`th triggers a
+    /// GC dispatch, [`DglRTree::snapshot_dropped`]).
     pub(crate) gc_drops: AtomicU64,
     /// Serializes system operations (post-commit deferred deletions) and
     /// checkpoints. Nobody else takes it — no user transaction and no
@@ -522,6 +525,7 @@ impl DglRTree {
             deferred: Journal::new(),
             payloads,
             dead: Mutex::new(Vec::new()),
+            dirty: DirtyList::new(),
             clock,
             gc_pending: AtomicBool::new(false),
             gc_drops: AtomicU64::new(0),
@@ -1141,6 +1145,21 @@ impl DglCore {
                     tree.locate_leaf(oid, rect)
                 ));
             }
+        }
+        // The version-GC invariant, against the full table: a chain with
+        // more than one version is on the dirty list (nothing is in a
+        // pass's hand at a quiescent point).
+        let dirty = self.dirty.ids();
+        let mut unlisted = None;
+        self.payloads.for_each(|oid, slot| {
+            if slot.chain.len() > 1 && dirty.binary_search(oid).is_err() {
+                unlisted = Some((*oid, slot.chain.len()));
+            }
+        });
+        if let Some((oid, versions)) = unlisted {
+            return Err(format!(
+                "object {oid} holds {versions} versions but version GC does not know it"
+            ));
         }
         Ok(())
     }

@@ -30,6 +30,9 @@
 //! * A maintenance task ([`DglCore::run_version_gc`]) prunes versions
 //!   below the min-active-snapshot watermark — dispatched when snapshots
 //!   are dropped, and explicitly via [`DglRTree::dispatch_version_gc`].
+//!   A pass costs what the garbage costs, not what the table costs: the
+//!   write path records every chain that grows past one version in a
+//!   [`DirtyList`], and the pass visits that list and nothing else.
 //!
 //! # Why snapshot scans cannot miss committed objects
 //!
@@ -51,11 +54,14 @@
 //! may run on any thread, including one whose transaction holds granule
 //! locks.
 
+use std::hash::BuildHasher;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
+use parking_lot::Mutex;
+
 use dgl_geom::Rect2;
-use dgl_lockmgr::TxnId;
+use dgl_lockmgr::{MixBuild, TxnId};
 use dgl_obs::{Ctr, Hist};
 use dgl_rtree::{Entry, ObjectId};
 
@@ -129,13 +135,17 @@ impl VersionChain {
         1 + self.older.len() as u64
     }
 
-    /// Pushes a new pending head, demoting the current head.
-    pub(crate) fn push_pending(&mut self, value: Option<u64>) {
+    /// Pushes a new pending head, demoting the current head. Returns
+    /// whether that took the chain from one version to two — the moment
+    /// the caller owes its object id to the [`DirtyList`].
+    pub(crate) fn push_pending(&mut self, value: Option<u64>) -> bool {
+        let first_garbage = self.older.is_empty();
         self.older.insert(0, self.head);
         self.head = Version {
             ts: TS_PENDING,
             value,
         };
+        first_garbage
     }
 
     /// Rollback: removes the pending head, promoting the next version.
@@ -180,21 +190,73 @@ impl VersionChain {
     /// resolve — everything older than the newest version with
     /// `ts <= watermark`. Returns how many versions were dropped.
     pub(crate) fn prune_below(&mut self, watermark: u64) -> u64 {
-        let mut kept = Vec::new();
+        let before = self.older.len();
         let mut floor_kept = self.head.ts <= watermark;
-        let mut dropped = 0u64;
-        for v in self.older.drain(..) {
-            if v.ts > watermark {
-                kept.push(v);
-            } else if floor_kept {
-                dropped += 1;
-            } else {
-                floor_kept = true;
-                kept.push(v);
-            }
+        // In place: a chain a snapshot pins is pruned pass after pass.
+        self.older.retain(|v| {
+            // At or below the watermark only the newest version (the
+            // floor) is still resolvable.
+            v.ts > watermark || !std::mem::replace(&mut floor_kept, true)
+        });
+        (before - self.older.len()) as u64
+    }
+}
+
+/// The object ids whose chains may hold garbage — what a version-GC pass
+/// visits. Invariant: **a live chain with more than one version has its
+/// object id on this list, or in the hand of the pass running right
+/// now.** The converse does not hold and need not: an id whose chain is
+/// back to one version (rolled back, already pruned) or gone (physically
+/// removed) costs the next pass one probe and is dropped there.
+///
+/// Writers feed it at the 1 → 2 transition
+/// ([`VersionChain::push_pending`]), *after* leaving the payload stripe
+/// closure; the pass re-queues what it could not prune to one version.
+/// Striped by object id so that writers do not meet on one mutex; the
+/// stripes are leaf locks, never held across anything.
+pub(crate) struct DirtyList {
+    stripes: [Mutex<Vec<ObjectId>>; 16],
+    hasher: MixBuild,
+}
+
+impl DirtyList {
+    pub(crate) fn new() -> Self {
+        Self {
+            stripes: std::array::from_fn(|_| Mutex::new(Vec::new())),
+            hasher: MixBuild::seeded(),
         }
-        self.older = kept;
-        dropped
+    }
+
+    pub(crate) fn push(&self, oid: ObjectId) {
+        // The mix's high half, so that strided ids still spread.
+        let mixed = self.hasher.hash_one(oid.0) >> 32;
+        self.stripes[mixed as usize % self.stripes.len()]
+            .lock()
+            .push(oid);
+    }
+
+    /// Empties the list into the caller's hand, each id once (an
+    /// update → abort → update sequence between two passes lists its
+    /// object twice).
+    fn drain(&self) -> Vec<ObjectId> {
+        let mut ids = Vec::new();
+        for s in &self.stripes {
+            ids.append(&mut s.lock());
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// The listed ids, each once, the list left as it is.
+    pub(crate) fn ids(&self) -> Vec<ObjectId> {
+        let mut ids = Vec::new();
+        for s in &self.stripes {
+            ids.extend_from_slice(&s.lock());
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 }
 
@@ -223,6 +285,10 @@ pub struct MvccStats {
     pub dead_objects: usize,
     /// Versions stored across the dead list.
     pub dead_versions: u64,
+    /// Distinct object ids queued for the next version-GC pass: every
+    /// live chain with more than one version, plus chains that since
+    /// went back to one version and have not been looked at yet.
+    pub gc_queued: usize,
 }
 
 // --- DglCore: stamping, snapshot reads, version GC ----------------------
@@ -398,10 +464,10 @@ impl DglCore {
         })
     }
 
-    /// One version-GC pass: prunes every chain (live and dead) below the
-    /// min-active-snapshot watermark and drops dead objects no snapshot
-    /// can see at all. In-memory only — recovery rebuilds chains from the
-    /// log, so a crash mid-GC loses nothing.
+    /// One version-GC pass: prunes the chains on the [`DirtyList`] and the
+    /// dead list below the min-active-snapshot watermark, and drops dead
+    /// objects no snapshot can see at all. In-memory only — recovery
+    /// rebuilds chains from the log, so a crash mid-GC loses nothing.
     pub(crate) fn run_version_gc(&self) {
         // Release the dispatch dedupe slot even if the pass panics
         // (otherwise GC would be disabled for the rest of the process).
@@ -412,13 +478,43 @@ impl DglCore {
             }
         }
         let _reset = PendingReset(&self.gc_pending);
+        // The pass's hand. Whatever it still holds when the pass ends goes
+        // back on the list: the chains found with more than one version
+        // left, and — if the pass unwinds — the ids it never reached,
+        // which nothing else would ever revisit (a later write to such an
+        // object is not a 1 → 2 transition).
+        struct Hand<'a> {
+            list: &'a DirtyList,
+            ids: Vec<ObjectId>,
+        }
+        impl Drop for Hand<'_> {
+            fn drop(&mut self) {
+                for oid in self.ids.drain(..) {
+                    self.list.push(oid);
+                }
+            }
+        }
+        let mut hand = Hand {
+            list: &self.dirty,
+            ids: self.dirty.drain(),
+        };
         dgl_faults::failpoint!("maint/version-gc");
         // No active snapshot ⇒ everything below "now" is unreachable.
         let watermark = self.clock.min_active().unwrap_or_else(|| self.clock.now());
+        let visited = hand.ids.len() as u64;
         let mut reclaimed = 0u64;
-        self.payloads.for_each_mut(|_, slot| {
-            reclaimed += slot.chain.prune_below(watermark);
+        // Keep (re-queue) a chain still longer than one version: pinned by
+        // a live snapshot, or its head is pending. `None` is an object
+        // physically removed since it was listed (its history, if a
+        // snapshot needs it, is on the dead list below).
+        hand.ids.retain(|oid| {
+            let garbage_left = self.payloads.update(oid, |slot| {
+                reclaimed += slot.chain.prune_below(watermark);
+                slot.chain.len() > 1
+            });
+            garbage_left == Some(true)
         });
+        drop(hand);
         {
             let mut dead = self.dead.lock();
             dead.retain_mut(|d| {
@@ -435,16 +531,17 @@ impl DglCore {
             });
         }
         self.obs.incr(Ctr::VersionGcRuns);
+        self.obs.add(Ctr::VersionGcChainsVisited, visited);
         self.obs.add(Ctr::VersionsReclaimed, reclaimed);
     }
 }
 
 // --- the public snapshot handle -----------------------------------------
 
-/// Snapshot drops trigger a GC pass only every this many drops — the
-/// sweep is O(live objects), so per-transaction snapshots must not pay
-/// for it every time. [`DglRTree::dispatch_version_gc`] forces one.
-pub(crate) const GC_EVERY_DROPS: u64 = 32;
+/// Snapshot drops trigger a GC pass only every this many drops, so that
+/// per-transaction snapshots find a batch of garbage to reclaim rather
+/// than a dispatch each. [`DglRTree::dispatch_version_gc`] forces one.
+const GC_EVERY_DROPS: u64 = 32;
 
 /// A registered read timestamp over a [`DglRTree`]: reads through it see
 /// exactly the transactions committed at [`Snapshot::ts`], issue **no
@@ -486,6 +583,15 @@ impl DglRTree {
         }
     }
 
+    /// One of this index's snapshots (or a sharded snapshot spanning it)
+    /// was dropped: every [`GC_EVERY_DROPS`]th drop dispatches a pass.
+    pub(crate) fn snapshot_dropped(&self) {
+        let drops = self.core.gc_drops.fetch_add(1, Ordering::Relaxed);
+        if drops % GC_EVERY_DROPS == GC_EVERY_DROPS - 1 {
+            self.dispatch_version_gc();
+        }
+    }
+
     /// Requests a version-GC pass through the maintenance subsystem
     /// (inline mode runs it before returning). Deduplicated: a pass
     /// already dispatched and not yet run absorbs the request.
@@ -518,6 +624,7 @@ impl DglRTree {
             live_versions,
             dead_objects,
             dead_versions,
+            gc_queued: self.core.dirty.ids().len(),
         }
     }
 }
@@ -546,11 +653,7 @@ impl Snapshot<'_> {
 impl Drop for Snapshot<'_> {
     fn drop(&mut self) {
         self.db.core.clock.end_snapshot(self.ts);
-        if self.db.core.gc_drops.fetch_add(1, Ordering::Relaxed) % GC_EVERY_DROPS
-            == GC_EVERY_DROPS - 1
-        {
-            self.db.dispatch_version_gc();
-        }
+        self.db.snapshot_dropped();
     }
 }
 

@@ -178,14 +178,16 @@ impl DglCore {
                         // Every live tree entry has a slot (inserts
                         // publish both together; recovery seeds every
                         // restored entry).
-                        let old = self
+                        let (old, first_garbage) = self
                             .payloads
                             .update(&h.oid, |slot| {
                                 let old = slot.chain.current().expect("updated object is live");
-                                slot.chain.push_pending(Some(old + 1));
-                                old
+                                (old, slot.chain.push_pending(Some(old + 1)))
                             })
                             .expect("scanned object has a slot");
+                        if first_garbage {
+                            self.dirty.push(h.oid);
+                        }
                         self.undo.push(
                             txn,
                             super::UndoRecord::Update {

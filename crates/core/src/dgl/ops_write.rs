@@ -373,9 +373,13 @@ impl DglCore {
                             // timestamp see the object as gone (snapshot
                             // paths ignore the tombstone flag — the chain
                             // alone decides visibility).
-                            self.payloads
+                            if self
+                                .payloads
                                 .update(&oid, |slot| slot.chain.push_pending(None))
-                                .expect("live object has a chain");
+                                .expect("live object has a chain")
+                            {
+                                self.dirty.push(oid);
+                            }
                             // Undo + log inside the latch hold (see
                             // insert_op for the checkpoint-cut argument).
                             self.undo.push(txn, UndoRecord::LogicalDelete { oid, rect });
@@ -474,7 +478,7 @@ impl DglCore {
                         self.end_op(txn);
                         return Ok(false);
                     }
-                    let old = self.payloads.update_or_insert_with(
+                    let (old, first_garbage) = self.payloads.update_or_insert_with(
                         oid,
                         || super::PayloadSlot {
                             leaf,
@@ -483,10 +487,12 @@ impl DglCore {
                         },
                         |slot| {
                             let old = slot.chain.current().expect("updated object is live");
-                            slot.chain.push_pending(Some(old + 1));
-                            old
+                            (old, slot.chain.push_pending(Some(old + 1)))
                         },
                     );
+                    if first_garbage {
+                        self.dirty.push(oid);
+                    }
                     self.undo.push(
                         txn,
                         UndoRecord::Update {

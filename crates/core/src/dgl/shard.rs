@@ -81,7 +81,6 @@ use dgl_wal::{read_segment, scan_dir, segment_path, Wal, WalConfig, WalRecord};
 use crate::{ScanHit, TransactionalRTree, TxnError};
 
 use super::deadlock_global::{self, CommittingMap, GlobalDetector, SessionMap};
-use super::mvcc::GC_EVERY_DROPS;
 use super::{DglConfig, DglRTree, RecoverError};
 
 /// How the embedded space is partitioned across shards.
@@ -766,11 +765,7 @@ impl Drop for ShardedSnapshot<'_> {
         // Same throttled GC trigger as the single-tree snapshot drop,
         // applied per shard (each shard prunes its own chains).
         for s in &self.db.shards {
-            if s.core.gc_drops.fetch_add(1, Ordering::Relaxed) % GC_EVERY_DROPS
-                == GC_EVERY_DROPS - 1
-            {
-                s.dispatch_version_gc();
-            }
+            s.snapshot_dropped();
         }
     }
 }

@@ -96,6 +96,18 @@ fn check(db: &DglRTree, hash_reads: bool, read_live: bool, i: usize) -> Result<(
         .map_err(|e| TestCaseError::fail(format!("{label} step {i}: gc quiesce: {e}")))?;
     db.validate()
         .map_err(|e| TestCaseError::fail(format!("{label} step {i}: validate: {e}")))?;
+    // With nothing pinned the pass above left no garbage behind.
+    let stats = db.mvcc_stats();
+    if stats.active_snapshots == 0 {
+        prop_assert_eq!(
+            stats.live_versions,
+            stats.live_chains as u64,
+            "{} step {}: {:?}",
+            label,
+            i,
+            stats
+        );
+    }
     let obs = db.obs().snapshot();
     let (hits, misses) = (obs.ctr(Ctr::HashHits), obs.ctr(Ctr::HashMisses));
     if hash_reads {

@@ -16,7 +16,15 @@
 //! can never escape a call — so a caller cannot hold a stripe across a
 //! latch acquisition. The per-thread [`stripes_held`] counter lets
 //! embedders `debug_assert` that ordering (stripes are leaf locks: take
-//! them *after* any latch, never across one).
+//! them *after* any latch, never across one); it is compiled only under
+//! `debug_assertions`, a release build pays nothing for it.
+//!
+//! Hashing: one seeded multiply-mix [`BuildHasher`] per map (`MixBuild`,
+//! the mixer the lock table uses) picks the stripe *and* hashes inside
+//! the stripes' maps — the keys are fixed-width ids, and a visit has to
+//! cost about one probe for the hash side of a hash + tree index to be
+//! worth having. The seed is per map and per process: object ids arrive
+//! from clients, who must not be able to aim them at one bucket.
 //!
 //! Iteration (`for_each`, `for_each_mut`, `retain`) locks stripes one at
 //! a time: the view is per-stripe consistent, not a global atomic
@@ -25,9 +33,9 @@
 //! commit clock's critical section, and structural removals under the
 //! exclusive tree latch, for exactly this reason).
 
-use std::cell::Cell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use parking_lot::Mutex;
 
@@ -36,31 +44,82 @@ use parking_lot::Mutex;
 /// threads colliding on one mutex low without bloating the struct.
 pub const STRIPES: usize = 16;
 
+#[cfg(debug_assertions)]
 thread_local! {
-    static STRIPES_HELD: Cell<usize> = const { Cell::new(0) };
+    static STRIPES_HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// How many stripe locks the current thread is holding (via a closure
-/// currently executing inside a [`StripedMap`] call). Embedders assert
-/// this is zero before acquiring any lock that must order *below* the
-/// stripes (e.g. a tree latch).
+/// currently executing inside a [`StripedMap`] call). Embedders
+/// `debug_assert` this is zero before acquiring any lock that must order
+/// *below* the stripes (e.g. a tree latch). Counted in debug builds only;
+/// a release build always answers 0.
 pub fn stripes_held() -> usize {
-    STRIPES_HELD.with(Cell::get)
+    #[cfg(debug_assertions)]
+    return STRIPES_HELD.with(std::cell::Cell::get);
+    #[cfg(not(debug_assertions))]
+    0
 }
 
-/// RAII bump of the per-thread held-stripe counter.
+/// RAII bump of the per-thread held-stripe counter (debug builds).
 struct HeldGuard;
 
 impl HeldGuard {
+    #[inline]
     fn enter() -> Self {
+        #[cfg(debug_assertions)]
         STRIPES_HELD.with(|c| c.set(c.get() + 1));
         HeldGuard
     }
 }
 
+#[cfg(debug_assertions)]
 impl Drop for HeldGuard {
     fn drop(&mut self) {
         STRIPES_HELD.with(|c| c.set(c.get() - 1));
+    }
+}
+
+/// Multiply-mix hasher for fixed-width id keys: one folded 64×64→128
+/// multiply per word instead of SipHash's rounds. `dgl-lockmgr` has the
+/// original; this is a copy because a `hashidx → lockmgr` dependency
+/// edge is not worth 25 lines.
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15_u128;
+        self.0 = (m as u64) ^ (m >> 64) as u64;
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[derive(Clone)]
+struct MixBuild(u64);
+
+impl BuildHasher for MixBuild {
+    type Hasher = MixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
     }
 }
 
@@ -69,7 +128,8 @@ impl Drop for HeldGuard {
 /// All access is closure-scoped; see the module docs for the locking
 /// discipline.
 pub struct StripedMap<K, V> {
-    stripes: Vec<Mutex<HashMap<K, V>>>,
+    stripes: Vec<Mutex<HashMap<K, V, MixBuild>>>,
+    hasher: MixBuild,
 }
 
 impl<K: Hash + Eq, V> Default for StripedMap<K, V> {
@@ -87,17 +147,21 @@ impl<K, V> std::fmt::Debug for StripedMap<K, V> {
 }
 
 impl<K: Hash + Eq, V> StripedMap<K, V> {
-    /// An empty map.
+    /// An empty map, hashed under a fresh random seed.
     pub fn new() -> Self {
+        let hasher = MixBuild(RandomState::new().hash_one(0u64));
         Self {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            stripes: (0..STRIPES)
+                .map(|_| Mutex::new(HashMap::with_hasher(hasher.clone())))
+                .collect(),
+            hasher,
         }
     }
 
-    fn stripe(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.stripes[(h.finish() as usize) & (STRIPES - 1)]
+    /// The stripe comes from hash bits the in-stripe map uses neither for
+    /// bucketing (the low ones) nor for its control bytes (the top seven).
+    fn stripe(&self, key: &K) -> &Mutex<HashMap<K, V, MixBuild>> {
+        &self.stripes[(self.hasher.hash_one(key) >> 32) as usize & (STRIPES - 1)]
     }
 
     /// Runs `f` on the value for `key`, if present.
@@ -249,6 +313,9 @@ mod tests {
         assert_eq!(m.get(&5, |v| *v), None);
     }
 
+    // The counter exists in debug builds only (a release build compiles
+    // the thread-local bump out), so this is a debug-build assertion.
+    #[cfg(debug_assertions)]
     #[test]
     fn stripes_held_tracks_closure_scope() {
         let m: StripedMap<u64, u64> = StripedMap::new();
@@ -258,6 +325,76 @@ mod tests {
         m.update(&1, |_| assert_eq!(stripes_held(), 1));
         m.for_each(|_, _| assert_eq!(stripes_held(), 1));
         assert_eq!(stripes_held(), 0);
+    }
+
+    /// The id shapes the system actually hashes: sequential object ids,
+    /// the strided ids sharded routers and clients hand out, and ids that
+    /// differ only in their high half.
+    fn id_shapes() -> [(&'static str, Vec<u64>); 4] {
+        let n = 50_000u64;
+        [
+            ("sequential", (0..n).collect()),
+            ("stride 16", (0..n).map(|i| i * 16).collect()),
+            ("stride 1024", (0..n).map(|i| i * 1_024).collect()),
+            ("high half only", (0..n).map(|i| i << 32).collect()),
+        ]
+    }
+
+    #[test]
+    fn mixer_spreads_id_keys_evenly_over_stripes() {
+        for (shape, keys) in id_shapes() {
+            let m: StripedMap<u64, u64> = StripedMap::new();
+            for &k in &keys {
+                assert_eq!(m.insert(k, !k), None);
+            }
+            let mean = keys.len() / STRIPES;
+            for (i, s) in m.stripes.iter().enumerate() {
+                let len = s.lock().len();
+                assert!(
+                    len.abs_diff(mean) * 4 <= mean,
+                    "{shape}: stripe {i} holds {len} of {} keys (mean {mean})",
+                    keys.len()
+                );
+            }
+            assert_eq!(m.len(), keys.len(), "{shape}");
+            for &k in &keys {
+                assert_eq!(m.get(&k, |v| *v), Some(!k), "{shape}: key {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn mixer_keeps_in_stripe_maps_from_degenerating() {
+        // What a stripe's map does with the hash: the low bits pick the
+        // bucket, the top seven are the control byte. Neither may collapse
+        // on structured ids (a multiply alone leaves the low bits of a
+        // strided id constant; the fold is what fixes that).
+        for (shape, keys) in id_shapes() {
+            let m: StripedMap<u64, u64> = StripedMap::new();
+            let mut buckets = vec![0usize; 4_096];
+            let mut tags = [0usize; 128];
+            for k in &keys {
+                let h = m.hasher.hash_one(k);
+                buckets[h as usize & 4_095] += 1;
+                tags[(h >> 57) as usize] += 1;
+            }
+            // Means are 12.2 per bucket and 390 per tag.
+            let fullest = buckets.iter().max().unwrap();
+            assert!(*fullest <= 64, "{shape}: a bucket holds {fullest} keys");
+            let (lo, hi) = (tags.iter().min().unwrap(), tags.iter().max().unwrap());
+            assert!(
+                *lo >= 195 && *hi <= 780,
+                "{shape}: control bytes range over {lo}..{hi} keys"
+            );
+        }
+    }
+
+    #[test]
+    fn every_map_is_seeded_afresh() {
+        let a: StripedMap<u64, u64> = StripedMap::new();
+        let b: StripedMap<u64, u64> = StripedMap::new();
+        assert_ne!(a.hasher.0, b.hasher.0);
+        assert_ne!(a.hasher.hash_one(7u64), b.hasher.hash_one(7u64));
     }
 
     #[test]

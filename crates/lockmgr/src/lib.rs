@@ -30,8 +30,8 @@ mod resource;
 pub use deadlock::{youngest_non_system, WaitForGraph};
 pub use dgl_obs;
 pub use manager::{
-    obs_res, GrantEntry, LockManager, LockManagerConfig, LockOutcome, ResourceTableEntry, WaitEdge,
-    WaiterEntry,
+    obs_res, GrantEntry, LockManager, LockManagerConfig, LockOutcome, MixBuild, ResourceTableEntry,
+    WaitEdge, WaiterEntry,
 };
 pub use mode::LockMode;
 pub use resource::{LockDuration, RequestKind, ResourceId, TxnId};

@@ -189,7 +189,8 @@ impl TxnRecord {
 /// Multiply-mix hasher for the table's fixed-width keys: one folded
 /// 64×64→128 multiply per word instead of SipHash's rounds. Seeded per
 /// manager (object ids arrive from clients) by [`MixBuild`].
-struct MixHasher(u64);
+#[derive(Debug)]
+pub struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -212,8 +213,18 @@ impl Hasher for MixHasher {
     }
 }
 
-#[derive(Clone)]
-struct MixBuild(u64);
+/// [`BuildHasher`] of [`MixHasher`] for maps keyed by ids (`TxnId`, object
+/// ids, [`ResourceId`]) — the lock table's, and `dgl-txn`'s active set
+/// and journals.
+#[derive(Debug, Clone)]
+pub struct MixBuild(u64);
+
+impl MixBuild {
+    /// A hasher with a fresh per-process-random seed.
+    pub fn seeded() -> Self {
+        Self(RandomState::new().hash_one(0u64))
+    }
+}
 
 impl BuildHasher for MixBuild {
     type Hasher = MixHasher;
@@ -346,7 +357,7 @@ impl LockManager {
         assert!(config.shards > 0, "need at least one shard");
         // A power of two, so a stripe is a mask of the key's hash or id.
         let stripes = config.shards.next_power_of_two();
-        let hasher = MixBuild(RandomState::new().hash_one(stripes));
+        let hasher = MixBuild::seeded();
         fn table<K, V>(stripes: usize, hasher: &MixBuild) -> Vec<Stripe<K, V>> {
             (0..stripes)
                 .map(|_| Mutex::new(HashMap::with_hasher(hasher.clone())))

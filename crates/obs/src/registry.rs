@@ -290,6 +290,9 @@ counters! {
     /// Resource-table visits made by `release_short` and `release_all`:
     /// the end-of-operation and end-of-transaction work, countable.
     LockReleaseVisits => "lock_release_visits",
+    /// Version chains a version-GC pass looked at: the dirty list it
+    /// drained, not the payload table.
+    VersionGcChainsVisited => "version_gc_chains_visited",
 }
 
 /// The workspace-wide metrics registry.

@@ -2,7 +2,7 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use dgl_lockmgr::TxnId;
+use dgl_lockmgr::{MixBuild, TxnId};
 
 /// A per-transaction record queue.
 ///
@@ -12,7 +12,7 @@ use dgl_lockmgr::TxnId;
 /// and taken exactly once at termination.
 #[derive(Debug)]
 pub struct Journal<R> {
-    records: Mutex<HashMap<TxnId, Vec<R>>>,
+    records: Mutex<HashMap<TxnId, Vec<R>, MixBuild>>,
 }
 
 impl<R> Default for Journal<R> {
@@ -25,7 +25,7 @@ impl<R> Journal<R> {
     /// Creates an empty journal.
     pub fn new() -> Self {
         Self {
-            records: Mutex::new(HashMap::new()),
+            records: Mutex::new(HashMap::with_hasher(MixBuild::seeded())),
         }
     }
 

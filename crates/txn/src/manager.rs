@@ -6,7 +6,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use dgl_lockmgr::dgl_obs::Ctr;
-use dgl_lockmgr::{LockManager, TxnId};
+use dgl_lockmgr::{LockManager, MixBuild, TxnId};
 
 /// Allocates transaction ids, tracks the active set, and performs the
 /// terminal transitions.
@@ -22,7 +22,7 @@ use dgl_lockmgr::{LockManager, TxnId};
 pub struct TxnManager {
     lock_manager: Arc<LockManager>,
     next_id: AtomicU64,
-    active: Mutex<HashMap<TxnId, Instant>>,
+    active: Mutex<HashMap<TxnId, Instant, MixBuild>>,
 }
 
 impl TxnManager {
@@ -31,7 +31,7 @@ impl TxnManager {
         Self {
             lock_manager,
             next_id: AtomicU64::new(1),
-            active: Mutex::new(HashMap::new()),
+            active: Mutex::new(HashMap::with_hasher(MixBuild::seeded())),
         }
     }
 
