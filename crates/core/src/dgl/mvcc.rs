@@ -63,8 +63,9 @@ use parking_lot::Mutex;
 use dgl_geom::Rect2;
 use dgl_lockmgr::{MixBuild, TxnId};
 use dgl_obs::{Ctr, Hist};
-use dgl_rtree::{Entry, ObjectId};
+use dgl_rtree::ObjectId;
 
+use crate::granules::snapshot_descent;
 use crate::ScanHit;
 
 use super::{DglCore, DglRTree, UndoRecord};
@@ -353,24 +354,8 @@ impl DglCore {
         );
         self.obs.incr(Ctr::SnapshotScans);
         let tree = self.latch_shared();
-        let mut entries = tree.search(query);
-        // Entries a deferred deletion holds out of the tree right now
-        // (module docs): an object orphan by its rectangle, an index
-        // orphan by descending its still-live subtree.
-        for orphan in &tree.orphans {
-            if !orphan.entry.mbr().intersects(query) {
-                continue;
-            }
-            match orphan.entry {
-                Entry::Object {
-                    mbr,
-                    oid,
-                    tombstone,
-                } => entries.push((oid, mbr, tombstone)),
-                Entry::Child { child, .. } => tree.search_from(child, query, &mut entries),
-            }
-        }
-        let mut hits = Vec::new();
+        let entries = snapshot_descent(&tree, &tree.orphans, query);
+        let mut hits = Vec::with_capacity(entries.len());
         // The tombstone flag is a *locking-path* visibility device
         // (set at logical delete, before the deleter commits);
         // snapshot visibility is decided purely by the chain, so a

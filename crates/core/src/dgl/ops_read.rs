@@ -9,7 +9,7 @@ use dgl_lockmgr::{
 use dgl_obs::{Ctr, Hist, OpKind};
 use dgl_rtree::ObjectId;
 
-use crate::granules::overlapping_granules;
+use crate::granules::{scan_descent, RawHit};
 use crate::locks::LockList;
 use crate::{ScanHit, TxnError};
 
@@ -113,7 +113,7 @@ impl DglCore {
                 TxnError::Injected
             });
             let tree = self.latch_shared();
-            let set = overlapping_granules(&tree, &[query]);
+            let (set, raw) = scan_descent(&tree, &query);
             let mut locks = LockList::new();
             for g in &set.leaves {
                 locks.add(Self::page(*g), S, Commit);
@@ -123,7 +123,22 @@ impl DglCore {
             }
             match locks.try_acquire(&self.lm, txn) {
                 Ok(()) => {
-                    let hits = self.collect_hits(&tree, &query);
+                    // Versions only now: with the granule locks held, 2PL
+                    // makes every chain head either committed or this
+                    // transaction's own write, whatever its stamping state.
+                    let mut hits = Vec::with_capacity(raw.len());
+                    for (oid, rect, _) in raw.into_iter().filter(Self::untombstoned) {
+                        let head = self.payloads.get(&oid, |slot| slot.chain.current());
+                        // An entry and its slot are published under one
+                        // exclusive latch hold and retired under one; a
+                        // logical delete marks both under one.
+                        debug_assert!(
+                            matches!(head, Some(Some(_))),
+                            "untombstoned entry {oid} has chain head {head:?}"
+                        );
+                        let version = head.flatten().unwrap_or(1);
+                        hits.push(ScanHit { oid, rect, version });
+                    }
                     drop(tree);
                     self.end_op(txn);
                     return Ok(hits);
@@ -156,7 +171,8 @@ impl DglCore {
         self.obs.incr(Ctr::UpdateScans);
         loop {
             let tree = self.latch_shared();
-            let set = overlapping_granules(&tree, &[query]);
+            let (set, mut raw) = scan_descent(&tree, &query);
+            raw.retain(Self::untombstoned);
             let mut locks = LockList::new();
             for g in &set.leaves {
                 locks.add(Self::page(*g), SIX, Commit);
@@ -165,39 +181,38 @@ impl DglCore {
                 locks.add(self.ext_res(*g), S, Commit);
             }
             // X locks on the qualifying objects themselves.
-            let pre_hits = self.collect_hits(&tree, &query);
-            for h in &pre_hits {
-                locks.add(Self::object(h.oid), X, Commit);
+            for (oid, ..) in &raw {
+                locks.add(Self::object(*oid), X, Commit);
             }
             match locks.try_acquire(&self.lm, txn) {
                 Ok(()) => {
                     // Perform the updates under the latch; granule SIX
                     // locks guarantee the hit set cannot have changed.
-                    let mut out = Vec::with_capacity(pre_hits.len());
-                    for h in &pre_hits {
+                    let mut out = Vec::with_capacity(raw.len());
+                    for (oid, rect, _) in raw {
                         // Every live tree entry has a slot (inserts
                         // publish both together; recovery seeds every
                         // restored entry).
                         let (old, first_garbage) = self
                             .payloads
-                            .update(&h.oid, |slot| {
+                            .update(&oid, |slot| {
                                 let old = slot.chain.current().expect("updated object is live");
                                 (old, slot.chain.push_pending(Some(old + 1)))
                             })
                             .expect("scanned object has a slot");
                         if first_garbage {
-                            self.dirty.push(h.oid);
+                            self.dirty.push(oid);
                         }
                         self.undo.push(
                             txn,
                             super::UndoRecord::Update {
-                                oid: h.oid,
+                                oid,
                                 old_version: old,
                             },
                         );
                         out.push(ScanHit {
-                            oid: h.oid,
-                            rect: h.rect,
+                            oid,
+                            rect,
                             version: old + 1,
                         });
                     }
@@ -214,26 +229,10 @@ impl DglCore {
         }
     }
 
-    /// Region search with visibility filtering: tombstoned entries are
+    /// Locking-path visibility of a leaf entry: a tombstoned one is
     /// logically deleted (by this transaction, or by a committed deleter
     /// whose physical removal is still pending) and never returned.
-    ///
-    /// Locking paths read the chain *head* regardless of its stamping
-    /// state: 2PL guarantees the head is either committed or this
-    /// transaction's own write.
-    pub(crate) fn collect_hits(&self, tree: &dgl_rtree::RTree2, query: &Rect2) -> Vec<ScanHit> {
-        tree.search(query)
-            .into_iter()
-            .filter(|(_, _, tombstone)| tombstone.is_none())
-            .map(|(oid, rect, _)| ScanHit {
-                oid,
-                rect,
-                version: self
-                    .payloads
-                    .get(&oid, |slot| slot.chain.current())
-                    .flatten()
-                    .unwrap_or(1),
-            })
-            .collect()
+    fn untombstoned((_, _, tombstone): &RawHit<2>) -> bool {
+        tombstone.is_none()
     }
 }

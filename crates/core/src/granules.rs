@@ -18,10 +18,16 @@
 //!
 //! The traversal counts page accesses per tree level — the measurement
 //! underlying the paper's Table 2.
+//!
+//! A scan needs the objects under those granules too, and gets both from
+//! one walk ([`scan_descent`]): the leaf granules *are* the leaves a region
+//! search would open, so reading each of them once — after the internal
+//! levels, still under the caller's one latch hold — completes the search
+//! without visiting an internal page twice.
 
-use dgl_geom::{coverage, Rect};
+use dgl_geom::{coverage::Pieces, Rect};
 use dgl_pager::PageId;
-use dgl_rtree::{Entry, RTree};
+use dgl_rtree::{Entry, ObjectId, Orphan, RTree};
 
 /// The granules a region overlaps, plus traversal accounting.
 #[derive(Debug, Clone, Default)]
@@ -56,9 +62,7 @@ pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]
         return out;
     }
     let root = tree.root();
-    let root_node = tree.node(root);
-    out.accesses_per_level[root_node.level as usize] += 1;
-    if root_node.is_leaf() {
+    if tree.height() == 1 {
         // Degenerate tree: the root leaf granule covers the whole space.
         out.leaves.push(root);
         return out;
@@ -66,22 +70,16 @@ pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]
     // DFS over internal nodes carrying each node's space (the root's space
     // is the whole embedded world, per the paper's ext(root) definition).
     let mut stack: Vec<(PageId, Rect<D>)> = vec![(root, tree.world())];
-    let mut first = true;
+    let mut pieces = Pieces::default();
     while let Some((pid, space)) = stack.pop() {
-        let node = if first {
-            first = false;
-            tree.peek_node(pid) // root already read/counted above
-        } else {
-            let n = tree.node(pid);
-            out.accesses_per_level[n.level as usize] += 1;
-            n
-        };
-        let child_mbrs: Vec<Rect<D>> = node.entry_mbrs();
+        let node = tree.node(pid);
+        out.accesses_per_level[node.level as usize] += 1;
         // External granule: any part of any query inside this node's space
         // but outside all children.
         let ext_overlap = queries.iter().any(|q| {
-            q.intersection(&space)
-                .is_some_and(|clipped| !coverage::covers(&clipped, &child_mbrs))
+            q.intersection(&space).is_some_and(|clipped| {
+                !pieces.covers(&clipped, node.entries.iter().map(Entry::mbr))
+            })
         });
         if ext_overlap {
             out.externals.push(pid);
@@ -99,6 +97,53 @@ pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]
         }
     }
     out
+}
+
+/// A leaf entry intersecting a scan's query — `(oid, rect, tombstone)`, as
+/// [`RTree::search`] yields them. Raw: whether the scanner may see the
+/// object, and at which version, is decided once its locks are held.
+pub type RawHit<const D: usize> = (ObjectId, Rect<D>, Option<u64>);
+
+/// A scan's one walk (Table 3, ReadScan and UpdateScan): the granules
+/// `query` overlaps **and** the leaf entries intersecting it — the same
+/// entries [`RTree::search`] returns — reading every overlapped page
+/// exactly once.
+pub fn scan_descent<const D: usize>(
+    tree: &RTree<D>,
+    query: &Rect<D>,
+) -> (OverlapSet, Vec<RawHit<D>>) {
+    let set = overlapping_granules(tree, std::slice::from_ref(query));
+    let mut hits = Vec::with_capacity(tree.config().max_entries);
+    for leaf in &set.leaves {
+        tree.search_from(*leaf, query, &mut hits);
+    }
+    (set, hits)
+}
+
+/// The hits-only form, for snapshot scans, which lock no granule: the
+/// tree from its root plus the entries a deferred deletion holds out of it
+/// right now — an object orphan by its rectangle, an index orphan by
+/// descending its still-live subtree.
+pub fn snapshot_descent<const D: usize>(
+    tree: &RTree<D>,
+    orphans: &[Orphan<D>],
+    query: &Rect<D>,
+) -> Vec<RawHit<D>> {
+    let mut hits = tree.search(query);
+    for orphan in orphans {
+        if !orphan.entry.mbr().intersects(query) {
+            continue;
+        }
+        match orphan.entry {
+            Entry::Object {
+                mbr,
+                oid,
+                tombstone,
+            } => hits.push((oid, mbr, tombstone)),
+            Entry::Child { child, .. } => tree.search_from(child, query, &mut hits),
+        }
+    }
+    hits
 }
 
 #[cfg(test)]

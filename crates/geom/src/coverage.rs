@@ -99,27 +99,44 @@ pub fn residual<const D: usize>(q: &Rect<D>, rects: &[Rect<D>]) -> Vec<Rect<D>> 
 /// assert!(!covers(&q, &tiles[..1]));
 /// ```
 pub fn covers<const D: usize>(q: &Rect<D>, rects: &[Rect<D>]) -> bool {
-    // Fast path: a single child often covers the whole query.
-    if rects.iter().any(|r| r.contains(q)) {
-        return true;
-    }
-    // Process rects that intersect q, emptying the piece list as we go.
-    let mut pieces = vec![*q];
-    let mut next = Vec::new();
-    for r in rects {
-        if pieces.is_empty() {
+    Pieces::default().covers(q, rects.iter().copied())
+}
+
+/// The piece buffers of a [`covers`] test, kept so that a caller asking
+/// about one node after another (a tree walk's `ext(T)` tests) allocates
+/// them once, and takes its rectangles from wherever they live instead of
+/// copying them into a slice first.
+#[derive(Debug, Default)]
+pub struct Pieces<const D: usize> {
+    pieces: Vec<Rect<D>>,
+    next: Vec<Rect<D>>,
+}
+
+impl<const D: usize> Pieces<D> {
+    /// [`covers`] over any re-iterable source of rectangles.
+    pub fn covers(&mut self, q: &Rect<D>, rects: impl Iterator<Item = Rect<D>> + Clone) -> bool {
+        // Fast path: a single child often covers the whole query.
+        if rects.clone().any(|r| r.contains(q)) {
             return true;
         }
-        if !r.intersects(q) {
-            continue;
+        // Process rects that intersect q, emptying the piece list as we go.
+        self.pieces.clear();
+        self.pieces.push(*q);
+        for r in rects {
+            if self.pieces.is_empty() {
+                return true;
+            }
+            if !r.intersects(q) {
+                continue;
+            }
+            self.next.clear();
+            for p in &self.pieces {
+                difference_into(p, &r, &mut self.next);
+            }
+            std::mem::swap(&mut self.pieces, &mut self.next);
         }
-        next.clear();
-        for p in &pieces {
-            difference_into(p, r, &mut next);
-        }
-        std::mem::swap(&mut pieces, &mut next);
+        self.pieces.is_empty()
     }
-    pieces.is_empty()
 }
 
 /// Whether any of the `queries` boxes escapes `⋃ rects`.

@@ -104,8 +104,15 @@ impl<const D: usize> Rect<D> {
 
     /// Whether `self` and `other` intersect (closed-interval semantics:
     /// touching rectangles intersect).
+    ///
+    /// All `2·D` comparisons are evaluated and ANDed (`&`, not `&&`): a
+    /// tree walk asks this of every entry of every node it opens and a
+    /// minority answer yes, so a short-circuit is a branch the predictor
+    /// keeps missing.
     pub fn intersects(&self, other: &Self) -> bool {
-        (0..D).all(|d| self.lo[d] <= other.hi[d] && other.lo[d] <= self.hi[d])
+        (0..D).fold(true, |all, d| {
+            all & (self.lo[d] <= other.hi[d]) & (other.lo[d] <= self.hi[d])
+        })
     }
 
     /// Whether `self` fully contains `other`.

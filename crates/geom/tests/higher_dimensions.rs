@@ -89,3 +89,56 @@ fn residual_in_three_dimensions_is_measure_exact() {
     ];
     assert!(covers(&q, &full));
 }
+
+/// The per-dimension definition `Rect::intersects` must keep, however its
+/// comparisons are combined.
+fn intersects_by_definition<const D: usize>(a: &Rect<D>, b: &Rect<D>) -> bool {
+    (0..D).all(|d| a.lo[d] <= b.hi[d] && b.lo[d] <= a.hi[d])
+}
+
+/// Every box over a small coordinate set — proper, degenerate (a point, a
+/// segment), inverted, NaN-bearing — against every other: overlapping,
+/// touching at a face or a corner, disjoint in one dimension only.
+fn intersects_agrees_in<const D: usize>() {
+    let coords = [0.0, 1.0, 2.0, f64::NAN];
+    let n = coords.len();
+    let mut boxes = Vec::new();
+    for code in 0..n.pow(2 * D as u32) {
+        let digit = |k: usize| coords[code / n.pow(k as u32) % n];
+        boxes.push(Rect::<D> {
+            lo: std::array::from_fn(|d| digit(2 * d)),
+            hi: std::array::from_fn(|d| digit(2 * d + 1)),
+        });
+    }
+    // D = 3 has 4096 boxes; a stride keeps its pairing near 10^6.
+    let step = boxes.len() / 256 + 1;
+    for a in &boxes {
+        for b in boxes.iter().step_by(step) {
+            assert_eq!(
+                a.intersects(b),
+                intersects_by_definition(a, b),
+                "{a:?} vs {b:?}"
+            );
+            assert_eq!(a.intersects(b), b.intersects(a), "{a:?} vs {b:?}");
+        }
+    }
+}
+
+#[test]
+fn branch_free_intersects_keeps_the_definition() {
+    intersects_agrees_in::<1>();
+    intersects_agrees_in::<2>();
+    intersects_agrees_in::<3>();
+    let a = Rect::<2>::new([0.0, 0.0], [1.0, 1.0]);
+    assert!(a.intersects(&Rect::new([1.0, 1.0], [2.0, 2.0])), "corner");
+    assert!(a.intersects(&Rect::point([1.0, 0.5])), "point on a face");
+    assert!(
+        !a.intersects(&Rect::new([0.0, 1.5], [1.0, 2.0])),
+        "one axis"
+    );
+    let nan = Rect::<2> {
+        lo: [0.0, f64::NAN],
+        hi: [1.0, 1.0],
+    };
+    assert!(!a.intersects(&nan) && !nan.intersects(&a) && !nan.intersects(&nan));
+}

@@ -1,6 +1,6 @@
 //! Property-based tests for the rectangle algebra and covering primitives.
 
-use dgl_geom::coverage::{covers, difference, residual};
+use dgl_geom::coverage::{covers, difference, residual, Pieces};
 use dgl_geom::Rect2;
 use proptest::prelude::*;
 
@@ -102,6 +102,23 @@ proptest! {
         }
         // covers ⇔ residual empty.
         prop_assert_eq!(covers(&q, &rects), res.is_empty());
+    }
+
+    /// The iterator form — rectangles mapped out of where they live, piece
+    /// buffers reused from one query to the next — is the same test.
+    #[test]
+    fn covers_iterator_form_agrees_with_residual(
+        queries in prop::collection::vec(arb_rect(), 1..5),
+        rects in arb_rects(7),
+    ) {
+        let entries: Vec<(u32, Rect2)> = rects.iter().map(|r| (7, *r)).collect();
+        let mut pieces = Pieces::default();
+        for q in &queries {
+            prop_assert_eq!(
+                pieces.covers(q, entries.iter().map(|e| e.1)),
+                residual(q, &rects).is_empty()
+            );
+        }
     }
 
     /// Point-sampling oracle: every sampled point of q is either inside some

@@ -96,13 +96,10 @@ impl<const D: usize> Node<D> {
 
     /// The node's bounding rectangle (None if the node is empty).
     pub fn mbr(&self) -> Option<Rect<D>> {
-        let rects: Vec<Rect<D>> = self.entries.iter().map(Entry::mbr).collect();
-        Rect::union_all(rects.iter())
-    }
-
-    /// The bounding rectangles of all entries.
-    pub fn entry_mbrs(&self) -> Vec<Rect<D>> {
-        self.entries.iter().map(Entry::mbr).collect()
+        self.entries
+            .iter()
+            .map(Entry::mbr)
+            .reduce(|acc, r| acc.union(&r))
     }
 
     /// Iterates over child page ids (empty for leaves).

@@ -303,7 +303,9 @@ impl<const D: usize> RTree<D> {
     /// `query`, as `(oid, mbr, tombstone)` — visibility filtering is the
     /// caller's (protocol's) business. Reads are counted.
     pub fn search(&self, query: &Rect<D>) -> Vec<(ObjectId, Rect<D>, Option<u64>)> {
-        let mut out = Vec::new();
+        // One leaf's worth up front: a scan of a few dozen hits never
+        // regrows its result.
+        let mut out = Vec::with_capacity(self.config.max_entries);
         self.search_from(self.root, query, &mut out);
         out
     }
@@ -311,16 +313,22 @@ impl<const D: usize> RTree<D> {
     /// [`RTree::search`] over the subtree rooted at the live page `start`,
     /// appending to `out`. `start` need not be reachable from the root: the
     /// subtree under an orphaned index entry stays intact (and live) while
-    /// a deferred deletion holds it out of the tree.
+    /// a deferred deletion holds it out of the tree. A leaf `start` reads
+    /// that one page and allocates nothing.
     pub fn search_from(
         &self,
         start: PageId,
         query: &Rect<D>,
         out: &mut Vec<(ObjectId, Rect<D>, Option<u64>)>,
     ) {
-        let mut stack = vec![start];
-        while let Some(pid) = stack.pop() {
+        let mut stack = Vec::new();
+        let mut next = Some(start);
+        while let Some(pid) = next {
             let node = self.node(pid);
+            if !node.is_leaf() {
+                // Room for every child before the first push.
+                stack.reserve(node.entries.len());
+            }
             for e in &node.entries {
                 match e {
                     Entry::Child { mbr, child } => {
@@ -339,6 +347,7 @@ impl<const D: usize> RTree<D> {
                     }
                 }
             }
+            next = stack.pop();
         }
     }
 
