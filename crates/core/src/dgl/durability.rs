@@ -69,7 +69,6 @@ use dgl_obs::{Ctr, Hist};
 use dgl_rtree::codec::{checkpoint_tree, restore_tree, TreeCheckpoint};
 use dgl_rtree::persist::{decode_file_image, encode_file_image};
 use dgl_rtree::{ObjectId, PersistError, RTree2};
-use dgl_txn::CommitClock;
 use dgl_wal::{
     read_segment, scan_dir, segment_path, snapshot_path, SegmentData, SyncPolicy, UndoEntry,
     UndoOp, Wal, WalConfig, WalError, WalRecord,
@@ -77,7 +76,7 @@ use dgl_wal::{
 
 use crate::{TransactionalRTree, TxnError};
 
-use super::{DglConfig, DglCore, DglRTree, UndoRecord};
+use super::{DglConfig, DglCore, DglRTree, ShardContext, UndoRecord};
 
 /// Durability configuration ([`DglConfig::durability`]). Consulted only
 /// by the directory-backed constructors [`DglRTree::open`] /
@@ -482,7 +481,7 @@ impl DglRTree {
         fs::create_dir_all(dir)?;
         let listing = scan_dir(dir)?;
         if listing.segments.is_empty() && listing.snapshots.is_empty() {
-            let db = Self::new_with_clock(config.clone(), Arc::new(CommitClock::new()));
+            let db = Self::new(config.clone());
             db.attach_fresh_generation(dir, 0, &config)?;
             return Ok(db);
         }
@@ -500,12 +499,7 @@ impl DglRTree {
     /// [`Self::recover_with_resolver`] with the coordinator's decision
     /// log instead.
     pub fn recover(dir: impl AsRef<Path>, config: DglConfig) -> Result<Self, RecoverError> {
-        Self::recover_with_resolver(
-            dir.as_ref(),
-            config,
-            &|_| false,
-            Arc::new(CommitClock::new()),
-        )
+        Self::recover_with_resolver(dir.as_ref(), config, &|_| false, ShardContext::new(1))
     }
 
     /// [`Self::recover`] with an in-doubt resolver: `resolver(gtxn)`
@@ -522,13 +516,13 @@ impl DglRTree {
         dir: &Path,
         config: DglConfig,
         resolver: &dyn Fn(u64) -> bool,
-        clock: Arc<CommitClock>,
+        context: ShardContext,
     ) -> Result<Self, RecoverError> {
         let t0 = Instant::now();
         let listing = scan_dir(dir)?;
         if listing.segments.is_empty() && listing.snapshots.is_empty() {
             // Nothing to recover: equivalent to a fresh open.
-            let db = Self::new_with_clock(config.clone(), clock);
+            let db = Self::new_in(config.clone(), context);
             db.attach_fresh_generation(dir, 0, &config)?;
             return Ok(db);
         }
@@ -592,7 +586,7 @@ impl DglRTree {
                 ));
             }
             drop(segments);
-            let db = Self::new_with_clock(config.clone(), clock);
+            let db = Self::new_in(config.clone(), context);
             db.attach_fresh_generation(dir, max_gen + 1, &config)?;
             return Ok(db);
         };
@@ -693,8 +687,8 @@ impl DglRTree {
         // Version chains rebuild as the replay below runs through the
         // normal write path on the (fresh) clock — GC state is in-memory
         // only, so nothing is lost by a crash mid-GC.
-        let db = Self::from_snapshot_with_clock(tree, config.clone(), clock)
-            .map_err(RecoverError::Replay)?;
+        let db =
+            Self::from_snapshot_in(tree, config.clone(), context).map_err(RecoverError::Replay)?;
 
         // Replay the committed tail through the normal write path, each
         // transaction at its commit position (= its 2PL serialization

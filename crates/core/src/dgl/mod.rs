@@ -68,7 +68,6 @@
 //! protection is unaffected because exact-match access locks the object
 //! resource itself, exactly as the tree path would.
 
-mod deadlock_global;
 mod deferred;
 mod durability;
 mod maintenance;
@@ -99,7 +98,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use dgl_geom::Rect2;
 use dgl_lockmgr::{
     LockDuration, LockManager, LockManagerConfig, LockMode, LockOutcome, RequestKind, ResourceId,
-    TxnId,
+    TxnId, WaitDomain,
 };
 use dgl_pager::PageId;
 use dgl_rtree::{Entry, ObjectId, Orphan, RTree2, RTreeConfig};
@@ -272,6 +271,30 @@ impl Deref for Latched {
 impl DerefMut for Latched {
     fn deref_mut(&mut self) -> &mut RTree2 {
         &mut self.tree
+    }
+}
+
+/// What a shard takes from the index it belongs to, the same for every
+/// shard; a single tree owns one of each alone.
+#[derive(Clone)]
+pub(crate) struct ShardContext {
+    /// The MVCC commit clock: one snapshot timestamp means the same thing
+    /// on every shard.
+    pub(crate) clock: Arc<CommitClock>,
+    /// The wait-for domain: one transaction id means the same transaction
+    /// in every shard's lock table, so a lock cycle across shards is an
+    /// ordinary cycle, refused at block time (DESIGN.md §12).
+    pub(crate) domain: Arc<WaitDomain>,
+}
+
+impl ShardContext {
+    /// A fresh clock, and a domain whose transaction ids start at
+    /// `first_txn`.
+    pub(crate) fn new(first_txn: u64) -> Self {
+        Self {
+            clock: Arc::new(CommitClock::new()),
+            domain: WaitDomain::new(first_txn),
+        }
     }
 }
 
@@ -509,11 +532,11 @@ impl DglRTree {
         tree: RTree2,
         payloads: StripedMap<ObjectId, PayloadSlot>,
         config: &DglConfig,
-        clock: Arc<CommitClock>,
+        ShardContext { clock, domain }: ShardContext,
     ) -> Self {
         let obs = Arc::new(Registry::new());
         tree.io_stats().attach_obs(Arc::clone(&obs));
-        let lm = Arc::new(LockManager::with_obs(config.lock.clone(), Arc::clone(&obs)));
+        let lm = LockManager::join(config.lock.clone(), Arc::clone(&obs), &domain);
         let core = Arc::new(DglCore {
             tree: RwLock::new(Latched {
                 tree,
@@ -552,15 +575,14 @@ impl DglRTree {
 
     /// Creates an empty index.
     pub fn new(config: DglConfig) -> Self {
-        Self::new_with_clock(config, Arc::new(CommitClock::new()))
+        Self::new_in(config, ShardContext::new(1))
     }
 
-    /// Creates an empty index on a caller-provided commit clock (sharded
-    /// indexes hand every shard the same clock so one snapshot timestamp
-    /// is consistent index-wide).
-    pub(crate) fn new_with_clock(config: DglConfig, clock: Arc<CommitClock>) -> Self {
+    /// Creates an empty index on a caller-provided clock and wait-for
+    /// domain (sharded indexes hand every shard the same pair).
+    pub(crate) fn new_in(config: DglConfig, context: ShardContext) -> Self {
         let tree = RTree2::new(config.rtree, config.world);
-        Self::build(tree, StripedMap::new(), &config, clock)
+        Self::build(tree, StripedMap::new(), &config, context)
     }
 
     /// Rebuilds a transactional index around a tree restored from a
@@ -580,15 +602,15 @@ impl DglRTree {
     /// the caller decides whether to surface, retry from an older
     /// generation, or discard — the process is never taken down.
     pub fn from_snapshot(tree: RTree2, config: DglConfig) -> Result<Self, TxnError> {
-        Self::from_snapshot_with_clock(tree, config, Arc::new(CommitClock::new()))
+        Self::from_snapshot_in(tree, config, ShardContext::new(1))
     }
 
-    /// [`Self::from_snapshot`] on a caller-provided commit clock (used by
-    /// sharded recovery so every shard shares one clock).
-    pub(crate) fn from_snapshot_with_clock(
+    /// [`Self::from_snapshot`] on a caller-provided clock and wait-for
+    /// domain (used by sharded recovery so every shard shares one pair).
+    pub(crate) fn from_snapshot_in(
         tree: RTree2,
         config: DglConfig,
-        clock: Arc<CommitClock>,
+        context: ShardContext,
     ) -> Result<Self, TxnError> {
         // Tombstoned entries are committed-but-unapplied deletions; they
         // stay in the tree (and in `payloads`, keeping their ids reserved)
@@ -624,7 +646,7 @@ impl DglRTree {
         // core — the recovery crash matrix proves a retry rebuilds an
         // index identical to a fresh build.
         dgl_faults::failpoint!("hashidx/rebuild");
-        let db = Self::build(tree, payloads, &config, clock);
+        let db = Self::build(tree, payloads, &config, context);
         for d in pending {
             db.maint.dispatch(&db.core, d);
         }
@@ -647,15 +669,11 @@ impl DglRTree {
         &self.core.obs
     }
 
-    /// Renders the detector's merged wait-for view of this tree: the lock
-    /// table and the lock-manager wait edges. The sharded router's variant
-    /// of the same dump unions this across every shard.
+    /// Renders the wait state a blocking request reasons over: the lock
+    /// table (grants and wait queues) and every transaction's record. The
+    /// sharded router's variant renders every shard's.
     pub fn merged_locktable_dump(&self) -> String {
-        deadlock_global::render_merged(
-            std::slice::from_ref(&self.core),
-            Default::default(),
-            Default::default(),
-        )
+        self.core.lm.debug_dump()
     }
 
     /// Renders the registry as a Prometheus text dump.

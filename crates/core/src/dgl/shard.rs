@@ -13,6 +13,13 @@
 //! cross-shard transactions run two-phase commit over a dedicated
 //! coordinator decision log.
 //!
+//! What the shards share is identity, not state: one commit clock, and
+//! one wait-for domain — a global transaction wears the same [`TxnId`],
+//! drawn from one sequence, on every shard it touches, so a lock cycle
+//! across shards is an ordinary cycle in the union of the shards'
+//! wait-for edges, refused by whichever lock manager's request would
+//! close it (DESIGN.md §12).
+//!
 //! # Routing
 //!
 //! Objects route by the *center* of their rectangle into a fixed
@@ -40,8 +47,8 @@
 //! three phases:
 //!
 //! 1. **Prepare** — each writing participant appends + fsyncs a
-//!    `Prepare { txn, gtxn }` record (`DglCore::wal_prepare`) while
-//!    still holding all its locks.
+//!    `Prepare { txn, gtxn }` record (`DglCore::wal_prepare`; the two
+//!    ids are equal) while still holding all its locks.
 //! 2. **Decide** — the coordinator appends + fsyncs
 //!    `Commit { txn: gtxn }` to its own append-only decision log
 //!    (`<dir>/coord`). This fsync *is* the commit point.
@@ -63,9 +70,8 @@
 //! the lone writer's local commit record is the global decision — the
 //! same one-fsync fast path a single tree pays.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,13 +81,11 @@ use dgl_geom::Rect2;
 use dgl_lockmgr::TxnId;
 use dgl_obs::{Hist, Registry, RegistrySnapshot};
 use dgl_rtree::ObjectId;
-use dgl_txn::CommitClock;
 use dgl_wal::{read_segment, scan_dir, segment_path, Wal, WalConfig, WalRecord};
 
 use crate::{ScanHit, TransactionalRTree, TxnError};
 
-use super::deadlock_global::{self, CommittingMap, GlobalDetector, SessionMap};
-use super::{DglConfig, DglRTree, RecoverError};
+use super::{DglConfig, DglRTree, RecoverError, ShardContext};
 
 /// How the embedded space is partitioned across shards.
 #[derive(Debug, Clone)]
@@ -196,15 +200,15 @@ impl DglRTree {
     /// Phase-1 vote of two-phase commit: durably logs (and fsyncs) this
     /// participant's `Prepare` record while every lock stays held. After
     /// `Ok(())` the participant is *in doubt*: it commits iff the
-    /// coordinator logs a decision for `gtxn` (consulted at recovery via
+    /// coordinator logs a decision for `txn` (consulted at recovery via
     /// [`DglRTree::recover_with_resolver`]). On `Err` the participant
     /// has been rolled back, like any failed commit.
     ///
     /// Read-only participants (nothing logged) vote yes trivially and
     /// stay un-prepared — their later local commit is a lock release.
-    pub(crate) fn prepare_commit(&self, txn: TxnId, gtxn: u64) -> Result<(), TxnError> {
+    pub(crate) fn prepare_commit(&self, txn: TxnId) -> Result<(), TxnError> {
         self.core.check_active(txn)?;
-        match self.core.wal_prepare(txn, gtxn) {
+        match self.core.wal_prepare(txn, txn.0) {
             Ok(_) => Ok(()),
             Err(e) => {
                 self.core.rollback_now(txn);
@@ -232,26 +236,18 @@ impl DglRTree {
 pub struct ShardedDglRTree {
     shards: Vec<DglRTree>,
     grid: GridDirectory,
-    /// The one commit clock every shard shares: a snapshot timestamp
+    /// What every shard shares. The commit clock: a snapshot timestamp
     /// from it means the same thing on every shard, and the router
     /// stamps all of a global transaction's participants under one
     /// clock critical section — so cross-shard snapshots are
-    /// all-or-nothing per global transaction.
-    clock: Arc<CommitClock>,
-    /// Next global transaction id. Starts above every decision ever
-    /// recorded by the coordinator (see module docs).
-    next_gtxn: AtomicU64,
-    /// Live global transactions → per-shard participants. Shared with
-    /// the global deadlock detector, which collapses a session's
-    /// participants into one wait-for-graph node.
-    sessions: Arc<Mutex<SessionMap>>,
-    /// Sessions currently inside [`Self::commit_parts`]: their entry
-    /// has left `sessions`, but their identity union must stay visible
-    /// to the detector until every participant finishes.
-    committing: Arc<Mutex<CommittingMap>>,
-    /// The one detector thread + stall watchdog over every shard: lock
-    /// edges and session identity (held for its `Drop`).
-    _detector: GlobalDetector,
+    /// all-or-nothing per global transaction. The wait-for domain: the
+    /// one sequence global, participant and per-shard system transaction
+    /// ids are drawn from; after [`Self::open`] it starts above every
+    /// decision ever recorded by the coordinator (see module docs).
+    context: ShardContext,
+    /// Live global transactions. Which shards `g` has joined is not
+    /// mirrored here: it is `shards[s].txn_manager().is_active(g)`.
+    sessions: Mutex<HashSet<TxnId>>,
     /// Coordinator decision log (`None` for an in-memory index — then
     /// multi-shard commits are atomic only in the absence of failures,
     /// exactly as in-memory single-tree commits are).
@@ -275,12 +271,12 @@ impl ShardedDglRTree {
     /// Creates an empty in-memory sharded index (no durability).
     pub fn new(config: DglConfig, sharding: ShardingConfig) -> Self {
         let n = sharding.shards.max(1);
-        let clock = Arc::new(CommitClock::new());
+        let context = ShardContext::new(1);
         let shards = (0..n)
-            .map(|_| DglRTree::new_with_clock(config.clone(), Arc::clone(&clock)))
+            .map(|_| DglRTree::new_in(config.clone(), context.clone()))
             .collect();
         let obs = Arc::new(Registry::new());
-        Self::assemble(shards, config.world, &sharding, None, obs, 1, clock)
+        Self::assemble(shards, config.world, &sharding, None, obs, context)
     }
 
     /// Opens (or crash-recovers) a sharded index from `dir`.
@@ -325,7 +321,9 @@ impl ShardedDglRTree {
         .map_err(RecoverError::Wal)?;
 
         let resolver = |gtxn: u64| decisions.contains(&gtxn);
-        let clock = Arc::new(CommitClock::new());
+        // Fresh ids start above every recorded decision (recovery's own
+        // replay and system transactions draw from the same sequence).
+        let context = ShardContext::new(decisions.iter().max().map_or(1, |m| m + 1));
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             let shard_dir = dir.join(format!("shard-{i}"));
@@ -334,47 +332,32 @@ impl ShardedDglRTree {
                 &shard_dir,
                 config.clone(),
                 &resolver,
-                Arc::clone(&clock),
+                context.clone(),
             )?);
         }
-        let next = decisions.iter().max().map_or(1, |m| m + 1);
         Ok(Self::assemble(
             shards,
             config.world,
             &sharding,
             Some(coord),
             obs,
-            next,
-            clock,
+            context,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         shards: Vec<DglRTree>,
         world: Rect2,
         sharding: &ShardingConfig,
         coord: Option<Wal>,
         obs: Arc<Registry>,
-        next_gtxn: u64,
-        clock: Arc<CommitClock>,
+        context: ShardContext,
     ) -> Self {
-        let sessions: Arc<Mutex<SessionMap>> = Arc::new(Mutex::new(HashMap::new()));
-        let committing: Arc<Mutex<CommittingMap>> = Arc::new(Mutex::new(HashMap::new()));
-        let detector = GlobalDetector::spawn(
-            shards.iter().map(|s| Arc::clone(&s.core)).collect(),
-            Arc::clone(&sessions),
-            Arc::clone(&committing),
-            Arc::clone(&obs),
-        );
         Self {
             grid: GridDirectory::new(world, shards.len(), sharding.max_object_extent),
             shards,
-            clock,
-            next_gtxn: AtomicU64::new(next_gtxn),
-            sessions,
-            committing,
-            _detector: detector,
+            context,
+            sessions: Mutex::new(HashSet::new()),
             coord,
             obs,
         }
@@ -390,78 +373,82 @@ impl ShardedDglRTree {
         &self.shards
     }
 
-    /// The local participant of `g` on shard `s`, begun on first touch.
-    fn participant(&self, g: TxnId, s: usize) -> Result<TxnId, TxnError> {
-        let mut sessions = self.sessions.lock();
-        let parts = sessions.get_mut(&g.0).ok_or(TxnError::NotActive)?;
-        Ok(match parts[s] {
-            Some(t) => t,
-            None => {
-                let t = self.shards[s].begin();
-                parts[s] = Some(t);
-                t
+    /// Runs `op` on shard `s` as global transaction `g`, which joins the
+    /// shard under its own id on first touch.
+    ///
+    /// An error that left the participant rolled back (`Deadlock`,
+    /// `Timeout`, an injected fault — the single-tree contract) means the
+    /// global transaction is dead: every other participant is aborted
+    /// and the session removed — the caller retries the whole global
+    /// transaction, same as with one tree.
+    fn on_shard<T>(
+        &self,
+        g: TxnId,
+        s: usize,
+        op: impl FnOnce(&DglRTree) -> Result<T, TxnError>,
+    ) -> Result<T, TxnError> {
+        let shard = &self.shards[s];
+        {
+            // Joined under the session lock: an abort from another thread
+            // finds either no participant here or one to roll back.
+            let sessions = self.sessions.lock();
+            if !sessions.contains(&g) {
+                return Err(TxnError::NotActive);
             }
-        })
-    }
-
-    /// Propagates a shard-operation result. `Deadlock`/`Timeout` mean
-    /// the failing shard already rolled its participant back (the
-    /// single-tree contract), so the global transaction is dead: every
-    /// other participant is aborted and the session removed — the
-    /// caller retries the whole global transaction, same as with one
-    /// tree.
-    fn guard<T>(&self, g: TxnId, failed: usize, r: Result<T, TxnError>) -> Result<T, TxnError> {
-        if matches!(r, Err(TxnError::Deadlock) | Err(TxnError::Timeout)) {
-            if let Some(parts) = self.sessions.lock().remove(&g.0) {
-                for (s, t) in parts.iter().enumerate() {
-                    if let Some(t) = t {
-                        if s != failed {
-                            let _ = self.shards[s].abort(*t);
-                        }
-                    }
-                }
+            if !shard.txn_manager().is_active(g) {
+                shard.txn_manager().begin_as(g);
             }
+        }
+        let r = op(shard);
+        if r.is_err() && !shard.txn_manager().is_active(g) {
+            let _ = self.abort(g);
         }
         r
     }
 
-    fn abort_parts(&self, parts: &[(usize, TxnId)]) {
-        for &(s, t) in parts {
+    /// The shards `g` has joined and not left, ascending.
+    fn parts_of(&self, g: TxnId) -> Vec<usize> {
+        (0..self.shards.len())
+            .filter(|&s| self.shards[s].txn_manager().is_active(g))
+            .collect()
+    }
+
+    fn abort_parts(&self, g: TxnId, parts: &[usize]) {
+        for &s in parts {
             // Already-rolled-back participants answer NotActive; fine.
-            let _ = self.shards[s].abort(t);
+            let _ = self.shards[s].abort(g);
         }
     }
 
     /// Stamps the pending versions of every staged (durably committed)
     /// participant under **one** clock critical section, so a snapshot
     /// sees all of a global transaction's cross-shard effects or none.
-    fn stamp_parts(&self, staged: &[(usize, TxnId)]) {
+    fn stamp_parts(&self, g: TxnId, staged: &[usize]) {
         let per_shard: Vec<(usize, Vec<ObjectId>)> = staged
             .iter()
-            .map(|&(s, t)| (s, self.shards[s].core.pending_write_oids(t)))
+            .map(|&s| (s, self.shards[s].core.pending_write_oids(g)))
             .collect();
         if per_shard.iter().all(|(_, oids)| oids.is_empty()) {
             return;
         }
-        self.clock.stamp(|ts| {
+        self.context.clock.stamp(|ts| {
             for (s, oids) in &per_shard {
                 self.shards[*s].core.stamp_oids(oids, ts);
             }
         });
     }
 
-    /// Commits the session's participants. `parts` is in ascending
-    /// shard order (sessions are indexed by shard).
+    /// Commits `g`'s participants; `parts` is in ascending shard order.
     ///
     /// Both paths drive the per-shard commit phases explicitly
     /// (durable → stamp → finish) so all participants stamp at one
     /// timestamp via [`Self::stamp_parts`].
-    fn commit_parts(&self, gtxn: u64, parts: &[(usize, TxnId)]) -> Result<(), TxnError> {
+    fn commit_parts(&self, g: TxnId, parts: &[usize]) -> Result<(), TxnError> {
         let start = Instant::now();
-        let writers: Vec<(usize, TxnId)> = parts
+        let writers: Vec<usize> = parts
             .iter()
             .copied()
-            .filter(|&(s, t)| self.shards[s].has_logged_writes(t))
+            .filter(|&s| self.shards[s].has_logged_writes(g))
             .collect();
 
         if self.coord.is_none() || writers.len() <= 1 {
@@ -471,25 +458,25 @@ impl ShardedDglRTree {
             // Without a coordinator log, multi-writer commits take this
             // path too — atomic except under failpoint-injected faults,
             // matching the in-memory single-tree guarantee.
-            let mut staged: Vec<(usize, TxnId)> = Vec::with_capacity(parts.len());
+            let mut staged: Vec<usize> = Vec::with_capacity(parts.len());
             let mut failure = None;
-            for (i, &(s, t)) in parts.iter().enumerate() {
-                match self.shards[s].commit_phase_durable(t) {
-                    Ok(()) => staged.push((s, t)),
+            for (i, &s) in parts.iter().enumerate() {
+                match self.shards[s].commit_phase_durable(g) {
+                    Ok(()) => staged.push(s),
                     Err(e) => {
                         // The failed participant rolled itself back; the
                         // global transaction aborts, so release the rest.
                         // Participants already durable stay committed
                         // (the historical non-atomicity under injected
                         // faults) — they still stamp and finish below.
-                        self.abort_parts(&parts[i + 1..]);
+                        self.abort_parts(g, &parts[i + 1..]);
                         failure = Some(e);
                         break;
                     }
                 }
             }
-            self.stamp_parts(&staged);
-            self.finish_parts(&staged, start);
+            self.stamp_parts(g, &staged);
+            self.finish_parts(g, &staged, start);
             return match failure {
                 Some(e) => Err(e),
                 None => Ok(()),
@@ -498,10 +485,10 @@ impl ShardedDglRTree {
 
         // Full two-phase commit.
         let coord = self.coord.as_ref().expect("coord checked above");
-        for &(s, t) in &writers {
-            if let Err(e) = self.shards[s].prepare_commit(t, gtxn) {
+        for &s in &writers {
+            if let Err(e) = self.shards[s].prepare_commit(g) {
                 // No decision was logged: presumed abort everywhere.
-                self.abort_parts(parts);
+                self.abort_parts(g, parts);
                 return Err(e);
             }
         }
@@ -509,11 +496,11 @@ impl ShardedDglRTree {
         // Recovery must presume abort.
         dgl_faults::failpoint!("shard/2pc-before-decision" => {
             self.crash_all_wals();
-            self.abort_parts(parts);
+            self.abort_parts(g, parts);
             TxnError::Durability
         });
         let decided = coord
-            .append_commit(gtxn)
+            .append_commit(g.0)
             .and_then(|lsn| coord.wait_durable(lsn));
         if decided.is_err() {
             // The decision may or may not have reached disk — the
@@ -521,32 +508,32 @@ impl ShardedDglRTree {
             // either way; roll the participants back and report
             // in-doubt. Recovery resolves against whatever the log
             // actually holds.
-            self.abort_parts(parts);
+            self.abort_parts(g, parts);
             return Err(TxnError::Durability);
         }
         // Crash window B: decision durable, participants not yet
         // committed. Recovery must commit every prepared participant.
         dgl_faults::failpoint!("shard/2pc-after-decision" => {
             self.crash_all_wals();
-            self.abort_parts(parts);
+            self.abort_parts(g, parts);
             TxnError::Durability
         });
         let mut result = Ok(());
-        let mut staged: Vec<(usize, TxnId)> = Vec::with_capacity(parts.len());
-        for &(s, t) in parts {
+        let mut staged: Vec<usize> = Vec::with_capacity(parts.len());
+        for &s in parts {
             // After the decision every participant must complete; an
             // individual failure (poisoned shard log) leaves that
             // participant prepared — recovery commits it from the
             // decision log. Its pending versions stay unstamped
             // (invisible to snapshots); after the crash the in-memory
             // chains are moot anyway.
-            match self.shards[s].commit_phase_durable(t) {
-                Ok(()) => staged.push((s, t)),
+            match self.shards[s].commit_phase_durable(g) {
+                Ok(()) => staged.push(s),
                 Err(e) => result = Err(e),
             }
         }
-        self.stamp_parts(&staged);
-        self.finish_parts(&staged, start);
+        self.stamp_parts(g, &staged);
+        self.finish_parts(g, &staged, start);
         result
     }
 
@@ -557,12 +544,13 @@ impl ShardedDglRTree {
     /// sibling participant still held its commit-duration locks —
     /// scanners blocked on that sibling convoy behind the system
     /// operation's lock waits and the commit deadlocks against its own
-    /// still-locked shards (a cycle the global detector cannot even see,
-    /// since the system operation runs inside the committing call).
-    fn finish_parts(&self, staged: &[(usize, TxnId)], start: Instant) {
+    /// still-locked shards (a cycle no wait-for graph shows: no edge
+    /// says "the committing call of `g` is executing system transaction
+    /// T").
+    fn finish_parts(&self, g: TxnId, staged: &[usize], start: Instant) {
         let released: Vec<_> = staged
             .iter()
-            .map(|&(s, t)| (s, self.shards[s].commit_release(t)))
+            .map(|&s| (s, self.shards[s].commit_release(g)))
             .collect();
         for (s, deferred) in released {
             self.shards[s].commit_maintenance(deferred, start);
@@ -687,20 +675,15 @@ impl ShardedDglRTree {
         dgl_obs::prometheus_text(&self.obs_snapshot())
     }
 
-    /// Renders the unioned cross-shard wait state the global deadlock
-    /// detector reasons over: every shard's lock table, wait-for edges,
-    /// and the global-session identity map (the shell's
-    /// `locktable --merged`, and the stall watchdog's dump format).
+    /// Renders the cross-shard wait state a blocking request reasons
+    /// over: every shard's lock table and transaction records, one id
+    /// naming one transaction throughout (the shell's
+    /// `locktable --merged`).
     pub fn merged_locktable_dump(&self) -> String {
-        deadlock_global::render_merged(
-            &self
-                .shards
-                .iter()
-                .map(|s| Arc::clone(&s.core))
-                .collect::<Vec<_>>(),
-            self.sessions.lock().clone(),
-            self.committing.lock().clone(),
-        )
+        let shards = self.shards.iter().enumerate();
+        shards
+            .map(|(i, s)| format!("shard {i}:\n{}", s.lock_manager().debug_dump()))
+            .collect()
     }
 
     // --- MVCC snapshot reads --------------------------------------------
@@ -715,7 +698,7 @@ impl ShardedDglRTree {
     pub fn begin_snapshot(&self) -> ShardedSnapshot<'_> {
         ShardedSnapshot {
             db: self,
-            ts: self.clock.begin_snapshot(),
+            ts: self.context.clock.begin_snapshot(),
         }
     }
 }
@@ -761,7 +744,7 @@ impl ShardedSnapshot<'_> {
 
 impl Drop for ShardedSnapshot<'_> {
     fn drop(&mut self) {
-        self.db.clock.end_snapshot(self.ts);
+        self.db.context.clock.end_snapshot(self.ts);
         // Same throttled GC trigger as the single-tree snapshot drop,
         // applied per shard (each shard prunes its own chains).
         for s in &self.db.shards {
@@ -772,79 +755,54 @@ impl Drop for ShardedSnapshot<'_> {
 
 impl TransactionalRTree for ShardedDglRTree {
     fn begin(&self) -> TxnId {
-        let g = self.next_gtxn.fetch_add(1, Ordering::Relaxed);
-        self.sessions
-            .lock()
-            .insert(g, vec![None; self.shards.len()]);
-        TxnId(g)
+        let g = self.context.domain.next_txn_id();
+        self.sessions.lock().insert(g);
+        g
     }
 
     fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
         let start = Instant::now();
-        let parts: Vec<(usize, TxnId)> = {
-            let mut sessions = self.sessions.lock();
-            let parts = sessions.remove(&txn.0).ok_or(TxnError::NotActive)?;
-            parts
-                .iter()
-                .enumerate()
-                .filter_map(|(s, t)| t.map(|t| (s, t)))
-                .collect()
-        };
-        // Keep the session's identity union visible to the deadlock
-        // detector while the participants run their commit phases (they
-        // still hold — and may wait for — locks in there).
-        self.committing.lock().insert(txn.0, parts.clone());
-        let result = self.commit_parts(txn.0, &parts);
-        self.committing.lock().remove(&txn.0);
-        result?;
+        if !self.sessions.lock().remove(&txn) {
+            return Err(TxnError::NotActive);
+        }
+        self.commit_parts(txn, &self.parts_of(txn))?;
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.obs.record(Hist::Commit, nanos);
         Ok(())
     }
 
     fn abort(&self, txn: TxnId) -> Result<(), TxnError> {
-        let parts = self
-            .sessions
-            .lock()
-            .remove(&txn.0)
-            .ok_or(TxnError::NotActive)?;
-        for (s, t) in parts.iter().enumerate() {
-            if let Some(t) = t {
-                let _ = self.shards[s].abort(*t);
-            }
+        if !self.sessions.lock().remove(&txn) {
+            return Err(TxnError::NotActive);
         }
+        self.abort_parts(txn, &self.parts_of(txn));
         Ok(())
     }
 
     fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
         let s = self.grid.home_shard(&rect);
-        let t = self.participant(txn, s)?;
-        self.guard(txn, s, self.shards[s].insert(t, oid, rect))
+        self.on_shard(txn, s, |shard| shard.insert(txn, oid, rect))
     }
 
     fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         let s = self.grid.home_shard(&rect);
-        let t = self.participant(txn, s)?;
-        self.guard(txn, s, self.shards[s].delete(t, oid, rect))
+        self.on_shard(txn, s, |shard| shard.delete(txn, oid, rect))
     }
 
     fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
         let s = self.grid.home_shard(&rect);
-        let t = self.participant(txn, s)?;
-        self.guard(txn, s, self.shards[s].read_single(t, oid, rect))
+        self.on_shard(txn, s, |shard| shard.read_single(txn, oid, rect))
     }
 
     fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
         let s = self.grid.home_shard(&rect);
-        let t = self.participant(txn, s)?;
-        self.guard(txn, s, self.shards[s].update_single(t, oid, rect))
+        self.on_shard(txn, s, |shard| shard.update_single(txn, oid, rect))
     }
 
     fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         let mut hits = Vec::new();
         for s in self.grid.scan_shards(&query) {
-            let t = self.participant(txn, s)?;
-            hits.extend(self.guard(txn, s, self.shards[s].read_scan(t, query))?);
+            hits.extend(self.on_shard(txn, s, |shard| shard.read_scan(txn, query))?);
         }
         Ok(hits)
     }
@@ -852,8 +810,7 @@ impl TransactionalRTree for ShardedDglRTree {
     fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         let mut hits = Vec::new();
         for s in self.grid.scan_shards(&query) {
-            let t = self.participant(txn, s)?;
-            hits.extend(self.guard(txn, s, self.shards[s].update_scan(t, query))?);
+            hits.extend(self.on_shard(txn, s, |shard| shard.update_scan(txn, query))?);
         }
         Ok(hits)
     }

@@ -34,8 +34,8 @@ pub struct RetryPolicy {
     /// executor while different executors still decorrelate.
     pub jitter_seed: u64,
     /// Timeout aborts that may be retried **without** consuming the
-    /// `max_attempts` budget. A `Timeout` no longer signals a probable
-    /// deadlock (the global detector wounds genuine cycles as
+    /// `max_attempts` budget. A `Timeout` does not signal a probable
+    /// deadlock (every genuine cycle is refused at block time as
     /// `Deadlock`); it means the backstop expired under load — burning
     /// budget on it turns one slow resource into spurious
     /// [`ExecError::RetriesExhausted`] failures. The pool is finite so

@@ -10,53 +10,39 @@
 //! ([`LockManager::wait_edges`](crate::LockManager::wait_edges) is the one
 //! place that rule is written).
 //!
-//! Who breaks which cycle:
-//!
-//! * A cycle inside one lock table is refused synchronously: the
-//!   [`LockManager`](crate::LockManager) searches for a cycle through the
-//!   transaction that is about to block and aborts the youngest
-//!   (highest-id) non-system member — ordinary transactions can always be
-//!   rolled back and retried, while the protocol's post-commit system
-//!   operations cannot and are spared unless the whole cycle is system
-//!   work.
-//! * A cycle that leaves one table (two or more shards) is found by the
-//!   protocol layer's detector thread, which unions every table's
-//!   `wait_edges()` into one [`WaitForGraph`] over its own node identity
-//!   and applies [`youngest_non_system`] to it.
-//! * The manager's wait timeout is the single backstop behind both.
+//! Every cycle is refused synchronously: the
+//! [`LockManager`](crate::LockManager) whose request is about to block
+//! searches for a cycle through the requester over the edges of every
+//! table in its [`WaitDomain`](crate::WaitDomain) — a [`TxnId`] names the
+//! same transaction in all of them, so a cycle that crosses tables (the
+//! shards of a sharded index) is an ordinary cycle — and aborts the
+//! youngest (highest-id) non-system member: ordinary transactions can
+//! always be rolled back and retried, while the protocol's post-commit
+//! system operations cannot and are spared unless the whole cycle is
+//! system work. The manager's wait timeout is the single backstop behind
+//! it.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 
 use crate::TxnId;
 
-/// A snapshot waits-for graph over node identity `K` (a [`TxnId`] inside
-/// one lock table; the detector thread's shard-qualified key across
-/// several).
-#[derive(Debug)]
-pub struct WaitForGraph<K> {
+/// A snapshot waits-for graph over the one transaction identity.
+#[derive(Debug, Default)]
+pub(crate) struct WaitForGraph {
     /// Successors in insertion order, so a search over the same edges
     /// explores — and therefore answers — the same way every time.
-    edges: HashMap<K, Vec<K>>,
+    edges: HashMap<TxnId, Vec<TxnId>>,
 }
 
-impl<K> Default for WaitForGraph<K> {
-    fn default() -> Self {
-        Self {
-            edges: HashMap::new(),
-        }
-    }
-}
-
-impl<K: Copy + Eq + Hash> WaitForGraph<K> {
+impl WaitForGraph {
     /// An empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds an edge `waiter → holder` (ignoring self-edges, which arise
     /// when a transaction converts its own lock, and repeats).
-    pub fn add_edge(&mut self, waiter: K, holder: K) {
+    pub(crate) fn add_edge(&mut self, waiter: TxnId, holder: TxnId) {
         if waiter == holder {
             return;
         }
@@ -66,28 +52,22 @@ impl<K: Copy + Eq + Hash> WaitForGraph<K> {
         }
     }
 
-    /// Forgets `node`'s outgoing edges — it no longer waits (wounded, or
-    /// set aside so a further search can look past a cycle through it).
-    pub fn remove(&mut self, node: &K) {
-        self.edges.remove(node);
-    }
-
     /// Whether a cycle through `start` exists.
     #[cfg(test)]
-    pub(crate) fn has_cycle_through(&self, start: K) -> bool {
+    pub(crate) fn has_cycle_through(&self, start: TxnId) -> bool {
         self.cycle_through(start).is_some()
     }
 
     /// Finds a cycle through `start`, returning its members in wait order
     /// (`start` first; each member waits for the next, the last for
     /// `start`), or `None`.
-    pub fn cycle_through(&self, start: K) -> Option<Vec<K>> {
+    pub(crate) fn cycle_through(&self, start: TxnId) -> Option<Vec<TxnId>> {
         // Iterative DFS from start keeping the current path; a path edge
         // back to start closes a cycle through it.
-        let mut path: Vec<K> = vec![start];
+        let mut path: Vec<TxnId> = vec![start];
         // Per path frame: the next successor to try.
         let mut cursor: Vec<usize> = vec![0];
-        let mut visited: HashSet<K> = HashSet::from([start]);
+        let mut visited: HashSet<TxnId> = HashSet::from([start]);
         while let Some(node) = path.last() {
             let depth = path.len() - 1;
             let succ = self.edges.get(node).map_or(&[][..], Vec::as_slice);
@@ -109,46 +89,25 @@ impl<K: Copy + Eq + Hash> WaitForGraph<K> {
         None
     }
 
-    /// Finds one cycle anywhere in the graph: the first
-    /// [`Self::cycle_through`] hit trying waiters in ascending `rank`
-    /// (a deterministic order, so the same edges yield the same cycle).
-    pub fn find_cycle<R: Ord>(&self, rank: impl FnMut(&K) -> R) -> Option<Vec<K>> {
-        let mut starts: Vec<K> = self.edges.keys().copied().collect();
-        starts.sort_by_key(rank);
-        starts.into_iter().find_map(|s| self.cycle_through(s))
-    }
-
     #[cfg(test)]
     pub(crate) fn edge_count(&self) -> usize {
         self.edges.values().map(Vec::len).sum()
     }
 }
 
-/// The victim rule: the youngest (highest-`rank`) cycle member that is
-/// *not* a system transaction — system operations (the protocol's
-/// post-commit deferred deletions) cannot be rolled back. `None` when the
-/// entire cycle is system work; what happens then is the caller's call
-/// (the lock manager sacrifices the youngest system member, the detector
-/// thread wounds nobody).
-pub fn youngest_non_system<K: Copy, R: Ord>(
-    members: &[K],
-    rank: impl Fn(&K) -> R,
-    is_system: impl Fn(&K) -> bool,
-) -> Option<K> {
-    members
-        .iter()
-        .copied()
-        .filter(|k| !is_system(k))
-        .max_by_key(|k| rank(k))
-}
-
-/// [`youngest_non_system`] for a cycle inside one lock table, falling back
-/// to the youngest member when every one is a system transaction.
+/// The victim rule: the youngest (highest-id) cycle member that is *not*
+/// a system transaction — system operations (the protocol's post-commit
+/// deferred deletions) cannot be rolled back — falling back to the
+/// youngest member when every one is a system transaction.
 ///
 /// `members` must be non-empty (a cycle has at least two members; a
 /// self-edge is filtered out before detection).
 pub(crate) fn select_victim(members: &[TxnId], system: &HashSet<TxnId>) -> TxnId {
-    youngest_non_system(members, |t| *t, |t| system.contains(t))
+    members
+        .iter()
+        .copied()
+        .filter(|t| !system.contains(t))
+        .max()
         .or_else(|| members.iter().copied().max())
         .expect("cycle is non-empty")
 }
@@ -224,49 +183,18 @@ mod tests {
         assert_eq!(select_victim(&[t(3), t(9), t(5)], &all), t(9));
     }
 
-    /// The detector thread's node identity, in miniature: participants of
-    /// one global transaction collapse into a `Global` node.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-    enum Key {
-        Local(usize, u64),
-        Global(u64),
-    }
-
     #[test]
-    fn find_cycle_reports_members_in_wait_order() {
-        let (a, b, c) = (Key::Local(0, 1), Key::Local(0, 2), Key::Local(1, 3));
+    fn cycle_through_reports_members_in_wait_order() {
         let mut g = WaitForGraph::new();
-        g.add_edge(a, b);
-        g.add_edge(b, c);
-        g.add_edge(c, a);
-        let cycle = g.find_cycle(|k| *k).expect("three-node cycle");
-        assert_eq!(cycle.len(), 3);
-        for (i, k) in cycle.iter().enumerate() {
-            let next = cycle[(i + 1) % cycle.len()];
-            assert!(g.edges[k].contains(&next), "consecutive members are edges");
-        }
-        // Setting one member aside breaks the only cycle.
-        g.remove(&b);
-        assert!(g.find_cycle(|k| *k).is_none());
-    }
-
-    #[test]
-    fn find_cycle_ignores_acyclic_chains() {
-        let (a, b, c) = (Key::Local(0, 1), Key::Local(0, 2), Key::Global(9));
-        let mut g = WaitForGraph::new();
-        g.add_edge(a, b);
-        g.add_edge(a, c);
-        g.add_edge(b, c);
-        assert!(g.find_cycle(|k| *k).is_none());
-    }
-
-    #[test]
-    fn all_system_cycle_has_no_non_system_victim() {
-        let members = [t(3), t(9), t(5)];
-        assert_eq!(youngest_non_system(&members, |t| *t, |_| true), None);
+        g.add_edge(t(4), t(9)); // feeds the cycle, not in it
+        g.add_edge(t(1), t(2));
+        g.add_edge(t(2), t(3));
+        g.add_edge(t(3), t(1));
+        let cycle = g.cycle_through(t(2)).expect("three-node cycle");
         assert_eq!(
-            youngest_non_system(&members, |t| *t, |t| *t == TxnId(9)),
-            Some(t(5))
+            cycle,
+            [t(2), t(3), t(1)],
+            "start first, each waits for the next"
         );
     }
 }

@@ -7,10 +7,12 @@
 //! exactly that, plus what any production lock manager needs around it:
 //! lock conversion (a transaction re-requesting a resource holds the
 //! supremum of its modes), FIFO-fair grant queues, deadlock detection over
-//! a waits-for graph, and a wait timeout backstop. Every request, wait and
-//! verdict is counted in the manager's [`dgl_obs::Registry`]; in detail
-//! mode each grant is also an [`dgl_obs::Event::LockGranted`], which the
-//! Table 3 conformance tests assert against.
+//! a waits-for graph (shared by the managers of one [`WaitDomain`]), a
+//! waiter that reports its own long stall, and a wait timeout backstop.
+//! Every request, wait and verdict is counted in the manager's
+//! [`dgl_obs::Registry`]; in detail mode each grant is also an
+//! [`dgl_obs::Event::LockGranted`], which the Table 3 conformance tests
+//! assert against.
 //!
 //! Resources are named by [`ResourceId`]: a page id (leaf granule or
 //! external granule — the paper's key trick is that granules map to purely
@@ -27,11 +29,10 @@ mod resource;
 
 // The registry types appear in this crate's public API (`with_obs`,
 // `obs()`); re-exported so dependents can name them.
-pub use deadlock::{youngest_non_system, WaitForGraph};
 pub use dgl_obs;
 pub use manager::{
     obs_res, GrantEntry, LockManager, LockManagerConfig, LockOutcome, MixBuild, ResourceTableEntry,
-    WaitEdge, WaiterEntry,
+    WaitDomain, WaitEdge, WaiterEntry, STALL_THRESHOLD,
 };
 pub use mode::LockMode;
 pub use resource::{LockDuration, RequestKind, ResourceId, TxnId};

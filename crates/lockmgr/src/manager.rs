@@ -1,8 +1,8 @@
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -151,9 +151,9 @@ impl ResourceState {
 }
 
 /// Everything the manager knows about one transaction outside the
-/// resource table. Created lazily by the first request, wound or system
-/// mark (stand-alone callers use ids no transaction manager ever began)
-/// and dropped once it says nothing.
+/// resource table. Created lazily by the first request or system mark
+/// (stand-alone callers use ids no transaction manager ever began) and
+/// dropped once it says nothing.
 ///
 /// Invariants, maintained under the resource stripe by
 /// [`LockManager::fill`]: a grant of the transaction with a short slot is
@@ -166,23 +166,16 @@ struct TxnRecord {
     /// Resources on which it has a short-duration slot: all that the end
     /// of an operation has to visit.
     short: Vec<ResourceId>,
-    /// The resource its blocked unconditional request is queued on, and
-    /// since when (victim cancellation finds the wait through this; the
-    /// stall watchdog reads its age).
-    waiting_on: Option<(ResourceId, Instant)>,
-    /// Wounded by [`LockManager::cancel_and_poison`], verdict not yet
-    /// delivered.
-    poisoned: bool,
+    /// The resource its blocked unconditional request is queued on
+    /// (victim cancellation finds the wait through this).
+    waiting_on: Option<ResourceId>,
     /// Exempt from deadlock victim selection.
     system: bool,
 }
 
 impl TxnRecord {
     fn is_idle(&self) -> bool {
-        self.commit.is_empty()
-            && self.short.is_empty()
-            && self.waiting_on.is_none()
-            && !(self.poisoned || self.system)
+        self.commit.is_empty() && self.short.is_empty() && self.waiting_on.is_none() && !self.system
     }
 }
 
@@ -272,12 +265,6 @@ pub struct WaitEdge {
     pub holder: TxnId,
     /// The contended resource.
     pub res: ResourceId,
-    /// Whether the waiter is a system transaction (exempt from victim
-    /// selection).
-    pub waiter_system: bool,
-    /// How long the waiter has been blocked (its wait start is recorded
-    /// when the unconditional request parks).
-    pub waited: Duration,
 }
 
 /// Lock state of one resource in a [`LockManager::table_snapshot`].
@@ -291,8 +278,55 @@ pub struct ResourceTableEntry {
     pub waiters: Vec<WaiterEntry>,
 }
 
+/// A wait past this is reported by the waiter itself (counter + event),
+/// once, and left to wait: roughly 1000× a typical transaction, so
+/// crossing it is worth a diagnostic — not an abort.
+pub const STALL_THRESHOLD: Duration = Duration::from_millis(50);
+
+/// A wait-for domain: the lock managers whose transactions draw their ids
+/// from one sequence. A [`TxnId`] therefore names the same transaction in
+/// every member's table and "youngest = highest id" means the same thing
+/// in all of them, so a request about to block can search the union of
+/// the members' wait edges and a cycle that crosses tables is an ordinary
+/// cycle. The tables themselves stay apart: each member grants, queues
+/// and releases on its own.
+///
+/// A manager built by [`LockManager::new`] or [`LockManager::with_obs`]
+/// owns a domain alone; the shards of a sharded index
+/// [`join`](LockManager::join) one.
+#[derive(Debug)]
+pub struct WaitDomain {
+    next_id: AtomicU64,
+    /// The managers that joined (weak: each holds the domain).
+    members: Mutex<Vec<Weak<LockManager>>>,
+}
+
+impl WaitDomain {
+    /// An empty domain whose transaction ids start at `first_id`.
+    pub fn new(first_id: u64) -> Arc<Self> {
+        Arc::new(Self {
+            next_id: AtomicU64::new(first_id),
+            members: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// The next transaction id: lower ids are older transactions, and no
+    /// id is handed out twice.
+    pub fn next_txn_id(&self) -> TxnId {
+        TxnId(self.next_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Every live member other than `me`.
+    fn peers_of(&self, me: &LockManager) -> Vec<Arc<LockManager>> {
+        let members = self.members.lock();
+        let live = members.iter().filter_map(Weak::upgrade);
+        live.filter(|m| !std::ptr::eq(&**m, me)).collect()
+    }
+}
+
 /// The lock manager: a sharded lock table with FIFO grant queues,
-/// conversion priority, deadlock detection and a wait-timeout backstop.
+/// conversion priority, deadlock detection over its [`WaitDomain`] and a
+/// wait-timeout backstop.
 ///
 /// See the crate docs for the feature set; the protocol crate issues every
 /// granule and object lock through this type.
@@ -326,6 +360,7 @@ pub struct LockManager {
     /// Transactions parked in an unconditional wait.
     parked: AtomicUsize,
     wait_timeout: Duration,
+    domain: Arc<WaitDomain>,
     obs: Arc<Registry>,
 }
 
@@ -354,6 +389,23 @@ impl LockManager {
     /// registry (the protocol layer passes its tree-wide registry so lock
     /// waits and latch holds land in one place).
     pub fn with_obs(config: LockManagerConfig, obs: Arc<Registry>) -> Self {
+        Self::build(config, obs, WaitDomain::new(1))
+    }
+
+    /// Creates a lock manager that is a member of `domain`: its
+    /// transactions carry ids of the domain's sequence, and a request
+    /// about to block in any member searches this table's wait edges too.
+    pub fn join(
+        config: LockManagerConfig,
+        obs: Arc<Registry>,
+        domain: &Arc<WaitDomain>,
+    ) -> Arc<Self> {
+        let lm = Arc::new(Self::build(config, obs, Arc::clone(domain)));
+        domain.members.lock().push(Arc::downgrade(&lm));
+        lm
+    }
+
+    fn build(config: LockManagerConfig, obs: Arc<Registry>, domain: Arc<WaitDomain>) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         // A power of two, so a stripe is a mask of the key's hash or id.
         let stripes = config.shards.next_power_of_two();
@@ -369,6 +421,7 @@ impl LockManager {
             hasher,
             parked: AtomicUsize::new(0),
             wait_timeout: config.wait_timeout,
+            domain,
             obs,
         }
     }
@@ -376,6 +429,11 @@ impl LockManager {
     /// The observability registry this manager reports into.
     pub fn obs(&self) -> &Arc<Registry> {
         &self.obs
+    }
+
+    /// The wait-for domain this manager's transaction ids come from.
+    pub fn domain(&self) -> &Arc<WaitDomain> {
+        &self.domain
     }
 
     /// Marks `txn` as a *system* transaction: deadlock victim selection
@@ -480,15 +538,6 @@ impl LockManager {
             LockDuration::Short => Ctr::LockReqShort,
             LockDuration::Commit => Ctr::LockReqCommit,
         });
-        // A remotely wounded transaction must not enter (or re-enter) a
-        // wait: consume the poison and deliver the deadlock verdict.
-        // Conditional requests never wait, so they cannot extend a cycle
-        // and are left to fail or succeed on their own.
-        if kind == RequestKind::Unconditional && self.peek(txn, |r| std::mem::take(&mut r.poisoned))
-        {
-            self.obs.incr(Ctr::LockDeadlocks);
-            return LockOutcome::Deadlock;
-        }
         let cell;
         {
             let mut shard = self.shard(&res).lock();
@@ -551,17 +600,12 @@ impl LockManager {
             );
         }
         let wait_start = Instant::now();
-        self.record(txn, |r| r.waiting_on = Some((res, wait_start)));
+        self.record(txn, |r| r.waiting_on = Some(res));
         self.parked.fetch_add(1, Ordering::SeqCst);
-        // Every way out of the wait: the record stops saying "waiting" (a
-        // deadlock verdict also consumes any poison mark a remote wound
-        // left — it is being delivered), the verdict and the wait are
-        // counted.
+        // Every way out of the wait: the record stops saying "waiting",
+        // the verdict and the wait are counted.
         let finish_wait = |outcome: LockOutcome| {
-            self.peek(txn, |r| {
-                r.waiting_on = None;
-                r.poisoned &= outcome != LockOutcome::Deadlock;
-            });
+            self.peek(txn, |r| r.waiting_on = None);
             self.parked.fetch_sub(1, Ordering::SeqCst);
             match outcome {
                 LockOutcome::Deadlock => self.obs.incr(Ctr::LockDeadlocks),
@@ -588,14 +632,11 @@ impl LockManager {
             outcome
         };
 
-        // A wound (cancel_and_poison) may have landed between the poison
-        // check at the top and enqueuing the waiter — its cancel found no
-        // waiter to cancel. Re-check now that the waiter is visible.
-        // Then, about to block: if this wait closes a cycle, abort the
-        // youngest non-system member. If that is us, give up; otherwise
-        // cancel the victim's wait and block. (If either verdict raced
-        // with a grant, the wait below picks the grant up immediately.)
-        if (self.is_poisoned(txn) || self.resolve_deadlocks(txn)) && self.cancel_waiter(res, txn) {
+        // About to block: if this wait closes a cycle, abort the youngest
+        // non-system member. If that is us, give up; otherwise the
+        // victim's wait has been cancelled, and we block. (A verdict that
+        // raced with a grant is picked up by the wait below.)
+        if self.resolve_deadlocks(txn, res) {
             return finish_wait(LockOutcome::Deadlock);
         }
 
@@ -607,6 +648,9 @@ impl LockManager {
         }
 
         let deadline = Instant::now() + self.wait_timeout;
+        // The waiter is its own stall watchdog: it wakes once at the
+        // threshold to report itself, then waits for the backstop.
+        let mut wake = deadline.min(wait_start + STALL_THRESHOLD);
         let mut guard = cell.state.lock();
         loop {
             match &*guard {
@@ -621,7 +665,17 @@ impl LockManager {
                     return finish_wait(LockOutcome::Deadlock);
                 }
                 None => {
-                    if cell.cv.wait_until(&mut guard, deadline).timed_out() {
+                    if cell.cv.wait_until(&mut guard, wake).timed_out() {
+                        if wake < deadline {
+                            wake = deadline;
+                            self.obs.incr(Ctr::WatchdogStalls);
+                            self.obs.emit(Event::WatchdogStall {
+                                txn: txn.0,
+                                res: obs_res(res),
+                                wait_nanos: wait_start.elapsed().as_nanos() as u64,
+                            });
+                            continue;
+                        }
                         drop(guard);
                         if self.cancel_waiter(res, txn) {
                             return finish_wait(LockOutcome::Timeout);
@@ -645,19 +699,12 @@ impl LockManager {
         self.release(txn, short, false);
     }
 
-    /// Releases every lock of `txn` (transaction commit or rollback) and
-    /// any poison mark: a wound that raced the transaction's own abort is
-    /// moot, and must not linger for a later user of the record.
+    /// Releases every lock of `txn` (transaction commit or rollback).
     pub fn release_all(&self, txn: TxnId) {
-        let rec = self.peek(txn, |r| {
-            let kept = TxnRecord {
-                waiting_on: r.waiting_on,
-                system: r.system,
-                ..TxnRecord::default()
-            };
-            std::mem::replace(r, kept)
+        let (commit, short) = self.peek(txn, |r| {
+            (std::mem::take(&mut r.commit), std::mem::take(&mut r.short))
         });
-        self.release(txn, rec.commit.into_iter().chain(rec.short), true);
+        self.release(txn, commit.into_iter().chain(short), true);
     }
 
     /// Drops `txn`'s short slot — with `all`, its whole grant — on each of
@@ -768,39 +815,28 @@ impl LockManager {
     }
 
     /// Number of transactions currently blocked in an unconditional
-    /// wait. Cheap (one atomic load, no table walk) — the global detector
-    /// polls this to skip graph building while nothing waits.
+    /// wait. Cheap (one atomic load, no table walk).
     pub fn waiter_count(&self) -> usize {
         self.parked.load(Ordering::SeqCst)
     }
 
     /// A cheap flat snapshot of every blocking edge in the lock table:
-    /// waiter → each transaction it cannot be granted before, with the
-    /// waiter's system flag and how long it has been blocked. This is
-    /// the per-manager contribution to the global (cross-shard)
-    /// wait-for graph; each shard of the lock table is read under its
-    /// own mutex, so the snapshot is per-resource consistent, like
+    /// waiter → each transaction it cannot be granted before. This is
+    /// the per-manager contribution to its domain's wait-for graph; each
+    /// shard of the lock table is read under its own mutex, so the
+    /// snapshot is per-resource consistent, like
     /// [`LockManager::table_snapshot`].
     pub fn wait_edges(&self) -> Vec<WaitEdge> {
-        let now = Instant::now();
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
             for (res, state) in shard.iter() {
                 for (i, w) in state.waiters.iter().enumerate() {
-                    let (waited, waiter_system) = self.peek(w.txn, |r| {
-                        let since = r
-                            .waiting_on
-                            .map(|(_, at)| now.saturating_duration_since(at));
-                        (since.unwrap_or_default(), r.system)
-                    });
                     let mut push = |holder: TxnId| {
                         out.push(WaitEdge {
                             waiter: w.txn,
                             holder,
                             res: *res,
-                            waiter_system,
-                            waited,
                         });
                     };
                     for g in &state.grants {
@@ -819,29 +855,6 @@ impl LockManager {
             }
         }
         out
-    }
-
-    /// Wounds `txn` from outside its own thread: marks it poisoned and
-    /// cancels its blocked unconditional wait (if any), making that
-    /// `lock()` call return [`LockOutcome::Deadlock`] remotely. If the
-    /// victim is not currently parked in this manager (it may be between
-    /// retries), the poison mark alone guarantees its next unconditional
-    /// request delivers the verdict. Returns `true` if a parked wait was
-    /// cancelled right here.
-    ///
-    /// The mark is cleared by `release_all` (the victim's rollback), so
-    /// a wound can never leak onto a later transaction.
-    pub fn cancel_and_poison(&self, txn: TxnId) -> bool {
-        let waiting = self.record(txn, |r| {
-            r.poisoned = true;
-            r.waiting_on
-        });
-        waiting.is_some_and(|(res, _)| self.cancel_waiter(res, txn))
-    }
-
-    /// Whether `txn` is marked poisoned (without consuming the mark).
-    pub fn is_poisoned(&self, txn: TxnId) -> bool {
-        self.peek(txn, |r| r.poisoned)
     }
 
     /// Renders the entire lock table (grants and wait queues) for hang
@@ -945,17 +958,27 @@ impl LockManager {
         removed
     }
 
-    /// Resolves any waits-for cycles through `txn` by aborting victims.
-    /// Returns true if `txn` itself must abort (it was the chosen victim).
+    /// Resolves any waits-for cycles through `txn`, whose request is
+    /// queued on `res` and about to block, by aborting victims. Returns
+    /// true if `txn` itself must abort: it was the chosen victim and its
+    /// waiter has been withdrawn.
+    ///
+    /// The graph is the union of the wait edges of every table in the
+    /// domain, read now: every member of a cycle is parked in some
+    /// member's queue, so the victim is either the requester or a waiter
+    /// whose record — in whichever table holds it — says where it waits.
     ///
     /// Victim policy: the youngest (highest-id) non-system member of the
     /// cycle; if every member is a system transaction, the youngest of
     /// them. Non-requester victims have their waits cancelled (their
-    /// blocked `lock()` call returns [`LockOutcome::Deadlock`]).
-    fn resolve_deadlocks(&self, txn: TxnId) -> bool {
+    /// blocked `lock()` call returns [`LockOutcome::Deadlock`] and counts
+    /// the verdict).
+    fn resolve_deadlocks(&self, txn: TxnId, res: ResourceId) -> bool {
+        let peers = self.domain.peers_of(self);
+        let tables = || std::iter::once(self).chain(peers.iter().map(|m| &**m));
         for _ in 0..16 {
             let mut graph = WaitForGraph::new();
-            for e in self.wait_edges() {
+            for e in tables().flat_map(|m| m.wait_edges()) {
                 graph.add_edge(e.waiter, e.holder);
             }
             let Some(members) = graph.cycle_through(txn) else {
@@ -964,22 +987,30 @@ impl LockManager {
             let system: HashSet<TxnId> = members
                 .iter()
                 .copied()
-                .filter(|t| self.is_system(*t))
+                .filter(|t| tables().any(|m| m.is_system(*t)))
                 .collect();
             let victim = crate::deadlock::select_victim(&members, &system);
-            if victim == txn {
-                return true;
+            let parked = if victim == txn {
+                Some((self, res))
+            } else {
+                tables().find_map(|m| Some((m, m.peek(victim, |r| r.waiting_on)?)))
+            };
+            // Not cancelled: the victim raced to a grant or to another
+            // requester's verdict — the next pass (or, for the requester,
+            // the wait) re-examines.
+            let cancelled = parked.is_some_and(|(m, res)| m.cancel_waiter(res, victim));
+            if cancelled && self.obs.detail() {
+                self.obs.emit(Event::DeadlockVictim {
+                    txn: victim.0,
+                    cycle: members.iter().map(|t| t.0).collect(),
+                });
             }
-            // Cancel the victim's wait (a no-op if it raced to a grant or
-            // is no longer waiting — the next loop pass re-examines). The
-            // victim's own `lock()` call counts the deadlock when it
-            // returns the verdict.
-            if let Some((res, _)) = self.peek(victim, |r| r.waiting_on) {
-                self.cancel_waiter(res, victim);
+            if victim == txn {
+                return cancelled;
             }
         }
         // Could not stabilize; sacrifice the requester as a backstop.
-        true
+        self.cancel_waiter(res, txn)
     }
 
     /// Emits grant evidence to the event stream (detail mode only).

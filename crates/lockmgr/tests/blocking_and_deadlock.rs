@@ -9,9 +9,9 @@ use dgl_lockmgr::{
     LockDuration::{Commit, Short},
     LockManager, LockManagerConfig, LockMode, LockOutcome,
     RequestKind::Unconditional,
-    ResourceId, TxnId,
+    ResourceId, TxnId, WaitDomain,
 };
-use dgl_obs::Ctr;
+use dgl_obs::{Ctr, Event, Registry};
 use dgl_pager::PageId;
 
 use LockMode::*;
@@ -365,9 +365,8 @@ fn youngest_transaction_is_chosen_as_victim() {
 }
 
 #[test]
-fn wait_edges_expose_blocked_waiters_with_age_and_system_flag() {
+fn wait_edges_expose_each_waiter_and_whom_it_waits_behind() {
     let m = mgr_with_timeout(10_000);
-    m.set_system(TxnId(7));
     assert_eq!(
         m.lock(TxnId(1), page(1), X, Commit, Unconditional),
         LockOutcome::Granted
@@ -387,72 +386,24 @@ fn wait_edges_expose_blocked_waiters_with_age_and_system_flag() {
         while m.waiter_count() < 2 {
             std::thread::yield_now();
         }
-        // Not for ordering: lets both waits age past the bound below.
-        std::thread::sleep(Duration::from_millis(80));
         let edges = m.wait_edges();
         // Both waiters block on the holder; T7, queued second, also
         // blocks on T2 ahead of it (FIFO).
         let on_holder: Vec<_> = edges.iter().filter(|e| e.holder == TxnId(1)).collect();
         assert_eq!(on_holder.len(), 2, "both waiters edge to the X holder");
-        for e in &edges {
-            assert_eq!(e.res, page(1));
-            assert_eq!(e.waiter_system, e.waiter == TxnId(7));
-            assert!(e.waited >= Duration::from_millis(50), "wait age recorded");
-        }
+        let behind: Vec<_> = edges.iter().filter(|e| e.holder == TxnId(2)).collect();
+        assert_eq!(behind.len(), 1, "one FIFO edge");
+        assert_eq!(behind[0].waiter, TxnId(7));
+        assert_eq!(edges.len(), 3);
+        assert!(edges.iter().all(|e| e.res == page(1)));
         m.release_all(TxnId(1));
         assert_eq!(h2.join().unwrap(), LockOutcome::Granted);
         m.release_all(TxnId(2));
         assert_eq!(h7.join().unwrap(), LockOutcome::Granted);
         m.release_all(TxnId(7));
-        m.clear_system(TxnId(7));
     })
     .unwrap();
     assert!(m.wait_edges().is_empty());
-}
-
-#[test]
-fn cancel_and_poison_aborts_a_parked_wait_remotely() {
-    let m = mgr_with_timeout(10_000);
-    assert_eq!(
-        m.lock(TxnId(1), page(1), X, Commit, Unconditional),
-        LockOutcome::Granted
-    );
-    crossbeam::scope(|s| {
-        let m2 = Arc::clone(&m);
-        let h2 = s.spawn(move |_| m2.lock(TxnId(2), page(1), X, Commit, Unconditional));
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(m.cancel_and_poison(TxnId(2)), "wait was parked; cancelled");
-        assert_eq!(
-            h2.join().unwrap(),
-            LockOutcome::Deadlock,
-            "the wounded waiter sees a deadlock verdict, not a timeout"
-        );
-    })
-    .unwrap();
-    // The verdict consumed the poison: after rollback the id is clean.
-    m.release_all(TxnId(2));
-    assert!(!m.is_poisoned(TxnId(2)));
-    m.release_all(TxnId(1));
-    assert_eq!(m.resource_count(), 0);
-}
-
-#[test]
-fn poison_is_delivered_on_the_next_unconditional_request() {
-    // The victim is not parked when wounded (it is, say, between
-    // retries); the mark must surface on its next blocking-capable
-    // request even if that request could have been granted.
-    let m = mgr_with_timeout(10_000);
-    assert!(!m.cancel_and_poison(TxnId(5)), "nothing parked to cancel");
-    assert!(m.is_poisoned(TxnId(5)));
-    assert_eq!(
-        m.lock(TxnId(5), page(3), S, Commit, Unconditional),
-        LockOutcome::Deadlock
-    );
-    assert!(!m.is_poisoned(TxnId(5)), "verdict consumed the mark");
-    // A rollback clears any unconsumed mark.
-    assert!(!m.cancel_and_poison(TxnId(6)));
-    m.release_all(TxnId(6));
-    assert!(!m.is_poisoned(TxnId(6)));
 }
 
 #[test]
@@ -492,45 +443,6 @@ fn short_lock_granted_by_anothers_release_is_dropped_at_own_operation_end() {
 }
 
 #[test]
-fn a_wound_before_the_victim_has_any_record_is_delivered_then_cleared() {
-    // The detector may wound a transaction the manager has never heard of
-    // (it has requested nothing yet): the mark creates the record.
-    let m = mgr_with_timeout(10_000);
-    assert!(!m.cancel_and_poison(TxnId(4)), "nothing parked to cancel");
-    assert_eq!(m.locks_held(TxnId(4)), 0);
-    // Conditional requests never wait, so they do not consume the mark…
-    assert_eq!(
-        m.lock(
-            TxnId(4),
-            page(1),
-            S,
-            Commit,
-            dgl_lockmgr::RequestKind::Conditional
-        ),
-        LockOutcome::Granted
-    );
-    assert!(m.is_poisoned(TxnId(4)));
-    // …the next unconditional one delivers it, grantable or not.
-    assert_eq!(
-        m.lock(TxnId(4), page(2), S, Commit, Unconditional),
-        LockOutcome::Deadlock
-    );
-    assert!(!m.is_poisoned(TxnId(4)));
-    assert_eq!(m.obs().ctr(Ctr::LockDeadlocks), 1);
-    // A mark the victim never consumed dies with its rollback, locks and
-    // all, and does not greet the next request under that id.
-    m.cancel_and_poison(TxnId(4));
-    m.release_all(TxnId(4));
-    assert!(!m.is_poisoned(TxnId(4)));
-    assert_eq!(m.resource_count(), 0);
-    assert_eq!(
-        m.lock(TxnId(4), page(2), S, Commit, Unconditional),
-        LockOutcome::Granted
-    );
-    m.release_all(TxnId(4));
-}
-
-#[test]
 fn system_transactions_are_spared() {
     // T2 is a system txn (young id 9 would normally die); victim selection
     // must pick the non-system member even though it is older.
@@ -567,4 +479,95 @@ fn system_transactions_are_spared() {
         m.clear_system(TxnId(9));
     })
     .unwrap();
+}
+
+/// Two lock tables, each with `page(1)` X-held: by T1 in `a`, by T2 in
+/// `b`. T2 parks behind T1 in `a`, then T1 asks for `b`'s page — the
+/// crossing that closes a cycle with one edge in each table. T1 asks only
+/// once T2 has reported its own stall: the one sign a waiter gives *after*
+/// its block-time search, so the cycle is T1's to find. Returns (T1's
+/// outcome, T2's outcome); each side releases everywhere once it has its
+/// answer, as a rollback would.
+fn crossing_over_two_tables(
+    a: &Arc<LockManager>,
+    b: &Arc<LockManager>,
+) -> (LockOutcome, LockOutcome) {
+    let (t1, t2) = (TxnId(1), TxnId(2));
+    assert_eq!(
+        a.lock(t1, page(1), X, Commit, Unconditional),
+        LockOutcome::Granted
+    );
+    assert_eq!(
+        b.lock(t2, page(1), X, Commit, Unconditional),
+        LockOutcome::Granted
+    );
+    let release = |t| {
+        a.release_all(t);
+        b.release_all(t);
+    };
+    std::thread::scope(|s| {
+        let h2 = s.spawn(move || {
+            let out = a.lock(t2, page(1), X, Commit, Unconditional);
+            release(t2);
+            out
+        });
+        while a.obs().ctr(Ctr::WatchdogStalls) < 1 {
+            std::thread::yield_now();
+        }
+        // Each table holds one edge of the cycle; neither holds a cycle.
+        assert_eq!(a.wait_edges().len(), 1);
+        assert!(b.wait_edges().is_empty());
+        let out1 = b.lock(t1, page(1), X, Commit, Unconditional);
+        release(t1);
+        (out1, h2.join().expect("T2 thread"))
+    })
+}
+
+#[test]
+fn two_managers_in_one_domain_refuse_a_cycle_neither_sees_alone() {
+    let domain = WaitDomain::new(1);
+    let member = || {
+        let obs = Arc::new(Registry::new());
+        obs.set_detail(true);
+        LockManager::join(LockManagerConfig::default(), obs, &domain)
+    };
+    let (a, b) = (member(), member());
+    // The older T1 closes the cycle in `b`; the victim is the younger T2,
+    // parked in the *peer* table — its wait there is cancelled remotely
+    // and T1 goes on to be granted.
+    let (out1, out2) = crossing_over_two_tables(&a, &b);
+    assert_eq!(out2, LockOutcome::Deadlock, "younger loses, at block time");
+    assert_eq!(out1, LockOutcome::Granted, "older proceeds");
+    assert_eq!(a.obs().ctr(Ctr::LockDeadlocks), 1, "counted by the victim");
+    assert_eq!(b.obs().ctr(Ctr::LockDeadlocks), 0);
+    for m in [&a, &b] {
+        assert_eq!(m.obs().ctr(Ctr::LockTimeouts), 0);
+        assert_eq!(m.resource_count(), 0);
+    }
+    // The closing request leaves the evidence: victim and members in wait
+    // order, requester first.
+    let victims: Vec<_> = (b.obs().take_events().into_iter())
+        .filter(|e| matches!(e, Event::DeadlockVictim { .. }))
+        .collect();
+    assert_eq!(
+        victims,
+        [Event::DeadlockVictim {
+            txn: 2,
+            cycle: vec![1, 2]
+        }]
+    );
+}
+
+#[test]
+fn managers_in_separate_domains_do_not_see_each_other() {
+    // The same crossing over two stand-alone managers: no request ever
+    // sees a cycle, and only the backstop (of `a`, where T2 waits) breaks
+    // it.
+    let (a, b) = (mgr_with_timeout(100), mgr_with_timeout(10_000));
+    let (out1, out2) = crossing_over_two_tables(&a, &b);
+    assert_eq!(out2, LockOutcome::Timeout);
+    assert_eq!(out1, LockOutcome::Granted);
+    for m in [&a, &b] {
+        assert_eq!(m.obs().ctr(Ctr::LockDeadlocks), 0);
+    }
 }

@@ -79,17 +79,18 @@ pub enum Event {
         /// Span duration in nanoseconds.
         nanos: u64,
     },
-    /// The global deadlock detector found a cycle and wounded `txn`.
+    /// A request about to block closed a wait-for cycle and the lock
+    /// manager refused it: `txn` was chosen as the victim and its wait
+    /// withdrawn. Emitted once per victim, by the closing request.
     DeadlockVictim {
-        /// The wounded transaction (global id for cross-shard cycles,
-        /// local id otherwise).
+        /// The victim (the youngest non-system member).
         txn: u64,
-        /// Every cycle member, rendered as stable diagnostic labels
-        /// (`"g:<gtxn>"` / `"s<shard>:<txn>"`).
-        cycle: Vec<String>,
+        /// Every cycle member in wait order: the closing requester first,
+        /// each waiting for the next, the last for the first.
+        cycle: Vec<u64>,
     },
-    /// The stall watchdog flagged a wait past the threshold with no
-    /// deadlock cycle found. Diagnostic only — nothing is aborted.
+    /// A lock wait outlasted the stall threshold and its waiter reported
+    /// itself (once per wait). Diagnostic only — nothing is aborted.
     WatchdogStall {
         /// The stalled (waiting) transaction.
         txn: u64,

@@ -178,14 +178,12 @@ counters! {
     /// Object versions (chain entries and retired dead objects)
     /// reclaimed by version GC below the min-active-snapshot watermark.
     VersionsReclaimed => "versions_reclaimed",
-    /// Cycles resolved by the global (cross-shard) deadlock detector:
-    /// one per wounded victim.
-    GlobalDeadlocks => "global_deadlocks",
-    /// Stall-watchdog firings: a wait exceeded the stall threshold with
-    /// no deadlock cycle found (diagnostic, never an abort).
+    /// Lock waits that outlasted the stall threshold: the waiter reports
+    /// itself once and keeps waiting (diagnostic, never an abort).
     WatchdogStalls => "watchdog_stalls",
     /// Lock requests that returned a deadlock verdict: the requester was
-    /// chosen as a victim (locally or by the global detector) and must
+    /// chosen as the victim of a cycle refused at block time — its own
+    /// closing request or another's, on its shard or a peer — and must
     /// abort. Counted once, by the victim.
     LockDeadlocks => "lock_deadlocks",
     /// Lock waits resolved by the wait-timeout backstop.

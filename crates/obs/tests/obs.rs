@@ -95,10 +95,8 @@ fn prometheus_text_matches_golden() {
     reg.add(Ctr::WalGroupCommitCommits, 4);
     reg.add(Ctr::WalRecords, 9);
     reg.add(Ctr::WalAppendedBytes, 413);
-    // Deadlock metrics: one global-detector wound, one watchdog stall
-    // flag, and the per-shard lock-manager verdicts — pins the
-    // deadlock exporter names the CI deadlock job greps for.
-    reg.incr(Ctr::GlobalDeadlocks);
+    // Deadlock metrics: one self-reported stall and the lock-manager
+    // verdicts — pins the deadlock exporter names dashboards grep for.
     reg.incr(Ctr::WatchdogStalls);
     reg.add(Ctr::LockDeadlocks, 2);
     reg.add(Ctr::LockTimeouts, 5);
@@ -163,16 +161,13 @@ fn wal_metrics_export_with_stable_names() {
 #[test]
 fn deadlock_metrics_export_with_stable_names() {
     let reg = Registry::new();
-    reg.add(Ctr::GlobalDeadlocks, 3);
     reg.add(Ctr::WatchdogStalls, 2);
     reg.add(Ctr::LockDeadlocks, 4);
     reg.add(Ctr::LockTimeouts, 6);
 
     let text = prometheus_text(&reg.snapshot());
     for needle in [
-        "# TYPE dgl_global_deadlocks_total counter",
         "# TYPE dgl_watchdog_stalls_total counter",
-        "dgl_global_deadlocks_total 3",
         "dgl_watchdog_stalls_total 2",
         "dgl_lock_deadlocks_total 4",
         "dgl_lock_timeouts_total 6",
@@ -183,10 +178,10 @@ fn deadlock_metrics_export_with_stable_names() {
     // Phase deltas work for the verdict counters too — the bench's
     // timeout/deadlock abort columns are built on exactly this.
     let before = reg.snapshot();
-    reg.incr(Ctr::GlobalDeadlocks);
+    reg.incr(Ctr::WatchdogStalls);
     reg.add(Ctr::LockTimeouts, 2);
     let delta = reg.snapshot().since(&before);
-    assert_eq!(delta.ctr(Ctr::GlobalDeadlocks), 1);
+    assert_eq!(delta.ctr(Ctr::WatchdogStalls), 1);
     assert_eq!(delta.ctr(Ctr::LockTimeouts), 2);
     assert_eq!(delta.ctr(Ctr::LockDeadlocks), 0);
 }

@@ -1,5 +1,4 @@
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -8,20 +7,21 @@ use parking_lot::Mutex;
 use dgl_lockmgr::dgl_obs::Ctr;
 use dgl_lockmgr::{LockManager, MixBuild, TxnId};
 
-/// Allocates transaction ids, tracks the active set, and performs the
-/// terminal transitions.
+/// Tracks the active set of one index (or one shard of it) and performs
+/// the terminal transitions.
 ///
-/// Lower ids are older transactions; ids are never reused. Both terminal
-/// transitions release *all* locks of the transaction through the attached
-/// [`LockManager`] — the protocol layer runs its deferred deletions /
-/// undo actions *before* calling them, matching the paper's requirement
-/// that commit-duration locks protect the deferred work. Begins, commits
-/// and aborts are counted in the lock manager's registry
+/// Ids come from the lock manager's [`WaitDomain`](dgl_lockmgr::WaitDomain)
+/// — one sequence for every manager whose lock tables can form a cycle
+/// together: lower ids are older transactions; ids are never reused. Both
+/// terminal transitions release *all* locks the transaction holds in the
+/// attached [`LockManager`] — the protocol layer runs its deferred
+/// deletions / undo actions *before* calling them, matching the paper's
+/// requirement that commit-duration locks protect the deferred work.
+/// Begins, commits and aborts are counted in the lock manager's registry
 /// (`txns_started` / `txns_committed` / `txns_aborted`).
 #[derive(Debug)]
 pub struct TxnManager {
     lock_manager: Arc<LockManager>,
-    next_id: AtomicU64,
     active: Mutex<HashMap<TxnId, Instant, MixBuild>>,
 }
 
@@ -30,7 +30,6 @@ impl TxnManager {
     pub fn new(lock_manager: Arc<LockManager>) -> Self {
         Self {
             lock_manager,
-            next_id: AtomicU64::new(1),
             active: Mutex::new(HashMap::with_hasher(MixBuild::seeded())),
         }
     }
@@ -42,10 +41,21 @@ impl TxnManager {
 
     /// Begins a new transaction.
     pub fn begin(&self) -> TxnId {
-        let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.active.lock().insert(id, Instant::now());
-        self.lock_manager.obs().incr(Ctr::TxnsStarted);
+        let id = self.lock_manager.domain().next_txn_id();
+        self.begin_as(id);
         id
+    }
+
+    /// Begins the transaction `id` here: a global transaction, begun by
+    /// whoever drew `id` from the domain's sequence, joining this shard on
+    /// its first touch.
+    ///
+    /// # Panics
+    /// Panics if `id` is already active here.
+    pub fn begin_as(&self, id: TxnId) {
+        let joined = self.active.lock().insert(id, Instant::now());
+        assert!(joined.is_none(), "second begin of active transaction {id}");
+        self.lock_manager.obs().incr(Ctr::TxnsStarted);
     }
 
     /// Whether `txn` is currently active.

@@ -588,13 +588,13 @@ fn run_command(
             Ok(Some("ok (snapshot written, log truncated)".into()))
         }
         "locktable" if parts.get(1) == Some(&"--merged") => {
-            // The global detector's view: the lock table with its
-            // wait-for edges annotated. On the sharded router the same
-            // dump unions every shard's graph; here it is the single
-            // shard's slice of that picture.
+            // What a request about to block reasons over: grants, wait
+            // queues and every transaction's record (where it waits,
+            // whether it is a system operation). On the sharded router
+            // the same dump renders every shard's table.
             let dump = db.merged_locktable_dump();
             if dump.trim().is_empty() {
-                return Ok(Some("(no wait edges)".into()));
+                return Ok(Some("(no locks held or queued)".into()));
             }
             Ok(Some(dump.trim_end().into()))
         }
@@ -652,7 +652,7 @@ commands:
   stats | tree | granules                introspection
   stats --histograms                     latency histograms + obs counters
   locktable                              live lock table (grants and waiters)
-  locktable --merged                     detector's merged wait-for graph
+  locktable --merged                     raw tables + per-transaction wait records
                                          (lock table + wait-for edges)
   quiesce                                drain the background maintenance queue
   save <path> | load <path>              snapshot persistence (no log)

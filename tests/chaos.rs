@@ -266,14 +266,14 @@ fn chaos_run(seed: u64) {
     }
 }
 
-/// Multi-shard chaos leg with the global deadlock detector armed and
-/// *sabotaged*: the `deadlock/detector-stall` failpoint delays or skips
-/// detection passes mid-storm. The invariants are the wound protocol's:
+/// Multi-shard chaos leg: cross-shard cycles form mid-storm and are
+/// refused at block time, on whichever shard the victim is parked. The
+/// invariants:
 ///
-/// * **no lost victims** — every wounded transaction observes its
-///   `Deadlock` verdict and rolls back (a lost victim would leave a
-///   live transaction or a held lock behind after quiesce, or wedge the
-///   run into the watchdog);
+/// * **no lost victims** — every victim observes its `Deadlock` verdict
+///   and rolls back (a lost victim would leave a live transaction or a
+///   held lock behind after quiesce, or wedge the run into the
+///   watchdog);
 /// * **no double-aborts** — every driven transaction is accounted for
 ///   exactly once as a commit or a giveup, and nothing surfaces as a
 ///   non-retryable error (a second abort of an already-dead victim
@@ -289,10 +289,10 @@ fn chaos_sharded_run(seed: u64) {
         DglConfig {
             rtree: RTreeConfig::with_fanout(5),
             policy: InsertPolicy::Modified,
-            // Backstop only: genuine cross-shard cycles are wounded by
-            // the detector in milliseconds; this bound exists so a
-            // stalled detector (the failpoint below) cannot wedge the
-            // storm. Timeout retries are budget-free in the executor.
+            // Backstop only: genuine cross-shard cycles are refused as
+            // deadlocks; this bound keeps a wait behind an injected
+            // delay from dragging the storm out. Timeout retries are
+            // budget-free in the executor.
             lock: LockManagerConfig {
                 wait_timeout: Duration::from_millis(250),
                 ..Default::default()
@@ -310,14 +310,7 @@ fn chaos_sharded_run(seed: u64) {
     );
 
     let fires_before = dgl_faults::total_fires();
-    let mut schedule = arm_schedule(seed);
-    // Sabotage the detector itself: most passes run normally, some are
-    // delayed (waits age past the stall threshold), some are skipped
-    // outright. Victims must never be lost either way.
-    schedule.push(dgl_faults::register(
-        "deadlock/detector-stall",
-        FaultSpec::delay(Duration::from_millis(20)).one_in(4, seed ^ 0xB1),
-    ));
+    let schedule = arm_schedule(seed);
 
     let drive_cfg = DriveConfig {
         txns: TXNS_PER_THREAD,
@@ -363,16 +356,14 @@ fn chaos_sharded_run(seed: u64) {
 
     let fires = dgl_faults::total_fires() - fires_before;
     let obs = db.obs_snapshot();
-    let victims = obs.ctr(dgl_obs::Ctr::GlobalDeadlocks);
     let watchdog_fires = obs.ctr(dgl_obs::Ctr::WatchdogStalls);
     eprintln!(
         "chaos sharded seed {seed:#x}: {} commits, {} retries, {} giveups, \
-         {fires} injected faults, {victims} detector victims, \
-         {watchdog_fires} watchdog stalls",
+         {fires} injected faults, {watchdog_fires} watchdog stalls",
         report.commits, report.retries, report.giveups,
     );
 
-    // No double-aborts: a wound landing on an already-dead transaction
+    // No double-aborts: a verdict landing on an already-dead transaction
     // surfaces as fatal `NotActive`; exact once-each accounting below.
     assert_eq!(report.fatal, 0, "seed {seed:#x}: non-retryable error");
     assert_eq!(
@@ -385,7 +376,7 @@ fn chaos_sharded_run(seed: u64) {
     );
     assert!(fires > 0, "seed {seed:#x}: the schedule never fired");
 
-    // No lost victims: every wound was observed and rolled back — a
+    // No lost victims: every verdict was observed and rolled back — a
     // victim that never saw its verdict would still be live (or still
     // hold locks) here.
     db.quiesce()
@@ -425,7 +416,7 @@ fn chaos_seed_c0ffee() {
 }
 
 #[test]
-fn chaos_sharded_detector_seed_d1ce() {
+fn chaos_sharded_seed_d1ce() {
     chaos_sharded_run(0xD1CE);
 }
 

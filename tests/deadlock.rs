@@ -1,44 +1,41 @@
 //! Deterministic cross-shard deadlock resolution.
 //!
-//! A cycle whose edges live on two different shards is invisible to
-//! each shard's own lock-manager detector: shard A sees T1 → T2, shard
-//! B sees T2 → T1, neither sees a cycle. The historical remedy — a
-//! tight per-shard wait timeout — resolved the cycle by aborting
-//! *somebody* with `TxnError::Timeout`, and aborted plenty of innocent
-//! waiters along the way. The router's global detector unions the
-//! per-shard wait-for graphs (collapsing a global transaction's
-//! participants into one node) and wounds exactly one victim with a
-//! proper `TxnError::Deadlock` verdict.
+//! A cycle whose edges live on two different shards is in neither shard's
+//! lock table: shard A sees T1 → T2, shard B sees T2 → T1. It is an
+//! ordinary cycle all the same, because a global transaction wears one
+//! `TxnId` on every shard it touches and the shards' lock managers share
+//! a wait-for domain: the request that would close the cycle searches the
+//! union of the members' wait edges and the youngest non-system member
+//! gets a `TxnError::Deadlock` verdict — inside the closing `lock()` call,
+//! on whichever shard it is parked.
 //!
-//! These tests build the classic crossing-lock-order deadlock over the
-//! public API and assert the contract: exactly one `Deadlock` victim,
-//! zero `Timeout` aborts, survivor commits — and pin the rest of the
-//! cycle-breaking policy around it: a cycle inside one shard is its lock
-//! manager's alone, the wait timeout backs the detector thread up, and
-//! the watchdog reports long lock waits without aborting anyone, and the
-//! one thing that is not a lock — the system-operation gate — is something
-//! no reader can wait on.
+//! These tests build crossing-lock-order deadlocks over the public API
+//! and assert the contract — exactly one `Deadlock` victim, zero `Timeout`
+//! aborts, the younger transaction loses, the survivor commits — for the
+//! requester-is-victim and the victim-parked-on-a-peer paths, a 3-cycle, a
+//! cycle inside one shard and a cycle through a system operation. Around
+//! it: a long wait with no cycle is reported by its waiter, once, and
+//! nobody is aborted; and the one thing that is not a lock — the
+//! system-operation gate — is something no reader can wait on.
+//!
+//! Schedules are ordered by polling the shard's `waiter_count()`, never by
+//! sleeping, and run under a hard deadline that prints the merged lock
+//! table instead of hanging.
+
+mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{wait_until, within_deadline};
 use dgl_core::{
-    DglConfig, DglRTree, Rect2, ShardedDglRTree, ShardingConfig, TransactionalRTree, TxnError,
+    DglConfig, DglRTree, MaintenanceConfig, MaintenanceMode, Rect2, ShardedDglRTree,
+    ShardingConfig, TransactionalRTree, TxnError, TxnId,
 };
 use dgl_faults::FaultSpec;
-use dgl_lockmgr::LockManagerConfig;
-use dgl_obs::Ctr;
-use dgl_rtree::ObjectId;
-
-/// The fault registry is process-global and two tests here arm it (one
-/// switches every detector pass off): the tests of this file run one at a
-/// time.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-}
+use dgl_obs::{Ctr, Event, RegistrySnapshot};
+use dgl_rtree::{ObjectId, RTreeConfig};
 
 /// Small rectangle centered on (cx, cy) — routes by its center cell.
 fn around(cx: f64, cy: f64) -> Rect2 {
@@ -46,166 +43,380 @@ fn around(cx: f64, cy: f64) -> Rect2 {
 }
 
 /// Four shards over the unit world: a 2×2 grid, cell (1,0) → shard 1,
-/// cell (0,1) → shard 2. Region A lives on shard 1, region B on shard
-/// 2, and neither scan below touches the other's cell (the overflow
-/// shard 0 is consulted by both scans, but stays empty and S-locked —
-/// no conflict).
-fn sharded() -> ShardedDglRTree {
-    ShardedDglRTree::new(
-        DglConfig::default(),
+/// cell (0,1) → shard 2, cell (1,1) → shard 3. Region A lives on shard 1,
+/// B on shard 2, C on shard 3, and no scan below touches another region's
+/// cell (the overflow shard 0 is consulted by every scan, but stays empty
+/// and S-locked — no conflict).
+fn sharded(config: DglConfig) -> Arc<ShardedDglRTree> {
+    Arc::new(ShardedDglRTree::new(
+        config,
         ShardingConfig {
             shards: 4,
             max_object_extent: 0.05,
         },
+    ))
+}
+
+/// A region: its shard and the center of its seed object.
+type Region = (usize, (f64, f64));
+const REGION_A: Region = (1, (0.75, 0.25));
+const REGION_B: Region = (2, (0.25, 0.75));
+const REGION_C: Region = (3, (0.75, 0.75));
+
+fn rect_of((_, (cx, cy)): Region) -> Rect2 {
+    around(cx, cy)
+}
+
+/// Commits one seed object (oid = shard) per region, so that scans of a
+/// region hold real granule locks.
+fn seed(db: &ShardedDglRTree, regions: &[Region]) {
+    let setup = db.begin();
+    for &region in regions {
+        db.insert(setup, ObjectId(region.0 as u64), rect_of(region))
+            .unwrap();
+    }
+    db.commit(setup).unwrap();
+}
+
+/// Begins a transaction that scans `region`: commit-duration S granule
+/// locks on the region's shard.
+fn scanner_of(db: &ShardedDglRTree, region: Region) -> TxnId {
+    let t = db.begin();
+    assert_eq!(db.read_scan(t, rect_of(region)).unwrap().len(), 1);
+    t
+}
+
+/// Blocks until `n` requests are parked in `shard`'s lock table.
+fn parked(db: &ShardedDglRTree, shard: usize, n: usize) {
+    wait_until(|| db.shard_handles()[shard].lock_manager().waiter_count() == n);
+}
+
+/// Runs `schedule` against `db` under the hard deadline, printing the
+/// merged lock table if it wedges.
+fn scheduled<T: Send + 'static>(
+    db: &Arc<ShardedDglRTree>,
+    schedule: impl FnOnce(&ShardedDglRTree) -> T + Send + 'static,
+) -> T {
+    let (dumped, driven) = (Arc::clone(db), Arc::clone(db));
+    within_deadline(
+        move || dumped.merged_locktable_dump(),
+        move || schedule(&driven),
     )
 }
 
-const REGION_A: (f64, f64) = (0.75, 0.25); // shard 1
-const REGION_B: (f64, f64) = (0.25, 0.75); // shard 2
-
 type Verdict = Result<(), TxnError>;
 
-/// T1 inserts object 3 into region `into1` on a thread of its own; once it
-/// has had time to park, T2 inserts object 4 into `into2` here — so the
-/// two lock orders genuinely cross.
+/// `first` inserts object 103 into region `into_first` on a thread of its
+/// own; once it is parked there, `second` inserts object 104 into
+/// `into_second` here — so the second request closes whatever cycle the
+/// two lock orders form. Returns (first's verdict, second's verdict).
 fn crossing_inserts(
     db: &ShardedDglRTree,
-    (t1, into1): (dgl_core::TxnId, (f64, f64)),
-    (t2, into2): (dgl_core::TxnId, (f64, f64)),
+    (first, into_first): (TxnId, Region),
+    (second, into_second): (TxnId, Region),
 ) -> (Verdict, Verdict) {
     std::thread::scope(|s| {
-        let h1 = s.spawn(move || db.insert(t1, ObjectId(3), around(into1.0, into1.1)));
-        std::thread::sleep(Duration::from_millis(20));
-        let r2 = db.insert(t2, ObjectId(4), around(into2.0, into2.1));
-        (h1.join().expect("T1 thread"), r2)
+        let h = s.spawn(move || db.insert(first, ObjectId(103), rect_of(into_first)));
+        parked(db, into_first.0, 1);
+        let r = db.insert(second, ObjectId(104), rect_of(into_second));
+        (h.join().expect("first inserter"), r)
     })
 }
 
-#[test]
-fn cross_shard_cycle_wounds_one_victim_with_deadlock_not_timeout() {
-    let _serial = serial();
-    let db = sharded();
-
-    // Committed seed objects so the scans hold real granule locks.
-    let setup = db.begin();
-    db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
-        .unwrap();
-    db.insert(setup, ObjectId(2), around(REGION_B.0, REGION_B.1))
-        .unwrap();
-    db.commit(setup).unwrap();
-
-    // T1 scans region A (commit-duration S granule locks on shard 1),
-    // T2 scans region B (same on shard 2).
-    let t1 = db.begin();
-    let t2 = db.begin();
-    assert!(t2.0 > t1.0, "global ids are begin-ordered");
-    let hits = db.read_scan(t1, around(REGION_A.0, REGION_A.1)).unwrap();
-    assert_eq!(hits.len(), 1);
-    let hits = db.read_scan(t2, around(REGION_B.0, REGION_B.1)).unwrap();
-    assert_eq!(hits.len(), 1);
-
-    // Crossing inserts: T1 into B (blocks behind T2's S on shard 2),
-    // T2 into A (blocks behind T1's S on shard 1). Classic distributed
-    // deadlock — no single shard ever sees the cycle.
-    let started = Instant::now();
-    let (r1, r2) = crossing_inserts(&db, (t1, REGION_B), (t2, REGION_A));
-    let elapsed = started.elapsed();
-
-    // Exactly one victim, wounded with Deadlock — and fast: the
-    // detector pass cadence is milliseconds, not a timeout backstop.
-    let deadlocks = [&r1, &r2]
-        .iter()
-        .filter(|r| matches!(r, Err(TxnError::Deadlock)))
-        .count();
-    assert_eq!(deadlocks, 1, "exactly one victim: r1={r1:?} r2={r2:?}");
-    assert!(
-        !matches!(r1, Err(TxnError::Timeout)) && !matches!(r2, Err(TxnError::Timeout)),
-        "no spurious timeout aborts: r1={r1:?} r2={r2:?}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "wound must beat the 10 s lock-wait backstop (took {elapsed:?})"
-    );
-    // Victim selection is deterministic: the youngest global loses.
-    assert!(r1.is_ok(), "older transaction survives");
-    assert_eq!(r2, Err(TxnError::Deadlock), "younger transaction wounded");
-
-    // Survivor commits; the victim's session is already gone (the
-    // router tears it down on the deadlock verdict).
+/// The contract of every 2-cycle below: `t2` (younger) lost with a
+/// deadlock verdict, `t1` survived and commits, and the whole episode
+/// cost one deadlock verdict and no timeout.
+fn assert_younger_lost(
+    db: &ShardedDglRTree,
+    (t1, r1): (TxnId, Verdict),
+    (t2, r2): (TxnId, Verdict),
+) {
+    assert!(t2 > t1, "global ids are begin-ordered");
+    assert_eq!(r2, Err(TxnError::Deadlock), "younger transaction loses");
+    assert_eq!(r1, Ok(()), "older transaction survives");
+    // Survivor commits; the victim's session is already gone (the router
+    // tears it down on the deadlock verdict).
     db.commit(t1).unwrap();
     assert_eq!(db.abort(t2), Err(TxnError::NotActive));
 
     let obs = db.obs_snapshot();
-    assert_eq!(obs.ctr(Ctr::GlobalDeadlocks), 1, "one wound recorded");
+    assert_eq!(obs.ctr(Ctr::LockDeadlocks), 1, "exactly one verdict");
     assert_eq!(obs.ctr(Ctr::LockTimeouts), 0, "zero timeout verdicts");
+    db.validate().unwrap();
+}
 
-    // The survivor's insert is visible; the victim's never landed.
-    let check = db.begin();
-    let hits = db.read_scan(check, Rect2::unit()).unwrap();
-    let oids: Vec<u64> = hits.iter().map(|h| h.oid.0).collect();
-    assert!(oids.contains(&3), "survivor's insert committed");
-    assert!(!oids.contains(&4), "victim's insert rolled back");
-    db.commit(check).unwrap();
+#[test]
+fn cross_shard_cycle_wounds_one_victim_with_deadlock_not_timeout() {
+    let db = sharded(DglConfig::default());
+    let started = Instant::now();
+    scheduled(&db, |db| {
+        seed(db, &[REGION_A, REGION_B]);
+        let t1 = scanner_of(db, REGION_A);
+        let t2 = scanner_of(db, REGION_B);
+        // Crossing inserts: T1 into B (parks behind T2's S on shard 2),
+        // then T2 into A (behind T1's S on shard 1). Classic distributed
+        // deadlock — no single lock table ever holds the cycle. The
+        // younger T2 closes it and is refused by its own request.
+        let (r1, r2) = crossing_inserts(db, (t1, REGION_B), (t2, REGION_A));
+        assert_younger_lost(db, (t1, r1), (t2, r2));
+
+        // The survivor's insert is visible; the victim's never landed.
+        let check = db.begin();
+        let hits = db.read_scan(check, Rect2::unit()).unwrap();
+        let oids: Vec<u64> = hits.iter().map(|h| h.oid.0).collect();
+        assert!(oids.contains(&103), "survivor's insert committed");
+        assert!(!oids.contains(&104), "victim's insert rolled back");
+        db.commit(check).unwrap();
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the verdict is the closing request's, not the 10 s backstop's"
+    );
+}
+
+#[test]
+fn cycle_closed_by_the_older_transaction_cancels_the_victim_on_its_peer_shard() {
+    let db = sharded(DglConfig::default());
+    db.shard_handles()[2].obs().set_detail(true);
+    scheduled(&db, |db| {
+        seed(db, &[REGION_A, REGION_B]);
+        let t1 = scanner_of(db, REGION_A);
+        let t2 = scanner_of(db, REGION_B);
+        // The same cycle, the other way round: the younger T2 parks first
+        // (on shard 1), the older T1 closes the cycle on shard 2. The
+        // victim is not the requester: T2's wait is cancelled in shard
+        // 1's table by shard 2's lock manager, and T1's request — once
+        // T2's rollback has released region B — is granted.
+        let (r2, r1) = std::thread::scope(|s| {
+            let h2 = s.spawn(move || db.insert(t2, ObjectId(103), rect_of(REGION_A)));
+            // Not just queued but past its own block-time search and
+            // asleep: the stall report is the one sign a waiter gives
+            // after it, so the cycle is T1's to find.
+            wait_until(|| db.shard_handles()[1].obs().ctr(Ctr::WatchdogStalls) == 1);
+            let r1 = db.insert(t1, ObjectId(104), rect_of(REGION_B));
+            (h2.join().expect("T2"), r1)
+        });
+        assert_younger_lost(db, (t1, r1), (t2, r2));
+
+        // The closing request's shard holds the evidence.
+        let victims: Vec<Event> = (db.shard_handles()[2].obs().take_events().into_iter())
+            .filter(|e| matches!(e, Event::DeadlockVictim { .. }))
+            .collect();
+        assert_eq!(
+            victims,
+            [Event::DeadlockVictim {
+                txn: t2.0,
+                cycle: vec![t1.0, t2.0]
+            }]
+        );
+    });
+}
+
+#[test]
+fn three_cycle_over_three_shards_costs_one_victim() {
+    let db = sharded(DglConfig::default());
+    scheduled(&db, |db| {
+        seed(db, &[REGION_A, REGION_B, REGION_C]);
+        let t1 = scanner_of(db, REGION_A);
+        let t2 = scanner_of(db, REGION_B);
+        let t3 = scanner_of(db, REGION_C);
+        // T2 → T3 on shard 3, T3 → T1 on shard 1, then T1 → T2 on shard 2
+        // closes the ring. The youngest, T3, parked two shards away from
+        // the closing request, is the one victim; T2 then proceeds and
+        // commits, which lets T1 through.
+        let (r1, r2, r3) = std::thread::scope(|s| {
+            let h2 = s.spawn(move || {
+                let r = db.insert(t2, ObjectId(102), rect_of(REGION_C));
+                r.and_then(|()| db.commit(t2))
+            });
+            parked(db, 3, 1);
+            let h3 = s.spawn(move || db.insert(t3, ObjectId(103), rect_of(REGION_A)));
+            parked(db, 1, 1);
+            let r1 = db.insert(t1, ObjectId(101), rect_of(REGION_B));
+            (r1, h2.join().expect("T2"), h3.join().expect("T3"))
+        });
+        assert_eq!(r3, Err(TxnError::Deadlock), "youngest member loses");
+        assert_eq!((r1, r2), (Ok(()), Ok(())), "everyone else proceeds");
+        db.commit(t1).unwrap();
+
+        let obs = db.obs_snapshot();
+        assert_eq!(obs.ctr(Ctr::LockDeadlocks), 1, "one cycle, one victim");
+        assert_eq!(obs.ctr(Ctr::LockTimeouts), 0);
+        db.validate().unwrap();
+    });
+}
+
+#[test]
+fn cycle_through_a_system_operation_spares_it() {
+    // Shard 1 gets a height-2 tree: two diagonal clusters in its cell, the
+    // space between them belonging to ext(root). Background maintenance,
+    // so the system operation runs on shard 1's worker.
+    let db = sharded(DglConfig {
+        rtree: RTreeConfig::with_fanout(4),
+        maintenance: MaintenanceConfig {
+            mode: MaintenanceMode::Background,
+            ..MaintenanceConfig::default()
+        },
+        ..DglConfig::default()
+    });
+    let cluster = |i: u64, (x, y): (f64, f64)| {
+        let o = 0.012 * i as f64;
+        Rect2::new([x + o, y + o], [x + o + 0.02, y + o + 0.02])
+    };
+    // The top corner of the upper cluster: removing it shrinks its leaf
+    // granule, which changes ext(root).
+    let corner = (ObjectId(19), cluster(4, (0.85, 0.35)));
+    scheduled(&db, move |db| {
+        seed(db, &[REGION_B]);
+        let setup = db.begin();
+        for i in 0..5 {
+            db.insert(setup, ObjectId(10 + i), cluster(i, (0.55, 0.05)))
+                .unwrap();
+            db.insert(setup, ObjectId(15 + i), cluster(i, (0.85, 0.35)))
+                .unwrap();
+        }
+        db.commit(setup).unwrap();
+        let shard = &db.shard_handles()[1];
+        assert!(
+            shard.with_tree(|t| t.height()) >= 2,
+            "need a real ext(root)"
+        );
+
+        // V (older) holds region B. U (younger) scans the empty middle of
+        // shard 1: commit S on ext(root) alone.
+        let v = scanner_of(db, REGION_B);
+        let u = db.begin();
+        assert!(db.read_scan(u, around(0.75, 0.25)).unwrap().is_empty());
+        // A committed delete of the corner: its physical removal takes a
+        // short IX on the corner's leaf granule, then parks behind U for
+        // the short SIX on ext(root). system → U.
+        let d = db.begin();
+        assert!(db.delete(d, corner.0, corner.1).unwrap());
+        db.commit(d).unwrap();
+        parked(db, 1, 1);
+
+        let (rv, ru) = std::thread::scope(|s| {
+            // V scans across the outer edge of the corner object: S on
+            // its leaf granule (the system operation holds IX there) and
+            // on ext(root) (queued behind the system operation's SIX).
+            // Whichever it asks for first, V → system.
+            let hv = s.spawn(move || db.read_scan(v, Rect2::new([0.91, 0.41], [0.93, 0.43])));
+            parked(db, 1, 2);
+            // U inserts into region B behind V's S: U → V closes the
+            // cycle system → U → V → system. The system operation cannot
+            // be rolled back; of the two user members the younger, U,
+            // loses — which releases ext(root), lets the system operation
+            // finish, and with it V's scan.
+            let ru = db.insert(u, ObjectId(104), rect_of(REGION_B));
+            (hv.join().expect("V"), ru)
+        });
+        assert!(u > v);
+        assert_eq!(ru, Err(TxnError::Deadlock), "the younger user member");
+        assert!(rv.expect("V's scan completes").is_empty(), "corner is gone");
+        db.commit(v).unwrap();
+        db.quiesce().unwrap();
+
+        let obs = db.obs_snapshot();
+        assert_eq!(obs.ctr(Ctr::MaintCompleted), 1, "the system operation ran");
+        assert_eq!(obs.ctr(Ctr::LockDeadlocks), 1);
+        assert_eq!(obs.ctr(Ctr::LockTimeouts), 0);
+        db.validate().unwrap();
+    });
+}
+
+#[test]
+fn single_shard_cycle_is_claimed_by_the_lock_manager_alone() {
+    // A cycle wholly inside one shard's lock table is the same cycle to
+    // the same code: one verdict.
+    let db = sharded(DglConfig::default());
+    scheduled(&db, |db| {
+        seed(db, &[REGION_A]);
+        // Both scan region A (compatible S locks on shard 1's granules),
+        // then both insert into it: each IX waits behind the other's S.
+        let t1 = scanner_of(db, REGION_A);
+        let t2 = scanner_of(db, REGION_A);
+        let (r1, r2) = crossing_inserts(db, (t1, REGION_A), (t2, REGION_A));
+        assert_younger_lost(db, (t1, r1), (t2, r2));
+    });
+}
+
+/// T1 pins `region` with commit-duration S locks and sits on them while
+/// T2's insert waits — past the stall threshold, with no cycle anywhere.
+/// The waiter reports itself: once, however long the wait goes on, and
+/// nobody is aborted.
+fn stalled_wait_is_flagged_once<D: TransactionalRTree + Sync>(
+    db: &D,
+    region: Rect2,
+    obs: impl Fn() -> RegistrySnapshot,
+    events: impl Fn() -> Vec<Event>,
+) {
+    let t1 = db.begin();
+    db.read_scan(t1, region).unwrap();
+    let t2 = db.begin();
+    std::thread::scope(|s| {
+        let h2 = s.spawn(move || db.insert(t2, ObjectId(2), region));
+        wait_until(|| obs().ctr(Ctr::WatchdogStalls) == 1);
+        // Twice the threshold again: a second flag would have come by now.
+        std::thread::sleep(2 * dgl_lockmgr::STALL_THRESHOLD);
+        db.commit(t1).expect("holder commits normally");
+        h2.join()
+            .expect("T2 thread")
+            .expect("stalled waiter proceeds once the holder commits");
+    });
+    db.commit(t2).unwrap();
+
+    let obs = obs();
+    assert_eq!(obs.ctr(Ctr::WatchdogStalls), 1, "flagged, and only once");
+    assert_eq!(obs.ctr(Ctr::LockDeadlocks), 0, "no cycle, no victim");
+    assert_eq!(obs.ctr(Ctr::LockTimeouts), 0, "report-only: nobody aborted");
+    let stalls: Vec<(u64, u64)> = (events().into_iter())
+        .filter_map(|e| match e {
+            Event::WatchdogStall {
+                txn, wait_nanos, ..
+            } => Some((txn, wait_nanos)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stalls.len(), 1);
+    assert_eq!(stalls[0].0, t2.0, "the waiter names itself");
+    assert!(stalls[0].1 >= dgl_lockmgr::STALL_THRESHOLD.as_nanos() as u64);
     db.validate().unwrap();
 }
 
 #[test]
 fn watchdog_flags_a_long_stall_without_aborting_anyone() {
-    // A slow-but-innocent wait (no cycle) used to be converted into a
-    // spurious `Timeout` abort by the old tight cross-shard wait
-    // timeout. The watchdog's contract is report-only: counter, event,
-    // merged lock-table dump — and the waiter keeps waiting.
-    let _serial = serial();
-    let dump_path = match std::env::var("DGL_WATCHDOG_DUMP") {
-        Ok(p) if !p.is_empty() => std::path::PathBuf::from(p),
-        _ => {
-            let p = std::env::temp_dir().join(format!("dgl-watchdog-{}.txt", std::process::id()));
-            let _ = std::fs::remove_file(&p);
-            std::env::set_var("DGL_WATCHDOG_DUMP", &p);
-            p
-        }
-    };
+    // A single tree: no thread but the waiter's own.
+    let db = Arc::new(DglRTree::new(DglConfig::default()));
+    db.obs().set_detail(true);
+    let (dumped, driven) = (Arc::clone(&db), Arc::clone(&db));
+    within_deadline(
+        move || dumped.merged_locktable_dump(),
+        move || {
+            let setup = driven.begin();
+            let region = rect_of(REGION_A);
+            driven.insert(setup, ObjectId(1), region).unwrap();
+            driven.commit(setup).unwrap();
+            stalled_wait_is_flagged_once(
+                &*driven,
+                region,
+                || driven.obs().snapshot(),
+                || driven.obs().take_events(),
+            );
+        },
+    );
 
-    let db = sharded();
-    let setup = db.begin();
-    db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
-        .unwrap();
-    db.commit(setup).unwrap();
-
-    // T1 pins region A with commit-duration S locks, then sits on them
-    // well past the 50ms stall threshold while T2's insert waits.
-    let t1 = db.begin();
-    db.read_scan(t1, around(REGION_A.0, REGION_A.1)).unwrap();
-    let t2 = db.begin();
-    let (r1, r2) = std::thread::scope(|s| {
-        let db2 = &db;
-        let h2 = s.spawn(move || db2.insert(t2, ObjectId(2), around(REGION_A.0, REGION_A.1)));
-        std::thread::sleep(Duration::from_millis(200));
-        let r1 = db.commit(t1);
-        (r1, h2.join().expect("T2 thread"))
+    // The router: the wait is on shard 1, the reading is the merged one.
+    let db = sharded(DglConfig::default());
+    db.shard_handles()[1].obs().set_detail(true);
+    scheduled(&db, |db| {
+        seed(db, &[REGION_A]);
+        stalled_wait_is_flagged_once(
+            db,
+            rect_of(REGION_A),
+            || db.obs_snapshot(),
+            || db.shard_handles()[1].obs().take_events(),
+        );
     });
-    r1.expect("holder commits normally");
-    r2.expect("stalled waiter proceeds once the holder commits");
-    db.commit(t2).unwrap();
-
-    let obs = db.obs_snapshot();
-    assert!(
-        obs.ctr(Ctr::WatchdogStalls) >= 1,
-        "the 200ms wait must have been flagged"
-    );
-    assert_eq!(obs.ctr(Ctr::GlobalDeadlocks), 0, "no cycle, no victim");
-    assert_eq!(obs.ctr(Ctr::LockTimeouts), 0, "report-only: nobody aborted");
-
-    let dump = std::fs::read_to_string(&dump_path).expect("watchdog dump file written");
-    assert!(
-        dump.contains("=== watchdog stall"),
-        "dump carries the stall header:\n{dump}"
-    );
-    assert!(
-        dump.contains("waiting["),
-        "dump carries the merged lock table:\n{dump}"
-    );
-    db.validate().unwrap();
 }
 
 #[test]
@@ -215,15 +426,14 @@ fn commit_time_maintenance_cannot_close_a_cross_shard_cycle() {
     // by shard. A deletion dispatched on shard A while the sibling
     // participant on shard B still held its commit-duration locks could
     // wait behind scanners whose own globals were blocked on shard B —
-    // a cycle routed through the committing call itself, invisible to
-    // the detector (no wait-for edge exists for "global G is currently
+    // a cycle routed through the committing call itself, which no
+    // wait-for graph shows (no edge exists for "global G is currently
     // executing system transaction T"). The fix releases every
     // participant's locks before dispatching any maintenance, so the
     // cycle can no longer form. This contended balanced mix wedged
     // reliably under the old ordering (progress only via 10 s wait
     // timeouts); under the fix it completes quickly with zero timeout
-    // verdicts — genuine cross-shard cycles are wounded as deadlocks.
-    let _serial = serial();
+    // verdicts — genuine cross-shard cycles are refused as deadlocks.
     let db = std::sync::Arc::new(ShardedDglRTree::new(
         DglConfig::default(),
         ShardingConfig {
@@ -296,58 +506,18 @@ fn commit_time_maintenance_cannot_close_a_cross_shard_cycle() {
 }
 
 #[test]
-fn single_shard_cycle_is_claimed_by_the_lock_manager_alone() {
-    // The ownership rule: a cycle wholly inside one shard's lock table is
-    // refused by that shard's lock manager at block time; the detector
-    // thread sees the same edges and must not claim a second victim.
-    let _serial = serial();
-    let db = sharded();
-    let setup = db.begin();
-    db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
-        .unwrap();
-    db.commit(setup).unwrap();
-
-    // Both scan region A (compatible S locks on shard 1's granules), then
-    // both insert into it: each IX waits behind the other's S.
-    let t1 = db.begin();
-    let t2 = db.begin();
-    db.read_scan(t1, around(REGION_A.0, REGION_A.1)).unwrap();
-    db.read_scan(t2, around(REGION_A.0, REGION_A.1)).unwrap();
-    let (r1, r2) = crossing_inserts(&db, (t1, REGION_A), (t2, REGION_A));
-
-    let deadlocks = [&r1, &r2]
-        .iter()
-        .filter(|r| matches!(r, Err(TxnError::Deadlock)))
-        .count();
-    assert_eq!(deadlocks, 1, "exactly one victim: r1={r1:?} r2={r2:?}");
-    for (t, r) in [(t1, r1), (t2, r2)] {
-        if r.is_ok() {
-            db.commit(t).expect("survivor commits");
-        }
-    }
-    // Let the thread run a few passes over whatever it snapshotted.
-    std::thread::sleep(Duration::from_millis(20));
-    let obs = db.obs_snapshot();
-    assert_eq!(obs.ctr(Ctr::LockDeadlocks), 1, "the shard's verdict");
-    assert_eq!(obs.ctr(Ctr::GlobalDeadlocks), 0, "not the thread's cycle");
-    assert_eq!(obs.ctr(Ctr::LockTimeouts), 0);
-    db.validate().unwrap();
-}
-
-#[test]
 fn snapshot_scan_completes_while_a_checkpoint_holds_the_gate() {
     // A checkpoint holds the system-operation gate across its snapshot
     // write. The gate is private to system operations and checkpoints: a
     // snapshot scan — here from a thread whose transaction holds granule
     // locks — acquires only the tree latch, so it returns while the
-    // checkpoint is still asleep with the gate held.
-    let _serial = serial();
+    // checkpoint is still asleep with the gate held. (The fault registry
+    // is process-global; no other test of this file reaches this site.)
     let dir = std::env::temp_dir().join(format!("dgl-gate-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = DglRTree::open(&dir, DglConfig::default()).expect("open");
     let setup = db.begin();
-    db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
-        .unwrap();
+    db.insert(setup, ObjectId(1), rect_of(REGION_A)).unwrap();
     db.commit(setup).unwrap();
 
     // The checkpoint sleeps between its cut and its snapshot write, gate
@@ -358,8 +528,7 @@ fn snapshot_scan_completes_while_a_checkpoint_holds_the_gate() {
     );
     // A writer: it holds commit-duration granule locks from here on.
     let txn = db.begin();
-    db.insert(txn, ObjectId(2), around(REGION_B.0, REGION_B.1))
-        .unwrap();
+    db.insert(txn, ObjectId(2), rect_of(REGION_B)).unwrap();
     let ckpt_done = AtomicBool::new(false);
     let hits = std::thread::scope(|s| {
         let ckpt = s.spawn(|| {
@@ -391,58 +560,4 @@ fn snapshot_scan_completes_while_a_checkpoint_holds_the_gate() {
     db.validate().unwrap();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn detector_disabled_falls_back_to_the_wait_timeout() {
-    // The one backstop backs up the one detector: with every detector pass
-    // skipped (the `deadlock/detector-stall` failpoint in its error form)
-    // the cross-shard cycle is only broken by the lock-wait timeout. Use a
-    // short timeout so the test stays fast.
-    let _serial = serial();
-    let _off = dgl_faults::register("deadlock/detector-stall", FaultSpec::error());
-    let db = ShardedDglRTree::new(
-        DglConfig {
-            lock: LockManagerConfig {
-                wait_timeout: Duration::from_millis(100),
-                ..LockManagerConfig::default()
-            },
-            ..DglConfig::default()
-        },
-        ShardingConfig {
-            shards: 4,
-            max_object_extent: 0.05,
-        },
-    );
-
-    let setup = db.begin();
-    db.insert(setup, ObjectId(1), around(REGION_A.0, REGION_A.1))
-        .unwrap();
-    db.insert(setup, ObjectId(2), around(REGION_B.0, REGION_B.1))
-        .unwrap();
-    db.commit(setup).unwrap();
-
-    let t1 = db.begin();
-    let t2 = db.begin();
-    db.read_scan(t1, around(REGION_A.0, REGION_A.1)).unwrap();
-    db.read_scan(t2, around(REGION_B.0, REGION_B.1)).unwrap();
-
-    let (r1, r2) = crossing_inserts(&db, (t1, REGION_B), (t2, REGION_A));
-
-    // At least one side must have been timed out (both may be — that is
-    // exactly the spurious-double-abort risk the detector removes).
-    assert!(
-        dgl_faults::site_stats("deadlock/detector-stall").is_some_and(|(_, fires)| fires > 0),
-        "the detector thread ran, and skipped its passes"
-    );
-    assert!(
-        matches!(r1, Err(TxnError::Timeout)) || matches!(r2, Err(TxnError::Timeout)),
-        "timeout fallback must break the cycle: r1={r1:?} r2={r2:?}"
-    );
-    for (t, r) in [(t1, r1), (t2, r2)] {
-        if r.is_ok() {
-            db.commit(t).unwrap();
-        }
-    }
-    db.validate().unwrap();
 }
