@@ -13,15 +13,17 @@
 //!   concurrent committers.
 //! * **Checkpointing.** A checkpoint cuts the log: it captures the undo
 //!   queues of in-flight transactions and a consistent tree image under
-//!   one shared-latch hold (writers stall only for the in-memory clone,
-//!   never for the file I/O), rotates the log into a new generation
-//!   headed by a `Checkpoint` record carrying that undo image, writes the
-//!   snapshot file, and deletes the old generation. Threshold-triggered
-//!   checkpoints run through the maintenance subsystem so commits never
-//!   pay for them inline (in background mode).
+//!   one shared-latch hold (writers stall only for the in-memory encode,
+//!   never for the checksum or the file I/O), rotates the log into a new
+//!   generation headed by a `Checkpoint` record carrying that undo image,
+//!   writes the snapshot file (`crc32(image) | image`), and deletes the
+//!   old generation. Threshold-triggered checkpoints run through the
+//!   maintenance subsystem so commits never pay for them inline (in
+//!   background mode).
 //! * **Recovery.** [`DglRTree::recover`] picks the newest generation
-//!   whose snapshot *and* segment are intact (falling back across a
-//!   checkpoint that died mid-write), peels the operations of
+//!   whose snapshot *and* segment are intact — the snapshot passing its
+//!   checksum and decoding (falling back across a checkpoint that died
+//!   mid-write or a damaged file) — peels the operations of
 //!   transactions that never committed out of the image using the cut's
 //!   undo records, re-enqueues surviving tombstones through the
 //!   maintenance subsystem, and replays the committed log tail through
@@ -66,11 +68,9 @@ use std::time::Instant;
 use dgl_geom::Rect2;
 use dgl_lockmgr::TxnId;
 use dgl_obs::{Ctr, Hist};
-use dgl_rtree::codec::{checkpoint_tree, restore_tree, TreeCheckpoint};
-use dgl_rtree::persist::{decode_file_image, encode_file_image};
-use dgl_rtree::{ObjectId, PersistError, RTree2};
+use dgl_rtree::{image, ObjectId, RTree2};
 use dgl_wal::{
-    read_segment, scan_dir, segment_path, snapshot_path, SegmentData, SyncPolicy, UndoEntry,
+    crc32, read_segment, scan_dir, segment_path, snapshot_path, SegmentData, SyncPolicy, UndoEntry,
     UndoOp, Wal, WalConfig, WalError, WalRecord,
 };
 
@@ -107,8 +107,6 @@ impl Default for DurabilityConfig {
 pub enum RecoverError {
     /// Filesystem error outside the log/snapshot formats.
     Io(std::io::Error),
-    /// A snapshot file failed to decode.
-    Persist(PersistError),
     /// The write-ahead log could not be read or re-created.
     Wal(WalError),
     /// The directory's files are inconsistent beyond what a crash can
@@ -124,7 +122,6 @@ impl fmt::Display for RecoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecoverError::Io(e) => write!(f, "recovery I/O error: {e}"),
-            RecoverError::Persist(e) => write!(f, "snapshot unreadable: {e}"),
             RecoverError::Wal(e) => write!(f, "write-ahead log error: {e}"),
             RecoverError::Corrupt(msg) => write!(f, "store corrupt: {msg}"),
             RecoverError::Replay(e) => write!(f, "log replay failed: {e}"),
@@ -137,12 +134,6 @@ impl std::error::Error for RecoverError {}
 impl From<std::io::Error> for RecoverError {
     fn from(e: std::io::Error) -> Self {
         RecoverError::Io(e)
-    }
-}
-
-impl From<PersistError> for RecoverError {
-    fn from(e: PersistError) -> Self {
-        RecoverError::Persist(e)
     }
 }
 
@@ -411,8 +402,9 @@ impl DglCore {
                 undo,
                 prepared,
             })?;
-            let image = checkpoint_tree(&tree);
-            (info, image)
+            // The encode is the copy: the CRC and the file I/O below run
+            // with writers going again.
+            (info, image::encode(&tree))
         };
         // Crash window: the cut exists, the snapshot does not — recovery
         // falls back to the previous generation (its segment and
@@ -434,19 +426,37 @@ impl DglCore {
 
 // --- snapshot + directory plumbing --------------------------------------
 
-/// Atomically publishes generation `gen`'s snapshot (tmp + fsync +
-/// rename + directory fsync).
-fn write_snapshot(dir: &Path, gen: u64, image: &TreeCheckpoint<2>) -> Result<(), WalError> {
-    let bytes = encode_file_image(image);
+/// Atomically publishes generation `gen`'s snapshot, `crc32(image) |
+/// image` with the log's CRC-32 (tmp + fsync + rename + directory
+/// fsync).
+fn write_snapshot(dir: &Path, gen: u64, image: &[u8]) -> Result<(), WalError> {
     let tmp = dir.join(format!("snapshot-{gen:010}.tmp"));
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
+        f.write_all(&crc32(image).to_le_bytes())?;
+        f.write_all(image)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, snapshot_path(dir, gen))?;
     File::open(dir)?.sync_all()?;
     Ok(())
+}
+
+/// Reads generation `gen`'s snapshot back into a tree. Every failure —
+/// unreadable, shorter than its checksum, checksum mismatch, an image
+/// [`image::decode`] rejects — is an error, so recovery can fall back to
+/// the previous generation.
+fn read_snapshot(dir: &Path, gen: u64) -> Result<RTree2, RecoverError> {
+    let bytes = fs::read(snapshot_path(dir, gen))?;
+    let corrupt = |why: String| RecoverError::Corrupt(format!("snapshot {gen}: {why}"));
+    if bytes.len() < 4 {
+        return Err(corrupt("shorter than its checksum".into()));
+    }
+    let (sum, image) = bytes.split_at(4);
+    if u32::from_le_bytes(sum.try_into().expect("4 bytes")) != crc32(image) {
+        return Err(corrupt("checksum mismatch".into()));
+    }
+    image::decode(image).map_err(|e| corrupt(e.to_string()))
 }
 
 /// Deletes segment and snapshot files of generations below `keep`.
@@ -538,12 +548,12 @@ impl DglRTree {
             .max()
             .unwrap_or(0);
 
-        // Base selection: newest generation whose snapshot decodes AND
-        // whose segment opens with the matching Checkpoint record. A
-        // checkpoint that died mid-write leaves one of the two invalid;
-        // the previous generation is still intact (its files are deleted
-        // only after the new pair is durable).
-        type Base = (u64, TreeCheckpoint<2>, Vec<UndoEntry>, Vec<(u64, u64)>);
+        // Base selection: newest generation whose snapshot reads back into
+        // a tree AND whose segment opens with the matching Checkpoint
+        // record. A checkpoint that died mid-write leaves one of the two
+        // invalid; the previous generation is still intact (its files are
+        // deleted only after the new pair is durable).
+        type Base = (u64, RTree2, Vec<UndoEntry>, Vec<(u64, u64)>);
         let mut base: Option<Base> = None;
         for &g in listing.snapshots.iter().rev() {
             let Some(sd) = segments.get(&g) else { continue };
@@ -561,16 +571,13 @@ impl DglRTree {
             if *cg != g {
                 continue;
             }
-            let Ok(bytes) = fs::read(snapshot_path(dir, g)) else {
+            let Ok(tree) = read_snapshot(dir, g) else {
                 continue;
             };
-            let Ok(image) = decode_file_image(&bytes) else {
-                continue;
-            };
-            base = Some((g, image, undo.clone(), prepared.clone()));
+            base = Some((g, tree, undo.clone(), prepared.clone()));
             break;
         }
-        let Some((base_gen, image, cut_undo, cut_prepared)) = base else {
+        let Some((base_gen, mut tree, cut_undo, cut_prepared)) = base else {
             // No usable checkpoint. Only safe to start fresh when no
             // user record was ever durable (e.g. a crash inside the very
             // first bootstrap) — otherwise committed data would vanish
@@ -666,8 +673,6 @@ impl DglRTree {
                     .map(|(&t, _)| t),
             )
             .collect();
-        let mut tree: RTree2 = restore_tree(&image)
-            .map_err(|e| RecoverError::Corrupt(format!("snapshot image inconsistent: {e}")))?;
         for entry in cut_undo.iter().filter(|e| !committed.contains(&e.txn)) {
             for op in entry.ops.iter().rev() {
                 match *op {
@@ -772,10 +777,7 @@ impl DglRTree {
         gen: u64,
         config: &DglConfig,
     ) -> Result<(), RecoverError> {
-        let image = {
-            let tree = self.core.latch_shared();
-            checkpoint_tree(&tree)
-        };
+        let image = image::encode(&self.core.latch_shared());
         write_snapshot(dir, gen, &image)?;
         let wal = Wal::create(
             dir,

@@ -586,7 +586,7 @@ impl DglRTree {
     }
 
     /// Rebuilds a transactional index around a tree restored from a
-    /// snapshot (see `dgl_rtree::persist`).
+    /// snapshot (see `dgl_rtree::image`).
     ///
     /// Snapshots are taken at quiescent points, but a snapshot written by
     /// a crashed process may still contain tombstoned entries whose

@@ -22,7 +22,7 @@ use dgl_lockmgr::{
     LockMode::{IX, SIX, X},
 };
 use dgl_obs::Ctr;
-use dgl_rtree::codec::{checkpoint_tree, restore_tree};
+use dgl_rtree::image;
 use dgl_rtree::{RTree2, RTreeConfig};
 
 /// Long enough for a thread to reach its blocking lock request.
@@ -44,7 +44,7 @@ fn snapshot_config(mode: MaintenanceMode) -> DglConfig {
 
 /// A crash image: objects committed, some deletions committed (tombstones
 /// set) but never physically applied, round-tripped through the
-/// checkpoint codec. Recovery must finish those deletions before the
+/// tree image. Recovery must finish those deletions before the
 /// first user transaction — in both maintenance modes.
 #[test]
 fn recovery_applies_pending_deletions_before_first_txn() {
@@ -62,8 +62,7 @@ fn recovery_applies_pending_deletions_before_first_txn() {
             let (oid, rect) = rects[i as usize];
             assert!(tree.set_tombstone(oid, rect, 99), "tombstone target exists");
         }
-        let image = checkpoint_tree(&tree);
-        let restored = restore_tree(&image).expect("checkpoint restores");
+        let restored = image::decode(&image::encode(&tree)).expect("image decodes");
 
         let db =
             DglRTree::from_snapshot(restored, snapshot_config(mode)).expect("snapshot recovers");
@@ -113,7 +112,7 @@ fn from_snapshot_then_new_deferrals_drain_through_quiesce() {
         let (oid, rect) = rects[i as usize];
         assert!(tree.set_tombstone(oid, rect, 7), "tombstone target exists");
     }
-    let restored = restore_tree(&checkpoint_tree(&tree)).expect("restore");
+    let restored = image::decode(&image::encode(&tree)).expect("image decodes");
     let db = DglRTree::from_snapshot(restored, snapshot_config(MaintenanceMode::Background))
         .expect("snapshot recovers");
     assert_eq!(db.len(), 27, "snapshot tombstones drained at construction");

@@ -16,7 +16,7 @@ use dgl_core::{
 };
 use dgl_faults::FaultSpec;
 use dgl_obs::Ctr;
-use dgl_rtree::codec::{checkpoint_tree, restore_tree};
+use dgl_rtree::image;
 use dgl_rtree::{RTree2, RTreeConfig};
 
 // The failpoint registry is process-global; tests arming faults must not
@@ -294,7 +294,7 @@ fn from_snapshot_with_inconsistent_image_returns_error() {
             let (oid, rect) = rects[i as usize];
             assert!(tree.set_tombstone(oid, rect, 3), "tombstone target exists");
         }
-        let restored = restore_tree(&checkpoint_tree(&tree)).expect("restore");
+        let restored = image::decode(&image::encode(&tree)).expect("image decodes");
 
         let _l = lock_faults();
         let _g = dgl_faults::register("maint/deferred", FaultSpec::panic());

@@ -18,14 +18,14 @@
 //!   experiment, which replays each insert's page accesses through a pool
 //!   sized to the tree's top levels to classify them as buffer hits or
 //!   simulated disk reads.
-//! * [`codec`] — a fixed-size page serialization layer (see
-//!   [`codec::PagePayload`]) so trees can be checkpointed to byte pages and
-//!   reloaded, as a real access method would.
+//!
+//! Serialization is not this crate's business: `dgl-rtree`'s tree image
+//! writes a store's slots ([`Store::slots`]) and rebuilds them with
+//! [`Store::from_slots`], page ids intact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 mod lru;
 mod stats;
 mod store;

@@ -52,10 +52,10 @@ impl<T> Store<T> {
         }
     }
 
-    /// Rebuilds a store from an explicit slot layout (used by checkpoint
-    /// restore). Slot index `i` becomes page id `i`; `None` slots are
-    /// placed on the free list, so ids — and therefore lock resource ids —
-    /// are preserved exactly across a checkpoint/restore cycle.
+    /// Rebuilds a store from an explicit slot layout (the inverse of
+    /// [`Store::slots`]). Slot index `i` becomes page id `i`; `None` slots
+    /// are placed on the free list, so ids — and therefore lock resource
+    /// ids — are preserved exactly across a snapshot and restart.
     pub fn from_slots(slots: Vec<Option<T>>) -> Self {
         let free: Vec<u64> = slots
             .iter()
@@ -70,6 +70,11 @@ impl<T> Store<T> {
             live,
             stats: IoStats::new(),
         }
+    }
+
+    /// Every slot in page-id order, `None` where a page was freed.
+    pub fn slots(&self) -> &[Option<T>] {
+        &self.slots
     }
 
     /// The I/O accounting attached to this store.

@@ -28,14 +28,15 @@
 //!   physical delete runs.
 //! * **I/O accounting** via `dgl-pager`, so the Table 2 experiments can
 //!   count page accesses per level.
+//! * **One tree image** ([`image::encode`] / [`image::decode`]) that keeps
+//!   every page on its id across a restart.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 mod config;
+pub mod image;
 mod node;
-pub mod persist;
 mod plan;
 mod split;
 mod tree;
@@ -43,7 +44,6 @@ mod validate;
 
 pub use config::{RTreeConfig, SplitAlgorithm};
 pub use node::{Entry, Node, ObjectId};
-pub use persist::{load_tree, save_tree, PersistError};
 pub use plan::{DeletePlan, InsertPlan};
 pub use tree::{DeleteResult, InsertResult, Orphan, RTree, RTree2, SplitRecord};
 pub use validate::ValidationError;

@@ -107,14 +107,22 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Reassembles a tree from restored parts (checkpoint restore).
-    pub(crate) fn from_parts(
-        store: Store<Node<D>>,
-        root: PageId,
-        world: Rect<D>,
+    /// Assembles a tree from its page space: slot `i` becomes page `i` and
+    /// `None` slots go on the free list, so page ids — the protocol's lock
+    /// resource ids — are exactly the caller's. The one constructor behind
+    /// [`crate::image::decode`], and the one test surgery uses.
+    ///
+    /// # Panics
+    /// Panics if `root` is not a live slot.
+    pub fn from_slots(
         config: RTreeConfig,
+        world: Rect<D>,
+        root: PageId,
         object_count: usize,
+        slots: Vec<Option<Node<D>>>,
     ) -> Self {
+        let store = Store::from_slots(slots);
+        assert!(store.is_live(root), "root {root} is not a live page");
         Self {
             store,
             root,
@@ -125,7 +133,7 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// The underlying page store (checkpointing).
+    /// The underlying page store (the tree image).
     pub(crate) fn store_ref(&self) -> &Store<Node<D>> {
         &self.store
     }

@@ -3,7 +3,8 @@
 //! home level no longer exists after the root shrank).
 
 use dgl_geom::{Rect, Rect2};
-use dgl_rtree::{Entry, ObjectId, Orphan, RTree2, RTreeConfig};
+use dgl_pager::PageId;
+use dgl_rtree::{Entry, Node, ObjectId, Orphan, RTree2, RTreeConfig};
 
 fn r(lo: [f64; 2], hi: [f64; 2]) -> Rect2 {
     Rect2::new(lo, hi)
@@ -130,7 +131,7 @@ fn explode_dissolves_a_subtree_into_objects() {
     let _ = pages_before;
 }
 
-fn count_objects(tree: &RTree2, page: dgl_pager::PageId) -> usize {
+fn count_objects(tree: &RTree2, page: PageId) -> usize {
     let mut stack = vec![page];
     let mut n = 0;
     while let Some(p) = stack.pop() {
@@ -145,37 +146,35 @@ fn count_objects(tree: &RTree2, page: dgl_pager::PageId) -> usize {
     n
 }
 
-/// Clones a tree through checkpoint/restore (the only supported deep copy).
+/// A deep copy of `tree` through its one constructor, `edit` applied to
+/// every page on the way (test surgery).
+fn copy_with(tree: &RTree2, mut edit: impl FnMut(PageId, &mut Node<2>)) -> RTree2 {
+    let mut slots = Vec::new();
+    for (pid, node) in tree.pages() {
+        let mut node = node.clone();
+        edit(pid, &mut node);
+        slots.resize(pid.0 as usize + 1, None);
+        slots[pid.0 as usize] = Some(node);
+    }
+    RTree2::from_slots(*tree.config(), tree.world(), tree.root(), tree.len(), slots)
+}
+
 fn rebuild_clone(tree: &RTree2) -> RTree2 {
-    let ck = dgl_rtree::codec::checkpoint_tree(tree);
-    dgl_rtree::codec::restore_tree(&ck).expect("clone")
+    copy_with(tree, |_, _| {})
 }
 
 /// Removes the parent entry referencing `child` (synthetic detach for the
-/// explosion test). Walks from the root to find the parent.
-fn detach(tree: &mut RTree2, child: dgl_pager::PageId) {
-    // Find the parent via a fresh traversal on the public API: re-plan a
-    // delete is not applicable, so locate by scanning pages.
+/// explosion test). The public mutation surface does not expose raw
+/// removal of child entries, so the parent is rewritten in a copy.
+fn detach(tree: &mut RTree2, child: PageId) {
     let parent = tree
         .pages()
         .find(|(_, n)| n.children().any(|c| c == child))
         .map(|(pid, _)| pid)
         .expect("child has a parent");
-    // Public mutation surface does not expose raw entry removal for child
-    // entries, so detach by replacing the page's node wholesale through
-    // checkpoint surgery: simplest is to rebuild the parent without the
-    // entry using the codec types.
-    let mut ck = dgl_rtree::codec::checkpoint_tree(tree);
-    for (pid, image) in ck.pages.pages.iter_mut() {
-        if *pid == parent {
-            use dgl_pager::codec::PagePayload;
-            let mut cursor = image.clone();
-            let mut node = <dgl_rtree::Node<2> as PagePayload>::decode(&mut cursor).unwrap();
+    *tree = copy_with(tree, |pid, node| {
+        if pid == parent {
             node.entries.retain(|e| e.child() != Some(child));
-            let mut buf = bytes::BytesMut::new();
-            node.encode(&mut buf);
-            *image = buf.freeze();
         }
-    }
-    *tree = dgl_rtree::codec::restore_tree(&ck).expect("detached restore");
+    });
 }

@@ -17,10 +17,10 @@
 //!
 //! Lock waits use a 1-second timeout so a conflicting command returns
 //! with `timeout` (and rolls its transaction back) instead of hanging the
-//! single-threaded prompt. `save`/`load` persist the index as a snapshot
-//! file; `open <dir>` attaches a write-ahead log so every commit is
-//! durable, `checkpoint` truncates it behind a fresh snapshot, and
-//! `recover <dir>` rebuilds an index from snapshot + committed log tail.
+//! single-threaded prompt. `open <dir>` persists the index: it attaches
+//! a write-ahead log so every commit is durable, `checkpoint` truncates
+//! it behind a fresh snapshot, and `recover <dir>` rebuilds an index
+//! from snapshot + committed log tail.
 //!
 //! With `--background`, deferred physical deletions run on the
 //! maintenance worker instead of inline at commit. This matters in a
@@ -43,7 +43,7 @@ use granular_rtree::core::{
     TxnId,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
-use granular_rtree::rtree::{self, ObjectId, RTreeConfig};
+use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
 fn config(mode: MaintenanceMode) -> DglConfig {
     DglConfig {
@@ -532,24 +532,6 @@ fn run_command(
             msg.push_str("(non-leaf pages carry the external granules)");
             msg
         }))),
-        "save" => {
-            let path = parts.get(1).ok_or("usage: save <path>")?;
-            if db.txn_manager().active_count() > 0 {
-                return Err("cannot snapshot with active transactions".into());
-            }
-            db.with_tree(|t| rtree::save_tree(t, std::path::Path::new(path)))
-                .map_err(|e| e.to_string())?;
-            Ok(Some(format!("saved to {path}")))
-        }
-        "load" => {
-            let path = parts.get(1).ok_or("usage: load <path>")?;
-            if db.txn_manager().active_count() > 0 {
-                return Err("cannot load with active transactions".into());
-            }
-            let tree = rtree::load_tree(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-            *db = DglRTree::from_snapshot(tree, config(mode)).map_err(|e| e.to_string())?;
-            Ok(Some(format!("loaded {} objects from {path}", db.len())))
-        }
         "open" => {
             let dir = parts.get(1).ok_or("usage: open <dir>")?;
             if db.txn_manager().active_count() > 0 {
@@ -655,7 +637,6 @@ commands:
   locktable --merged                     raw tables + per-transaction wait records
                                          (lock table + wait-for edges)
   quiesce                                drain the background maintenance queue
-  save <path> | load <path>              snapshot persistence (no log)
   open <dir>                             durable index: WAL + checkpoints in <dir>
   checkpoint                             snapshot the open dir, truncate its log
   recover <dir>                          rebuild from snapshot + committed log tail

@@ -4,7 +4,7 @@
 
 use granular_rtree::core::{DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree};
 use granular_rtree::obs::Ctr;
-use granular_rtree::rtree::codec::{checkpoint_tree, restore_tree};
+use granular_rtree::rtree::image;
 use granular_rtree::rtree::RTreeConfig;
 use granular_rtree::workload::{Dataset, DatasetKind};
 
@@ -87,9 +87,9 @@ fn index_checkpoints_and_restores_through_the_facade() {
     }
     db.commit(t).unwrap();
 
-    // Checkpoint the quiescent index; restore; contents identical.
-    let ck = db.with_tree(checkpoint_tree);
-    let restored = restore_tree(&ck).unwrap();
+    // Image the quiescent index; decode; contents identical.
+    let bytes = db.with_tree(image::encode);
+    let restored: granular_rtree::rtree::RTree2 = image::decode(&bytes).unwrap();
     restored.validate(true).unwrap();
     assert_eq!(restored.len(), 800);
     let expected = db.with_tree(|t| t.all_objects());
@@ -133,7 +133,7 @@ fn point_and_rect_datasets_roundtrip_identically() {
 
 #[test]
 fn snapshot_file_roundtrip_through_the_transactional_layer() {
-    use granular_rtree::rtree::{load_tree, save_tree, ObjectId};
+    use granular_rtree::rtree::ObjectId;
 
     let db = DglRTree::new(DglConfig::default());
     let t = db.begin();
@@ -158,17 +158,14 @@ fn snapshot_file_roundtrip_through_the_transactional_layer() {
     );
     let path = std::env::temp_dir().join(format!("dgl-e2e-{}.tree", std::process::id()));
     db.with_tree(|tree| {
-        let mut image = granular_rtree::rtree::codec::restore_tree(
-            &granular_rtree::rtree::codec::checkpoint_tree(tree),
-        )
-        .unwrap();
-        assert!(image.set_tombstone(victim, victim_rect, 999));
-        save_tree(&image, &path).unwrap();
+        let mut copy: granular_rtree::rtree::RTree2 = image::decode(&image::encode(tree)).unwrap();
+        assert!(copy.set_tombstone(victim, victim_rect, 999));
+        std::fs::write(&path, image::encode(&copy)).unwrap();
     });
 
-    let restored =
-        DglRTree::from_snapshot(load_tree(&path).unwrap(), DglConfig::default()).unwrap();
+    let tree = image::decode(&std::fs::read(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).ok();
+    let restored = DglRTree::from_snapshot(tree, DglConfig::default()).unwrap();
     // Recovery completed the deferred deletion of the tombstoned entry.
     assert_eq!(restored.len(), 299);
     restored.validate().unwrap();

@@ -997,6 +997,174 @@ fn recovery_drains_replayed_deferred_deletions() {
     recovered.validate().expect("validate");
 }
 
+// --- damaged snapshots and page-id identity ----------------------------
+
+use dgl_wal::{crc32, scan_dir, segment_path, snapshot_path, Wal, WalConfig, WalRecord};
+use granular_rtree::core::RecoverError;
+use granular_rtree::obs::Registry;
+use granular_rtree::pager::PageId;
+use granular_rtree::rtree::Node;
+
+/// How a cell damages a snapshot file (`crc32(image) | image`).
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// One byte flipped: the checksum refuses it.
+    FlipByte,
+    /// The file cut in half: the checksum refuses it.
+    Truncate,
+    /// The image cut short and re-checksummed: the checksum passes and
+    /// the decoder refuses it.
+    Rechecksummed,
+}
+
+const DAMAGES: [Damage; 3] = [Damage::FlipByte, Damage::Truncate, Damage::Rechecksummed];
+
+fn damaged(snapshot: &[u8], how: Damage) -> Vec<u8> {
+    let mut out = snapshot.to_vec();
+    match how {
+        Damage::FlipByte => {
+            let mid = out.len() / 2;
+            out[mid] ^= 0xFF;
+        }
+        Damage::Truncate => out.truncate(out.len() / 2),
+        Damage::Rechecksummed => {
+            let image = &snapshot[4..snapshot.len() - 3];
+            out = [&crc32(image).to_le_bytes()[..], image].concat();
+        }
+    }
+    out
+}
+
+/// Commits one insert per oid, recording each in `committed`.
+fn commit_inserts(
+    db: &DglRTree,
+    rng: &mut XorShift,
+    oids: std::ops::RangeInclusive<u64>,
+    committed: &mut BTreeMap<u64, Rect2>,
+) {
+    for oid in oids {
+        let rect = small_rect(rng);
+        let txn = db.begin();
+        db.insert(txn, ObjectId(oid), rect).expect("insert");
+        db.commit(txn).expect("commit");
+        committed.insert(oid, rect);
+    }
+}
+
+fn pages(db: &DglRTree) -> Vec<(PageId, Node<2>)> {
+    db.with_tree(|t| t.pages().map(|(pid, node)| (pid, node.clone())).collect())
+}
+
+/// A checkpoint killed mid-way through `wal/checkpoint`, then a damaged
+/// file as the newest generation's snapshot: recovery must refuse it and
+/// rebuild from the previous pair with every acked commit.
+#[test]
+fn damaged_newest_snapshot_falls_back_to_the_previous_generation() {
+    let _serial = serialize();
+    let _watchdog = Watchdog::arm("damaged-newest");
+    for how in DAMAGES {
+        let dir = TempDir::new("damaged-newest");
+        let mut rng = XorShift::new(0xDA4A);
+        let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+        let db = DglRTree::open(dir.path(), config.clone()).expect("open");
+        let mut committed = BTreeMap::new();
+        commit_inserts(&db, &mut rng, 1..=40, &mut committed);
+        db.checkpoint().expect("checkpoint to generation 1");
+        commit_inserts(&db, &mut rng, 41..=60, &mut committed);
+        {
+            let _kill = dgl_faults::register("wal/checkpoint", FaultSpec::error());
+            assert_eq!(db.checkpoint(), Err(TxnError::Durability));
+        }
+        drop(db);
+
+        // The rotation's segment header may or may not have reached the
+        // disk before the kill. Pin the case where it did, so generation
+        // 2 is judged by its snapshot: the rotation wrote exactly this
+        // record (no transaction was in flight at the cut).
+        std::fs::remove_file(segment_path(dir.path(), 2)).expect("rotation made generation 2");
+        let header = WalRecord::Checkpoint {
+            gen: 2,
+            undo: Vec::new(),
+            prepared: Vec::new(),
+        };
+        let obs = Arc::new(Registry::new());
+        drop(Wal::create(dir.path(), 2, &header, WalConfig::default(), obs).expect("header"));
+        assert!(
+            !snapshot_path(dir.path(), 2).exists(),
+            "the kill comes before the snapshot write"
+        );
+        let good = std::fs::read(snapshot_path(dir.path(), 1)).expect("generation 1 snapshot");
+        std::fs::write(snapshot_path(dir.path(), 2), damaged(&good, how)).expect("write");
+
+        let recovered =
+            DglRTree::recover(dir.path(), config).unwrap_or_else(|e| panic!("{how:?}: {e}"));
+        assert_eq!(contents(&recovered), committed, "{how:?}");
+        recovered.validate().expect("validate");
+    }
+}
+
+/// The only snapshot damaged, in a store whose log holds commits: there
+/// is no base to replay them on, so recovery says `Corrupt` — no panic,
+/// and never an empty tree in place of the acked data.
+#[test]
+fn damaged_only_snapshot_is_corrupt_not_an_empty_tree() {
+    let _serial = serialize();
+    let _watchdog = Watchdog::arm("damaged-only");
+    for how in DAMAGES {
+        let dir = TempDir::new("damaged-only");
+        let mut rng = XorShift::new(0xDA0E);
+        let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+        let db = DglRTree::open(dir.path(), config.clone()).expect("open");
+        let mut committed = BTreeMap::new();
+        commit_inserts(&db, &mut rng, 1..=30, &mut committed);
+        db.checkpoint().expect("checkpoint");
+        commit_inserts(&db, &mut rng, 31..=40, &mut committed);
+        db.crash_wal();
+        drop(db);
+
+        assert_eq!(scan_dir(dir.path()).expect("scan").snapshots, [1]);
+        let path = snapshot_path(dir.path(), 1);
+        let good = std::fs::read(&path).expect("snapshot");
+        std::fs::write(&path, damaged(&good, how)).expect("write");
+        match DglRTree::recover(dir.path(), config) {
+            Err(RecoverError::Corrupt(msg)) => eprintln!("{how:?}: {msg}"),
+            Err(e) => panic!("{how:?}: expected Corrupt, got {e}"),
+            Ok(db) => panic!("{how:?}: recovered {} objects from no snapshot", db.len()),
+        }
+    }
+}
+
+/// Page ids are lock resource ids: checkpoint → kill → recover brings
+/// every page back on its id with the same contents, holes in the page
+/// space included.
+#[test]
+fn page_ids_survive_checkpoint_crash_and_recover() {
+    let _serial = serialize();
+    let _watchdog = Watchdog::arm("page-ids");
+    let dir = TempDir::new("page-ids");
+    let mut rng = XorShift::new(0x9A6E);
+    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let db = DglRTree::open(dir.path(), config.clone()).expect("open");
+    let mut committed = BTreeMap::new();
+    commit_inserts(&db, &mut rng, 1..=120, &mut committed);
+    for oid in (1..=120u64).step_by(3) {
+        let txn = db.begin();
+        assert_eq!(db.delete(txn, ObjectId(oid), committed[&oid]), Ok(true));
+        db.commit(txn).expect("commit");
+        committed.remove(&oid);
+    }
+    let before = pages(&db);
+    let slots = before.last().expect("a root").0 .0 + 1;
+    assert!(slots > before.len() as u64, "the churn left no hole");
+
+    db.checkpoint().expect("checkpoint");
+    db.crash_wal();
+    drop(db);
+    let recovered = DglRTree::recover(dir.path(), config).expect("recover");
+    assert_eq!(pages(&recovered), before, "a page moved or changed");
+    assert_eq!(contents(&recovered), committed);
+}
+
 // --- cross-shard two-phase-commit crash matrix --------------------------
 
 use granular_rtree::core::{ShardedDglRTree, ShardingConfig};
