@@ -66,7 +66,9 @@
 //! (`read_single_op`, `Snapshot::read_single`) and the insert dup-probe
 //! answer from the index in O(1) without traversing the tree — phantom
 //! protection is unaffected because exact-match access locks the object
-//! resource itself, exactly as the tree path would.
+//! resource itself, exactly as the tree path would. Delete, update and
+//! their rollback do their tree work at the leaf the slot's hint names
+//! ([`DglCore::locate_entry`]), descending only when the hint is stale.
 
 mod deferred;
 mod durability;
@@ -981,15 +983,21 @@ impl DglCore {
             let records = self.undo.take_reversed(txn);
             for rec in records {
                 match rec {
+                    // Both tree undos work at the leaf the slot's hint
+                    // names, descending only if it is stale.
                     UndoRecord::Insert { oid, rect } => {
                         let tree = tree.as_mut().expect("insert undo latched the tree");
-                        let removed = tree.remove_entry_raw(oid, rect);
+                        let removed = self
+                            .locate_entry(tree, oid, rect)
+                            .is_some_and(|(leaf, _)| tree.remove_entry_raw_at(leaf, oid));
                         debug_assert!(removed, "undo of insert found no entry");
                         self.payloads.remove(&oid);
                     }
                     UndoRecord::LogicalDelete { oid, rect } => {
                         let tree = tree.as_mut().expect("delete undo latched the tree");
-                        let cleared = tree.clear_tombstone(oid, rect);
+                        let cleared = self
+                            .locate_entry(tree, oid, rect)
+                            .is_some_and(|(leaf, _)| tree.clear_tombstone_at(leaf, oid));
                         debug_assert!(cleared, "undo of delete found no tombstone");
                         // Pop the pending delete marker the logical delete
                         // pushed; the prior committed version becomes the
@@ -1066,21 +1074,25 @@ impl DglCore {
         }
     }
 
-    /// Hash-accelerated `locate_leaf`: answers from the slot's leaf hint
-    /// after verifying it against the tree, so the common case is O(1)
-    /// instead of a root descent. A stale hint degrades to the traversal
-    /// fallback; an absent slot is a definitive miss (the table is the
-    /// authority on liveness — entries are published and retired under
-    /// the same latches/locks as the tree entry). With `hash_reads` off
-    /// this is exactly `tree.locate_leaf`. Caller holds a tree latch.
-    pub(crate) fn hash_locate_leaf(
+    /// The leaf holding `(oid, rect)` and the entry's tombstone state there
+    /// — the first and only tree access of a delete, an update or their
+    /// rollback. Answers from the slot's leaf hint after verifying it
+    /// against the tree, so the common case reads one page instead of
+    /// descending from the root. A stale hint degrades to a `locate_leaf`
+    /// descent and is repaired; an absent slot is a definitive miss (the
+    /// table is the authority on liveness — entries are published and
+    /// retired under the same latches/locks as the tree entry). With
+    /// `hash_reads` off this is exactly a `locate_leaf` descent. Caller
+    /// holds a tree latch.
+    pub(crate) fn locate_entry(
         &self,
         tree: &RTree2,
         oid: ObjectId,
         rect: Rect2,
-    ) -> Option<PageId> {
+    ) -> Option<(PageId, Option<u64>)> {
         if !self.hash_reads {
-            return tree.locate_leaf(oid, rect);
+            let leaf = tree.locate_leaf(oid, rect)?;
+            return Some((leaf, tree.lookup_at(leaf, oid)?));
         }
         match self.payloads.get(&oid, |s| (s.leaf, s.rect)) {
             None => {
@@ -1104,25 +1116,23 @@ impl DglCore {
                 None
             }
             Some((hint, _)) => {
-                if tree.is_live(hint) {
-                    let node = tree.peek_node(hint);
-                    if node.is_leaf()
-                        && node
-                            .position_of_object(oid)
-                            .is_some_and(|i| node.entries[i].mbr() == rect)
-                    {
-                        self.obs.incr(Ctr::HashHits);
-                        return Some(hint);
-                    }
+                // The rects agree, so an entry for `oid` on the hinted page
+                // is the object's entry.
+                if let Some(tombstone) = tree.lookup_at(hint, oid) {
+                    self.obs.incr(Ctr::HashHits);
+                    return Some((hint, tombstone));
                 }
                 // Stale hint (the entry moved without a reindex — e.g. a
-                // condensation explode); fall back and repair it.
+                // condensation explode): fall back and repair it. Not
+                // `find_path`, because the entry may sit in a subtree a
+                // system operation holds disconnected mid-condense; it is
+                // still present and its leaf granule is still the right
+                // lock target.
                 self.obs.incr(Ctr::HashMisses);
-                let found = tree.locate_leaf(oid, rect);
-                if let Some(pid) = found {
-                    self.payloads.update(&oid, |slot| slot.leaf = pid);
-                }
-                found
+                let leaf = tree.locate_leaf(oid, rect)?;
+                let tombstone = tree.lookup_at(leaf, oid)?;
+                self.payloads.update(&oid, |slot| slot.leaf = leaf);
+                Some((leaf, tombstone))
             }
         }
     }

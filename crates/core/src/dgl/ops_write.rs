@@ -326,20 +326,17 @@ impl DglCore {
                 TxnError::Injected
             });
             let latch = self.plan_latch();
-            // Hash-accelerated locate (verified leaf hint; stale hints
-            // fall back to locate_leaf — not find_path, because the entry
-            // may sit in a subtree a system operation holds disconnected
-            // mid-condense; it is still present and its leaf granule is
-            // still the right lock target).
+            // Leaf-directed locate: the verified leaf hint, and the entry's
+            // tombstone read off that leaf (see `locate_entry`).
             match span!(
                 self.obs,
                 Hist::PlanPhase,
                 op = "delete",
                 phase = "plan",
                 txn = txn.0,
-                { self.hash_locate_leaf(latch.tree(), oid, rect) }
+                { self.locate_entry(latch.tree(), oid, rect) }
             ) {
-                Some(leaf) => {
+                Some((leaf, tombstone)) => {
                     let mut locks = LockList::new();
                     locks.add(Self::page(leaf), IX, Commit);
                     locks.add(Self::object(oid), X, Commit);
@@ -347,16 +344,13 @@ impl DglCore {
                         Ok(()) => {
                             // Already tombstoned? By us: idempotent no-op.
                             // By a committed deleter (deferred pending):
-                            // the object is logically gone. Read-only
-                            // outcome, so the planning latch suffices —
-                            // the X lock makes it repeatable.
-                            match latch.tree().lookup(oid, rect) {
-                                Some(Some(_)) | None => {
-                                    drop(latch);
-                                    self.end_op(txn);
-                                    return Ok(false);
-                                }
-                                Some(None) => {}
+                            // the object is logically gone. The entry was
+                            // read under this same latch hold; the X lock
+                            // makes the outcome repeatable.
+                            if tombstone.is_some() {
+                                drop(latch);
+                                self.end_op(txn);
+                                return Ok(false);
                             }
                             // Tombstoning mutates the tree: validate the
                             // plan (leaf location + tombstone state) under
@@ -366,7 +360,7 @@ impl DglCore {
                                 continue;
                             };
                             dgl_faults::failpoint!("dgl/apply");
-                            let marked = apply.set_tombstone(oid, rect, txn.0);
+                            let marked = apply.set_tombstone_at(leaf, oid, txn.0);
                             debug_assert!(marked, "entry verified present under latch");
                             // Push the pending delete marker: once stamped
                             // at commit, snapshots at or after that
@@ -449,7 +443,7 @@ impl DglCore {
         // has its own mutex.
         loop {
             let latch = self.plan_latch();
-            let Some(leaf) = self.hash_locate_leaf(latch.tree(), oid, rect) else {
+            let Some((leaf, tombstone)) = self.locate_entry(latch.tree(), oid, rect) else {
                 // Absent object: X on the object name makes the absence
                 // repeatable against inserts of the same oid.
                 let locks = super::single_lock(Self::object(oid), X, Commit);
@@ -472,24 +466,19 @@ impl DglCore {
             locks.add(Self::object(oid), X, Commit);
             match locks.try_acquire(&self.lm, txn) {
                 Ok(()) => {
-                    if latch.tree().lookup(oid, rect).flatten().is_some() {
+                    if tombstone.is_some() {
                         // Tombstoned by a committed deleter: logically gone.
                         drop(latch);
                         self.end_op(txn);
                         return Ok(false);
                     }
-                    let (old, first_garbage) = self.payloads.update_or_insert_with(
-                        oid,
-                        || super::PayloadSlot {
-                            leaf,
-                            rect,
-                            chain: super::mvcc::VersionChain::bootstrap(1),
-                        },
-                        |slot| {
+                    let (old, first_garbage) = self
+                        .payloads
+                        .update(&oid, |slot| {
                             let old = slot.chain.current().expect("updated object is live");
                             (old, slot.chain.push_pending(Some(old + 1)))
-                        },
-                    );
+                        })
+                        .expect("located object has a slot");
                     if first_garbage {
                         self.dirty.push(oid);
                     }
@@ -511,5 +500,100 @@ impl DglCore {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dgl_obs::Ctr;
+    use dgl_pager::PageId;
+    use dgl_rtree::{ObjectId, RTreeConfig};
+
+    use crate::{DglConfig, DglRTree, Rect2, TransactionalRTree};
+
+    fn rect_of(i: u64) -> Rect2 {
+        let (x, y) = (0.02 + 0.07 * (i % 13) as f64, 0.02 + 0.07 * (i / 13) as f64);
+        Rect2::new([x, y], [x + 0.01, y + 0.01])
+    }
+
+    /// What a condensation explode leaves behind, made by hand: hints
+    /// naming a page the entry is no longer on — one freed, one another
+    /// leaf. Delete and update fall back to a descent, succeed, and repair
+    /// the hint, so the next visit verifies without one.
+    #[test]
+    fn delete_and_update_through_a_stale_hint_fall_back_and_repair_it() {
+        let db = DglRTree::new(DglConfig {
+            rtree: RTreeConfig::with_fanout(4).with_min_entries(2),
+            ..DglConfig::default()
+        });
+        let t = db.begin();
+        for i in 0..40 {
+            db.insert(t, ObjectId(i), rect_of(i)).unwrap();
+        }
+        db.commit(t).unwrap();
+        let leaf_of = |oid: ObjectId| {
+            db.core
+                .latch_shared()
+                .locate_leaf(oid, rect_of(oid.0))
+                .expect("in the tree")
+        };
+        let hint_of = |oid: ObjectId| db.core.payloads.get(&oid, |s| s.leaf).unwrap();
+        let (gone, moved) = (ObjectId(3), ObjectId(30));
+        assert_ne!(leaf_of(gone), leaf_of(moved));
+        let dead_page = PageId(u64::from(u32::MAX));
+        let other_leaf = leaf_of(gone);
+        for (oid, hint) in [(gone, dead_page), (moved, other_leaf)] {
+            db.core.payloads.update(&oid, |s| s.leaf = hint).unwrap();
+        }
+        let misses = || db.obs().snapshot().ctr(Ctr::HashMisses);
+        let before = misses();
+
+        let t = db.begin();
+        assert_eq!(db.delete(t, gone, rect_of(gone.0)), Ok(true));
+        assert_eq!(db.update_single(t, moved, rect_of(moved.0)), Ok(true));
+        assert_eq!(misses() - before, 2, "both fell back");
+        for oid in [gone, moved] {
+            assert_eq!(hint_of(oid), leaf_of(oid), "{oid}'s hint repaired");
+        }
+        assert_eq!(db.update_single(t, moved, rect_of(moved.0)), Ok(true));
+        assert_eq!(misses() - before, 2, "the repaired hint verifies");
+        db.commit(t).unwrap();
+        let t = db.begin();
+        assert_eq!(db.read_single(t, moved, rect_of(moved.0)), Ok(Some(3)));
+        assert_eq!(db.read_single(t, gone, rect_of(gone.0)), Ok(None));
+        db.commit(t).unwrap();
+        db.validate().unwrap();
+    }
+
+    /// Rollback works at the hinted leaf too, and falls back the same way.
+    #[test]
+    fn rollback_through_a_stale_hint_restores_the_entries() {
+        let db = DglRTree::new(DglConfig {
+            rtree: RTreeConfig::with_fanout(4).with_min_entries(2),
+            ..DglConfig::default()
+        });
+        let t = db.begin();
+        for i in 0..40 {
+            db.insert(t, ObjectId(i), rect_of(i)).unwrap();
+        }
+        db.commit(t).unwrap();
+        let t = db.begin();
+        assert_eq!(db.delete(t, ObjectId(5), rect_of(5)), Ok(true));
+        db.insert(t, ObjectId(99), rect_of(9)).unwrap();
+        for oid in [ObjectId(5), ObjectId(99)] {
+            db.core
+                .payloads
+                .update(&oid, |s| s.leaf = PageId(u64::from(u32::MAX)))
+                .unwrap();
+        }
+        let misses = || db.obs().snapshot().ctr(Ctr::HashMisses);
+        let before = misses();
+        db.abort(t).unwrap();
+        assert_eq!(misses() - before, 2, "both undos fell back");
+        let t = db.begin();
+        assert_eq!(db.read_single(t, ObjectId(5), rect_of(5)), Ok(Some(1)));
+        assert_eq!(db.read_single(t, ObjectId(99), rect_of(9)), Ok(None));
+        db.commit(t).unwrap();
+        db.validate().unwrap();
     }
 }

@@ -131,6 +131,13 @@ mod tests {
     }
 
     #[test]
+    fn leaf_entry_stays_56_bytes() {
+        // A scan streams leaf entries: whatever an entry gains, every leaf
+        // visit pays for.
+        assert_eq!(std::mem::size_of::<Entry<2>>(), 56);
+    }
+
+    #[test]
     fn node_mbr_is_union_of_entries() {
         let mut n = Node::new(0);
         assert_eq!(n.mbr(), None, "empty node has no MBR");

@@ -279,9 +279,13 @@ impl<const D: usize> RTree<D> {
     /// Descends only subtrees whose MBR contains `rect` (an object's leaf
     /// BR always contains it); reads are counted.
     pub fn find_path(&self, oid: ObjectId, rect: Rect<D>) -> Option<Vec<PageId>> {
-        let mut stack: Vec<Vec<PageId>> = vec![vec![self.root]];
-        while let Some(path) = stack.pop() {
-            let pid = *path.last().expect("non-empty path");
+        // Depth-first over `(page, depth)`; `path` is the root..page prefix
+        // of whatever was popped last, cut back on every backtrack.
+        let mut stack = vec![(self.root, 0)];
+        let mut path = Vec::new();
+        while let Some((pid, depth)) = stack.pop() {
+            path.truncate(depth);
+            path.push(pid);
             let node = self.node(pid);
             if node.is_leaf() {
                 if node
@@ -295,9 +299,7 @@ impl<const D: usize> RTree<D> {
             for e in &node.entries {
                 if let Entry::Child { mbr, child } = e {
                     if mbr.contains(&rect) {
-                        let mut p = path.clone();
-                        p.push(*child);
-                        stack.push(p);
+                        stack.push((*child, depth + 1));
                     }
                 }
             }
@@ -362,12 +364,23 @@ impl<const D: usize> RTree<D> {
     /// Exact lookup of `(oid, rect)`: returns the tombstone state if
     /// present.
     pub fn lookup(&self, oid: ObjectId, rect: Rect<D>) -> Option<Option<u64>> {
-        let leaf = self.peek_node(self.locate_leaf(oid, rect)?);
-        let idx = leaf.position_of_object(oid)?;
-        match &leaf.entries[idx] {
-            Entry::Object { tombstone, .. } => Some(*tombstone),
-            Entry::Child { .. } => unreachable!("leaf holds objects"),
+        self.lookup_at(self.locate_leaf(oid, rect)?, oid)
+    }
+
+    /// [`RTree::lookup`] on page `leaf`, with no descent: the tombstone
+    /// state of the entry for `oid` if `leaf` is a live page holding it.
+    /// For a caller that already knows the page, so the read is not
+    /// counted as a page access.
+    pub fn lookup_at(&self, leaf: PageId, oid: ObjectId) -> Option<Option<u64>> {
+        if !self.store.is_live(leaf) {
+            return None;
         }
+        self.peek_node(leaf).entries.iter().find_map(|e| match *e {
+            Entry::Object {
+                oid: o, tombstone, ..
+            } if o == oid => Some(tombstone),
+            _ => None,
+        })
     }
 
     /// The leaf page holding `(oid, rect)`, found by root descent when the
@@ -417,54 +430,63 @@ impl<const D: usize> RTree<D> {
     /// Marks `(oid, rect)` as logically deleted by `tag`. Returns false if
     /// the object is absent or already tombstoned by another tag.
     pub fn set_tombstone(&mut self, oid: ObjectId, rect: Rect<D>, tag: u64) -> bool {
-        let Some(leaf) = self.locate_leaf(oid, rect) else {
+        self.locate_leaf(oid, rect)
+            .is_some_and(|leaf| self.set_tombstone_at(leaf, oid, tag))
+    }
+
+    /// [`RTree::set_tombstone`] on the entry for `oid` on page `leaf`,
+    /// with no descent. Returns false if `leaf` does not hold `oid`.
+    pub fn set_tombstone_at(&mut self, leaf: PageId, oid: ObjectId, tag: u64) -> bool {
+        let Some(tombstone) = self.tombstone_mut(leaf, oid) else {
             return false;
         };
-        let node = self.store.read_mut(leaf);
-        let Some(idx) = node.position_of_object(oid) else {
-            return false;
-        };
-        let (marked, changed) = match &mut node.entries[idx] {
-            Entry::Object { tombstone, .. } => match tombstone {
-                Some(t) if *t != tag => (false, false),
-                // Re-marking by the same tag succeeds but changes nothing,
-                // so it must not bump the structure version.
-                Some(_) => (true, false),
-                None => {
-                    *tombstone = Some(tag);
-                    (true, true)
-                }
-            },
-            Entry::Child { .. } => unreachable!("leaf holds objects"),
-        };
-        if changed {
-            self.bump_version();
+        match *tombstone {
+            // Re-marking by the same tag succeeds but changes nothing,
+            // so it must not bump the structure version.
+            Some(t) => t == tag,
+            None => {
+                *tombstone = Some(tag);
+                self.bump_version();
+                true
+            }
         }
-        marked
     }
 
     /// Clears a tombstone (rollback of a logical delete). Returns whether
     /// a tombstone was cleared.
     pub fn clear_tombstone(&mut self, oid: ObjectId, rect: Rect<D>) -> bool {
-        let Some(leaf) = self.locate_leaf(oid, rect) else {
-            return false;
-        };
-        let node = self.store.read_mut(leaf);
-        let Some(idx) = node.position_of_object(oid) else {
-            return false;
-        };
-        let had = match &mut node.entries[idx] {
-            Entry::Object { tombstone, .. } => {
-                let had = tombstone.is_some();
-                *tombstone = None;
-                had
-            }
-            Entry::Child { .. } => unreachable!("leaf holds objects"),
-        };
+        self.locate_leaf(oid, rect)
+            .is_some_and(|leaf| self.clear_tombstone_at(leaf, oid))
+    }
+
+    /// [`RTree::clear_tombstone`] on the entry for `oid` on page `leaf`,
+    /// with no descent.
+    pub fn clear_tombstone_at(&mut self, leaf: PageId, oid: ObjectId) -> bool {
+        let had = self
+            .tombstone_mut(leaf, oid)
+            .is_some_and(|t| t.take().is_some());
         if had {
             self.bump_version();
         }
         had
+    }
+
+    /// The tombstone of the entry for `oid` on page `leaf`, writable (the
+    /// page access counts as a read and a write).
+    fn tombstone_mut(&mut self, leaf: PageId, oid: ObjectId) -> Option<&mut Option<u64>> {
+        if !self.store.is_live(leaf) {
+            return None;
+        }
+        self.store
+            .read_mut(leaf)
+            .entries
+            .iter_mut()
+            .find_map(|e| match e {
+                Entry::Object {
+                    oid: o, tombstone, ..
+                } if *o == oid => Some(tombstone),
+                _ => None,
+            })
     }
 
     // --- insert -----------------------------------------------------------
@@ -803,9 +825,16 @@ impl<const D: usize> RTree<D> {
     /// non-minimal (valid, just loose) so that no other transaction's
     /// granule coverage changes. Returns whether the entry was found.
     pub fn remove_entry_raw(&mut self, oid: ObjectId, rect: Rect<D>) -> bool {
-        let Some(leaf) = self.locate_leaf(oid, rect) else {
+        self.locate_leaf(oid, rect)
+            .is_some_and(|leaf| self.remove_entry_raw_at(leaf, oid))
+    }
+
+    /// [`RTree::remove_entry_raw`] of the entry for `oid` on page `leaf`,
+    /// with no descent.
+    pub fn remove_entry_raw_at(&mut self, leaf: PageId, oid: ObjectId) -> bool {
+        if !self.store.is_live(leaf) {
             return false;
-        };
+        }
         let node = self.store.read_mut(leaf);
         let Some(idx) = node.position_of_object(oid) else {
             return false;

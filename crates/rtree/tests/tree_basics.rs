@@ -1,7 +1,8 @@
 //! Functional tests for insert / search / delete / tombstones.
 
 use dgl_geom::{Rect, Rect2};
-use dgl_rtree::{ObjectId, RTree2, RTreeConfig, SplitAlgorithm};
+use dgl_pager::PageId;
+use dgl_rtree::{Entry, ObjectId, RTree2, RTreeConfig, SplitAlgorithm};
 
 fn r(lo: [f64; 2], hi: [f64; 2]) -> Rect2 {
     Rect2::new(lo, hi)
@@ -174,6 +175,93 @@ fn tombstone_lifecycle() {
     assert!(t.clear_tombstone(ObjectId(1), rect));
     assert_eq!(t.lookup(ObjectId(1), rect), Some(None));
     assert!(!t.clear_tombstone(ObjectId(1), rect), "already clear");
+}
+
+#[test]
+fn leaf_directed_helpers_act_only_on_the_named_leaf() {
+    let mut t = small_tree(4);
+    let rects = gen_rects(60, 5);
+    for (i, rect) in rects.iter().enumerate() {
+        t.insert(ObjectId(i as u64), *rect);
+    }
+    assert!(t.height() > 2);
+    for (i, rect) in rects.iter().enumerate() {
+        let oid = ObjectId(i as u64);
+        let leaf = t.locate_leaf(oid, *rect).expect("inserted");
+        let other = t
+            .pages()
+            .map(|(pid, _)| pid)
+            .find(|&pid| pid != leaf && t.lookup_at(pid, oid).is_none())
+            .expect("another page");
+        assert_eq!(t.lookup_at(leaf, oid), Some(None));
+        assert_eq!(t.lookup_at(other, oid), None);
+        // A page that does not hold the object is left alone.
+        let v = t.version();
+        assert!(!t.set_tombstone_at(other, oid, 9));
+        assert!(!t.clear_tombstone_at(other, oid));
+        assert!(!t.remove_entry_raw_at(other, oid));
+        assert_eq!(t.version(), v, "a miss changes nothing");
+        assert!(t.set_tombstone_at(leaf, oid, 9));
+        assert_eq!(t.lookup(oid, *rect), Some(Some(9)));
+        assert!(t.clear_tombstone_at(leaf, oid));
+        if i % 2 == 0 {
+            assert!(t.remove_entry_raw_at(leaf, oid));
+            assert_eq!(t.lookup(oid, *rect), None);
+        }
+    }
+    assert_eq!(t.len(), 30);
+    t.validate(false).unwrap();
+}
+
+/// The descent `find_path` replaced — one cloned path per candidate
+/// child — and how many pages it visited.
+fn find_path_reference(t: &RTree2, oid: ObjectId, rect: Rect2) -> (Option<Vec<PageId>>, u64) {
+    let mut stack = vec![vec![t.root()]];
+    let mut visited = 0;
+    while let Some(path) = stack.pop() {
+        visited += 1;
+        let node = t.peek_node(*path.last().unwrap());
+        if node.is_leaf() {
+            if node
+                .position_of_object(oid)
+                .is_some_and(|i| node.entries[i].mbr() == rect)
+            {
+                return (Some(path), visited);
+            }
+            continue;
+        }
+        for e in &node.entries {
+            if let Entry::Child { mbr, child } = e {
+                if mbr.contains(&rect) {
+                    let mut p = path.clone();
+                    p.push(*child);
+                    stack.push(p);
+                }
+            }
+        }
+    }
+    (None, visited)
+}
+
+#[test]
+fn find_path_returns_what_the_cloning_descent_returned() {
+    // Small fanout and overlapping rectangles: many objects have several
+    // candidate subtrees, so the search order decides which path is found
+    // first and how many pages it reads.
+    let mut t = small_tree(3);
+    let rects = gen_rects(300, 8);
+    for (i, rect) in rects.iter().enumerate() {
+        t.insert(ObjectId(i as u64), *rect);
+    }
+    let reads = |t: &RTree2| t.io_stats().snapshot().logical_reads;
+    for (i, rect) in rects.iter().enumerate() {
+        for (oid, rect) in [(ObjectId(i as u64), *rect), (ObjectId(i as u64 + 1), *rect)] {
+            let (want, visited) = find_path_reference(&t, oid, rect);
+            let before = reads(&t);
+            assert_eq!(t.find_path(oid, rect), want, "{oid}");
+            assert_eq!(reads(&t) - before, visited, "{oid}: the same pages read");
+        }
+    }
 }
 
 #[test]

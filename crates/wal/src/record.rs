@@ -192,13 +192,57 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slice-by-8 tables: `[0]` is the bytewise table, and `[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes — so eight table reads
+/// advance the register over eight bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    t[0] = crc32_table();
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
 
-/// CRC32-IEEE of `data` (the polynomial `zlib`/Ethernet use).
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// CRC32-IEEE of `data` (the polynomial `zlib`/Ethernet use), eight bytes
+/// per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for b in words.remainder() {
+        c = t[0][((c ^ u32::from(*b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// The byte-at-a-time reference [`crc32`] must equal.
+#[cfg(test)]
+fn crc32_bytewise(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for b in data {
-        c = CRC_TABLE[((c ^ u32::from(*b)) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ u32::from(*b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -475,6 +519,7 @@ pub fn read_frame(data: &[u8], pos: usize) -> FrameRead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn samples() -> Vec<WalRecord> {
         vec![
@@ -520,9 +565,27 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vector() {
-        // The canonical check value of CRC32-IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        // The canonical check value of CRC32-IEEE, for both forms.
+        for f in [crc32, crc32_bytewise] {
+            assert_eq!(f(b"123456789"), 0xCBF4_3926);
+            assert_eq!(f(b""), 0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Slice-by-8 equals the bytewise loop at every length, with the
+        /// data starting at every offset within an eight-byte word.
+        #[test]
+        fn crc32_equals_the_bytewise_reference(
+            data in prop::collection::vec(any::<u8>(), 0..4096),
+            start in 0..8usize,
+        ) {
+            let buf = [vec![0xA5; start], data].concat();
+            let tail = &buf[start..];
+            prop_assert_eq!(crc32(tail), crc32_bytewise(tail));
+        }
     }
 
     #[test]
