@@ -134,7 +134,15 @@ impl DglCore {
             // the shared latch, so a system operation grinding through a
             // big condense no longer stalls every concurrent scan.
             let latch = self.plan_latch();
-            let Some(plan) = latch.tree().plan_delete(d.oid, d.rect) else {
+            // The payload slot's leaf hint, verified by `plan_delete_at`,
+            // spares the descent every other leaf containing the rectangle;
+            // a stale hint falls back to the search from the root.
+            let tree = latch.tree();
+            let hint = self.payloads.get(&d.oid, |slot| slot.leaf);
+            let plan = hint
+                .and_then(|leaf| tree.plan_delete_at(leaf, d.oid, d.rect))
+                .or_else(|| tree.plan_delete(d.oid, d.rect));
+            let Some(plan) = plan else {
                 return;
             };
             let mut locks = LockList::new();

@@ -71,22 +71,18 @@ pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]
     // is the whole embedded world, per the paper's ext(root) definition).
     let mut stack: Vec<(PageId, Rect<D>)> = vec![(root, tree.world())];
     let mut pieces = Pieces::default();
+    // The rectangles of the children some query meets, one node at a time.
+    let mut met: Vec<Rect<D>> = Vec::new();
     while let Some((pid, space)) = stack.pop() {
         let node = tree.node(pid);
         out.accesses_per_level[node.level as usize] += 1;
-        // External granule: any part of any query inside this node's space
-        // but outside all children.
-        let ext_overlap = queries.iter().any(|q| {
-            q.intersection(&space).is_some_and(|clipped| {
-                !pieces.covers(&clipped, node.entries.iter().map(Entry::mbr))
-            })
-        });
-        if ext_overlap {
-            out.externals.push(pid);
-        }
+        // One pass over the entries selects the children to descend into
+        // and keeps their rectangles for the ext(T) test below.
+        met.clear();
         for e in &node.entries {
             if let Entry::Child { mbr, child } = e {
                 if queries.iter().any(|q| q.intersects(mbr)) {
+                    met.push(*mbr);
                     if node.level == 1 {
                         out.leaves.push(*child);
                     } else {
@@ -94,6 +90,17 @@ pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]
                     }
                 }
             }
+        }
+        // External granule: any part of any query inside this node's space
+        // but outside all children. Only the met children take part: a
+        // child no query meets is disjoint from every `q ∩ T.space`, so it
+        // can neither contain nor cover any of it.
+        let ext_overlap = queries.iter().any(|q| {
+            q.intersection(&space)
+                .is_some_and(|clipped| !pieces.covers(&clipped, met.iter().copied()))
+        });
+        if ext_overlap {
+            out.externals.push(pid);
         }
     }
     out
@@ -151,9 +158,120 @@ mod tests {
     use super::*;
     use dgl_geom::Rect2;
     use dgl_rtree::{ObjectId, RTree2, RTreeConfig};
+    use proptest::prelude::*;
 
     fn r(lo: [f64; 2], hi: [f64; 2]) -> Rect2 {
         Rect2::new(lo, hi)
+    }
+
+    /// The walk before its fused pass, kept as the reference: per internal
+    /// node, the ext(T) test over *all* children, then child selection.
+    fn three_pass_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]) -> OverlapSet {
+        let mut out = OverlapSet {
+            accesses_per_level: vec![0; tree.height() as usize],
+            ..OverlapSet::default()
+        };
+        if queries.is_empty() {
+            return out;
+        }
+        let root = tree.root();
+        if tree.height() == 1 {
+            out.leaves.push(root);
+            return out;
+        }
+        let mut stack: Vec<(PageId, Rect<D>)> = vec![(root, tree.world())];
+        let mut pieces = Pieces::default();
+        while let Some((pid, space)) = stack.pop() {
+            let node = tree.node(pid);
+            out.accesses_per_level[node.level as usize] += 1;
+            let ext_overlap = queries.iter().any(|q| {
+                q.intersection(&space).is_some_and(|clipped| {
+                    !pieces.covers(&clipped, node.entries.iter().map(Entry::mbr))
+                })
+            });
+            if ext_overlap {
+                out.externals.push(pid);
+            }
+            for e in &node.entries {
+                if let Entry::Child { mbr, child } = e {
+                    if queries.iter().any(|q| q.intersects(mbr)) {
+                        if node.level == 1 {
+                            out.leaves.push(*child);
+                        } else {
+                            stack.push((*child, *mbr));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A box anywhere in `[0, 1.2)²`: some reach past the world, some are
+    /// points or segments.
+    fn arb_box() -> impl Strategy<Value = Rect2> {
+        (0.0..1.2f64, 0.0..1.2f64, 0.0..0.3f64, 0.0..0.3f64, 0..4u8).prop_map(
+            |(x, y, w, h, shape)| {
+                let (w, h) = match shape {
+                    0 => (0.0, 0.0),
+                    1 => (w, 0.0),
+                    _ => (w, h),
+                };
+                r([x, y], [x + w, y + h])
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_fused_walk_equals_the_three_pass_walk(
+            fanout in prop::sample::select(vec![3usize, 4, 12, 50]),
+            per_slot in 1..40usize,
+            clustered in prop::bool::ANY,
+            seed in any::<u64>(),
+            queries in prop::collection::vec(prop::collection::vec(arb_box(), 1..4), 1..24),
+        ) {
+            // A tree of up to 40 × fanout objects; clustered data leaves
+            // wide gaps between children (external granules), and every
+            // fifth object is deleted again (condensed, loosened BRs).
+            let mut tree = RTree2::new(RTreeConfig::with_fanout(fanout), Rect::unit());
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let mut rects = Vec::new();
+            for i in 0..(per_slot * fanout) as u64 {
+                let (x, y) = if clustered {
+                    let corner = if next() < 0.5 { 0.05 } else { 0.7 };
+                    (corner + next() * 0.2, corner + next() * 0.2)
+                } else {
+                    (next() * 0.95, next() * 0.95)
+                };
+                let rect = r([x, y], [x + next() * 0.05, y + next() * 0.05]);
+                tree.insert(ObjectId(i), rect);
+                rects.push(rect);
+            }
+            for (i, rect) in rects.iter().enumerate().step_by(5) {
+                prop_assert!(tree.delete(ObjectId(i as u64), *rect));
+            }
+            for boxes in &queries {
+                let fused = overlapping_granules(&tree, boxes);
+                let reference = three_pass_granules(&tree, boxes);
+                prop_assert_eq!(&fused.leaves, &reference.leaves, "leaves for {:?}", boxes);
+                prop_assert_eq!(&fused.externals, &reference.externals, "externals for {:?}", boxes);
+                prop_assert_eq!(
+                    &fused.accesses_per_level,
+                    &reference.accesses_per_level,
+                    "accesses for {:?}",
+                    boxes
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! Lock-list assembly and acquisition helpers shared by the protocols.
 
-use dgl_lockmgr::{
-    LockDuration, LockManager, LockMode, LockOutcome, RequestKind, ResourceId, TxnId,
-};
+use dgl_lockmgr::{LockDuration, LockManager, LockMode, ResourceId, TxnId};
 
 /// One requirement: `(resource, commit duration?)` → mode.
 type Want = ((ResourceId, bool), LockMode);
 
 /// Requirements kept on the stack; an operation that needs more spills to
-/// the heap. Point operations need one, an insert or a ~50-hit scan a
-/// handful.
-const INLINE: usize = 8;
+/// the heap. Point operations need one, an insert a handful, and a ~50-hit
+/// scan about seven — often more than eight.
+const INLINE: usize = 16;
 
 /// A deduplicated list of lock requirements for one operation attempt.
 ///
@@ -83,24 +81,17 @@ impl LockList {
         })
     }
 
-    /// Conditionally acquires every lock. On the first failure, returns
-    /// the failed requirement so the caller can drop its latch and wait
-    /// unconditionally. Already-acquired locks are kept (they will be
-    /// re-requested as no-ops on retry; releasing mid-transaction would
-    /// break two-phase locking).
+    /// Conditionally acquires every lock, in one lock-table call. On the
+    /// first failure, returns the failed requirement so the caller can drop
+    /// its latch and wait unconditionally. Already-acquired locks are kept
+    /// (they will be re-requested as no-ops on retry; releasing
+    /// mid-transaction would break two-phase locking).
     pub fn try_acquire(
         &self,
         lm: &LockManager,
         txn: TxnId,
     ) -> Result<(), (ResourceId, LockMode, LockDuration)> {
-        for (res, mode, dur) in self.iter() {
-            match lm.lock(txn, res, mode, dur, RequestKind::Conditional) {
-                LockOutcome::Granted => {}
-                LockOutcome::WouldBlock => return Err((res, mode, dur)),
-                other => unreachable!("conditional request returned {other:?}"),
-            }
-        }
-        Ok(())
+        lm.try_lock_all(txn, self.iter())
     }
 }
 
@@ -131,24 +122,26 @@ mod tests {
     #[test]
     fn a_list_longer_than_the_inline_buffer_stays_sorted_and_merged() {
         let mut l = LockList::new();
-        // Descending, so every add shifts; 20 > INLINE forces the spill.
-        for n in (0..20).rev() {
+        // Descending, so every add shifts; 30 > INLINE forces the spill.
+        for n in (0..30).rev() {
             l.add(page(n), IX, Commit);
         }
         l.add(page(3), S, Commit); // merges after the spill
         l.add(ResourceId::Object(1), X, Commit);
-        assert_eq!(l.len(), 21);
+        assert_eq!(l.len(), 31);
         let reqs: Vec<_> = l.iter().collect();
         assert!(reqs.windows(2).all(|w| w[0].0 < w[1].0), "canonical order");
         assert_eq!(reqs[3], (page(3), SIX, Commit));
-        assert_eq!(reqs[20], (ResourceId::Object(1), X, Commit));
+        assert_eq!(reqs[30], (ResourceId::Object(1), X, Commit));
     }
 
     #[test]
     fn try_acquire_reports_first_conflict() {
         let lm = LockManager::new(LockManagerConfig::default());
         // T9 holds S on page 2.
-        lm.lock(TxnId(9), page(2), S, Commit, RequestKind::Conditional);
+        let mut held = LockList::new();
+        held.add(page(2), S, Commit);
+        held.try_acquire(&lm, TxnId(9)).unwrap();
         let mut l = LockList::new();
         l.add(page(1), IX, Commit);
         l.add(page(2), IX, Short);

@@ -64,7 +64,7 @@ impl Default for LockManagerConfig {
 /// may *downgrade* the effective mode — e.g. an inserter's short SIX on an
 /// external granule decays to nothing while its commit IX on the target
 /// leaf granule survives.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Grant {
     txn: TxnId,
     commit_mode: Option<LockMode>,
@@ -129,17 +129,74 @@ struct Waiter {
     cell: Arc<WaitCell>,
 }
 
+/// The holders of one resource. The first grant lives inline, so granting
+/// and releasing an uncontended resource — the common case — allocates and
+/// frees nothing; a second and later holders spill to `rest`. Removal moves
+/// the last holder into the gap, as `Vec::swap_remove` would on the holders
+/// in order.
+#[derive(Debug, Default)]
+struct Grants {
+    first: Option<Grant>,
+    /// Empty unless `first` is set.
+    rest: Vec<Grant>,
+}
+
+impl Grants {
+    fn iter(&self) -> impl Iterator<Item = &Grant> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn of(&self, txn: TxnId) -> Option<&Grant> {
+        self.iter().find(|g| g.txn == txn)
+    }
+
+    fn of_mut(&mut self, txn: TxnId) -> Option<&mut Grant> {
+        self.first
+            .iter_mut()
+            .chain(&mut self.rest)
+            .find(|g| g.txn == txn)
+    }
+
+    /// `txn`'s grant, created empty if it has none.
+    fn entry(&mut self, txn: TxnId) -> &mut Grant {
+        let empty = Grant {
+            txn,
+            commit_mode: None,
+            short_mode: None,
+        };
+        let first = self.first.get_or_insert(empty);
+        if first.txn == txn {
+            return first;
+        }
+        match self.rest.iter().position(|g| g.txn == txn) {
+            Some(i) => &mut self.rest[i],
+            None => {
+                self.rest.push(empty);
+                self.rest.last_mut().expect("just pushed")
+            }
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) {
+        if self.first.as_ref().is_some_and(|g| g.txn == txn) {
+            self.first = self.rest.pop();
+        } else if let Some(i) = self.rest.iter().position(|g| g.txn == txn) {
+            self.rest.swap_remove(i);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+}
+
 #[derive(Debug, Default)]
 struct ResourceState {
-    grants: Vec<Grant>,
+    grants: Grants,
     waiters: VecDeque<Waiter>,
 }
 
 impl ResourceState {
-    fn grant_of(&self, txn: TxnId) -> Option<&Grant> {
-        self.grants.iter().find(|g| g.txn == txn)
-    }
-
     /// Whether `mode` requested by `txn` is compatible with all grants held
     /// by *other* transactions.
     fn compatible_with_others(&self, txn: TxnId, mode: LockMode) -> bool {
@@ -148,17 +205,95 @@ impl ResourceState {
             .filter(|g| g.txn != txn)
             .all(|g| mode.compatible(g.mode()))
     }
+
+    /// Records `mode` in the `dur` slot of `txn`'s grant, creating the grant
+    /// if need be. Returns whether the slot was empty: the resource is then
+    /// new to that list of the transaction's record, and whoever granted it
+    /// must list it there.
+    fn fill(&mut self, txn: TxnId, mode: LockMode, dur: LockDuration) -> bool {
+        let slot = self.grants.entry(txn).slot(dur);
+        let fresh = slot.is_none();
+        *slot = Some(slot.map_or(mode, |m| m.supremum(mode)));
+        fresh
+    }
+
+    fn is_unused(&self) -> bool {
+        self.grants.is_empty() && self.waiters.is_empty()
+    }
 }
+
+/// Grants one call made that filled an empty slot, waiting to be listed in
+/// the transaction's record: up to `N` on the stack, listed with one visit
+/// to the transaction's stripe (a longer run flushes every `N`). Dropping
+/// lists what is left, so a call that unwinds — a panicking failpoint —
+/// still leaves every grant it made on the record.
+struct Listing<'a, const N: usize> {
+    lm: &'a LockManager,
+    txn: TxnId,
+    fresh: [(ResourceId, LockDuration); N],
+    len: usize,
+}
+
+impl<'a, const N: usize> Listing<'a, N> {
+    fn new(lm: &'a LockManager, txn: TxnId) -> Self {
+        Self {
+            lm,
+            txn,
+            fresh: [(ResourceId::Tree, LockDuration::Short); N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, res: ResourceId, dur: LockDuration) {
+        if self.len == N {
+            self.flush();
+        }
+        self.fresh[self.len] = (res, dur);
+        self.len += 1;
+    }
+
+    fn flush(&mut self) {
+        if self.len > 0 {
+            self.lm.list(self.txn, &self.fresh[..self.len]);
+            self.len = 0;
+        }
+    }
+}
+
+impl<const N: usize> Drop for Listing<'_, N> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// How many fresh grants [`LockManager::try_lock_all`] lists per visit to
+/// the transaction's stripe: a scan's lock set averages about seven.
+const LISTING: usize = 16;
+
+/// A refused request's resource stripe, still held, with the mode the
+/// transaction would hold if granted and whether that is a conversion —
+/// what an unconditional request needs to queue.
+type Refused<'a> = (
+    parking_lot::MutexGuard<'a, HashMap<ResourceId, ResourceState, MixBuild>>,
+    LockMode,
+    bool,
+);
 
 /// Everything the manager knows about one transaction outside the
 /// resource table. Created lazily by the first request or system mark
 /// (stand-alone callers use ids no transaction manager ever began) and
 /// dropped once it says nothing.
 ///
-/// Invariants, maintained under the resource stripe by
-/// [`LockManager::fill`]: a grant of the transaction with a short slot is
-/// listed in `short`; any grant of it is listed in `commit` or `short`;
-/// neither list repeats a resource.
+/// Invariants: a grant of the transaction with a short slot is listed in
+/// `short`; any grant of it is listed in `commit` or `short`; neither list
+/// repeats a resource. A grant is listed before the call that granted it
+/// returns — `lock` and `try_lock_all` list their own grants after leaving
+/// the resource stripes, with one visit to this stripe per call, and a
+/// grant handed to a parked waiter is listed before the waiter wakes — not
+/// under the resource stripe. Nobody can see the gap: only the
+/// transaction's own thread releases its locks or reads these lists
+/// (`release_short`, `release_all`, `locks_held`); other threads touch
+/// only `waiting_on` and `system`.
 #[derive(Debug, Default)]
 struct TxnRecord {
     /// Resources on which the transaction has a commit-duration slot.
@@ -483,35 +618,98 @@ impl LockManager {
         out
     }
 
-    /// Records `mode` in the `dur` slot of `txn`'s grant on `res`, creating
-    /// the grant if need be. A slot going `None → Some` lists `res` in the
-    /// transaction's record — the one place the lists grow. Called under
-    /// `res`'s stripe.
-    fn fill(
-        &self,
-        state: &mut ResourceState,
+    /// Lists `fresh` grants of `txn` in its record — the one place the
+    /// lists grow.
+    fn list(&self, txn: TxnId, fresh: &[(ResourceId, LockDuration)]) {
+        self.record(txn, |r| {
+            for &(res, dur) in fresh {
+                match dur {
+                    LockDuration::Commit => r.commit.push(res),
+                    LockDuration::Short => r.short.push(res),
+                }
+            }
+        });
+    }
+
+    /// The one grant routine, behind both [`lock`](Self::lock) and
+    /// [`try_lock_all`](Self::try_lock_all): grants `txn` `mode` on `res`
+    /// if that is possible now, pushing a grant that filled an empty slot
+    /// onto `listing`. A refusal is reported to the event stream and hands
+    /// back the resource's stripe, still held.
+    fn request<'a, const N: usize>(
+        &'a self,
         txn: TxnId,
         res: ResourceId,
         mode: LockMode,
         dur: LockDuration,
-    ) {
-        let idx = state.grants.iter().position(|g| g.txn == txn);
-        let idx = idx.unwrap_or_else(|| {
-            state.grants.push(Grant {
-                txn,
-                commit_mode: None,
-                short_mode: None,
-            });
-            state.grants.len() - 1
+        listing: &mut Listing<'_, N>,
+    ) -> Result<(), Refused<'a>> {
+        // Chaos hook: delay (slow lock manager) or panic (requester dies
+        // before this request touches the lock table; the grants its call
+        // made before are listed as the listing unwinds).
+        dgl_faults::failpoint!("lockmgr/acquire");
+        self.obs.incr(match dur {
+            LockDuration::Short => Ctr::LockReqShort,
+            LockDuration::Commit => Ctr::LockReqCommit,
         });
-        let slot = state.grants[idx].slot(dur);
-        if slot.is_none() {
-            self.record(txn, |r| match dur {
-                LockDuration::Commit => r.commit.push(res),
-                LockDuration::Short => r.short.push(res),
-            });
+        let mut shard = self.shard(&res).lock();
+        let state = shard.entry(res).or_default();
+        debug_assert!(
+            !state.waiters.iter().any(|w| w.txn == txn),
+            "{txn} issued a second request on {res} while already waiting"
+        );
+        // A transaction that already holds the resource is asking for a
+        // *conversion*: it ends up with the supremum, is not held behind
+        // queued waiters, and needs nothing at all if what it holds
+        // already covers the request.
+        let held = state.grants.of(txn).map(Grant::mode);
+        let conversion = held.is_some();
+        let covered = held.is_some_and(|h| h.covers(mode));
+        let want = held.map_or(mode, |h| h.supremum(mode));
+        let grantable = covered
+            || (conversion || state.waiters.is_empty()) && state.compatible_with_others(txn, want);
+        if !grantable {
+            self.emit_blocked(txn, res, mode, state);
+            return Err((shard, want, conversion));
         }
-        *slot = Some(slot.map_or(mode, |m| m.supremum(mode)));
+        if conversion && !covered {
+            self.obs.incr(Ctr::LockConversions);
+        }
+        let fresh = state.fill(txn, mode, dur);
+        drop(shard);
+        if fresh {
+            listing.push(res, dur);
+        }
+        self.emit_granted(txn, res, mode, dur);
+        if !conversion {
+            // Chaos hook: delay-only site (the grant is already on the
+            // listing; a panic would be indistinguishable from one in the
+            // caller).
+            dgl_faults::failpoint!("lockmgr/grant");
+        }
+        Ok(())
+    }
+
+    /// Conditionally requests each of `reqs`, in the given order: a whole
+    /// operation's lock set in one call. Stops at the first request that
+    /// cannot be granted now and returns it; the grants made before it are
+    /// kept, exactly as if each request had been its own conditional
+    /// [`lock`](Self::lock). The transaction's record is visited once for
+    /// the call, not once per newly held lock, and the call allocates
+    /// nothing of its own.
+    pub fn try_lock_all(
+        &self,
+        txn: TxnId,
+        reqs: impl IntoIterator<Item = (ResourceId, LockMode, LockDuration)>,
+    ) -> Result<(), (ResourceId, LockMode, LockDuration)> {
+        let mut listing = Listing::<LISTING>::new(self, txn);
+        for (res, mode, dur) in reqs {
+            if self.request(txn, res, mode, dur, &mut listing).is_err() {
+                self.obs.incr(Ctr::LockConditionalFail);
+                return Err((res, mode, dur));
+            }
+        }
+        Ok(())
     }
 
     /// Requests a lock on `res` in `mode` for `txn`.
@@ -531,53 +729,21 @@ impl LockManager {
         dur: LockDuration,
         kind: RequestKind,
     ) -> LockOutcome {
-        // Chaos hook: delay (slow lock manager) or panic (requester dies
-        // before touching the lock table — nothing to clean up yet).
-        dgl_faults::failpoint!("lockmgr/acquire");
-        self.obs.incr(match dur {
-            LockDuration::Short => Ctr::LockReqShort,
-            LockDuration::Commit => Ctr::LockReqCommit,
-        });
         let cell;
         {
-            let mut shard = self.shard(&res).lock();
-            let state = shard.entry(res).or_default();
-            debug_assert!(
-                !state.waiters.iter().any(|w| w.txn == txn),
-                "{txn} issued a second request on {res} while already waiting"
-            );
-            // A transaction that already holds the resource is asking for
-            // a *conversion*: it ends up with the supremum, is not held
-            // behind queued waiters, and needs nothing at all if what it
-            // holds already covers the request.
-            let held = state.grant_of(txn).map(Grant::mode);
-            let conversion = held.is_some();
-            let covered = held.is_some_and(|h| h.covers(mode));
-            let want = held.map_or(mode, |h| h.supremum(mode));
-            let grantable = covered
-                || (conversion || state.waiters.is_empty())
-                    && state.compatible_with_others(txn, want);
-            if !grantable && kind == RequestKind::Conditional {
+            let (mut shard, want, conversion) =
+                match self.request(txn, res, mode, dur, &mut Listing::<1>::new(self, txn)) {
+                    Ok(()) => return LockOutcome::Granted,
+                    Err(refused) => refused,
+                };
+            if kind == RequestKind::Conditional {
                 self.obs.incr(Ctr::LockConditionalFail);
-                self.emit_blocked(txn, res, mode, state);
                 return LockOutcome::WouldBlock;
             }
-            if conversion && !covered {
+            if conversion {
                 self.obs.incr(Ctr::LockConversions);
             }
-            if grantable {
-                self.fill(state, txn, res, mode, dur);
-                drop(shard);
-                self.emit_granted(txn, res, mode, dur);
-                if !conversion {
-                    // Chaos hook: delay-only site (bookkeeping is already
-                    // consistent here; a panic would be indistinguishable
-                    // from one in the caller).
-                    dgl_faults::failpoint!("lockmgr/grant");
-                }
-                return LockOutcome::Granted;
-            }
-            self.emit_blocked(txn, res, mode, state);
+            let state = shard.get_mut(&res).expect("the refused request's entry");
             cell = Arc::new(WaitCell::new());
             // Conversions queue ahead of ordinary waiters (after any
             // conversions already queued), the standard anti-starvation
@@ -719,15 +885,15 @@ impl LockManager {
                 continue;
             };
             let state = entry.get_mut();
-            let Some(idx) = state.grants.iter().position(|g| g.txn == txn) else {
+            let Some(grant) = state.grants.of_mut(txn) else {
                 continue; // listed twice (both slots): dropped by the first visit
             };
-            state.grants[idx].short_mode = None;
-            if all || state.grants[idx].commit_mode.is_none() {
-                state.grants.swap_remove(idx);
+            grant.short_mode = None;
+            if all || grant.commit_mode.is_none() {
+                state.grants.remove(txn);
             }
             self.process_queue(res, state, &mut wakeups);
-            if state.grants.is_empty() && state.waiters.is_empty() {
+            if state.is_unused() {
                 entry.remove();
             }
         }
@@ -742,7 +908,7 @@ impl LockManager {
         let shard = self.shard(&res).lock();
         shard
             .get(&res)
-            .and_then(|s| s.grant_of(txn).map(Grant::mode))
+            .and_then(|s| s.grants.of(txn).map(Grant::mode))
     }
 
     /// The commit-duration mode `txn` holds on `res`, ignoring any
@@ -753,7 +919,7 @@ impl LockManager {
         let shard = self.shard(&res).lock();
         shard
             .get(&res)
-            .and_then(|s| s.grant_of(txn).and_then(|g| g.commit_mode))
+            .and_then(|s| s.grants.of(txn).and_then(|g| g.commit_mode))
     }
 
     /// All current holders of `res` with their effective modes (test/debug).
@@ -839,7 +1005,7 @@ impl LockManager {
                             res: *res,
                         });
                     };
-                    for g in &state.grants {
+                    for g in state.grants.iter() {
                         if g.txn != w.txn && !w.want.compatible(g.mode()) {
                             push(g.txn);
                         }
@@ -866,7 +1032,7 @@ impl LockManager {
             let shard = shard.lock();
             for (res, state) in shard.iter() {
                 let _ = write!(out, "{res}: granted[");
-                for g in &state.grants {
+                for g in state.grants.iter() {
                     let _ = write!(
                         out,
                         " {}:{}(c:{:?},s:{:?})",
@@ -921,7 +1087,11 @@ impl LockManager {
                 break;
             }
             let w = state.waiters.pop_front().expect("front exists");
-            self.fill(state, w.txn, res, w.req_mode, w.duration);
+            if state.fill(w.txn, w.req_mode, w.duration) {
+                // Listed before the waiter wakes, so before its `lock`
+                // call returns.
+                self.list(w.txn, &[(res, w.duration)]);
+            }
             wakeups.push(w.cell);
         }
     }
@@ -949,7 +1119,7 @@ impl LockManager {
             w.cell.settle(WaitVerdict::Cancelled);
             // Removing a waiter may unblock those behind it.
             self.process_queue(res, state, &mut wakeups);
-            if state.grants.is_empty() && state.waiters.is_empty() {
+            if state.is_unused() {
                 shard.remove(&res);
             }
             true

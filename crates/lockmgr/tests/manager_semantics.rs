@@ -326,3 +326,114 @@ fn locks_held_counts_a_resource_with_both_slots_once() {
     m.release_all(T1);
     assert_eq!(m.resource_count(), 0);
 }
+
+#[test]
+fn a_batch_stops_at_the_first_conflict_and_keeps_what_it_got() {
+    // The same requests, once as one `try_lock_all` and once as single
+    // conditional calls stopping at the first refusal, on two managers
+    // where T2 holds S on page 3.
+    let reqs = [
+        (page(1), IX, Commit),
+        (page(2), S, Commit),
+        (page(2), SIX, Short), // a second slot on a held resource
+        (page(3), IX, Short),  // refused: T2 holds S
+        (page(4), X, Commit),  // never requested
+    ];
+    let (batch, single) = (mgr(), mgr());
+    for m in [&batch, &single] {
+        assert_eq!(
+            m.lock(T2, page(3), S, Commit, Conditional),
+            LockOutcome::Granted
+        );
+    }
+    assert_eq!(batch.try_lock_all(T1, reqs), Err((page(3), IX, Short)));
+    for (res, mode, dur) in reqs {
+        if single.lock(T1, res, mode, dur, Conditional) != LockOutcome::Granted {
+            break;
+        }
+    }
+    for m in [&batch, &single] {
+        assert_eq!(m.held(T1, page(1)), Some(IX));
+        assert_eq!(m.held(T1, page(2)), Some(SIX));
+        assert_eq!(m.held_commit(T1, page(2)), Some(S));
+        assert_eq!(m.held(T1, page(3)), None);
+        assert_eq!(m.held(T1, page(4)), None);
+        assert_eq!(m.locks_held(T1), 2);
+        assert_eq!(m.obs().ctr(Ctr::LockReqCommit), 3, "T2's S, page 1, page 2");
+        assert_eq!(m.obs().ctr(Ctr::LockReqShort), 2);
+        assert_eq!(m.obs().ctr(Ctr::LockConditionalFail), 1);
+    }
+    // The record lists agree too: the end of the operation drops exactly
+    // the short slot, the end of the transaction everything.
+    for m in [&batch, &single] {
+        m.release_short(T1);
+        assert_eq!(m.held(T1, page(2)), Some(S));
+        assert_eq!(m.obs().ctr(Ctr::LockReleaseVisits), 1);
+        m.release_all(T1);
+        assert_eq!(m.obs().ctr(Ctr::LockReleaseVisits), 3);
+        assert_eq!(m.locks_held(T1), 0);
+        m.release_all(T2);
+        assert_eq!(m.resource_count(), 0);
+    }
+}
+
+#[test]
+fn a_batch_longer_than_its_listing_buffer_lists_every_grant() {
+    let m = mgr();
+    let reqs = (0..100).map(|i| (ResourceId::Object(i), X, Commit));
+    assert_eq!(
+        m.try_lock_all(T1, reqs.chain([(page(1), S, Short)])),
+        Ok(())
+    );
+    assert_eq!(m.locks_held(T1), 101);
+    m.release_short(T1);
+    assert_eq!(m.locks_held(T1), 100);
+    m.release_all(T1);
+    assert_eq!(m.resource_count(), 0);
+}
+
+#[test]
+fn every_release_order_of_up_to_three_holders_empties_the_table() {
+    // One, two and three holders of one resource — the inline first grant
+    // and the spilled ones — released in every order, with a conversion
+    // and a short slot mixed in, must leave nothing behind.
+    let orders: [&[TxnId]; 9] = [
+        &[T1],
+        &[T1, T2],
+        &[T2, T1],
+        &[T1, T2, T3],
+        &[T1, T3, T2],
+        &[T2, T1, T3],
+        &[T2, T3, T1],
+        &[T3, T1, T2],
+        &[T3, T2, T1],
+    ];
+    for order in orders {
+        let m = mgr();
+        let mut holders = order.to_vec();
+        holders.sort();
+        for &t in &holders {
+            assert_eq!(
+                m.lock(t, page(1), IS, Commit, Conditional),
+                LockOutcome::Granted
+            );
+            assert_eq!(
+                m.lock(t, page(1), S, Short, Conditional),
+                LockOutcome::Granted
+            );
+        }
+        let mut expect: Vec<_> = holders.iter().map(|&t| (t, S)).collect();
+        for &t in order {
+            let mut got = m.holders(page(1));
+            got.sort();
+            assert_eq!(got, expect, "before releasing {t} in {order:?}");
+            m.release_short(t);
+            assert_eq!(m.held(t, page(1)), Some(IS), "{t} keeps its commit IS");
+            m.release_all(t);
+            expect.retain(|(h, _)| *h != t);
+            assert_eq!(m.held(t, page(1)), None);
+        }
+        assert_eq!(m.resource_count(), 0, "order {order:?}");
+        assert!(m.table_snapshot().is_empty());
+    }
+}

@@ -10,6 +10,7 @@ use dgl_lockmgr::{
     LockDuration, LockManager, LockManagerConfig, LockMode, LockOutcome, RequestKind, ResourceId,
     TxnId,
 };
+use dgl_obs::Ctr;
 use dgl_pager::PageId;
 use proptest::prelude::*;
 
@@ -162,4 +163,100 @@ proptest! {
         prop_assert_eq!(lm.resource_count(), 0);
         prop_assert!(lm.table_snapshot().is_empty());
     }
+
+    #[test]
+    fn a_batch_leaves_what_single_calls_leave(steps in prop::collection::vec(arb_step(), 1..40)) {
+        // Two managers see the same history; one takes each lock set with
+        // one `try_lock_all`, the other with one conditional `lock` per
+        // request, stopping at the first refusal. Verdicts, the table and
+        // every transaction's record must stay identical.
+        let (batch, single) = (
+            LockManager::new(LockManagerConfig::default()),
+            LockManager::new(LockManagerConfig::default()),
+        );
+        for step in steps {
+            match step {
+                Step::Set(t, reqs) => {
+                    let txn = TxnId(u64::from(t) + 1);
+                    let reqs: Vec<_> = reqs
+                        .into_iter()
+                        .map(|(r, mode, dur)| (ResourceId::Page(PageId(u64::from(r))), mode, dur))
+                        .collect();
+                    let got = batch.try_lock_all(txn, reqs.iter().copied());
+                    let want = reqs
+                        .iter()
+                        .copied()
+                        .find(|&(res, mode, dur)| {
+                            single.lock(txn, res, mode, dur, RequestKind::Conditional)
+                                != LockOutcome::Granted
+                        })
+                        .map_or(Ok(()), Err);
+                    prop_assert_eq!(got, want, "{} requesting {:?}", txn, reqs);
+                }
+                Step::Release(t, all) => {
+                    for m in [&batch, &single] {
+                        let txn = TxnId(u64::from(t) + 1);
+                        if all {
+                            m.release_all(txn);
+                        } else {
+                            m.release_short(txn);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(table(&batch), table(&single));
+            for t in 1..=4 {
+                prop_assert_eq!(batch.locks_held(TxnId(t)), single.locks_held(TxnId(t)));
+            }
+            for ctr in [Ctr::LockReqCommit, Ctr::LockReqShort, Ctr::LockConditionalFail, Ctr::LockReleaseVisits] {
+                prop_assert_eq!(batch.obs().ctr(ctr), single.obs().ctr(ctr), "{:?}", ctr);
+            }
+        }
+        for t in 1..=4 {
+            batch.release_all(TxnId(t));
+        }
+        prop_assert_eq!(batch.resource_count(), 0);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    /// One operation's lock set, in request order.
+    Set(u8, Vec<(u8, LockMode, LockDuration)>),
+    /// End of operation (`false`) or of transaction (`true`).
+    Release(u8, bool),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let req = (0..6u8, arb_mode(), prop::bool::ANY).prop_map(|(r, m, c)| {
+        (
+            r,
+            m,
+            if c {
+                LockDuration::Commit
+            } else {
+                LockDuration::Short
+            },
+        )
+    });
+    prop_oneof![
+        4 => (0..4u8, prop::collection::vec(req, 1..24)).prop_map(|(t, reqs)| Step::Set(t, reqs)),
+        1 => (0..4u8, prop::bool::ANY).prop_map(|(t, all)| Step::Release(t, all)),
+    ]
+}
+
+/// Every grant, by resource in holder order, as comparable tuples.
+type Table = Vec<(ResourceId, Vec<(TxnId, Option<LockMode>, Option<LockMode>)>)>;
+
+fn table(lm: &LockManager) -> Table {
+    lm.table_snapshot()
+        .into_iter()
+        .map(|e| {
+            let grants = e
+                .grants
+                .iter()
+                .map(|g| (g.txn, g.commit_mode, g.short_mode));
+            (e.res, grants.collect())
+        })
+        .collect()
 }

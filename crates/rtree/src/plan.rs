@@ -170,9 +170,72 @@ impl<const D: usize> RTree<D> {
     }
 
     /// Plans the physical removal of `(oid, rect)`, or `None` if the object
-    /// is not in the tree.
+    /// is not in the tree. Finds the leaf by descending from the root and
+    /// opening every leaf whose rectangle contains `rect`; a caller that
+    /// knows the leaf uses [`RTree::plan_delete_at`].
     pub fn plan_delete(&self, oid: ObjectId, rect: Rect<D>) -> Option<DeletePlan<D>> {
         let path = self.find_path(oid, rect)?;
+        Some(self.plan_delete_on(path, oid, rect))
+    }
+
+    /// [`RTree::plan_delete`] for an object known to live on page `leaf`:
+    /// the descent looks for `leaf` among the children of level-1 nodes and
+    /// opens no leaf. `None` if `leaf` does not hold `(oid, rect)` or is not
+    /// reachable from the root.
+    pub fn plan_delete_at(
+        &self,
+        leaf: PageId,
+        oid: ObjectId,
+        rect: Rect<D>,
+    ) -> Option<DeletePlan<D>> {
+        let holds = self.is_live(leaf) && {
+            let node = self.peek_node(leaf);
+            node.is_leaf()
+                && node
+                    .position_of_object(oid)
+                    .is_some_and(|i| node.entries[i].mbr() == rect)
+        };
+        if !holds {
+            return None;
+        }
+        let path = self.path_to_leaf(leaf, rect)?;
+        Some(self.plan_delete_on(path, oid, rect))
+    }
+
+    /// The root..`leaf` path, descending only into subtrees whose rectangle
+    /// contains `rect` (an object's leaf BR contains it, and so does every
+    /// ancestor's). Internal reads are counted; the leaf is not read.
+    fn path_to_leaf(&self, leaf: PageId, rect: Rect<D>) -> Option<Vec<PageId>> {
+        if leaf == self.root() {
+            return Some(vec![leaf]);
+        }
+        // Depth-first over `(page, depth)`, as in `find_path`.
+        let mut stack = vec![(self.root(), 0)];
+        let mut path = Vec::new();
+        while let Some((pid, depth)) = stack.pop() {
+            path.truncate(depth);
+            path.push(pid);
+            let node = self.node(pid);
+            if node.level == 1 {
+                if node.position_of_child(leaf).is_some() {
+                    path.push(leaf);
+                    return Some(path);
+                }
+                continue;
+            }
+            for e in &node.entries {
+                if let Entry::Child { mbr, child } = e {
+                    if mbr.contains(&rect) {
+                        stack.push((*child, depth + 1));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The delete plan along `path` (root..leaf, the leaf holding `oid`).
+    fn plan_delete_on(&self, path: Vec<PageId>, oid: ObjectId, rect: Rect<D>) -> DeletePlan<D> {
         let leaf = *path.last().expect("path never empty");
 
         // Simulate the condense pass bottom-up.
@@ -187,20 +250,20 @@ impl<const D: usize> RTree<D> {
             NewMbr(Option<Rect<D>>),
         }
 
-        let leaf_node = self.peek_node(leaf);
-        let remaining: Vec<Rect<D>> = leaf_node
-            .entries
-            .iter()
-            .filter(|e| e.oid() != Some(oid))
-            .map(Entry::mbr)
-            .collect();
+        let (remaining, leaf_mbr) = fold_mbrs(
+            self.peek_node(leaf)
+                .entries
+                .iter()
+                .filter(|e| e.oid() != Some(oid))
+                .map(Entry::mbr),
+        );
         let leaf_is_root = path.len() == 1;
-        let leaf_eliminated = !leaf_is_root && remaining.len() < min;
+        let leaf_eliminated = !leaf_is_root && remaining < min;
         let mut below: Below<D> = if leaf_eliminated {
             eliminated.push(leaf);
             Below::Eliminated
         } else {
-            Below::NewMbr(Rect::union_all(remaining.iter()))
+            Below::NewMbr(leaf_mbr)
         };
 
         // Track per-ancestor surviving child count+mbrs for the root-shrink
@@ -216,32 +279,26 @@ impl<const D: usize> RTree<D> {
             // Any change below alters this node's children, hence its
             // external granule.
             changed_ext.push(*pid);
-            let (count, mbrs): (usize, Vec<Rect<D>>) = match below {
-                Below::Eliminated => {
-                    let mbrs = node
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != idx)
-                        .map(|(_, e)| e.mbr())
-                        .collect();
-                    (node.entries.len() - 1, mbrs)
-                }
+            // The node's children after the change below: the path child
+            // gone, or carrying its new rectangle.
+            let others = node
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(j, _)| *j != idx)
+                .map(|(_, e)| e.mbr());
+            let (count, mbr) = match below {
+                Below::Eliminated => fold_mbrs(others),
                 Below::NewMbr(new_child) => {
-                    let mbrs = node
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(j, e)| if j == idx { new_child } else { Some(e.mbr()) })
-                        .collect();
-                    (node.entries.len(), mbrs)
+                    let (_, mbr) = fold_mbrs(others.chain(new_child));
+                    (node.entries.len(), mbr)
                 }
             };
             if !is_root && count < min {
                 eliminated.push(*pid);
                 below = Below::Eliminated;
             } else {
-                below = Below::NewMbr(Rect::union_all(mbrs.iter()));
+                below = Below::NewMbr(mbr);
                 if is_root {
                     root_child_count = Some(count);
                 }
@@ -267,16 +324,17 @@ impl<const D: usize> RTree<D> {
             } else {
                 path[1]
             };
-            // Simulate the absorb cascade. Nodes off the delete path are
-            // unmodified, so their stored content is what apply will see —
-            // except the path child itself, which we conservatively stop
-            // at (its post-delete shape was simulated above and a
-            // single-entry path child cannot occur: it would have been
-            // eliminated since min_entries >= 1 means count < 1 never
-            // holds... a 1-entry node survives, so keep cascading there
-            // too using the simulated state is unnecessary: apply stops at
-            // a leaf or multi-entry node either way, and the survivor off
-            // the path dominates the common case).
+            // Simulate the absorb cascade. A node off the delete path is
+            // unmodified, so its stored content is what apply will see.
+            // The one path node the cascade can reach is `path[1]` (the
+            // survivor is a root child), whose stored content is stale,
+            // so the cascade stops there without looking inside. It can
+            // only be the survivor if the root had a single child before
+            // this delete — which no tree at rest has: a root split leaves
+            // the root two children, and every applied delete absorbs a
+            // single child before it returns. So the stop is never taken
+            // on a tree built by insert and delete; it only keeps the
+            // simulation from reading stale content if one ever were.
             let mut cur = survivor;
             loop {
                 eliminated.push(cur);
@@ -289,7 +347,7 @@ impl<const D: usize> RTree<D> {
             }
         }
 
-        Some(DeletePlan {
+        DeletePlan {
             oid,
             rect,
             path,
@@ -298,6 +356,13 @@ impl<const D: usize> RTree<D> {
             eliminated,
             changed_ext,
             root_shrinks,
-        })
+        }
     }
+}
+
+/// How many rectangles `rects` yields, and their union (`None` if none).
+fn fold_mbrs<const D: usize>(rects: impl Iterator<Item = Rect<D>>) -> (usize, Option<Rect<D>>) {
+    rects.fold((0, None), |(n, acc), r| {
+        (n + 1, Some(acc.map_or(r, |a: Rect<D>| a.union(&r))))
+    })
 }

@@ -209,6 +209,28 @@ fn delete_plan_for_absent_object_is_none() {
 }
 
 #[test]
+fn delete_plan_at_a_leaf_not_holding_the_object_is_none() {
+    let mut t = RTree2::new(RTreeConfig::with_fanout(4), Rect::unit());
+    let rects = gen_rects(60, 41);
+    for (i, rect) in rects.iter().enumerate() {
+        t.insert(ObjectId(i as u64), *rect);
+    }
+    let leaf = t.locate_leaf(ObjectId(0), rects[0]).unwrap();
+    assert!(t.plan_delete_at(leaf, ObjectId(0), rects[0]).is_some());
+    // Wrong rectangle, an internal page, a leaf holding other objects.
+    assert!(t
+        .plan_delete_at(leaf, ObjectId(0), r([0.5, 0.5], [0.6, 0.6]))
+        .is_none());
+    assert!(t.plan_delete_at(t.root(), ObjectId(0), rects[0]).is_none());
+    let other = t
+        .pages()
+        .find(|(pid, n)| n.is_leaf() && *pid != leaf)
+        .map(|(pid, _)| pid)
+        .unwrap();
+    assert!(t.plan_delete_at(other, ObjectId(0), rects[0]).is_none());
+}
+
+#[test]
 fn plan_insert_at_level_places_orphan_entries() {
     let mut t = RTree2::new(RTreeConfig::with_fanout(4), Rect::unit());
     for (i, rect) in gen_rects(100, 37).iter().enumerate() {

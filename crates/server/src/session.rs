@@ -2,7 +2,7 @@
 //! transaction/snapshot ownership, timeouts, and panic containment.
 
 use std::collections::HashMap;
-use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -66,7 +66,7 @@ impl FrameAccum {
         }
     }
 
-    fn step(&mut self, r: &mut TcpStream) -> ReadStep {
+    fn step(&mut self, r: &mut impl Read) -> ReadStep {
         loop {
             if self.body.is_none() {
                 if self.prefix_got < 4 {
@@ -136,11 +136,15 @@ struct Session<'a> {
 /// Serves one connection to completion. On any exit path the session's
 /// open transaction is aborted and its snapshots dropped.
 pub(crate) fn run(shared: &Shared, _id: u64, stream: TcpStream) {
-    let mut reader = match stream.try_clone() {
+    let reader = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
     let _ = reader.set_read_timeout(Some(poll_tick(&shared.cfg)));
+    // Buffered, so one `recv` normally carries a whole frame — prefix and
+    // body — instead of one call for each. A timed-out read loses no
+    // bytes: they wait in the buffer or in `FrameAccum`.
+    let mut reader = BufReader::new(reader);
     let _ = stream.set_nodelay(true);
     let mut writer = BufWriter::new(stream);
 
@@ -528,4 +532,64 @@ fn hits_response(hits: Vec<dgl_core::ScanHit>) -> Response {
         );
     }
     Response::Hits { hits }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A socket stand-in: each `read` delivers the next scripted chunk (cut
+    /// to the caller's buffer) or fails with the scripted error kind.
+    struct Script(VecDeque<Result<Vec<u8>, ErrorKind>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Ok(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn a_buffered_frame_survives_timeouts_anywhere_in_it() {
+        let (a, b) = (frame(b"first"), frame(b"second frame"));
+        let mut chunks: VecDeque<_> = VecDeque::new();
+        // Two frames in one chunk, then a frame split inside its prefix
+        // and inside its body, with a timeout at each cut.
+        chunks.push_back(Ok([a.clone(), b.clone()].concat()));
+        chunks.push_back(Ok(b[..2].to_vec()));
+        chunks.push_back(Err(ErrorKind::WouldBlock));
+        chunks.push_back(Ok(b[2..7].to_vec()));
+        chunks.push_back(Err(ErrorKind::TimedOut));
+        chunks.push_back(Ok(b[7..].to_vec()));
+        let mut reader = BufReader::new(Script(chunks));
+        let mut accum = FrameAccum::new();
+        let mut got = Vec::new();
+        loop {
+            match accum.step(&mut reader) {
+                ReadStep::Frame(body) => got.push(body),
+                ReadStep::Poll => got.push(b"poll".to_vec()),
+                ReadStep::Eof => break,
+                ReadStep::TooLarge(_) | ReadStep::Dead => panic!("stream corrupted"),
+            }
+        }
+        let want: Vec<&[u8]> = vec![b"first", b"second frame", b"poll", b"poll", b"second frame"];
+        assert_eq!(got, want);
+    }
 }
