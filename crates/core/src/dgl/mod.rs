@@ -155,23 +155,6 @@ pub struct DglConfig {
     /// as a hot spot. Strictly coarser than per-node external granules, so
     /// still sound; measurably less concurrent.
     pub coarse_external_granule: bool,
-    /// Consult the hash index on the point-access read paths
-    /// (`read_single`, snapshot point reads, and the leaf-locate step of
-    /// `delete`/`update_single`): a hit answers in O(1) with no tree
-    /// traversal. On by default. `false` is the reference side of
-    /// `prop_hashidx_differential`; not a supported mode: reads fall
-    /// back to the latched tree traversal, while writes keep maintaining
-    /// the index (it *is* the payload table, so the duplicate probe
-    /// always uses it).
-    #[doc(hidden)]
-    pub hash_reads: bool,
-    /// TESTING ONLY — deliberately omit the §3.3 growth-compensation
-    /// locks (the short IX on granules overlapping the grown region).
-    /// This recreates exactly the Figure 2(a) phantom and exists so the
-    /// test-suite can prove those locks are load-bearing. Never enable
-    /// outside tests.
-    #[doc(hidden)]
-    pub testing_skip_growth_compensation: bool,
 }
 
 impl Default for DglConfig {
@@ -184,8 +167,6 @@ impl Default for DglConfig {
             maintenance: MaintenanceConfig::default(),
             durability: DurabilityConfig::default(),
             coarse_external_granule: false,
-            hash_reads: true,
-            testing_skip_growth_compensation: false,
         }
     }
 }
@@ -341,8 +322,6 @@ pub(crate) struct DglCore {
     pub(crate) deferred_gate: Mutex<()>,
     pub(crate) policy: InsertPolicy,
     pub(crate) coarse_external: bool,
-    pub(crate) hash_reads: bool,
-    pub(crate) skip_growth_compensation: bool,
     /// The one telemetry sink — the same instance the lock manager
     /// reports into. Nothing here steers behaviour; state that does is a
     /// named field (`maint_failed`, `gc_pending`, `ckpt_pending`).
@@ -557,8 +536,6 @@ impl DglRTree {
             deferred_gate: Mutex::new(()),
             policy: config.policy,
             coarse_external: config.coarse_external_granule,
-            hash_reads: config.hash_reads,
-            skip_growth_compensation: config.testing_skip_growth_compensation,
             obs,
             maint_failed: AtomicBool::new(false),
             wal: OnceLock::new(),
@@ -1081,8 +1058,7 @@ impl DglCore {
     /// descending from the root. A stale hint degrades to a `locate_leaf`
     /// descent and is repaired; an absent slot is a definitive miss (the
     /// table is the authority on liveness — entries are published and
-    /// retired under the same latches/locks as the tree entry). With
-    /// `hash_reads` off this is exactly a `locate_leaf` descent. Caller
+    /// retired under the same latches/locks as the tree entry). Caller
     /// holds a tree latch.
     pub(crate) fn locate_entry(
         &self,
@@ -1090,10 +1066,6 @@ impl DglCore {
         oid: ObjectId,
         rect: Rect2,
     ) -> Option<(PageId, Option<u64>)> {
-        if !self.hash_reads {
-            let leaf = tree.locate_leaf(oid, rect)?;
-            return Some((leaf, tree.lookup_at(leaf, oid)?));
-        }
         match self.payloads.get(&oid, |s| (s.leaf, s.rect)) {
             None => {
                 debug_assert_eq!(

@@ -398,20 +398,18 @@ impl DglCore {
 
     /// Point read against snapshot timestamp `ts` — the payload version
     /// visible at `ts`, or `None` if the object did not exist then. No
-    /// lock-manager calls, and it never looks at the tree: the slot's
-    /// version chain (or the dead list) fully decides visibility.
+    /// lock-manager calls, no latch, and it never looks at the tree: the
+    /// slot's version chain (or the dead list) fully decides visibility.
     ///
-    /// With `hash_reads` on it takes no latch either. The one structural
-    /// transition that moves a chain — deferred physical deletion retiring
-    /// an object — pushes the dead-list copy *before* removing the index
-    /// entry, and this reader checks index first, dead list second, so
-    /// every interleaving finds the chain at least once (finding it twice
-    /// is harmless: both copies answer `visible_at(ts)` identically). A
-    /// retired-without-dead-copy object (`retire == false`) is only
-    /// possible when no registered snapshot predates the delete marker,
-    /// so this snapshot's `ts` sees the delete either way. The
-    /// `hash_reads: false` reference side holds the shared latch across
-    /// both lookups instead, which makes that transition atomic to it.
+    /// The one structural transition that moves a chain — deferred
+    /// physical deletion retiring an object — pushes the dead-list copy
+    /// *before* removing the index entry, and this reader checks index
+    /// first, dead list second, so every interleaving finds the chain at
+    /// least once (finding it twice is harmless: both copies answer
+    /// `visible_at(ts)` identically). A retired-without-dead-copy object
+    /// (`retire == false`) is only possible when no registered snapshot
+    /// predates the delete marker, so this snapshot's `ts` sees the delete
+    /// either way.
     pub(crate) fn snapshot_read_single(&self, ts: u64, oid: ObjectId) -> Option<u64> {
         assert!(
             ts <= self.clock.now(),
@@ -420,21 +418,18 @@ impl DglCore {
             self.clock.now()
         );
         self.obs.incr(Ctr::SnapshotPointReads);
-        let _latch = (!self.hash_reads).then(|| self.latch_shared());
         let t0 = Instant::now();
         let live = self
             .payloads
             .get(&oid, |s| s.chain.visible_at(ts))
             .flatten();
-        if self.hash_reads {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.obs.record(Hist::HashLookup, nanos);
-            self.obs.incr(if live.is_some() {
-                Ctr::HashHits
-            } else {
-                Ctr::HashMisses
-            });
-        }
+        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.obs.record(Hist::HashLookup, nanos);
+        self.obs.incr(if live.is_some() {
+            Ctr::HashHits
+        } else {
+            Ctr::HashMisses
+        });
         // Slot absent (physically removed), or present but with nothing
         // visible at `ts` (a delete/reinsert cycle whose older incarnation
         // may still be visible): consult the dead list. Several dead

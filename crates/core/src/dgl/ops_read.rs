@@ -23,8 +23,8 @@ impl DglCore {
     /// The lock is negotiated *before* the tree latch is taken: the object
     /// lock does not depend on tree structure (unlike scan granule locks),
     /// so the retry loop never holds — and, more importantly, never
-    /// re-acquires — the shared latch. Only the final lookup, after the
-    /// lock is granted, latches the tree, once.
+    /// re-acquires — the shared latch. The answer, once the lock is
+    /// granted, comes from the hash index without a latch at all.
     pub(crate) fn read_single_op(
         &self,
         txn: TxnId,
@@ -40,51 +40,44 @@ impl DglCore {
             self.obs.incr(Ctr::OpRetries);
             self.wait_or_abort(txn, res, mode, dur)?;
         }
-        if self.hash_reads {
-            // Hash fast path: no latch, no traversal. Under the
-            // commit-duration object S lock the slot is stable — an
-            // inserter publishes the tree entry and the slot together
-            // under its X lock and exclusive latch, a deleter's tombstone
-            // shows up as the chain's delete-marker head, and deferred
-            // physical deletion (which removes the slot) only runs after
-            // the deleter committed, i.e. never while we hold S. The
-            // index is the payload table, so slot-absent is an
-            // authoritative "no such object" — matching rect included:
-            // rects are immutable for a live object, so a rect mismatch
-            // means the exact (oid, rect) pair is not in the tree.
-            let t0 = std::time::Instant::now();
-            let answer = self
-                .payloads
-                .get(&oid, |slot| {
-                    if slot.rect == rect {
-                        slot.chain.current()
-                    } else {
-                        None
-                    }
-                })
-                .flatten();
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.obs.record(Hist::HashLookup, nanos);
-            self.obs.incr(Ctr::HashHits);
-            // Differential check (debug builds): the traversal path must
-            // agree with the index — mid-condensation too, since the
-            // latched lookup sees in-flight orphans.
-            debug_assert_eq!(
-                answer,
-                self.read_single_via_tree(oid, rect),
-                "hash fast path diverged from the tree path for {oid}"
-            );
-            self.end_op(txn);
-            return Ok(answer);
-        }
-        let answer = self.read_single_via_tree(oid, rect);
+        // The index answers: no latch, no traversal. Under the
+        // commit-duration object S lock the slot is stable — an inserter
+        // publishes the tree entry and the slot together under its X lock
+        // and exclusive latch, a deleter's tombstone shows up as the
+        // chain's delete-marker head, and deferred physical deletion (which
+        // removes the slot) only runs after the deleter committed, i.e.
+        // never while we hold S. The index is the payload table, so
+        // slot-absent is an authoritative "no such object" — matching rect
+        // included: rects are immutable for a live object, so a rect
+        // mismatch means the exact (oid, rect) pair is not in the tree.
+        let t0 = std::time::Instant::now();
+        let answer = self
+            .payloads
+            .get(&oid, |slot| {
+                if slot.rect == rect {
+                    slot.chain.current()
+                } else {
+                    None
+                }
+            })
+            .flatten();
+        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.obs.record(Hist::HashLookup, nanos);
+        self.obs.incr(Ctr::HashHits);
+        // Differential check (debug builds): the traversal path must agree
+        // with the index — mid-condensation too, since the latched lookup
+        // sees in-flight orphans.
+        debug_assert_eq!(
+            answer,
+            self.read_single_via_tree(oid, rect),
+            "hash fast path diverged from the tree path for {oid}"
+        );
         self.end_op(txn);
         Ok(answer)
     }
 
-    /// ReadSingle's answer by tree lookup (one latch hold): the
-    /// `hash_reads: false` reference path, and the debug cross-check of
-    /// the fast path. Caller holds the object lock.
+    /// ReadSingle's answer by tree lookup (one latch hold): the debug
+    /// cross-check of the index path. Caller holds the object lock.
     fn read_single_via_tree(&self, oid: ObjectId, rect: Rect2) -> Option<u64> {
         let state = self.latch_shared().lookup(oid, rect);
         match state {

@@ -282,14 +282,14 @@ impl DglCore {
         // §3.3/§3.4: short IX on granules overlapping the object (base
         // policy) or overlapping the region the granule grows into
         // (modified policy, growth only — splits are covered by SIX).
-        let overlap_queries: Option<Vec<Rect2>> = if self.skip_growth_compensation {
-            None // TESTING ONLY: recreate the Figure 2(a) phantom.
-        } else {
-            match self.policy {
-                InsertPolicy::Base => Some(vec![plan.rect]),
-                InsertPolicy::Modified if plan.grows => Some(plan.growth.clone()),
-                InsertPolicy::Modified => None,
-            }
+        let overlap_queries: Option<Vec<Rect2>> = match self.policy {
+            // TESTING ONLY failpoint: omit these locks to recreate the
+            // Figure 2(a) phantom — the negative control that proves them
+            // load-bearing. Compiles to `false` in release builds.
+            _ if dgl_faults::fired!("dgl/skip-growth-compensation") => None,
+            InsertPolicy::Base => Some(vec![plan.rect]),
+            InsertPolicy::Modified if plan.grows => Some(plan.growth.clone()),
+            InsertPolicy::Modified => None,
         };
         if let Some(queries) = overlap_queries {
             let set = overlapping_granules(tree, &queries);

@@ -221,20 +221,6 @@ fn stress_predicate_locking() {
 }
 
 #[test]
-fn stress_dgl_with_rstar_split() {
-    // The protocol is split-algorithm agnostic (granules are leaf BRs
-    // either way); run the stress mix over the R*-tree split.
-    use dgl_core::DglConfig;
-    use dgl_rtree::SplitAlgorithm;
-    let db = dgl_core::DglRTree::new(DglConfig {
-        rtree: RTreeConfig::with_fanout(6).with_split(SplitAlgorithm::RStar),
-        lock: lock_config(5_000),
-        ..Default::default()
-    });
-    stress(Arc::new(db), 4, 50);
-}
-
-#[test]
 fn stress_dgl_coarse_external_granule() {
     // The rejected single-external-granule design must remain correct
     // (it is strictly coarser), just slower.

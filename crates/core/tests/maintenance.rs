@@ -224,60 +224,55 @@ fn background_commit_defers_physical_deletion() {
     db.commit(t3).unwrap();
 }
 
-/// The one-driver wedge (ROADMAP 0(a), ISSUE 20): a delete is committed;
-/// the worker's system operation takes the gate and queues its SIX on
+/// The one-driver wedge (ROADMAP 0(a)): a delete is committed; the
+/// worker's system operation takes the gate and queues its SIX on
 /// ext(root) behind the driver's open scanner; the driver reads through a
-/// snapshot. When snapshot reads took the gate shared, the `hash_reads:
-/// false` point read (and any snapshot scan) parked behind the worker,
-/// which was waiting for the driver's own lock — one thread, asleep for
-/// good, outside every lock table. Same shape as
-/// [`background_commit_defers_physical_deletion`], so the order is given
-/// by the lock conflict itself, not by a delay.
+/// snapshot. When snapshot reads took the gate shared, a snapshot scan
+/// parked behind the worker, which was waiting for the driver's own
+/// lock — one thread, asleep for good, outside every lock table. Same
+/// shape as [`background_commit_defers_physical_deletion`], so the order
+/// is given by the lock conflict itself, not by a delay.
 #[test]
 fn snapshot_reads_by_a_lock_holder_cannot_wedge_behind_the_worker() {
-    for hash_reads in [true, false] {
-        let db = Arc::new(DglRTree::new(DglConfig {
-            rtree: RTreeConfig::with_fanout(4),
-            maintenance: MaintenanceConfig {
-                mode: MaintenanceMode::Background,
-                ..Default::default()
-            },
-            hash_reads,
+    let db = Arc::new(DglRTree::new(DglConfig {
+        rtree: RTreeConfig::with_fanout(4),
+        maintenance: MaintenanceConfig {
+            mode: MaintenanceMode::Background,
             ..Default::default()
-        }));
-        let (victim, vrect) = two_corner_clusters(&db);
-        let dump = {
-            let db = Arc::clone(&db);
-            move || db.merged_locktable_dump()
-        };
-        let driver = Arc::clone(&db);
-        within_deadline(dump, move || {
-            let db = driver;
-            let scanner = db.begin();
-            assert!(db.read_scan(scanner, EMPTY_MIDDLE).unwrap().is_empty());
-            let t2 = db.begin();
-            assert!(db.delete(t2, victim, vrect).unwrap());
-            db.commit(t2).unwrap();
-            // The worker holds the gate and waits for the scanner's lock.
-            wait_until(|| db.lock_manager().waiter_count() == 1);
-            assert_eq!(
-                db.begin_snapshot().read_single(victim),
-                None,
-                "hash_reads={hash_reads}: the delete is committed and stamped"
-            );
-            assert_eq!(db.begin_snapshot().read_single(ObjectId(0)), Some(1));
-            assert_eq!(
-                ids(&db.begin_snapshot().read_scan(Rect2::unit())),
-                (0..9).collect::<Vec<u64>>(),
-                "hash_reads={hash_reads}"
-            );
-            db.commit(scanner).unwrap();
-            db.quiesce().expect("quiesce");
-        });
-        assert_eq!(db.obs().ctr(Ctr::LockTimeouts), 0);
-        assert_eq!(db.len(), 9, "deletion applied after quiesce");
-        db.validate().unwrap();
-    }
+        },
+        ..Default::default()
+    }));
+    let (victim, vrect) = two_corner_clusters(&db);
+    let dump = {
+        let db = Arc::clone(&db);
+        move || db.merged_locktable_dump()
+    };
+    let driver = Arc::clone(&db);
+    within_deadline(dump, move || {
+        let db = driver;
+        let scanner = db.begin();
+        assert!(db.read_scan(scanner, EMPTY_MIDDLE).unwrap().is_empty());
+        let t2 = db.begin();
+        assert!(db.delete(t2, victim, vrect).unwrap());
+        db.commit(t2).unwrap();
+        // The worker holds the gate and waits for the scanner's lock.
+        wait_until(|| db.lock_manager().waiter_count() == 1);
+        assert_eq!(
+            db.begin_snapshot().read_single(victim),
+            None,
+            "the delete is committed and stamped"
+        );
+        assert_eq!(db.begin_snapshot().read_single(ObjectId(0)), Some(1));
+        assert_eq!(
+            ids(&db.begin_snapshot().read_scan(Rect2::unit())),
+            (0..9).collect::<Vec<u64>>()
+        );
+        db.commit(scanner).unwrap();
+        db.quiesce().expect("quiesce");
+    });
+    assert_eq!(db.obs().ctr(Ctr::LockTimeouts), 0);
+    assert_eq!(db.len(), 9, "deletion applied after quiesce");
+    db.validate().unwrap();
 }
 
 /// Transaction ids are sequential and shared with the worker's *system*

@@ -300,90 +300,3 @@ fn figure_1_disjoint_ops_in_uncovered_space_are_concurrent() {
     .unwrap();
     db.validate().unwrap();
 }
-
-/// Mutation test: WITHOUT the §3.3 growth-compensation locks, the exact
-/// Figure 2(a) interleaving produces the phantom — proving those locks
-/// are load-bearing, not ceremonial. (Uses the doc(hidden)
-/// `testing_skip_growth_compensation` switch; never enable it for real.)
-#[test]
-fn figure_2a_phantom_appears_without_growth_compensation() {
-    use dgl_core::DglConfig;
-    let db = Arc::new(DglRTree::new(DglConfig {
-        rtree: dgl_rtree::RTreeConfig::with_fanout(6),
-        lock: common::lock_config(5_000),
-        testing_skip_growth_compensation: true,
-        ..Default::default()
-    }));
-    // A tight left cluster and a spread-out right cluster: the right
-    // granule's larger own area makes growing it the least-enlargement
-    // choice for the spanning insert below (asserted, so drift in the
-    // split heuristics surfaces as a setup failure, not a silent pass).
-    let t = db.begin();
-    let mut oid = 0;
-    for i in 0..5 {
-        let o = 0.002 * f64::from(i);
-        db.insert(
-            t,
-            ObjectId(oid),
-            r([0.05 + o, 0.05 + o], [0.06 + o, 0.06 + o]),
-        )
-        .unwrap();
-        oid += 1;
-        let p = 0.05 * f64::from(i);
-        db.insert(
-            t,
-            ObjectId(oid),
-            r([0.6 + p, 0.6 + p], [0.63 + p, 0.63 + p]),
-        )
-        .unwrap();
-        oid += 1;
-    }
-    db.commit(t).unwrap();
-    let mut leaves: Vec<Rect2> = db.with_tree(|tree| {
-        tree.pages()
-            .filter(|(_, n)| n.is_leaf())
-            .filter_map(|(_, n)| n.mbr())
-            .collect()
-    });
-    leaves.sort_by(|a, b| a.lo[0].total_cmp(&b.lo[0]));
-    let (left, right) = (leaves[0], *leaves.last().unwrap());
-    assert!(!left.intersects(&right), "clusters must separate");
-
-    let r3 = Rect2::new(
-        [left.lo[0] + 0.0005, left.lo[1] + 0.0005],
-        [left.hi[0] - 0.0005, left.hi[1] - 0.0005],
-    );
-    let t1 = db.begin();
-    let before = ids(&db.read_scan(t1, r3).unwrap());
-    assert!(!before.is_empty());
-
-    // The growth insert reaches from inside R3 into the right granule.
-    let r4 = Rect2::new(
-        [r3.hi[0] - 0.001, r3.hi[1] - 0.001],
-        [right.hi[0] - 0.001, right.hi[1] - 0.001],
-    );
-    // Setup check: ChooseLeaf must pick the right granule, so the broken
-    // protocol takes no lock that conflicts with T1's S on the left one.
-    db.with_tree(|tree| {
-        let plan = tree.plan_insert(r4);
-        let target_mbr = tree.peek_node(plan.target).mbr().unwrap();
-        assert_eq!(
-            target_mbr, right,
-            "scenario requires the insert to grow the RIGHT granule"
-        );
-        assert!(plan.grows);
-    });
-
-    let t2 = db.begin();
-    db.insert(t2, ObjectId(1000), r4)
-        .expect("broken variant must not block");
-    db.commit(t2).unwrap();
-
-    let after = ids(&db.read_scan(t1, r3).unwrap());
-    assert_ne!(
-        after, before,
-        "the broken variant must exhibit the Figure 2(a) phantom"
-    );
-    assert!(after.contains(&1000));
-    db.commit(t1).unwrap();
-}

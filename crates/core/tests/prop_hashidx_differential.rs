@@ -1,11 +1,24 @@
-//! Property-based differential test for the hash index: two identical
-//! DGL trees — one answering point reads through the striped hash index,
-//! one through tree traversal — are driven through the same random
-//! serial history of inserts, deletes, updates, aborts, snapshot point
-//! reads and version-GC passes. Every operation must return the same
-//! answer on both, and at every quiesce point `validate()` re-checks the
-//! index against the tree entry-by-entry (slot count, leaf hint, rect,
-//! and `locate_leaf` agreement).
+//! Property-based differential test for the hash index. One DGL tree is
+//! driven through a random serial history of inserts, deletes, updates,
+//! aborts, point reads, snapshot point reads and version-GC passes, and
+//! every answer the index gives is checked against a reference that finds
+//! the object without it:
+//!
+//! * a `ReadSingle` against the locking `read_scan` of the probed
+//!   rectangle in the same transaction, filtered to the probed object and
+//!   rectangle;
+//! * a `Delete` or `UpdateSingle` (which locate the entry from the slot's
+//!   leaf hint) against the same scan, taken just before it;
+//! * a `SnapshotRead` against the same snapshot's `read_scan`, filtered
+//!   the same way.
+//!
+//! Both scans reach an object through the tree (a snapshot scan also
+//! through the in-flight orphans and the dead list); the index only
+//! supplies the version of an object they found. Fanout 4 has a minimum
+//! fill of 1, so a condensation orphans nothing and no window hides a
+//! committed object from the locking scan. At every quiesce point
+//! `validate()` re-checks the index against the tree entry-by-entry (slot
+//! count, leaf hint, rect, and `locate_leaf` agreement).
 //!
 //! The offline proptest shim does not replay `.proptest-regressions`
 //! files, so interesting histories are additionally pinned as explicit
@@ -26,7 +39,7 @@ use std::time::Duration;
 use common::{wait_until, within_deadline};
 use dgl_core::{
     DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, ObjectId, Rect2,
-    TransactionalRTree, TxnError,
+    TransactionalRTree, TxnError, TxnId,
 };
 use dgl_obs::Ctr;
 use dgl_rtree::RTreeConfig;
@@ -36,16 +49,21 @@ use proptest::prelude::*;
 enum Step {
     Insert(u8),
     Delete(u8),
-    ReadSingle(u8),
+    /// Point read of object `.0` probed with the rectangle of key `.1`
+    /// (its own when the two agree).
+    ReadSingle(u8, u8),
     UpdateSingle(u8),
+    /// Point read at the snapshot held since the previous `SnapshotRead`
+    /// (which may predate deletions since moved to the dead list) and at a
+    /// fresh one, which is then held in its place.
     SnapshotRead(u8),
     Commit,
     Abort,
     /// Commit, drain maintenance (deferred physical deletions), run a
     /// version-GC pass, and cross-check index against tree.
     QuiesceAndCheck,
-    /// Fixed seeds only: wait until each side's worker is parked in a
-    /// lock wait (so its system operation holds the gate).
+    /// Fixed seeds only: wait until the worker is parked in a lock wait
+    /// (so its system operation holds the gate).
     AwaitBlockedWorker,
 }
 
@@ -53,7 +71,8 @@ fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         5 => (0..20u8).prop_map(Step::Insert),
         3 => (0..20u8).prop_map(Step::Delete),
-        3 => (0..20u8).prop_map(Step::ReadSingle),
+        3 => (0..20u8).prop_map(|k| Step::ReadSingle(k, k)),
+        1 => (0..20u8, 0..20u8).prop_map(|(k, at)| Step::ReadSingle(k, at)),
         3 => (0..20u8).prop_map(Step::UpdateSingle),
         2 => (0..20u8).prop_map(Step::SnapshotRead),
         2 => Just(Step::Commit),
@@ -64,13 +83,14 @@ fn arb_step() -> impl Strategy<Value = Step> {
 
 /// Every key always carries the same rectangle, so no per-history rect
 /// bookkeeping is needed — delete/read probes always use the true rect.
+/// No two keys' rectangles meet, so a scan of one finds no other.
 fn rect_for(k: u8) -> Rect2 {
     let x = f64::from(k % 5) * 0.19;
     let y = f64::from(k / 5) * 0.21;
     Rect2::new([x, y], [x + 0.06, y + 0.06])
 }
 
-fn db(hash_reads: bool) -> DglRTree {
+fn db() -> DglRTree {
     DglRTree::new(DglConfig {
         rtree: RTreeConfig::with_fanout(4),
         world: Rect2::unit(),
@@ -79,57 +99,44 @@ fn db(hash_reads: bool) -> DglRTree {
             mode: MaintenanceMode::Background,
             ..Default::default()
         },
-        hash_reads,
         ..Default::default()
     })
 }
 
-/// Quiesce, GC, validate — and prove the two sides really differ: the
-/// hash-on tree has consulted the index once the history has point-read
-/// a live object (`read_live`), the hash-off reference never has.
-fn check(db: &DglRTree, hash_reads: bool, read_live: bool, i: usize) -> Result<(), TestCaseError> {
-    let label = if hash_reads { "hash-on" } else { "hash-off" };
+/// Quiesce, GC, validate — and prove the index really answered: once the
+/// history has point-read a live object (`read_live`) it has been
+/// consulted.
+fn check(db: &DglRTree, read_live: bool, i: usize) -> Result<(), TestCaseError> {
     db.quiesce()
-        .map_err(|e| TestCaseError::fail(format!("{label} step {i}: quiesce: {e}")))?;
+        .map_err(|e| TestCaseError::fail(format!("step {i}: quiesce: {e}")))?;
     db.dispatch_version_gc();
     db.quiesce()
-        .map_err(|e| TestCaseError::fail(format!("{label} step {i}: gc quiesce: {e}")))?;
+        .map_err(|e| TestCaseError::fail(format!("step {i}: gc quiesce: {e}")))?;
     db.validate()
-        .map_err(|e| TestCaseError::fail(format!("{label} step {i}: validate: {e}")))?;
+        .map_err(|e| TestCaseError::fail(format!("step {i}: validate: {e}")))?;
     // With nothing pinned the pass above left no garbage behind.
     let stats = db.mvcc_stats();
     if stats.active_snapshots == 0 {
         prop_assert_eq!(
             stats.live_versions,
             stats.live_chains as u64,
-            "{} step {}: {:?}",
-            label,
+            "step {}: {:?}",
             i,
             stats
         );
     }
-    let obs = db.obs().snapshot();
-    let (hits, misses) = (obs.ctr(Ctr::HashHits), obs.ctr(Ctr::HashMisses));
-    if hash_reads {
-        prop_assert!(
-            hits > 0 || !read_live,
-            "{} step {}: point read of a live object never consulted the index",
-            label,
-            i
-        );
-    } else {
-        prop_assert_eq!(hits + misses, 0, "{} step {}: index consulted", label, i);
-    }
+    prop_assert!(
+        db.obs().snapshot().ctr(Ctr::HashHits) > 0 || !read_live,
+        "step {}: point read of a live object never consulted the index",
+        i
+    );
     Ok(())
 }
 
 /// What a wedged tree can say for itself, in registry metric names.
-fn wedge_report(label: &str, db: &DglRTree) -> String {
+fn wedge_report(db: &DglRTree) -> String {
     let snap = db.obs().snapshot();
-    let mut out = format!(
-        "--- {label}: maintenance_backlog={}\n",
-        db.maintenance_backlog()
-    );
+    let mut out = format!("--- maintenance_backlog={}\n", db.maintenance_backlog());
     for c in Ctr::ALL {
         if c.name().starts_with("maint_") || matches!(c, Ctr::VersionGcRuns | Ctr::SnapshotBegins) {
             out.push_str(&format!("{}={}\n", c.name(), snap.ctr(c)));
@@ -139,148 +146,161 @@ fn wedge_report(label: &str, db: &DglRTree) -> String {
     out
 }
 
-/// Runs [`drive`] under the hard deadline; on expiry both trees'
-/// [`wedge_report`]s are printed with the history.
+/// Runs [`drive`] under the hard deadline; on expiry the tree's
+/// [`wedge_report`] is printed with the history.
 fn run_differential(steps: &[Step]) -> Result<(), TestCaseError> {
-    let on = Arc::new(db(true));
-    let off = Arc::new(db(false));
+    let db = Arc::new(db());
     let report = {
-        let (on, off, steps) = (Arc::clone(&on), Arc::clone(&off), steps.to_vec());
-        move || {
-            format!(
-                "{}\n{}\nhistory: {steps:?}",
-                wedge_report("hash-on", &on),
-                wedge_report("hash-off", &off)
-            )
-        }
+        let (db, steps) = (Arc::clone(&db), steps.to_vec());
+        move || format!("{}\nhistory: {steps:?}", wedge_report(&db))
     };
     let steps = steps.to_vec();
-    within_deadline(report, move || drive(&on, &off, &steps))
+    within_deadline(report, move || drive(&db, &steps))
 }
 
-/// Compares one step's answers. `Ok(true)` means a side lost its
-/// transaction — a user transaction may legitimately lose a deadlock (or
-/// time out) to a system operation of its own slow worker, on one side
-/// only — and both sides must start afresh: the differential is over
-/// committed state.
+/// The reference answer for `(oid, rect)`: the locking scan of `rect`,
+/// filtered to the object and rectangle.
+fn scan_key(
+    db: &DglRTree,
+    txn: TxnId,
+    oid: ObjectId,
+    rect: Rect2,
+) -> Result<Option<u64>, TxnError> {
+    Ok(db
+        .read_scan(txn, rect)?
+        .into_iter()
+        .find(|h| h.oid == oid && h.rect == rect)
+        .map(|h| h.version))
+}
+
+/// Compares one step's answer with its reference. `Ok(true)` means the
+/// step cost the driver its transaction — a user transaction may
+/// legitimately lose a deadlock (or time out) to a system operation of its
+/// own background worker — and the history continues in a fresh one.
 fn settle<T: PartialEq + std::fmt::Debug>(
-    a: Result<T, TxnError>,
-    b: Result<T, TxnError>,
+    r: Result<(T, T), TxnError>,
     ctx: &str,
 ) -> Result<bool, TestCaseError> {
-    let lost = |r: &Result<T, TxnError>| matches!(r, Err(TxnError::Deadlock | TxnError::Timeout));
-    if lost(&a) || lost(&b) {
-        return Ok(true);
+    match r {
+        Err(TxnError::Deadlock | TxnError::Timeout) => Ok(true),
+        Err(e) => Err(TestCaseError::fail(format!("{ctx}: {e}"))),
+        Ok((answer, reference)) => {
+            prop_assert_eq!(answer, reference, "{}", ctx);
+            Ok(false)
+        }
     }
-    prop_assert_eq!(a, b, "{}", ctx);
-    Ok(false)
 }
 
-/// Drives both trees through `steps`, asserting identical answers, then
-/// cross-checks index against tree on both at the end.
-fn drive(on: &DglRTree, off: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
-    let mut t_on = on.begin();
-    let mut t_off = off.begin();
+/// Drives the tree through `steps`, checking every point access against
+/// its reference, then cross-checks index against tree at the end.
+fn drive(db: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
+    let mut t = db.begin();
     let mut read_live = false;
+    let mut held = None;
     for (i, step) in steps.iter().enumerate() {
         let ctx = format!("step {i}: {step:?}");
         let key = |k: u8| (ObjectId(u64::from(k)), rect_for(k));
-        // Whether the step ended both transactions (or cost one side its
-        // own): the next step then runs in fresh ones.
+        // Whether the step ended the transaction (or cost the driver its
+        // own): the next step then runs in a fresh one.
         let restart = match *step {
             Step::Insert(k) => {
                 let (oid, rect) = key(k);
-                settle(
-                    on.insert(t_on, oid, rect),
-                    off.insert(t_off, oid, rect),
-                    &ctx,
-                )?
+                let r = match db.insert(t, oid, rect) {
+                    // A duplicate is an answer, not a lost transaction.
+                    Err(TxnError::DuplicateObject) => Ok(()),
+                    r => r,
+                };
+                settle(r.map(|()| ((), ())), &ctx)?
             }
             Step::Delete(k) => {
                 let (oid, rect) = key(k);
-                settle(
-                    on.delete(t_on, oid, rect),
-                    off.delete(t_off, oid, rect),
-                    &ctx,
-                )?
+                let r = scan_key(db, t, oid, rect)
+                    .and_then(|found| Ok((db.delete(t, oid, rect)?, found.is_some())));
+                settle(r, &ctx)?
             }
-            Step::ReadSingle(k) => {
-                let (oid, rect) = key(k);
-                let a = on.read_single(t_on, oid, rect);
-                read_live |= matches!(a, Ok(Some(_)));
-                settle(a, off.read_single(t_off, oid, rect), &ctx)?
+            Step::ReadSingle(k, at) => {
+                let (oid, rect) = (ObjectId(u64::from(k)), rect_for(at));
+                let r = db
+                    .read_single(t, oid, rect)
+                    .and_then(|answer| Ok((answer, scan_key(db, t, oid, rect)?)));
+                read_live |= matches!(r, Ok((Some(_), _)));
+                settle(r, &ctx)?
             }
             Step::UpdateSingle(k) => {
                 let (oid, rect) = key(k);
-                settle(
-                    on.update_single(t_on, oid, rect),
-                    off.update_single(t_off, oid, rect),
-                    &ctx,
-                )?
+                let r = scan_key(db, t, oid, rect)
+                    .and_then(|found| Ok((db.update_single(t, oid, rect)?, found.is_some())));
+                settle(r, &ctx)?
             }
             Step::SnapshotRead(k) => {
-                // Latchless hash point read vs latched reference read,
-                // both at "now": committed state only, so the answers
-                // agree no matter what the open transactions have pending
-                // or what the worker is in the middle of.
-                let a = on.begin_snapshot().read_single(ObjectId(u64::from(k)));
-                let b = off.begin_snapshot().read_single(ObjectId(u64::from(k)));
-                prop_assert_eq!(a, b, "{}", ctx);
+                // Committed state only, so the answers agree no matter
+                // what the open transaction has pending or what the worker
+                // is in the middle of.
+                let (oid, rect) = key(k);
+                let fresh = db.begin_snapshot();
+                for snap in held.iter().chain([&fresh]) {
+                    let found: Vec<u64> = snap
+                        .read_scan(rect)
+                        .into_iter()
+                        .filter(|h| h.oid == oid)
+                        .map(|h| h.version)
+                        .collect();
+                    prop_assert!(found.len() <= 1, "{}: {:?} at once", ctx, found);
+                    prop_assert_eq!(
+                        snap.read_single(oid),
+                        found.first().copied(),
+                        "{} at ts {}",
+                        ctx,
+                        snap.ts()
+                    );
+                }
+                held = Some(fresh);
                 false
             }
             Step::Commit => {
-                on.commit(t_on).unwrap();
-                off.commit(t_off).unwrap();
+                db.commit(t).unwrap();
                 true
             }
             Step::Abort => true,
             Step::AwaitBlockedWorker => {
-                for db in [on, off] {
-                    wait_until(|| db.lock_manager().waiter_count() == 1);
-                }
+                wait_until(|| db.lock_manager().waiter_count() == 1);
                 false
             }
             Step::QuiesceAndCheck => {
-                on.commit(t_on).unwrap();
-                off.commit(t_off).unwrap();
-                check(on, true, read_live, i)?;
-                check(off, false, read_live, i)?;
+                db.commit(t).unwrap();
+                check(db, read_live, i)?;
                 true
             }
         };
         if restart {
             // Whatever is still active rolls back (a committed or
             // already-rolled-back id answers `NotActive`).
-            on.abort(t_on).ok();
-            off.abort(t_off).ok();
-            t_on = on.begin();
-            t_off = off.begin();
+            db.abort(t).ok();
+            t = db.begin();
         }
     }
-    on.abort(t_on).ok();
-    off.abort(t_off).ok();
-    check(on, true, read_live, steps.len())?;
-    check(off, false, read_live, steps.len())?;
-    // Final committed contents agree between the two configurations.
-    let t = on.begin();
-    let mut a: Vec<(u64, u64)> = on
+    db.abort(t).ok();
+    drop(held);
+    check(db, read_live, steps.len())?;
+    // The final committed contents, read through the tree, are exactly
+    // what the index answers for every key.
+    let t = db.begin();
+    let mut scanned: Vec<(u64, u64)> = db
         .read_scan(t, Rect2::unit())
         .unwrap()
         .into_iter()
         .map(|h| (h.oid.0, h.version))
         .collect();
-    on.commit(t).unwrap();
-    let t = off.begin();
-    let mut b: Vec<(u64, u64)> = off
-        .read_scan(t, Rect2::unit())
-        .unwrap()
-        .into_iter()
-        .map(|h| (h.oid.0, h.version))
-        .collect();
-    off.commit(t).unwrap();
-    a.sort_unstable();
-    b.sort_unstable();
-    prop_assert_eq!(a, b, "final committed state");
+    let mut indexed = Vec::new();
+    for k in 0..20u8 {
+        let (oid, rect) = (ObjectId(u64::from(k)), rect_for(k));
+        if let Some(version) = db.read_single(t, oid, rect).unwrap() {
+            indexed.push((oid.0, version));
+        }
+    }
+    db.commit(t).unwrap();
+    scanned.sort_unstable();
+    prop_assert_eq!(indexed, scanned, "final committed state");
     Ok(())
 }
 
@@ -297,7 +317,9 @@ proptest! {
 
 /// Fixed seed: insert, delete, then GC with a snapshot-visible chain —
 /// exercises the dead-list handoff ordering of the deferred physical
-/// deletion (chain cloned to the dead list before the slot is removed).
+/// deletion (chain cloned to the dead list before the slot is removed):
+/// the snapshot taken at the first `SnapshotRead(2)` still sees object 2
+/// after its deletion is applied, through the dead list alone.
 #[test]
 fn fixed_seed_delete_then_gc_keeps_snapshot_answers_aligned() {
     use Step::*;
@@ -321,7 +343,8 @@ fn fixed_seed_delete_then_gc_keeps_snapshot_answers_aligned() {
 
 /// Fixed seed: aborted inserts and updates must leave no stray slots
 /// behind (rollback removes the slot an insert published and pops the
-/// version an update pushed).
+/// version an update pushed); a live object probed with another key's
+/// rectangle is not there.
 #[test]
 fn fixed_seed_aborts_leave_no_stray_slots() {
     use Step::*;
@@ -331,13 +354,14 @@ fn fixed_seed_aborts_leave_no_stray_slots() {
         Insert(8),
         UpdateSingle(7),
         Abort,
-        ReadSingle(7),
-        ReadSingle(8),
+        ReadSingle(7, 7),
+        ReadSingle(7, 8),
+        ReadSingle(8, 8),
         Insert(8),
         QuiesceAndCheck,
         Delete(7),
         Abort,
-        ReadSingle(7),
+        ReadSingle(7, 7),
         QuiesceAndCheck,
     ];
     run_differential(&steps).unwrap();
@@ -356,8 +380,8 @@ fn fixed_seed_root_shrink_refreshes_leaf_hints() {
     // tree back to a single (root) leaf.
     steps.extend((2..10u8).map(Delete));
     steps.push(QuiesceAndCheck);
-    steps.push(ReadSingle(0));
-    steps.push(ReadSingle(1));
+    steps.push(ReadSingle(0, 0));
+    steps.push(ReadSingle(1, 1));
     run_differential(&steps).unwrap();
 }
 
@@ -378,20 +402,21 @@ fn fixed_seed_split_churn_keeps_leaf_hints_fresh() {
     steps.push(QuiesceAndCheck);
     for k in (0..20u8).step_by(2) {
         steps.push(Insert(k));
-        steps.push(ReadSingle(k.wrapping_add(1) % 20));
+        let next = k.wrapping_add(1) % 20;
+        steps.push(ReadSingle(next, next));
     }
     steps.push(QuiesceAndCheck);
     run_differential(&steps).unwrap();
 }
 
-/// Fixed seed (ROADMAP 0(a), ISSUE 20): a delete is committed while the
-/// background worker is slow to pick it up; by the time its system
-/// operation takes the gate, the driver's open transaction holds S on the
-/// granule it needs (a delete of an absent key locks like a scan), so the
-/// worker waits, gate held; once it does, the driver reads through a
-/// snapshot on both sides. When snapshot reads took the gate shared, the hash-off
-/// side parked here behind a worker that was waiting for the driver's own
-/// lock — the wedge the deadline above was added to report.
+/// Fixed seed (ROADMAP 0(a)): a delete is committed while the background
+/// worker is slow to pick it up; by the time its system operation takes
+/// the gate, the driver's open transaction holds S on the granule it needs
+/// (a delete of an absent key locks like a scan), so the worker waits,
+/// gate held; once it does, the driver reads through a snapshot. When
+/// snapshot reads took the gate shared, a snapshot read parked here
+/// behind a worker that was waiting for the driver's own lock — the wedge
+/// the deadline above was added to report.
 #[test]
 fn fixed_seed_slow_worker_cannot_wedge_a_snapshot_read() {
     use Step::*;
@@ -409,7 +434,7 @@ fn fixed_seed_slow_worker_cannot_wedge_a_snapshot_read() {
         AwaitBlockedWorker,
         SnapshotRead(2),
         SnapshotRead(1),
-        ReadSingle(2),
+        ReadSingle(2, 2),
         Commit,
         QuiesceAndCheck,
     ];

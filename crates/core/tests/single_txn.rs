@@ -307,25 +307,27 @@ fn interleaved_insert_delete_same_txn() {
     });
 }
 
-/// Compile-time pin of the configuration surface: `DglConfig` has nine
-/// fields and `DurabilityConfig` two. A new field breaks this pattern, so
-/// a mode cannot arrive unseen — say in the PR what it forks and what
-/// deletes it again.
+/// Compile-time pin of the configuration surface: `DglConfig` has seven
+/// fields, `DurabilityConfig` two and `RTreeConfig` two. A new field breaks
+/// this pattern, so a mode cannot arrive unseen — say in the PR what it
+/// forks and what deletes it again.
 #[test]
 fn config_field_sets_are_pinned() {
     let dgl_core::DglConfig {
-        rtree: _,
+        rtree,
         world: _,
         policy: _,
         lock: _,
         maintenance: _,
         durability,
         coarse_external_granule: _,
-        hash_reads: _,
-        testing_skip_growth_compensation: _,
     } = dgl_core::DglConfig::default();
     let dgl_core::DurabilityConfig {
         sync: _,
         checkpoint_threshold: _,
     } = durability;
+    let dgl_rtree::RTreeConfig {
+        max_entries: _,
+        min_entries: _,
+    } = rtree;
 }

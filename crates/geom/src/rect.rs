@@ -97,11 +97,6 @@ impl<const D: usize> Rect<D> {
         (0..D).map(|d| self.extent(d)).product()
     }
 
-    /// Sum of extents (the "margin" used by R*-tree style heuristics).
-    pub fn margin(&self) -> f64 {
-        (0..D).map(|d| self.extent(d)).sum()
-    }
-
     /// Whether `self` and `other` intersect (closed-interval semantics:
     /// touching rectangles intersect).
     ///
@@ -184,10 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn area_and_margin() {
+    fn area_of_box_and_point() {
         let a = r([0.0, 0.0], [2.0, 3.0]);
         assert_eq!(a.area(), 6.0);
-        assert_eq!(a.margin(), 5.0);
         assert_eq!(Rect::point([1.0, 1.0]).area(), 0.0);
     }
 

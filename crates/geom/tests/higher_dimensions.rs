@@ -61,10 +61,9 @@ fn four_dimensional_point_membership() {
 }
 
 #[test]
-fn hypercube_volume_and_margin() {
+fn hypercube_volume_overlap_and_union() {
     let r = Rect::<4>::new([0.0; 4], [2.0; 4]);
     assert_eq!(r.area(), 16.0);
-    assert_eq!(r.margin(), 8.0);
     let shifted = Rect::<4>::new([1.0; 4], [3.0; 4]);
     assert_eq!(r.overlap_area(&shifted), 1.0);
     assert_eq!(r.union(&shifted), Rect::<4>::new([0.0; 4], [3.0; 4]));

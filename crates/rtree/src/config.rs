@@ -1,24 +1,5 @@
-/// Node split algorithm (Guttman's two practical choices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitAlgorithm {
-    /// Quadratic split: pick the pair of seeds wasting the most area, then
-    /// assign entries by maximum preference difference. Guttman's default
-    /// quality/cost trade-off and ours.
-    #[default]
-    Quadratic,
-    /// Linear split: pick seeds by normalized separation along some
-    /// dimension, assign the rest by least enlargement. Cheaper, looser
-    /// partitions.
-    Linear,
-    /// R*-tree split (Beckmann et al.): choose the split axis by minimum
-    /// margin sum over all sorted distributions, then the distribution
-    /// with minimum overlap (ties: minimum area). The paper lists the
-    /// R*-tree among the variants its protocol covers; the granules are
-    /// leaf BRs either way.
-    RStar,
-}
-
-/// R-tree shape parameters.
+/// R-tree shape parameters. Nodes split by Guttman's quadratic split; the
+/// protocol's granules are leaf BRs whichever split built them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RTreeConfig {
     /// Maximum entries per node (the paper's *fanout*; Table 2 uses 12, 24,
@@ -27,26 +8,16 @@ pub struct RTreeConfig {
     /// Minimum entries per node before it is condensed away. Guttman
     /// requires `min <= max / 2`; we default to 40 % of `max`.
     pub min_entries: usize,
-    /// Split algorithm.
-    pub split: SplitAlgorithm,
 }
 
 impl RTreeConfig {
-    /// Configuration with the given fanout, 40 % minimum fill and
-    /// quadratic split.
+    /// Configuration with the given fanout and 40 % minimum fill.
     pub fn with_fanout(max_entries: usize) -> Self {
         assert!(max_entries >= 3, "fanout must be at least 3");
         Self {
             max_entries,
             min_entries: (max_entries * 2 / 5).max(1),
-            split: SplitAlgorithm::Quadratic,
         }
-    }
-
-    /// Overrides the split algorithm.
-    pub fn with_split(mut self, split: SplitAlgorithm) -> Self {
-        self.split = split;
-        self
     }
 
     /// Overrides the minimum fill.
@@ -76,7 +47,6 @@ mod tests {
         let c = RTreeConfig::default();
         assert_eq!(c.max_entries, 50);
         assert_eq!(c.min_entries, 20);
-        assert_eq!(c.split, SplitAlgorithm::Quadratic);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! version u32 | world lo[D] hi[D] |
-//! max_entries u64 | min_entries u64 | split u8 |
+//! max_entries u64 | min_entries u64 | split u8 (always 0: quadratic) |
 //! object_count u64 | root u64 | slot_count u64 | slot*
 //! slot:  0u8                                   free
 //!      | 1u8 level u32 entry_count u64 entry*   live page
@@ -26,7 +26,7 @@
 use dgl_geom::Rect;
 use dgl_pager::PageId;
 
-use crate::config::{RTreeConfig, SplitAlgorithm};
+use crate::config::RTreeConfig;
 use crate::node::{Entry, Node, ObjectId};
 use crate::tree::RTree;
 
@@ -35,6 +35,11 @@ const VERSION: u32 = 2;
 /// Largest fanout an image may declare: far above any page's capacity,
 /// far below an allocation that could take the process down.
 const MAX_FANOUT: u64 = 1 << 16;
+
+/// The header's split byte. Trees split one way, Guttman's quadratic
+/// split, and the byte keeps its old value for it so existing images still
+/// decode; any other tag names a split this crate does not have.
+const QUADRATIC: u8 = 0;
 
 const FREE: u8 = 0;
 const LIVE: u8 = 1;
@@ -78,11 +83,7 @@ pub fn encode<const D: usize>(tree: &RTree<D>) -> Vec<u8> {
     let config = tree.config();
     out.extend_from_slice(&(config.max_entries as u64).to_le_bytes());
     out.extend_from_slice(&(config.min_entries as u64).to_le_bytes());
-    out.push(match config.split {
-        SplitAlgorithm::Quadratic => 0,
-        SplitAlgorithm::Linear => 1,
-        SplitAlgorithm::RStar => 2,
-    });
+    out.push(QUADRATIC);
     out.extend_from_slice(&(tree.len() as u64).to_le_bytes());
     out.extend_from_slice(&tree.root().0.to_le_bytes());
     out.extend_from_slice(&(slots.len() as u64).to_le_bytes());
@@ -141,12 +142,10 @@ pub fn decode<const D: usize>(bytes: &[u8]) -> Result<RTree<D>, ImageError> {
     let world = ordered(world, "world")?;
     let max_entries = r.u64("max_entries")?;
     let min_entries = r.u64("min_entries")?;
-    let split = match r.u8("split")? {
-        0 => SplitAlgorithm::Quadratic,
-        1 => SplitAlgorithm::Linear,
-        2 => SplitAlgorithm::RStar,
-        other => return Err(ImageError(format!("unknown split tag {other}"))),
-    };
+    let split = r.u8("split")?;
+    if split != QUADRATIC {
+        return Err(ImageError(format!("unsupported split tag {split}")));
+    }
     // Scans size buffers by the fanout, so it is bounded too.
     if !(3..=MAX_FANOUT).contains(&max_entries) || min_entries < 1 || min_entries > max_entries / 2
     {
@@ -157,7 +156,6 @@ pub fn decode<const D: usize>(bytes: &[u8]) -> Result<RTree<D>, ImageError> {
     let config = RTreeConfig {
         max_entries: max_entries as usize,
         min_entries: min_entries as usize,
-        split,
     };
     let object_count = r.u64("object count")? as usize;
     let root = PageId(r.u64("root")?);

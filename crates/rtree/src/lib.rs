@@ -1,9 +1,9 @@
 //! A Guttman R-tree over a paged store, instrumented for the ICDE-98
 //! dynamic granular locking protocol.
 //!
-//! Beyond the classic operations (insert with quadratic/linear node split,
-//! delete with tree condensation and orphan re-insertion, range and exact
-//! search), this implementation exposes what the locking protocol in
+//! Beyond the classic operations (insert with Guttman's quadratic node
+//! split, delete with tree condensation and orphan re-insertion, range and
+//! exact search), this implementation exposes what the locking protocol in
 //! `dgl-core` needs:
 //!
 //! * **Planning** ([`RTree::plan_insert`], [`RTree::plan_delete`]): a pure
@@ -42,7 +42,7 @@ mod split;
 mod tree;
 mod validate;
 
-pub use config::{RTreeConfig, SplitAlgorithm};
+pub use config::RTreeConfig;
 pub use node::{Entry, Node, ObjectId};
 pub use plan::{DeletePlan, InsertPlan};
 pub use tree::{DeleteResult, InsertResult, Orphan, RTree, RTree2, SplitRecord};

@@ -1,13 +1,12 @@
-//! Guttman node-split algorithms (quadratic and linear).
+//! Guttman's quadratic node split.
 //!
-//! Both take the overflowing entry list (`max_entries + 1` entries) and
-//! partition it into two groups, each with at least `min_entries` members.
+//! It takes the overflowing entry list (`max_entries + 1` entries) and
+//! partitions it into two groups, each with at least `min_entries` members.
 //! The caller keeps group A on the original page (preserving its page id /
 //! lock resource id) and moves group B to a fresh page.
 
 use dgl_geom::Rect;
 
-use crate::config::SplitAlgorithm;
 use crate::node::Entry;
 
 /// The two groups produced by a node split.
@@ -20,14 +19,9 @@ pub(crate) struct SplitGroups<const D: usize> {
 pub(crate) fn split_entries<const D: usize>(
     entries: Vec<Entry<D>>,
     min_entries: usize,
-    algorithm: SplitAlgorithm,
 ) -> SplitGroups<D> {
     debug_assert!(entries.len() >= 2 * min_entries, "too few entries to split");
-    match algorithm {
-        SplitAlgorithm::Quadratic => quadratic(entries, min_entries),
-        SplitAlgorithm::Linear => linear(entries, min_entries),
-        SplitAlgorithm::RStar => rstar(entries, min_entries),
-    }
+    quadratic(entries, min_entries)
 }
 
 /// Quadratic split: seeds = pair with maximal dead area
@@ -150,167 +144,6 @@ fn pick_next_or_force<const D: usize>(
     Some(PickNext::One(best_idx, best_to_a))
 }
 
-/// Linear split: seeds by greatest normalized separation across
-/// dimensions; the rest assigned by least enlargement (ties as above).
-fn linear<const D: usize>(mut entries: Vec<Entry<D>>, min_entries: usize) -> SplitGroups<D> {
-    // For each dimension find the entry with the highest low side and the
-    // one with the lowest high side; normalize their separation by the
-    // total width.
-    let mut best_sep = f64::NEG_INFINITY;
-    let (mut s1, mut s2) = (0, 1);
-    for d in 0..D {
-        let mut highest_low = (0, f64::NEG_INFINITY);
-        let mut lowest_high = (0, f64::INFINITY);
-        let mut min_lo = f64::INFINITY;
-        let mut max_hi = f64::NEG_INFINITY;
-        for (i, e) in entries.iter().enumerate() {
-            let r = e.mbr();
-            if r.lo[d] > highest_low.1 {
-                highest_low = (i, r.lo[d]);
-            }
-            if r.hi[d] < lowest_high.1 {
-                lowest_high = (i, r.hi[d]);
-            }
-            min_lo = min_lo.min(r.lo[d]);
-            max_hi = max_hi.max(r.hi[d]);
-        }
-        let width = (max_hi - min_lo).max(f64::MIN_POSITIVE);
-        let sep = (highest_low.1 - lowest_high.1) / width;
-        if sep > best_sep && highest_low.0 != lowest_high.0 {
-            best_sep = sep;
-            s1 = lowest_high.0;
-            s2 = highest_low.0;
-        }
-    }
-    if s1 == s2 {
-        // Degenerate distribution (all identical): arbitrary distinct seeds.
-        s2 = (s1 + 1) % entries.len();
-    }
-    let (lo, hi) = (s1.min(s2), s1.max(s2));
-    let seed_b = entries.swap_remove(hi);
-    let seed_a = entries.swap_remove(lo);
-    let mut group_a = vec![seed_a];
-    let mut group_b = vec![seed_b];
-    let mut mbr_a = group_a[0].mbr();
-    let mut mbr_b = group_b[0].mbr();
-    while !entries.is_empty() {
-        if group_a.len() + entries.len() == min_entries {
-            for e in entries.drain(..) {
-                mbr_a = mbr_a.union(&e.mbr());
-                group_a.push(e);
-            }
-            break;
-        }
-        if group_b.len() + entries.len() == min_entries {
-            for e in entries.drain(..) {
-                mbr_b = mbr_b.union(&e.mbr());
-                group_b.push(e);
-            }
-            break;
-        }
-        let e = entries.pop().expect("non-empty");
-        let r = e.mbr();
-        let (d1, d2) = (mbr_a.enlargement(&r), mbr_b.enlargement(&r));
-        let to_a = if d1 != d2 {
-            d1 < d2
-        } else if mbr_a.area() != mbr_b.area() {
-            mbr_a.area() < mbr_b.area()
-        } else {
-            group_a.len() <= group_b.len()
-        };
-        if to_a {
-            mbr_a = mbr_a.union(&r);
-            group_a.push(e);
-        } else {
-            mbr_b = mbr_b.union(&r);
-            group_b.push(e);
-        }
-    }
-    SplitGroups {
-        a: group_a,
-        b: group_b,
-    }
-}
-
-/// R*-tree split (Beckmann, Kriegel, Schneider, Seeger 1990): pick the
-/// axis minimizing the summed margins of all candidate distributions,
-/// then the distribution with least overlap between the two groups
-/// (ties: least total area).
-fn rstar<const D: usize>(entries: Vec<Entry<D>>, min_entries: usize) -> SplitGroups<D> {
-    let total = entries.len();
-    debug_assert!(total >= 2 * min_entries);
-
-    // For an entry order, the candidate distributions put the first
-    // `min_entries + k` entries in group A (k = 0 .. total - 2*min).
-    let distributions = total - 2 * min_entries + 1;
-
-    // Prefix/suffix MBRs let each distribution's group rectangles be
-    // computed in O(1).
-    let group_rects = |sorted: &[Entry<D>]| -> Vec<(Rect<D>, Rect<D>)> {
-        let mut prefix = Vec::with_capacity(sorted.len());
-        let mut acc = sorted[0].mbr();
-        for e in sorted {
-            acc = acc.union(&e.mbr());
-            prefix.push(acc);
-        }
-        let mut suffix = vec![sorted[sorted.len() - 1].mbr(); sorted.len()];
-        for i in (0..sorted.len() - 1).rev() {
-            suffix[i] = suffix[i + 1].union(&sorted[i].mbr());
-        }
-        (0..distributions)
-            .map(|k| {
-                let split_at = min_entries + k;
-                (prefix[split_at - 1], suffix[split_at])
-            })
-            .collect()
-    };
-
-    // Choose the axis: minimum total margin over both sort orders.
-    let mut best_axis = 0;
-    let mut best_margin = f64::INFINITY;
-    let mut best_sorted: Option<Vec<Entry<D>>> = None;
-    for axis in 0..D {
-        for by_hi in [false, true] {
-            let mut sorted = entries.clone();
-            sorted.sort_by(|a, b| {
-                let (ka, kb) = if by_hi {
-                    (a.mbr().hi[axis], b.mbr().hi[axis])
-                } else {
-                    (a.mbr().lo[axis], b.mbr().lo[axis])
-                };
-                ka.total_cmp(&kb)
-            });
-            let margin: f64 = group_rects(&sorted)
-                .iter()
-                .map(|(a, b)| a.margin() + b.margin())
-                .sum();
-            if margin < best_margin {
-                best_margin = margin;
-                best_axis = axis;
-                best_sorted = Some(sorted);
-            }
-        }
-    }
-    let _ = best_axis;
-    let sorted = best_sorted.expect("at least one axis");
-
-    // Choose the distribution: least overlap, ties by least area.
-    let rects = group_rects(&sorted);
-    let mut best_k = 0;
-    let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for (k, (ra, rb)) in rects.iter().enumerate() {
-        let key = (ra.overlap_area(rb), ra.area() + rb.area());
-        if key < best_key {
-            best_key = key;
-            best_k = k;
-        }
-    }
-    let split_at = min_entries + best_k;
-    let mut a = sorted;
-    let b = a.split_off(split_at);
-    SplitGroups { a, b }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +191,7 @@ mod tests {
     #[test]
     fn quadratic_separates_obvious_clusters() {
         let entries = cluster_entries();
-        let g = split_entries(entries, 2, SplitAlgorithm::Quadratic);
+        let g = split_entries(entries, 2);
         check_split(&g, 10, 2);
         // Each group should be one cluster: zero overlap between group MBRs.
         let mbr_a =
@@ -366,18 +199,6 @@ mod tests {
         let mbr_b =
             Rect::union_all(g.b.iter().map(|e| e.mbr()).collect::<Vec<_>>().iter()).unwrap();
         assert_eq!(mbr_a.overlap_area(&mbr_b), 0.0, "clusters must separate");
-    }
-
-    #[test]
-    fn linear_separates_obvious_clusters() {
-        let entries = cluster_entries();
-        let g = split_entries(entries, 2, SplitAlgorithm::Linear);
-        check_split(&g, 10, 2);
-        let mbr_a =
-            Rect::union_all(g.a.iter().map(|e| e.mbr()).collect::<Vec<_>>().iter()).unwrap();
-        let mbr_b =
-            Rect::union_all(g.b.iter().map(|e| e.mbr()).collect::<Vec<_>>().iter()).unwrap();
-        assert_eq!(mbr_a.overlap_area(&mbr_b), 0.0);
     }
 
     #[test]
@@ -389,61 +210,14 @@ mod tests {
             let o = i as f64 * 0.01;
             entries.push(obj(i, [o, o], [o + 0.01, o + 0.01]));
         }
-        for alg in [
-            SplitAlgorithm::Quadratic,
-            SplitAlgorithm::Linear,
-            SplitAlgorithm::RStar,
-        ] {
-            let g = split_entries(entries.clone(), 4, alg);
-            check_split(&g, 10, 4);
-        }
+        let g = split_entries(entries, 4);
+        check_split(&g, 10, 4);
     }
 
     #[test]
     fn identical_entries_still_split_legally() {
         let entries: Vec<_> = (0..8).map(|i| obj(i, [1.0, 1.0], [2.0, 2.0])).collect();
-        for alg in [
-            SplitAlgorithm::Quadratic,
-            SplitAlgorithm::Linear,
-            SplitAlgorithm::RStar,
-        ] {
-            let g = split_entries(entries.clone(), 3, alg);
-            check_split(&g, 8, 3);
-        }
-    }
-
-    #[test]
-    fn rstar_separates_clusters_with_zero_overlap() {
-        let entries = cluster_entries();
-        let g = split_entries(entries, 2, SplitAlgorithm::RStar);
-        check_split(&g, 10, 2);
-        let mbr_a =
-            Rect::union_all(g.a.iter().map(|e| e.mbr()).collect::<Vec<_>>().iter()).unwrap();
-        let mbr_b =
-            Rect::union_all(g.b.iter().map(|e| e.mbr()).collect::<Vec<_>>().iter()).unwrap();
-        assert_eq!(mbr_a.overlap_area(&mbr_b), 0.0);
-    }
-
-    #[test]
-    fn rstar_prefers_low_overlap_distributions() {
-        // A line of abutting squares: R* should cut it cleanly in half
-        // with zero group overlap.
-        let entries: Vec<_> = (0..10)
-            .map(|i| {
-                let x = i as f64;
-                obj(i as u64, [x, 0.0], [x + 1.0, 1.0])
-            })
-            .collect();
-        let g = split_entries(entries, 3, SplitAlgorithm::RStar);
-        check_split(&g, 10, 3);
-        let mbr_a =
-            Rect::union_all(g.a.iter().map(|e| e.mbr()).collect::<Vec<_>>().iter()).unwrap();
-        let mbr_b =
-            Rect::union_all(g.b.iter().map(|e| e.mbr()).collect::<Vec<_>>().iter()).unwrap();
-        assert_eq!(
-            mbr_a.overlap_area(&mbr_b),
-            0.0,
-            "abutting line splits cleanly"
-        );
+        let g = split_entries(entries, 3);
+        check_split(&g, 8, 3);
     }
 }

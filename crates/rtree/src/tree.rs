@@ -637,7 +637,7 @@ impl<const D: usize> RTree<D> {
     fn split_page(&mut self, page: PageId, key: &EntryKey) -> (PageId, Option<PageId>) {
         let level = self.peek_node(page).level;
         let entries = std::mem::take(&mut self.store.read_mut(page).entries);
-        let groups = split_entries(entries, self.config.min_entries, self.config.split);
+        let groups = split_entries(entries, self.config.min_entries);
         let in_a = groups.a.iter().any(|e| key.matches(e));
         let in_b = groups.b.iter().any(|e| key.matches(e));
         self.store.read_mut(page).entries = groups.a;

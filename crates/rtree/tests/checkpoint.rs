@@ -215,7 +215,11 @@ fn header_and_tag_checks_reject_what_no_tree_encodes() {
     assert!(patched(36, &(1u64 << 40).to_le_bytes()).contains("bad fanout"));
     // min_entries above max / 2.
     assert!(patched(44, &4u64.to_le_bytes()).contains("bad fanout"));
-    assert!(patched(52, &[7]).contains("unknown split tag 7"));
+    // Only the quadratic split (0) exists; 1 and 2 were the linear and R*
+    // splits.
+    for tag in [1u8, 2, 7] {
+        assert!(patched(52, &[tag]).contains(&format!("unsupported split tag {tag}")));
+    }
     // Root beyond the slots.
     assert!(patched(61, &u64::MAX.to_le_bytes()).contains("not a live page"));
     assert!(patched(HEADER + 8, &[9]).contains("unknown slot tag 9"));

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use dgl_geom::{Rect, Rect2};
-use dgl_rtree::{ObjectId, RTree2, RTreeConfig, SplitAlgorithm};
+use dgl_rtree::{ObjectId, RTree2, RTreeConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -27,11 +27,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn run_ops(fanout: usize, split: SplitAlgorithm, ops: &[Op]) {
-    let mut tree = RTree2::new(
-        RTreeConfig::with_fanout(fanout).with_split(split),
-        Rect::unit(),
-    );
+fn run_ops(fanout: usize, ops: &[Op]) {
+    let mut tree = RTree2::new(RTreeConfig::with_fanout(fanout), Rect::unit());
     let mut oracle: BTreeMap<u16, Rect2> = BTreeMap::new();
     for (step, op) in ops.iter().enumerate() {
         match op {
@@ -165,25 +162,25 @@ proptest! {
     }
 
     #[test]
-    fn random_ops_fanout4_quadratic(ops in prop::collection::vec(arb_op(), 1..120)) {
-        run_ops(4, SplitAlgorithm::Quadratic, &ops);
+    fn random_ops_fanout4(ops in prop::collection::vec(arb_op(), 1..120)) {
+        run_ops(4, &ops);
     }
 
     #[test]
-    fn random_ops_fanout3_quadratic(ops in prop::collection::vec(arb_op(), 1..100)) {
+    fn random_ops_fanout3(ops in prop::collection::vec(arb_op(), 1..100)) {
         // Fanout 3 exercises min_entries = 1 and deep condensation
         // cascades (including the root-absorb cascade).
-        run_ops(3, SplitAlgorithm::Quadratic, &ops);
+        run_ops(3, &ops);
     }
 
     #[test]
-    fn random_ops_fanout8_linear(ops in prop::collection::vec(arb_op(), 1..120)) {
-        run_ops(8, SplitAlgorithm::Linear, &ops);
+    fn random_ops_fanout8(ops in prop::collection::vec(arb_op(), 1..120)) {
+        run_ops(8, &ops);
     }
 
     #[test]
-    fn random_ops_fanout6_rstar(ops in prop::collection::vec(arb_op(), 1..120)) {
-        run_ops(6, SplitAlgorithm::RStar, &ops);
+    fn random_ops_fanout6(ops in prop::collection::vec(arb_op(), 1..120)) {
+        run_ops(6, &ops);
     }
 
     #[test]

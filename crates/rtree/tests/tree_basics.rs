@@ -2,7 +2,7 @@
 
 use dgl_geom::{Rect, Rect2};
 use dgl_pager::PageId;
-use dgl_rtree::{Entry, ObjectId, RTree2, RTreeConfig, SplitAlgorithm};
+use dgl_rtree::{Entry, ObjectId, RTree2, RTreeConfig};
 
 fn r(lo: [f64; 2], hi: [f64; 2]) -> Rect2 {
     Rect2::new(lo, hi)
@@ -289,22 +289,6 @@ fn remove_entry_raw_leaves_loose_but_valid_tree() {
             .count();
         assert_eq!(got, want);
     }
-}
-
-#[test]
-fn linear_split_also_produces_valid_trees() {
-    let mut t = RTree2::new(
-        RTreeConfig::with_fanout(5).with_split(SplitAlgorithm::Linear),
-        Rect::unit(),
-    );
-    let rects = gen_rects(250, 31);
-    for (i, rect) in rects.iter().enumerate() {
-        t.insert(ObjectId(i as u64), *rect);
-    }
-    t.validate(true).unwrap();
-    assert_eq!(t.len(), 250);
-    let all = t.search(&Rect::unit());
-    assert_eq!(all.len(), 250);
 }
 
 #[test]

@@ -18,7 +18,9 @@
 //! The negative control arms the `dgl/skip-cover-lock` failpoint, which
 //! omits the Table-3 commit-duration IX on the insert's covering
 //! granule: the oracle must then observe a phantom (`#[should_panic]`),
-//! demonstrating the assertion has teeth.
+//! demonstrating the assertion has teeth. A second control arms
+//! `dgl/skip-growth-compensation` and replays Figure 2(a) into its
+//! phantom.
 //!
 //! Three fixed seeds run in CI; `phantom_oracle_replayable` reads
 //! `PHANTOM_SEED=<n>` for replaying a failure.
@@ -40,7 +42,7 @@ use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::{Ctr, Event, Hist};
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
-/// The fault registry is process-global and the negative control arms
+/// The fault registry is process-global and the negative controls arm
 /// it, so every test in this binary serializes on this lock.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -421,6 +423,108 @@ fn skipping_cover_lock_admits_a_phantom() {
         baseline, again,
         "phantom: rescan diverged inside one transaction"
     );
+}
+
+/// Negative control for §3.3: with the growth-compensation locks (the
+/// short IX on granules overlapping the region a granule grows into)
+/// omitted, the exact Figure 2(a) interleaving produces the phantom — so
+/// those locks are load-bearing, not ceremonial. The positive half is
+/// `paper_figures.rs::figure_2a_growth_into_scanned_granule_blocks`.
+#[test]
+fn figure_2a_phantom_appears_without_growth_compensation() {
+    let _serial = serialize();
+    let db = DglRTree::new(DglConfig {
+        rtree: RTreeConfig::with_fanout(6),
+        lock: LockManagerConfig {
+            wait_timeout: Duration::from_secs(5),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let ids = |txn, q| -> Vec<u64> {
+        let mut ids: Vec<u64> = db
+            .read_scan(txn, q)
+            .expect("scan")
+            .iter()
+            .map(|h| h.oid.0)
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    // A tight left cluster and a spread-out right cluster: the right
+    // granule's larger own area makes growing it the least-enlargement
+    // choice for the spanning insert below (asserted, so drift in the
+    // split heuristic surfaces as a setup failure, not a silent pass).
+    let t = db.begin();
+    for i in 0..5u64 {
+        let o = 0.002 * i as f64;
+        db.insert(
+            t,
+            ObjectId(2 * i),
+            Rect2::new([0.05 + o, 0.05 + o], [0.06 + o, 0.06 + o]),
+        )
+        .expect("left cluster");
+        let p = 0.05 * i as f64;
+        db.insert(
+            t,
+            ObjectId(2 * i + 1),
+            Rect2::new([0.6 + p, 0.6 + p], [0.63 + p, 0.63 + p]),
+        )
+        .expect("right cluster");
+    }
+    db.commit(t).expect("setup commit");
+    let mut leaves: Vec<Rect2> = db.with_tree(|tree| {
+        tree.pages()
+            .filter(|(_, n)| n.is_leaf())
+            .filter_map(|(_, n)| n.mbr())
+            .collect()
+    });
+    leaves.sort_by(|a, b| a.lo[0].total_cmp(&b.lo[0]));
+    let (left, right) = (leaves[0], *leaves.last().expect("leaves"));
+    assert!(!left.intersects(&right), "clusters must separate");
+
+    let r3 = Rect2::new(
+        [left.lo[0] + 0.0005, left.lo[1] + 0.0005],
+        [left.hi[0] - 0.0005, left.hi[1] - 0.0005],
+    );
+    let t1 = db.begin();
+    let before = ids(t1, r3);
+    assert!(!before.is_empty());
+
+    // The growth insert reaches from inside R3 into the right granule.
+    let r4 = Rect2::new(
+        [r3.hi[0] - 0.001, r3.hi[1] - 0.001],
+        [right.hi[0] - 0.001, right.hi[1] - 0.001],
+    );
+    // Setup check: ChooseLeaf must pick the right granule, so the broken
+    // protocol takes no lock that conflicts with T1's S on the left one.
+    db.with_tree(|tree| {
+        let plan = tree.plan_insert(r4);
+        let target_mbr = tree.peek_node(plan.target).mbr().expect("leaf BR");
+        assert_eq!(
+            target_mbr, right,
+            "scenario requires the insert to grow the RIGHT granule"
+        );
+        assert!(plan.grows);
+    });
+
+    // From here on, inserts omit the growth-compensation locks.
+    let _fault = dgl_faults::register(
+        "dgl/skip-growth-compensation",
+        dgl_faults::FaultSpec::error(),
+    );
+    let t2 = db.begin();
+    db.insert(t2, ObjectId(1000), r4)
+        .expect("broken variant must not block");
+    db.commit(t2).expect("writer commit");
+
+    let after = ids(t1, r3);
+    assert_ne!(
+        after, before,
+        "the broken variant must exhibit the Figure 2(a) phantom"
+    );
+    assert!(after.contains(&1000));
+    db.commit(t1).expect("searcher commit");
 }
 
 // --- sharded-router oracle ----------------------------------------------
@@ -1170,10 +1274,9 @@ fn window_schedule<D: TransactionalRTree + Sync>(
 /// Fanout 4 at minimum fill 2: an underflowing node always leaves an entry
 /// behind to orphan (the 40 % default rounds to 1, where an eliminated
 /// node is always empty).
-fn condensing_config(hash_reads: bool) -> DglConfig {
+fn condensing_config() -> DglConfig {
     DglConfig {
         rtree: RTreeConfig::with_fanout(4).with_min_entries(2),
-        hash_reads,
         ..Default::default()
     }
 }
@@ -1181,26 +1284,22 @@ fn condensing_config(hash_reads: bool) -> DglConfig {
 #[test]
 fn snapshot_scan_sees_object_orphans_mid_condensation() {
     let _serial = serialize();
-    // Both point-read paths: the hash index, and the tree lookup of the
-    // `hash_reads: false` reference side.
-    for hash_reads in [true, false] {
-        let db = Arc::new(DglRTree::new(condensing_config(hash_reads)));
-        let objects = preload_grid(db.as_ref(), 40);
-        let victim = condensing_victim(&db, &objects, false);
-        scan_sees_through_the_condensation_window(
-            db,
-            objects,
-            victim,
-            DglRTree::merged_locktable_dump,
-            |db| db.begin_snapshot().read_scan(Rect2::unit()),
-        );
-    }
+    let db = Arc::new(DglRTree::new(condensing_config()));
+    let objects = preload_grid(db.as_ref(), 40);
+    let victim = condensing_victim(&db, &objects, false);
+    scan_sees_through_the_condensation_window(
+        db,
+        objects,
+        victim,
+        DglRTree::merged_locktable_dump,
+        |db| db.begin_snapshot().read_scan(Rect2::unit()),
+    );
 }
 
 #[test]
 fn snapshot_scan_descends_an_orphaned_subtree_mid_condensation() {
     let _serial = serialize();
-    let db = Arc::new(DglRTree::new(condensing_config(true)));
+    let db = Arc::new(DglRTree::new(condensing_config()));
     let objects = preload_grid(db.as_ref(), 40);
     let victim = condensing_victim(&db, &objects, true);
     scan_sees_through_the_condensation_window(
@@ -1216,7 +1315,7 @@ fn snapshot_scan_descends_an_orphaned_subtree_mid_condensation() {
 fn sharded_snapshot_scan_sees_orphans_mid_condensation() {
     let _serial = serialize();
     let db = Arc::new(ShardedDglRTree::new(
-        condensing_config(true),
+        condensing_config(),
         ShardingConfig {
             shards: 4,
             max_object_extent: 0.05,
