@@ -143,7 +143,7 @@ pub fn run_cell(conns: u64, commits_total: u64, preload: u64, min_secs: f64) -> 
         preloaded_backend(preload),
         ServerConfig {
             // Connections idle at the barrier until the whole fleet is
-            // up; the reaper must not cull them meanwhile.
+            // up; the idle timeout must not close them meanwhile.
             idle_timeout: Duration::from_secs(600),
             ..ServerConfig::default()
         },

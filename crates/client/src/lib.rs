@@ -404,13 +404,13 @@ impl RemoteTree {
 
     /// Runs `f` on the connection owning `txn`. The connection is
     /// checked out for the duration (transactions are single-threaded
-    /// per the trait contract). `after` decides whether the connection
-    /// goes back to the free pool (transaction over) or stays bound.
+    /// per the trait contract) and stays bound to `txn` unless the
+    /// operation failed, which ends the transaction.
     fn with_txn<T>(
         &self,
         txn: u64,
         f: impl FnOnce(&mut Client) -> Result<T>,
-    ) -> std::result::Result<(T, bool), TxnError> {
+    ) -> std::result::Result<T, TxnError> {
         let mut client = match self.busy.lock().remove(&txn) {
             Some(c) => c,
             None => return Err(TxnError::NotActive),
@@ -418,7 +418,7 @@ impl RemoteTree {
         match f(&mut client) {
             Ok(v) => {
                 self.busy.lock().insert(txn, client);
-                Ok((v, true))
+                Ok(v)
             }
             Err(e) => {
                 // Server-side op failure: the transaction is dead and
@@ -488,7 +488,6 @@ impl TransactionalRTree for RemoteTree {
 
     fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> std::result::Result<(), TxnError> {
         self.with_txn(txn.0, |c| c.insert(txn.0, oid.0, rect))
-            .map(|_| ())
     }
 
     fn delete(
@@ -498,7 +497,6 @@ impl TransactionalRTree for RemoteTree {
         rect: Rect2,
     ) -> std::result::Result<bool, TxnError> {
         self.with_txn(txn.0, |c| c.delete(txn.0, oid.0, rect))
-            .map(|(v, _)| v)
     }
 
     fn read_single(
@@ -508,7 +506,6 @@ impl TransactionalRTree for RemoteTree {
         rect: Rect2,
     ) -> std::result::Result<Option<u64>, TxnError> {
         self.with_txn(txn.0, |c| c.read_single(txn.0, oid.0, rect))
-            .map(|(v, _)| v)
     }
 
     fn update_single(
@@ -518,17 +515,14 @@ impl TransactionalRTree for RemoteTree {
         rect: Rect2,
     ) -> std::result::Result<bool, TxnError> {
         self.with_txn(txn.0, |c| c.update(txn.0, oid.0, rect))
-            .map(|(v, _)| v)
     }
 
     fn read_scan(&self, txn: TxnId, query: Rect2) -> std::result::Result<Vec<ScanHit>, TxnError> {
         self.with_txn(txn.0, |c| c.search(txn.0, query))
-            .map(|(v, _)| v)
     }
 
     fn update_scan(&self, txn: TxnId, query: Rect2) -> std::result::Result<Vec<ScanHit>, TxnError> {
         self.with_txn(txn.0, |c| c.update_scan(txn.0, query))
-            .map(|(v, _)| v)
     }
 
     fn len(&self) -> usize {

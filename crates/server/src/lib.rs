@@ -12,11 +12,13 @@
 //! A *session* (one connection) owns at most one open transaction and a
 //! bounded set of MVCC snapshots. Request frames are processed strictly
 //! in order; each gets exactly one response echoing its request id, so
-//! clients may pipeline. Sessions police their own liveness: a
-//! transaction idle past [`ServerConfig::txn_timeout`] is aborted
-//! server-side (subsequent uses answer `TxnTimedOut`), and a
-//! transactionless connection idle past [`ServerConfig::idle_timeout`]
-//! is closed.
+//! clients may pipeline. Sessions police their own liveness, on their
+//! own thread, with one socket read timeout (the shorter of the two
+//! below): a transaction whose session sends nothing for
+//! [`ServerConfig::txn_timeout`] is aborted server-side (subsequent uses
+//! answer `TxnTimedOut`), a transactionless connection silent for
+//! [`ServerConfig::idle_timeout`] is closed, and a frame that stalls
+//! mid-way past the timeout drops the connection.
 //!
 //! # Shutdown
 //!

@@ -2,7 +2,7 @@
 //! transaction/snapshot ownership, timeouts, and panic containment.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -11,113 +11,11 @@ use std::time::{Duration, Instant};
 use dgl_core::{ObjectId, TxnId};
 use dgl_obs::{Ctr, Hist};
 use dgl_proto::{
-    write_frame, ErrorCode, Request, Response, WireError, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
-    PROTO_VERSION,
+    read_frame, write_frame, ErrorCode, FrameError, Request, Response, WireError,
+    MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, PROTO_VERSION,
 };
 
 use crate::{BackendSnapshot, Shared};
-
-/// Bounds on how often a parked session wakes to check its timers. The
-/// actual tick scales with the configured timeouts (an eighth of the
-/// tightest one): a session only needs to wake often enough to enforce
-/// its own deadlines, and at thousands of connections a fixed fast tick
-/// turns into a scheduler storm that starves the accept path. Shutdown
-/// does not depend on the tick at all — `Server::shutdown` closes the
-/// sockets, which fails the blocked reads immediately.
-const POLL_TICK_MIN: Duration = Duration::from_millis(25);
-const POLL_TICK_MAX: Duration = Duration::from_millis(500);
-
-/// The poll interval for the given timer configuration.
-fn poll_tick(cfg: &crate::ServerConfig) -> Duration {
-    (cfg.idle_timeout.min(cfg.txn_timeout) / 8).clamp(POLL_TICK_MIN, POLL_TICK_MAX)
-}
-
-/// One attempt to make progress on an incoming frame.
-enum ReadStep {
-    /// A complete frame body.
-    Frame(Vec<u8>),
-    /// The read timed out — run the poll-tick bookkeeping and retry.
-    Poll,
-    /// Clean EOF on a frame boundary.
-    Eof,
-    /// The declared length exceeds the request cap.
-    TooLarge(usize),
-    /// The peer died mid-frame or the socket failed.
-    Dead,
-}
-
-/// A resumable frame reader: partial bytes survive read timeouts, so a
-/// session can keep enforcing its timers mid-frame without ever
-/// corrupting the stream.
-struct FrameAccum {
-    prefix: [u8; 4],
-    prefix_got: usize,
-    body: Option<Vec<u8>>,
-    body_got: usize,
-}
-
-impl FrameAccum {
-    fn new() -> Self {
-        Self {
-            prefix: [0; 4],
-            prefix_got: 0,
-            body: None,
-            body_got: 0,
-        }
-    }
-
-    fn step(&mut self, r: &mut impl Read) -> ReadStep {
-        loop {
-            if self.body.is_none() {
-                if self.prefix_got < 4 {
-                    match r.read(&mut self.prefix[self.prefix_got..]) {
-                        Ok(0) if self.prefix_got == 0 => return ReadStep::Eof,
-                        Ok(0) => return ReadStep::Dead,
-                        Ok(n) => {
-                            self.prefix_got += n;
-                            continue;
-                        }
-                        Err(e)
-                            if e.kind() == ErrorKind::WouldBlock
-                                || e.kind() == ErrorKind::TimedOut =>
-                        {
-                            return ReadStep::Poll
-                        }
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => return ReadStep::Dead,
-                    }
-                }
-                let len = u32::from_le_bytes(self.prefix) as usize;
-                if len > MAX_REQUEST_FRAME {
-                    return ReadStep::TooLarge(len);
-                }
-                self.body = Some(vec![0; len]);
-                self.body_got = 0;
-            }
-            let body = self.body.as_mut().expect("body allocated above");
-            if self.body_got < body.len() {
-                match r.read(&mut body[self.body_got..]) {
-                    Ok(0) => return ReadStep::Dead,
-                    Ok(n) => {
-                        self.body_got += n;
-                        continue;
-                    }
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        return ReadStep::Poll
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return ReadStep::Dead,
-                }
-            }
-            let frame = self.body.take().expect("body present");
-            self.prefix_got = 0;
-            self.body_got = 0;
-            return ReadStep::Frame(frame);
-        }
-    }
-}
 
 /// Everything a session mutates while serving one connection. The
 /// snapshot map borrows the backend, which the caller keeps alive for
@@ -140,10 +38,14 @@ pub(crate) fn run(shared: &Shared, _id: u64, stream: TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     };
-    let _ = reader.set_read_timeout(Some(poll_tick(&shared.cfg)));
+    // One read timeout for the session's life, the tighter of its two
+    // timers (`set_read_timeout` rejects zero). A wait between frames that
+    // times out checks them; a frame that stalls past it drops the
+    // connection, and teardown below aborts the transaction.
+    let timeout = shared.cfg.idle_timeout.min(shared.cfg.txn_timeout);
+    let _ = reader.set_read_timeout(Some(timeout.max(Duration::from_millis(1))));
     // Buffered, so one `recv` normally carries a whole frame — prefix and
-    // body — instead of one call for each. A timed-out read loses no
-    // bytes: they wait in the buffer or in `FrameAccum`.
+    // body — instead of one call for each.
     let mut reader = BufReader::new(reader);
     let _ = stream.set_nodelay(true);
     let mut writer = BufWriter::new(stream);
@@ -156,42 +58,44 @@ pub(crate) fn run(shared: &Shared, _id: u64, stream: TcpStream) {
         handshaken: false,
     };
     let mut last_activity = Instant::now();
-    let mut txn_started: Option<Instant> = None;
-    let mut accum = FrameAccum::new();
 
     loop {
         if shared.stopping.load(Ordering::SeqCst) {
             break;
         }
-        let body = match accum.step(&mut reader) {
-            ReadStep::Frame(body) => body,
-            ReadStep::Eof | ReadStep::Dead => break,
-            ReadStep::TooLarge(len) => {
-                // The stream is desynchronized; reply (best effort) and
-                // drop the connection.
-                let resp = Response::Error {
-                    code: ErrorCode::FrameTooLarge,
-                    message: format!("frame length {len} exceeds cap {MAX_REQUEST_FRAME}"),
-                };
-                let _ = send(shared, &mut writer, &resp, 0);
-                break;
-            }
-            ReadStep::Poll => {
-                // Poll tick: enforce timeouts, then keep waiting.
-                if let (Some(txn), Some(started)) = (sess.txn, txn_started) {
-                    if started.elapsed() >= shared.cfg.txn_timeout {
+        // Wait for the next frame's first byte without consuming it.
+        match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                let silence = last_activity.elapsed();
+                match sess.txn {
+                    Some(txn) if silence >= shared.cfg.txn_timeout => {
                         let _ = shared.backend.tree().abort(txn);
                         shared.open_txns.fetch_sub(1, Ordering::SeqCst);
                         shared.obs.incr(Ctr::SessionAborts);
                         sess.txn = None;
                         sess.timed_out = Some(txn);
-                        txn_started = None;
                     }
-                } else if sess.txn.is_none() && last_activity.elapsed() >= shared.cfg.idle_timeout {
-                    break;
+                    None if silence >= shared.cfg.idle_timeout => break,
+                    _ => {}
                 }
                 continue;
             }
+            Err(_) => break,
+        }
+        let body = match read_frame(&mut reader, MAX_REQUEST_FRAME) {
+            Ok(Some(body)) => body,
+            Err(e @ FrameError::TooLarge { .. }) => {
+                // The stream is desynchronized; reply (best effort) and
+                // drop the connection.
+                let resp = err(ErrorCode::FrameTooLarge, e.to_string());
+                let _ = send(shared, &mut writer, &resp, 0);
+                break;
+            }
+            // The peer died, or stalled mid-frame past the timeout.
+            Ok(None) | Err(FrameError::Io(_)) => break,
         };
         last_activity = Instant::now();
         shared.obs.incr(Ctr::NetRequests);
@@ -225,9 +129,7 @@ pub(crate) fn run(shared: &Shared, _id: u64, stream: TcpStream) {
         // surface as a typed, retryable error — never a dropped
         // connection taking unrelated pipelined requests with it.
         let kind = hist_kind(&req);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle(shared, &mut sess, &mut txn_started, req)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| handle(shared, &mut sess, req)));
         let resp = match outcome {
             Ok(resp) => resp,
             Err(_) => {
@@ -238,7 +140,6 @@ pub(crate) fn run(shared: &Shared, _id: u64, stream: TcpStream) {
                     let _ = shared.backend.tree().abort(txn);
                     shared.open_txns.fetch_sub(1, Ordering::SeqCst);
                     shared.obs.incr(Ctr::SessionAborts);
-                    txn_started = None;
                 }
                 Response::Error {
                     code: ErrorCode::Internal,
@@ -345,12 +246,7 @@ fn check_txn(sess: &Session<'_>, named: u64) -> Result<TxnId, Response> {
 /// transactional operation leaves the transaction **dead** (mirroring
 /// [`dgl_core::TxnExecutor`]'s defensive abort) and the session
 /// transactionless.
-fn handle<'a>(
-    shared: &'a Shared,
-    sess: &mut Session<'a>,
-    txn_started: &mut Option<Instant>,
-    req: Request,
-) -> Response {
+fn handle<'a>(shared: &'a Shared, sess: &mut Session<'a>, req: Request) -> Response {
     // Handshake gate: the first request must be a compatible Hello.
     if !sess.handshaken {
         return match req {
@@ -383,7 +279,6 @@ fn handle<'a>(
                 Err(e) => {
                     let _ = tree.abort($txn);
                     sess.txn = None;
-                    *txn_started = None;
                     shared.open_txns.fetch_sub(1, Ordering::SeqCst);
                     Err(err(ErrorCode::from(e), e.to_string()))
                 }
@@ -415,7 +310,6 @@ fn handle<'a>(
             let txn = tree.begin();
             sess.txn = Some(txn);
             sess.timed_out = None;
-            *txn_started = Some(Instant::now());
             shared.open_txns.fetch_add(1, Ordering::SeqCst);
             Response::TxnBegun { txn: txn.0 }
         }
@@ -464,7 +358,6 @@ fn handle<'a>(
         Request::Commit { txn } => {
             let t = get_txn!(txn);
             sess.txn = None;
-            *txn_started = None;
             shared.open_txns.fetch_sub(1, Ordering::SeqCst);
             match tree.commit(t) {
                 Ok(()) => Response::Done,
@@ -476,7 +369,6 @@ fn handle<'a>(
         Request::Abort { txn } => {
             let t = get_txn!(txn);
             sess.txn = None;
-            *txn_started = None;
             shared.open_txns.fetch_sub(1, Ordering::SeqCst);
             match tree.abort(t) {
                 Ok(()) => Response::Done,
@@ -532,64 +424,4 @@ fn hits_response(hits: Vec<dgl_core::ScanHit>) -> Response {
         );
     }
     Response::Hits { hits }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::VecDeque;
-
-    /// A socket stand-in: each `read` delivers the next scripted chunk (cut
-    /// to the caller's buffer) or fails with the scripted error kind.
-    struct Script(VecDeque<Result<Vec<u8>, ErrorKind>>);
-
-    impl Read for Script {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            match self.0.pop_front() {
-                None => Ok(0),
-                Some(Err(kind)) => Err(kind.into()),
-                Some(Ok(mut chunk)) => {
-                    let n = chunk.len().min(buf.len());
-                    buf[..n].copy_from_slice(&chunk[..n]);
-                    if n < chunk.len() {
-                        self.0.push_front(Ok(chunk.split_off(n)));
-                    }
-                    Ok(n)
-                }
-            }
-        }
-    }
-
-    fn frame(body: &[u8]) -> Vec<u8> {
-        let mut out = (body.len() as u32).to_le_bytes().to_vec();
-        out.extend_from_slice(body);
-        out
-    }
-
-    #[test]
-    fn a_buffered_frame_survives_timeouts_anywhere_in_it() {
-        let (a, b) = (frame(b"first"), frame(b"second frame"));
-        let mut chunks: VecDeque<_> = VecDeque::new();
-        // Two frames in one chunk, then a frame split inside its prefix
-        // and inside its body, with a timeout at each cut.
-        chunks.push_back(Ok([a.clone(), b.clone()].concat()));
-        chunks.push_back(Ok(b[..2].to_vec()));
-        chunks.push_back(Err(ErrorKind::WouldBlock));
-        chunks.push_back(Ok(b[2..7].to_vec()));
-        chunks.push_back(Err(ErrorKind::TimedOut));
-        chunks.push_back(Ok(b[7..].to_vec()));
-        let mut reader = BufReader::new(Script(chunks));
-        let mut accum = FrameAccum::new();
-        let mut got = Vec::new();
-        loop {
-            match accum.step(&mut reader) {
-                ReadStep::Frame(body) => got.push(body),
-                ReadStep::Poll => got.push(b"poll".to_vec()),
-                ReadStep::Eof => break,
-                ReadStep::TooLarge(_) | ReadStep::Dead => panic!("stream corrupted"),
-            }
-        }
-        let want: Vec<&[u8]> = vec![b"first", b"second frame", b"poll", b"poll", b"second frame"];
-        assert_eq!(got, want);
-    }
 }

@@ -1,15 +1,20 @@
 //! Session-failure behavior of the network server: a dead client's
-//! transaction is aborted and its granule locks released; idle
-//! transactions are timed out with a typed error; drain lets in-flight
-//! commits finish while refusing new work; session/transaction
+//! transaction is aborted and its granule locks released; silent
+//! transactions are timed out with a typed error, silent connections
+//! closed, and a frame stalled mid-way drops its connection; drain lets
+//! in-flight commits finish while refusing new work; session/transaction
 //! ownership violations get typed errors, not connection drops.
 
 use std::collections::BTreeSet;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use dgl_client::{Client, ClientError};
-use dgl_proto::{read_frame, write_frame, ErrorCode, Request, Response, MAX_RESPONSE_FRAME};
+use dgl_proto::{
+    read_frame, write_frame, ErrorCode, FrameError, Request, Response, MAX_RESPONSE_FRAME,
+    PROTO_VERSION,
+};
 use dgl_server::{Backend, Server, ServerConfig};
 use granular_rtree::core::{DglConfig, DglRTree, Rect2, TransactionalRTree};
 use granular_rtree::lockmgr::LockManagerConfig;
@@ -133,6 +138,180 @@ fn idle_transaction_times_out_with_typed_error() {
     server.shutdown().expect("drain");
 }
 
+/// `txn_timeout` measures request silence, not a transaction's age: a
+/// transaction that keeps talking outlives it.
+#[test]
+fn a_busy_transaction_outlives_txn_timeout() {
+    let mut server = start_server(ServerConfig {
+        txn_timeout: Duration::from_secs(1),
+        ..Default::default()
+    });
+    let mut c = preload(server.addr(), 10);
+    let rect = Rect2::new([0.31, 0.31], [0.312, 0.312]); // object 0
+    let txn = c.begin().expect("begin");
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_millis(1200) {
+        assert!(c.read_single(txn, 0, rect).expect("read").is_some());
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    c.commit(txn)
+        .expect("a transaction never silent for txn_timeout must commit");
+    assert_eq!(server.obs().ctr(granular_rtree::obs::Ctr::SessionAborts), 0);
+    server.shutdown().expect("drain");
+}
+
+/// `idle_timeout` closes a connection with no open transaction after that
+/// much silence, and spares one that holds a transaction.
+#[test]
+fn idle_timeout_closes_only_transactionless_connections() {
+    let mut server = start_server(ServerConfig {
+        idle_timeout: Duration::from_millis(200),
+        txn_timeout: Duration::from_secs(30),
+        ..Default::default()
+    });
+    let mut holder = Client::connect(server.addr()).expect("connect");
+    let txn = holder.begin().expect("begin");
+    holder
+        .insert(txn, 1, Rect2::new([0.4, 0.4], [0.41, 0.41]))
+        .expect("insert");
+
+    let mut idle = raw_session(&server);
+    let t0 = Instant::now();
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client read timeout");
+    let eof = read_frame(&mut idle, MAX_RESPONSE_FRAME).expect("clean close");
+    let waited = t0.elapsed();
+    assert!(eof.is_none(), "the server spoke instead of closing");
+    assert!(
+        waited >= Duration::from_millis(150) && waited < Duration::from_secs(5),
+        "closed after {waited:?}, want about 200 ms"
+    );
+
+    std::thread::sleep(Duration::from_millis(600).saturating_sub(t0.elapsed()));
+    holder
+        .commit(txn)
+        .expect("a connection holding a transaction outlives idle_timeout");
+    assert_eq!(server.obs().ctr(granular_rtree::obs::Ctr::SessionAborts), 0);
+    server.shutdown().expect("drain");
+}
+
+/// A request that reaches the server in pieces, cut inside its length
+/// prefix and inside its body, is served as long as no pause reaches the
+/// read timeout.
+#[test]
+fn a_request_split_in_pieces_is_served() {
+    let mut server = start_server(ServerConfig {
+        txn_timeout: Duration::from_millis(500),
+        ..Default::default()
+    });
+    let mut s = raw_session(&server);
+    let txn = raw_begin(&mut s);
+    let insert = frame(
+        3,
+        &Request::Insert {
+            txn,
+            oid: 5,
+            rect: Rect2::new([0.4, 0.4], [0.41, 0.41]),
+        },
+    );
+    for piece in [&insert[..2], &insert[2..9], &insert[9..]] {
+        s.write_all(piece).expect("send piece");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(matches!(reply(&mut s, 3), Response::Done));
+    assert!(matches!(
+        call(&mut s, 4, &Request::Commit { txn }),
+        Response::Done
+    ));
+    assert_eq!(single(&server).len(), 1);
+    server.shutdown().expect("drain");
+}
+
+/// A client that holds scan locks and then stalls inside a frame past the
+/// read timeout is disconnected, and teardown releases its locks.
+#[test]
+fn a_stall_mid_frame_drops_the_connection_and_its_locks() {
+    let mut server = start_server(ServerConfig {
+        txn_timeout: Duration::from_millis(300),
+        ..Default::default()
+    });
+    preload(server.addr(), 50);
+    let mut s = raw_session(&server);
+    let txn = raw_begin(&mut s);
+    match call(&mut s, 3, &Request::Search { txn, query: REGION }) {
+        Response::Hits { hits } => assert!(!hits.is_empty(), "vacuous: region is empty"),
+        other => panic!("expected Hits, got {other:?}"),
+    }
+    assert!(held_grants(&server) > 0, "scan must hold granule locks");
+
+    let commit = frame(4, &Request::Commit { txn });
+    s.write_all(&commit[..6]).expect("send half a frame");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client read timeout");
+    match read_frame(&mut s, MAX_RESPONSE_FRAME) {
+        Ok(None) => {}
+        Err(FrameError::Io(e))
+            if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("expected the server to hang up, got {other:?}"),
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (held_grants(&server) > 0 || server.has_open_txns()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(held_grants(&server), 0, "stalled session kept its locks");
+    assert!(!server.has_open_txns());
+    assert_eq!(server.obs().ctr(granular_rtree::obs::Ctr::SessionAborts), 1);
+    server.shutdown().expect("drain");
+}
+
+/// A handshaken raw socket, for tests that control how a frame's bytes
+/// reach the server.
+fn raw_session(server: &Server) -> TcpStream {
+    let mut s = TcpStream::connect(server.addr()).expect("connect");
+    s.set_nodelay(true).expect("nodelay");
+    let hello = Request::Hello {
+        version: PROTO_VERSION,
+        client: "raw".to_string(),
+    };
+    match call(&mut s, 1, &hello) {
+        Response::HelloOk { .. } => s,
+        other => panic!("expected HelloOk, got {other:?}"),
+    }
+}
+
+/// Opens a transaction on a raw session (request id 2).
+fn raw_begin(s: &mut TcpStream) -> u64 {
+    match call(s, 2, &Request::Begin) {
+        Response::TxnBegun { txn } => txn,
+        other => panic!("expected TxnBegun, got {other:?}"),
+    }
+}
+
+/// Sends one whole request and reads its response.
+fn call(s: &mut TcpStream, req_id: u32, req: &Request) -> Response {
+    s.write_all(&frame(req_id, req)).expect("send");
+    reply(s, req_id)
+}
+
+/// One request as the bytes on the wire: length prefix and body.
+fn frame(req_id: u32, req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, &req.encode(req_id)).expect("encode");
+    out
+}
+
+/// Reads the response to `req_id`.
+fn reply(s: &mut TcpStream, req_id: u32) -> Response {
+    let body = read_frame(s, MAX_RESPONSE_FRAME)
+        .expect("read")
+        .expect("response");
+    let (got, resp) = Response::decode(&body).expect("decode");
+    assert_eq!(got, req_id, "response out of order");
+    resp
+}
+
 /// Drain: in-flight transactions commit, new `Begin`s and new
 /// connections get typed `Draining` refusals, and `shutdown`
 /// force-aborts stragglers after the grace period.
@@ -250,11 +429,7 @@ fn version_mismatch_is_refused() {
         version: 999,
         client: "time traveler".to_string(),
     };
-    write_frame(&mut stream, &hello.encode(1)).expect("send");
-    let body = read_frame(&mut stream, MAX_RESPONSE_FRAME)
-        .expect("read")
-        .expect("response");
-    match Response::decode(&body).expect("decode").1 {
+    match call(&mut stream, 1, &hello) {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadHandshake),
         other => panic!("expected BadHandshake, got {other:?}"),
     }
@@ -318,11 +493,23 @@ fn session_churn_leaves_no_residue() {
             std::thread::spawn(move || {
                 for round in 0..10u64 {
                     let mut c = Client::connect(addr).expect("connect");
-                    let txn = c.begin().expect("begin");
                     let oid = (t << 32) | round;
                     let x = 0.05 + ((t * 13 + round * 7) % 80) as f64 / 100.0;
                     let rect = Rect2::new([x, x], [x + 0.004, x + 0.004]);
-                    c.insert(txn, oid, rect).expect("insert");
+                    // Concurrent inserts may pick a deadlock victim; its
+                    // transaction is already rolled back, so run it again.
+                    // Any other error fails the test.
+                    let mut tries = 0;
+                    let txn = loop {
+                        let txn = c.begin().expect("begin");
+                        match c.insert(txn, oid, rect) {
+                            Ok(()) => break txn,
+                            Err(e) if e.code() == Some(ErrorCode::Deadlock) && tries < 10 => {
+                                tries += 1;
+                            }
+                            Err(e) => panic!("insert: {e}"),
+                        }
+                    };
                     if round % 3 == 0 {
                         c.abort(txn).expect("abort");
                     } else {
