@@ -8,9 +8,10 @@
 //!   (`Begin`/`Insert`/`Delete`/`Commit`/`Abort`/`Checkpoint`) in
 //!   generation-numbered segment files.
 //! - [`log`]: the [`Wal`] writer — an append buffer drained by one
-//!   flusher thread that batches `fsync`s (group commit), plus segment
-//!   rotation at checkpoint cuts and a page-cache-loss crash model for
-//!   the chaos harness.
+//!   flusher thread that batches `fsync`s (group commit) and writes in
+//!   place into segments zero-filled ahead of it, plus segment rotation
+//!   at checkpoint cuts and a page-cache-loss crash model for the chaos
+//!   harness.
 //! - [`replay`]: directory scans and a lenient reader that preserves a
 //!   segment's valid prefix and reports (never errors on) a torn tail.
 //!

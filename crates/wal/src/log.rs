@@ -10,18 +10,36 @@
 //! every earlier record (across segment rotations — the flusher drains
 //! segments strictly in order) is durable too.
 //!
+//! ## Writes in place
+//!
+//! A segment file is zero-filled ahead of the flusher in 1 MiB steps
+//! (`CHUNK`), so a commit's flush overwrites bytes the file already has
+//! (`pwrite` at the segment's durable end) and its `fdatasync` carries
+//! only data: no new size, no new block allocation, no filesystem
+//! journal commit. When a batch would run past the zero-filled end, the
+//! same flush first extends the file with zeros to the next chunk
+//! boundary — one flush in a few hundred pays for a size change.
+//! [`Wal::create`] fills the first chunk before its `sync_all`; a
+//! rotated segment gets its first chunk on its first flush (the
+//! checkpoint's own `sync_to`). Readers take the all-zero remainder for
+//! the end of the log ([`crate::record::read_frame`]).
+//!
 //! ## Crash model
 //!
 //! [`Wal::crash`] simulates losing the page cache: every segment file is
-//! truncated back to its fsynced prefix and the log is poisoned. The
-//! `wal/fsync` failpoint instead writes *half* a batch before poisoning,
-//! leaving a genuinely torn frame on disk for recovery to discard.
+//! truncated back to its fsynced prefix and the log is poisoned. (A real
+//! power loss keeps a zero-filled file's length and leaves its unsynced
+//! range as zeros, or with any subset of its pages lost; recovery reads
+//! those the same way as the truncation — the crash matrix pins that.)
+//! The `wal/fsync` failpoint instead
+//! writes *half* a batch before poisoning, leaving a genuinely torn frame
+//! on disk for recovery to discard.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -29,8 +47,34 @@ use dgl_faults::failpoint;
 use dgl_obs::{Ctr, Hist, Registry};
 use parking_lot::{Condvar, Mutex};
 
-use crate::record::{encode_record, encode_segment_header, WalError, WalRecord};
+use crate::record::{encode_record_into, encode_segment_header, WalError, WalRecord};
 use crate::replay::segment_path;
+
+/// A segment file grows in steps of this many zero bytes, written ahead
+/// of the records that will overwrite them.
+const CHUNK: u64 = 1 << 20;
+
+/// The source of every zero-fill write: a `static` block written
+/// repeatedly, so extending a file allocates nothing. The lock is never
+/// taken for writing; it gives the block interior mutability, which
+/// places it in `.bss` rather than in the binary's read-only data. Read,
+/// its pages are the kernel's shared zero page, so it costs no resident
+/// memory, also in processes that never open a log.
+static ZEROS: RwLock<[u8; 64 << 10]> = RwLock::new([0; 64 << 10]);
+
+/// Writes zeros from `end` up to the next chunk boundary and returns
+/// that boundary (`end` itself if it already is one).
+fn zero_fill(file: &File, end: u64) -> std::io::Result<u64> {
+    let zeros = ZEROS.read().unwrap_or_else(PoisonError::into_inner);
+    let boundary = end.div_ceil(CHUNK) * CHUNK;
+    let mut at = end;
+    while at < boundary {
+        let n = (boundary - at).min(zeros.len() as u64);
+        file.write_all_at(&zeros[..n as usize], at)?;
+        at += n;
+    }
+    Ok(boundary)
+}
 
 /// When commits are made durable relative to when they are issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,11 +119,14 @@ pub struct RotateInfo {
 
 struct SegmentIo {
     gen: u64,
-    file: File,
-    /// Bytes handed to `write()` (may still be in the page cache).
-    written: u64,
-    /// Bytes known durable (covered by an `fsync`).
+    /// Shared with the flusher's in-flight job: positional writes need
+    /// no cursor, so no per-flush `dup`.
+    file: Arc<File>,
+    /// Bytes written and covered by an `fsync`; the next flush writes at
+    /// this offset.
     synced: u64,
+    /// File length: everything past `synced` up to here is zeros.
+    allocated: u64,
     /// Appended bytes not yet written.
     pending: Vec<u8>,
     /// Commit records inside `pending` (group-commit accounting).
@@ -122,9 +169,10 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates generation `gen`'s segment (header + `ckpt` record written
-    /// and fsynced before returning) and starts the flusher. Fails if the
-    /// segment file already exists.
+    /// Creates generation `gen`'s segment (header + `ckpt` record written,
+    /// the rest of its first chunk zero-filled, and fsynced before
+    /// returning) and starts the flusher. Fails if the segment file
+    /// already exists.
     pub fn create(
         dir: &Path,
         gen: u64,
@@ -133,13 +181,14 @@ impl Wal {
         obs: Arc<Registry>,
     ) -> Result<Wal, WalError> {
         let path = segment_path(dir, gen);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create_new(true)
-            .append(true)
+            .write(true)
             .open(&path)?;
         let mut head = encode_segment_header(gen);
-        head.extend_from_slice(&encode_record(ckpt));
-        file.write_all(&head)?;
+        encode_record_into(ckpt, &mut head);
+        file.write_all_at(&head, 0)?;
+        let allocated = zero_fill(&file, head.len() as u64)?;
         file.sync_all()?;
         // Make the new segment's directory entry durable too.
         File::open(dir)?.sync_all()?;
@@ -153,10 +202,9 @@ impl Wal {
             state: Mutex::new(State {
                 segments: VecDeque::from([SegmentIo {
                     gen,
-                    file,
-
-                    written: base,
+                    file: Arc::new(file),
                     synced: base,
+                    allocated,
                     pending: Vec::new(),
                     pending_commits: 0,
                     end_lsn: base,
@@ -185,26 +233,28 @@ impl Wal {
     }
 
     /// Appends a record to the live segment's buffer and returns its LSN
-    /// (durable once `flushed_lsn` reaches it). The `wal/append`
-    /// failpoint poisons the log before buffering — the record is lost,
-    /// as if the process died just before the append.
+    /// (durable once `flushed_lsn` reaches it). The record is framed
+    /// straight into the buffer, with no allocation of its own. The
+    /// `wal/append` failpoint crashes the log before buffering — the
+    /// record is lost, as if the process died just before the append.
     pub fn append(&self, rec: &WalRecord) -> Result<u64, WalError> {
         failpoint!("wal/append" => {
-            self.poison();
+            self.crash();
             WalError::Crashed
         });
-        let bytes = encode_record(rec);
-        let mut st = self.shared.state.lock();
+        let mut guard = self.shared.state.lock();
+        let st = &mut *guard;
         if st.crashed || st.shutdown {
             return Err(WalError::Crashed);
         }
-        let len = bytes.len() as u64;
+        let seg = st.segments.back_mut().expect("live segment");
+        let start = seg.pending.len();
+        encode_record_into(rec, &mut seg.pending);
+        let len = (seg.pending.len() - start) as u64;
         st.appended_lsn += len;
         st.bytes_since_checkpoint += len;
         let lsn = st.appended_lsn;
         let is_commit = rec.is_commit();
-        let seg = st.segments.back_mut().expect("live segment");
-        seg.pending.extend_from_slice(&bytes);
         seg.end_lsn = lsn;
         if is_commit {
             seg.pending_commits += 1;
@@ -219,11 +269,11 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Appends a commit record. The `wal/commit` failpoint poisons the
+    /// Appends a commit record. The `wal/commit` failpoint crashes the
     /// log first, modelling a crash at the commit point.
     pub fn append_commit(&self, txn: u64) -> Result<u64, WalError> {
         failpoint!("wal/commit" => {
-            self.poison();
+            self.crash();
             WalError::Crashed
         });
         self.append(&WalRecord::Commit { txn })
@@ -272,23 +322,23 @@ impl Wal {
         let path = segment_path(&self.dir, gen);
         let file = OpenOptions::new()
             .create_new(true)
-            .append(true)
+            .write(true)
             .open(&path)?;
         // Directory entry durability for the new segment; data durability
-        // is the caller's `sync_to(cut_lsn)`.
+        // (and the first chunk's zero-fill) is the caller's
+        // `sync_to(cut_lsn)`.
         File::open(&self.dir)?.sync_all()?;
         let mut pending = encode_segment_header(gen);
-        pending.extend_from_slice(&encode_record(ckpt));
+        encode_record_into(ckpt, &mut pending);
         let len = pending.len() as u64;
         st.segments.back_mut().expect("live segment").sealed = true;
         st.appended_lsn += len;
         let cut_lsn = st.appended_lsn;
         st.segments.push_back(SegmentIo {
             gen,
-            file,
-
-            written: 0,
+            file: Arc::new(file),
             synced: 0,
+            allocated: 0,
             pending,
             pending_commits: 0,
             end_lsn: cut_lsn,
@@ -329,36 +379,18 @@ impl Wal {
     /// Simulates a process kill + page-cache loss: truncates every
     /// segment file back to its fsynced prefix and poisons the log. A
     /// no-op if already crashed (so a torn-write injection's half-frame
-    /// survives a subsequent `crash()`).
+    /// survives a subsequent `crash()`). The append-side failpoints crash
+    /// through here too: the process "dies" before anything new hits
+    /// disk.
     pub fn crash(&self) {
         let mut st = self.shared.state.lock();
         if st.crashed {
             return;
         }
-        st.crashed = true;
         for seg in &st.segments {
             let _ = seg.file.set_len(seg.synced);
         }
-        self.shared.work.notify_all();
-        self.shared.flushed.notify_all();
-    }
-
-    /// Poisons the log without touching files (the append-side crash
-    /// injections: the process "dies" before anything new hits disk).
-    /// Only reachable from failpoint arms, which compile to no-ops
-    /// without the `dgl-faults/enabled` feature.
-    #[allow(dead_code)]
-    fn poison(&self) {
-        let mut st = self.shared.state.lock();
-        if st.crashed {
-            return;
-        }
-        st.crashed = true;
-        for seg in &st.segments {
-            let _ = seg.file.set_len(seg.synced);
-        }
-        self.shared.work.notify_all();
-        self.shared.flushed.notify_all();
+        poison_locked(&self.shared, &mut st);
     }
 }
 
@@ -377,13 +409,33 @@ impl Drop for Wal {
 
 struct Job {
     gen: u64,
-    file: File,
+    file: Arc<File>,
     bytes: Vec<u8>,
     commits: u64,
     end_lsn: u64,
-    /// `synced` at take time — the rollback point if a concurrent
-    /// `crash()` wins the race against this job's write.
-    synced_at_take: u64,
+    /// The segment's `synced` at take time: where the bytes go, and the
+    /// rollback point if a concurrent `crash()` wins the race against
+    /// this job's write.
+    offset: u64,
+    /// The segment's `allocated` at take time.
+    allocated: u64,
+}
+
+impl Job {
+    /// Writes the batch in place, extends the zero-filled region if the
+    /// batch ran past it, and makes both durable with one `fdatasync`.
+    /// Returns the segment's new allocated length.
+    fn write_and_sync(&self) -> std::io::Result<u64> {
+        self.file.write_all_at(&self.bytes, self.offset)?;
+        let end = self.offset + self.bytes.len() as u64;
+        let allocated = if end > self.allocated {
+            zero_fill(&self.file, end)?
+        } else {
+            self.allocated
+        };
+        self.file.sync_data()?;
+        Ok(allocated)
+    }
 }
 
 fn flusher_loop(shared: &Arc<Shared>) {
@@ -393,6 +445,9 @@ fn flusher_loop(shared: &Arc<Shared>) {
     // flushes under sustained load, bounding how long a backlog
     // accumulates rather than taxing every lone commit with a wait.
     let mut was_idle = true;
+    // The previous batch's buffer, handed back to the segment as its next
+    // `pending`: appends refill warm capacity instead of regrowing.
+    let mut spare: Vec<u8> = Vec::new();
     loop {
         // --- take a job -----------------------------------------------
         let job = {
@@ -404,7 +459,9 @@ fn flusher_loop(shared: &Arc<Shared>) {
                 // Retire sealed segments that are fully drained.
                 while st.segments.len() > 1 {
                     let s = &st.segments[0];
-                    if s.sealed && s.pending.is_empty() && s.synced == s.written {
+                    // The flusher is the only writer, so an empty
+                    // `pending` means every byte is written and synced.
+                    if s.sealed && s.pending.is_empty() {
                         st.segments.pop_front();
                     } else {
                         break;
@@ -430,20 +487,14 @@ fn flusher_loop(shared: &Arc<Shared>) {
                             st.force = false;
                         }
                         let seg = &mut st.segments[i];
-                        let file = match seg.file.try_clone() {
-                            Ok(f) => f,
-                            Err(_) => {
-                                poison_locked(shared, &mut st);
-                                return;
-                            }
-                        };
                         break Job {
                             gen: seg.gen,
-                            file,
-                            bytes: std::mem::take(&mut seg.pending),
+                            file: Arc::clone(&seg.file),
+                            bytes: std::mem::replace(&mut seg.pending, std::mem::take(&mut spare)),
                             commits: std::mem::replace(&mut seg.pending_commits, 0),
                             end_lsn: seg.end_lsn,
-                            synced_at_take: seg.synced,
+                            offset: seg.synced,
+                            allocated: seg.allocated,
                         };
                     }
                     None => {
@@ -459,27 +510,24 @@ fn flusher_loop(shared: &Arc<Shared>) {
 
         // --- execute I/O without the lock -----------------------------
         was_idle = false;
-        let mut file = job.file;
         if dgl_faults::fired!("wal/fsync") {
             // Torn write: half the batch reaches the file, no fsync, and
             // the log dies. `crash()` is a no-op afterwards, so the torn
             // frame survives for recovery to discard.
             let half = job.bytes.len() / 2;
-            let _ = file.write_all(&job.bytes[..half]);
+            let _ = job.file.write_all_at(&job.bytes[..half], job.offset);
             let mut st = shared.state.lock();
             if st.crashed {
                 // An external crash() already truncated to the durable
                 // prefix; honor its model and drop our half-write.
-                let _ = file.set_len(job.synced_at_take);
+                let _ = job.file.set_len(job.offset);
             } else {
-                st.crashed = true;
-                shared.work.notify_all();
-                shared.flushed.notify_all();
+                poison_locked(shared, &mut st);
             }
             return;
         }
         let t0 = Instant::now();
-        let io = file.write_all(&job.bytes).and_then(|()| file.sync_data());
+        let io = job.write_and_sync();
         let nanos = t0.elapsed().as_nanos() as u64;
 
         // --- publish the result ---------------------------------------
@@ -487,16 +535,16 @@ fn flusher_loop(shared: &Arc<Shared>) {
         if st.crashed {
             // crash() raced our write; its truncation may have happened
             // before our bytes landed. Re-truncate to the durable prefix.
-            let _ = file.set_len(job.synced_at_take);
+            let _ = job.file.set_len(job.offset);
             return;
         }
-        if io.is_err() {
+        let Ok(allocated) = io else {
             poison_locked(shared, &mut st);
             return;
-        }
+        };
         if let Some(seg) = st.segments.iter_mut().find(|s| s.gen == job.gen) {
-            seg.written += job.bytes.len() as u64;
-            seg.synced = seg.written;
+            seg.synced = job.offset + job.bytes.len() as u64;
+            seg.allocated = allocated;
         }
         if job.end_lsn > st.flushed_lsn {
             st.flushed_lsn = job.end_lsn;
@@ -506,6 +554,9 @@ fn flusher_loop(shared: &Arc<Shared>) {
         shared.obs.add(Ctr::WalGroupCommitCommits, job.commits);
         last_flush = Instant::now();
         shared.flushed.notify_all();
+        drop(st);
+        spare = job.bytes;
+        spare.clear();
     }
 }
 
@@ -652,6 +703,101 @@ mod tests {
         assert!(reg.ctr(Ctr::WalFsyncs) >= 1);
         assert_eq!(reg.ctr(Ctr::WalGroupCommitCommits), 5);
         drop(wal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn segment_len(dir: &Path, gen: u64) -> u64 {
+        std::fs::metadata(segment_path(dir, gen)).unwrap().len()
+    }
+
+    fn insert(txn: u64, oid: u64) -> WalRecord {
+        WalRecord::Insert {
+            txn,
+            oid,
+            rect: [0.25, 0.25, 0.5, 0.5],
+        }
+    }
+
+    #[test]
+    fn small_commits_overwrite_the_first_chunk_in_place() {
+        let dir = temp_dir("in-place");
+        let wal = Wal::create(
+            &dir,
+            0,
+            &ckpt(0),
+            WalConfig::default(),
+            Arc::new(Registry::new()),
+        )
+        .unwrap();
+        assert_eq!(segment_len(&dir, 0), CHUNK, "create fills one chunk");
+        for t in 1..=100u64 {
+            wal.append(&WalRecord::Begin { txn: t }).unwrap();
+            wal.append(&insert(t, t)).unwrap();
+            let lsn = wal.append_commit(t).unwrap();
+            wal.wait_durable(lsn).unwrap();
+            assert_eq!(segment_len(&dir, 0), CHUNK, "commit {t} grew the file");
+        }
+        drop(wal);
+        let seg = read_segment(&segment_path(&dir, 0)).unwrap();
+        assert_eq!(seg.records.len(), 1 + 3 * 100);
+        assert_eq!(seg.torn_bytes, 0, "the zero tail reads as the end");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_commit_crossing_a_chunk_boundary_grows_the_file_by_one_chunk() {
+        let dir = temp_dir("grow");
+        let wal = Wal::create(
+            &dir,
+            0,
+            &ckpt(0),
+            WalConfig::default(),
+            Arc::new(Registry::new()),
+        )
+        .unwrap();
+        let mut txns = 0u64;
+        loop {
+            txns += 1;
+            for oid in 0..100 {
+                wal.append(&insert(txns, oid)).unwrap();
+            }
+            let lsn = wal.append_commit(txns).unwrap();
+            wal.wait_durable(lsn).unwrap();
+            // Generation 0's LSNs are its file offsets.
+            if lsn <= CHUNK {
+                assert_eq!(segment_len(&dir, 0), CHUNK, "commit {txns}");
+            } else {
+                assert_eq!(segment_len(&dir, 0), 2 * CHUNK, "commit {txns}");
+                break;
+            }
+        }
+        drop(wal);
+        let seg = read_segment(&segment_path(&dir, 0)).unwrap();
+        assert_eq!(seg.records.len() as u64, 1 + 101 * txns);
+        assert_eq!(seg.torn_bytes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotated_segment_is_one_chunk_after_its_first_flush() {
+        let dir = temp_dir("rotate-chunk");
+        let wal = Wal::create(
+            &dir,
+            0,
+            &ckpt(0),
+            WalConfig::default(),
+            Arc::new(Registry::new()),
+        )
+        .unwrap();
+        let lsn = wal.append_commit(1).unwrap();
+        wal.wait_durable(lsn).unwrap();
+        let info = wal.rotate(&ckpt(1)).unwrap();
+        wal.sync_to(info.cut_lsn).unwrap();
+        assert_eq!(segment_len(&dir, 1), CHUNK);
+        drop(wal);
+        let s1 = read_segment(&segment_path(&dir, 1)).unwrap();
+        assert_eq!(s1.records.len(), 1, "the checkpoint record alone");
+        assert_eq!(s1.torn_bytes, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

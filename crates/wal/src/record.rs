@@ -8,6 +8,14 @@
 //! the file, or whose CRC does not match, treats it as the torn tail of
 //! an interrupted write: the valid prefix is the log.
 //!
+//! A segment file is zero-filled ahead of its writes (see [`crate::log`]),
+//! so the log usually ends in a run of zero bytes rather than at the end
+//! of the file. No record has an empty payload, so a frame position from
+//! which every remaining byte is zero reads as the clean end
+//! ([`FrameRead::End`]); a zero `len` with any nonzero byte after it is
+//! torn like any other damaged frame. A file without a zero tail reads
+//! exactly as it always did.
+//!
 //! Each segment file opens with a 16-byte header
 //! (`"DGLW" | version u32 | generation u64`) so a directory scan can
 //! order segments without trusting file names alone.
@@ -259,38 +267,37 @@ fn put_rect(buf: &mut Vec<u8>, r: &[f64; 4]) {
     }
 }
 
-/// Serializes the record payload (no frame).
-pub fn encode_payload(rec: &WalRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(48);
+/// Appends the record payload (no frame) to `buf`.
+fn put_payload(buf: &mut Vec<u8>, rec: &WalRecord) {
     match rec {
         WalRecord::Begin { txn } => {
             buf.push(TAG_BEGIN);
-            put_u64(&mut buf, *txn);
+            put_u64(buf, *txn);
         }
         WalRecord::Insert { txn, oid, rect } => {
             buf.push(TAG_INSERT);
-            put_u64(&mut buf, *txn);
-            put_u64(&mut buf, *oid);
-            put_rect(&mut buf, rect);
+            put_u64(buf, *txn);
+            put_u64(buf, *oid);
+            put_rect(buf, rect);
         }
         WalRecord::Delete { txn, oid, rect } => {
             buf.push(TAG_DELETE);
-            put_u64(&mut buf, *txn);
-            put_u64(&mut buf, *oid);
-            put_rect(&mut buf, rect);
+            put_u64(buf, *txn);
+            put_u64(buf, *oid);
+            put_rect(buf, rect);
         }
         WalRecord::Commit { txn } => {
             buf.push(TAG_COMMIT);
-            put_u64(&mut buf, *txn);
+            put_u64(buf, *txn);
         }
         WalRecord::Abort { txn } => {
             buf.push(TAG_ABORT);
-            put_u64(&mut buf, *txn);
+            put_u64(buf, *txn);
         }
         WalRecord::Prepare { txn, gtxn } => {
             buf.push(TAG_PREPARE);
-            put_u64(&mut buf, *txn);
-            put_u64(&mut buf, *gtxn);
+            put_u64(buf, *txn);
+            put_u64(buf, *gtxn);
         }
         WalRecord::Checkpoint {
             gen,
@@ -298,43 +305,53 @@ pub fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             prepared,
         } => {
             buf.push(TAG_CHECKPOINT);
-            put_u64(&mut buf, *gen);
-            put_u64(&mut buf, undo.len() as u64);
+            put_u64(buf, *gen);
+            put_u64(buf, undo.len() as u64);
             for entry in undo {
-                put_u64(&mut buf, entry.txn);
-                put_u64(&mut buf, entry.ops.len() as u64);
+                put_u64(buf, entry.txn);
+                put_u64(buf, entry.ops.len() as u64);
                 for op in &entry.ops {
                     match op {
                         UndoOp::Insert { oid, rect } => {
                             buf.push(UNDO_INSERT);
-                            put_u64(&mut buf, *oid);
-                            put_rect(&mut buf, rect);
+                            put_u64(buf, *oid);
+                            put_rect(buf, rect);
                         }
                         UndoOp::Delete { oid, rect } => {
                             buf.push(UNDO_DELETE);
-                            put_u64(&mut buf, *oid);
-                            put_rect(&mut buf, rect);
+                            put_u64(buf, *oid);
+                            put_rect(buf, rect);
                         }
                     }
                 }
             }
-            put_u64(&mut buf, prepared.len() as u64);
+            put_u64(buf, prepared.len() as u64);
             for (txn, gtxn) in prepared {
-                put_u64(&mut buf, *txn);
-                put_u64(&mut buf, *gtxn);
+                put_u64(buf, *txn);
+                put_u64(buf, *gtxn);
             }
         }
     }
-    buf
+}
+
+/// Appends a record's framed form (`len | crc | payload`) to `out`: the
+/// header is reserved, the payload encoded in place behind it, then
+/// `len` and `crc` patched in — no intermediate buffer.
+pub fn encode_record_into(rec: &WalRecord, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    put_payload(out, rec);
+    let payload = &out[start + FRAME_HEADER_LEN..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + FRAME_HEADER_LEN].copy_from_slice(&crc);
 }
 
 /// Serializes a record into its framed form (`len | crc | payload`).
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(rec);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    encode_record_into(rec, &mut out);
     out
 }
 
@@ -479,7 +496,8 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, WalError> {
 pub enum FrameRead {
     /// A valid record; `next` is the offset just past its frame.
     Record(WalRecord, usize),
-    /// End of data, exactly at a frame boundary.
+    /// End of the log at a frame boundary: no bytes left, or only the
+    /// segment's zero tail.
     End,
     /// The bytes from `pos` on are an incomplete or corrupt final frame —
     /// the torn tail of an interrupted write. Contains the number of
@@ -491,10 +509,14 @@ pub enum FrameRead {
 /// reported as [`FrameRead::Torn`], never an error: the caller decides
 /// whether a torn frame is tolerable (last segment) or fatal.
 pub fn read_frame(data: &[u8], pos: usize) -> FrameRead {
-    let remaining = data.len() - pos;
-    if remaining == 0 {
+    // A segment's unwritten tail is zero-filled ahead of the writes. No
+    // record has an empty payload, so a zero `len` with nothing but
+    // zeros behind it is the clean end of the log; a zero `len` followed
+    // by any nonzero byte still falls through to `Torn` below.
+    if data[pos..].iter().all(|&b| b == 0) {
         return FrameRead::End;
     }
+    let remaining = data.len() - pos;
     if remaining < FRAME_HEADER_LEN {
         return FrameRead::Torn(remaining);
     }
@@ -646,6 +668,85 @@ mod tests {
         let last = framed.len() - 1;
         framed[last] ^= 0xFF;
         assert!(matches!(read_frame(&framed, 0), FrameRead::Torn(_)));
+    }
+
+    #[test]
+    fn framing_into_a_buffer_appends_the_same_bytes() {
+        let mut buf = vec![0xEE; 3];
+        for rec in samples() {
+            let before = buf.len();
+            encode_record_into(&rec, &mut buf);
+            assert_eq!(&buf[before..], &encode_record(&rec)[..], "{rec:?}");
+        }
+    }
+
+    /// Every frame of `recs`, back to back, then `tail`.
+    fn stream(recs: &[WalRecord], tail: &[u8]) -> Vec<u8> {
+        let mut data = Vec::new();
+        for r in recs {
+            encode_record_into(r, &mut data);
+        }
+        data.extend_from_slice(tail);
+        data
+    }
+
+    /// Reads frames from 0 until something other than a record.
+    fn read_all(data: &[u8]) -> (Vec<WalRecord>, FrameRead) {
+        let (mut pos, mut got) = (0, Vec::new());
+        loop {
+            match read_frame(data, pos) {
+                FrameRead::Record(r, next) => {
+                    got.push(r);
+                    pos = next;
+                }
+                end => return (got, end),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_tail_ends_the_log_cleanly() {
+        // Shorter than a frame header, exactly one, and a whole page.
+        for zeros in [1, 3, FRAME_HEADER_LEN, 4096] {
+            let (got, end) = read_all(&stream(&samples(), &vec![0; zeros]));
+            assert_eq!(got, samples(), "{zeros} zeros");
+            assert!(matches!(end, FrameRead::End), "{zeros} zeros");
+        }
+    }
+
+    #[test]
+    fn zero_len_followed_by_a_nonzero_byte_is_torn() {
+        // The nonzero byte inside the header's crc, right behind the
+        // header, and far down the tail.
+        for at in [4, 7, FRAME_HEADER_LEN, 100, 4095] {
+            let mut tail = vec![0u8; 4096];
+            tail[at] = 0x01;
+            let (got, end) = read_all(&stream(&samples(), &tail));
+            assert_eq!(got, samples(), "nonzero at {at}");
+            assert!(
+                matches!(end, FrameRead::Torn(n) if n == tail.len()),
+                "nonzero at {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn half_written_frame_followed_by_zeros_is_torn() {
+        let framed = encode_record(&WalRecord::Insert {
+            txn: 1,
+            oid: 2,
+            rect: [0.5, 0.5, 0.75, 0.75],
+        });
+        for cut in 1..framed.len() {
+            let mut tail = framed[..cut].to_vec();
+            tail.resize(cut + 4096, 0);
+            let (got, end) = read_all(&stream(&samples(), &tail));
+            assert_eq!(got, samples(), "cut at {cut}");
+            assert!(
+                matches!(end, FrameRead::Torn(n) if n == tail.len()),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

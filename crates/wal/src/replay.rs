@@ -4,6 +4,13 @@
 //! Policy decisions (which generation to anchor recovery on, whether a
 //! torn region mid-chain is fatal) belong to the caller; this module
 //! only extracts what is structurally readable.
+//!
+//! Segment files are zero-filled ahead of the writer in 1 MiB chunks, so
+//! a segment usually ends in a zero tail, not at the end of its file.
+//! The reader treats an all-zero remainder at a frame boundary as the
+//! clean end (`torn_bytes == 0`), which is what lets a sealed segment
+//! sit mid-chain; anything else past the valid prefix is counted torn.
+//! A segment written without a zero tail reads exactly as before.
 
 use std::path::{Path, PathBuf};
 
@@ -170,6 +177,54 @@ mod tests {
             vec![WalRecord::Begin { txn: 1 }, WalRecord::Commit { txn: 1 }]
         );
         assert_eq!(seg.torn_bytes, torn.len() - 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn committed_segment(gen: u64) -> Vec<u8> {
+        let mut data = encode_segment_header(gen);
+        data.extend_from_slice(&encode_record(&WalRecord::Begin { txn: 1 }));
+        data.extend_from_slice(&encode_record(&WalRecord::Commit { txn: 1 }));
+        data
+    }
+
+    #[test]
+    fn sealed_segment_with_zero_tail_reads_clean() {
+        let dir = temp_dir("zero-tail");
+        let path = segment_path(&dir, 5);
+        let mut data = committed_segment(5);
+        data.resize(1 << 20, 0);
+        std::fs::write(&path, &data).unwrap();
+        let seg = read_segment(&path).unwrap();
+        assert_eq!(seg.gen, Some(5));
+        assert_eq!(
+            seg.records,
+            vec![WalRecord::Begin { txn: 1 }, WalRecord::Commit { txn: 1 }]
+        );
+        assert_eq!(seg.torn_bytes, 0, "a zero tail is not a torn tail");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segment_without_zero_tail_reads_as_before() {
+        let dir = temp_dir("no-tail");
+        let path = segment_path(&dir, 6);
+        // Clean: ends exactly at a frame boundary.
+        std::fs::write(&path, committed_segment(6)).unwrap();
+        let seg = read_segment(&path).unwrap();
+        assert_eq!(seg.gen, Some(6));
+        assert_eq!(seg.records.len(), 2);
+        assert_eq!(seg.torn_bytes, 0);
+        // Torn: every cut of a trailing frame keeps the prefix and counts
+        // exactly the cut bytes, as the reader always did.
+        let extra = encode_record(&WalRecord::Abort { txn: 2 });
+        for cut in 1..extra.len() {
+            let mut data = committed_segment(6);
+            data.extend_from_slice(&extra[..cut]);
+            std::fs::write(&path, &data).unwrap();
+            let seg = read_segment(&path).unwrap();
+            assert_eq!(seg.records.len(), 2, "cut at {cut}");
+            assert_eq!(seg.torn_bytes, cut, "cut at {cut}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1165,6 +1165,176 @@ fn page_ids_survive_checkpoint_crash_and_recover() {
     assert_eq!(contents(&recovered), committed);
 }
 
+// --- power loss on zero-filled segments ---------------------------------
+
+use dgl_wal::read_segment;
+use dgl_wal::record::{read_frame, FrameRead, SEGMENT_HEADER_LEN};
+
+/// The page a power loss keeps or loses as a whole.
+const PAGE: usize = 4096;
+
+/// Where the valid frames of a segment image end.
+fn valid_prefix_len(image: &[u8]) -> usize {
+    let mut pos = SEGMENT_HEADER_LEN;
+    while let FrameRead::Record(_, next) = read_frame(image, pos) {
+        pos = next;
+    }
+    pos
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_file() {
+            std::fs::copy(&path, to.join(path.file_name().expect("name"))).expect("copy");
+        }
+    }
+}
+
+/// What a power loss leaves of the unsynced range `[synced, written)` of
+/// a zero-filled live segment. [`Wal::crash`]'s model truncates the file
+/// to `synced` instead; a real loss keeps the file's length.
+#[derive(Debug, Clone, Copy)]
+enum PowerLoss {
+    /// No unsynced page reached the disk: the range reads as zeros.
+    RangeZeroed,
+    /// One page inside the range never reached the disk; the unsynced
+    /// bytes before and after it did.
+    OnePageZeroed,
+}
+
+/// A workload, then one large commit whose flush is torn (the
+/// `wal/fsync` failpoint writes half its batch in place and kills the
+/// log before any `fsync`), then the power-loss image of the live
+/// segment. Recovery must reach exactly the state the truncation model
+/// reaches, and the crash-matrix oracle must hold on both.
+fn run_power_loss_cell(how: PowerLoss) {
+    let _serial = serialize();
+    let label = format!("power-loss[{how:?}]");
+    let _watchdog = Watchdog::arm(&label);
+    let dir = TempDir::new("power-loss");
+    let mut rng = XorShift::new(0x9E11);
+    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let db = DglRTree::open(dir.path(), config.clone()).expect("open");
+    let mut outcome = drive_until_crash(&db, &mut rng, 40, None);
+    assert!(outcome.in_doubt.is_none(), "no WAL faults armed");
+    assert!(outcome.acked > 10, "workload must do real work");
+
+    // No checkpoint ran, so generation 0 is the live segment, and every
+    // byte written to it so far is synced.
+    let segment = segment_path(dir.path(), 0);
+    let synced = valid_prefix_len(&std::fs::read(&segment).expect("segment"));
+
+    let txn = db.begin();
+    let mut ops = Vec::new();
+    for i in 0..400u64 {
+        let (oid, rect) = (1_000_000 + i, small_rect(&mut rng));
+        db.insert(txn, ObjectId(oid), rect).expect("insert");
+        ops.push(Op::Ins(oid, rect));
+    }
+    {
+        let _torn = dgl_faults::register("wal/fsync", FaultSpec::error());
+        assert_eq!(db.commit(txn), Err(TxnError::Durability), "{label}");
+    }
+    outcome.in_doubt = Some(ops);
+    db.crash_wal(); // a no-op on the dead log: the half batch stays
+    drop(db);
+
+    let image = std::fs::read(&segment).expect("segment");
+    assert_eq!(image.len(), 1 << 20, "{label}: the segment keeps its chunk");
+    let written = image.iter().rposition(|&b| b != 0).expect("data") + 1;
+
+    // The truncation model, on a copy of the directory.
+    let truncated = TempDir::new("power-loss-truncated");
+    copy_dir(dir.path(), truncated.path());
+    std::fs::write(segment_path(truncated.path(), 0), &image[..synced]).expect("truncate");
+
+    let mut lost = image.clone();
+    match how {
+        PowerLoss::RangeZeroed => lost[synced..written].fill(0),
+        PowerLoss::OnePageZeroed => {
+            let page = synced.div_ceil(PAGE) * PAGE;
+            assert!(
+                written > page + PAGE,
+                "{label}: the torn batch must run past the zeroed page"
+            );
+            lost[page..page + PAGE].fill(0);
+        }
+    }
+    std::fs::write(&segment, &lost).expect("power-loss image");
+
+    let expected = recover_and_check(truncated.path(), config.clone(), &outcome, &label);
+    let seen = recover_and_check(dir.path(), config, &outcome, &label);
+    assert_eq!(
+        seen, expected,
+        "{label}: diverged from the truncation model"
+    );
+    assert_eq!(
+        seen, outcome.committed,
+        "{label}: the torn commit's record never reached the disk"
+    );
+}
+
+#[test]
+fn zero_filled_power_loss_zeroes_the_unsynced_range() {
+    run_power_loss_cell(PowerLoss::RangeZeroed);
+}
+
+#[test]
+fn zero_filled_power_loss_zeroes_one_unsynced_page() {
+    run_power_loss_cell(PowerLoss::OnePageZeroed);
+}
+
+/// Two checkpoints whose snapshot writes fail leave three generations of
+/// log above one snapshot. Recovery replays across all three, so the two
+/// sealed segments sit mid-chain, each ending in its zero tail — which
+/// must read as a clean end, never as a torn one.
+#[test]
+fn zero_filled_tails_read_clean_across_three_generations() {
+    let _serial = serialize();
+    let label = "three-generations";
+    let _watchdog = Watchdog::arm(label);
+    let dir = TempDir::new("three-gens");
+    let mut rng = XorShift::new(0x3E4E);
+    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let db = DglRTree::open(dir.path(), config.clone()).expect("open");
+    let mut committed = BTreeMap::new();
+    commit_inserts(&db, &mut rng, 1..=20, &mut committed);
+    for gen in 1..=2u64 {
+        // A directory in place of the temporary snapshot file fails the
+        // snapshot write after the log rotated. The log lives on, and the
+        // older generation stays (it is pruned only once a newer snapshot
+        // is durable).
+        std::fs::create_dir(dir.path().join(format!("snapshot-{gen:010}.tmp")))
+            .expect("block the snapshot");
+        assert_eq!(db.checkpoint(), Err(TxnError::Durability), "{label}");
+        commit_inserts(&db, &mut rng, gen * 20 + 1..=gen * 20 + 20, &mut committed);
+    }
+    db.crash_wal();
+    drop(db);
+
+    let listing = scan_dir(dir.path()).expect("scan");
+    assert_eq!(listing.segments, [0, 1, 2]);
+    assert_eq!(listing.snapshots, [0]);
+    for gen in [0, 1] {
+        let path = segment_path(dir.path(), gen);
+        let len = std::fs::metadata(&path).expect("segment").len();
+        assert_eq!(len, 1 << 20, "{label}: sealed segment {gen} keeps its tail");
+        let seg = read_segment(&path).expect("read");
+        assert_eq!(
+            seg.torn_bytes, 0,
+            "{label}: sealed segment {gen} ends clean"
+        );
+    }
+    let outcome = Outcome {
+        committed,
+        in_doubt: None,
+        acked: 60,
+    };
+    let seen = recover_and_check(dir.path(), config, &outcome, label);
+    assert_eq!(seen.len(), 60, "{label}");
+}
+
 // --- cross-shard two-phase-commit crash matrix --------------------------
 
 use granular_rtree::core::{ShardedDglRTree, ShardingConfig};
