@@ -3,14 +3,12 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [table2|granule-change|table4|zorder|ablations|maintenance|connections|all]
+//! repro [--quick] [table2|granule-change|table4|zorder|ablations|connections|all]
 //! ```
 //! `--quick` shrinks the datasets (2,000 objects instead of the paper's
 //! 32,000, fewer transactions) for smoke runs.
 
-use dgl_bench::experiments::{
-    ablation, connections, granule_change, maintenance, table2, table4, zorder,
-};
+use dgl_bench::experiments::{ablation, connections, granule_change, table2, table4, zorder};
 use dgl_bench::report;
 use dgl_workload::OpMix;
 
@@ -130,18 +128,6 @@ fn main() {
                 ]
             )
         );
-    }
-
-    if all || which.contains(&"maintenance") {
-        println!("## §3.7 — deferred-deletion schedule (commit-path latency)\n");
-        println!(
-            "Delete-heavy workload: every transaction deletes and replaces \
-             3 objects; inline runs the physical deletions at commit, \
-             background hands them to the maintenance worker.\n"
-        );
-        let rows =
-            maintenance::run_comparison(n.min(4_000), if quick { 100 } else { 500 }, 3, seed);
-        println!("{}", maintenance::render(&rows));
     }
 
     if all || which.contains(&"connections") {

@@ -3,7 +3,6 @@
 pub mod ablation;
 pub mod connections;
 pub mod granule_change;
-pub mod maintenance;
 pub mod table2;
 pub mod table4;
 pub mod zorder;

@@ -10,7 +10,6 @@
 //! | §3.4 in-text — fraction of inserters that change a granule boundary vs fanout | [`experiments::granule_change`] |
 //! | Table 4 — granular vs predicate (vs whole-tree) locking under multi-user load | [`experiments::table4`] |
 //! | Design ablations — modified-vs-base insertion policy, per-node vs single external granule | [`experiments::ablation`] |
-//! | §3.7 — deferred-deletion schedule (inline vs background worker) commit-path latency | [`experiments::maintenance`] |
 //! | (not in the paper) server throughput vs loopback connection count | [`experiments::connections`] |
 //!
 //! The `repro` binary runs everything and prints paper-style tables;

@@ -48,8 +48,9 @@ use super::{DeferredDelete, DglCore};
 /// Unwind cleanup for a system operation: if a panic tears through the
 /// deletion, the system transaction must not stay registered (its locks
 /// would wedge the table and its id would stay system-flagged forever).
-/// The maintenance worker catches the panic and requeues the record; a
-/// fresh attempt then begins from scratch with a new system id.
+/// The retry loop in `maintenance.rs` catches the panic and runs the
+/// deletion again; the fresh attempt begins from scratch with a new
+/// system id.
 struct SysCleanup<'a> {
     core: &'a DglCore,
     sys: TxnId,
@@ -66,8 +67,8 @@ impl Drop for SysCleanup<'_> {
             // Abort (not commit): releases the short locks without
             // pretending the half-finished operation completed. The
             // panic sites are mutation-free boundaries, so there is no
-            // tree state to undo — and the requeued record redoes the
-            // whole operation anyway.
+            // tree state to undo — and the retry redoes the whole
+            // operation anyway.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.core.tm.abort(self.sys);
             }));

@@ -17,16 +17,16 @@
 //!   never for the checksum or the file I/O), rotates the log into a new
 //!   generation headed by a `Checkpoint` record carrying that undo image,
 //!   writes the snapshot file (`crc32(image) | image`), and deletes the
-//!   old generation. Threshold-triggered checkpoints run through the
-//!   maintenance subsystem so commits never pay for them inline (in
-//!   background mode).
+//!   old generation. A threshold-triggered checkpoint runs at the end of
+//!   the commit that crossed the threshold, after its locks are released
+//!   and its deferred deletions have run.
 //! * **Recovery.** [`DglRTree::recover`] picks the newest generation
 //!   whose snapshot *and* segment are intact — the snapshot passing its
 //!   checksum and decoding (falling back across a checkpoint that died
 //!   mid-write or a damaged file) — peels the operations of
 //!   transactions that never committed out of the image using the cut's
-//!   undo records, re-enqueues surviving tombstones through the
-//!   maintenance subsystem, and replays the committed log tail through
+//!   undo records, runs the physical deletions of surviving tombstones,
+//!   and replays the committed log tail through
 //!   the normal plan/validate/apply write path — each replayed
 //!   transaction executes at its `Commit` record's position, which under
 //!   strict 2PL equals the serialization order. A torn final record
@@ -87,8 +87,8 @@ pub struct DurabilityConfig {
     /// commit within a batching window.
     pub sync: SyncPolicy,
     /// Log bytes appended since the last checkpoint that trigger an
-    /// automatic one (through the maintenance subsystem). `None`
-    /// disables auto-checkpointing; [`DglRTree::checkpoint`] remains.
+    /// automatic one, run at the end of the commit that crossed it.
+    /// `None` disables auto-checkpointing; [`DglRTree::checkpoint`] remains.
     pub checkpoint_threshold: Option<u64>,
 }
 
@@ -317,7 +317,7 @@ impl DglCore {
 
     /// Runs one checkpoint and records its outcome (also releases the
     /// auto-checkpoint pending slot). The entry point for both explicit
-    /// [`DglRTree::checkpoint`] calls and maintenance-dispatched ones.
+    /// [`DglRTree::checkpoint`] calls and threshold-triggered ones.
     pub(crate) fn run_checkpoint_guarded(&self) -> Result<(), TxnError> {
         // Drop guard: the pending slot is released even if the
         // checkpoint panics (otherwise auto-checkpointing would be
@@ -500,7 +500,7 @@ impl DglRTree {
 
     /// Recovers an index from `dir`: newest intact snapshot, undo peel of
     /// uncommitted in-flight transactions, committed-tail replay through
-    /// the normal write path, tombstone re-enqueue, then a fresh log
+    /// the normal write path, tombstone removal, then a fresh log
     /// generation so the next crash recovers from this point.
     ///
     /// Transactions that were *prepared* under two-phase commit but never
@@ -687,8 +687,8 @@ impl DglRTree {
         }
 
         // Surviving tombstones belong to committed deleters whose
-        // deferred physical deletion never ran; `from_snapshot` feeds
-        // them back through the maintenance subsystem and drains it.
+        // deferred physical deletion never ran; `from_snapshot` runs
+        // them before it returns.
         // Version chains rebuild as the replay below runs through the
         // normal write path on the (fresh) clock — GC state is in-memory
         // only, so nothing is lost by a crash mid-GC.

@@ -79,16 +79,14 @@ mod ops_write;
 mod shard;
 
 pub use durability::{DurabilityConfig, RecoverError};
-pub use maintenance::{MaintenanceConfig, MaintenanceMode};
 pub use mvcc::{MvccStats, Snapshot};
 pub use shard::{ShardedDglRTree, ShardedSnapshot, ShardingConfig};
 
-use maintenance::MaintenanceHandle;
 use mvcc::{DeadObject, DirtyList, VersionChain};
 
 use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -141,9 +139,6 @@ pub struct DglConfig {
     /// [`TxnError::Timeout`] (distinct from [`TxnError::Deadlock`]) with
     /// the transaction rolled back.
     pub lock: LockManagerConfig,
-    /// Maintenance subsystem: when (and where) deferred physical
-    /// deletions run — inline in `commit` or on a background worker.
-    pub maintenance: MaintenanceConfig,
     /// Durability subsystem: write-ahead logging and checkpointing.
     /// Only consulted by the directory-backed constructors
     /// ([`DglRTree::open`] / [`DglRTree::recover`]); purely in-memory
@@ -164,7 +159,6 @@ impl Default for DglConfig {
             world: Rect2::unit(),
             policy: InsertPolicy::default(),
             lock: LockManagerConfig::default(),
-            maintenance: MaintenanceConfig::default(),
             durability: DurabilityConfig::default(),
             coarse_external_granule: false,
         }
@@ -281,9 +275,8 @@ impl ShardContext {
     }
 }
 
-/// The protocol state and implementation, shared between the public
-/// [`DglRTree`] facade and the background maintenance worker (which holds
-/// its own `Arc` so deferred system operations can run off-thread).
+/// The protocol state and implementation behind the public [`DglRTree`]
+/// facade.
 pub(crate) struct DglCore {
     pub(crate) tree: RwLock<Latched>,
     pub(crate) lm: Arc<LockManager>,
@@ -309,8 +302,8 @@ pub(crate) struct DglCore {
     /// be held while taking `payloads` (commit stamping), never the
     /// reverse.
     pub(crate) clock: Arc<CommitClock>,
-    /// A version-GC pass has been dispatched and not yet run (dedupes
-    /// requests, mirrors `ckpt_pending`).
+    /// A version-GC pass has been dispatched and not yet finished
+    /// (dedupes requests, mirrors `ckpt_pending`).
     pub(crate) gc_pending: AtomicBool,
     /// Snapshot drops since startup (every `GC_EVERY_DROPS`th triggers a
     /// GC dispatch, [`DglRTree::snapshot_dropped`]).
@@ -460,8 +453,9 @@ impl Drop for UnwindRollback<'_> {
         if !std::thread::panicking() {
             return;
         }
-        // System transactions have their own cleanup (the maintenance
-        // worker's requeue path); only user transactions roll back here.
+        // System transactions have their own cleanup (`SysCleanup`, then
+        // the retry loop in `maintenance.rs`); only user transactions roll
+        // back here.
         if self.core.tm.is_active(self.txn) && !self.core.lm.is_system(self.txn) {
             self.core.obs.incr(Ctr::UnwindRollbacks);
             // Rollback itself must not escalate to a double-panic abort.
@@ -492,10 +486,7 @@ impl Drop for UnwindRollback<'_> {
 /// # Ok::<(), dgl_core::TxnError>(())
 /// ```
 pub struct DglRTree {
-    // Declared before `core` so a drop tears the worker down (which joins
-    // the thread) while the core it references is still guaranteed alive.
-    maint: MaintenanceHandle,
-    core: Arc<DglCore>,
+    core: DglCore,
 }
 
 impl std::fmt::Debug for DglRTree {
@@ -507,8 +498,8 @@ impl std::fmt::Debug for DglRTree {
 }
 
 impl DglRTree {
-    /// Assembles a core + maintenance handle around an existing tree and
-    /// payload table (shared tail of every constructor).
+    /// Assembles a core around an existing tree and payload table (shared
+    /// tail of every constructor).
     fn build(
         tree: RTree2,
         payloads: StripedMap<ObjectId, PayloadSlot>,
@@ -518,7 +509,7 @@ impl DglRTree {
         let obs = Arc::new(Registry::new());
         tree.io_stats().attach_obs(Arc::clone(&obs));
         let lm = LockManager::join(config.lock.clone(), Arc::clone(&obs), &domain);
-        let core = Arc::new(DglCore {
+        let core = DglCore {
             tree: RwLock::new(Latched {
                 tree,
                 orphans: Vec::new(),
@@ -545,11 +536,8 @@ impl DglRTree {
             commit_cut: RwLock::new(()),
             ckpt_pending: AtomicBool::new(false),
             checkpoint_threshold: config.durability.checkpoint_threshold,
-        });
-        Self {
-            maint: MaintenanceHandle::new(&core, config.maintenance),
-            core,
-        }
+        };
+        Self { core }
     }
 
     /// Creates an empty index.
@@ -570,11 +558,11 @@ impl DglRTree {
     /// Snapshots are taken at quiescent points, but a snapshot written by
     /// a crashed process may still contain tombstoned entries whose
     /// deferred physical deletion never ran; those deletes were already
-    /// committed, so recovery feeds them through the maintenance subsystem
-    /// — the same system-operation path (removal, condensation, orphan
-    /// re-insertion) a live commit uses — and drains it before returning,
-    /// so the first user transaction sees a fully recovered tree. Payload
-    /// versions are not part of the tree image and restart at 1.
+    /// committed, so recovery runs them before returning — the same
+    /// system-operation path (removal, condensation, orphan re-insertion)
+    /// a live commit uses — so the first user transaction sees a fully
+    /// recovered tree. Payload versions are not part of the tree image
+    /// and restart at 1.
     ///
     /// `Err(TxnError::MaintenanceFailed)` means the snapshot's pending
     /// deletions could not be applied (an inconsistent or corrupt image):
@@ -593,7 +581,7 @@ impl DglRTree {
     ) -> Result<Self, TxnError> {
         // Tombstoned entries are committed-but-unapplied deletions; they
         // stay in the tree (and in `payloads`, keeping their ids reserved)
-        // until the maintenance pass below removes them.
+        // until the system operations below remove them.
         let pending: Vec<DeferredDelete> = tree
             .all_objects()
             .into_iter()
@@ -626,11 +614,11 @@ impl DglRTree {
         // index identical to a fresh build.
         dgl_faults::failpoint!("hashidx/rebuild");
         let db = Self::build(tree, payloads, &config, context);
-        for d in pending {
-            db.maint.dispatch(&db.core, d);
-        }
         // Recovery completes before the first user transaction.
-        db.maint.quiesce(&db.core)?;
+        for d in pending {
+            db.core.run_maintenance(d);
+        }
+        db.quiesce()?;
         debug_assert_eq!(db.core.tm.active_count(), 0);
         Ok(db)
     }
@@ -670,13 +658,6 @@ impl DglRTree {
         &self.core.tm
     }
 
-    /// Maintenance work items (deferred deletions, checkpoints, version
-    /// GC passes) queued or executing right now — the queue's own depth,
-    /// not a counter difference. Always 0 in inline mode.
-    pub fn maintenance_backlog(&self) -> usize {
-        self.maint.backlog()
-    }
-
     /// Read access to the underlying tree (experiments; takes the latch).
     pub fn with_tree<T>(&self, f: impl FnOnce(&RTree2) -> T) -> T {
         f(&self.core.latch_shared())
@@ -695,18 +676,20 @@ impl DglRTree {
         self.core.policy
     }
 
-    /// Blocks until the background maintenance queue is drained and no
-    /// deferred deletion is mid-flight. Immediate in inline mode. After
-    /// `Ok(())` (and absent concurrent commits), every committed physical
-    /// deletion has been applied: tombstones are gone and their object
-    /// ids are free again.
+    /// Reports whether every deferred deletion dispatched so far was
+    /// applied. It waits for nothing: each `commit` runs its deletions
+    /// before it returns, so after `Ok(())` (and absent concurrent
+    /// commits) tombstones are gone and their object ids are free again.
     ///
     /// `Err(TxnError::MaintenanceFailed)` means one or more deferred
-    /// deletions panicked past their retry budget and were dropped —
-    /// the queue still drains (no hang), but tombstoned entries may
-    /// remain and their ids stay reserved.
+    /// deletions panicked past their retry budget and were dropped:
+    /// tombstoned entries may remain and their ids stay reserved.
     pub fn quiesce(&self) -> Result<(), TxnError> {
-        self.maint.quiesce(&self.core)
+        if self.core.maint_failed.load(Ordering::Relaxed) {
+            Err(TxnError::MaintenanceFailed)
+        } else {
+            Ok(())
+        }
     }
 
     // --- commit phases --------------------------------------------------
@@ -759,7 +742,7 @@ impl DglRTree {
         }
     }
 
-    /// Commit phase 3: release locks, dispatch deferred deletions, and
+    /// Commit phase 3: release locks, run deferred deletions, and
     /// record commit statistics. Infallible; the commit is already
     /// durable and (if versioned) stamped.
     pub(crate) fn commit_finish(&self, txn: TxnId, start: Instant) {
@@ -795,21 +778,18 @@ impl DglRTree {
         deferred
     }
 
-    /// Commit phase 3b: dispatch the deferred deletions from
-    /// [`Self::commit_release`] and record commit statistics. Inline
-    /// mode executes the deletions here; background mode only enqueues
-    /// them — the commit-latency split the maintenance subsystem
-    /// exists for.
+    /// Commit phase 3b: run the deferred deletions from
+    /// [`Self::commit_release`] and record commit statistics.
     pub(crate) fn commit_maintenance(&self, deferred: Vec<DeferredDelete>, start: Instant) {
         for d in deferred {
-            self.maint.dispatch(&self.core, d);
+            self.core.run_maintenance(d);
         }
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.core.obs.record(Hist::Commit, nanos);
-        // Enough log grew since the last cut? Hand a checkpoint to the
-        // maintenance subsystem (runs here in inline mode).
+        // Enough log grew since the last cut? Checkpoint now; the outcome
+        // lands in the `checkpoints` / `checkpoint_failures` counters.
         if self.core.should_auto_checkpoint() {
-            self.maint.dispatch_checkpoint(&self.core);
+            let _ = self.core.run_checkpoint_guarded();
         }
     }
 }
@@ -1176,7 +1156,7 @@ impl TransactionalRTree for DglRTree {
         // all participants under one clock critical section):
         //   1. durable — commit record on disk, still abortable;
         //   2. stamp — pending versions get the commit timestamp;
-        //   3. finish — locks release, deferred deletions dispatch.
+        //   3. finish — locks release, deferred deletions run.
         self.commit_phase_durable(txn)?;
         self.core.stamp_commit_versions(txn);
         self.commit_finish(txn, start);
@@ -1218,11 +1198,9 @@ impl TransactionalRTree for DglRTree {
     }
 
     fn validate(&self) -> Result<(), String> {
-        // Validation assumes a quiescent state; drain the maintenance
-        // queue first so in-flight physical deletions (tombstones still
-        // present, payload entries still reserved) don't read as
-        // corruption. A failed maintenance pipeline *is* an invariant
-        // violation — surface it rather than masking it.
+        // Validation assumes a quiescent state. A deferred deletion that
+        // was dropped *is* an invariant violation (its tombstone stays,
+        // its id stays reserved) — surface it rather than masking it.
         DglRTree::quiesce(self).map_err(|e| e.to_string())?;
         self.core.validate_core()
     }

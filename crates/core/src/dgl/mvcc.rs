@@ -572,14 +572,13 @@ impl DglRTree {
         }
     }
 
-    /// Requests a version-GC pass through the maintenance subsystem
-    /// (inline mode runs it before returning). Deduplicated: a pass
-    /// already dispatched and not yet run absorbs the request.
+    /// Runs a version-GC pass before returning. Deduplicated: a pass
+    /// already running on another thread absorbs the request.
     pub fn dispatch_version_gc(&self) {
         if self.core.gc_pending.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.maint.dispatch_version_gc(&self.core);
+        self.core.run_version_gc();
     }
 
     /// Point-in-time MVCC bookkeeping totals.

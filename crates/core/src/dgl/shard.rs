@@ -7,8 +7,7 @@
 //! multi-core scaling. [`ShardedDglRTree`] partitions the embedded
 //! space `S` with a static grid directory and gives every shard its own
 //! *complete* DGL instance: lock manager, structure-version counter,
-//! tree latch, WAL directory, maintenance worker, and observability
-//! registry. Transactions touching one shard pay exactly the
+//! tree latch, WAL directory and observability registry. Transactions touching one shard pay exactly the
 //! single-tree cost (including the one-fsync durable commit);
 //! cross-shard transactions run two-phase commit over a dedicated
 //! coordinator decision log.
@@ -538,7 +537,7 @@ impl ShardedDglRTree {
     }
 
     /// Finishes committed participants in two sweeps: release **every**
-    /// shard's locks first, then dispatch deferred maintenance. A single
+    /// shard's locks first, then run deferred maintenance. A single
     /// sweep of per-shard `commit_finish` calls would run one shard's
     /// inline deferred deletion (a lock-taking system operation) while a
     /// sibling participant still held its commit-duration locks —
@@ -639,7 +638,8 @@ impl ShardedDglRTree {
         Ok(())
     }
 
-    /// Drains every shard's maintenance queue (see [`DglRTree::quiesce`]).
+    /// Reports every shard's deferred-deletion failures (see
+    /// [`DglRTree::quiesce`]).
     pub fn quiesce(&self) -> Result<(), TxnError> {
         for s in &self.shards {
             s.quiesce()?;

@@ -27,10 +27,10 @@ pub enum TxnError {
     /// in builds without the `dgl-faults/enabled` feature. Retryable:
     /// chaos schedules are transient by construction.
     Injected,
-    /// Background maintenance permanently failed to apply one or more
-    /// committed deferred deletions (the worker's retry budget ran out).
-    /// Surfaced by `quiesce` instead of hanging; the index may still hold
-    /// tombstoned entries whose ids stay reserved.
+    /// Maintenance permanently failed to apply one or more committed
+    /// deferred deletions (their retry budget ran out). Surfaced by
+    /// `quiesce`; the index may still hold tombstoned entries whose ids
+    /// stay reserved.
     MaintenanceFailed,
     /// The write-ahead log could not make this transaction's commit
     /// durable (flush failure or simulated crash); the transaction has
@@ -65,7 +65,7 @@ impl fmt::Display for TxnError {
             TxnError::MaintenanceFailed => {
                 write!(
                     f,
-                    "background maintenance failed: deferred deletion exhausted its retry budget"
+                    "maintenance failed: deferred deletion exhausted its retry budget"
                 )
             }
             TxnError::Durability => {

@@ -51,8 +51,8 @@ mod locks;
 mod traits;
 
 pub use dgl::{
-    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode,
-    MvccStats, RecoverError, ShardedDglRTree, ShardedSnapshot, ShardingConfig, Snapshot,
+    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MvccStats, RecoverError, ShardedDglRTree,
+    ShardedSnapshot, ShardingConfig, Snapshot,
 };
 pub use error::TxnError;
 pub use executor::{ExecError, RetryPolicy, TxnExecutor};

@@ -83,12 +83,12 @@ pub trait TransactionalRTree: Send + Sync {
     /// Protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// Blocks until any background maintenance (deferred physical
-    /// deletions queued by committed transactions) has been fully applied.
-    /// Protocols without background machinery return immediately — the
-    /// default. Maintenance *failures* (a deferred deletion that exhausted
-    /// its retry budget) are surfaced through [`validate`](Self::validate)
-    /// and, for protocols that expose one, an inherent fallible `quiesce`.
+    /// Marks a quiescent point: every committed transaction's deferred
+    /// work has run by the time its `commit` returned, so this waits for
+    /// nothing. The default does nothing. Maintenance *failures* (a
+    /// deferred deletion that exhausted its retry budget) are surfaced
+    /// through [`validate`](Self::validate) and, for protocols that
+    /// expose one, an inherent fallible `quiesce`.
     fn quiesce(&self) {}
 
     /// The protocol's observability registry — the one place its lock

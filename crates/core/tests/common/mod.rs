@@ -8,10 +8,7 @@ use std::time::Duration;
 use dgl_core::baseline::{
     ObjectOnlyRTree, PredicateConfig, PredicateRTree, TreeLockRTree, ZOrderConfig, ZOrderRTree,
 };
-use dgl_core::{
-    DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
-    TransactionalRTree,
-};
+use dgl_core::{DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree};
 use dgl_lockmgr::{LockDuration, LockManagerConfig, LockMode};
 use dgl_obs::{Event, Res};
 use dgl_rtree::RTreeConfig;
@@ -91,23 +88,6 @@ pub fn dgl(fanout: usize, policy: InsertPolicy) -> DglRTree {
         world: Rect2::unit(),
         policy,
         lock: lock_config(5_000),
-        ..Default::default()
-    })
-}
-
-/// The dynamic-granular-locking protocol with the §3.7 deferred physical
-/// deletions running on the background maintenance worker instead of
-/// inline in `commit`.
-pub fn dgl_background(fanout: usize, policy: InsertPolicy) -> DglRTree {
-    DglRTree::new(DglConfig {
-        rtree: RTreeConfig::with_fanout(fanout),
-        world: Rect2::unit(),
-        policy,
-        lock: lock_config(5_000),
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Background,
-            ..Default::default()
-        },
         ..Default::default()
     })
 }

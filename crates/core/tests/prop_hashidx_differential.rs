@@ -24,22 +24,24 @@
 //! files, so interesting histories are additionally pinned as explicit
 //! fixed-seed regression tests below.
 //!
+//! The driver is serial and runs one transaction at a time, and every
+//! deferred deletion runs inside the `commit` that released its locks, so
+//! no step may lose a deadlock or time out: any error but a duplicate
+//! insert fails the history.
+//!
 //! Each history runs under a hard deadline (`common::within_deadline`): a
 //! wedge — like the one ROADMAP item 0(a) chased, a snapshot read parked
 //! behind a system operation that waited for the driver's own lock —
-//! arrives as a failed test with the wait-for view, the maintenance
-//! backlog and the maintenance counters printed, instead of parking
-//! until CI kills the job.
+//! arrives as a failed test with the wait-for view and the maintenance
+//! counters printed, instead of parking until CI kills the job.
 
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use common::{wait_until, within_deadline};
+use common::within_deadline;
 use dgl_core::{
-    DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, ObjectId, Rect2,
-    TransactionalRTree, TxnError, TxnId,
+    DglConfig, DglRTree, InsertPolicy, ObjectId, Rect2, TransactionalRTree, TxnError, TxnId,
 };
 use dgl_obs::Ctr;
 use dgl_rtree::RTreeConfig;
@@ -59,12 +61,9 @@ enum Step {
     SnapshotRead(u8),
     Commit,
     Abort,
-    /// Commit, drain maintenance (deferred physical deletions), run a
-    /// version-GC pass, and cross-check index against tree.
+    /// Commit, check that no deferred physical deletion was dropped, run
+    /// a version-GC pass, and cross-check index against tree.
     QuiesceAndCheck,
-    /// Fixed seeds only: wait until the worker is parked in a lock wait
-    /// (so its system operation holds the gate).
-    AwaitBlockedWorker,
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -95,10 +94,6 @@ fn db() -> DglRTree {
         rtree: RTreeConfig::with_fanout(4),
         world: Rect2::unit(),
         policy: InsertPolicy::Modified,
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Background,
-            ..Default::default()
-        },
         ..Default::default()
     })
 }
@@ -110,8 +105,6 @@ fn check(db: &DglRTree, read_live: bool, i: usize) -> Result<(), TestCaseError> 
     db.quiesce()
         .map_err(|e| TestCaseError::fail(format!("step {i}: quiesce: {e}")))?;
     db.dispatch_version_gc();
-    db.quiesce()
-        .map_err(|e| TestCaseError::fail(format!("step {i}: gc quiesce: {e}")))?;
     db.validate()
         .map_err(|e| TestCaseError::fail(format!("step {i}: validate: {e}")))?;
     // With nothing pinned the pass above left no garbage behind.
@@ -136,7 +129,7 @@ fn check(db: &DglRTree, read_live: bool, i: usize) -> Result<(), TestCaseError> 
 /// What a wedged tree can say for itself, in registry metric names.
 fn wedge_report(db: &DglRTree) -> String {
     let snap = db.obs().snapshot();
-    let mut out = format!("--- maintenance_backlog={}\n", db.maintenance_backlog());
+    let mut out = String::from("---\n");
     for c in Ctr::ALL {
         if c.name().starts_with("maint_") || matches!(c, Ctr::VersionGcRuns | Ctr::SnapshotBegins) {
             out.push_str(&format!("{}={}\n", c.name(), snap.ctr(c)));
@@ -173,22 +166,15 @@ fn scan_key(
         .map(|h| h.version))
 }
 
-/// Compares one step's answer with its reference. `Ok(true)` means the
-/// step cost the driver its transaction — a user transaction may
-/// legitimately lose a deadlock (or time out) to a system operation of its
-/// own background worker — and the history continues in a fresh one.
+/// Compares one step's answer with its reference. Every error fails the
+/// history: a serial driver has nobody to lose a lock to.
 fn settle<T: PartialEq + std::fmt::Debug>(
     r: Result<(T, T), TxnError>,
     ctx: &str,
-) -> Result<bool, TestCaseError> {
-    match r {
-        Err(TxnError::Deadlock | TxnError::Timeout) => Ok(true),
-        Err(e) => Err(TestCaseError::fail(format!("{ctx}: {e}"))),
-        Ok((answer, reference)) => {
-            prop_assert_eq!(answer, reference, "{}", ctx);
-            Ok(false)
-        }
-    }
+) -> Result<(), TestCaseError> {
+    let (answer, reference) = r.map_err(|e| TestCaseError::fail(format!("{ctx}: {e}")))?;
+    prop_assert_eq!(answer, reference, "{}", ctx);
+    Ok(())
 }
 
 /// Drives the tree through `steps`, checking every point access against
@@ -200,8 +186,8 @@ fn drive(db: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
     for (i, step) in steps.iter().enumerate() {
         let ctx = format!("step {i}: {step:?}");
         let key = |k: u8| (ObjectId(u64::from(k)), rect_for(k));
-        // Whether the step ended the transaction (or cost the driver its
-        // own): the next step then runs in a fresh one.
+        // Whether the step ended the transaction: the next step then runs
+        // in a fresh one.
         let restart = match *step {
             Step::Insert(k) => {
                 let (oid, rect) = key(k);
@@ -210,13 +196,15 @@ fn drive(db: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
                     Err(TxnError::DuplicateObject) => Ok(()),
                     r => r,
                 };
-                settle(r.map(|()| ((), ())), &ctx)?
+                settle(r.map(|()| ((), ())), &ctx)?;
+                false
             }
             Step::Delete(k) => {
                 let (oid, rect) = key(k);
                 let r = scan_key(db, t, oid, rect)
                     .and_then(|found| Ok((db.delete(t, oid, rect)?, found.is_some())));
-                settle(r, &ctx)?
+                settle(r, &ctx)?;
+                false
             }
             Step::ReadSingle(k, at) => {
                 let (oid, rect) = (ObjectId(u64::from(k)), rect_for(at));
@@ -224,18 +212,19 @@ fn drive(db: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
                     .read_single(t, oid, rect)
                     .and_then(|answer| Ok((answer, scan_key(db, t, oid, rect)?)));
                 read_live |= matches!(r, Ok((Some(_), _)));
-                settle(r, &ctx)?
+                settle(r, &ctx)?;
+                false
             }
             Step::UpdateSingle(k) => {
                 let (oid, rect) = key(k);
                 let r = scan_key(db, t, oid, rect)
                     .and_then(|found| Ok((db.update_single(t, oid, rect)?, found.is_some())));
-                settle(r, &ctx)?
+                settle(r, &ctx)?;
+                false
             }
             Step::SnapshotRead(k) => {
                 // Committed state only, so the answers agree no matter
-                // what the open transaction has pending or what the worker
-                // is in the middle of.
+                // what the open transaction has pending.
                 let (oid, rect) = key(k);
                 let fresh = db.begin_snapshot();
                 for snap in held.iter().chain([&fresh]) {
@@ -262,10 +251,6 @@ fn drive(db: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
                 true
             }
             Step::Abort => true,
-            Step::AwaitBlockedWorker => {
-                wait_until(|| db.lock_manager().waiter_count() == 1);
-                false
-            }
             Step::QuiesceAndCheck => {
                 db.commit(t).unwrap();
                 check(db, read_live, i)?;
@@ -273,8 +258,8 @@ fn drive(db: &DglRTree, steps: &[Step]) -> Result<(), TestCaseError> {
             }
         };
         if restart {
-            // Whatever is still active rolls back (a committed or
-            // already-rolled-back id answers `NotActive`).
+            // Whatever is still active rolls back (a committed id answers
+            // `NotActive`).
             db.abort(t).ok();
             t = db.begin();
         }
@@ -406,37 +391,5 @@ fn fixed_seed_split_churn_keeps_leaf_hints_fresh() {
         steps.push(ReadSingle(next, next));
     }
     steps.push(QuiesceAndCheck);
-    run_differential(&steps).unwrap();
-}
-
-/// Fixed seed (ROADMAP 0(a)): a delete is committed while the background
-/// worker is slow to pick it up; by the time its system operation takes
-/// the gate, the driver's open transaction holds S on the granule it needs
-/// (a delete of an absent key locks like a scan), so the worker waits,
-/// gate held; once it does, the driver reads through a snapshot. When
-/// snapshot reads took the gate shared, a snapshot read parked here
-/// behind a worker that was waiting for the driver's own lock — the wedge
-/// the deadline above was added to report.
-#[test]
-fn fixed_seed_slow_worker_cannot_wedge_a_snapshot_read() {
-    use Step::*;
-    let _slow = dgl_faults::register(
-        "maint/deferred",
-        dgl_faults::FaultSpec::delay(Duration::from_millis(200)),
-    );
-    let steps = [
-        Insert(1),
-        Insert(2),
-        Commit,
-        Delete(1),
-        Commit,
-        Delete(7),
-        AwaitBlockedWorker,
-        SnapshotRead(2),
-        SnapshotRead(1),
-        ReadSingle(2, 2),
-        Commit,
-        QuiesceAndCheck,
-    ];
     run_differential(&steps).unwrap();
 }

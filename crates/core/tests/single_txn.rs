@@ -307,7 +307,7 @@ fn interleaved_insert_delete_same_txn() {
     });
 }
 
-/// Compile-time pin of the configuration surface: `DglConfig` has seven
+/// Compile-time pin of the configuration surface: `DglConfig` has six
 /// fields, `DurabilityConfig` two and `RTreeConfig` two. A new field breaks
 /// this pattern, so a mode cannot arrive unseen — say in the PR what it
 /// forks and what deletes it again.
@@ -318,7 +318,6 @@ fn config_field_sets_are_pinned() {
         world: _,
         policy: _,
         lock: _,
-        maintenance: _,
         durability,
         coarse_external_granule: _,
     } = dgl_core::DglConfig::default();

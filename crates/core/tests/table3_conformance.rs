@@ -250,6 +250,7 @@ fn logical_delete_takes_ix_g_and_x_object() {
     // system transaction.
     db.commit(t).unwrap();
     let deferred = grants(&db);
+    assert!(!deferred.is_empty(), "system operation left a lock trace");
     assert!(
         deferred.iter().all(|(p, _, d)| *p && *d == Short),
         "deferred delete takes only short granule locks: {deferred:?}"

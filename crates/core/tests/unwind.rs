@@ -9,10 +9,10 @@ mod common;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use common::{dgl, dgl_background, r};
+use common::{dgl, r};
 use dgl_core::{
-    DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, ObjectId, Rect2,
-    RetryPolicy, TransactionalRTree, TxnError, TxnExecutor,
+    DglConfig, DglRTree, InsertPolicy, ObjectId, Rect2, RetryPolicy, TransactionalRTree, TxnError,
+    TxnExecutor,
 };
 use dgl_faults::FaultSpec;
 use dgl_obs::Ctr;
@@ -186,91 +186,77 @@ fn executor_retries_through_injected_panic() {
     assert_clean(&db);
 }
 
-/// A deferred physical deletion that panics is requeued and eventually
-/// completes; `quiesce` succeeds and the tree is clean — in both
-/// maintenance schedules.
+/// A deferred physical deletion that panics is retried and eventually
+/// completes inside the same `commit`; `quiesce` succeeds and the tree is
+/// clean.
 #[test]
 fn maintenance_panic_is_requeued_then_completes() {
-    for background in [false, true] {
-        let _l = lock_faults(); // before the setup writes, see above
-        let db = if background {
-            dgl_background(5, InsertPolicy::Modified)
-        } else {
-            dgl(5, InsertPolicy::Modified)
-        };
-        let oid = ObjectId(1);
-        let rect = r([0.2, 0.2], [0.25, 0.25]);
+    let _l = lock_faults(); // before the setup writes, see above
+    let db = dgl(5, InsertPolicy::Modified);
+    let oid = ObjectId(1);
+    let rect = r([0.2, 0.2], [0.25, 0.25]);
+    let txn = db.begin();
+    db.insert(txn, oid, rect).expect("insert");
+    db.commit(txn).expect("commit");
+
+    let before = db.obs().snapshot();
+    {
+        // First two executions of the system operation panic; the third
+        // succeeds (still under the MAINT_MAX_ATTEMPTS budget).
+        let _g = dgl_faults::register("maint/deferred", FaultSpec::panic().every(1).max_fires(2));
         let txn = db.begin();
-        db.insert(txn, oid, rect).expect("insert");
-        db.commit(txn).expect("commit");
-
-        let before = db.obs().snapshot();
-        {
-            // First two executions of the system operation panic; the
-            // third succeeds (still under the MAINT_MAX_ATTEMPTS budget).
-            let _g =
-                dgl_faults::register("maint/deferred", FaultSpec::panic().every(1).max_fires(2));
-            let txn = db.begin();
-            db.delete(txn, oid, rect).expect("delete");
-            db.commit(txn).expect("commit schedules deferred deletion");
-            db.quiesce().expect("quiesce succeeds after requeues");
-        }
-
-        let delta = db.obs().snapshot().since(&before);
-        assert_eq!(delta.ctr(Ctr::MaintPanics), 2, "background={background}");
-        assert_eq!(delta.ctr(Ctr::MaintRequeues), 2, "background={background}");
-        assert_eq!(delta.ctr(Ctr::MaintFailed), 0, "background={background}");
-        assert_eq!(delta.ctr(Ctr::MaintCompleted), 1, "background={background}");
-        assert_eq!(db.len(), 0, "physical deletion eventually applied");
-        assert_clean(&db);
+        db.delete(txn, oid, rect).expect("delete");
+        db.commit(txn).expect("commit runs the deferred deletion");
+        db.quiesce().expect("quiesce succeeds after retries");
     }
+
+    let delta = db.obs().snapshot().since(&before);
+    assert_eq!(delta.ctr(Ctr::MaintPanics), 2);
+    assert_eq!(delta.ctr(Ctr::MaintRequeues), 2);
+    assert_eq!(delta.ctr(Ctr::MaintFailed), 0);
+    assert_eq!(delta.ctr(Ctr::MaintCompleted), 1);
+    assert_eq!(db.len(), 0, "physical deletion eventually applied");
+    assert_clean(&db);
 }
 
 /// A deferred deletion that panics on *every* attempt exhausts its retry
-/// budget; `quiesce` reports the failure instead of hanging (the
-/// satellite bugfix: the old worker died on first panic and `quiesce`
-/// blocked forever).
+/// budget; `quiesce` reports the failure instead of pretending the tree
+/// is clean.
 #[test]
 fn maintenance_permafailure_surfaces_through_quiesce() {
-    for background in [false, true] {
-        let _l = lock_faults(); // before the setup writes, see above
-        let db = if background {
-            dgl_background(5, InsertPolicy::Modified)
-        } else {
-            dgl(5, InsertPolicy::Modified)
-        };
-        let oid = ObjectId(1);
-        let rect = r([0.2, 0.2], [0.25, 0.25]);
+    let _l = lock_faults(); // before the setup writes, see above
+    let db = dgl(5, InsertPolicy::Modified);
+    let oid = ObjectId(1);
+    let rect = r([0.2, 0.2], [0.25, 0.25]);
+    let txn = db.begin();
+    db.insert(txn, oid, rect).expect("insert");
+    db.commit(txn).expect("commit");
+
+    let before = db.obs().snapshot();
+    {
+        let _g = dgl_faults::register("maint/deferred", FaultSpec::panic());
         let txn = db.begin();
-        db.insert(txn, oid, rect).expect("insert");
-        db.commit(txn).expect("commit");
-
-        let before = db.obs().snapshot();
-        {
-            let _g = dgl_faults::register("maint/deferred", FaultSpec::panic());
-            let txn = db.begin();
-            db.delete(txn, oid, rect).expect("delete");
-            db.commit(txn).expect("user commit still succeeds");
-            assert_eq!(
-                db.quiesce(),
-                Err(TxnError::MaintenanceFailed),
-                "background={background}: failure is reported, not a hang"
-            );
-        }
-
-        let delta = db.obs().snapshot().since(&before);
-        assert_eq!(delta.ctr(Ctr::MaintFailed), 1, "background={background}");
+        db.delete(txn, oid, rect).expect("delete");
+        db.commit(txn).expect("user commit still succeeds");
         assert_eq!(
-            delta.ctr(Ctr::MaintPanics),
-            4,
-            "background={background}: MAINT_MAX_ATTEMPTS executions"
+            db.quiesce(),
+            Err(TxnError::MaintenanceFailed),
+            "the failure is reported"
         );
-        // The record was dropped; latches, locks and transactions are
-        // still clean (validate runs under quiesce, so probe directly).
-        assert_eq!(db.latch_probe(), (true, true));
-        assert_eq!(db.txn_manager().active_count(), 0);
-        assert_eq!(db.lock_manager().resource_count(), 0);
     }
+
+    let delta = db.obs().snapshot().since(&before);
+    assert_eq!(delta.ctr(Ctr::MaintFailed), 1);
+    assert_eq!(
+        delta.ctr(Ctr::MaintPanics),
+        4,
+        "MAINT_MAX_ATTEMPTS executions"
+    );
+    // The record was dropped; latches, locks and transactions are still
+    // clean (validate runs under quiesce, so probe directly).
+    assert_eq!(db.latch_probe(), (true, true));
+    assert_eq!(db.txn_manager().active_count(), 0);
+    assert_eq!(db.lock_manager().resource_count(), 0);
 }
 
 /// A deliberately inconsistent snapshot — tombstoned entries whose
@@ -280,38 +266,32 @@ fn maintenance_permafailure_surfaces_through_quiesce() {
 /// process down on the first bad image).
 #[test]
 fn from_snapshot_with_inconsistent_image_returns_error() {
-    for mode in [MaintenanceMode::Inline, MaintenanceMode::Background] {
-        // A crash image with committed-but-unapplied deletions.
-        let mut tree = RTree2::new(RTreeConfig::with_fanout(6), Rect2::unit());
-        let mut rects = Vec::new();
-        for i in 0..20u64 {
-            let x = 0.04 * i as f64;
-            let rect = r([x, x * 0.5], [x + 0.02, x * 0.5 + 0.02]);
-            tree.insert(ObjectId(i), rect);
-            rects.push((ObjectId(i), rect));
-        }
-        for &i in &[4u64, 9, 14] {
-            let (oid, rect) = rects[i as usize];
-            assert!(tree.set_tombstone(oid, rect, 3), "tombstone target exists");
-        }
-        let restored = image::decode(&image::encode(&tree)).expect("image decodes");
-
-        let _l = lock_faults();
-        let _g = dgl_faults::register("maint/deferred", FaultSpec::panic());
-        let config = DglConfig {
-            rtree: RTreeConfig::with_fanout(6),
-            world: Rect2::unit(),
-            policy: InsertPolicy::Modified,
-            maintenance: MaintenanceConfig {
-                mode,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert_eq!(
-            DglRTree::from_snapshot(restored, config).map(|_| ()),
-            Err(TxnError::MaintenanceFailed),
-            "{mode:?}: inconsistent image surfaces as an error, not a panic"
-        );
+    // A crash image with committed-but-unapplied deletions.
+    let mut tree = RTree2::new(RTreeConfig::with_fanout(6), Rect2::unit());
+    let mut rects = Vec::new();
+    for i in 0..20u64 {
+        let x = 0.04 * i as f64;
+        let rect = r([x, x * 0.5], [x + 0.02, x * 0.5 + 0.02]);
+        tree.insert(ObjectId(i), rect);
+        rects.push((ObjectId(i), rect));
     }
+    for &i in &[4u64, 9, 14] {
+        let (oid, rect) = rects[i as usize];
+        assert!(tree.set_tombstone(oid, rect, 3), "tombstone target exists");
+    }
+    let restored = image::decode(&image::encode(&tree)).expect("image decodes");
+
+    let _l = lock_faults();
+    let _g = dgl_faults::register("maint/deferred", FaultSpec::panic());
+    let config = DglConfig {
+        rtree: RTreeConfig::with_fanout(6),
+        world: Rect2::unit(),
+        policy: InsertPolicy::Modified,
+        ..Default::default()
+    };
+    assert_eq!(
+        DglRTree::from_snapshot(restored, config).map(|_| ()),
+        Err(TxnError::MaintenanceFailed),
+        "inconsistent image surfaces as an error, not a panic"
+    );
 }

@@ -2,10 +2,7 @@
 //! dirty list the write path feeds, so its cost follows the garbage, not
 //! the table (`version_gc_chains_visited` is the count).
 
-use dgl_core::{
-    DglConfig, DglRTree, MaintenanceConfig, MaintenanceMode, Rect2, ShardedDglRTree,
-    ShardingConfig, TransactionalRTree,
-};
+use dgl_core::{DglConfig, DglRTree, Rect2, ShardedDglRTree, ShardingConfig, TransactionalRTree};
 use dgl_obs::Ctr;
 use dgl_rtree::{ObjectId, RTreeConfig};
 
@@ -16,10 +13,6 @@ const DIRTY: [u64; 7] = [3, 611, 1_402, 2_048, 3_333, 4_095, 4_999];
 fn config() -> DglConfig {
     DglConfig {
         rtree: RTreeConfig::with_fanout(16),
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Inline,
-            ..Default::default()
-        },
         ..Default::default()
     }
 }

@@ -1,12 +1,12 @@
 //! # dgl-obs — workspace-wide observability
 //!
 //! One `Arc<Registry>` is shared by every subsystem (lock manager, DGL
-//! read/write paths, executor, maintenance worker, pager) and collects:
+//! read/write paths, executor, deferred maintenance, pager) and collects:
 //!
 //! * **Sharded counters** ([`Ctr`]) — e.g. short- vs commit-duration
 //!   lock requests, the Table-2 overhead signal.
 //! * **Log2-bucket latency histograms** ([`Hist`]) — lock-wait,
-//!   exclusive-latch hold, plan phase, commit, maintenance backlog
+//!   exclusive-latch hold, plan phase, commit, deferred-deletion
 //!   drain, executor backoff. Recording is a few relaxed atomics and is
 //!   intended to stay on in production (measured <3% on the read-heavy
 //!   contended point; see EXPERIMENTS.md).

@@ -28,8 +28,8 @@ pub enum Hist {
     PlanPhase,
     /// Nanoseconds from commit entry to lock release.
     Commit,
-    /// Nanoseconds from maintenance dispatch to physical completion
-    /// (backlog drain latency).
+    /// Nanoseconds one deferred deletion takes from its first attempt to
+    /// physical completion (retries included).
     MaintDrain,
     /// Nanoseconds slept by the executor's abort-retry backoff.
     ExecBackoff,
@@ -156,9 +156,6 @@ counters! {
     PageReads => "page_reads",
     /// Pages written through the pager.
     PageWrites => "page_writes",
-    /// Deferred deletions handed to the maintenance subsystem (inline
-    /// runs and background enqueues alike).
-    MaintEnqueued => "maint_enqueued",
     /// Deferred deletions physically completed.
     MaintCompleted => "maint_completed",
     /// WAL flush batches (`fsync` calls).
@@ -258,7 +255,7 @@ counters! {
     UnwindValidateFailures => "unwind_validate_failures",
     /// Panics caught inside maintenance (deferred-deletion) execution.
     MaintPanics => "maint_panics",
-    /// Deferred deletions put back on the queue after a caught panic.
+    /// Deferred-deletion attempts retried after a caught panic.
     MaintRequeues => "maint_requeues",
     /// Deferred deletions dropped after exhausting their retry budget
     /// (mirror of the flag that makes `quiesce` report
@@ -271,7 +268,7 @@ counters! {
     CheckpointFailures => "checkpoint_failures",
     /// MVCC snapshots begun.
     SnapshotBegins => "snapshot_begins",
-    /// Version-GC passes executed by the maintenance subsystem.
+    /// Version-GC passes executed.
     VersionGcRuns => "version_gc_runs",
     /// Predicate-table rectangle comparisons (predicate-locking baseline
     /// only; Table 4's cost axis).
@@ -296,7 +293,7 @@ counters! {
 /// The workspace-wide metrics registry.
 ///
 /// One `Arc<Registry>` is shared by the lock manager, the DGL write/read
-/// paths, the executor, the maintenance worker, and the pager. Counter
+/// paths, the executor, deferred maintenance, and the pager. Counter
 /// and histogram recording is always on; the structured event stream
 /// additionally needs the `full` cargo feature *and* the runtime detail
 /// flag.

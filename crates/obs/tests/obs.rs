@@ -68,7 +68,7 @@ fn since_delta_isolates_a_phase() {
     assert_eq!(delta.ctr(Ctr::PageReads), 7);
     // Untouched metrics difference to zero.
     assert_eq!(delta.hist(Hist::Commit).count, 0);
-    assert_eq!(delta.ctr(Ctr::MaintEnqueued), 0);
+    assert_eq!(delta.ctr(Ctr::MaintCompleted), 0);
 }
 
 /// Golden-file check of the Prometheus text format. The layout (TYPE

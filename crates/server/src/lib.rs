@@ -127,8 +127,8 @@ impl Backend {
         }
     }
 
-    /// The fallible quiesce (drains maintenance; surfaces wedged
-    /// deletions).
+    /// The fallible quiesce (surfaces deferred deletions dropped after
+    /// their retry budget).
     pub fn quiesce(&self) -> Result<(), TxnError> {
         match self {
             Backend::Single(t) => t.quiesce(),

@@ -22,11 +22,12 @@
 //! it behind a fresh snapshot, and `recover <dir>` rebuilds an index
 //! from snapshot + committed log tail.
 //!
-//! With `--background`, deferred physical deletions run on the
-//! maintenance worker instead of inline at commit. This matters in a
-//! single-threaded shell: inline, a commit whose physical deletion
-//! conflicts with another session's scan locks stalls the prompt until
-//! that scanner finishes — which, with only one prompt, is never.
+//! A commit runs its deferred physical deletions before it returns, as
+//! system operations that wait out lock conflicts instead of timing out.
+//! In a single-threaded shell that matters: a commit whose physical
+//! deletion conflicts with another open transaction's scan locks stalls
+//! the prompt until that scanner finishes — which, with only one prompt,
+//! is never. Finish the scanner before committing the delete.
 //!
 //! With `connect <addr>` the shell becomes a network client: the same
 //! transaction commands travel over the dgl-server wire protocol to a
@@ -38,22 +39,15 @@
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
-use granular_rtree::core::{
-    DglConfig, DglRTree, MaintenanceConfig, MaintenanceMode, Rect2, TransactionalRTree, TxnError,
-    TxnId,
-};
+use granular_rtree::core::{DglConfig, DglRTree, Rect2, TransactionalRTree, TxnError, TxnId};
 use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
-fn config(mode: MaintenanceMode) -> DglConfig {
+fn config() -> DglConfig {
     DglConfig {
         rtree: RTreeConfig::with_fanout(8),
         lock: LockManagerConfig {
             wait_timeout: Duration::from_secs(1),
-            ..Default::default()
-        },
-        maintenance: MaintenanceConfig {
-            mode,
             ..Default::default()
         },
         ..Default::default()
@@ -70,12 +64,7 @@ fn main() {
         run_remote(&addr);
         return;
     }
-    let mode = if args.iter().any(|a| a == "--background") {
-        MaintenanceMode::Background
-    } else {
-        MaintenanceMode::Inline
-    };
-    let mut db = DglRTree::new(config(mode));
+    let mut db = DglRTree::new(config());
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     println!("granular-rtree shell — type `help`");
@@ -90,7 +79,7 @@ fn main() {
         if parts.is_empty() {
             continue;
         }
-        match run_command(&mut db, mode, &parts) {
+        match run_command(&mut db, &parts) {
             Ok(Some(msg)) => println!("{msg}"),
             Ok(None) => break,
             Err(msg) => println!("error: {msg}"),
@@ -346,11 +335,7 @@ fn txn_err(e: TxnError) -> String {
     }
 }
 
-fn run_command(
-    db: &mut DglRTree,
-    mode: MaintenanceMode,
-    parts: &[&str],
-) -> Result<Option<String>, String> {
+fn run_command(db: &mut DglRTree, parts: &[&str]) -> Result<Option<String>, String> {
     match parts[0] {
         "help" => Ok(Some(HELP.trim().into())),
         "quit" | "exit" => Ok(None),
@@ -463,8 +448,8 @@ fn run_command(
             // Every number below is read from the registry and labelled
             // with the registry's metric name — the names `connect`
             // mode's `stats` (the server's Prometheus dump) shows for
-            // the same facts. Only `objects`, `txns_active` and
-            // `maint_pending` are live state rather than metrics.
+            // the same facts. Only `objects` and `txns_active` are live
+            // state rather than metrics.
             use granular_rtree::obs::{Ctr, Hist};
             let snap = db.obs().snapshot();
             let ctrs = |list: &[Ctr]| {
@@ -474,7 +459,7 @@ fn run_command(
                     .join(" ")
             };
             Ok(Some(format!(
-                "objects={} txns_active={} maint_pending={}\n\
+                "objects={} txns_active={}\n\
                  txns: {}\n\
                  locks: {} {}_count={}\n\
                  ops: {}\n\
@@ -483,7 +468,6 @@ fn run_command(
                  commit: {}_count={} mean={}µs",
                 db.len(),
                 db.txn_manager().active_count(),
-                db.maintenance_backlog(),
                 ctrs(&[Ctr::TxnsStarted, Ctr::TxnsCommitted, Ctr::TxnsAborted]),
                 ctrs(&[Ctr::LockReqShort, Ctr::LockReqCommit, Ctr::LockDeadlocks]),
                 Hist::LockWait.name(),
@@ -497,7 +481,7 @@ fn run_command(
                     Ctr::UpdateScans,
                 ]),
                 ctrs(&[Ctr::OpRetries, Ctr::ExecRetries]),
-                ctrs(&[Ctr::MaintEnqueued, Ctr::MaintCompleted]),
+                ctrs(&[Ctr::MaintCompleted, Ctr::MaintFailed]),
                 Hist::Commit.name(),
                 snap.hist(Hist::Commit).count,
                 snap.hist(Hist::Commit).mean() / 1_000,
@@ -537,8 +521,7 @@ fn run_command(
             if db.txn_manager().active_count() > 0 {
                 return Err("cannot open with active transactions".into());
             }
-            *db = DglRTree::open(std::path::Path::new(dir), config(mode))
-                .map_err(|e| e.to_string())?;
+            *db = DglRTree::open(std::path::Path::new(dir), config()).map_err(|e| e.to_string())?;
             Ok(Some(format!(
                 "opened {dir} ({} objects); commits are now write-ahead logged",
                 db.len()
@@ -549,7 +532,7 @@ fn run_command(
             if db.txn_manager().active_count() > 0 {
                 return Err("cannot recover with active transactions".into());
             }
-            *db = DglRTree::recover(std::path::Path::new(dir), config(mode))
+            *db = DglRTree::recover(std::path::Path::new(dir), config())
                 .map_err(|e| e.to_string())?;
             let replay = db
                 .obs()
@@ -614,7 +597,7 @@ fn run_command(
         }
         "quiesce" => {
             db.quiesce().map_err(|e| e.to_string())?;
-            Ok(Some("ok (maintenance queue drained)".into()))
+            Ok(Some("ok (every deferred deletion applied)".into()))
         }
         other => Err(format!("unknown command {other:?}; try `help`")),
     }
@@ -636,13 +619,13 @@ commands:
   locktable                              live lock table (grants and waiters)
   locktable --merged                     raw tables + per-transaction wait records
                                          (lock table + wait-for edges)
-  quiesce                                drain the background maintenance queue
+  quiesce                                report a dropped deferred deletion, if any
   open <dir>                             durable index: WAL + checkpoints in <dir>
   checkpoint                             snapshot the open dir, truncate its log
   recover <dir>                          rebuild from snapshot + committed log tail
   quit
 locks that cannot be granted within 1s roll the transaction back (timeout).
-start with --background to run deferred physical deletions on the
-maintenance worker instead of inline at commit, or with
-`connect <addr>` to drive a running dgl-server over the wire instead.
+a commit runs its physical deletions before returning: finish any scanner
+whose locks cover a deleted object first, or the commit waits for it.
+start with `connect <addr>` to drive a running dgl-server over the wire.
 "#;

@@ -1,5 +1,5 @@
 //! Chaos suite: thousands of mixed operations against the full stack
-//! (optimistic write path, background maintenance, abort-retry executor)
+//! (optimistic write path, deferred maintenance, abort-retry executor)
 //! while a seeded fault schedule injects errors, delays and panics at
 //! every failpoint layer. After the storm the index must be indistin-
 //! guishable from one that ran fault-free:
@@ -7,7 +7,7 @@
 //! * no transaction ended in a non-retryable error,
 //! * the repeatable-read oracle saw zero phantom anomalies,
 //! * `quiesce` succeeds (every deferred deletion — including panicked,
-//!   requeued ones — resolved),
+//!   retried ones — was applied),
 //! * the lock table is empty and no transaction is live,
 //! * the index content equals the workload's committed live set,
 //! * structural validation passes,
@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dgl_core::{
-    DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2, RetryPolicy,
-    ShardedDglRTree, ShardingConfig, TransactionalRTree,
+    DglConfig, DglRTree, InsertPolicy, Rect2, RetryPolicy, ShardedDglRTree, ShardingConfig,
+    TransactionalRTree,
 };
 use dgl_faults::FaultSpec;
 use dgl_lockmgr::LockManagerConfig;
@@ -137,10 +137,6 @@ fn chaos_run(seed: u64) {
             wait_timeout: Duration::from_millis(250),
             ..Default::default()
         },
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Background,
-            ..Default::default()
-        },
         ..Default::default()
     });
 
@@ -224,7 +220,7 @@ fn chaos_run(seed: u64) {
     );
     assert!(fires > 0, "seed {seed:#x}: the schedule never fired");
 
-    // Quiesce resolves every deferred deletion — requeued ones included.
+    // Every deferred deletion was applied — retried ones included.
     db.quiesce()
         .unwrap_or_else(|e| panic!("seed {seed:#x}: quiesce failed: {e}"));
     assert_eq!(db.txn_manager().active_count(), 0, "seed {seed:#x}");
@@ -295,10 +291,6 @@ fn chaos_sharded_run(seed: u64) {
             // budget-free in the executor.
             lock: LockManagerConfig {
                 wait_timeout: Duration::from_millis(250),
-                ..Default::default()
-            },
-            maintenance: MaintenanceConfig {
-                mode: MaintenanceMode::Background,
                 ..Default::default()
             },
             ..Default::default()

@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 
 use common::{wait_until, within_deadline};
 use dgl_core::{
-    DglConfig, DglRTree, MaintenanceConfig, MaintenanceMode, Rect2, ShardedDglRTree,
-    ShardingConfig, TransactionalRTree, TxnError, TxnId,
+    DglConfig, DglRTree, Rect2, ShardedDglRTree, ShardingConfig, TransactionalRTree, TxnError,
+    TxnId,
 };
 use dgl_faults::FaultSpec;
 use dgl_obs::{Ctr, Event, RegistrySnapshot};
@@ -249,14 +249,9 @@ fn three_cycle_over_three_shards_costs_one_victim() {
 #[test]
 fn cycle_through_a_system_operation_spares_it() {
     // Shard 1 gets a height-2 tree: two diagonal clusters in its cell, the
-    // space between them belonging to ext(root). Background maintenance,
-    // so the system operation runs on shard 1's worker.
+    // space between them belonging to ext(root).
     let db = sharded(DglConfig {
         rtree: RTreeConfig::with_fanout(4),
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Background,
-            ..MaintenanceConfig::default()
-        },
         ..DglConfig::default()
     });
     let cluster = |i: u64, (x, y): (f64, f64)| {
@@ -287,15 +282,17 @@ fn cycle_through_a_system_operation_spares_it() {
         let v = scanner_of(db, REGION_B);
         let u = db.begin();
         assert!(db.read_scan(u, around(0.75, 0.25)).unwrap().is_empty());
-        // A committed delete of the corner: its physical removal takes a
-        // short IX on the corner's leaf granule, then parks behind U for
-        // the short SIX on ext(root). system → U.
         let d = db.begin();
         assert!(db.delete(d, corner.0, corner.1).unwrap());
-        db.commit(d).unwrap();
-        parked(db, 1, 1);
 
-        let (rv, ru) = std::thread::scope(|s| {
+        let (rd, rv, ru) = std::thread::scope(|s| {
+            // D commits on a thread of its own: `commit` releases D's
+            // locks, then runs the corner's physical removal inline. The
+            // system operation takes a short IX on the corner's leaf
+            // granule, then parks behind U for the short SIX on
+            // ext(root). system → U.
+            let hd = s.spawn(move || db.commit(d));
+            parked(db, 1, 1);
             // V scans across the outer edge of the corner object: S on
             // its leaf granule (the system operation holds IX there) and
             // on ext(root) (queued behind the system operation's SIX).
@@ -308,11 +305,12 @@ fn cycle_through_a_system_operation_spares_it() {
             // loses — which releases ext(root), lets the system operation
             // finish, and with it V's scan.
             let ru = db.insert(u, ObjectId(104), rect_of(REGION_B));
-            (hv.join().expect("V"), ru)
+            (hd.join().expect("D"), hv.join().expect("V"), ru)
         });
         assert!(u > v);
         assert_eq!(ru, Err(TxnError::Deadlock), "the younger user member");
         assert!(rv.expect("V's scan completes").is_empty(), "corner is gone");
+        assert_eq!(rd, Ok(()), "D's commit returns once its deletion ran");
         db.commit(v).unwrap();
         db.quiesce().unwrap();
 

@@ -10,8 +10,8 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use granular_rtree::core::{
-    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
-    SyncPolicy, TransactionalRTree, TxnError,
+    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, Rect2, SyncPolicy, TransactionalRTree,
+    TxnError,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::Ctr;
@@ -54,10 +54,6 @@ fn config(sync: SyncPolicy) -> DglConfig {
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(500),
-            ..Default::default()
-        },
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Background,
             ..Default::default()
         },
         durability: DurabilityConfig {

@@ -13,9 +13,7 @@ use std::time::{Duration, Instant};
 use dgl_client::{Client, ClientError};
 use dgl_faults::FaultSpec;
 use dgl_server::{Backend, Server, ServerConfig};
-use granular_rtree::core::{
-    DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
-};
+use granular_rtree::core::{DglConfig, DglRTree, InsertPolicy, Rect2};
 use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::rtree::RTreeConfig;
 
@@ -90,10 +88,6 @@ fn injected_faults_surface_as_typed_errors_not_drops() {
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(250),
-            ..Default::default()
-        },
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Inline,
             ..Default::default()
         },
         ..Default::default()

@@ -22,8 +22,7 @@ use common::{wait_until, within_deadline};
 use dgl_client::{Client, ClientError};
 use dgl_server::{Backend, Server, ServerConfig};
 use granular_rtree::core::{
-    DglConfig, DglRTree, MaintenanceConfig, MaintenanceMode, Rect2, ShardedDglRTree,
-    ShardingConfig, TransactionalRTree,
+    DglConfig, DglRTree, Rect2, ShardedDglRTree, ShardingConfig, TransactionalRTree,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::Ctr;
@@ -82,10 +81,6 @@ fn dgl_config() -> DglConfig {
     DglConfig {
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(50),
-            ..Default::default()
-        },
-        maintenance: MaintenanceConfig {
-            mode: MaintenanceMode::Inline,
             ..Default::default()
         },
         ..Default::default()

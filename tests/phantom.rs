@@ -35,8 +35,7 @@ use std::time::Duration;
 use common::{wait_until, within_deadline};
 
 use granular_rtree::core::{
-    DglConfig, DglRTree, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
-    TransactionalRTree, TxnError, TxnId,
+    DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree, TxnError, TxnId,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::{Ctr, Event, Hist};
@@ -85,16 +84,12 @@ impl XorShift {
     }
 }
 
-fn build(fanout: usize, maint: MaintenanceMode) -> Arc<DglRTree> {
+fn build(fanout: usize) -> Arc<DglRTree> {
     Arc::new(DglRTree::new(DglConfig {
         rtree: RTreeConfig::with_fanout(fanout),
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(50),
-            ..Default::default()
-        },
-        maintenance: MaintenanceConfig {
-            mode: maint,
             ..Default::default()
         },
         ..Default::default()
@@ -151,8 +146,8 @@ fn preload(db: &DglRTree, rng: &mut XorShift, n: u64) -> Vec<(ObjectId, Rect2)> 
 
 /// One full oracle run: searcher with rescans vs. concurrent writers,
 /// then the event-stream evidence check and a final end-state scan.
-fn oracle_run(seed: u64, fanout: usize, maint: MaintenanceMode) {
-    let db = build(fanout, maint);
+fn oracle_run(seed: u64, fanout: usize) {
+    let db = build(fanout);
     let mut rng = XorShift::new(seed);
     let inside = preload(&db, &mut rng, 400);
     let inside_oids: BTreeSet<u64> = inside.iter().map(|(o, _)| o.0).collect();
@@ -368,7 +363,7 @@ fn oracle_run(seed: u64, fanout: usize, maint: MaintenanceMode) {
 #[test]
 fn phantom_oracle_seed_a() {
     let _serial = serialize();
-    oracle_run(0xA1, 16, MaintenanceMode::Inline);
+    oracle_run(0xA1, 16);
 }
 
 /// Split-heavy schedule: low fanout forces node splits (§3.5) while the
@@ -376,15 +371,16 @@ fn phantom_oracle_seed_a() {
 #[test]
 fn phantom_oracle_seed_b_split_heavy() {
     let _serial = serialize();
-    oracle_run(0xB2, 8, MaintenanceMode::Inline);
+    oracle_run(0xB2, 8);
 }
 
-/// Deferred-deletion schedule: physical removal runs on the background
-/// maintenance worker (§3.6–3.7) while searchers hold predicates.
+/// Deferred-deletion schedule: committing deleters run the physical
+/// removal (§3.6–3.7) of a split-heavy tree while searchers hold
+/// predicates.
 #[test]
 fn phantom_oracle_seed_c_deferred_delete() {
     let _serial = serialize();
-    oracle_run(0xC3, 8, MaintenanceMode::Background);
+    oracle_run(0xC3, 8);
 }
 
 /// Replay hook: `PHANTOM_SEED=<n> cargo test -q phantom_oracle_replayable`.
@@ -395,7 +391,7 @@ fn phantom_oracle_replayable() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xD4);
-    oracle_run(seed, 16, MaintenanceMode::Background);
+    oracle_run(seed, 16);
 }
 
 /// Negative control: skipping the Table-3 commit-duration IX on the
@@ -405,7 +401,7 @@ fn phantom_oracle_replayable() {
 #[should_panic(expected = "phantom")]
 fn skipping_cover_lock_admits_a_phantom() {
     let _serial = serialize();
-    let db = build(16, MaintenanceMode::Inline);
+    let db = build(16);
     let mut rng = XorShift::new(0xE5);
     preload(&db, &mut rng, 40);
 
@@ -531,17 +527,13 @@ fn figure_2a_phantom_appears_without_growth_compensation() {
 
 use granular_rtree::core::{ShardedDglRTree, ShardingConfig};
 
-fn build_sharded(shards: usize, maint: MaintenanceMode) -> Arc<ShardedDglRTree> {
+fn build_sharded(shards: usize) -> Arc<ShardedDglRTree> {
     Arc::new(ShardedDglRTree::new(
         DglConfig {
             rtree: RTreeConfig::with_fanout(8),
             policy: InsertPolicy::Modified,
             lock: LockManagerConfig {
                 wait_timeout: Duration::from_millis(50),
-                ..Default::default()
-            },
-            maintenance: MaintenanceConfig {
-                mode: maint,
                 ..Default::default()
             },
             ..Default::default()
@@ -566,8 +558,8 @@ fn scan_set_dyn(db: &dyn TransactionalRTree, txn: TxnId) -> Result<BTreeSet<(u64
 /// a scatter-gather scan holding Table-3 granule S-locks on *each*
 /// shard, and every writer that would create a phantom must collide
 /// with the consulted shard that owns its home cell.
-fn sharded_oracle_run(seed: u64, shards: usize, maint: MaintenanceMode) {
-    let db = build_sharded(shards, maint);
+fn sharded_oracle_run(seed: u64, shards: usize) {
+    let db = build_sharded(shards);
     let mut rng = XorShift::new(seed);
 
     // Preload (~40 % inside the predicate), one committed transaction.
@@ -739,16 +731,15 @@ fn sharded_oracle_run(seed: u64, shards: usize, maint: MaintenanceMode) {
 #[test]
 fn phantom_oracle_sharded_grid() {
     let _serial = serialize();
-    sharded_oracle_run(0xA5, 4, MaintenanceMode::Inline);
+    sharded_oracle_run(0xA5, 4);
 }
 
-/// Same with background maintenance and a shard count that does not
-/// divide the grid evenly (3 shards on a 2×2 grid: one shard owns two
-/// cells).
+/// Same with a shard count that does not divide the grid evenly (3
+/// shards on a 2×2 grid: one shard owns two cells).
 #[test]
-fn phantom_oracle_sharded_uneven_background() {
+fn phantom_oracle_sharded_uneven() {
     let _serial = serialize();
-    sharded_oracle_run(0xB6, 3, MaintenanceMode::Background);
+    sharded_oracle_run(0xB6, 3);
 }
 
 /// Deterministic cross-shard blocking: a searcher's scatter-gather scan
@@ -757,7 +748,7 @@ fn phantom_oracle_sharded_uneven_background() {
 #[test]
 fn sharded_scan_blocks_cross_shard_insert() {
     let _serial = serialize();
-    let db = build_sharded(4, MaintenanceMode::Inline);
+    let db = build_sharded(4);
     let mut rng = XorShift::new(0xC7);
     let txn = db.begin();
     for i in 0..60u64 {
@@ -828,7 +819,7 @@ fn sharded_scan_blocks_cross_shard_insert() {
 #[test]
 fn snapshot_scan_is_phantom_free_without_locks() {
     let _serial = serialize();
-    let db = build(16, MaintenanceMode::Inline);
+    let db = build(16);
     let mut rng = XorShift::new(0xF1);
     let inside = preload(&db, &mut rng, 200);
 
@@ -893,7 +884,7 @@ fn snapshot_scan_is_phantom_free_without_locks() {
 #[test]
 fn locking_readers_still_block_writers_snapshot_readers_never_do() {
     let _serial = serialize();
-    let db = build(16, MaintenanceMode::Inline);
+    let db = build(16);
     let mut rng = XorShift::new(0xF2);
     let inside = preload(&db, &mut rng, 120);
 
@@ -992,7 +983,7 @@ fn lock_holders_snapshot_scan_cannot_wedge_an_inline_deferred_deletion() {
 #[should_panic(expected = "above the commit clock")]
 fn snapshot_read_above_commit_clock_panics() {
     let _serial = serialize();
-    let db = build(16, MaintenanceMode::Inline);
+    let db = build(16);
     let mut rng = XorShift::new(0xF3);
     preload(&db, &mut rng, 20);
     let snap = db.begin_snapshot_at(db.mvcc_stats().commit_ts + 1_000);
@@ -1005,7 +996,7 @@ fn snapshot_read_above_commit_clock_panics() {
 #[test]
 fn version_gc_reclaims_below_watermark_and_respects_pins() {
     let _serial = serialize();
-    let db = build(16, MaintenanceMode::Inline);
+    let db = build(16);
     let mut rng = XorShift::new(0xF4);
     let rect = rect_inside(&mut rng);
     let keep = ObjectId(1);
@@ -1068,7 +1059,7 @@ fn version_gc_reclaims_below_watermark_and_respects_pins() {
 #[test]
 fn sharded_snapshot_is_atomic_across_shards() {
     let _serial = serialize();
-    let db = build_sharded(4, MaintenanceMode::Inline);
+    let db = build_sharded(4);
     let mut rng = XorShift::new(0xF5);
     let txn = db.begin();
     for i in 0..120u64 {

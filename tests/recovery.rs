@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use dgl_faults::FaultSpec;
 use granular_rtree::core::{
-    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MaintenanceConfig, MaintenanceMode, Rect2,
-    SyncPolicy, TransactionalRTree, TxnError,
+    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, Rect2, SyncPolicy, TransactionalRTree,
+    TxnError,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::Ctr;
@@ -136,16 +136,12 @@ fn small_rect(rng: &mut XorShift) -> Rect2 {
     Rect2::new([x, y], [x + 0.01, y + 0.01])
 }
 
-fn durable_config(sync: SyncPolicy, maint: MaintenanceMode, threshold: Option<u64>) -> DglConfig {
+fn durable_config(sync: SyncPolicy, threshold: Option<u64>) -> DglConfig {
     DglConfig {
         rtree: RTreeConfig::with_fanout(5),
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(500),
-            ..Default::default()
-        },
-        maintenance: MaintenanceConfig {
-            mode: maint,
             ..Default::default()
         },
         durability: DurabilityConfig {
@@ -192,34 +188,20 @@ fn apply_ops(base: &BTreeMap<u64, Rect2>, ops: &[Op]) -> BTreeMap<u64, Rect2> {
 
 /// Runs the seeded workload until the log dies (or the budget runs
 /// out, in which case the caller clean-kills). Maintains the oracle.
-/// One driver thread, inline maintenance: nobody to lose a deadlock to
-/// or to wait for, so `Deadlock` and `Timeout` are bugs here.
+/// One driver thread: nobody to lose a deadlock to or to wait for, so
+/// `Deadlock` and `Timeout` are bugs here.
 fn drive_until_crash(
     db: &DglRTree,
     rng: &mut XorShift,
     txn_budget: usize,
     checkpoint_every: Option<usize>,
 ) -> Outcome {
-    drive(db, rng, txn_budget, checkpoint_every, false)
-}
-
-/// [`drive_until_crash`] with the one tolerance a background worker
-/// needs: with `worker_may_wound` the driver's transaction can lose a
-/// deadlock to the worker's system operation (which is never the
-/// victim itself) and is then counted like a clean abort.
-fn drive(
-    db: &DglRTree,
-    rng: &mut XorShift,
-    txn_budget: usize,
-    checkpoint_every: Option<usize>,
-    worker_may_wound: bool,
-) -> Outcome {
     let mut committed = BTreeMap::new();
     let mut in_doubt = None;
     let mut acked = 0u64;
     let mut next_oid = 1u64;
 
-    'txns: for t in 0..txn_budget {
+    for t in 0..txn_budget {
         if let Some(every) = checkpoint_every {
             if t > 0 && t % every == 0 && db.checkpoint().is_err() {
                 break; // checkpoint killed the log
@@ -257,9 +239,6 @@ fn drive(
                         acked,
                     };
                 }
-                // Already rolled back — same as the clean abort below,
-                // it must never resurrect.
-                Err(TxnError::Deadlock | TxnError::Timeout) if worker_may_wound => continue 'txns,
                 Err(e) => panic!("op failed unexpectedly: {e}"),
             }
         }
@@ -329,11 +308,8 @@ fn recover_and_check(
     drop(recovered);
 
     // Idempotence: recovering the recovered directory changes nothing.
-    let again = DglRTree::recover(
-        dir,
-        durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None),
-    )
-    .unwrap_or_else(|e| panic!("{label}: second recovery failed: {e}"));
+    let again = DglRTree::recover(dir, durable_config(SyncPolicy::Immediate, None))
+        .unwrap_or_else(|e| panic!("{label}: second recovery failed: {e}"));
     assert_eq!(
         contents(&again),
         seen,
@@ -350,7 +326,7 @@ fn run_cell(seed: u64, failpoint: &'static str, one_in: u32, sync: SyncPolicy) {
     let dir = TempDir::new("cell");
     let mut rng = XorShift::new(seed);
 
-    let config = durable_config(sync, MaintenanceMode::Inline, None);
+    let config = durable_config(sync, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open fresh dir");
 
     let guard = dgl_faults::register(failpoint, FaultSpec::error().one_in(one_in, seed ^ 0x57A1));
@@ -436,7 +412,7 @@ fn matrix_killed_mid_version_gc() {
     let dir = TempDir::new("gc");
     let mut rng = XorShift::new(0x6C11);
 
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open fresh dir");
     let outcome = drive_until_crash(&db, &mut rng, 100, None);
     assert!(outcome.in_doubt.is_none(), "no WAL faults armed");
@@ -453,7 +429,7 @@ fn matrix_killed_mid_version_gc() {
     drop(snap);
 
     // The GC pass panics mid-flight; the pass runs inline on this
-    // thread, so catch the unwind like the maintenance worker would.
+    // thread, so catch the unwind here.
     let guard = dgl_faults::register("maint/version-gc", FaultSpec::panic());
     let gc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| db.dispatch_version_gc()));
     assert!(gc.is_err(), "version-gc failpoint must fire");
@@ -525,7 +501,7 @@ fn matrix_killed_mid_hashidx_rebuild() {
     let dir = TempDir::new("hashidx");
     let mut rng = XorShift::new(0x4A5B);
 
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open fresh dir");
     let outcome = drive_until_crash(&db, &mut rng, 100, Some(9));
     assert!(outcome.in_doubt.is_none(), "no WAL faults armed");
@@ -619,7 +595,7 @@ fn clean_kill_recovers_exact_state() {
     let dir = TempDir::new("clean");
     let mut rng = XorShift::new(0xC1EA_u64);
 
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let outcome = drive_until_crash(&db, &mut rng, 120, Some(10));
     assert!(outcome.in_doubt.is_none(), "no faults armed");
@@ -648,7 +624,7 @@ fn torn_final_record_discarded() {
     let dir = TempDir::new("torn");
     let mut rng = XorShift::new(0x70A4_u64);
 
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let outcome = drive_until_crash(&db, &mut rng, 60, None);
     db.crash_wal();
@@ -691,26 +667,21 @@ fn torn_final_record_discarded() {
     recovered.validate().expect("validate");
 }
 
-/// Background maintenance + automatic checkpoints (tiny threshold, so
-/// they fire constantly) under the checkpoint failpoint.
+/// Automatic checkpoints (tiny threshold, so they fire constantly at the
+/// end of commits) under the checkpoint failpoint.
 #[test]
-fn background_auto_checkpoint_cell() {
+fn auto_checkpoint_cell() {
     let _serial = serialize();
     let _watchdog = Watchdog::arm("auto-ckpt");
     let dir = TempDir::new("autockpt");
     let mut rng = XorShift::new(0xAC47_u64);
 
-    let config = durable_config(
-        SyncPolicy::Batch(Duration::from_millis(1)),
-        MaintenanceMode::Background,
-        Some(2_048),
-    );
+    let config = durable_config(SyncPolicy::Batch(Duration::from_millis(1)), Some(2_048));
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let guard = dgl_faults::register("wal/checkpoint", FaultSpec::error().one_in(6, 0xAC47));
-    let outcome = drive(&db, &mut rng, 150, None, true);
+    let outcome = drive_until_crash(&db, &mut rng, 150, None);
     drop(guard);
     db.crash_wal();
-    db.quiesce().ok(); // background worker may still hold a queued checkpoint
     drop(db);
 
     recover_and_check(dir.path(), config, &outcome, "auto-ckpt");
@@ -724,11 +695,7 @@ fn multithread_acked_commits_survive() {
     let _watchdog = Watchdog::arm("multithread");
     let dir = TempDir::new("mt");
 
-    let config = durable_config(
-        SyncPolicy::Batch(Duration::from_millis(2)),
-        MaintenanceMode::Background,
-        None,
-    );
+    let config = durable_config(SyncPolicy::Batch(Duration::from_millis(2)), None);
     let db = Arc::new(DglRTree::open(dir.path(), config.clone()).expect("open"));
 
     const THREADS: u64 = 4;
@@ -789,7 +756,7 @@ fn recovered_tree_is_serializable() {
         hi: [0.7, 0.7],
     };
 
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     {
         // Seed the directory with committed objects *outside* the
         // region (so observed counts start at zero), then crash.
@@ -881,7 +848,7 @@ fn recovered_tree_blocks_phantoms() {
         hi: [0.65, 0.65],
     };
 
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     {
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
         let mut rng = XorShift::new(0xFA47_u64);
@@ -933,9 +900,9 @@ fn recovered_tree_blocks_phantoms() {
 }
 
 /// Deferred-deletion / recovery interaction: committed deletes in the
-/// log tail are replayed through the normal write path, which enqueues
-/// their physical deletions on the background worker; `recover` must
-/// drain that non-empty queue through `quiesce()` before returning.
+/// log tail are replayed through the normal write path, whose commits
+/// run their physical deletions; `recover` returns with every one of
+/// them applied.
 #[test]
 fn recovery_drains_replayed_deferred_deletions() {
     let _serial = serialize();
@@ -943,7 +910,7 @@ fn recovery_drains_replayed_deferred_deletions() {
     let dir = TempDir::new("deferred");
     let mut rng = XorShift::new(0xDE1E_u64);
 
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Background, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let mut rects = BTreeMap::new();
     {
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
@@ -966,17 +933,14 @@ fn recovery_drains_replayed_deferred_deletions() {
     }
 
     let recovered = DglRTree::recover(dir.path(), config).expect("recover");
-    // Replay enqueued each committed delete's physical phase on the
-    // background worker and `recover` quiesced it: no backlog remains.
-    assert_eq!(recovered.maintenance_backlog(), 0);
+    // Each replayed delete's commit ran its physical phase.
     let s = recovered.obs().snapshot();
-    assert!(
-        s.ctr(Ctr::MaintEnqueued) >= 10 && s.ctr(Ctr::MaintEnqueued) == s.ctr(Ctr::MaintCompleted),
-        "replayed deletes must flow through the maintenance queue \
-         (enqueued {}, completed {})",
-        s.ctr(Ctr::MaintEnqueued),
-        s.ctr(Ctr::MaintCompleted)
+    assert_eq!(
+        s.ctr(Ctr::MaintCompleted),
+        10,
+        "replayed deletes must run their physical deletions"
     );
+    assert_eq!(s.ctr(Ctr::MaintFailed), 0);
     assert_eq!(recovered.len(), 20, "10 of 30 objects deleted");
     let seen = contents(&recovered);
     for i in 1..=30u64 {
@@ -1065,7 +1029,7 @@ fn damaged_newest_snapshot_falls_back_to_the_previous_generation() {
     for how in DAMAGES {
         let dir = TempDir::new("damaged-newest");
         let mut rng = XorShift::new(0xDA4A);
-        let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+        let config = durable_config(SyncPolicy::Immediate, None);
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
         let mut committed = BTreeMap::new();
         commit_inserts(&db, &mut rng, 1..=40, &mut committed);
@@ -1113,7 +1077,7 @@ fn damaged_only_snapshot_is_corrupt_not_an_empty_tree() {
     for how in DAMAGES {
         let dir = TempDir::new("damaged-only");
         let mut rng = XorShift::new(0xDA0E);
-        let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+        let config = durable_config(SyncPolicy::Immediate, None);
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
         let mut committed = BTreeMap::new();
         commit_inserts(&db, &mut rng, 1..=30, &mut committed);
@@ -1143,7 +1107,7 @@ fn page_ids_survive_checkpoint_crash_and_recover() {
     let _watchdog = Watchdog::arm("page-ids");
     let dir = TempDir::new("page-ids");
     let mut rng = XorShift::new(0x9A6E);
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let mut committed = BTreeMap::new();
     commit_inserts(&db, &mut rng, 1..=120, &mut committed);
@@ -1214,7 +1178,7 @@ fn run_power_loss_cell(how: PowerLoss) {
     let _watchdog = Watchdog::arm(&label);
     let dir = TempDir::new("power-loss");
     let mut rng = XorShift::new(0x9E11);
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let mut outcome = drive_until_crash(&db, &mut rng, 40, None);
     assert!(outcome.in_doubt.is_none(), "no WAL faults armed");
@@ -1296,7 +1260,7 @@ fn zero_filled_tails_read_clean_across_three_generations() {
     let _watchdog = Watchdog::arm(label);
     let dir = TempDir::new("three-gens");
     let mut rng = XorShift::new(0x3E4E);
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let mut committed = BTreeMap::new();
     commit_inserts(&db, &mut rng, 1..=20, &mut committed);
@@ -1366,7 +1330,7 @@ fn run_2pc_cell(failpoint: &'static str, survives: bool, sync: SyncPolicy) {
     let label = format!("2pc[{failpoint} sync={sync:?}]");
     let _watchdog = Watchdog::arm(&label);
     let dir = TempDir::new("2pc");
-    let config = durable_config(sync, MaintenanceMode::Inline, None);
+    let config = durable_config(sync, None);
     let sharding = ShardingConfig {
         shards: 4,
         max_object_extent: 0.05,
@@ -1480,7 +1444,7 @@ fn matrix_2pc_seeded_workload_in_doubt_atomicity() {
         let label = format!("2pc-seeded[{failpoint}]");
         let _watchdog = Watchdog::arm(&label);
         let dir = TempDir::new("2pc-seeded");
-        let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+        let config = durable_config(SyncPolicy::Immediate, None);
         let sharding = ShardingConfig {
             shards: 4,
             max_object_extent: 0.05,
@@ -1604,7 +1568,7 @@ fn coord_log_prune_keeps_in_doubt_decisions() {
     let _serial = serialize();
     let _watchdog = Watchdog::arm("coord-prune");
     let dir = TempDir::new("coord-prune");
-    let config = durable_config(SyncPolicy::Immediate, MaintenanceMode::Inline, None);
+    let config = durable_config(SyncPolicy::Immediate, None);
     let sharding = ShardingConfig {
         shards: 4,
         max_object_extent: 0.05,
