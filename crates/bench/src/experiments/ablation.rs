@@ -155,7 +155,8 @@ pub fn external_granule(threads: u64, txns_per_thread: u64, seed: u64) -> Extern
                         };
                         if ok && db.commit(txn).is_ok() {
                             commits += 1;
-                        } else if db.txn_manager().is_active(txn) {
+                        } else {
+                            // `NotActive` if the failure rolled it back.
                             let _ = db.abort(txn);
                         }
                     }

@@ -30,7 +30,7 @@ pub use predicate::{PredicateConfig, PredicateRTree};
 pub use tree_lock::TreeLockRTree;
 pub use zorder::{ZOrderConfig, ZOrderRTree};
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -38,7 +38,7 @@ use parking_lot::{Mutex, RwLock};
 use dgl_geom::Rect2;
 use dgl_lockmgr::{LockManager, LockManagerConfig, TxnId};
 use dgl_rtree::{ObjectId, RTree2, RTreeConfig};
-use dgl_txn::{Journal, TxnManager};
+use dgl_txn::TxnManager;
 
 use crate::{ScanHit, TxnError};
 
@@ -64,14 +64,9 @@ pub(crate) enum BaseUndo {
 pub(crate) struct BaseInner {
     pub tree: RwLock<RTree2>,
     pub lm: Arc<LockManager>,
-    pub tm: TxnManager,
-    pub undo: Journal<BaseUndo>,
+    /// The active transactions, each with its undo log.
+    pub tm: TxnManager<Vec<BaseUndo>>,
     pub payloads: Mutex<HashMap<ObjectId, u64>>,
-    /// Ids deleted by still-active transactions. The baselines delete
-    /// physically, but the API contract (shared with the granular
-    /// protocol, whose tombstones persist to commit) reserves a deleted
-    /// id until its deleter commits.
-    pub reserved: Mutex<HashMap<TxnId, HashSet<ObjectId>>>,
 }
 
 impl BaseInner {
@@ -81,11 +76,9 @@ impl BaseInner {
         let lm = Arc::new(LockManager::new(lock));
         Self {
             tree: RwLock::new(RTree2::new(rtree, world)),
-            tm: TxnManager::new(Arc::clone(&lm)),
+            tm: TxnManager::with_records(Arc::clone(&lm)),
             lm,
-            undo: Journal::new(),
             payloads: Mutex::new(HashMap::new()),
-            reserved: Mutex::new(HashMap::new()),
         }
     }
 
@@ -105,11 +98,14 @@ impl BaseInner {
     /// Rolls the transaction back: undoes physical changes in reverse,
     /// then releases locks and retires the id.
     pub fn rollback_now(&self, txn: TxnId) {
-        let records = self.undo.take_reversed(txn);
-        if !records.is_empty() {
+        {
+            // The log is taken under the write latch, which `do_insert`
+            // checks reservations under: a deleted id stays reserved
+            // until its re-insertion below is visible.
             let mut tree = self.tree.write();
             let mut payloads = self.payloads.lock();
-            for rec in records {
+            let records = self.tm.record(txn, std::mem::take).unwrap_or_default();
+            for rec in records.into_iter().rev() {
                 match rec {
                     BaseUndo::Insert { oid, rect } => {
                         let removed = tree.remove_entry_raw(oid, rect);
@@ -126,14 +122,13 @@ impl BaseInner {
                 }
             }
         }
-        self.reserved.lock().remove(&txn);
         self.tm.abort(txn);
     }
 
-    pub fn commit_now(&self, txn: TxnId) {
-        let _ = self.undo.take(txn);
-        self.reserved.lock().remove(&txn);
-        self.tm.commit(txn);
+    fn push_undo(&self, txn: TxnId, rec: BaseUndo) {
+        self.tm
+            .record(txn, |undo| undo.push(rec))
+            .expect("undo of an active transaction");
     }
 
     /// Search returning visible hits with payload versions. The baselines
@@ -170,14 +165,21 @@ impl BaseInner {
         if self.payloads.lock().contains_key(&oid) {
             return Err(TxnError::DuplicateObject);
         }
-        if self.reserved.lock().values().any(|set| set.contains(&oid)) {
-            // Deleted by a still-active transaction: the id stays
-            // reserved until that transaction commits.
+        // The baselines delete physically, but the API contract (shared
+        // with the granular protocol, whose tombstones persist to commit)
+        // reserves a deleted id until its deleter commits: an id in an
+        // active transaction's undo log as a `Delete` is still taken.
+        let reserved = self.tm.records(|records| {
+            records
+                .flat_map(|(_, undo)| undo)
+                .any(|u| matches!(*u, BaseUndo::Delete { oid: d, .. } if d == oid))
+        });
+        if reserved {
             return Err(TxnError::DuplicateObject);
         }
         tree.insert(oid, rect);
         self.payloads.lock().insert(oid, 1);
-        self.undo.push(txn, BaseUndo::Insert { oid, rect });
+        self.push_undo(txn, BaseUndo::Insert { oid, rect });
         Ok(())
     }
 
@@ -189,8 +191,7 @@ impl BaseInner {
             return false;
         }
         let version = self.payloads.lock().remove(&oid).unwrap_or(1);
-        self.undo.push(txn, BaseUndo::Delete { oid, rect, version });
-        self.reserved.lock().entry(txn).or_default().insert(oid);
+        self.push_undo(txn, BaseUndo::Delete { oid, rect, version });
         true
     }
 
@@ -201,7 +202,7 @@ impl BaseInner {
         let slot = payloads.get_mut(&oid)?;
         let old = *slot;
         *slot = old + 1;
-        self.undo.push(
+        self.push_undo(
             txn,
             BaseUndo::Update {
                 oid,

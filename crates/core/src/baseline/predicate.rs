@@ -201,7 +201,7 @@ impl TransactionalRTree for PredicateRTree {
 
     fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
         self.inner.check_active(txn)?;
-        self.inner.commit_now(txn);
+        self.inner.tm.commit(txn);
         self.drop_predicates(txn);
         Ok(())
     }

@@ -66,7 +66,7 @@ impl TransactionalRTree for TreeLockRTree {
     fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
         self.inner.check_active(txn)?;
         let start = std::time::Instant::now();
-        self.inner.commit_now(txn);
+        self.inner.tm.commit(txn);
         self.inner
             .obs()
             .record(Hist::Commit, start.elapsed().as_nanos() as u64);

@@ -195,7 +195,7 @@ impl TransactionalRTree for ZOrderRTree {
 
     fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
         self.inner.check_active(txn)?;
-        self.inner.commit_now(txn);
+        self.inner.tm.commit(txn);
         Ok(())
     }
 

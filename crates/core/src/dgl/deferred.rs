@@ -127,7 +127,7 @@ impl DglCore {
     /// Phase 1: lock (retry loop), then remove the tombstoned entry,
     /// condense, and publish the orphans in the same latch session. A
     /// vanished entry (e.g. the tree was restored from a checkpoint
-    /// without the journal) is a no-op.
+    /// without its undo log) is a no-op.
     fn deferred_remove_phase(&self, sys: TxnId, d: DeferredDelete) {
         loop {
             // Same optimistic plan/validate/apply split as user writes:

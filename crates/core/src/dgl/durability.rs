@@ -12,7 +12,7 @@
 //!   [`SyncPolicy::Batch`] window) amortizes the `fsync` across
 //!   concurrent committers.
 //! * **Checkpointing.** A checkpoint cuts the log: it captures the undo
-//!   queues of in-flight transactions and a consistent tree image under
+//!   logs of in-flight transactions and a consistent tree image under
 //!   one shared-latch hold (writers stall only for the in-memory encode,
 //!   never for the checksum or the file I/O), rotates the log into a new
 //!   generation headed by a `Checkpoint` record carrying that undo image,
@@ -41,10 +41,12 @@
 //! or wholly post-cut (absent from the image, record in the new
 //! generation) — the cut classification exactly matches image
 //! membership. Commit records are ordered against the cut by
-//! [`DglCore::commit_cut`]: a commit appends its record and marks
-//! `wal_committed` under the read guard, the checkpoint holds the write
-//! guard, so the undo image never includes a transaction whose commit
-//! record precedes the cut.
+//! [`DglCore::commit_cut`]: a commit appends its record and sets its
+//! transaction record's log state to `Committed` under the read guard;
+//! the checkpoint holds the write guard and skips `Committed` records,
+//! so the undo image never includes a transaction whose commit record
+//! precedes the cut. The record retires (and its locks release) only
+//! after that, so a cut in between finds it `Committed`, not gone.
 //!
 //! ## In-doubt commits
 //!
@@ -76,7 +78,7 @@ use dgl_wal::{
 
 use crate::{TransactionalRTree, TxnError};
 
-use super::{DglConfig, DglCore, DglRTree, ShardContext, UndoRecord};
+use super::{DglConfig, DglCore, DglRTree, LogState, ShardContext, UndoRecord};
 
 /// Durability configuration ([`DglConfig::durability`]). Consulted only
 /// by the directory-backed constructors [`DglRTree::open`] /
@@ -157,18 +159,43 @@ fn arr_to_rect(a: [f64; 4]) -> Rect2 {
 // --- DglCore: logging hooks (called from the operation/commit paths) ----
 
 impl DglCore {
-    /// Appends one logical record for `txn`, lazily preceded by its
-    /// `Begin`. Called while the exclusive apply latch is still held, so
-    /// the record's position relative to any checkpoint cut matches the
-    /// mutation's presence in the cut's tree image. A no-op without an
-    /// attached log.
-    fn wal_log(&self, txn: TxnId, rec: WalRecord) -> Result<(), TxnError> {
-        let Some(wal) = self.wal.get() else {
+    /// Pushes a tree operation's undo entry and appends its log record,
+    /// lazily preceded by `Begin`. Called while the exclusive apply latch
+    /// is still held, so the operation's position relative to any
+    /// checkpoint cut matches its presence in the cut's tree image (and
+    /// in the cut's undo). Without an attached log it only pushes.
+    pub(crate) fn push_logged_undo(&self, txn: TxnId, op: UndoRecord) -> Result<(), TxnError> {
+        let logged = self.wal.get().map(|wal| {
+            let rec = match &op {
+                UndoRecord::Insert { oid, rect } => WalRecord::Insert {
+                    txn: txn.0,
+                    oid: oid.0,
+                    rect: rect_to_arr(rect),
+                },
+                UndoRecord::LogicalDelete { oid, rect } => WalRecord::Delete {
+                    txn: txn.0,
+                    oid: oid.0,
+                    rect: rect_to_arr(rect),
+                },
+                UndoRecord::Update { .. } => unreachable!("payload updates are not logged"),
+            };
+            (wal, rec)
+        });
+        let first = self
+            .tm
+            .record(txn, |r| {
+                r.undo.push(op);
+                let first = logged.is_some() && r.log == LogState::Unlogged;
+                if first {
+                    r.log = LogState::Begun;
+                }
+                first
+            })
+            .expect("operation of an active transaction");
+        let Some((wal, rec)) = logged else {
             return Ok(());
         };
-        if self.wal_started.lock().insert(txn)
-            && wal.append(&WalRecord::Begin { txn: txn.0 }).is_err()
-        {
+        if first && wal.append(&WalRecord::Begin { txn: txn.0 }).is_err() {
             return Err(TxnError::Durability);
         }
         wal.append(&rec)
@@ -176,71 +203,36 @@ impl DglCore {
             .map_err(|_| TxnError::Durability)
     }
 
-    pub(crate) fn wal_log_insert(
-        &self,
-        txn: TxnId,
-        oid: ObjectId,
-        rect: Rect2,
-    ) -> Result<(), TxnError> {
-        self.wal_log(
-            txn,
-            WalRecord::Insert {
-                txn: txn.0,
-                oid: oid.0,
-                rect: rect_to_arr(&rect),
-            },
-        )
+    /// The transaction's log state (`Unlogged` once it is gone).
+    pub(crate) fn log_state(&self, txn: TxnId) -> LogState {
+        self.tm.record(txn, |r| r.log).unwrap_or_default()
     }
 
-    pub(crate) fn wal_log_delete(
-        &self,
-        txn: TxnId,
-        oid: ObjectId,
-        rect: Rect2,
-    ) -> Result<(), TxnError> {
-        self.wal_log(
-            txn,
-            WalRecord::Delete {
-                txn: txn.0,
-                oid: oid.0,
-                rect: rect_to_arr(&rect),
-            },
-        )
-    }
-
-    /// Appends the commit record under the cut's read guard and marks the
-    /// transaction committed for checkpoint classification. Returns the
-    /// LSN to wait on, or `None` when nothing was logged (read-only
-    /// transaction, or no log attached).
-    pub(crate) fn wal_commit_begin(&self, txn: TxnId) -> Result<Option<u64>, TxnError> {
+    /// Appends the commit record under the cut's read guard, marks the
+    /// transaction `Committed` for checkpoint classification, and waits
+    /// for the record's batch to be durable — outside the guard: a
+    /// checkpoint must never wait on an `fsync` it didn't issue. A no-op
+    /// when nothing was logged (read-only transaction, or no log). A
+    /// failed wait leaves the record `Committed`: the commit is in doubt
+    /// (see module docs), so the rollback that follows appends no
+    /// `Abort`, and the poisoned log takes no further cut.
+    pub(crate) fn wal_commit(&self, txn: TxnId) -> Result<(), TxnError> {
         let Some(wal) = self.wal.get() else {
-            return Ok(None);
+            return Ok(());
         };
-        if !self.wal_started.lock().contains(&txn) {
-            return Ok(None);
-        }
-        let _cut = self.commit_cut.read();
-        let lsn = wal.append_commit(txn.0).map_err(|_| TxnError::Durability)?;
-        self.wal_committed.lock().insert(txn);
-        Ok(Some(lsn))
-    }
-
-    /// Blocks until the commit record's batch is durable. Done *outside*
-    /// the cut guard — a checkpoint must never wait on an `fsync` it
-    /// didn't issue.
-    pub(crate) fn wal_commit_wait(&self, txn: TxnId, lsn: u64) -> Result<(), TxnError> {
-        let wal = self
-            .wal
-            .get()
-            .expect("wal_commit_wait follows wal_commit_begin");
-        if wal.wait_durable(lsn).is_err() {
-            // In doubt (see module docs) — but locally this transaction
-            // rolls back, so stop classifying it as committed.
-            self.wal_committed.lock().remove(&txn);
-            self.wal_started.lock().remove(&txn);
-            return Err(TxnError::Durability);
-        }
-        Ok(())
+        let prepared = match self.log_state(txn) {
+            LogState::Unlogged => return Ok(()),
+            LogState::Prepared(gtxn) => Some(gtxn),
+            LogState::Begun | LogState::Committed(_) => None,
+        };
+        let lsn = {
+            let _cut = self.commit_cut.read();
+            let lsn = wal.append_commit(txn.0).map_err(|_| TxnError::Durability)?;
+            self.tm
+                .record(txn, |r| r.log = LogState::Committed(prepared));
+            lsn
+        };
+        wal.wait_durable(lsn).map_err(|_| TxnError::Durability)
     }
 
     /// Phase-1 prepare of a cross-shard (2PC) commit: appends a `Prepare`
@@ -255,18 +247,18 @@ impl DglCore {
         let Some(wal) = self.wal.get() else {
             return Ok(false);
         };
-        if !self.wal_started.lock().contains(&txn) {
+        if self.log_state(txn) == LogState::Unlogged {
             return Ok(false);
         }
         let lsn = {
             // Same cut ordering as a commit record: the prepare (and its
-            // registration below) lands wholly before or wholly after a
+            // log state below) lands wholly before or wholly after a
             // checkpoint cut, so the cut's `prepared` list is exact.
             let _cut = self.commit_cut.read();
             let lsn = wal
                 .append(&WalRecord::Prepare { txn: txn.0, gtxn })
                 .map_err(|_| TxnError::Durability)?;
-            self.wal_prepared.lock().insert(txn, gtxn);
+            self.tm.record(txn, |r| r.log = LogState::Prepared(gtxn));
             lsn
         };
         // Prepare records don't ride the group-commit trigger (only
@@ -275,27 +267,12 @@ impl DglCore {
         Ok(true)
     }
 
-    /// Clears the transaction's log bookkeeping after `commit` drained
-    /// its undo queue (the `wal_committed` window closes here).
-    pub(crate) fn wal_finish(&self, txn: TxnId) {
-        if self.wal.get().is_none() {
-            return;
-        }
-        self.wal_committed.lock().remove(&txn);
-        self.wal_started.lock().remove(&txn);
-        self.wal_prepared.lock().remove(&txn);
-    }
-
-    /// Best-effort `Abort` record on rollback (recovery discards
-    /// uncommitted transactions with or without it; the record just lets
-    /// replay drop their buffered operations early).
-    pub(crate) fn wal_abort(&self, txn: TxnId) {
-        let Some(wal) = self.wal.get() else {
-            return;
-        };
-        self.wal_committed.lock().remove(&txn);
-        self.wal_prepared.lock().remove(&txn);
-        if self.wal_started.lock().remove(&txn) {
+    /// Best-effort `Abort` record on rollback of a transaction whose log
+    /// state was `log` (recovery discards uncommitted transactions with
+    /// or without it; the record just lets replay drop their buffered
+    /// operations early). None for an in-doubt `Committed` one.
+    pub(crate) fn wal_abort(&self, txn: TxnId, log: LogState) {
+        if let (Some(wal), LogState::Begun | LogState::Prepared(_)) = (self.wal.get(), log) {
             let _ = wal.append(&WalRecord::Abort { txn: txn.0 });
         }
     }
@@ -358,16 +335,16 @@ impl DglCore {
         let (info, image) = {
             let _cut = self.commit_cut.write();
             let tree = self.latch_shared();
-            let committed = self.wal_committed.lock().clone();
-            let undo: Vec<UndoEntry> = self
-                .undo
-                .snapshot_all()
-                .into_iter()
-                .filter(|(t, _)| !committed.contains(t))
-                .filter_map(|(t, recs)| {
-                    let ops: Vec<UndoOp> = recs
+            let mut undo: Vec<UndoEntry> = Vec::new();
+            let mut prepared: Vec<(u64, u64)> = Vec::new();
+            self.tm.records(|records| {
+                // A `Committed` record rides in neither list: its commit
+                // record precedes the cut.
+                for (t, r) in records.filter(|(_, r)| !matches!(r.log, LogState::Committed(_))) {
+                    let ops: Vec<UndoOp> = r
+                        .undo
                         .iter()
-                        .filter_map(|r| match r {
+                        .filter_map(|u| match u {
                             UndoRecord::Insert { oid, rect } => Some(UndoOp::Insert {
                                 oid: oid.0,
                                 rect: rect_to_arr(rect),
@@ -381,21 +358,19 @@ impl DglCore {
                             UndoRecord::Update { .. } => None,
                         })
                         .collect();
-                    (!ops.is_empty()).then_some(UndoEntry { txn: t.0, ops })
-                })
-                .collect();
-            // Prepared-but-undecided transactions: their undo already
-            // rides in `undo` (they are not in `wal_committed`); the
-            // (txn, gtxn) mapping must ride too, or rotating away their
-            // `Prepare` records would leave recovery unable to resolve
-            // them against the coordinator log.
-            let prepared: Vec<(u64, u64)> = self
-                .wal_prepared
-                .lock()
-                .iter()
-                .filter(|(t, _)| !committed.contains(t))
-                .map(|(t, g)| (t.0, *g))
-                .collect();
+                    if !ops.is_empty() {
+                        undo.push(UndoEntry { txn: t.0, ops });
+                    }
+                    // A prepared-but-undecided transaction's undo rides
+                    // above; its (txn, gtxn) pair must ride too, or
+                    // rotating away its `Prepare` record would leave
+                    // recovery unable to resolve it against the
+                    // coordinator log.
+                    if let LogState::Prepared(g) = r.log {
+                        prepared.push((t.0, g));
+                    }
+                }
+            });
             let gen = wal.current_gen() + 1;
             let info = wal.rotate(&WalRecord::Checkpoint {
                 gen,
@@ -819,5 +794,67 @@ impl DglRTree {
             }
         }
         self.commit(t)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `t` inserts three objects, then `before_cut`, a checkpoint,
+    /// `after_cut` and a clean kill. Returns `t`, the cut record's undo
+    /// and the recovered object ids.
+    fn cut_then_kill(
+        tag: &str,
+        before_cut: impl FnOnce(&DglRTree, TxnId),
+        after_cut: impl FnOnce(&DglRTree, TxnId),
+    ) -> (TxnId, Vec<UndoEntry>, Vec<u64>) {
+        let dir = std::env::temp_dir().join(format!("dgl-cut-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let db = DglRTree::open(&dir, DglConfig::default()).unwrap();
+        let t = db.begin();
+        for i in 1..=3 {
+            let x = 0.2 * i as f64;
+            db.insert(t, ObjectId(i), Rect2::new([x; 2], [x + 0.1; 2]))
+                .unwrap();
+        }
+        before_cut(&db, t);
+        db.checkpoint().unwrap();
+        let gen = db.core.wal.get().unwrap().current_gen();
+        let seg = read_segment(&segment_path(&dir, gen)).unwrap();
+        let Some(WalRecord::Checkpoint { undo, .. }) = seg.records.first().cloned() else {
+            panic!("segment {gen} opens without its cut record");
+        };
+        after_cut(&db, t);
+        db.crash_wal();
+        drop(db);
+        let db = DglRTree::recover(&dir, DglConfig::default()).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        let objects = db.with_tree(|tree| tree.all_objects());
+        (t, undo, objects.iter().map(|o| o.0 .0).collect())
+    }
+
+    #[test]
+    fn cut_between_commit_record_and_release_carries_no_undo() {
+        let (t, undo, mut oids) = cut_then_kill(
+            "committed",
+            |db, t| {
+                db.commit_phase_durable(t).unwrap();
+                db.core.stamp_commit_versions(t);
+                assert_eq!(db.core.log_state(t), LogState::Committed(None));
+                assert!(db.lock_manager().locks_held(t) > 0, "locks still held");
+            },
+            |db, t| db.commit_finish(t, Instant::now()),
+        );
+        assert!(undo.iter().all(|e| e.txn != t.0), "{undo:?}");
+        oids.sort_unstable();
+        assert_eq!(oids, [1, 2, 3], "each object exactly once");
+    }
+
+    #[test]
+    fn cut_before_commit_carries_undo_and_recovery_peels_it() {
+        let (t, undo, oids) = cut_then_kill("active", |_, _| {}, |_, _| {});
+        assert!(undo.iter().any(|e| e.txn == t.0 && e.ops.len() == 3));
+        assert!(oids.is_empty(), "uncommitted inserts peeled: {oids:?}");
     }
 }

@@ -84,7 +84,6 @@ pub use shard::{ShardedDglRTree, ShardedSnapshot, ShardingConfig};
 
 use mvcc::{DeadObject, DirtyList, VersionChain};
 
-use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -102,7 +101,7 @@ use dgl_lockmgr::{
 };
 use dgl_pager::PageId;
 use dgl_rtree::{Entry, ObjectId, Orphan, RTree2, RTreeConfig};
-use dgl_txn::{CommitClock, Journal, TxnManager};
+use dgl_txn::{CommitClock, TxnManager};
 
 use dgl_obs::{Ctr, Hist, Registry};
 
@@ -165,15 +164,44 @@ impl Default for DglConfig {
     }
 }
 
-/// What abort must undo, in reverse order. `Clone` because a checkpoint
-/// captures the undo queues of in-flight transactions into its cut
-/// record (recovery peels their already-applied operations out of the
-/// snapshot image when no commit follows in the log tail).
-#[derive(Debug, Clone)]
+/// What abort must undo, in reverse order. A checkpoint copies the
+/// tree operations of in-flight transactions into its cut record
+/// (recovery peels them out of the snapshot image when no commit follows
+/// in the log tail). A `LogicalDelete` is also a deferred deletion:
+/// commit runs one per entry, in push order
+/// ([`DglRTree::commit_release`]).
+#[derive(Debug)]
 pub(crate) enum UndoRecord {
     Insert { oid: ObjectId, rect: Rect2 },
     LogicalDelete { oid: ObjectId, rect: Rect2 },
     Update { oid: ObjectId, old_version: u64 },
+}
+
+/// One active transaction's record in [`DglCore::tm`]: its undo log, in
+/// push order, and how far its log records got.
+#[derive(Debug, Default)]
+pub(crate) struct TxnRecord {
+    pub(crate) undo: Vec<UndoRecord>,
+    pub(crate) log: LogState,
+}
+
+/// A transaction's progress through the write-ahead log (`Unlogged`
+/// throughout without one).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LogState {
+    /// Nothing appended: read-only so far.
+    #[default]
+    Unlogged,
+    /// `Begin` and operation records appended.
+    Begun,
+    /// A 2PC participant's `Prepare` for global transaction `gtxn` is
+    /// appended; in doubt until the coordinator decides.
+    Prepared(u64),
+    /// The `Commit` record is appended; the `Prepare` gtxn, if any, stays
+    /// in doubt until the record retires. A checkpoint cut carries
+    /// nothing of it, and a rollback from here (its sync failed, so the
+    /// outcome is in doubt) appends no `Abort`.
+    Committed(Option<u64>),
 }
 
 /// A physical deletion deferred to after commit (§3.7).
@@ -280,9 +308,9 @@ impl ShardContext {
 pub(crate) struct DglCore {
     pub(crate) tree: RwLock<Latched>,
     pub(crate) lm: Arc<LockManager>,
-    pub(crate) tm: TxnManager,
-    pub(crate) undo: Journal<UndoRecord>,
-    pub(crate) deferred: Journal<DeferredDelete>,
+    /// The active transactions and their one record each (undo log and
+    /// log state); a leaf lock, like the payload stripes.
+    pub(crate) tm: TxnManager<TxnRecord>,
     /// The payload table *and* exact-match hash index: striped map from
     /// object id to leaf hint + rect + version chain (also the
     /// duplicate-oid check). The chain head's value is the payload
@@ -326,27 +354,11 @@ pub(crate) struct DglCore {
     /// constructors *after* recovery replay (so replayed operations are
     /// not re-logged). Empty for purely in-memory indexes.
     pub(crate) wal: OnceLock<Arc<Wal>>,
-    /// Transactions that have appended their `Begin` record (i.e. logged
-    /// at least one operation). Read-only transactions never enter.
-    pub(crate) wal_started: Mutex<HashSet<TxnId>>,
-    /// Transactions whose `Commit` record has been appended but whose
-    /// undo queue has not yet been drained by `commit`. A checkpoint
-    /// capturing its cut inside that window must treat them as committed
-    /// — their undo must NOT ride into the checkpoint record, or recovery
-    /// would peel committed operations out of the snapshot image.
-    pub(crate) wal_committed: Mutex<HashSet<TxnId>>,
-    /// Transactions prepared under two-phase commit but not yet decided:
-    /// local txn id → global (coordinator) transaction id. A prepared
-    /// transaction is *not* in `wal_committed` — its undo rides into any
-    /// checkpoint cut so recovery can still peel it if the coordinator
-    /// aborted — and the mapping here is persisted in the cut record so
-    /// the coordinator decision stays resolvable after rotation.
-    pub(crate) wal_prepared: Mutex<HashMap<TxnId, u64>>,
     /// Orders commit-record appends against checkpoint cuts: `commit`
-    /// appends its record and marks `wal_committed` under a read guard;
-    /// the checkpoint captures the undo image and rotates the log under
-    /// the write guard — so every commit lands wholly before or wholly
-    /// after the cut, never astraddle.
+    /// appends its record and marks its record `Committed` under a read
+    /// guard; the checkpoint captures the undo image and rotates the log
+    /// under the write guard — so every commit lands wholly before or
+    /// wholly after the cut, never astraddle.
     pub(crate) commit_cut: RwLock<()>,
     /// A threshold-triggered checkpoint has been dispatched and not yet
     /// finished (dedupes auto-checkpoint requests).
@@ -514,10 +526,8 @@ impl DglRTree {
                 tree,
                 orphans: Vec::new(),
             }),
-            tm: TxnManager::new(Arc::clone(&lm)),
+            tm: TxnManager::with_records(Arc::clone(&lm)),
             lm,
-            undo: Journal::new(),
-            deferred: Journal::new(),
             payloads,
             dead: Mutex::new(Vec::new()),
             dirty: DirtyList::new(),
@@ -530,9 +540,6 @@ impl DglRTree {
             obs,
             maint_failed: AtomicBool::new(false),
             wal: OnceLock::new(),
-            wal_started: Mutex::new(HashSet::new()),
-            wal_committed: Mutex::new(HashSet::new()),
-            wal_prepared: Mutex::new(HashMap::new()),
             commit_cut: RwLock::new(()),
             ckpt_pending: AtomicBool::new(false),
             checkpoint_threshold: config.durability.checkpoint_threshold,
@@ -648,14 +655,9 @@ impl DglRTree {
         dgl_obs::prometheus_text(&self.core.obs.snapshot())
     }
 
-    /// Renders the registry as a JSON snapshot.
-    pub fn obs_json(&self) -> String {
-        dgl_obs::json_snapshot(&self.core.obs.snapshot())
-    }
-
-    /// The transaction manager (active-set inspection).
-    pub fn txn_manager(&self) -> &TxnManager {
-        &self.core.tm
+    /// Number of active transactions, system transactions included.
+    pub fn active_txns(&self) -> usize {
+        self.core.tm.active_count()
     }
 
     /// Read access to the underlying tree (experiments; takes the latch).
@@ -669,11 +671,6 @@ impl DglRTree {
         let r = self.core.tree.try_read().is_some();
         let w = self.core.tree.try_write().is_some();
         (r, w)
-    }
-
-    /// The configured insertion policy.
-    pub fn policy(&self) -> InsertPolicy {
-        self.core.policy
     }
 
     /// Reports whether every deferred deletion dispatched so far was
@@ -726,20 +723,11 @@ impl DglRTree {
         // caller sees `TxnError::Durability` — in-doubt, resolved by
         // recovery. No *later* commit can succeed off a poisoned log, so
         // the divergence cannot compound.
-        match self.core.wal_commit_begin(txn) {
-            Ok(None) => Ok(()),
-            Ok(Some(lsn)) => {
-                if let Err(e) = self.core.wal_commit_wait(txn, lsn) {
-                    self.core.rollback_now(txn);
-                    return Err(e);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.core.rollback_now(txn);
-                Err(e)
-            }
+        let durable = self.core.wal_commit(txn);
+        if durable.is_err() {
+            self.core.rollback_now(txn);
         }
+        durable
     }
 
     /// Commit phase 3: release locks, run deferred deletions, and
@@ -763,19 +751,15 @@ impl DglRTree {
     /// Visibility stays correct in the window: the tombstones persist
     /// until each deferred deletion runs.
     pub(crate) fn commit_release(&self, txn: TxnId) -> Vec<DeferredDelete> {
-        // The take/commit sequence can observe an injected panic; the
-        // guard keeps a still-active transaction from wedging the lock
-        // table. (After `tm.commit` the transaction is no longer active
-        // and the guard is a no-op.)
-        let _unwind = UnwindRollback {
-            core: &self.core,
-            txn,
-        };
-        let deferred = self.core.deferred.take(txn);
-        let _ = self.core.undo.take(txn);
-        self.core.tm.commit(txn);
-        self.core.wal_finish(txn);
-        deferred
+        // Retiring the record is the first step, so no panic can find the
+        // transaction active with its locks held: no unwind guard.
+        let undo = self.core.tm.commit(txn).undo;
+        undo.into_iter()
+            .filter_map(|r| match r {
+                UndoRecord::LogicalDelete { oid, rect } => Some(DeferredDelete { oid, rect }),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Commit phase 3b: run the deferred deletions from
@@ -914,6 +898,13 @@ impl DglCore {
         self.tm.end_operation(txn);
     }
 
+    /// Appends `rec` to `txn`'s undo log.
+    pub(crate) fn push_undo(&self, txn: TxnId, rec: UndoRecord) {
+        self.tm
+            .record(txn, |r| r.undo.push(rec))
+            .expect("undo of an active transaction");
+    }
+
     /// Applies the undo log and terminates the transaction. Undo runs
     /// while the transaction still holds all its locks, so no other
     /// transaction can observe the intermediate states.
@@ -922,23 +913,31 @@ impl DglCore {
         // undo log (the common single-op abort) skips the tree latch
         // entirely so it never stalls behind writers or scans. Peeked
         // (not taken) so the latch decision commits first: a checkpoint
-        // captures undo queues and tree image atomically under the
+        // captures undo logs and tree image atomically under the
         // shared latch, so the take and the tree undo below must sit
         // inside one exclusive hold — taking the records before
         // latching would open a window where the image has this
         // transaction's operations but the cut record has no undo for
         // them, resurrecting them at recovery.
-        let needs_latch = self.undo.with_records(txn, |rs| {
-            rs.iter().any(|r| !matches!(r, UndoRecord::Update { .. }))
-        });
-        {
+        let needs_latch = self
+            .tm
+            .record(txn, |r| {
+                r.undo
+                    .iter()
+                    .any(|u| !matches!(u, UndoRecord::Update { .. }))
+            })
+            .unwrap_or(false);
+        let log = {
             let mut tree = if needs_latch {
                 Some(self.latch_exclusive())
             } else {
                 None
             };
-            let records = self.undo.take_reversed(txn);
-            for rec in records {
+            let (records, log) = self
+                .tm
+                .record(txn, |r| (std::mem::take(&mut r.undo), r.log))
+                .expect("rollback of an active transaction");
+            for rec in records.into_iter().rev() {
                 match rec {
                     // Both tree undos work at the leaf the slot's hint
                     // names, descending only if it is stale.
@@ -981,9 +980,9 @@ impl DglCore {
                     }
                 }
             }
-        }
-        let _ = self.deferred.take(txn);
-        self.wal_abort(txn);
+            log
+        };
+        self.wal_abort(txn, log);
         self.tm.abort(txn);
     }
 

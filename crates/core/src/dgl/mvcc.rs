@@ -296,22 +296,25 @@ pub struct MvccStats {
 
 impl DglCore {
     /// The object ids this transaction has pending versions for (one per
-    /// distinct written object, peeked from the undo queue *without*
-    /// taking it — commit drains the queue only after stamping).
+    /// distinct written object, read from the undo log — the record
+    /// retires only after stamping).
     pub(crate) fn pending_write_oids(&self, txn: TxnId) -> Vec<ObjectId> {
-        self.undo.with_records(txn, |rs| {
-            let mut oids: Vec<ObjectId> = rs
-                .iter()
-                .map(|r| match r {
-                    UndoRecord::Insert { oid, .. }
-                    | UndoRecord::LogicalDelete { oid, .. }
-                    | UndoRecord::Update { oid, .. } => *oid,
-                })
-                .collect();
-            oids.sort_unstable();
-            oids.dedup();
-            oids
-        })
+        let mut oids: Vec<ObjectId> = self
+            .tm
+            .record(txn, |r| {
+                r.undo
+                    .iter()
+                    .map(|u| match u {
+                        UndoRecord::Insert { oid, .. }
+                        | UndoRecord::LogicalDelete { oid, .. }
+                        | UndoRecord::Update { oid, .. } => *oid,
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        oids.sort_unstable();
+        oids.dedup();
+        oids
     }
 
     /// Stamps every pending version of `oids` with `ts`. Called inside

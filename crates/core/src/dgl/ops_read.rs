@@ -196,7 +196,7 @@ impl DglCore {
                         if first_garbage {
                             self.dirty.push(oid);
                         }
-                        self.undo.push(
+                        self.push_undo(
                             txn,
                             super::UndoRecord::Update {
                                 oid,

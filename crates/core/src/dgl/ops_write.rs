@@ -16,7 +16,7 @@ use crate::granules::overlapping_granules;
 use crate::locks::LockList;
 use crate::TxnError;
 
-use super::{DeferredDelete, DglCore, InsertPolicy, UndoRecord, UnwindRollback};
+use super::{DglCore, InsertPolicy, UndoRecord, UnwindRollback};
 
 impl DglCore {
     /// Insert with the full dynamic-granule lock protocol, run as an
@@ -132,11 +132,10 @@ impl DglCore {
             // hints while the exclusive latch still pins the layout.
             self.reindex_splits(&apply, &result);
             // Undo entry and log record land while the exclusive latch is
-            // still held: a checkpoint captures tree image + undo queues
+            // still held: a checkpoint captures tree image + undo logs
             // under the shared latch, so this op is either wholly inside
             // its cut (image + undo + record) or wholly after it.
-            self.undo.push(txn, UndoRecord::Insert { oid, rect });
-            let logged = self.wal_log_insert(txn, oid, rect);
+            let logged = self.push_logged_undo(txn, UndoRecord::Insert { oid, rect });
             drop(apply);
             if let Err(e) = logged {
                 // Log poisoned: the mutation cannot ever become durable.
@@ -376,9 +375,8 @@ impl DglCore {
                             }
                             // Undo + log inside the latch hold (see
                             // insert_op for the checkpoint-cut argument).
-                            self.undo.push(txn, UndoRecord::LogicalDelete { oid, rect });
-                            self.deferred.push(txn, DeferredDelete { oid, rect });
-                            let logged = self.wal_log_delete(txn, oid, rect);
+                            let logged =
+                                self.push_logged_undo(txn, UndoRecord::LogicalDelete { oid, rect });
                             drop(apply);
                             if let Err(e) = logged {
                                 self.rollback_now(txn);
@@ -482,7 +480,7 @@ impl DglCore {
                     if first_garbage {
                         self.dirty.push(oid);
                     }
-                    self.undo.push(
+                    self.push_undo(
                         txn,
                         UndoRecord::Update {
                             oid,

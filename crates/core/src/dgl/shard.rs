@@ -84,7 +84,7 @@ use dgl_wal::{read_segment, scan_dir, segment_path, Wal, WalConfig, WalRecord};
 
 use crate::{ScanHit, TransactionalRTree, TxnError};
 
-use super::{DglConfig, DglRTree, RecoverError, ShardContext};
+use super::{DglConfig, DglRTree, LogState, RecoverError, ShardContext};
 
 /// How the embedded space is partitioned across shards.
 #[derive(Debug, Clone)]
@@ -215,12 +215,6 @@ impl DglRTree {
             }
         }
     }
-
-    /// Whether `txn` has appended log records (i.e. holds writes whose
-    /// durability needs a 2PC vote). Always `false` without a WAL.
-    pub(crate) fn has_logged_writes(&self, txn: TxnId) -> bool {
-        self.core.wal.get().is_some() && self.core.wal_started.lock().contains(&txn)
-    }
 }
 
 // --- the router --------------------------------------------------------
@@ -245,7 +239,7 @@ pub struct ShardedDglRTree {
     /// decision ever recorded by the coordinator (see module docs).
     context: ShardContext,
     /// Live global transactions. Which shards `g` has joined is not
-    /// mirrored here: it is `shards[s].txn_manager().is_active(g)`.
+    /// mirrored here: it is `shards[s].core.tm.is_active(g)`.
     sessions: Mutex<HashSet<TxnId>>,
     /// Coordinator decision log (`None` for an in-memory index — then
     /// multi-shard commits are atomic only in the absence of failures,
@@ -394,12 +388,12 @@ impl ShardedDglRTree {
             if !sessions.contains(&g) {
                 return Err(TxnError::NotActive);
             }
-            if !shard.txn_manager().is_active(g) {
-                shard.txn_manager().begin_as(g);
+            if !shard.core.tm.is_active(g) {
+                shard.core.tm.begin_as(g);
             }
         }
         let r = op(shard);
-        if r.is_err() && !shard.txn_manager().is_active(g) {
+        if r.is_err() && !shard.core.tm.is_active(g) {
             let _ = self.abort(g);
         }
         r
@@ -408,7 +402,7 @@ impl ShardedDglRTree {
     /// The shards `g` has joined and not left, ascending.
     fn parts_of(&self, g: TxnId) -> Vec<usize> {
         (0..self.shards.len())
-            .filter(|&s| self.shards[s].txn_manager().is_active(g))
+            .filter(|&s| self.shards[s].core.tm.is_active(g))
             .collect()
     }
 
@@ -444,10 +438,11 @@ impl ShardedDglRTree {
     /// timestamp via [`Self::stamp_parts`].
     fn commit_parts(&self, g: TxnId, parts: &[usize]) -> Result<(), TxnError> {
         let start = Instant::now();
+        // Participants whose logged writes need a 2PC vote.
         let writers: Vec<usize> = parts
             .iter()
             .copied()
-            .filter(|&s| self.shards[s].has_logged_writes(g))
+            .filter(|&s| self.shards[s].core.log_state(g) != LogState::Unlogged)
             .collect();
 
         if self.coord.is_none() || writers.len() <= 1 {
@@ -601,11 +596,17 @@ impl ShardedDglRTree {
         // at worst re-appended, which is harmless: decisions are a set).
         let (decisions, _, _) = read_decisions(coord.dir()).map_err(|_| TxnError::Durability)?;
         // In-doubt: gtxns some shard prepared but has not locally
-        // finished. Prepare strictly precedes the decision append, so
-        // any decided-but-incomplete 2PC is captured here.
+        // finished (a `Committed` participant stays in doubt until its
+        // record retires). Prepare strictly precedes the decision
+        // append, so any decided-but-incomplete 2PC is captured here.
         let mut in_doubt: HashSet<u64> = HashSet::new();
         for s in &self.shards {
-            in_doubt.extend(s.core.wal_prepared.lock().values().copied());
+            s.core.tm.records(|records| {
+                in_doubt.extend(records.filter_map(|(_, r)| match r.log {
+                    LogState::Prepared(g) | LogState::Committed(Some(g)) => Some(g),
+                    _ => None,
+                }));
+            });
         }
         let mut keep: Vec<u64> = decisions
             .iter()

@@ -312,7 +312,7 @@ mod tests {
         assert_eq!(s.ctr(Ctr::ExecAttempts), 2);
         assert_eq!(s.ctr(Ctr::ExecRetries), 0);
         // The duplicate attempt's transaction must not linger.
-        assert_eq!(db.txn_manager().active_count(), 0);
+        assert_eq!(db.active_txns(), 0);
         assert_eq!(db.lock_manager().resource_count(), 0);
     }
 
@@ -426,7 +426,7 @@ mod tests {
         let s = db.obs().snapshot();
         assert_eq!(s.ctr(Ctr::ExecPanics), 1);
         assert_eq!(s.ctr(Ctr::ExecAttempts), 2);
-        assert_eq!(db.txn_manager().active_count(), 0);
+        assert_eq!(db.active_txns(), 0);
         assert_eq!(db.lock_manager().resource_count(), 0);
         db.validate().unwrap();
     }

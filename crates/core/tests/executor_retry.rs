@@ -58,7 +58,7 @@ fn blocked_wait_times_out_with_distinct_error() {
          (waited {waited:?})"
     );
     // The timed-out transaction was rolled back by the protocol.
-    assert_eq!(db.txn_manager().active_count(), 1, "only t1 remains");
+    assert_eq!(db.active_txns(), 1, "only t1 remains");
 
     db.commit(t1).expect("commit");
     db.validate().expect("clean tree");
@@ -109,7 +109,7 @@ fn executor_retries_timeouts_until_blocker_releases() {
         );
     });
 
-    assert_eq!(db.txn_manager().active_count(), 0);
+    assert_eq!(db.active_txns(), 0);
     assert_eq!(db.lock_manager().resource_count(), 0);
     db.validate().expect("clean tree");
 }

@@ -89,6 +89,11 @@ fn delete_commit_removes_object() {
             "{}: physically removed after commit",
             db.name()
         );
+        // The commit freed the id: no reservation outlives its deleter.
+        let t = db.begin();
+        db.insert(t, ObjectId(7), rect)
+            .unwrap_or_else(|e| panic!("{}: re-insert after commit: {e}", db.name()));
+        db.commit(t).unwrap();
         db.validate().unwrap();
     });
 }
@@ -303,6 +308,11 @@ fn interleaved_insert_delete_same_txn() {
         assert!(db.read_scan(t, Rect2::unit()).unwrap().is_empty());
         db.commit(t).unwrap();
         assert_eq!(db.len(), 0, "{}", db.name());
+        let t = db.begin();
+        db.insert(t, ObjectId(5), rect)
+            .unwrap_or_else(|e| panic!("{}: re-insert after commit: {e}", db.name()));
+        db.commit(t).unwrap();
+        assert_eq!(db.len(), 1, "{}", db.name());
         db.validate().unwrap();
     });
 }

@@ -50,7 +50,7 @@ fn populated() -> DglRTree {
 /// structural validation.
 fn assert_clean(db: &DglRTree) {
     assert_eq!(db.latch_probe(), (true, true), "latches must be free");
-    assert_eq!(db.txn_manager().active_count(), 0, "no live transactions");
+    assert_eq!(db.active_txns(), 0, "no live transactions");
     assert_eq!(
         db.lock_manager().resource_count(),
         0,
@@ -255,7 +255,7 @@ fn maintenance_permafailure_surfaces_through_quiesce() {
     // The record was dropped; latches, locks and transactions are still
     // clean (validate runs under quiesce, so probe directly).
     assert_eq!(db.latch_probe(), (true, true));
-    assert_eq!(db.txn_manager().active_count(), 0);
+    assert_eq!(db.active_txns(), 0);
     assert_eq!(db.lock_manager().resource_count(), 0);
 }
 

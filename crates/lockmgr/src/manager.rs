@@ -343,7 +343,7 @@ impl Hasher for MixHasher {
 
 /// [`BuildHasher`] of [`MixHasher`] for maps keyed by ids (`TxnId`, object
 /// ids, [`ResourceId`]) — the lock table's, and `dgl-txn`'s active set
-/// and journals.
+/// with its per-transaction records.
 #[derive(Debug, Clone)]
 pub struct MixBuild(u64);
 

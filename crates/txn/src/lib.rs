@@ -8,10 +8,9 @@
 //!
 //! * [`TxnManager`] — id allocation, the active-transaction table, and the
 //!   terminal transitions (commit / abort) that release all locks through
-//!   the attached lock manager;
-//! * [`Journal`] — a per-transaction record queue, used by the protocol
-//!   layer once for undo records (rollback) and once for deferred
-//!   deletions (the paper's §3.6/§3.7 logical-then-deferred delete);
+//!   the attached lock manager. Each active transaction carries one
+//!   caller-defined record (the protocol layer's undo log and log state),
+//!   which the terminal transition hands back;
 //! * [`CommitClock`] — the MVCC commit-timestamp counter and
 //!   active-snapshot registry (shared across shards so one snapshot
 //!   timestamp is consistent index-wide).
@@ -19,11 +18,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod journal;
 mod manager;
 mod snapshot;
 
 pub use dgl_lockmgr::TxnId;
-pub use journal::Journal;
 pub use manager::TxnManager;
 pub use snapshot::CommitClock;

@@ -19,24 +19,32 @@ use dgl_lockmgr::{LockManager, MixBuild, TxnId};
 /// requirement that commit-duration locks protect the deferred work.
 /// Begins, commits and aborts are counted in the lock manager's registry
 /// (`txns_started` / `txns_committed` / `txns_aborted`).
+///
+/// Each active transaction carries one record `R` (`()` for none),
+/// created by `begin` and returned by the terminal transition. **The map
+/// is a leaf lock**, like the payload table's stripes: a record closure
+/// never takes the tree latch, a stripe, the commit clock or the lock
+/// manager.
 #[derive(Debug)]
-pub struct TxnManager {
+pub struct TxnManager<R = ()> {
     lock_manager: Arc<LockManager>,
-    active: Mutex<HashMap<TxnId, Instant, MixBuild>>,
+    active: Mutex<HashMap<TxnId, (Instant, R), MixBuild>>,
 }
 
-impl TxnManager {
+impl TxnManager<()> {
     /// Creates a manager releasing locks through `lock_manager`.
     pub fn new(lock_manager: Arc<LockManager>) -> Self {
+        Self::with_records(lock_manager)
+    }
+}
+
+impl<R: Default> TxnManager<R> {
+    /// [`TxnManager::new`], each transaction's record `R::default()`.
+    pub fn with_records(lock_manager: Arc<LockManager>) -> Self {
         Self {
             lock_manager,
             active: Mutex::new(HashMap::with_hasher(MixBuild::seeded())),
         }
-    }
-
-    /// The attached lock manager.
-    pub fn lock_manager(&self) -> &Arc<LockManager> {
-        &self.lock_manager
     }
 
     /// Begins a new transaction.
@@ -53,7 +61,8 @@ impl TxnManager {
     /// # Panics
     /// Panics if `id` is already active here.
     pub fn begin_as(&self, id: TxnId) {
-        let joined = self.active.lock().insert(id, Instant::now());
+        let record = (Instant::now(), R::default());
+        let joined = self.active.lock().insert(id, record);
         assert!(joined.is_none(), "second begin of active transaction {id}");
         self.lock_manager.obs().incr(Ctr::TxnsStarted);
     }
@@ -68,30 +77,43 @@ impl TxnManager {
         self.active.lock().len()
     }
 
-    /// Commits `txn`: releases every lock and retires the id.
+    /// Runs `f` on `txn`'s record; `None` if `txn` is not active.
+    pub fn record<T>(&self, txn: TxnId, f: impl FnOnce(&mut R) -> T) -> Option<T> {
+        self.active.lock().get_mut(&txn).map(|(_, r)| f(r))
+    }
+
+    /// Runs `f` over every active transaction's record, in no particular
+    /// order, with no transaction beginning or retiring meanwhile.
+    pub fn records<T>(&self, f: impl FnOnce(&mut dyn Iterator<Item = (TxnId, &R)>) -> T) -> T {
+        let active = self.active.lock();
+        f(&mut active.iter().map(|(t, (_, r))| (*t, r)))
+    }
+
+    /// Commits `txn`: releases every lock, retires the id and returns its
+    /// record.
     ///
     /// # Panics
     /// Panics if the transaction is not active (double termination).
-    pub fn commit(&self, txn: TxnId) {
-        self.retire(txn, "commit");
-        self.lock_manager.obs().incr(Ctr::TxnsCommitted);
-        self.lock_manager.release_all(txn);
+    pub fn commit(&self, txn: TxnId) -> R {
+        self.retire(txn, "commit", Ctr::TxnsCommitted)
     }
 
-    /// Aborts `txn`: releases every lock and retires the id. The caller
-    /// must have applied its undo actions first.
+    /// Aborts `txn`: releases every lock, retires the id and returns its
+    /// record. The caller must have applied its undo actions first.
     ///
     /// # Panics
     /// Panics if the transaction is not active (double termination).
-    pub fn abort(&self, txn: TxnId) {
-        self.retire(txn, "abort");
-        self.lock_manager.obs().incr(Ctr::TxnsAborted);
-        self.lock_manager.release_all(txn);
+    pub fn abort(&self, txn: TxnId) -> R {
+        self.retire(txn, "abort", Ctr::TxnsAborted)
     }
 
-    fn retire(&self, txn: TxnId, what: &str) {
+    fn retire(&self, txn: TxnId, what: &str, ctr: Ctr) -> R {
         let removed = self.active.lock().remove(&txn);
-        assert!(removed.is_some(), "{what} of non-active transaction {txn}");
+        let (_, record) =
+            removed.unwrap_or_else(|| panic!("{what} of non-active transaction {txn}"));
+        self.lock_manager.obs().incr(ctr);
+        self.lock_manager.release_all(txn);
+        record
     }
 
     /// Ends the current operation of `txn`: releases its short-duration
@@ -126,10 +148,21 @@ mod tests {
     }
 
     #[test]
+    fn records_ride_with_the_transaction() {
+        let m = TxnManager::<Vec<u32>>::with_records(Arc::new(LockManager::default()));
+        let (a, b) = (m.begin(), m.begin());
+        m.record(a, |r| r.extend([1, 2]));
+        assert_eq!(m.records(|rs| rs.map(|(_, r)| r.len()).sum::<usize>()), 2);
+        assert_eq!(m.commit(a), [1, 2], "commit hands the record back");
+        assert_eq!(m.record(a, |r| r.len()), None, "retired with its id");
+        assert!(m.abort(b).is_empty());
+    }
+
+    #[test]
     fn commit_releases_all_locks() {
         let m = setup();
         let t = m.begin();
-        let lm = Arc::clone(m.lock_manager());
+        let lm = Arc::clone(&m.lock_manager);
         assert_eq!(
             lm.lock(t, ResourceId::Object(1), LockMode::X, Commit, Conditional),
             LockOutcome::Granted
@@ -149,7 +182,7 @@ mod tests {
     fn abort_releases_all_locks() {
         let m = setup();
         let t = m.begin();
-        let lm = Arc::clone(m.lock_manager());
+        let lm = Arc::clone(&m.lock_manager);
         lm.lock(t, ResourceId::Tree, LockMode::X, Commit, Conditional);
         m.abort(t);
         assert_eq!(lm.locks_held(t), 0);
@@ -160,7 +193,7 @@ mod tests {
     fn end_operation_releases_only_short_locks() {
         let m = setup();
         let t = m.begin();
-        let lm = Arc::clone(m.lock_manager());
+        let lm = Arc::clone(&m.lock_manager);
         lm.lock(t, ResourceId::Object(1), LockMode::X, Commit, Conditional);
         lm.lock(t, ResourceId::Object(2), LockMode::S, Short, Conditional);
         m.end_operation(t);
@@ -186,7 +219,7 @@ mod tests {
         m.commit(a);
         m.abort(b);
         m.commit(c);
-        let s = m.lock_manager().obs().snapshot();
+        let s = m.lock_manager.obs().snapshot();
         assert_eq!(
             (
                 s.ctr(Ctr::TxnsStarted),

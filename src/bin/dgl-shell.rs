@@ -467,7 +467,7 @@ fn run_command(db: &mut DglRTree, parts: &[&str]) -> Result<Option<String>, Stri
                  maintenance: {}\n\
                  commit: {}_count={} mean={}µs",
                 db.len(),
-                db.txn_manager().active_count(),
+                db.active_txns(),
                 ctrs(&[Ctr::TxnsStarted, Ctr::TxnsCommitted, Ctr::TxnsAborted]),
                 ctrs(&[Ctr::LockReqShort, Ctr::LockReqCommit, Ctr::LockDeadlocks]),
                 Hist::LockWait.name(),
@@ -518,7 +518,7 @@ fn run_command(db: &mut DglRTree, parts: &[&str]) -> Result<Option<String>, Stri
         }))),
         "open" => {
             let dir = parts.get(1).ok_or("usage: open <dir>")?;
-            if db.txn_manager().active_count() > 0 {
+            if db.active_txns() > 0 {
                 return Err("cannot open with active transactions".into());
             }
             *db = DglRTree::open(std::path::Path::new(dir), config()).map_err(|e| e.to_string())?;
@@ -529,7 +529,7 @@ fn run_command(db: &mut DglRTree, parts: &[&str]) -> Result<Option<String>, Stri
         }
         "recover" => {
             let dir = parts.get(1).ok_or("usage: recover <dir>")?;
-            if db.txn_manager().active_count() > 0 {
+            if db.active_txns() > 0 {
                 return Err("cannot recover with active transactions".into());
             }
             *db = DglRTree::recover(std::path::Path::new(dir), config())

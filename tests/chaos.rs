@@ -223,7 +223,7 @@ fn chaos_run(seed: u64) {
     // Every deferred deletion was applied — retried ones included.
     db.quiesce()
         .unwrap_or_else(|e| panic!("seed {seed:#x}: quiesce failed: {e}"));
-    assert_eq!(db.txn_manager().active_count(), 0, "seed {seed:#x}");
+    assert_eq!(db.active_txns(), 0, "seed {seed:#x}");
     assert_eq!(
         db.lock_manager().resource_count(),
         0,
@@ -375,7 +375,7 @@ fn chaos_sharded_run(seed: u64) {
         .unwrap_or_else(|e| panic!("seed {seed:#x}: quiesce failed: {e}"));
     for (i, shard) in db.shard_handles().iter().enumerate() {
         assert_eq!(
-            shard.txn_manager().active_count(),
+            shard.active_txns(),
             0,
             "seed {seed:#x}: shard {i} has live transactions after the storm"
         );
