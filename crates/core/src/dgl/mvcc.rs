@@ -10,7 +10,8 @@
 //!   newest-first list of `(commit timestamp, value)` pairs, where the
 //!   value is the payload version number and `None` is a delete marker.
 //!   The common case (an object written once and never updated) stays a
-//!   single inline [`Version`] with an empty spill vector.
+//!   single inline head with no spill box, so a payload slot fills one
+//!   64-byte cache line.
 //! * Writers are untouched: they create versions stamped
 //!   [`TS_PENDING`], and `commit` stamps every pending version with one
 //!   timestamp freshly allocated from the shared
@@ -41,8 +42,12 @@
 //! papers over for locking scans: a deferred physical deletion spans
 //! several latch sessions while orphans from node condensation await
 //! re-insertion, and locking scans are held out by its short SIX granule
-//! locks. Snapshot scans take no locks; instead the orphans stay
-//! searchable. The system operation keeps them in
+//! locks on the pages it eliminates and the path's external granules.
+//! The page of an *index orphan* — a surviving leaf cut loose with its
+//! eliminated parent — is not among them, so a locking scan that holds S
+//! on that page alone is not held out and can miss its objects
+//! (ROADMAP item 0(a)). Snapshot scans take no locks; instead the orphans
+//! stay searchable. The system operation keeps them in
 //! [`Latched::orphans`](super::Latched), which changes only in the
 //! exclusive latch session of the tree mutation it mirrors, so under one
 //! shared-latch hold every committed object sits in exactly one of the
@@ -55,6 +60,7 @@
 //! locks.
 
 use std::hash::BuildHasher;
+use std::num::NonZeroU64;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -76,21 +82,45 @@ use super::{DglCore, DglRTree, UndoRecord};
 pub(crate) const TS_PENDING: u64 = u64::MAX;
 
 /// One committed (or pending) payload state of an object: the payload
-/// version number, or `None` for a delete marker.
+/// version number, or `None` for a delete marker. Payload versions start
+/// at 1 and only grow ([`Version::new`] asserts it), so the delete marker
+/// costs no tag: it is the zero niche.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Version {
-    pub(crate) ts: u64,
-    pub(crate) value: Option<u64>,
+struct Version {
+    ts: u64,
+    value: Option<NonZeroU64>,
 }
 
-/// Newest-first version history of one object. The head is inline — the
-/// single-version common case allocates nothing.
+impl Version {
+    fn new(ts: u64, value: Option<u64>) -> Self {
+        let value = value.map(|v| NonZeroU64::new(v).expect("payload versions start at 1"));
+        Self { ts, value }
+    }
+
+    fn value(self) -> Option<u64> {
+        self.value.map(NonZeroU64::get)
+    }
+}
+
+/// The versions strictly older than a chain's head, newest first: the
+/// first inline, the rest behind a vector that is allocated only from a
+/// chain's third version on. A two-version chain — an update no GC pass
+/// has reached yet — therefore costs one allocation, this box.
+#[derive(Debug, Clone)]
+struct Older {
+    first: Version,
+    rest: Vec<Version>,
+}
+
+/// Newest-first version history of one object, 24 bytes. The head is
+/// inline and the older versions sit behind one thin pointer, so the
+/// single-version common case allocates nothing and keeps the payload
+/// slot at one cache line (DESIGN.md §13, the chain layout).
 #[derive(Debug, Clone)]
 pub(crate) struct VersionChain {
     head: Version,
-    /// Strictly older than `head`, newest first. Empty in the common
-    /// case.
-    older: Vec<Version>,
+    /// `None` in the common case.
+    older: Option<Box<Older>>,
 }
 
 impl VersionChain {
@@ -99,22 +129,16 @@ impl VersionChain {
     /// commit timestamps did not survive the crash.
     pub(crate) fn bootstrap(value: u64) -> Self {
         Self {
-            head: Version {
-                ts: 0,
-                value: Some(value),
-            },
-            older: Vec::new(),
+            head: Version::new(0, Some(value)),
+            older: None,
         }
     }
 
     /// A chain holding one pending version (a fresh insert).
     pub(crate) fn pending(value: u64) -> Self {
         Self {
-            head: Version {
-                ts: TS_PENDING,
-                value: Some(value),
-            },
-            older: Vec::new(),
+            head: Version::new(TS_PENDING, Some(value)),
+            older: None,
         }
     }
 
@@ -123,7 +147,7 @@ impl VersionChain {
     /// committed or this transaction's own pending write). `None` is a
     /// delete marker.
     pub(crate) fn current(&self) -> Option<u64> {
-        self.head.value
+        self.head.value()
     }
 
     /// The head's timestamp ([`TS_PENDING`] while uncommitted).
@@ -133,20 +157,28 @@ impl VersionChain {
 
     /// Total stored versions.
     pub(crate) fn len(&self) -> u64 {
-        1 + self.older.len() as u64
+        1 + self.older.as_ref().map_or(0, |o| 1 + o.rest.len() as u64)
     }
 
     /// Pushes a new pending head, demoting the current head. Returns
     /// whether that took the chain from one version to two — the moment
     /// the caller owes its object id to the [`DirtyList`].
     pub(crate) fn push_pending(&mut self, value: Option<u64>) -> bool {
-        let first_garbage = self.older.is_empty();
-        self.older.insert(0, self.head);
-        self.head = Version {
-            ts: TS_PENDING,
-            value,
-        };
-        first_garbage
+        let demoted = std::mem::replace(&mut self.head, Version::new(TS_PENDING, value));
+        match &mut self.older {
+            None => {
+                self.older = Some(Box::new(Older {
+                    first: demoted,
+                    rest: Vec::new(),
+                }));
+                true
+            }
+            Some(o) => {
+                let second = std::mem::replace(&mut o.first, demoted);
+                o.rest.insert(0, second);
+                false
+            }
+        }
     }
 
     /// Rollback: removes the pending head, promoting the next version.
@@ -154,10 +186,15 @@ impl VersionChain {
     /// no history — the caller removes the map entry).
     pub(crate) fn pop_pending(&mut self) -> bool {
         debug_assert_eq!(self.head.ts, TS_PENDING, "pop of a committed head");
-        if self.older.is_empty() {
+        let Some(o) = &mut self.older else {
             return false;
+        };
+        if o.rest.is_empty() {
+            self.head = o.first;
+            self.older = None;
+        } else {
+            self.head = std::mem::replace(&mut o.first, o.rest.remove(0));
         }
-        self.head = self.older.remove(0);
         true
     }
 
@@ -167,13 +204,15 @@ impl VersionChain {
     /// share the commit timestamp, and newest-first order keeps
     /// last-write-wins.
     pub(crate) fn stamp_pending(&mut self, ts: u64) {
-        if self.head.ts == TS_PENDING {
-            self.head.ts = ts;
-        }
-        for v in &mut self.older {
+        let stamp = |v: &mut Version| {
             if v.ts == TS_PENDING {
                 v.ts = ts;
             }
+        };
+        stamp(&mut self.head);
+        if let Some(o) = &mut self.older {
+            stamp(&mut o.first);
+            o.rest.iter_mut().for_each(stamp);
         }
     }
 
@@ -182,24 +221,39 @@ impl VersionChain {
     /// are invisible ([`TS_PENDING`] exceeds every snapshot timestamp).
     pub(crate) fn visible_at(&self, ts: u64) -> Option<u64> {
         if self.head.ts <= ts {
-            return self.head.value;
+            return self.head.value();
         }
-        self.older.iter().find(|v| v.ts <= ts).and_then(|v| v.value)
+        let o = self.older.as_deref()?;
+        std::iter::once(&o.first)
+            .chain(&o.rest)
+            .find(|v| v.ts <= ts)
+            .and_then(|v| v.value())
     }
 
     /// GC: drops every version no snapshot at or above `watermark` can
     /// resolve — everything older than the newest version with
-    /// `ts <= watermark`. Returns how many versions were dropped.
+    /// `ts <= watermark`. Returns how many versions were dropped. A chain
+    /// pruned to its head frees its older versions' box.
     pub(crate) fn prune_below(&mut self, watermark: u64) -> u64 {
-        let before = self.older.len();
-        let mut floor_kept = self.head.ts <= watermark;
-        // In place: a chain a snapshot pins is pruned pass after pass.
-        self.older.retain(|v| {
+        let before = self.len();
+        if let Some(o) = &mut self.older {
             // At or below the watermark only the newest version (the
             // floor) is still resolvable.
-            v.ts > watermark || !std::mem::replace(&mut floor_kept, true)
-        });
-        (before - self.older.len()) as u64
+            let mut floor_kept = self.head.ts <= watermark;
+            let mut keep =
+                |v: &Version| v.ts > watermark || !std::mem::replace(&mut floor_kept, true);
+            let keep_first = keep(&o.first);
+            // In place: a chain a snapshot pins is pruned pass after pass.
+            o.rest.retain(|v| keep(v));
+            if !keep_first {
+                if o.rest.is_empty() {
+                    self.older = None;
+                } else {
+                    o.first = o.rest.remove(0);
+                }
+            }
+        }
+        before - self.len()
     }
 }
 
@@ -357,25 +411,28 @@ impl DglCore {
         );
         self.obs.incr(Ctr::SnapshotScans);
         let tree = self.latch_shared();
-        let entries = snapshot_descent(&tree, &tree.orphans, query);
-        let mut hits = Vec::with_capacity(entries.len());
         // The tombstone flag is a *locking-path* visibility device
         // (set at logical delete, before the deleter commits);
         // snapshot visibility is decided purely by the chain, so a
         // tombstoned entry is still visible to snapshots that
-        // predate the delete. Per-key stripe reads are sound here:
+        // predate the delete. Per-stripe reads are sound here:
         // the shared latch excludes the structural removals that
         // retire entries, and commit stamping is atomic against this
         // snapshot's timestamp via the clock critical section.
-        for (oid, rect, _tombstone) in entries {
-            if let Some(version) = self
-                .payloads
-                .get(&oid, |s| s.chain.visible_at(ts))
-                .flatten()
-            {
-                hits.push(ScanHit { oid, rect, version });
-            }
-        }
+        let entries = snapshot_descent(&tree, &tree.orphans, query);
+        let mut hits = Vec::with_capacity(entries.len());
+        hits.extend(entries.into_iter().map(|(oid, rect, _tombstone)| ScanHit {
+            oid,
+            rect,
+            version: 0,
+        }));
+        // Version 0 marks "nothing visible at `ts`": versions start at 1.
+        self.payloads.get_each(
+            &mut hits,
+            |h| &h.oid,
+            |h, slot| h.version = slot.and_then(|s| s.chain.visible_at(ts)).unwrap_or(0),
+        );
+        hits.retain(|h| h.version != 0);
         {
             // Dead objects moved out of the tree by deferred deletion;
             // the move happens under the exclusive latch, so holding the
@@ -697,5 +754,65 @@ mod tests {
         assert_eq!(c.visible_at(6), Some(4));
         // Nothing left to prune at the same watermark.
         assert_eq!(c.prune_below(5), 0);
+    }
+
+    #[test]
+    fn slot_and_chain_layout_is_pinned() {
+        // One payload slot per cache line: leaf hint 8 + rect 32 + chain 24.
+        assert_eq!(std::mem::size_of::<VersionChain>(), 24);
+        assert_eq!(std::mem::size_of::<super::super::PayloadSlot>(), 64);
+    }
+
+    #[test]
+    fn chain_walk_across_the_spill_boundary() {
+        // ts 0 → v1, ts 2 → v2, ts 4 → delete marker, ts 6 → v4: the
+        // third and fourth versions live in the spill vector.
+        let mut c = VersionChain::bootstrap(1);
+        assert!(c.push_pending(Some(2)), "1 → 2 versions");
+        c.stamp_pending(2);
+        assert!(!c.push_pending(None), "2 → 3 versions");
+        c.stamp_pending(4);
+        assert!(c.older.as_ref().is_some_and(|o| o.rest.len() == 1));
+        assert!(!c.push_pending(Some(4)));
+        assert_eq!(
+            c.visible_at(u64::MAX - 1),
+            None,
+            "pending head, marker below"
+        );
+        c.stamp_pending(6);
+        assert_eq!(c.len(), 4);
+        let expect = [Some(1), Some(1), Some(2), Some(2), None, None, Some(4)];
+        for (ts, want) in expect.into_iter().enumerate() {
+            assert_eq!(c.visible_at(ts as u64), want, "visible at {ts}");
+        }
+        // Rollback walks back over the boundary: pop a pending head off
+        // the four-version chain, then off a two-version one.
+        assert!(!c.push_pending(Some(5)));
+        assert!(c.pop_pending());
+        assert_eq!((c.len(), c.current()), (4, Some(4)));
+        let mut two = VersionChain::bootstrap(1);
+        two.push_pending(Some(2));
+        assert!(two.pop_pending());
+        assert!(two.older.is_none(), "popping to one version frees the box");
+        // Pruning: watermark 3 keeps ts 6, ts 4 and the floor ts 2.
+        assert_eq!(c.prune_below(3), 1);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.visible_at(3), Some(2));
+        // Watermark 5 drops the floor ts 2; ts 4 (the marker) is the floor.
+        assert_eq!(c.prune_below(5), 1);
+        assert_eq!((c.len(), c.visible_at(5)), (2, None));
+        assert!(c.older.as_ref().is_some_and(|o| o.rest.is_empty()));
+        // Watermark 6: the head is the floor, the spill box is freed.
+        assert_eq!(c.prune_below(6), 1);
+        assert_eq!(c.len(), 1);
+        assert!(c.older.is_none(), "pruning to one version frees the box");
+        assert_eq!((c.visible_at(5), c.visible_at(6)), (None, Some(4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload versions start at 1")]
+    fn version_zero_is_refused() {
+        let mut c = VersionChain::bootstrap(1);
+        c.push_pending(Some(0));
     }
 }

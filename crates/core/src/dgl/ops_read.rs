@@ -120,18 +120,29 @@ impl DglCore {
                     // makes every chain head either committed or this
                     // transaction's own write, whatever its stamping state.
                     let mut hits = Vec::with_capacity(raw.len());
-                    for (oid, rect, _) in raw.into_iter().filter(Self::untombstoned) {
-                        let head = self.payloads.get(&oid, |slot| slot.chain.current());
-                        // An entry and its slot are published under one
-                        // exclusive latch hold and retired under one; a
-                        // logical delete marks both under one.
-                        debug_assert!(
-                            matches!(head, Some(Some(_))),
-                            "untombstoned entry {oid} has chain head {head:?}"
-                        );
-                        let version = head.flatten().unwrap_or(1);
-                        hits.push(ScanHit { oid, rect, version });
-                    }
+                    hits.extend(raw.into_iter().filter(Self::untombstoned).map(
+                        |(oid, rect, _)| ScanHit {
+                            oid,
+                            rect,
+                            version: 1,
+                        },
+                    ));
+                    self.payloads.get_each(
+                        &mut hits,
+                        |h| &h.oid,
+                        |h, slot| {
+                            let head = slot.map(|slot| slot.chain.current());
+                            // An entry and its slot are published under one
+                            // exclusive latch hold and retired under one; a
+                            // logical delete marks both under one.
+                            debug_assert!(
+                                matches!(head, Some(Some(_))),
+                                "untombstoned entry {} has chain head {head:?}",
+                                h.oid
+                            );
+                            h.version = head.flatten().unwrap_or(1);
+                        },
+                    );
                     drop(tree);
                     self.end_op(txn);
                     return Ok(hits);

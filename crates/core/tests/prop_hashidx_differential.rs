@@ -20,6 +20,9 @@
 //! `validate()` re-checks the index against the tree entry-by-entry (slot
 //! count, leaf hint, rect, and `locate_leaf` agreement).
 //!
+//! A second property checks the index's batched read (`get_each`, which
+//! resolves a scan's hits one stripe at a time) against per-key `get`.
+//!
 //! The offline proptest shim does not replay `.proptest-regressions`
 //! files, so interesting histories are additionally pinned as explicit
 //! fixed-seed regression tests below.
@@ -297,6 +300,29 @@ proptest! {
         steps in prop::collection::vec(arb_step(), 1..80)
     ) {
         run_differential(&steps)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The batched read scans resolve their hits with answers exactly
+    /// what per-key `get` answers, in item order: duplicates, absent keys,
+    /// the empty list and lists past the stack bound included.
+    #[test]
+    fn get_each_answers_what_get_answers(
+        present in prop::collection::vec(0..400u64, 0..300),
+        keys in prop::collection::vec(0..400u64, 0..(dgl_hashidx::GET_EACH_STACK + 100)),
+    ) {
+        let map = dgl_hashidx::StripedMap::new();
+        for &k in &present {
+            map.insert(k, k ^ 0x5eed);
+        }
+        let mut items: Vec<(u64, Option<u64>)> = keys.iter().map(|&k| (k, Some(0))).collect();
+        map.get_each(&mut items, |it| &it.0, |it, v| it.1 = v.copied());
+        let expected: Vec<(u64, Option<u64>)> =
+            keys.iter().map(|&k| (k, map.get(&k, |v| *v))).collect();
+        prop_assert_eq!(items, expected);
     }
 }
 

@@ -44,6 +44,10 @@ use parking_lot::Mutex;
 /// threads colliding on one mutex low without bloating the struct.
 pub const STRIPES: usize = 16;
 
+/// The longest item list [`StripedMap::get_each`] sorts on the stack. A
+/// scan's hit list fits: the index's scans return about 50.
+pub const GET_EACH_STACK: usize = 256;
+
 #[cfg(debug_assertions)]
 thread_local! {
     static STRIPES_HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -160,8 +164,12 @@ impl<K: Hash + Eq, V> StripedMap<K, V> {
 
     /// The stripe comes from hash bits the in-stripe map uses neither for
     /// bucketing (the low ones) nor for its control bytes (the top seven).
+    fn stripe_index(&self, key: &K) -> usize {
+        (self.hasher.hash_one(key) >> 32) as usize & (STRIPES - 1)
+    }
+
     fn stripe(&self, key: &K) -> &Mutex<HashMap<K, V, MixBuild>> {
-        &self.stripes[(self.hasher.hash_one(key) >> 32) as usize & (STRIPES - 1)]
+        &self.stripes[self.stripe_index(key)]
     }
 
     /// Runs `f` on the value for `key`, if present.
@@ -169,6 +177,72 @@ impl<K: Hash + Eq, V> StripedMap<K, V> {
         let guard = self.stripe(key).lock();
         let _held = HeldGuard::enter();
         guard.get(key).map(f)
+    }
+
+    /// Runs `f` on every item of `items` with the value for its key
+    /// (`None` if absent), in place: the batched [`Self::get`]. Each key's
+    /// stripe is hashed once, and each stripe the keys fall in is locked
+    /// once, in stripe order, one at a time — a scan's ~50 hits take at most
+    /// [`STRIPES`] lock round trips instead of one each. Within a stripe
+    /// the items are visited in list order; across stripes, in stripe
+    /// order, so `f` must not depend on the order it sees items in.
+    ///
+    /// Lists of up to [`GET_EACH_STACK`] items keep their bookkeeping on
+    /// the stack; a longer list allocates it.
+    pub fn get_each<T>(
+        &self,
+        items: &mut [T],
+        key: impl Fn(&T) -> &K,
+        mut f: impl FnMut(&mut T, Option<&V>),
+    ) {
+        let n = items.len();
+        if n <= GET_EACH_STACK {
+            let mut stripe_of = [0u8; GET_EACH_STACK];
+            let mut order = [0u32; GET_EACH_STACK];
+            self.get_each_in(items, &key, &mut f, &mut stripe_of[..n], &mut order[..n]);
+        } else {
+            u32::try_from(n).expect("get_each list longer than u32::MAX items");
+            self.get_each_in(items, &key, &mut f, &mut vec![0; n], &mut vec![0; n]);
+        }
+    }
+
+    /// [`Self::get_each`] with its bookkeeping in the caller's buffers,
+    /// each `items.len()` long: a counting sort of the item indices by
+    /// stripe.
+    fn get_each_in<T>(
+        &self,
+        items: &mut [T],
+        key: &impl Fn(&T) -> &K,
+        f: &mut impl FnMut(&mut T, Option<&V>),
+        stripe_of: &mut [u8],
+        order: &mut [u32],
+    ) {
+        let mut starts = [0usize; STRIPES + 1];
+        for (item, s) in items.iter().zip(stripe_of.iter_mut()) {
+            *s = self.stripe_index(key(item)) as u8;
+            starts[*s as usize + 1] += 1;
+        }
+        for i in 0..STRIPES {
+            starts[i + 1] += starts[i];
+        }
+        let mut next = starts;
+        for (i, &s) in stripe_of.iter().enumerate() {
+            order[next[s as usize]] = i as u32;
+            next[s as usize] += 1;
+        }
+        for (s, stripe) in self.stripes.iter().enumerate() {
+            let group = &order[starts[s]..starts[s + 1]];
+            if group.is_empty() {
+                continue;
+            }
+            let guard = stripe.lock();
+            let _held = HeldGuard::enter();
+            for &i in group {
+                let item = &mut items[i as usize];
+                let value = guard.get(key(item));
+                f(item, value);
+            }
+        }
     }
 
     /// Runs `f` mutably on the value for `key`, if present.
@@ -325,6 +399,63 @@ mod tests {
         m.update(&1, |_| assert_eq!(stripes_held(), 1));
         m.for_each(|_, _| assert_eq!(stripes_held(), 1));
         assert_eq!(stripes_held(), 0);
+    }
+
+    /// What per-key `get` answers for each item, in item order.
+    fn per_key(m: &StripedMap<u64, u64>, keys: &[u64]) -> Vec<(u64, Option<u64>)> {
+        keys.iter().map(|&k| (k, m.get(&k, |v| *v))).collect()
+    }
+
+    /// What `get_each` answers for each item, in item order.
+    fn batched(m: &StripedMap<u64, u64>, keys: &[u64]) -> Vec<(u64, Option<u64>)> {
+        let mut items: Vec<(u64, Option<u64>)> =
+            keys.iter().map(|&k| (k, Some(u64::MAX))).collect();
+        m.get_each(&mut items, |it| &it.0, |it, v| it.1 = v.copied());
+        items
+    }
+
+    #[test]
+    fn get_each_matches_get_with_duplicates_and_absent_keys() {
+        let m: StripedMap<u64, u64> = StripedMap::new();
+        for k in (0..200u64).step_by(2) {
+            m.insert(k, k * 10);
+        }
+        assert_eq!(batched(&m, &[]), vec![]);
+        let keys = [4, 5, 4, 198, 1_000, 0, 5, 4];
+        assert_eq!(batched(&m, &keys), per_key(&m, &keys));
+        assert_eq!(batched(&m, &keys)[1], (5, None));
+        // Every key of a list longer than the stack bound, twice over.
+        let long: Vec<u64> = (0..GET_EACH_STACK as u64 + 50).rev().chain(0..40).collect();
+        assert!(long.len() > GET_EACH_STACK);
+        assert_eq!(batched(&m, &long), per_key(&m, &long));
+    }
+
+    #[test]
+    fn get_each_locks_each_touched_stripe_once_in_order() {
+        let m: StripedMap<u64, u64> = StripedMap::new();
+        for k in 0..1_000u64 {
+            m.insert(k, k);
+        }
+        for n in [10, GET_EACH_STACK + 1] {
+            let keys: Vec<u64> = (0..n as u64).map(|i| i * 7 % 1_000).collect();
+            let mut items = keys.clone();
+            let mut seen = Vec::new();
+            m.get_each(
+                &mut items,
+                |k| k,
+                |k, v| {
+                    assert_eq!(v, Some(&*k));
+                    assert_eq!(stripes_held(), usize::from(cfg!(debug_assertions)));
+                    seen.push(m.stripe_index(k));
+                },
+            );
+            assert_eq!(seen.len(), n);
+            assert!(
+                seen.windows(2).all(|w| w[0] <= w[1]),
+                "stripe order: {seen:?}"
+            );
+            assert_eq!(stripes_held(), 0);
+        }
     }
 
     /// The id shapes the system actually hashes: sequential object ids,

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
+use dgl_faults::FaultSpec;
 use granular_rtree::core::{
     DglConfig, DglRTree, DurabilityConfig, InsertPolicy, Rect2, SyncPolicy, TransactionalRTree,
     TxnError,
@@ -17,10 +18,10 @@ use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::Ctr;
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
-/// Serialize with other durability tests in this binary's process is
-/// unnecessary (no failpoints armed), but keep runs within this file
-/// from sharing directories.
+/// Keeps runs within this file from sharing directories.
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+/// The failpoint registry is process-global: the tests of this file run
+/// one at a time, so the flush delay one arms reaches no other.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 struct TempDir(PathBuf);
@@ -69,12 +70,20 @@ fn config(sync: SyncPolicy) -> DglConfig {
 /// that queued during the window — `ceil(N / batch)` flushes for batch
 /// ≥ 2 is at most `N / 2`), and every acknowledged commit must survive
 /// a crash + recovery.
+///
+/// During the commit storm every flush first sleeps 2 ms at the
+/// `wal/fsync` failpoint (a delay only sleeps: the flush itself goes
+/// through). The batch a flush writes is cut before that sleep, so the
+/// commits that arrive meanwhile queue for the next one whatever the
+/// host's scheduler does — without it, a loaded host that runs the
+/// committers one at a time can leave every batch at one commit.
 #[test]
 fn concurrent_commits_batch_fsyncs_and_survive() {
     let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let dir = TempDir::new("batch");
     let cfg = config(SyncPolicy::Batch(Duration::from_millis(10)));
     let db = Arc::new(DglRTree::open(dir.path(), cfg.clone()).expect("open"));
+    let slow_flush = dgl_faults::register("wal/fsync", FaultSpec::delay(Duration::from_millis(2)));
 
     const THREADS: u64 = 8;
     const TXNS: u64 = 20;
@@ -116,6 +125,7 @@ fn concurrent_commits_batch_fsyncs_and_survive() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
+    drop(slow_flush);
     let fsyncs = db.obs().ctr(Ctr::WalFsyncs) - fsyncs_before;
     let grouped = db.obs().ctr(Ctr::WalGroupCommitCommits) - grouped_before;
     eprintln!("group commit: {N} commits, {fsyncs} fsyncs, {grouped} commits counted grouped");
