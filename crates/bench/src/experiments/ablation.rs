@@ -95,7 +95,6 @@ pub fn external_granule(threads: u64, txns_per_thread: u64, seed: u64) -> Extern
             policy: InsertPolicy::Modified,
             lock: LockManagerConfig {
                 wait_timeout: Duration::from_secs(10),
-                ..Default::default()
             },
             coarse_external_granule: coarse,
             ..Default::default()

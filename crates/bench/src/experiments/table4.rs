@@ -81,7 +81,6 @@ pub struct ProtocolMetrics {
 pub fn protocols(fanout: usize) -> Vec<Arc<dyn TransactionalRTree>> {
     let lock = LockManagerConfig {
         wait_timeout: Duration::from_secs(10),
-        ..Default::default()
     };
     vec![
         Arc::new(DglRTree::new(DglConfig {

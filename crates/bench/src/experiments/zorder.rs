@@ -120,7 +120,6 @@ pub fn false_conflicts(txns_per_side: u64, seed: u64) -> FalseConflictResult {
                 rtree: RTreeConfig::with_fanout(24),
                 lock: LockManagerConfig {
                     wait_timeout: Duration::from_secs(10),
-                    ..Default::default()
                 },
                 ..Default::default()
             }))
@@ -129,7 +128,6 @@ pub fn false_conflicts(txns_per_side: u64, seed: u64) -> FalseConflictResult {
                 rtree: RTreeConfig::with_fanout(24),
                 lock: LockManagerConfig {
                     wait_timeout: Duration::from_secs(10),
-                    ..Default::default()
                 },
                 ..Default::default()
             }))

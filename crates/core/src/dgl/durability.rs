@@ -8,9 +8,10 @@
 //!   (`Insert`/`Delete`, preceded by a lazy `Begin`) to the [`Wal`]
 //!   *before* the exclusive apply latch is released, and `commit` appends
 //!   a `Commit` record and blocks until its batch's `fsync` completes —
-//!   so an acknowledged commit is durable, and group commit (the
-//!   [`SyncPolicy::Batch`] window) amortizes the `fsync` across
-//!   concurrent committers.
+//!   so an acknowledged commit is durable. The log's flusher syncs
+//!   whatever is pending as soon as it is free, so commits that queue
+//!   behind an in-flight `fsync` share the next one (group commit with
+//!   no window to wait out).
 //! * **Checkpointing.** A checkpoint cuts the log: it captures the undo
 //!   logs of in-flight transactions and a consistent tree image under
 //!   one shared-latch hold (writers stall only for the in-memory encode,
@@ -72,36 +73,13 @@ use dgl_lockmgr::TxnId;
 use dgl_obs::{Ctr, Hist};
 use dgl_rtree::{image, ObjectId, RTree2};
 use dgl_wal::{
-    crc32, read_segment, scan_dir, segment_path, snapshot_path, SegmentData, SyncPolicy, UndoEntry,
-    UndoOp, Wal, WalConfig, WalError, WalRecord,
+    crc32, read_segment, scan_dir, segment_path, snapshot_path, SegmentData, UndoEntry, UndoOp,
+    Wal, WalConfig, WalError, WalRecord,
 };
 
 use crate::{TransactionalRTree, TxnError};
 
 use super::{DglConfig, DglCore, DglRTree, LogState, ShardContext, UndoRecord};
-
-/// Durability configuration ([`DglConfig::durability`]). Consulted only
-/// by the directory-backed constructors [`DglRTree::open`] /
-/// [`DglRTree::recover`]; [`DglRTree::new`] stays purely in-memory.
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// When commits are flushed: every commit immediately, or group
-    /// commit within a batching window.
-    pub sync: SyncPolicy,
-    /// Log bytes appended since the last checkpoint that trigger an
-    /// automatic one, run at the end of the commit that crossed it.
-    /// `None` disables auto-checkpointing; [`DglRTree::checkpoint`] remains.
-    pub checkpoint_threshold: Option<u64>,
-}
-
-impl Default for DurabilityConfig {
-    fn default() -> Self {
-        Self {
-            sync: SyncPolicy::Immediate,
-            checkpoint_threshold: Some(8 << 20),
-        }
-    }
-}
 
 /// Why [`DglRTree::open`] / [`DglRTree::recover`] could not produce an
 /// index from a directory.
@@ -261,9 +239,7 @@ impl DglCore {
             self.tm.record(txn, |r| r.log = LogState::Prepared(gtxn));
             lsn
         };
-        // Prepare records don't ride the group-commit trigger (only
-        // commits do) — force the flush.
-        wal.sync_to(lsn).map_err(|_| TxnError::Durability)?;
+        wal.wait_durable(lsn).map_err(|_| TxnError::Durability)?;
         Ok(true)
     }
 
@@ -393,7 +369,7 @@ impl DglCore {
         // Everything the new generation depends on — the sealed old
         // segments and the new segment's checkpoint header — must be
         // durable before the old generation's files disappear.
-        wal.sync_to(info.cut_lsn)?;
+        wal.wait_durable(info.cut_lsn)?;
         prune_generations_below(wal.dir(), info.gen)?;
         Ok(())
     }
@@ -467,7 +443,7 @@ impl DglRTree {
         let listing = scan_dir(dir)?;
         if listing.segments.is_empty() && listing.snapshots.is_empty() {
             let db = Self::new(config.clone());
-            db.attach_fresh_generation(dir, 0, &config)?;
+            db.attach_fresh_generation(dir, 0)?;
             return Ok(db);
         }
         Self::recover(dir, config)
@@ -508,7 +484,7 @@ impl DglRTree {
         if listing.segments.is_empty() && listing.snapshots.is_empty() {
             // Nothing to recover: equivalent to a fresh open.
             let db = Self::new_in(config.clone(), context);
-            db.attach_fresh_generation(dir, 0, &config)?;
+            db.attach_fresh_generation(dir, 0)?;
             return Ok(db);
         }
         let mut segments: BTreeMap<u64, SegmentData> = BTreeMap::new();
@@ -569,7 +545,7 @@ impl DglRTree {
             }
             drop(segments);
             let db = Self::new_in(config.clone(), context);
-            db.attach_fresh_generation(dir, max_gen + 1, &config)?;
+            db.attach_fresh_generation(dir, max_gen + 1)?;
             return Ok(db);
         };
 
@@ -713,7 +689,7 @@ impl DglRTree {
             u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         );
         drop(segments);
-        db.attach_fresh_generation(dir, max_gen + 1, &config)?;
+        db.attach_fresh_generation(dir, max_gen + 1)?;
         Ok(db)
     }
 
@@ -746,12 +722,7 @@ impl DglRTree {
 
     /// Publishes the current tree as generation `gen` (snapshot + fresh
     /// log segment), prunes older generations, and attaches the log.
-    fn attach_fresh_generation(
-        &self,
-        dir: &Path,
-        gen: u64,
-        config: &DglConfig,
-    ) -> Result<(), RecoverError> {
+    fn attach_fresh_generation(&self, dir: &Path, gen: u64) -> Result<(), RecoverError> {
         let image = image::encode(&self.core.latch_shared());
         write_snapshot(dir, gen, &image)?;
         let wal = Wal::create(
@@ -762,9 +733,7 @@ impl DglRTree {
                 undo: Vec::new(),
                 prepared: Vec::new(),
             },
-            WalConfig {
-                sync: config.durability.sync,
-            },
+            WalConfig,
             Arc::clone(&self.core.obs),
         )?;
         prune_generations_below(dir, gen)?;

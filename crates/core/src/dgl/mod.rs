@@ -78,7 +78,7 @@ mod ops_read;
 mod ops_write;
 mod shard;
 
-pub use durability::{DurabilityConfig, RecoverError};
+pub use durability::RecoverError;
 pub use mvcc::{MvccStats, Snapshot};
 pub use shard::{ShardedDglRTree, ShardedSnapshot, ShardingConfig};
 
@@ -138,11 +138,13 @@ pub struct DglConfig {
     /// [`TxnError::Timeout`] (distinct from [`TxnError::Deadlock`]) with
     /// the transaction rolled back.
     pub lock: LockManagerConfig,
-    /// Durability subsystem: write-ahead logging and checkpointing.
-    /// Only consulted by the directory-backed constructors
+    /// Log bytes appended since the last checkpoint that trigger an
+    /// automatic one, run at the end of the commit that crossed it.
+    /// `None` disables auto-checkpointing; [`DglRTree::checkpoint`]
+    /// remains. Only consulted by the directory-backed constructors
     /// ([`DglRTree::open`] / [`DglRTree::recover`]); purely in-memory
     /// indexes ([`DglRTree::new`]) never touch disk regardless.
-    pub durability: DurabilityConfig,
+    pub checkpoint_threshold: Option<u64>,
     /// ABLATION: collapse every external granule onto one shared resource
     /// — the "single extra lockable granule which covers the space that is
     /// not covered by the R-tree leaf granules" design that §3.1 rejects
@@ -158,7 +160,7 @@ impl Default for DglConfig {
             world: Rect2::unit(),
             policy: InsertPolicy::default(),
             lock: LockManagerConfig::default(),
-            durability: DurabilityConfig::default(),
+            checkpoint_threshold: Some(8 << 20),
             coarse_external_granule: false,
         }
     }
@@ -545,7 +547,7 @@ impl DglRTree {
             wal: OnceLock::new(),
             commit_cut: RwLock::new(()),
             ckpt_pending: AtomicBool::new(false),
-            checkpoint_threshold: config.durability.checkpoint_threshold,
+            checkpoint_threshold: config.checkpoint_threshold,
         };
         Self { core }
     }

@@ -306,9 +306,7 @@ impl ShardedDglRTree {
                 undo: Vec::new(),
                 prepared: Vec::new(),
             },
-            WalConfig {
-                sync: config.durability.sync,
-            },
+            WalConfig,
             Arc::clone(&obs),
         )
         .map_err(RecoverError::Wal)?;
@@ -625,7 +623,7 @@ impl ShardedDglRTree {
                 .append(&WalRecord::Commit { txn: g })
                 .map_err(|_| TxnError::Durability)?;
         }
-        coord.sync_to(last).map_err(|_| TxnError::Durability)?;
+        coord.wait_durable(last).map_err(|_| TxnError::Durability)?;
         // Old generations are now redundant; deletion is best-effort (a
         // leftover segment only re-supplies decisions already carried or
         // resolved).

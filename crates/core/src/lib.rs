@@ -51,8 +51,8 @@ mod locks;
 mod traits;
 
 pub use dgl::{
-    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, MvccStats, RecoverError, ShardedDglRTree,
-    ShardedSnapshot, ShardingConfig, Snapshot,
+    DglConfig, DglRTree, InsertPolicy, MvccStats, RecoverError, ShardedDglRTree, ShardedSnapshot,
+    ShardingConfig, Snapshot,
 };
 pub use error::TxnError;
 pub use executor::{ExecError, RetryPolicy, TxnExecutor};
@@ -62,4 +62,3 @@ pub use traits::{ScanHit, TransactionalRTree};
 pub use dgl_geom::{Rect, Rect2};
 pub use dgl_lockmgr::TxnId;
 pub use dgl_rtree::ObjectId;
-pub use dgl_wal::SyncPolicy;

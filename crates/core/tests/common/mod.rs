@@ -16,7 +16,6 @@ use dgl_rtree::RTreeConfig;
 pub fn lock_config(timeout_ms: u64) -> LockManagerConfig {
     LockManagerConfig {
         wait_timeout: Duration::from_millis(timeout_ms),
-        ..Default::default()
     }
 }
 

@@ -24,7 +24,6 @@ fn db_with_timeout(ms: u64) -> DglRTree {
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(ms),
-            ..Default::default()
         },
         ..Default::default()
     })

@@ -318,23 +318,20 @@ fn interleaved_insert_delete_same_txn() {
 }
 
 /// Compile-time pin of the configuration surface: `DglConfig` has six
-/// fields, `DurabilityConfig` two and `RTreeConfig` two. A new field breaks
-/// this pattern, so a mode cannot arrive unseen — say in the PR what it
-/// forks and what deletes it again.
+/// fields, `LockManagerConfig` one and `RTreeConfig` two. A new field
+/// breaks this pattern, so a mode cannot arrive unseen — say in the PR
+/// what it forks and what deletes it again.
 #[test]
 fn config_field_sets_are_pinned() {
     let dgl_core::DglConfig {
         rtree,
         world: _,
         policy: _,
-        lock: _,
-        durability,
+        lock,
+        checkpoint_threshold: _,
         coarse_external_granule: _,
     } = dgl_core::DglConfig::default();
-    let dgl_core::DurabilityConfig {
-        sync: _,
-        checkpoint_threshold: _,
-    } = durability;
+    let dgl_lockmgr::LockManagerConfig { wait_timeout: _ } = lock;
     let dgl_rtree::RTreeConfig {
         max_entries: _,
         min_entries: _,

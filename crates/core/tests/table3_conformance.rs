@@ -25,7 +25,6 @@ fn traced_db(fanout: usize, policy: InsertPolicy) -> DglRTree {
         policy,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_secs(5),
-            ..Default::default()
         },
         ..Default::default()
     }))

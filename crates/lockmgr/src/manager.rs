@@ -38,11 +38,13 @@ pub enum LockOutcome {
     Timeout,
 }
 
+/// Stripes of the resource table and of the transaction records. A power
+/// of two, so a stripe is a mask of the key's hash or id.
+const STRIPES: usize = 16;
+
 /// Configuration for [`LockManager`].
 #[derive(Debug, Clone)]
 pub struct LockManagerConfig {
-    /// Number of hash shards for the lock table.
-    pub shards: usize,
     /// Backstop timeout for unconditional waits.
     pub wait_timeout: Duration,
 }
@@ -50,7 +52,6 @@ pub struct LockManagerConfig {
 impl Default for LockManagerConfig {
     fn default() -> Self {
         Self {
-            shards: 16,
             wait_timeout: Duration::from_secs(10),
         }
     }
@@ -541,18 +542,15 @@ impl LockManager {
     }
 
     fn build(config: LockManagerConfig, obs: Arc<Registry>, domain: Arc<WaitDomain>) -> Self {
-        assert!(config.shards > 0, "need at least one shard");
-        // A power of two, so a stripe is a mask of the key's hash or id.
-        let stripes = config.shards.next_power_of_two();
         let hasher = MixBuild::seeded();
-        fn table<K, V>(stripes: usize, hasher: &MixBuild) -> Vec<Stripe<K, V>> {
-            (0..stripes)
+        fn table<K, V>(hasher: &MixBuild) -> Vec<Stripe<K, V>> {
+            (0..STRIPES)
                 .map(|_| Mutex::new(HashMap::with_hasher(hasher.clone())))
                 .collect()
         }
         Self {
-            shards: table(stripes, &hasher),
-            txns: table(stripes, &hasher),
+            shards: table(&hasher),
+            txns: table(&hasher),
             hasher,
             parked: AtomicUsize::new(0),
             wait_timeout: config.wait_timeout,
@@ -592,11 +590,11 @@ impl LockManager {
     /// The stripe comes from hash bits the in-stripe map uses neither for
     /// bucketing (the low ones) nor for its control bytes (the top seven).
     fn shard(&self, res: &ResourceId) -> &Stripe<ResourceId, ResourceState> {
-        &self.shards[(self.hasher.hash_one(res) >> 32) as usize & (self.shards.len() - 1)]
+        &self.shards[(self.hasher.hash_one(res) >> 32) as usize & (STRIPES - 1)]
     }
 
     fn txn_stripe(&self, txn: TxnId) -> &Stripe<TxnId, TxnRecord> {
-        &self.txns[txn.0 as usize & (self.txns.len() - 1)]
+        &self.txns[txn.0 as usize & (STRIPES - 1)]
     }
 
     /// Runs `f` on `txn`'s record, creating it if need be.

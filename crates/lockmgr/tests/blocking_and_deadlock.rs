@@ -19,7 +19,6 @@ use LockMode::*;
 fn mgr_with_timeout(ms: u64) -> Arc<LockManager> {
     Arc::new(LockManager::new(LockManagerConfig {
         wait_timeout: Duration::from_millis(ms),
-        ..Default::default()
     }))
 }
 

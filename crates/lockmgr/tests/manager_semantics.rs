@@ -15,7 +15,6 @@ use dgl_pager::PageId;
 fn mgr() -> LockManager {
     LockManager::new(LockManagerConfig {
         wait_timeout: Duration::from_millis(200),
-        ..Default::default()
     })
 }
 

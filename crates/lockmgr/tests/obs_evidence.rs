@@ -18,7 +18,6 @@ fn manager_with_registry() -> (LockManager, Arc<Registry>) {
     let lm = LockManager::with_obs(
         LockManagerConfig {
             wait_timeout: Duration::from_secs(5),
-            ..Default::default()
         },
         Arc::clone(&obs),
     );

@@ -49,6 +49,13 @@ use parking_lot::Mutex;
 
 pub use dgl_proto::PROTO_VERSION;
 
+/// Concurrent MVCC snapshots one session may hold; a `BeginSnapshot`
+/// past it is refused with [`ErrorCode::SnapshotLimit`].
+pub const MAX_SNAPSHOTS: usize = 16;
+
+/// Stack size for session threads (small: thousands of connections).
+pub const SESSION_STACK: usize = 256 * 1024;
+
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -61,10 +68,6 @@ pub struct ServerConfig {
     /// How long `shutdown` lets in-flight transactions finish before
     /// force-aborting them.
     pub drain_grace: Duration,
-    /// Concurrent MVCC snapshots one session may hold.
-    pub max_snapshots: usize,
-    /// Stack size for session threads (small: thousands of connections).
-    pub session_stack: usize,
     /// Name sent in `HelloOk`.
     pub server_name: String,
 }
@@ -75,8 +78,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             txn_timeout: Duration::from_secs(10),
             drain_grace: Duration::from_secs(5),
-            max_snapshots: 16,
-            session_stack: 256 * 1024,
             server_name: "dgl-server".to_string(),
         }
     }
@@ -334,7 +335,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let sh = Arc::clone(&shared);
         let spawned = thread::Builder::new()
             .name(format!("dgl-sess-{id}"))
-            .stack_size(shared.cfg.session_stack)
+            .stack_size(SESSION_STACK)
             .spawn(move || {
                 session::run(&sh, id, stream);
                 sh.sessions.lock().remove(&id);

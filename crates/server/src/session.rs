@@ -15,7 +15,7 @@ use dgl_proto::{
     MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME, PROTO_VERSION,
 };
 
-use crate::{BackendSnapshot, Shared};
+use crate::{BackendSnapshot, Shared, MAX_SNAPSHOTS};
 
 /// Everything a session mutates while serving one connection. The
 /// snapshot map borrows the backend, which the caller keeps alive for
@@ -376,7 +376,7 @@ fn handle<'a>(shared: &'a Shared, sess: &mut Session<'a>, req: Request) -> Respo
             }
         }
         Request::BeginSnapshot => {
-            if sess.snapshots.len() >= shared.cfg.max_snapshots {
+            if sess.snapshots.len() >= MAX_SNAPSHOTS {
                 return err(
                     ErrorCode::SnapshotLimit,
                     format!("session holds {} snapshots already", sess.snapshots.len()),

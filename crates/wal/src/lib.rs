@@ -8,7 +8,8 @@
 //!   (`Begin`/`Insert`/`Delete`/`Commit`/`Abort`/`Checkpoint`) in
 //!   generation-numbered segment files.
 //! - [`log`]: the [`Wal`] writer — an append buffer drained by one
-//!   flusher thread that batches `fsync`s (group commit) and writes in
+//!   flusher thread that syncs whatever is pending as soon as it is free
+//!   (commits that queue behind an `fsync` share the next) and writes in
 //!   place into segments zero-filled ahead of it, plus segment rotation
 //!   at checkpoint cuts and a page-cache-loss crash model for the chaos
 //!   harness.
@@ -26,7 +27,7 @@ pub mod log;
 pub mod record;
 pub mod replay;
 
-pub use crate::log::{RotateInfo, SyncPolicy, Wal, WalConfig};
+pub use crate::log::{RotateInfo, Wal, WalConfig};
 pub use crate::record::{
     crc32, read_segment_header, UndoEntry, UndoOp, WalError, WalRecord, MAX_RECORD_LEN,
 };

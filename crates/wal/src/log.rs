@@ -1,6 +1,6 @@
 //! The append/flush half of the log: an in-memory append buffer per
-//! segment, a single flusher thread that batches `fsync`s (group
-//! commit), and a crash model for the chaos harness.
+//! segment, a single flusher thread, and a crash model for the chaos
+//! harness.
 //!
 //! ## Durability contract
 //!
@@ -9,6 +9,15 @@
 //! after [`Wal::wait_durable`] observes that, so an acked commit implies
 //! every earlier record (across segment rotations — the flusher drains
 //! segments strictly in order) is durable too.
+//!
+//! ## One flush rule
+//!
+//! The flusher writes and `fdatasync`s whatever is pending as soon as it
+//! is free. A commit record wakes it, and so does a waiter in
+//! [`Wal::wait_durable`] (a `Prepare`, a checkpoint cut or a coordinator
+//! decision is not a commit record). There is no batching window: group
+//! commit falls out of the rule, because every commit that queues behind
+//! an in-flight `fsync` rides the next one.
 //!
 //! ## Writes in place
 //!
@@ -21,7 +30,7 @@
 //! boundary — one flush in a few hundred pays for a size change.
 //! [`Wal::create`] fills the first chunk before its `sync_all`; a
 //! rotated segment gets its first chunk on its first flush (the
-//! checkpoint's own `sync_to`). Readers take the all-zero remainder for
+//! checkpoint's own wait for its cut). Readers take the all-zero remainder for
 //! the end of the log ([`crate::record::read_frame`]).
 //!
 //! ## Crash model
@@ -41,7 +50,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dgl_faults::failpoint;
 use dgl_obs::{Ctr, Hist, Registry};
@@ -76,36 +85,11 @@ fn zero_fill(file: &File, end: u64) -> std::io::Result<u64> {
     Ok(boundary)
 }
 
-/// When commits are made durable relative to when they are issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Every commit triggers a flush immediately. Concurrent commits
-    /// still share an `fsync` (their records ride the same batch) but a
-    /// lone committer never waits for company.
-    Immediate,
-    /// Group commit: an idle flusher syncs a fresh commit immediately
-    /// (a lone committer pays one `fsync`, not a window), but while
-    /// commits arrive back-to-back the flusher paces itself to at most
-    /// one `fsync` per window, so everything that queued during the
-    /// window — including the whole backlog that accumulated behind an
-    /// in-flight `fsync` — rides a single flush.
-    Batch(Duration),
-}
-
-/// Log configuration.
-#[derive(Debug, Clone)]
-pub struct WalConfig {
-    /// Commit flush policy.
-    pub sync: SyncPolicy,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            sync: SyncPolicy::Immediate,
-        }
-    }
-}
+/// Log configuration. It has no fields: the log has one flush rule. The
+/// type stays only because the repository benchmark's layer probe
+/// (`benchmark/src/layers.rs`) names it in its [`Wal::create`] call.
+#[derive(Debug, Clone, Default)]
+pub struct WalConfig;
 
 /// Result of sealing the log at a checkpoint cut.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +97,7 @@ pub struct RotateInfo {
     /// Generation of the freshly opened segment.
     pub gen: u64,
     /// LSN just past the new segment's checkpoint record; once durable
-    /// (`sync_to`), everything the new generation depends on is on disk.
+    /// ([`Wal::wait_durable`]), everything the new generation depends on is on disk.
     pub cut_lsn: u64,
 }
 
@@ -143,17 +127,15 @@ struct State {
     appended_lsn: u64,
     flushed_lsn: u64,
     bytes_since_checkpoint: u64,
-    /// A `sync_to` waiter wants the flusher to skip the batch window.
-    force: bool,
     crashed: bool,
     shutdown: bool,
 }
 
 struct Shared {
-    sync: SyncPolicy,
     obs: Arc<Registry>,
     state: Mutex<State>,
-    /// Wakes the flusher (new commit, force, rotation, shutdown).
+    /// Wakes the flusher (new commit, durability waiter, rotation,
+    /// shutdown).
     work: Condvar,
     /// Wakes durability waiters (`flushed_lsn` advanced or poisoned).
     flushed: Condvar,
@@ -161,7 +143,7 @@ struct Shared {
 
 /// A write-ahead log over a directory of generation-numbered segment
 /// files. Appends buffer in memory; a background flusher writes and
-/// `fsync`s them in batches.
+/// `fsync`s whatever is pending whenever it is free.
 pub struct Wal {
     dir: PathBuf,
     shared: Arc<Shared>,
@@ -177,7 +159,7 @@ impl Wal {
         dir: &Path,
         gen: u64,
         ckpt: &WalRecord,
-        cfg: WalConfig,
+        _cfg: WalConfig,
         obs: Arc<Registry>,
     ) -> Result<Wal, WalError> {
         let path = segment_path(dir, gen);
@@ -197,7 +179,6 @@ impl Wal {
         obs.add(Ctr::WalAppendedBytes, base);
         obs.incr(Ctr::WalRecords);
         let shared = Arc::new(Shared {
-            sync: cfg.sync,
             obs,
             state: Mutex::new(State {
                 segments: VecDeque::from([SegmentIo {
@@ -213,7 +194,6 @@ impl Wal {
                 appended_lsn: base,
                 flushed_lsn: base,
                 bytes_since_checkpoint: 0,
-                force: false,
                 crashed: false,
                 shutdown: false,
             }),
@@ -262,8 +242,6 @@ impl Wal {
         self.shared.obs.incr(Ctr::WalRecords);
         self.shared.obs.add(Ctr::WalAppendedBytes, len);
         if is_commit {
-            // Commits drive flushing under both policies: Immediate
-            // flushes now, Batch starts (or joins) a window.
             self.shared.work.notify_one();
         }
         Ok(lsn)
@@ -280,6 +258,8 @@ impl Wal {
     }
 
     /// Blocks until `lsn` is durable (its batch's `fsync` completed).
+    /// Wakes the flusher first: only commit records wake it on append,
+    /// so a waiter on any other record brings its own flush.
     pub fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
         let mut st = self.shared.state.lock();
         loop {
@@ -289,30 +269,14 @@ impl Wal {
             if st.crashed {
                 return Err(WalError::Crashed);
             }
-            self.shared.flushed.wait(&mut st);
-        }
-    }
-
-    /// Blocks until everything appended so far (up to `lsn`) is durable,
-    /// flushing immediately rather than waiting out a batch window.
-    pub fn sync_to(&self, lsn: u64) -> Result<(), WalError> {
-        let mut st = self.shared.state.lock();
-        loop {
-            if st.flushed_lsn >= lsn {
-                return Ok(());
-            }
-            if st.crashed {
-                return Err(WalError::Crashed);
-            }
-            st.force = true;
             self.shared.work.notify_one();
             self.shared.flushed.wait(&mut st);
         }
     }
 
     /// Seals the live segment and opens generation `gen + 1` headed by
-    /// `ckpt`. Returns the new generation and the cut LSN to `sync_to`
-    /// before the old generation's files may be deleted.
+    /// `ckpt`. Returns the new generation and the cut LSN that must be
+    /// durable before the old generation's files may be deleted.
     pub fn rotate(&self, ckpt: &WalRecord) -> Result<RotateInfo, WalError> {
         let mut st = self.shared.state.lock();
         if st.crashed || st.shutdown {
@@ -326,7 +290,7 @@ impl Wal {
             .open(&path)?;
         // Directory entry durability for the new segment; data durability
         // (and the first chunk's zero-fill) is the caller's
-        // `sync_to(cut_lsn)`.
+        // `wait_durable(cut_lsn)`.
         File::open(&self.dir)?.sync_all()?;
         let mut pending = encode_segment_header(gen);
         encode_record_into(ckpt, &mut pending);
@@ -439,12 +403,6 @@ impl Job {
 }
 
 fn flusher_loop(shared: &Arc<Shared>) {
-    let mut last_flush = Instant::now();
-    // Classic group commit: work that arrives while the flusher is idle
-    // is synced immediately — the batch window only paces consecutive
-    // flushes under sustained load, bounding how long a backlog
-    // accumulates rather than taxing every lone commit with a wait.
-    let mut was_idle = true;
     // The previous batch's buffer, handed back to the segment as its next
     // `pending`: appends refill warm capacity instead of regrowing.
     let mut spare: Vec<u8> = Vec::new();
@@ -470,46 +428,25 @@ fn flusher_loop(shared: &Arc<Shared>) {
                 // Drain strictly in segment order: never flush segment
                 // k+1 while k still has pending bytes, so `flushed_lsn`
                 // (and the commit ack it gates) is a true prefix.
-                match st.segments.iter().position(|s| !s.pending.is_empty()) {
-                    Some(i) => {
-                        let live_tail = !st.segments[i].sealed;
-                        if live_tail && !st.force && !st.shutdown && !was_idle {
-                            if let SyncPolicy::Batch(w) = shared.sync {
-                                let since = last_flush.elapsed();
-                                if since < w {
-                                    let deadline = Instant::now() + (w - since);
-                                    shared.work.wait_until(&mut st, deadline);
-                                    continue;
-                                }
-                            }
-                        }
-                        if live_tail {
-                            st.force = false;
-                        }
-                        let seg = &mut st.segments[i];
-                        break Job {
-                            gen: seg.gen,
-                            file: Arc::clone(&seg.file),
-                            bytes: std::mem::replace(&mut seg.pending, std::mem::take(&mut spare)),
-                            commits: std::mem::replace(&mut seg.pending_commits, 0),
-                            end_lsn: seg.end_lsn,
-                            offset: seg.synced,
-                            allocated: seg.allocated,
-                        };
-                    }
-                    None => {
-                        if st.shutdown {
-                            return;
-                        }
-                        was_idle = true;
-                        shared.work.wait(&mut st);
-                    }
+                if let Some(seg) = st.segments.iter_mut().find(|s| !s.pending.is_empty()) {
+                    break Job {
+                        gen: seg.gen,
+                        file: Arc::clone(&seg.file),
+                        bytes: std::mem::replace(&mut seg.pending, std::mem::take(&mut spare)),
+                        commits: std::mem::replace(&mut seg.pending_commits, 0),
+                        end_lsn: seg.end_lsn,
+                        offset: seg.synced,
+                        allocated: seg.allocated,
+                    };
                 }
+                if st.shutdown {
+                    return;
+                }
+                shared.work.wait(&mut st);
             }
         };
 
         // --- execute I/O without the lock -----------------------------
-        was_idle = false;
         if dgl_faults::fired!("wal/fsync") {
             // Torn write: half the batch reaches the file, no fsync, and
             // the log dies. `crash()` is a no-op afterwards, so the torn
@@ -552,7 +489,6 @@ fn flusher_loop(shared: &Arc<Shared>) {
         shared.obs.incr(Ctr::WalFsyncs);
         shared.obs.record(Hist::WalFsync, nanos);
         shared.obs.add(Ctr::WalGroupCommitCommits, job.commits);
-        last_flush = Instant::now();
         shared.flushed.notify_all();
         drop(st);
         spare = job.bytes;
@@ -593,14 +529,7 @@ mod tests {
     #[test]
     fn append_commit_readback() {
         let dir = temp_dir("basic");
-        let wal = Wal::create(
-            &dir,
-            0,
-            &ckpt(0),
-            WalConfig::default(),
-            Arc::new(Registry::new()),
-        )
-        .unwrap();
+        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig, Arc::new(Registry::new())).unwrap();
         wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
         wal.append(&WalRecord::Insert {
             txn: 1,
@@ -623,7 +552,7 @@ mod tests {
     fn crash_truncates_to_synced_prefix() {
         let dir = temp_dir("crash");
         let reg = Arc::new(Registry::new());
-        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig::default(), reg).unwrap();
+        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig, reg).unwrap();
         let lsn = wal.append_commit(1).unwrap();
         wal.wait_durable(lsn).unwrap();
         // Buffered but never flushed: no commit to trigger the flusher.
@@ -647,14 +576,7 @@ mod tests {
     #[test]
     fn rotation_drains_in_order_and_retires_old_segment() {
         let dir = temp_dir("rotate");
-        let wal = Wal::create(
-            &dir,
-            0,
-            &ckpt(0),
-            WalConfig::default(),
-            Arc::new(Registry::new()),
-        )
-        .unwrap();
+        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig, Arc::new(Registry::new())).unwrap();
         for t in 1..=3u64 {
             wal.append(&WalRecord::Begin { txn: t }).unwrap();
             let lsn = wal.append_commit(t).unwrap();
@@ -664,7 +586,7 @@ mod tests {
         assert_eq!(info.gen, 1);
         assert_eq!(wal.current_gen(), 1);
         assert_eq!(wal.bytes_since_checkpoint(), 0);
-        wal.sync_to(info.cut_lsn).unwrap();
+        wal.wait_durable(info.cut_lsn).unwrap();
         let lsn = {
             wal.append(&WalRecord::Begin { txn: 4 }).unwrap();
             wal.append_commit(4).unwrap()
@@ -682,26 +604,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Covers what the deleted `batch_policy_still_acks_every_commit`
+    /// pinned (a waiter is never left behind an unflushed tail): a
+    /// `Prepare` is not a commit record, so only `wait_durable` itself can
+    /// wake the idle flusher for it. Without that wake-up this hangs.
     #[test]
-    fn batch_policy_still_acks_every_commit() {
-        let dir = temp_dir("batch");
+    fn wait_durable_flushes_a_non_commit_record_on_an_idle_log() {
+        let dir = temp_dir("prepare");
         let reg = Arc::new(Registry::new());
-        let wal = Wal::create(
-            &dir,
-            0,
-            &ckpt(0),
-            WalConfig {
-                sync: SyncPolicy::Batch(Duration::from_millis(20)),
-            },
-            Arc::clone(&reg),
-        )
-        .unwrap();
-        for t in 1..=5u64 {
-            let lsn = wal.append_commit(t).unwrap();
-            wal.wait_durable(lsn).unwrap();
-        }
+        let wal = Arc::new(Wal::create(&dir, 0, &ckpt(0), WalConfig, Arc::clone(&reg)).unwrap());
+        let lsn = wal.append(&WalRecord::Prepare { txn: 1, gtxn: 9 }).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&wal);
+        let handle = std::thread::spawn(move || tx.send(waiter.wait_durable(lsn)).unwrap());
+        let res = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            matches!(res, Ok(Ok(()))),
+            "wait_durable hung or failed: {res:?}"
+        );
+        handle.join().unwrap();
+        assert!(wal.flushed_lsn() >= lsn);
         assert!(reg.ctr(Ctr::WalFsyncs) >= 1);
-        assert_eq!(reg.ctr(Ctr::WalGroupCommitCommits), 5);
         drop(wal);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -721,14 +644,7 @@ mod tests {
     #[test]
     fn small_commits_overwrite_the_first_chunk_in_place() {
         let dir = temp_dir("in-place");
-        let wal = Wal::create(
-            &dir,
-            0,
-            &ckpt(0),
-            WalConfig::default(),
-            Arc::new(Registry::new()),
-        )
-        .unwrap();
+        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig, Arc::new(Registry::new())).unwrap();
         assert_eq!(segment_len(&dir, 0), CHUNK, "create fills one chunk");
         for t in 1..=100u64 {
             wal.append(&WalRecord::Begin { txn: t }).unwrap();
@@ -747,14 +663,7 @@ mod tests {
     #[test]
     fn the_commit_crossing_a_chunk_boundary_grows_the_file_by_one_chunk() {
         let dir = temp_dir("grow");
-        let wal = Wal::create(
-            &dir,
-            0,
-            &ckpt(0),
-            WalConfig::default(),
-            Arc::new(Registry::new()),
-        )
-        .unwrap();
+        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig, Arc::new(Registry::new())).unwrap();
         let mut txns = 0u64;
         loop {
             txns += 1;
@@ -781,18 +690,11 @@ mod tests {
     #[test]
     fn rotated_segment_is_one_chunk_after_its_first_flush() {
         let dir = temp_dir("rotate-chunk");
-        let wal = Wal::create(
-            &dir,
-            0,
-            &ckpt(0),
-            WalConfig::default(),
-            Arc::new(Registry::new()),
-        )
-        .unwrap();
+        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig, Arc::new(Registry::new())).unwrap();
         let lsn = wal.append_commit(1).unwrap();
         wal.wait_durable(lsn).unwrap();
         let info = wal.rotate(&ckpt(1)).unwrap();
-        wal.sync_to(info.cut_lsn).unwrap();
+        wal.wait_durable(info.cut_lsn).unwrap();
         assert_eq!(segment_len(&dir, 1), CHUNK);
         drop(wal);
         let s1 = read_segment(&segment_path(&dir, 1)).unwrap();
@@ -804,14 +706,7 @@ mod tests {
     #[test]
     fn shutdown_drains_buffered_records() {
         let dir = temp_dir("drain");
-        let wal = Wal::create(
-            &dir,
-            0,
-            &ckpt(0),
-            WalConfig::default(),
-            Arc::new(Registry::new()),
-        )
-        .unwrap();
+        let wal = Wal::create(&dir, 0, &ckpt(0), WalConfig, Arc::new(Registry::new())).unwrap();
         // Non-commit records never notify the flusher; Drop must still
         // get them to disk.
         wal.append(&WalRecord::Begin { txn: 1 }).unwrap();

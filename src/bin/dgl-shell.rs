@@ -48,7 +48,6 @@ fn config() -> DglConfig {
         rtree: RTreeConfig::with_fanout(8),
         lock: LockManagerConfig {
             wait_timeout: Duration::from_secs(1),
-            ..Default::default()
         },
         ..Default::default()
     }

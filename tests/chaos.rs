@@ -135,7 +135,6 @@ fn chaos_run(seed: u64) {
         // stretch into a hang; timeouts are retried by the executor.
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(250),
-            ..Default::default()
         },
         ..Default::default()
     });
@@ -291,7 +290,6 @@ fn chaos_sharded_run(seed: u64) {
             // budget-free in the executor.
             lock: LockManagerConfig {
                 wait_timeout: Duration::from_millis(250),
-                ..Default::default()
             },
             ..Default::default()
         },

@@ -65,7 +65,6 @@ fn measure(fanout: usize, seed: u64) -> Overhead {
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_secs(5),
-            ..Default::default()
         },
         ..Default::default()
     });

@@ -88,7 +88,6 @@ fn injected_faults_surface_as_typed_errors_not_drops() {
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(250),
-            ..Default::default()
         },
         ..Default::default()
     }));

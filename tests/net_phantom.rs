@@ -81,7 +81,6 @@ fn dgl_config() -> DglConfig {
     DglConfig {
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(50),
-            ..Default::default()
         },
         ..Default::default()
     }

@@ -15,7 +15,7 @@ use dgl_proto::{
     read_frame, write_frame, ErrorCode, FrameError, Request, Response, MAX_RESPONSE_FRAME,
     PROTO_VERSION,
 };
-use dgl_server::{Backend, Server, ServerConfig};
+use dgl_server::{Backend, Server, ServerConfig, MAX_SNAPSHOTS};
 use granular_rtree::core::{DglConfig, DglRTree, Rect2, TransactionalRTree};
 use granular_rtree::lockmgr::LockManagerConfig;
 
@@ -28,7 +28,6 @@ fn start_server(cfg: ServerConfig) -> Server {
     let backend = Backend::Single(DglRTree::new(DglConfig {
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(100),
-            ..Default::default()
         },
         ..Default::default()
     }));
@@ -574,4 +573,45 @@ fn stats_reply_exposes_every_series_exactly_once() {
         "core layer merged in"
     );
     server.shutdown().expect("drain");
+}
+
+/// A session holds at most `MAX_SNAPSHOTS` snapshots: the next
+/// `BeginSnapshot` is refused with a typed `SnapshotLimit` (the session
+/// stays usable), and ending one snapshot makes room for a new one.
+#[test]
+fn snapshot_limit_is_typed_and_end_snapshot_frees_a_slot() {
+    let mut server = start_server(ServerConfig::default());
+    let mut c = Client::connect(server.addr()).expect("connect");
+    let snaps: Vec<u64> = (0..MAX_SNAPSHOTS)
+        .map(|_| {
+            c.begin_snapshot()
+                .expect("begin_snapshot under the limit")
+                .0
+        })
+        .collect();
+    let err = c
+        .begin_snapshot()
+        .expect_err("one snapshot past the limit must be refused");
+    assert_eq!(err.code(), Some(ErrorCode::SnapshotLimit));
+
+    c.end_snapshot(snaps[0]).expect("end_snapshot");
+    let (snap, _) = c.begin_snapshot().expect("a slot is free again");
+    c.snapshot_scan(snap, REGION)
+        .expect("the new snapshot serves");
+    for s in snaps[1..].iter().chain([&snap]) {
+        c.end_snapshot(*s).expect("end_snapshot");
+    }
+    server.shutdown().expect("drain");
+}
+
+/// Compile-time pin of the server's configuration surface: four fields.
+/// A new field breaks this pattern, so a knob cannot arrive unseen.
+#[test]
+fn server_config_field_set_is_pinned() {
+    let ServerConfig {
+        idle_timeout: _,
+        txn_timeout: _,
+        drain_grace: _,
+        server_name: _,
+    } = ServerConfig::default();
 }

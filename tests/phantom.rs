@@ -90,7 +90,6 @@ fn build(fanout: usize) -> Arc<DglRTree> {
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(50),
-            ..Default::default()
         },
         ..Default::default()
     }))
@@ -433,7 +432,6 @@ fn figure_2a_phantom_appears_without_growth_compensation() {
         rtree: RTreeConfig::with_fanout(6),
         lock: LockManagerConfig {
             wait_timeout: Duration::from_secs(5),
-            ..Default::default()
         },
         ..Default::default()
     });
@@ -534,7 +532,6 @@ fn build_sharded(shards: usize) -> Arc<ShardedDglRTree> {
             policy: InsertPolicy::Modified,
             lock: LockManagerConfig {
                 wait_timeout: Duration::from_millis(50),
-                ..Default::default()
             },
             ..Default::default()
         },

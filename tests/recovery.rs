@@ -32,8 +32,7 @@ use std::time::{Duration, Instant};
 
 use dgl_faults::FaultSpec;
 use granular_rtree::core::{
-    DglConfig, DglRTree, DurabilityConfig, InsertPolicy, Rect2, SyncPolicy, TransactionalRTree,
-    TxnError,
+    DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree, TxnError,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
 use granular_rtree::obs::Ctr;
@@ -136,20 +135,24 @@ fn small_rect(rng: &mut XorShift) -> Rect2 {
     Rect2::new([x, y], [x + 0.01, y + 0.01])
 }
 
-fn durable_config(sync: SyncPolicy, threshold: Option<u64>) -> DglConfig {
+fn durable_config(threshold: Option<u64>) -> DglConfig {
     DglConfig {
         rtree: RTreeConfig::with_fanout(5),
         policy: InsertPolicy::Modified,
         lock: LockManagerConfig {
             wait_timeout: Duration::from_millis(500),
-            ..Default::default()
         },
-        durability: DurabilityConfig {
-            sync,
-            checkpoint_threshold: threshold,
-        },
+        checkpoint_threshold: threshold,
         ..Default::default()
     }
+}
+
+/// Makes every flush sleep 2 ms before it writes (a delay only sleeps:
+/// the flush itself goes through), so records appended meanwhile sit
+/// unflushed behind it and ride the next batch, as under a slow disk.
+/// Until the guard drops.
+fn slow_flush() -> dgl_faults::FaultGuard {
+    dgl_faults::register("wal/fsync", FaultSpec::delay(Duration::from_millis(2)))
 }
 
 /// One logical operation of a workload transaction, for the oracle.
@@ -308,7 +311,7 @@ fn recover_and_check(
     drop(recovered);
 
     // Idempotence: recovering the recovered directory changes nothing.
-    let again = DglRTree::recover(dir, durable_config(SyncPolicy::Immediate, None))
+    let again = DglRTree::recover(dir, durable_config(None))
         .unwrap_or_else(|e| panic!("{label}: second recovery failed: {e}"));
     assert_eq!(
         contents(&again),
@@ -319,22 +322,30 @@ fn recover_and_check(
 }
 
 /// One matrix cell: workload + armed failpoint + kill + recover + check.
-fn run_cell(seed: u64, failpoint: &'static str, one_in: u32, sync: SyncPolicy) {
+///
+/// With `slow` the flush is slowed as well ([`slow_flush`]); the registry
+/// holds one spec per name, so a cell that arms `wal/fsync` runs plain.
+fn run_cell(seed: u64, failpoint: &'static str, one_in: u32, slow: bool) {
     let _serial = serialize();
-    let label = format!("cell[{failpoint} seed={seed:#x} sync={sync:?}]");
+    let label = format!("cell[{failpoint} seed={seed:#x} slow_flush={slow}]");
     let _watchdog = Watchdog::arm(&label);
     let dir = TempDir::new("cell");
     let mut rng = XorShift::new(seed);
 
-    let config = durable_config(sync, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open fresh dir");
 
+    assert!(
+        !(slow && failpoint == "wal/fsync"),
+        "{label}: one spec per name"
+    );
+    let slowed = slow.then(slow_flush);
     let guard = dgl_faults::register(failpoint, FaultSpec::error().one_in(one_in, seed ^ 0x57A1));
     let outcome = drive_until_crash(&db, &mut rng, 150, Some(7));
     drop(guard);
+    drop(slowed);
     // If the failpoint never fired, clean-kill: every acked commit is
-    // fsynced (both policies sync the commit before acking), so the
-    // durable prefix covers them all.
+    // fsynced before it is acked, so the durable prefix covers them all.
     db.crash_wal();
     drop(db);
 
@@ -350,52 +361,34 @@ fn run_cell(seed: u64, failpoint: &'static str, one_in: u32, sync: SyncPolicy) {
 #[test]
 fn matrix_killed_before_append() {
     for seed in [0x11AA_u64, 0x22BB] {
-        run_cell(seed, "wal/append", 60, SyncPolicy::Immediate);
-        run_cell(
-            seed ^ 0xF0F0,
-            "wal/append",
-            60,
-            SyncPolicy::Batch(Duration::from_millis(2)),
-        );
+        run_cell(seed, "wal/append", 60, false);
+        run_cell(seed ^ 0xF0F0, "wal/append", 60, true);
     }
 }
 
 #[test]
 fn matrix_killed_at_commit_record() {
     for seed in [0x33CC_u64, 0x44DD] {
-        run_cell(seed, "wal/commit", 40, SyncPolicy::Immediate);
-        run_cell(
-            seed ^ 0xF0F0,
-            "wal/commit",
-            40,
-            SyncPolicy::Batch(Duration::from_millis(2)),
-        );
+        run_cell(seed, "wal/commit", 40, false);
+        run_cell(seed ^ 0xF0F0, "wal/commit", 40, true);
     }
 }
 
 #[test]
 fn matrix_killed_mid_fsync_torn_batch() {
     for seed in [0x55EE_u64, 0x66FF] {
-        run_cell(seed, "wal/fsync", 30, SyncPolicy::Immediate);
-        run_cell(
-            seed ^ 0xF0F0,
-            "wal/fsync",
-            30,
-            SyncPolicy::Batch(Duration::from_millis(2)),
-        );
+        run_cell(seed, "wal/fsync", 30, false);
+        // The cell's own failpoint is the flush, so its second seed runs
+        // plain too.
+        run_cell(seed ^ 0xF0F0, "wal/fsync", 30, false);
     }
 }
 
 #[test]
 fn matrix_killed_mid_checkpoint() {
     for seed in [0x7711_u64, 0x8822] {
-        run_cell(seed, "wal/checkpoint", 4, SyncPolicy::Immediate);
-        run_cell(
-            seed ^ 0xF0F0,
-            "wal/checkpoint",
-            4,
-            SyncPolicy::Batch(Duration::from_millis(2)),
-        );
+        run_cell(seed, "wal/checkpoint", 4, false);
+        run_cell(seed ^ 0xF0F0, "wal/checkpoint", 4, true);
     }
 }
 
@@ -412,7 +405,7 @@ fn matrix_killed_mid_version_gc() {
     let dir = TempDir::new("gc");
     let mut rng = XorShift::new(0x6C11);
 
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open fresh dir");
     let outcome = drive_until_crash(&db, &mut rng, 100, None);
     assert!(outcome.in_doubt.is_none(), "no WAL faults armed");
@@ -501,7 +494,7 @@ fn matrix_killed_mid_hashidx_rebuild() {
     let dir = TempDir::new("hashidx");
     let mut rng = XorShift::new(0x4A5B);
 
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open fresh dir");
     let outcome = drive_until_crash(&db, &mut rng, 100, Some(9));
     assert!(outcome.in_doubt.is_none(), "no WAL faults armed");
@@ -582,7 +575,7 @@ fn recovery_randomized_seed() {
     };
     eprintln!("recovery_randomized_seed: rerun with CRASH_SEED={seed}");
     for fp in ["wal/append", "wal/commit", "wal/fsync", "wal/checkpoint"] {
-        run_cell(seed, fp, 40, SyncPolicy::Immediate);
+        run_cell(seed, fp, 40, false);
     }
 }
 
@@ -595,7 +588,7 @@ fn clean_kill_recovers_exact_state() {
     let dir = TempDir::new("clean");
     let mut rng = XorShift::new(0xC1EA_u64);
 
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let outcome = drive_until_crash(&db, &mut rng, 120, Some(10));
     assert!(outcome.in_doubt.is_none(), "no faults armed");
@@ -624,7 +617,7 @@ fn torn_final_record_discarded() {
     let dir = TempDir::new("torn");
     let mut rng = XorShift::new(0x70A4_u64);
 
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let outcome = drive_until_crash(&db, &mut rng, 60, None);
     db.crash_wal();
@@ -676,27 +669,31 @@ fn auto_checkpoint_cell() {
     let dir = TempDir::new("autockpt");
     let mut rng = XorShift::new(0xAC47_u64);
 
-    let config = durable_config(SyncPolicy::Batch(Duration::from_millis(1)), Some(2_048));
+    let config = durable_config(Some(2_048));
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
+    let slowed = slow_flush();
     let guard = dgl_faults::register("wal/checkpoint", FaultSpec::error().one_in(6, 0xAC47));
     let outcome = drive_until_crash(&db, &mut rng, 150, None);
     drop(guard);
+    drop(slowed);
     db.crash_wal();
     drop(db);
 
     recover_and_check(dir.path(), config, &outcome, "auto-ckpt");
 }
 
-/// Four writers over disjoint oid ranges, group commit, clean kill:
-/// every acked commit from every thread survives.
+/// Four writers over disjoint oid ranges behind a slow flush (so their
+/// commits queue and share fsyncs), clean kill: every acked commit from
+/// every thread survives.
 #[test]
 fn multithread_acked_commits_survive() {
     let _serial = serialize();
     let _watchdog = Watchdog::arm("multithread");
     let dir = TempDir::new("mt");
 
-    let config = durable_config(SyncPolicy::Batch(Duration::from_millis(2)), None);
+    let config = durable_config(None);
     let db = Arc::new(DglRTree::open(dir.path(), config.clone()).expect("open"));
+    let slowed = slow_flush();
 
     const THREADS: u64 = 4;
     const TXNS: u64 = 25;
@@ -728,6 +725,7 @@ fn multithread_acked_commits_survive() {
         }
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    drop(slowed);
     db.crash_wal();
     drop(db);
 
@@ -756,7 +754,7 @@ fn recovered_tree_is_serializable() {
         hi: [0.7, 0.7],
     };
 
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     {
         // Seed the directory with committed objects *outside* the
         // region (so observed counts start at zero), then crash.
@@ -848,7 +846,7 @@ fn recovered_tree_blocks_phantoms() {
         hi: [0.65, 0.65],
     };
 
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     {
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
         let mut rng = XorShift::new(0xFA47_u64);
@@ -910,7 +908,7 @@ fn recovery_drains_replayed_deferred_deletions() {
     let dir = TempDir::new("deferred");
     let mut rng = XorShift::new(0xDE1E_u64);
 
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let mut rects = BTreeMap::new();
     {
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
@@ -1029,7 +1027,7 @@ fn damaged_newest_snapshot_falls_back_to_the_previous_generation() {
     for how in DAMAGES {
         let dir = TempDir::new("damaged-newest");
         let mut rng = XorShift::new(0xDA4A);
-        let config = durable_config(SyncPolicy::Immediate, None);
+        let config = durable_config(None);
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
         let mut committed = BTreeMap::new();
         commit_inserts(&db, &mut rng, 1..=40, &mut committed);
@@ -1052,7 +1050,7 @@ fn damaged_newest_snapshot_falls_back_to_the_previous_generation() {
             prepared: Vec::new(),
         };
         let obs = Arc::new(Registry::new());
-        drop(Wal::create(dir.path(), 2, &header, WalConfig::default(), obs).expect("header"));
+        drop(Wal::create(dir.path(), 2, &header, WalConfig, obs).expect("header"));
         assert!(
             !snapshot_path(dir.path(), 2).exists(),
             "the kill comes before the snapshot write"
@@ -1077,7 +1075,7 @@ fn damaged_only_snapshot_is_corrupt_not_an_empty_tree() {
     for how in DAMAGES {
         let dir = TempDir::new("damaged-only");
         let mut rng = XorShift::new(0xDA0E);
-        let config = durable_config(SyncPolicy::Immediate, None);
+        let config = durable_config(None);
         let db = DglRTree::open(dir.path(), config.clone()).expect("open");
         let mut committed = BTreeMap::new();
         commit_inserts(&db, &mut rng, 1..=30, &mut committed);
@@ -1107,7 +1105,7 @@ fn page_ids_survive_checkpoint_crash_and_recover() {
     let _watchdog = Watchdog::arm("page-ids");
     let dir = TempDir::new("page-ids");
     let mut rng = XorShift::new(0x9A6E);
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let mut committed = BTreeMap::new();
     commit_inserts(&db, &mut rng, 1..=120, &mut committed);
@@ -1178,7 +1176,7 @@ fn run_power_loss_cell(how: PowerLoss) {
     let _watchdog = Watchdog::arm(&label);
     let dir = TempDir::new("power-loss");
     let mut rng = XorShift::new(0x9E11);
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let mut outcome = drive_until_crash(&db, &mut rng, 40, None);
     assert!(outcome.in_doubt.is_none(), "no WAL faults armed");
@@ -1260,7 +1258,7 @@ fn zero_filled_tails_read_clean_across_three_generations() {
     let _watchdog = Watchdog::arm(label);
     let dir = TempDir::new("three-gens");
     let mut rng = XorShift::new(0x3E4E);
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let db = DglRTree::open(dir.path(), config.clone()).expect("open");
     let mut committed = BTreeMap::new();
     commit_inserts(&db, &mut rng, 1..=20, &mut committed);
@@ -1324,13 +1322,14 @@ fn sharded_contents(db: &ShardedDglRTree) -> BTreeMap<u64, Rect2> {
 /// shard) or between the decision record and the participant commits
 /// (`shard/2pc-after-decision`: recovery must commit every prepared
 /// participant from the decision log). Both ways the outcome must be
-/// atomic across shards, and the acked baseline intact.
-fn run_2pc_cell(failpoint: &'static str, survives: bool, sync: SyncPolicy) {
+/// atomic across shards, and the acked baseline intact. With `slow`
+/// every flush before the crash is slowed ([`slow_flush`]).
+fn run_2pc_cell(failpoint: &'static str, survives: bool, slow: bool) {
     let _serial = serialize();
-    let label = format!("2pc[{failpoint} sync={sync:?}]");
+    let label = format!("2pc[{failpoint} slow_flush={slow}]");
     let _watchdog = Watchdog::arm(&label);
     let dir = TempDir::new("2pc");
-    let config = durable_config(sync, None);
+    let config = durable_config(None);
     let sharding = ShardingConfig {
         shards: 4,
         max_object_extent: 0.05,
@@ -1338,6 +1337,7 @@ fn run_2pc_cell(failpoint: &'static str, survives: bool, sync: SyncPolicy) {
     let db =
         ShardedDglRTree::open(dir.path(), config.clone(), sharding.clone()).expect("open fresh");
     assert!(db.is_durable());
+    let slowed = slow.then(slow_flush);
 
     // Acked baseline: single-shard commits on each quadrant (fast path)
     // plus one clean cross-shard commit through full 2PC.
@@ -1374,6 +1374,7 @@ fn run_2pc_cell(failpoint: &'static str, survives: bool, sync: SyncPolicy) {
     let guard = dgl_faults::register(failpoint, FaultSpec::error());
     let res = db.commit(txn);
     drop(guard);
+    drop(slowed);
     assert!(
         matches!(res, Err(TxnError::Durability)),
         "{label}: crashed commit must report in-doubt, got {res:?}"
@@ -1412,22 +1413,14 @@ fn run_2pc_cell(failpoint: &'static str, survives: bool, sync: SyncPolicy) {
 
 #[test]
 fn matrix_2pc_coordinator_dies_before_decision() {
-    run_2pc_cell("shard/2pc-before-decision", false, SyncPolicy::Immediate);
-    run_2pc_cell(
-        "shard/2pc-before-decision",
-        false,
-        SyncPolicy::Batch(Duration::from_millis(2)),
-    );
+    run_2pc_cell("shard/2pc-before-decision", false, false);
+    run_2pc_cell("shard/2pc-before-decision", false, true);
 }
 
 #[test]
 fn matrix_2pc_coordinator_dies_after_decision() {
-    run_2pc_cell("shard/2pc-after-decision", true, SyncPolicy::Immediate);
-    run_2pc_cell(
-        "shard/2pc-after-decision",
-        true,
-        SyncPolicy::Batch(Duration::from_millis(2)),
-    );
+    run_2pc_cell("shard/2pc-after-decision", true, false);
+    run_2pc_cell("shard/2pc-after-decision", true, true);
 }
 
 /// Seeded mixed workload against the sharded tree with a probabilistic
@@ -1444,7 +1437,7 @@ fn matrix_2pc_seeded_workload_in_doubt_atomicity() {
         let label = format!("2pc-seeded[{failpoint}]");
         let _watchdog = Watchdog::arm(&label);
         let dir = TempDir::new("2pc-seeded");
-        let config = durable_config(SyncPolicy::Immediate, None);
+        let config = durable_config(None);
         let sharding = ShardingConfig {
             shards: 4,
             max_object_extent: 0.05,
@@ -1568,7 +1561,7 @@ fn coord_log_prune_keeps_in_doubt_decisions() {
     let _serial = serialize();
     let _watchdog = Watchdog::arm("coord-prune");
     let dir = TempDir::new("coord-prune");
-    let config = durable_config(SyncPolicy::Immediate, None);
+    let config = durable_config(None);
     let sharding = ShardingConfig {
         shards: 4,
         max_object_extent: 0.05,
