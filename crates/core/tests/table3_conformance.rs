@@ -487,3 +487,161 @@ fn end_of_operation_work_does_not_grow_with_the_transaction() {
     assert_eq!(reading().1 - visits, held, "commit visits each lock once");
     assert_eq!(db.lock_manager().resource_count(), 0);
 }
+
+// --- §3.7: the system operation a committed delete runs ----------------
+
+/// Fanout 4, minimum fill 2, forty grid objects: a tree three levels deep
+/// whose leaves and level-1 nodes sit at and just above minimum fill, so
+/// one physical deletion can eliminate its leaf (and its parent).
+fn condensing_db() -> (DglRTree, Vec<(ObjectId, Rect2)>) {
+    let db = traced(DglRTree::new(DglConfig {
+        rtree: RTreeConfig::with_fanout(4).with_min_entries(2),
+        lock: LockManagerConfig {
+            wait_timeout: Duration::from_secs(5),
+        },
+        ..Default::default()
+    }));
+    let objects: Vec<(ObjectId, Rect2)> = (0..40u64)
+        .map(|i| {
+            let (x, y) = (0.02 + 0.06 * (i % 7) as f64, 0.02 + 0.06 * (i / 7) as f64);
+            (ObjectId(i), r([x, y], [x + 0.01, y + 0.01]))
+        })
+        .collect();
+    let t = db.begin();
+    for &(oid, rect) in &objects {
+        db.insert(t, oid, rect).unwrap();
+    }
+    db.commit(t).unwrap();
+    (db, objects)
+}
+
+/// The first object whose physical deletion underflows its leaf and —
+/// when `index_orphan` — the leaf's parent too, orphaning the parent's
+/// other children as index entries. The node above keeps enough entries
+/// that the root does not shrink.
+fn condensing_victim(
+    db: &DglRTree,
+    objects: &[(ObjectId, Rect2)],
+    index_orphan: bool,
+) -> (ObjectId, Rect2) {
+    db.with_tree(|t| {
+        let min = t.config().min_entries;
+        objects.iter().copied().find(|&(oid, rect)| {
+            let path = t.find_path(oid, rect).expect("grid object is in the tree");
+            let fill: Vec<usize> = path
+                .iter()
+                .rev()
+                .map(|p| t.peek_node(*p).entries.len())
+                .collect();
+            match (fill.as_slice(), index_orphan) {
+                ([leaf, parent, ..], false) => *leaf == min && *parent > min,
+                ([leaf, parent, grandparent, ..], true) => {
+                    *leaf == min && *parent == min && *grandparent > min
+                }
+                _ => false,
+            }
+        })
+    })
+    .expect("the grid has a leaf at minimum fill under a parent of the wanted fill")
+}
+
+/// Logically deletes `victim`, then commits, returning the physical
+/// deletion's plan (taken just before the commit runs it) and every lock
+/// the commit's system operation was granted.
+fn commit_physical_delete(
+    db: &DglRTree,
+    (oid, rect): (ObjectId, Rect2),
+) -> (
+    dgl_rtree::DeletePlan<2>,
+    Vec<(Res, dgl_lockmgr::LockMode, dgl_lockmgr::LockDuration)>,
+) {
+    let t = db.begin();
+    assert!(db.delete(t, oid, rect).unwrap());
+    let plan = db
+        .with_tree(|tree| tree.plan_delete(oid, rect))
+        .expect("the tombstoned entry is still in the tree");
+    clear_trace(db);
+    db.commit(t).unwrap();
+    let got = take_grants(db);
+    db.validate().unwrap();
+    (plan, got)
+}
+
+fn page_res(p: PageId) -> Res {
+    Res::Page(p.0)
+}
+
+#[test]
+fn deferred_delete_eliminating_its_leaf_takes_short_six_on_leaf_dead_pages_and_shrinking_ext() {
+    // Table 3 row "Delete (physical), node elimination" (§3.7): short SIX
+    // on the leaf granule (elimination makes even IX holders lose their
+    // coverage), on every page the condense pass eliminates, and on every
+    // external granule that shrinks as BRs are adjusted.
+    let (db, objects) = condensing_db();
+    let victim = condensing_victim(&db, &objects, false);
+    let (plan, got) = commit_physical_delete(&db, victim);
+    assert!(plan.leaf_eliminated, "the fixture eliminates the leaf");
+    assert!(
+        !plan.changed_ext.is_empty(),
+        "BR adjustment reaches an ancestor"
+    );
+    assert!(
+        got.contains(&(page_res(plan.leaf), SIX, Short)),
+        "short SIX on the eliminated leaf: {got:?}"
+    );
+    for p in &plan.eliminated {
+        assert!(
+            got.contains(&(page_res(*p), SIX, Short)),
+            "short SIX on eliminated page {p:?}: {got:?}"
+        );
+    }
+    for p in &plan.changed_ext {
+        assert!(
+            got.contains(&(page_res(*p), SIX, Short)),
+            "short SIX on shrinking ext({p:?}): {got:?}"
+        );
+    }
+    assert!(
+        got.iter()
+            .all(|(res, m, d)| matches!(res, Res::Page(_)) && matches!(m, IX | SIX) && *d == Short),
+        "the system operation takes only short IX/SIX granule locks: {got:?}"
+    );
+}
+
+#[test]
+fn reinserting_an_index_orphan_takes_short_six_on_ext_of_its_target() {
+    // Table 3 row "Delete (physical), orphan re-insertion" (§3.7): an
+    // index entry re-inserted into node T shrinks ext(T), so it takes a
+    // short SIX there. The victim's leaf and its parent both underflow;
+    // the parent's other children come back as index entries.
+    let (db, objects) = condensing_db();
+    let victim = condensing_victim(&db, &objects, true);
+    let orphans: Vec<PageId> = db.with_tree(|t| {
+        let path = t.find_path(victim.0, victim.1).unwrap();
+        let (leaf, parent) = (path[path.len() - 1], path[path.len() - 2]);
+        t.peek_node(parent)
+            .children()
+            .filter(|c| *c != leaf)
+            .collect()
+    });
+    let (plan, got) = commit_physical_delete(&db, victim);
+    assert_eq!(plan.eliminated.len(), 2, "leaf and parent are eliminated");
+    assert!(!orphans.is_empty(), "the parent had other children");
+    for orphan in orphans {
+        let target = db.with_tree(|t| {
+            t.pages()
+                .find(|(_, n)| n.children().any(|c| c == orphan))
+                .map(|(pid, _)| pid)
+                .expect("the orphaned subtree is linked back in")
+        });
+        // Index orphans re-enter last (leaf-level orphans first), so the
+        // last grant on the target is the re-insertion's own request —
+        // not the removal phase's SIX on the same page, which stays held.
+        let last = got.iter().rev().find(|(res, ..)| *res == page_res(target));
+        assert_eq!(
+            last,
+            Some(&(page_res(target), SIX, Short)),
+            "short SIX on ext({target:?}), where orphan {orphan:?} re-entered: {got:?}"
+        );
+    }
+}
