@@ -29,28 +29,61 @@
 //! System operations are serialized by a gate (at most one runs at a
 //! time; only they and checkpoints ever take it), are exempt from deadlock
 //! victim selection (they cannot be rolled back), and retry with backoff
-//! if a wait is ever aborted by the timeout backstop.
+//! if a wait is ever aborted by the timeout backstop. Their lock sets are
+//! Table 3's §3.7 rows in [`crate::locks`].
+//!
+//! # When it runs
+//!
+//! The paper says the physical removal is "executed as a separate
+//! operation", not on which thread. Here it runs on the committing
+//! thread: `commit` releases every lock
+//! ([`DglRTree::commit_release`](super::DglRTree::commit_release)) and
+//! only then runs the transaction's deferred deletions
+//! ([`DglRTree::commit_maintenance`](super::DglRTree::commit_maintenance)),
+//! one system operation each, followed by a threshold checkpoint when one
+//! is due. Version-GC passes run on the thread that drops the triggering
+//! snapshot.
+//!
+//! Between `tm.commit` and the system operation, tombstoned entries are
+//! invisible to scans and reads, and the object id stays reserved
+//! (inserts of it report `DuplicateObject`) until the physical deletion
+//! removes the payload entry.
+//!
+//! # Panic containment
+//!
+//! A deferred deletion that panics (an injected fault, or a genuine bug)
+//! is still a *committed* deletion. Each attempt therefore runs under
+//! `catch_unwind`, and a panicked one is retried, up to
+//! [`MAINT_MAX_ATTEMPTS`] attempts in all. Out of budget, the deletion is
+//! dropped and the core's `maint_failed` flag is raised (and counted);
+//! `quiesce` reports [`TxnError::MaintenanceFailed`](crate::TxnError)
+//! from then on instead of pretending the tree is clean. The system
+//! operation aborts its transaction on unwind ([`SysCleanup`]), so a
+//! retry starts from scratch against a consistent tree.
 
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
-use dgl_lockmgr::{
-    LockDuration::{self, Short},
-    LockMode::{self, IX, SIX},
-    LockOutcome, RequestKind, ResourceId, TxnId,
-};
-use dgl_obs::Ctr;
-use dgl_rtree::{Entry, Orphan};
+use dgl_geom::Rect2;
+use dgl_lockmgr::{LockOutcome, RequestKind, TxnId};
+use dgl_obs::{Ctr, Hist};
+use dgl_rtree::{Entry, ObjectId, Orphan};
 
-use crate::locks::LockList;
+use crate::locks::Refused;
 
-use super::{DeferredDelete, DglCore};
+use super::DglCore;
+
+/// Attempts (first run included) a deferred deletion gets before it is
+/// dropped and the failure surfaced through `quiesce`.
+pub(crate) const MAINT_MAX_ATTEMPTS: u32 = 4;
 
 /// Unwind cleanup for a system operation: if a panic tears through the
 /// deletion, the system transaction must not stay registered (its locks
 /// would wedge the table and its id would stay system-flagged forever).
-/// The retry loop in `maintenance.rs` catches the panic and runs the
-/// deletion again; the fresh attempt begins from scratch with a new
-/// system id.
+/// The retry loop in [`DglCore::run_maintenance`] catches the panic and
+/// runs the deletion again; the fresh attempt begins from scratch with a
+/// new system id.
 struct SysCleanup<'a> {
     core: &'a DglCore,
     sys: TxnId,
@@ -77,8 +110,31 @@ impl Drop for SysCleanup<'_> {
 }
 
 impl DglCore {
+    /// Runs the committed deferred deletion of `(oid, rect)` now,
+    /// retrying a panicked attempt within the [`MAINT_MAX_ATTEMPTS`]
+    /// budget.
+    pub(crate) fn run_maintenance(&self, oid: ObjectId, rect: Rect2) {
+        let start = Instant::now();
+        for attempt in 1..=MAINT_MAX_ATTEMPTS {
+            if catch_unwind(AssertUnwindSafe(|| self.run_deferred_delete(oid, rect))).is_ok() {
+                self.obs.incr(Ctr::MaintCompleted);
+                self.obs.record(
+                    Hist::MaintDrain,
+                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                );
+                return;
+            }
+            self.obs.incr(Ctr::MaintPanics);
+            if attempt < MAINT_MAX_ATTEMPTS {
+                self.obs.incr(Ctr::MaintRequeues);
+            }
+        }
+        self.maint_failed.store(true, Ordering::Relaxed);
+        self.obs.incr(Ctr::MaintFailed);
+    }
+
     /// Runs one deferred physical deletion to completion.
-    pub(crate) fn run_deferred_delete(&self, d: DeferredDelete) {
+    fn run_deferred_delete(&self, oid: ObjectId, rect: Rect2) {
         // Failpoint before any state changes: a panic here leaves nothing
         // to clean up beyond the guard below, making this the safe place
         // for chaos schedules to kill maintenance work.
@@ -97,7 +153,7 @@ impl DglCore {
         self.obs.incr(Ctr::DeferredDeletes);
 
         // Phase 1: remove + condense; publishes the orphans.
-        self.deferred_remove_phase(sys, d);
+        self.deferred_remove_phase(sys, oid, rect);
 
         // Phase 2: re-insert the published orphans, one latch session
         // each, from the back of the list. Short locks from phase 1
@@ -128,7 +184,7 @@ impl DglCore {
     /// condense, and publish the orphans in the same latch session. A
     /// vanished entry (e.g. the tree was restored from a checkpoint
     /// without its undo log) is a no-op.
-    fn deferred_remove_phase(&self, sys: TxnId, d: DeferredDelete) {
+    fn deferred_remove_phase(&self, sys: TxnId, oid: ObjectId, rect: Rect2) {
         loop {
             // Same optimistic plan/validate/apply split as user writes:
             // the planning traversal and conditional lock calls run under
@@ -139,22 +195,14 @@ impl DglCore {
             // spares the descent every other leaf containing the rectangle;
             // a stale hint falls back to the search from the root.
             let tree = latch.tree();
-            let hint = self.payloads.get(&d.oid, |slot| slot.leaf);
+            let hint = self.payloads.get(&oid, |slot| slot.leaf);
             let plan = hint
-                .and_then(|leaf| tree.plan_delete_at(leaf, d.oid, d.rect))
-                .or_else(|| tree.plan_delete(d.oid, d.rect));
+                .and_then(|leaf| tree.plan_delete_at(leaf, oid, rect))
+                .or_else(|| tree.plan_delete(oid, rect));
             let Some(plan) = plan else {
                 return;
             };
-            let mut locks = LockList::new();
-            let leaf_mode = if plan.leaf_eliminated { SIX } else { IX };
-            locks.add(Self::page(plan.leaf), leaf_mode, Short);
-            for p in &plan.changed_ext {
-                locks.add(self.ext_res(*p), SIX, Short);
-            }
-            for p in &plan.eliminated {
-                locks.add(Self::page(*p), SIX, Short);
-            }
+            let locks = self.physical_delete_locks(&plan);
             match locks.try_acquire(&self.lm, sys) {
                 Ok(()) => {
                     let Some(mut apply) = self.upgrade(latch) else {
@@ -182,21 +230,19 @@ impl DglCore {
                     // snapshot predates them. No stripe is held during the
                     // clock probe or the dead push: the clock mutex and
                     // the dead mutex both sit above the stripes.
-                    let latest = self.payloads.get(&d.oid, |slot| slot.chain.latest_ts());
+                    let latest = self.payloads.get(&oid, |slot| slot.chain.latest_ts());
                     if let Some(latest) = latest {
                         let retire = self.clock.min_active().is_some_and(|min| min < latest);
                         if retire {
                             let chain = self
                                 .payloads
-                                .get(&d.oid, |slot| slot.chain.clone())
+                                .get(&oid, |slot| slot.chain.clone())
                                 .expect("slot cannot vanish under the exclusive latch");
-                            self.dead.lock().push(super::mvcc::DeadObject {
-                                oid: d.oid,
-                                rect: d.rect,
-                                chain,
-                            });
+                            self.dead
+                                .lock()
+                                .push(super::mvcc::DeadObject { oid, rect, chain });
                         }
-                        self.payloads.remove(&d.oid);
+                        self.payloads.remove(&oid);
                     }
                     // Root shrink absorbs the only child's entries *into*
                     // the root page — no split record, no orphans. When
@@ -224,11 +270,9 @@ impl DglCore {
                     );
                     return;
                 }
-                Err((res, mode, dur)) => {
+                Err(refused) => {
                     drop(latch);
-                    self.obs.incr(Ctr::OpRetries);
-                    self.obs.incr(Ctr::DeferredRetries);
-                    self.system_wait(sys, res, mode, dur);
+                    self.system_wait(sys, refused);
                 }
             }
         }
@@ -244,13 +288,10 @@ impl DglCore {
             let latch = self.plan_latch();
             let root_level = latch.tree().peek_node(latch.tree().root()).level;
             if orphan.level > root_level {
-                // Explode: the orphan subtree's pages die, so take short
-                // SIX on each of them first (same rule as elimination).
+                // Explode: the orphan subtree's pages die, so they are
+                // locked first (same rule as elimination).
                 let pages = subtree_pages(latch.tree(), &orphan.entry);
-                let mut locks = LockList::new();
-                for p in &pages {
-                    locks.add(Self::page(*p), SIX, Short);
-                }
+                let locks = Self::explode_locks(&pages);
                 match locks.try_acquire(&self.lm, sys) {
                     Ok(()) => {
                         let Some(mut apply) = self.upgrade(latch) else {
@@ -261,11 +302,9 @@ impl DglCore {
                         apply.orphans().extend(objects);
                         return;
                     }
-                    Err((res, mode, dur)) => {
+                    Err(refused) => {
                         drop(latch);
-                        self.obs.incr(Ctr::OpRetries);
-                        self.obs.incr(Ctr::DeferredRetries);
-                        self.system_wait(sys, res, mode, dur);
+                        self.system_wait(sys, refused);
                         continue;
                     }
                 }
@@ -273,35 +312,7 @@ impl DglCore {
             let plan = latch
                 .tree()
                 .plan_insert_at(orphan.entry.mbr(), orphan.level);
-            let mut locks = LockList::new();
-            // Ordinary insert rules, short duration (the objects are
-            // already committed; we only guard the structural motion).
-            if plan.split_pages.is_empty() {
-                locks.add(Self::page(plan.target), IX, Short);
-            } else {
-                for p in &plan.split_pages {
-                    locks.add(Self::page(*p), SIX, Short);
-                }
-            }
-            for p in &plan.changed_ext {
-                locks.add(self.ext_res(*p), SIX, Short);
-            }
-            // An index entry shrinks the external granule of the node it
-            // enters; an object entry only grows a leaf granule.
-            if matches!(orphan.entry, Entry::Child { .. }) {
-                locks.add(self.ext_res(plan.target), SIX, Short);
-            }
-            if plan.grows {
-                let set = crate::granules::overlapping_granules(latch.tree(), &plan.growth);
-                for g in set.leaves {
-                    if g != plan.target {
-                        locks.add(Self::page(g), IX, Short);
-                    }
-                }
-                for g in set.externals {
-                    locks.add(self.ext_res(g), IX, Short);
-                }
-            }
+            let locks = self.reinsert_locks(latch.tree(), &plan, &orphan.entry);
             match locks.try_acquire(&self.lm, sys) {
                 Ok(()) => {
                     let Some(mut apply) = self.upgrade(latch) else {
@@ -322,20 +333,21 @@ impl DglCore {
                     self.reindex_splits(&apply, &result);
                     return;
                 }
-                Err((res, mode, dur)) => {
+                Err(refused) => {
                     drop(latch);
-                    self.obs.incr(Ctr::OpRetries);
-                    self.obs.incr(Ctr::DeferredRetries);
-                    self.system_wait(sys, res, mode, dur);
+                    self.system_wait(sys, refused);
                 }
             }
         }
     }
 
-    /// Unconditional wait for a system operation: deadlock verdicts
-    /// should not reach it (system transactions are spared by victim
-    /// selection); timeout verdicts retry with backoff.
-    fn system_wait(&self, sys: TxnId, res: ResourceId, mode: LockMode, dur: LockDuration) {
+    /// Unconditional wait for a system operation (its latch dropped),
+    /// counting the retry: deadlock verdicts should not reach it (system
+    /// transactions are spared by victim selection); timeout verdicts
+    /// retry with backoff.
+    fn system_wait(&self, sys: TxnId, (res, mode, dur): Refused) {
+        self.obs.incr(Ctr::OpRetries);
+        self.obs.incr(Ctr::DeferredRetries);
         loop {
             match self
                 .lm

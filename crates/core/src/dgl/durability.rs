@@ -813,7 +813,7 @@ mod tests {
                 assert_eq!(db.core.log_state(t), LogState::Committed(None));
                 assert!(db.lock_manager().locks_held(t) > 0, "locks still held");
             },
-            |db, t| db.commit_finish(t, Instant::now()),
+            |db, t| db.commit_maintenance(db.commit_release(t), Instant::now()),
         );
         assert!(undo.iter().all(|e| e.txn != t.0), "{undo:?}");
         oids.sort_unstable();

@@ -1,19 +1,14 @@
 //! Read operations: ReadSingle, ReadScan, UpdateScan (§3.8).
 
 use dgl_geom::Rect2;
-use dgl_lockmgr::{
-    LockDuration::Commit,
-    LockMode::{S, SIX, X},
-    TxnId,
-};
+use dgl_lockmgr::TxnId;
 use dgl_obs::{Ctr, Hist, OpKind};
 use dgl_rtree::ObjectId;
 
 use crate::granules::{scan_descent, RawHit};
-use crate::locks::LockList;
 use crate::{ScanHit, TxnError};
 
-use super::{DglCore, UnwindRollback};
+use super::{DglCore, UndoRecord};
 
 impl DglCore {
     /// ReadSingle: commit S on the object only (Table 3). The object lock
@@ -31,14 +26,10 @@ impl DglCore {
         oid: ObjectId,
         rect: Rect2,
     ) -> Result<Option<u64>, TxnError> {
-        self.check_active(txn)?;
-        let _unwind = UnwindRollback { core: self, txn };
-        let _kind = dgl_obs::op_kind_scope(OpKind::Point);
-        self.obs.incr(Ctr::ReadSingles);
-        let locks = super::single_lock(Self::object(oid), S, Commit);
-        while let Err((res, mode, dur)) = locks.try_acquire(&self.lm, txn) {
-            self.obs.incr(Ctr::OpRetries);
-            self.wait_or_abort(txn, res, mode, dur)?;
+        let _op = self.begin_op(txn, OpKind::Point, Ctr::ReadSingles)?;
+        let locks = Self::read_single_locks(oid);
+        while let Err(refused) = locks.try_acquire(&self.lm, txn) {
+            self.wait_or_abort(txn, refused)?;
         }
         // The index answers: no latch, no traversal. Under the
         // commit-duration object S lock the slot is stable — an inserter
@@ -96,10 +87,7 @@ impl DglCore {
     /// overlap-for-search half of the paper's policy. This is the
     /// operation phantom protection exists for.
     pub(crate) fn read_scan_op(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
-        self.check_active(txn)?;
-        let _unwind = UnwindRollback { core: self, txn };
-        let _kind = dgl_obs::op_kind_scope(OpKind::Scan);
-        self.obs.incr(Ctr::ReadScans);
+        let _op = self.begin_op(txn, OpKind::Scan, Ctr::ReadScans)?;
         loop {
             dgl_faults::failpoint!("dgl/plan" => {
                 self.rollback_now(txn);
@@ -107,14 +95,7 @@ impl DglCore {
             });
             let tree = self.latch_shared();
             let (set, raw) = scan_descent(&tree, &query);
-            let mut locks = LockList::new();
-            for g in &set.leaves {
-                locks.add(Self::page(*g), S, Commit);
-            }
-            for g in &set.externals {
-                locks.add(self.ext_res(*g), S, Commit);
-            }
-            match locks.try_acquire(&self.lm, txn) {
+            match self.scan_locks(&set).try_acquire(&self.lm, txn) {
                 Ok(()) => {
                     // Versions only now: with the granule locks held, 2PL
                     // makes every chain head either committed or this
@@ -147,10 +128,9 @@ impl DglCore {
                     self.end_op(txn);
                     return Ok(hits);
                 }
-                Err((res, mode, dur)) => {
+                Err(refused) => {
                     drop(tree);
-                    self.obs.incr(Ctr::OpRetries);
-                    self.wait_or_abort(txn, res, mode, dur)?;
+                    self.wait_or_abort(txn, refused)?;
                 }
             }
         }
@@ -165,30 +145,19 @@ impl DglCore {
         txn: TxnId,
         query: Rect2,
     ) -> Result<Vec<ScanHit>, TxnError> {
-        self.check_active(txn)?;
-        let _unwind = UnwindRollback { core: self, txn };
         // Update scans are writes for wait attribution: they stay on the
         // locking path even under the snapshot-read wrapper, so counting
         // them as scans would break the "scans vanish from the wait
         // histogram" claim.
-        let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        self.obs.incr(Ctr::UpdateScans);
+        let _op = self.begin_op(txn, OpKind::Write, Ctr::UpdateScans)?;
         loop {
             let tree = self.latch_shared();
             let (set, mut raw) = scan_descent(&tree, &query);
             raw.retain(Self::untombstoned);
-            let mut locks = LockList::new();
-            for g in &set.leaves {
-                locks.add(Self::page(*g), SIX, Commit);
-            }
-            for g in &set.externals {
-                locks.add(self.ext_res(*g), S, Commit);
-            }
-            // X locks on the qualifying objects themselves.
-            for (oid, ..) in &raw {
-                locks.add(Self::object(*oid), X, Commit);
-            }
-            match locks.try_acquire(&self.lm, txn) {
+            match self
+                .update_scan_locks(&set, &raw)
+                .try_acquire(&self.lm, txn)
+            {
                 Ok(()) => {
                     // Perform the updates under the latch; granule SIX
                     // locks guarantee the hit set cannot have changed.
@@ -209,7 +178,7 @@ impl DglCore {
                         }
                         self.push_undo(
                             txn,
-                            super::UndoRecord::Update {
+                            UndoRecord::Update {
                                 oid,
                                 old_version: old,
                             },
@@ -224,10 +193,9 @@ impl DglCore {
                     self.end_op(txn);
                     return Ok(out);
                 }
-                Err((res, mode, dur)) => {
+                Err(refused) => {
                     drop(tree);
-                    self.obs.incr(Ctr::OpRetries);
-                    self.wait_or_abort(txn, res, mode, dur)?;
+                    self.wait_or_abort(txn, refused)?;
                 }
             }
         }

@@ -2,30 +2,22 @@
 //! UpdateSingle (§3.8).
 
 use dgl_geom::Rect2;
-use dgl_lockmgr::{
-    LockDuration::{Commit, Short},
-    LockMode::{IX, S, SIX, X},
-    TxnId,
-};
-use dgl_pager::PageId;
-use dgl_rtree::{Entry, InsertPlan, ObjectId};
+use dgl_lockmgr::TxnId;
+use dgl_rtree::{Entry, ObjectId};
 
 use dgl_obs::{span, Ctr, Hist, OpKind};
 
 use crate::granules::overlapping_granules;
-use crate::locks::LockList;
 use crate::TxnError;
 
-use super::{DglCore, InsertPolicy, UndoRecord, UnwindRollback};
+use super::mvcc::VersionChain;
+use super::{DglCore, PayloadSlot, UndoRecord};
 
 impl DglCore {
     /// Insert with the full dynamic-granule lock protocol, run as an
-    /// optimistic plan/validate/apply attempt (see the module docs).
+    /// optimistic plan/validate/apply attempt (see [`super::latch`]).
     pub(crate) fn insert_op(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
-        self.check_active(txn)?;
-        let _unwind = UnwindRollback { core: self, txn };
-        let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        self.obs.incr(Ctr::Inserts);
+        let _op = self.begin_op(txn, OpKind::Write, Ctr::Inserts)?;
         // The commit-duration X on the object name must be held BEFORE
         // consulting `payloads`: a concurrent inserter publishes its
         // entry there while still uncommitted, so an unlocked check can
@@ -37,10 +29,8 @@ impl DglCore {
         // blocked name lock must not stall scans, and the probe is
         // consistent because deferred deletion removes the tree entry and
         // the payload entry atomically under its exclusive latch.
-        let name_lock = super::single_lock(Self::object(oid), X, Commit);
-        if let Err((res, mode, dur)) = name_lock.try_acquire(&self.lm, txn) {
-            self.obs.incr(Ctr::OpRetries);
-            self.wait_or_abort(txn, res, mode, dur)?;
+        if let Err(refused) = Self::object_name_lock(oid).try_acquire(&self.lm, txn) {
+            self.wait_or_abort(txn, refused)?;
         }
         // The probe is a striped O(1) membership check on the hash index
         // — the traversal it replaces is gone on every insert.
@@ -78,14 +68,13 @@ impl DglCore {
                     // changes under version-bumping mutations, which validation
                     // rules out.
                     let predicted = latch.tree().predicted_new_pages(&plan);
-                    let locks = self.insert_lock_list(txn, latch.tree(), &plan, &predicted);
+                    let locks = self.insert_locks(txn, latch.tree(), &plan, &predicted);
                     (latch, plan, predicted, locks)
                 }
             );
-            if let Err((res, mode, dur)) = locks.try_acquire(&self.lm, txn) {
+            if let Err(refused) = locks.try_acquire(&self.lm, txn) {
                 drop(latch);
-                self.obs.incr(Ctr::OpRetries);
-                self.wait_or_abort(txn, res, mode, dur)?;
+                self.wait_or_abort(txn, refused)?;
                 continue;
             }
             let Some(mut apply) = self.upgrade(latch) else {
@@ -122,10 +111,10 @@ impl DglCore {
             );
             self.payloads.insert(
                 oid,
-                super::PayloadSlot {
+                PayloadSlot {
                     leaf: result.home,
                     rect,
-                    chain: super::mvcc::VersionChain::pending(1),
+                    chain: VersionChain::pending(1),
                 },
             );
             // Splits moved entries between leaf pages; refresh their
@@ -150,160 +139,6 @@ impl DglCore {
         }
     }
 
-    /// Assembles the lock requirements of an insert attempt from the plan
-    /// (the rows of Table 3 plus the §3.3/§3.5 compensation locks).
-    /// `predicted` holds the page ids the split cascade will allocate
-    /// (sibling per splitting page, then the root half), so the "after
-    /// split" locks of Table 3 are acquired up front.
-    fn insert_lock_list(
-        &self,
-        txn: TxnId,
-        tree: &dgl_rtree::RTree2,
-        plan: &InsertPlan<2>,
-        predicted: &[PageId],
-    ) -> LockList {
-        let mut locks = LockList::new();
-        // (The commit-duration X on the object name is acquired by
-        // `insert_op` before the duplicate check, ahead of this list.)
-
-        // §3.3 self-inheritance: if this transaction holds a commit S on a
-        // shrinking external granule (from one of its own earlier scans),
-        // the region it loses there is exactly what the target granule
-        // grows into — take a commit S on the growing granule.
-        let self_holds_s_on_ext = plan.changed_ext.iter().any(|p| {
-            self.lm
-                .held_commit(txn, self.ext_res(*p))
-                .is_some_and(|m| m.covers(S))
-        });
-        if self_holds_s_on_ext {
-            locks.add(Self::page(plan.target), S, Commit);
-        }
-        // §3.5 self-inheritance trigger: will this transaction hold a
-        // commit S on the splitting granule? (Prior scan, or the ext
-        // inheritance above.)
-        let holds_s_on_target = self_holds_s_on_ext
-            || self
-                .lm
-                .held_commit(txn, Self::page(plan.target))
-                .is_some_and(|m| m.covers(S));
-
-        if plan.split_pages.is_empty() {
-            // TESTING ONLY failpoint: omit the Table-3 commit IX on the
-            // covering granule. This breaks cover-for-insert on purpose —
-            // the phantom oracle's negative test arms it to prove the lock
-            // is load-bearing. Compiles to `false` in release builds.
-            if !dgl_faults::fired!("dgl/skip-cover-lock") {
-                // Commit IX on the granule that receives (and will cover)
-                // the object — the single commit-duration granule lock of
-                // Table 3.
-                locks.add(Self::page(plan.target), IX, Commit);
-            }
-        } else {
-            // §3.5: a short SIX on each splitting granule instead of plain
-            // IX, so no other transaction holds any lock on it when it
-            // splits; plus the "after split" locks of Table 3 — commit IX
-            // on both halves (SIX + S on ext(parent) when the inserter
-            // itself held an S there) — on the *predicted* sibling ids.
-            for p in &plan.split_pages {
-                locks.add(Self::page(*p), SIX, Short);
-            }
-            let half_mode = if holds_s_on_target { SIX } else { IX };
-            // Both halves of the split leaf get the commit-duration lock.
-            // When the *root leaf* splits, the old root page becomes the
-            // new internal root and the halves are two fresh pages, so the
-            // commit lock on the target page would be vestigial.
-            if !(plan.root_will_split && plan.path.len() == 1) {
-                locks.add(Self::page(plan.target), half_mode, Commit);
-            }
-            locks.add(Self::page(predicted[0]), half_mode, Commit);
-            if holds_s_on_target {
-                // S on ext(parent of the split leaf); after a full-path
-                // cascade the parent of the top half is the stable root
-                // page itself.
-                let parent = if plan.path.len() >= 2 {
-                    plan.path[plan.path.len() - 2]
-                } else {
-                    plan.path[0]
-                };
-                locks.add(self.ext_res(parent), S, Commit);
-            }
-            // Non-leaf splits: if the transaction held a commit S on the
-            // splitting node's external granule, inherit it to the new
-            // sibling's external granule and the parent's.
-            for (i, p) in plan.split_pages.iter().enumerate().skip(1) {
-                let held_s = self
-                    .lm
-                    .held_commit(txn, self.ext_res(*p))
-                    .is_some_and(|m| m.covers(S));
-                if held_s {
-                    locks.add(self.ext_res(predicted[i]), S, Commit);
-                    if let Some(pos) = plan.path.iter().position(|q| q == p) {
-                        if pos >= 1 {
-                            // The pre-existing parent's external granule
-                            // may pick up region the splitting node's
-                            // granule loses.
-                            locks.add(self.ext_res(plan.path[pos - 1]), S, Commit);
-                        } else {
-                            // p is the root: its content moves to the last
-                            // predicted page and the stable root id becomes
-                            // the new parent node. The held S on ext(p)
-                            // keeps covering the parent (same resource id);
-                            // the relocated half needs its own inherited S.
-                            let half_a = *predicted.last().expect("root split allocates a page");
-                            locks.add(self.ext_res(half_a), S, Commit);
-                        }
-                    }
-                }
-            }
-            if plan.root_will_split {
-                // The old root's content moves to a fresh page (the last
-                // predicted id). If the root was the splitting leaf it is
-                // one of the two new leaf granules; otherwise it is a new
-                // external granule that inherits any commit S this
-                // transaction held on ext(root).
-                let half_a = *predicted.last().expect("root split allocates a page");
-                if plan.path.len() == 1 {
-                    locks.add(Self::page(half_a), half_mode, Commit);
-                } else if self
-                    .lm
-                    .held_commit(txn, self.ext_res(plan.path[0]))
-                    .is_some_and(|m| m.covers(S))
-                {
-                    locks.add(self.ext_res(half_a), S, Commit);
-                }
-            }
-        }
-        // §3.3: short SIX on every external granule that shrinks as BRs
-        // are adjusted bottom-up.
-        for p in &plan.changed_ext {
-            locks.add(self.ext_res(*p), SIX, Short);
-        }
-        // §3.3/§3.4: short IX on granules overlapping the object (base
-        // policy) or overlapping the region the granule grows into
-        // (modified policy, growth only — splits are covered by SIX).
-        let overlap_queries: Option<Vec<Rect2>> = match self.policy {
-            // TESTING ONLY failpoint: omit these locks to recreate the
-            // Figure 2(a) phantom — the negative control that proves them
-            // load-bearing. Compiles to `false` in release builds.
-            _ if dgl_faults::fired!("dgl/skip-growth-compensation") => None,
-            InsertPolicy::Base => Some(vec![plan.rect]),
-            InsertPolicy::Modified if plan.grows => Some(plan.growth.clone()),
-            InsertPolicy::Modified => None,
-        };
-        if let Some(queries) = overlap_queries {
-            let set = overlapping_granules(tree, &queries);
-            for g in set.leaves {
-                if g != plan.target {
-                    locks.add(Self::page(g), IX, Short);
-                }
-            }
-            for g in set.externals {
-                locks.add(self.ext_res(g), IX, Short);
-            }
-        }
-        locks
-    }
-
     /// Logical delete (§3.6): commit IX on the containing granule + X on
     /// the object; the entry is tombstoned and physically removed by the
     /// deferred operation after commit. Deleting an absent object locks
@@ -315,10 +150,7 @@ impl DglCore {
         oid: ObjectId,
         rect: Rect2,
     ) -> Result<bool, TxnError> {
-        self.check_active(txn)?;
-        let _unwind = UnwindRollback { core: self, txn };
-        let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        self.obs.incr(Ctr::Deletes);
+        let _op = self.begin_op(txn, OpKind::Write, Ctr::Deletes)?;
         loop {
             dgl_faults::failpoint!("dgl/plan" => {
                 self.rollback_now(txn);
@@ -336,10 +168,7 @@ impl DglCore {
                 { self.locate_entry(latch.tree(), oid, rect) }
             ) {
                 Some((leaf, tombstone)) => {
-                    let mut locks = LockList::new();
-                    locks.add(Self::page(leaf), IX, Commit);
-                    locks.add(Self::object(oid), X, Commit);
-                    match locks.try_acquire(&self.lm, txn) {
+                    match Self::point_write_locks(leaf, oid).try_acquire(&self.lm, txn) {
                         Ok(()) => {
                             // Already tombstoned? By us: idempotent no-op.
                             // By a committed deleter (deferred pending):
@@ -385,10 +214,9 @@ impl DglCore {
                             self.end_op(txn);
                             return Ok(true);
                         }
-                        Err((res, mode, dur)) => {
+                        Err(refused) => {
                             drop(latch);
-                            self.obs.incr(Ctr::OpRetries);
-                            self.wait_or_abort(txn, res, mode, dur)?;
+                            self.wait_or_abort(txn, refused)?;
                         }
                     }
                 }
@@ -398,23 +226,15 @@ impl DglCore {
                     // with the object as the scan predicate". No mutation,
                     // so the attempt never needs the exclusive latch.
                     let set = overlapping_granules(latch.tree(), &[rect]);
-                    let mut locks = LockList::new();
-                    for g in &set.leaves {
-                        locks.add(Self::page(*g), S, Commit);
-                    }
-                    for g in &set.externals {
-                        locks.add(self.ext_res(*g), S, Commit);
-                    }
-                    match locks.try_acquire(&self.lm, txn) {
+                    match self.scan_locks(&set).try_acquire(&self.lm, txn) {
                         Ok(()) => {
                             drop(latch);
                             self.end_op(txn);
                             return Ok(false);
                         }
-                        Err((res, mode, dur)) => {
+                        Err(refused) => {
                             drop(latch);
-                            self.obs.incr(Ctr::OpRetries);
-                            self.wait_or_abort(txn, res, mode, dur)?;
+                            self.wait_or_abort(txn, refused)?;
                         }
                     }
                 }
@@ -430,10 +250,7 @@ impl DglCore {
         oid: ObjectId,
         rect: Rect2,
     ) -> Result<bool, TxnError> {
-        self.check_active(txn)?;
-        let _unwind = UnwindRollback { core: self, txn };
-        let _kind = dgl_obs::op_kind_scope(OpKind::Write);
-        self.obs.incr(Ctr::UpdateSingles);
+        let _op = self.begin_op(txn, OpKind::Write, Ctr::UpdateSingles)?;
         // UpdateSingle never mutates the tree (only the payload table), so
         // the whole operation runs under the shared planning latch and
         // never takes the exclusive latch at all. The commit IX/X
@@ -444,25 +261,20 @@ impl DglCore {
             let Some((leaf, tombstone)) = self.locate_entry(latch.tree(), oid, rect) else {
                 // Absent object: X on the object name makes the absence
                 // repeatable against inserts of the same oid.
-                let locks = super::single_lock(Self::object(oid), X, Commit);
-                match locks.try_acquire(&self.lm, txn) {
+                match Self::object_name_lock(oid).try_acquire(&self.lm, txn) {
                     Ok(()) => {
                         drop(latch);
                         self.end_op(txn);
                         return Ok(false);
                     }
-                    Err((res, mode, dur)) => {
+                    Err(refused) => {
                         drop(latch);
-                        self.obs.incr(Ctr::OpRetries);
-                        self.wait_or_abort(txn, res, mode, dur)?;
+                        self.wait_or_abort(txn, refused)?;
                         continue;
                     }
                 }
             };
-            let mut locks = LockList::new();
-            locks.add(Self::page(leaf), IX, Commit);
-            locks.add(Self::object(oid), X, Commit);
-            match locks.try_acquire(&self.lm, txn) {
+            match Self::point_write_locks(leaf, oid).try_acquire(&self.lm, txn) {
                 Ok(()) => {
                     if tombstone.is_some() {
                         // Tombstoned by a committed deleter: logically gone.
@@ -491,10 +303,9 @@ impl DglCore {
                     self.end_op(txn);
                     return Ok(true);
                 }
-                Err((res, mode, dur)) => {
+                Err(refused) => {
                     drop(latch);
-                    self.obs.incr(Ctr::OpRetries);
-                    self.wait_or_abort(txn, res, mode, dur)?;
+                    self.wait_or_abort(txn, refused)?;
                 }
             }
         }

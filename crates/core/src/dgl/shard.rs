@@ -531,10 +531,10 @@ impl ShardedDglRTree {
 
     /// Finishes committed participants in two sweeps: release **every**
     /// shard's locks first, then run deferred maintenance. A single
-    /// sweep of per-shard `commit_finish` calls would run one shard's
-    /// inline deferred deletion (a lock-taking system operation) while a
-    /// sibling participant still held its commit-duration locks —
-    /// scanners blocked on that sibling convoy behind the system
+    /// sweep releasing and maintaining one shard at a time would run one
+    /// shard's inline deferred deletion (a lock-taking system operation)
+    /// while a sibling participant still held its commit-duration locks
+    /// — scanners blocked on that sibling convoy behind the system
     /// operation's lock waits and the commit deadlocks against its own
     /// still-locked shards (a cycle no wait-for graph shows: no edge
     /// says "the committing call of `g` is executing system transaction
