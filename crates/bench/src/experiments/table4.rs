@@ -98,9 +98,6 @@ pub fn protocols(fanout: usize) -> Vec<Arc<dyn TransactionalRTree>> {
         Arc::new(PredicateRTree::new(PredicateConfig {
             rtree: RTreeConfig::with_fanout(fanout),
             lock: lock.clone(),
-            // Predicate conflicts are resolved by timeout (no waits-for
-            // graph); keep it short so symmetric conflicts resolve fast.
-            predicate_timeout: Duration::from_millis(400),
             ..Default::default()
         })),
         Arc::new(TreeLockRTree::new(

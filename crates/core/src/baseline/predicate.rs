@@ -57,10 +57,12 @@ pub struct PredicateConfig {
     pub world: Rect2,
     /// Lock manager configuration (object locks).
     pub lock: LockManagerConfig,
-    /// How long a predicate wait may last before the transaction is
-    /// aborted (predicate waits resolve deadlocks by timeout).
-    pub predicate_timeout: Duration,
 }
+
+/// How long a predicate wait may last before the transaction is aborted
+/// (predicate waits resolve deadlocks by timeout; short, so symmetric
+/// conflicts resolve fast).
+const PREDICATE_TIMEOUT: Duration = Duration::from_millis(400);
 
 impl Default for PredicateConfig {
     fn default() -> Self {
@@ -68,7 +70,6 @@ impl Default for PredicateConfig {
             rtree: RTreeConfig::default(),
             world: Rect2::unit(),
             lock: LockManagerConfig::default(),
-            predicate_timeout: Duration::from_millis(400),
         }
     }
 }
@@ -78,7 +79,6 @@ pub struct PredicateRTree {
     inner: BaseInner,
     preds: Mutex<Vec<PredEntry>>,
     preds_changed: Condvar,
-    timeout: Duration,
 }
 
 impl PredicateRTree {
@@ -88,7 +88,6 @@ impl PredicateRTree {
             inner: BaseInner::new(config.rtree, config.world, config.lock),
             preds: Mutex::new(Vec::new()),
             preds_changed: Condvar::new(),
-            timeout: config.predicate_timeout,
         }
     }
 
@@ -120,7 +119,7 @@ impl PredicateRTree {
         txn: TxnId,
         wanted: &[(Rect2, PredMode)],
     ) -> Result<(), TxnError> {
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + PREDICATE_TIMEOUT;
         let mut table = self.preds.lock();
         loop {
             let mut checks = 0u64;

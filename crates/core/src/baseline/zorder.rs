@@ -49,12 +49,14 @@ pub struct ZOrderConfig {
     pub world: Rect2,
     /// Lock manager configuration.
     pub lock: LockManagerConfig,
-    /// Grid resolution exponent: the space is a `2^k × 2^k` cell grid.
-    pub grid_bits: u32,
-    /// Number of key-range granules the Z-axis is divided into (a power
-    /// of two ≤ `4^grid_bits`).
-    pub range_granules: u64,
 }
+
+/// Grid resolution exponent: the space is a `2^k × 2^k` cell grid.
+const GRID_BITS: u32 = 8;
+
+/// Number of key-range granules the Z-axis is divided into (a power of
+/// two ≤ `4^GRID_BITS`).
+const RANGE_GRANULES: u64 = 1024;
 
 impl Default for ZOrderConfig {
     fn default() -> Self {
@@ -62,8 +64,6 @@ impl Default for ZOrderConfig {
             rtree: RTreeConfig::default(),
             world: Rect2::unit(),
             lock: LockManagerConfig::default(),
-            grid_bits: 8,
-            range_granules: 1024,
         }
     }
 }
@@ -82,24 +82,14 @@ fn z_value(x: u32, y: u32, bits: u32) -> u64 {
 pub struct ZOrderRTree {
     inner: BaseInner,
     world: Rect2,
-    grid_bits: u32,
-    range_granules: u64,
 }
 
 impl ZOrderRTree {
     /// Creates an empty index.
     pub fn new(config: ZOrderConfig) -> Self {
-        assert!(config.grid_bits >= 1 && config.grid_bits <= 16);
-        let cells = 1u64 << (2 * config.grid_bits);
-        assert!(
-            config.range_granules.is_power_of_two() && config.range_granules <= cells,
-            "range_granules must be a power of two no larger than the cell count"
-        );
         Self {
             inner: BaseInner::new(config.rtree, config.world, config.lock),
             world: config.world,
-            grid_bits: config.grid_bits,
-            range_granules: config.range_granules,
         }
     }
 
@@ -107,7 +97,7 @@ impl ZOrderRTree {
     fn cell_coord(&self, v: f64, d: usize) -> u32 {
         let lo = self.world.lo[d];
         let extent = self.world.hi[d] - lo;
-        let cells = (1u64 << self.grid_bits) as f64;
+        let cells = (1u64 << GRID_BITS) as f64;
         let f = ((v - lo) / extent * cells).floor();
         (f.clamp(0.0, cells - 1.0)) as u32
     }
@@ -126,17 +116,14 @@ impl ZOrderRTree {
         // Z is monotone in each coordinate (more-significant interleaved
         // bits only grow), so the extremes over the cell rectangle are at
         // (x0,y0) and (x1,y1).
-        (
-            z_value(x0, y0, self.grid_bits),
-            z_value(x1, y1, self.grid_bits),
-        )
+        (z_value(x0, y0, GRID_BITS), z_value(x1, y1, GRID_BITS))
     }
 
     /// The key-range granule ids covering a Z-interval.
     fn granules_for(&self, rect: &Rect2) -> std::ops::RangeInclusive<u64> {
         let (zlo, zhi) = self.z_interval(rect);
-        let cells = 1u64 << (2 * self.grid_bits);
-        let per = cells / self.range_granules;
+        let cells = 1u64 << (2 * GRID_BITS);
+        let per = cells / RANGE_GRANULES;
         (zlo / per)..=(zhi / per)
     }
 
@@ -376,7 +363,7 @@ mod tests {
         // coverage at the heart of the paper's §2 argument.
         let db = ZOrderRTree::new(ZOrderConfig::default());
         let thin = Rect2::new([0.49, 0.49], [0.51, 0.51]);
-        let frac = db.granules_for(&thin).count() as f64 / db.range_granules as f64;
+        let frac = db.granules_for(&thin).count() as f64 / RANGE_GRANULES as f64;
         assert!(
             frac > 0.5,
             "a tiny center rect should z-cover most of the space, got {frac}"

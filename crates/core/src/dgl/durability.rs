@@ -457,7 +457,7 @@ impl DglRTree {
     /// Transactions that were *prepared* under two-phase commit but never
     /// locally decided are presumed aborted here — a standalone index has
     /// no coordinator to consult. Shard recovery goes through
-    /// [`Self::recover_with_resolver`] with the coordinator's decision
+    /// `recover_with_resolver` with the coordinator's decision
     /// log instead.
     pub fn recover(dir: impl AsRef<Path>, config: DglConfig) -> Result<Self, RecoverError> {
         Self::recover_with_resolver(dir.as_ref(), config, &|_| false, ShardContext::new(1))

@@ -33,20 +33,16 @@ pub struct RetryPolicy {
     /// stream from it, so equal seeds give reproducible *schedules* per
     /// executor while different executors still decorrelate.
     pub jitter_seed: u64,
-    /// Timeout aborts that may be retried **without** consuming the
-    /// `max_attempts` budget. A `Timeout` does not signal a probable
-    /// deadlock (every genuine cycle is refused at block time as
-    /// `Deadlock`); it means the backstop expired under load — burning
-    /// budget on it turns one slow resource into spurious
-    /// [`ExecError::RetriesExhausted`] failures. The pool is finite so
-    /// a pathologically wedged system still surfaces as a giveup.
-    pub timeout_free_retries: u32,
-    /// Catch panics that unwind out of the transaction body, roll the
-    /// transaction back and retry (the panic is counted as
-    /// `exec_panics`). Disable to let panics propagate —
-    /// useful when the body's panics are genuine test assertions.
-    pub catch_panics: bool,
 }
+
+/// Timeout aborts a run may retry **without** consuming the
+/// `max_attempts` budget. A `Timeout` does not signal a probable deadlock
+/// (every genuine cycle is refused at block time as `Deadlock`); it means
+/// the backstop expired under load — burning budget on it turns one slow
+/// resource into spurious [`ExecError::RetriesExhausted`] failures. The
+/// pool is finite so a pathologically wedged system still surfaces as a
+/// giveup.
+const TIMEOUT_FREE_RETRIES: u32 = 64;
 
 impl Default for RetryPolicy {
     fn default() -> Self {
@@ -55,8 +51,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_micros(200),
             max_backoff: Duration::from_millis(20),
             jitter_seed: 0x5EED_CAFE,
-            timeout_free_retries: 64,
-            catch_panics: true,
         }
     }
 }
@@ -154,31 +148,24 @@ impl<'a> TxnExecutor<'a> {
     /// Each attempt gets a **fresh transaction id**; the body must not
     /// capture ids across calls. On a retryable `Err` the transaction has
     /// already been rolled back by the protocol; the executor still issues
-    /// a defensive `abort` (a no-op `NotActive` then). A body panic (with
-    /// `catch_panics`) is rolled back the same way and retried.
+    /// a defensive `abort` (a no-op `NotActive` then). A body panic is
+    /// rolled back the same way and retried (counted as `exec_panics`).
     pub fn run<T>(
         &self,
         mut body: impl FnMut(TxnId) -> Result<T, TxnError>,
     ) -> Result<T, ExecError> {
         let mut attempt = 0u32;
         let mut budgeted = 0u32;
-        let mut timeout_free = self.policy.timeout_free_retries;
+        let mut timeout_free = TIMEOUT_FREE_RETRIES;
         loop {
             attempt += 1;
             self.incr(Ctr::ExecAttempts);
 
             let txn = self.db.begin();
-            let outcome = if self.policy.catch_panics {
-                match catch_unwind(AssertUnwindSafe(|| body(txn))) {
-                    Ok(Ok(v)) => Attempt::Done(v),
-                    Ok(Err(e)) => Attempt::Failed(e),
-                    Err(_) => Attempt::Panicked,
-                }
-            } else {
-                match body(txn) {
-                    Ok(v) => Attempt::Done(v),
-                    Err(e) => Attempt::Failed(e),
-                }
+            let outcome = match catch_unwind(AssertUnwindSafe(|| body(txn))) {
+                Ok(Ok(v)) => Attempt::Done(v),
+                Ok(Err(e)) => Attempt::Failed(e),
+                Err(_) => Attempt::Panicked,
             };
 
             let err = match outcome {
@@ -388,7 +375,6 @@ mod tests {
             &db,
             RetryPolicy {
                 max_attempts: 2,
-                timeout_free_retries: 3,
                 base_backoff: Duration::from_micros(10),
                 max_backoff: Duration::from_micros(40),
                 ..RetryPolicy::default()
@@ -398,11 +384,11 @@ mod tests {
             db.abort(txn)?;
             Err(TxnError::Timeout)
         });
-        // 3 free timeout retries + 2 budgeted attempts = 5 total.
+        // The free timeout retries, then 2 budgeted attempts.
         assert_eq!(
             out,
             Err(ExecError::RetriesExhausted {
-                attempts: 5,
+                attempts: TIMEOUT_FREE_RETRIES + 2,
                 last: TxnError::Timeout
             })
         );

@@ -106,13 +106,11 @@ pub fn sound_protocols(fanout: usize) -> Vec<Arc<dyn TransactionalRTree>> {
             rtree: RTreeConfig::with_fanout(fanout),
             world: Rect2::unit(),
             lock: lock_config(5_000),
-            predicate_timeout: Duration::from_millis(400),
         })),
         Arc::new(ZOrderRTree::new(ZOrderConfig {
             rtree: RTreeConfig::with_fanout(fanout),
             world: Rect2::unit(),
             lock: lock_config(5_000),
-            ..Default::default()
         })),
     ]
 }

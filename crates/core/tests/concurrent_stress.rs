@@ -213,7 +213,6 @@ fn stress_predicate_locking() {
             rtree: RTreeConfig::with_fanout(6),
             world: Rect2::unit(),
             lock: lock_config(20_000),
-            predicate_timeout: Duration::from_millis(400),
         })),
         6,
         40,

@@ -16,11 +16,11 @@
 //! let _g = dgl_faults::register("dgl/apply", FaultSpec::panic().one_in(200, seed));
 //! ```
 //!
-//! A [`FaultSpec`] describes *what* to inject ([`FaultKind`]: error
+//! A `FaultSpec` describes *what* to inject (`FaultKind`: error
 //! return, artificial delay, or panic) and *when*: deterministically
 //! (`nth`/`every`) or probabilistically from a seeded xorshift RNG
 //! (`one_in`), always bounded by a `max_fires` budget so schedules
-//! converge. The returned [`FaultGuard`] disarms the site on drop (RAII),
+//! converge. The returned `FaultGuard` disarms the site on drop (RAII),
 //! so a panicking test cannot leave faults armed for the next one.
 //!
 //! Even when the feature is enabled, an empty registry costs one relaxed

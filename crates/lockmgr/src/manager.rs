@@ -342,7 +342,7 @@ impl Hasher for MixHasher {
     }
 }
 
-/// [`BuildHasher`] of [`MixHasher`] for maps keyed by ids (`TxnId`, object
+/// [`BuildHasher`] of `MixHasher` for maps keyed by ids (`TxnId`, object
 /// ids, [`ResourceId`]) — the lock table's, and `dgl-txn`'s active set
 /// with its per-transaction records.
 #[derive(Debug, Clone)]

@@ -37,14 +37,16 @@ pub enum Hist {
     WalFsync,
     /// Nanoseconds per replayed operation during crash recovery.
     WalReplay,
-    /// Lock-wait nanoseconds attributed to region scans ([`OpKind::Scan`]).
+    /// Lock-wait nanoseconds attributed to region scans
+    /// ([`OpKind::Scan`](crate::OpKind::Scan)).
     /// Sibling breakdown of [`Hist::LockWait`]: the same wait is recorded
     /// into both, so the per-kind histograms partition the total.
     LockWaitScan,
-    /// Lock-wait nanoseconds attributed to point reads ([`OpKind::Point`]).
+    /// Lock-wait nanoseconds attributed to point reads
+    /// ([`OpKind::Point`](crate::OpKind::Point)).
     LockWaitPoint,
     /// Lock-wait nanoseconds attributed to write operations
-    /// ([`OpKind::Write`]).
+    /// ([`OpKind::Write`](crate::OpKind::Write)).
     LockWaitWrite,
     /// Server-side nanoseconds per network scan request
     /// (Search/UpdateScan/SnapshotScan), decode to reply enqueued.

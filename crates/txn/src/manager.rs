@@ -1,6 +1,5 @@
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -28,7 +27,7 @@ use dgl_lockmgr::{LockManager, MixBuild, TxnId};
 #[derive(Debug)]
 pub struct TxnManager<R = ()> {
     lock_manager: Arc<LockManager>,
-    active: Mutex<HashMap<TxnId, (Instant, R), MixBuild>>,
+    active: Mutex<HashMap<TxnId, R, MixBuild>>,
 }
 
 impl TxnManager<()> {
@@ -61,8 +60,7 @@ impl<R: Default> TxnManager<R> {
     /// # Panics
     /// Panics if `id` is already active here.
     pub fn begin_as(&self, id: TxnId) {
-        let record = (Instant::now(), R::default());
-        let joined = self.active.lock().insert(id, record);
+        let joined = self.active.lock().insert(id, R::default());
         assert!(joined.is_none(), "second begin of active transaction {id}");
         self.lock_manager.obs().incr(Ctr::TxnsStarted);
     }
@@ -79,14 +77,14 @@ impl<R: Default> TxnManager<R> {
 
     /// Runs `f` on `txn`'s record; `None` if `txn` is not active.
     pub fn record<T>(&self, txn: TxnId, f: impl FnOnce(&mut R) -> T) -> Option<T> {
-        self.active.lock().get_mut(&txn).map(|(_, r)| f(r))
+        self.active.lock().get_mut(&txn).map(f)
     }
 
     /// Runs `f` over every active transaction's record, in no particular
     /// order, with no transaction beginning or retiring meanwhile.
     pub fn records<T>(&self, f: impl FnOnce(&mut dyn Iterator<Item = (TxnId, &R)>) -> T) -> T {
         let active = self.active.lock();
-        f(&mut active.iter().map(|(t, (_, r))| (*t, r)))
+        f(&mut active.iter().map(|(t, r)| (*t, r)))
     }
 
     /// Commits `txn`: releases every lock, retires the id and returns its
@@ -109,8 +107,7 @@ impl<R: Default> TxnManager<R> {
 
     fn retire(&self, txn: TxnId, what: &str, ctr: Ctr) -> R {
         let removed = self.active.lock().remove(&txn);
-        let (_, record) =
-            removed.unwrap_or_else(|| panic!("{what} of non-active transaction {txn}"));
+        let record = removed.unwrap_or_else(|| panic!("{what} of non-active transaction {txn}"));
         self.lock_manager.obs().incr(ctr);
         self.lock_manager.release_all(txn);
         record

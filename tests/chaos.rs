@@ -158,7 +158,6 @@ fn chaos_run(seed: u64) {
             base_backoff: Duration::from_micros(200),
             max_backoff: Duration::from_millis(10),
             jitter_seed: seed,
-            ..RetryPolicy::default()
         },
         oracle: true,
     };
@@ -310,7 +309,6 @@ fn chaos_sharded_run(seed: u64) {
             base_backoff: Duration::from_micros(200),
             max_backoff: Duration::from_millis(10),
             jitter_seed: seed,
-            ..RetryPolicy::default()
         },
         oracle: true,
     };
