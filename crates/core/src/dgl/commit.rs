@@ -225,33 +225,22 @@ impl DglCore {
         (res, mode, dur): Refused,
     ) -> Result<(), TxnError> {
         self.obs.incr(Ctr::OpRetries);
-        match self
+        let err = match self
             .lm
             .lock(txn, res, mode, dur, RequestKind::Unconditional)
         {
-            LockOutcome::Granted => Ok(()),
-            LockOutcome::Deadlock => {
-                self.rollback_now(txn);
-                Err(TxnError::Deadlock)
-            }
-            LockOutcome::Timeout => {
-                self.rollback_now(txn);
-                Err(TxnError::Timeout)
-            }
+            LockOutcome::Granted => return Ok(()),
+            LockOutcome::Deadlock => TxnError::Deadlock,
+            LockOutcome::Timeout => TxnError::Timeout,
             LockOutcome::WouldBlock => unreachable!("unconditional request cannot WouldBlock"),
-        }
+        };
+        self.rollback_now(txn);
+        Err(err)
     }
 
     /// Ends the current operation: releases short-duration locks.
     pub(crate) fn end_op(&self, txn: TxnId) {
         self.tm.end_operation(txn);
-    }
-
-    /// Appends `rec` to `txn`'s undo log.
-    pub(crate) fn push_undo(&self, txn: TxnId, rec: UndoRecord) {
-        self.tm
-            .record(txn, |r| r.undo.push(rec))
-            .expect("undo of an active transaction");
     }
 
     /// Applies the undo log and terminates the transaction. Undo runs
@@ -277,11 +266,7 @@ impl DglCore {
             })
             .unwrap_or(false);
         let log = {
-            let mut tree = if needs_latch {
-                Some(self.latch_exclusive())
-            } else {
-                None
-            };
+            let mut tree = needs_latch.then(|| self.latch_exclusive());
             let (records, log) = self
                 .tm
                 .record(txn, |r| (std::mem::take(&mut r.undo), r.log))

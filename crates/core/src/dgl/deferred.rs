@@ -202,79 +202,72 @@ impl DglCore {
             let Some(plan) = plan else {
                 return;
             };
-            let locks = self.physical_delete_locks(&plan);
-            match locks.try_acquire(&self.lm, sys) {
-                Ok(()) => {
-                    let Some(mut apply) = self.upgrade(latch) else {
-                        continue;
-                    };
-                    let mut result = apply.apply_delete(&plan);
-                    // The orphans leave the tree and enter the in-flight
-                    // list in one latch session; highest level first, so
-                    // re-insertion (which pops from the back) starts at
-                    // the leaf level.
-                    result.orphans.sort_by_key(|o| std::cmp::Reverse(o.level));
-                    *apply.orphans() = std::mem::take(&mut result.orphans);
-                    // Tree entry and index slot vanish atomically under
-                    // the exclusive latch — the latchless duplicate probe
-                    // in `insert_op` depends on this. If an active snapshot
-                    // predates the delete, the version chain is *cloned*
-                    // to the dead-object side table BEFORE the slot is
-                    // removed: the latchless snapshot point read consults
-                    // the index first and the dead list second, so this
-                    // ordering guarantees it finds the chain in at least
-                    // one of the two places (the double-visible window is
-                    // benign — both copies answer identically). Recovery-
-                    // fed tombstones have only a bootstrap version
-                    // (timestamp 0), so they can never be retired — no
-                    // snapshot predates them. No stripe is held during the
-                    // clock probe or the dead push: the clock mutex and
-                    // the dead mutex both sit above the stripes.
-                    let latest = self.payloads.get(&oid, |slot| slot.chain.latest_ts());
-                    if let Some(latest) = latest {
-                        let retire = self.clock.min_active().is_some_and(|min| min < latest);
-                        if retire {
-                            let chain = self
-                                .payloads
-                                .get(&oid, |slot| slot.chain.clone())
-                                .expect("slot cannot vanish under the exclusive latch");
-                            self.dead
-                                .lock()
-                                .push(super::mvcc::DeadObject { oid, rect, chain });
-                        }
-                        self.payloads.remove(&oid);
-                    }
-                    // Root shrink absorbs the only child's entries *into*
-                    // the root page — no split record, no orphans. When
-                    // the absorbed child was a leaf, every one of its
-                    // objects changed page: refresh their leaf hints.
-                    if result.root_shrank {
-                        let root = apply.root();
-                        if apply.peek_node(root).is_leaf() {
-                            self.reindex_leaf(&apply, root);
-                        }
-                    }
-                    drop(apply);
-                    debug_assert_eq!(
-                        {
-                            let mut a = plan.eliminated.clone();
-                            a.sort();
-                            a
-                        },
-                        {
-                            let mut b = result.eliminated.clone();
-                            b.sort();
-                            b
-                        },
-                        "delete plan must predict eliminations exactly"
-                    );
-                    return;
+            if let Err(refused) = self.physical_delete_locks(&plan).try_acquire(&self.lm, sys) {
+                drop(latch);
+                self.system_wait(sys, refused);
+                continue;
+            }
+            let Some(mut apply) = self.upgrade(latch) else {
+                continue;
+            };
+            let mut result = apply.apply_delete(&plan);
+            // The orphans leave the tree and enter the in-flight list in
+            // one latch session; highest level first, so re-insertion
+            // (which pops from the back) starts at the leaf level.
+            result.orphans.sort_by_key(|o| std::cmp::Reverse(o.level));
+            *apply.orphans() = std::mem::take(&mut result.orphans);
+            // Tree entry and index slot vanish atomically under the
+            // exclusive latch — the latchless duplicate probe in
+            // `insert_op` depends on this. If an active snapshot predates
+            // the delete, the version chain is *cloned* to the dead-object
+            // side table BEFORE the slot is removed: the latchless
+            // snapshot point read consults the index first and the dead
+            // list second, so this ordering guarantees it finds the chain
+            // in at least one of the two places (the double-visible window
+            // is benign — both copies answer identically). Recovery-fed
+            // tombstones have only a bootstrap version (timestamp 0), so
+            // they can never be retired — no snapshot predates them. No
+            // stripe is held during the clock probe or the dead push: the
+            // clock mutex and the dead mutex both sit above the stripes.
+            let latest = self.payloads.get(&oid, |slot| slot.chain.latest_ts());
+            if let Some(latest) = latest {
+                let retire = self.clock.min_active().is_some_and(|min| min < latest);
+                if retire {
+                    let chain = self
+                        .payloads
+                        .get(&oid, |slot| slot.chain.clone())
+                        .expect("slot cannot vanish under the exclusive latch");
+                    self.dead
+                        .lock()
+                        .push(super::mvcc::DeadObject { oid, rect, chain });
                 }
-                Err(refused) => {
-                    drop(latch);
-                    self.system_wait(sys, refused);
+                self.payloads.remove(&oid);
+            }
+            // Root shrink absorbs the only child's entries *into* the root
+            // page — no split record, no orphans. When the absorbed child
+            // was a leaf, every one of its objects changed page: refresh
+            // their leaf hints.
+            if result.root_shrank {
+                let root = apply.root();
+                if apply.peek_node(root).is_leaf() {
+                    self.reindex_leaf(&apply, root);
                 }
             }
+            drop(apply);
+            debug_assert_eq!(
+                {
+                    let mut a = plan.eliminated.clone();
+                    a.sort();
+                    a
+                },
+                {
+                    let mut b = result.eliminated.clone();
+                    b.sort();
+                    b
+                },
+                "delete plan must predict eliminations exactly"
+            );
+            return;
         }
     }
 
@@ -286,58 +279,38 @@ impl DglCore {
     fn deferred_reinsert_phase(&self, sys: TxnId, orphan: Orphan<2>) {
         loop {
             let latch = self.plan_latch();
-            let root_level = latch.tree().peek_node(latch.tree().root()).level;
-            if orphan.level > root_level {
-                // Explode: the orphan subtree's pages die, so they are
-                // locked first (same rule as elimination).
-                let pages = subtree_pages(latch.tree(), &orphan.entry);
-                let locks = Self::explode_locks(&pages);
-                match locks.try_acquire(&self.lm, sys) {
-                    Ok(()) => {
-                        let Some(mut apply) = self.upgrade(latch) else {
-                            continue;
-                        };
-                        apply.orphans().pop();
-                        let objects = apply.explode(orphan);
-                        apply.orphans().extend(objects);
-                        return;
-                    }
-                    Err(refused) => {
-                        drop(latch);
-                        self.system_wait(sys, refused);
-                        continue;
-                    }
-                }
+            let tree = latch.tree();
+            // No plan: the orphan explodes, and its subtree's pages die.
+            let plan = (orphan.level <= tree.peek_node(tree.root()).level)
+                .then(|| tree.plan_insert_at(orphan.entry.mbr(), orphan.level));
+            let locks = match &plan {
+                Some(plan) => self.reinsert_locks(tree, plan, &orphan.entry),
+                None => Self::explode_locks(&subtree_pages(tree, &orphan.entry)),
+            };
+            if let Err(refused) = locks.try_acquire(&self.lm, sys) {
+                drop(latch);
+                self.system_wait(sys, refused);
+                continue;
             }
-            let plan = latch
-                .tree()
-                .plan_insert_at(orphan.entry.mbr(), orphan.level);
-            let locks = self.reinsert_locks(latch.tree(), &plan, &orphan.entry);
-            match locks.try_acquire(&self.lm, sys) {
-                Ok(()) => {
-                    let Some(mut apply) = self.upgrade(latch) else {
-                        continue;
-                    };
-                    // An object orphan moves to a (possibly) different
-                    // leaf — refresh its index leaf hint, plus every
-                    // entry displaced by splits the re-insertion caused.
-                    let orphan_oid = match &orphan.entry {
-                        Entry::Object { oid, .. } => Some(*oid),
-                        Entry::Child { .. } => None,
-                    };
-                    apply.orphans().pop();
-                    let result = apply.apply_reinsert(&plan, orphan.entry);
-                    if let Some(oid) = orphan_oid {
-                        self.payloads.update(&oid, |slot| slot.leaf = result.home);
-                    }
-                    self.reindex_splits(&apply, &result);
-                    return;
-                }
-                Err(refused) => {
-                    drop(latch);
-                    self.system_wait(sys, refused);
-                }
+            let Some(mut apply) = self.upgrade(latch) else {
+                continue;
+            };
+            apply.orphans().pop();
+            let Some(plan) = plan else {
+                let objects = apply.explode(orphan);
+                apply.orphans().extend(objects);
+                return;
+            };
+            // An object orphan moves to a (possibly) different leaf —
+            // refresh its index leaf hint, plus every entry displaced by
+            // splits the re-insertion caused.
+            let orphan_oid = orphan.entry.oid();
+            let result = apply.apply_reinsert(&plan, orphan.entry);
+            if let Some(oid) = orphan_oid {
+                self.payloads.update(&oid, |slot| slot.leaf = result.home);
             }
+            self.reindex_splits(&apply, &result);
+            return;
         }
     }
 

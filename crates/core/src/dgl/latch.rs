@@ -75,19 +75,11 @@ use super::DglCore;
 /// and wait for nobody ([`super::mvcc`]). Empty whenever no system
 /// operation is mid-flight.
 pub(crate) struct Latched {
-    tree: RTree2,
+    pub(super) tree: RTree2,
     pub(crate) orphans: Vec<Orphan<2>>,
 }
 
 impl Latched {
-    /// `tree` behind the latch, nothing out of it.
-    pub(crate) fn new(tree: RTree2) -> Self {
-        Self {
-            tree,
-            orphans: Vec::new(),
-        }
-    }
-
     /// Exact lookup of `(oid, rect)` that also sees an in-flight object
     /// orphan (shadows [`RTree2::lookup`], which already finds entries
     /// inside an orphaned subtree through `locate_leaf`'s store scan).

@@ -1,22 +1,16 @@
-//! The paper's protocol: dynamic granular locking over an R-tree.
-//!
-//! Module layout mirrors the paper's sections; Table 3 itself — every
-//! lock set, with the granule → resource mapping — is
-//! [`crate::locks`], and the files below only plan, call it and acquire
-//! what it returns:
+//! The paper's protocol: dynamic granular locking over an R-tree. Table 3
+//! itself — every lock set, and the granule → resource mapping — is
+//! [`crate::locks`]; the modules below plan, call it and acquire:
 //! * [`ops_write`] — Insert (§3.3 growth, §3.4 modified policy, §3.5 node
 //!   split), logical Delete (§3.6), UpdateSingle;
 //! * [`ops_read`] — ReadSingle, ReadScan, UpdateScan (§3.8);
 //! * [`deferred`] — deferred physical deletion, node elimination and
 //!   orphan re-insertion (§3.7), run by the commit that made them;
-//! * [`latch`] — the tree latch and the optimistic plan / validate /
-//!   apply split every write runs under it;
-//! * [`commit`] — the transaction record, the operation prologue, the
-//!   commit phases and rollback;
+//! * [`latch`] — the tree latch and the plan / validate / apply split;
+//! * [`commit`] — transaction record, operation prologue, commit, rollback;
 //! * [`payloads`] — the payload table and exact-match hash index;
 //! * [`config`] — [`DglConfig`] and [`InsertPolicy`];
-//! * this file — the index type, its constructors and the operation
-//!   interface.
+//! * this file — the index type, its constructors and the trait impl.
 
 mod commit;
 mod config;
@@ -190,7 +184,10 @@ impl DglRTree {
         tree.io_stats().attach_obs(Arc::clone(&obs));
         let lm = LockManager::join(config.lock.clone(), Arc::clone(&obs), &domain);
         let core = DglCore {
-            tree: RwLock::new(Latched::new(tree)),
+            tree: RwLock::new(Latched {
+                tree,
+                orphans: Vec::new(),
+            }),
             tm: TxnManager::with_records(Arc::clone(&lm)),
             lm,
             payloads,
@@ -254,12 +251,8 @@ impl DglRTree {
         // Tombstoned entries are committed-but-unapplied deletions; they
         // stay in the tree (and in `payloads`, keeping their ids reserved)
         // until the system operations below remove them.
-        let pending: Vec<(ObjectId, Rect2)> = tree
-            .all_objects()
-            .into_iter()
-            .filter(|(_, _, tombstone)| tombstone.is_some())
-            .map(|(oid, rect, _)| (oid, rect))
-            .collect();
+        let mut pending = tree.all_objects();
+        pending.retain(|(_, _, tombstone)| tombstone.is_some());
         // Rebuild the hash index from the tree image: it is derived
         // state, so recovery seeds one slot per leaf entry (leaf hint =
         // the page the entry sits on). Restored payload versions restart
@@ -287,7 +280,7 @@ impl DglRTree {
         dgl_faults::failpoint!("hashidx/rebuild");
         let db = Self::build(tree, payloads, &config, context);
         // Recovery completes before the first user transaction.
-        for (oid, rect) in pending {
+        for (oid, rect, _) in pending {
             db.core.run_maintenance(oid, rect);
         }
         db.quiesce()?;

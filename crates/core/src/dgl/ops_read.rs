@@ -8,7 +8,7 @@ use dgl_rtree::ObjectId;
 use crate::granules::{scan_descent, RawHit};
 use crate::{ScanHit, TxnError};
 
-use super::{DglCore, UndoRecord};
+use super::DglCore;
 
 impl DglCore {
     /// ReadSingle: commit S on the object only (Table 3). The object lock
@@ -95,44 +95,43 @@ impl DglCore {
             });
             let tree = self.latch_shared();
             let (set, raw) = scan_descent(&tree, &query);
-            match self.scan_locks(&set).try_acquire(&self.lm, txn) {
-                Ok(()) => {
-                    // Versions only now: with the granule locks held, 2PL
-                    // makes every chain head either committed or this
-                    // transaction's own write, whatever its stamping state.
-                    let mut hits = Vec::with_capacity(raw.len());
-                    hits.extend(raw.into_iter().filter(Self::untombstoned).map(
-                        |(oid, rect, _)| ScanHit {
-                            oid,
-                            rect,
-                            version: 1,
-                        },
-                    ));
-                    self.payloads.get_each(
-                        &mut hits,
-                        |h| &h.oid,
-                        |h, slot| {
-                            let head = slot.map(|slot| slot.chain.current());
-                            // An entry and its slot are published under one
-                            // exclusive latch hold and retired under one; a
-                            // logical delete marks both under one.
-                            debug_assert!(
-                                matches!(head, Some(Some(_))),
-                                "untombstoned entry {} has chain head {head:?}",
-                                h.oid
-                            );
-                            h.version = head.flatten().unwrap_or(1);
-                        },
-                    );
-                    drop(tree);
-                    self.end_op(txn);
-                    return Ok(hits);
-                }
-                Err(refused) => {
-                    drop(tree);
-                    self.wait_or_abort(txn, refused)?;
-                }
+            if let Err(refused) = self.scan_locks(&set).try_acquire(&self.lm, txn) {
+                drop(tree);
+                self.wait_or_abort(txn, refused)?;
+                continue;
             }
+            // Versions only now: with the granule locks held, 2PL makes
+            // every chain head either committed or this transaction's own
+            // write, whatever its stamping state.
+            let mut hits = Vec::with_capacity(raw.len());
+            hits.extend(
+                raw.into_iter()
+                    .filter(Self::untombstoned)
+                    .map(|(oid, rect, _)| ScanHit {
+                        oid,
+                        rect,
+                        version: 1,
+                    }),
+            );
+            self.payloads.get_each(
+                &mut hits,
+                |h| &h.oid,
+                |h, slot| {
+                    let head = slot.map(|slot| slot.chain.current());
+                    // An entry and its slot are published under one
+                    // exclusive latch hold and retired under one; a logical
+                    // delete marks both under one.
+                    debug_assert!(
+                        matches!(head, Some(Some(_))),
+                        "untombstoned entry {} has chain head {head:?}",
+                        h.oid
+                    );
+                    h.version = head.flatten().unwrap_or(1);
+                },
+            );
+            drop(tree);
+            self.end_op(txn);
+            return Ok(hits);
         }
     }
 
@@ -154,50 +153,30 @@ impl DglCore {
             let tree = self.latch_shared();
             let (set, mut raw) = scan_descent(&tree, &query);
             raw.retain(Self::untombstoned);
-            match self
+            if let Err(refused) = self
                 .update_scan_locks(&set, &raw)
                 .try_acquire(&self.lm, txn)
             {
-                Ok(()) => {
-                    // Perform the updates under the latch; granule SIX
-                    // locks guarantee the hit set cannot have changed.
-                    let mut out = Vec::with_capacity(raw.len());
-                    for (oid, rect, _) in raw {
-                        // Every live tree entry has a slot (inserts
-                        // publish both together; recovery seeds every
-                        // restored entry).
-                        let (old, first_garbage) = self
-                            .payloads
-                            .update(&oid, |slot| {
-                                let old = slot.chain.current().expect("updated object is live");
-                                (old, slot.chain.push_pending(Some(old + 1)))
-                            })
-                            .expect("scanned object has a slot");
-                        if first_garbage {
-                            self.dirty.push(oid);
-                        }
-                        self.push_undo(
-                            txn,
-                            UndoRecord::Update {
-                                oid,
-                                old_version: old,
-                            },
-                        );
-                        out.push(ScanHit {
-                            oid,
-                            rect,
-                            version: old + 1,
-                        });
-                    }
-                    drop(tree);
-                    self.end_op(txn);
-                    return Ok(out);
-                }
-                Err(refused) => {
-                    drop(tree);
-                    self.wait_or_abort(txn, refused)?;
-                }
+                drop(tree);
+                self.wait_or_abort(txn, refused)?;
+                continue;
             }
+            // Perform the updates under the latch; granule SIX locks
+            // guarantee the hit set cannot have changed. Every live tree
+            // entry has a slot (inserts publish both together; recovery
+            // seeds every restored entry).
+            let mut out = Vec::with_capacity(raw.len());
+            for (oid, rect, _) in raw {
+                let old = self.bump_version(txn, oid);
+                out.push(ScanHit {
+                    oid,
+                    rect,
+                    version: old + 1,
+                });
+            }
+            drop(tree);
+            self.end_op(txn);
+            return Ok(out);
         }
     }
 

@@ -159,86 +159,65 @@ impl DglCore {
             let latch = self.plan_latch();
             // Leaf-directed locate: the verified leaf hint, and the entry's
             // tombstone read off that leaf (see `locate_entry`).
-            match span!(
+            let located = span!(
                 self.obs,
                 Hist::PlanPhase,
                 op = "delete",
                 phase = "plan",
                 txn = txn.0,
                 { self.locate_entry(latch.tree(), oid, rect) }
-            ) {
-                Some((leaf, tombstone)) => {
-                    match Self::point_write_locks(leaf, oid).try_acquire(&self.lm, txn) {
-                        Ok(()) => {
-                            // Already tombstoned? By us: idempotent no-op.
-                            // By a committed deleter (deferred pending):
-                            // the object is logically gone. The entry was
-                            // read under this same latch hold; the X lock
-                            // makes the outcome repeatable.
-                            if tombstone.is_some() {
-                                drop(latch);
-                                self.end_op(txn);
-                                return Ok(false);
-                            }
-                            // Tombstoning mutates the tree: validate the
-                            // plan (leaf location + tombstone state) under
-                            // the exclusive latch. Any intervening
-                            // tombstone flip bumps the version.
-                            let Some(mut apply) = self.upgrade(latch) else {
-                                continue;
-                            };
-                            dgl_faults::failpoint!("dgl/apply");
-                            let marked = apply.set_tombstone_at(leaf, oid, txn.0);
-                            debug_assert!(marked, "entry verified present under latch");
-                            // Push the pending delete marker: once stamped
-                            // at commit, snapshots at or after that
-                            // timestamp see the object as gone (snapshot
-                            // paths ignore the tombstone flag — the chain
-                            // alone decides visibility).
-                            if self
-                                .payloads
-                                .update(&oid, |slot| slot.chain.push_pending(None))
-                                .expect("live object has a chain")
-                            {
-                                self.dirty.push(oid);
-                            }
-                            // Undo + log inside the latch hold (see
-                            // insert_op for the checkpoint-cut argument).
-                            let logged =
-                                self.push_logged_undo(txn, UndoRecord::LogicalDelete { oid, rect });
-                            drop(apply);
-                            if let Err(e) = logged {
-                                self.rollback_now(txn);
-                                return Err(e);
-                            }
-                            self.end_op(txn);
-                            return Ok(true);
-                        }
-                        Err(refused) => {
-                            drop(latch);
-                            self.wait_or_abort(txn, refused)?;
-                        }
-                    }
-                }
-                None => {
-                    // Not found: "the deleter acquires S locks on all
-                    // overlapping granules just like a ReadScan operation
-                    // with the object as the scan predicate". No mutation,
-                    // so the attempt never needs the exclusive latch.
-                    let set = overlapping_granules(latch.tree(), &[rect]);
-                    match self.scan_locks(&set).try_acquire(&self.lm, txn) {
-                        Ok(()) => {
-                            drop(latch);
-                            self.end_op(txn);
-                            return Ok(false);
-                        }
-                        Err(refused) => {
-                            drop(latch);
-                            self.wait_or_abort(txn, refused)?;
-                        }
-                    }
-                }
+            );
+            let locks = match located {
+                Some((leaf, _)) => Self::point_write_locks(leaf, oid),
+                // Not found: "the deleter acquires S locks on all
+                // overlapping granules just like a ReadScan operation with
+                // the object as the scan predicate".
+                None => self.scan_locks(&overlapping_granules(latch.tree(), &[rect])),
+            };
+            if let Err(refused) = locks.try_acquire(&self.lm, txn) {
+                drop(latch);
+                self.wait_or_abort(txn, refused)?;
+                continue;
             }
+            // Absent, or already tombstoned — by us (idempotent no-op) or
+            // by a committed deleter (deferred deletion pending): nothing
+            // to mutate, so no exclusive latch. The entry was read under
+            // this same latch hold; the locks make the outcome repeatable.
+            let Some((leaf, None)) = located else {
+                drop(latch);
+                self.end_op(txn);
+                return Ok(false);
+            };
+            // Tombstoning mutates the tree: validate the plan (leaf
+            // location + tombstone state) under the exclusive latch. Any
+            // intervening tombstone flip bumps the version.
+            let Some(mut apply) = self.upgrade(latch) else {
+                continue;
+            };
+            dgl_faults::failpoint!("dgl/apply");
+            let marked = apply.set_tombstone_at(leaf, oid, txn.0);
+            debug_assert!(marked, "entry verified present under latch");
+            // Push the pending delete marker: once stamped at commit,
+            // snapshots at or after that timestamp see the object as gone
+            // (snapshot paths ignore the tombstone flag — the chain alone
+            // decides visibility).
+            if self
+                .payloads
+                .update(&oid, |slot| slot.chain.push_pending(None))
+                .expect("live object has a chain")
+            {
+                self.dirty.push(oid);
+            }
+            // Undo + log inside the latch hold (see insert_op for the
+            // checkpoint-cut argument).
+            let logged = self.push_logged_undo(txn, UndoRecord::LogicalDelete { oid, rect });
+            drop(apply);
+            if let Err(e) = logged {
+                self.rollback_now(txn);
+                return Err(e);
+            }
+            self.end_op(txn);
+            return Ok(true);
         }
     }
 
@@ -258,57 +237,54 @@ impl DglCore {
         // has its own mutex.
         loop {
             let latch = self.plan_latch();
-            let Some((leaf, tombstone)) = self.locate_entry(latch.tree(), oid, rect) else {
+            let located = self.locate_entry(latch.tree(), oid, rect);
+            let locks = match located {
+                Some((leaf, _)) => Self::point_write_locks(leaf, oid),
                 // Absent object: X on the object name makes the absence
                 // repeatable against inserts of the same oid.
-                match Self::object_name_lock(oid).try_acquire(&self.lm, txn) {
-                    Ok(()) => {
-                        drop(latch);
-                        self.end_op(txn);
-                        return Ok(false);
-                    }
-                    Err(refused) => {
-                        drop(latch);
-                        self.wait_or_abort(txn, refused)?;
-                        continue;
-                    }
-                }
+                None => Self::object_name_lock(oid),
             };
-            match Self::point_write_locks(leaf, oid).try_acquire(&self.lm, txn) {
-                Ok(()) => {
-                    if tombstone.is_some() {
-                        // Tombstoned by a committed deleter: logically gone.
-                        drop(latch);
-                        self.end_op(txn);
-                        return Ok(false);
-                    }
-                    let (old, first_garbage) = self
-                        .payloads
-                        .update(&oid, |slot| {
-                            let old = slot.chain.current().expect("updated object is live");
-                            (old, slot.chain.push_pending(Some(old + 1)))
-                        })
-                        .expect("located object has a slot");
-                    if first_garbage {
-                        self.dirty.push(oid);
-                    }
-                    self.push_undo(
-                        txn,
-                        UndoRecord::Update {
-                            oid,
-                            old_version: old,
-                        },
-                    );
-                    drop(latch);
-                    self.end_op(txn);
-                    return Ok(true);
-                }
-                Err(refused) => {
-                    drop(latch);
-                    self.wait_or_abort(txn, refused)?;
-                }
+            if let Err(refused) = locks.try_acquire(&self.lm, txn) {
+                drop(latch);
+                self.wait_or_abort(txn, refused)?;
+                continue;
             }
+            // Absent, or tombstoned by a committed deleter: logically gone.
+            let Some((_, None)) = located else {
+                drop(latch);
+                self.end_op(txn);
+                return Ok(false);
+            };
+            self.bump_version(txn, oid);
+            drop(latch);
+            self.end_op(txn);
+            return Ok(true);
         }
+    }
+
+    /// The update both UpdateSingle and UpdateScan apply to a live object
+    /// they hold X on: push the next payload version as pending, put the
+    /// chain on the version-GC list if it just grew garbage, and log the
+    /// undo. Returns the version it replaced.
+    pub(crate) fn bump_version(&self, txn: TxnId, oid: ObjectId) -> u64 {
+        let (old, first_garbage) = self
+            .payloads
+            .update(&oid, |slot| {
+                let old = slot.chain.current().expect("updated object is live");
+                (old, slot.chain.push_pending(Some(old + 1)))
+            })
+            .expect("live object has a slot");
+        if first_garbage {
+            self.dirty.push(oid);
+        }
+        let undo = UndoRecord::Update {
+            oid,
+            old_version: old,
+        };
+        self.tm
+            .record(txn, |r| r.undo.push(undo))
+            .expect("undo of an active transaction");
+        old
     }
 }
 

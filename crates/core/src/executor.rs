@@ -113,13 +113,6 @@ pub struct TxnExecutor<'a> {
     rng_state: std::cell::Cell<u64>,
 }
 
-/// What one attempt produced, before classification.
-enum Attempt<T> {
-    Done(T),
-    Failed(TxnError),
-    Panicked,
-}
-
 impl<'a> TxnExecutor<'a> {
     /// Creates an executor over `db`. Attempt/backoff accounting goes to
     /// the protocol's registry when it has one
@@ -162,20 +155,14 @@ impl<'a> TxnExecutor<'a> {
             self.incr(Ctr::ExecAttempts);
 
             let txn = self.db.begin();
-            let outcome = match catch_unwind(AssertUnwindSafe(|| body(txn))) {
-                Ok(Ok(v)) => Attempt::Done(v),
-                Ok(Err(e)) => Attempt::Failed(e),
-                Err(_) => Attempt::Panicked,
-            };
-
-            let err = match outcome {
-                Attempt::Done(v) => match self.db.commit(txn) {
+            let err = match catch_unwind(AssertUnwindSafe(|| body(txn))) {
+                Ok(Ok(v)) => match self.db.commit(txn) {
                     Ok(()) => return Ok(v),
                     // Commit can itself be aborted (injected fault at the
                     // commit failpoint); classify like any body error.
                     Err(e) => e,
                 },
-                Attempt::Failed(e) => {
+                Ok(Err(e)) => {
                     // The protocol rolls back on Deadlock/Timeout/Injected;
                     // for caller-level errors (DuplicateObject surfaced by
                     // the body) the transaction is still active — release
@@ -183,7 +170,7 @@ impl<'a> TxnExecutor<'a> {
                     let _ = self.db.abort(txn);
                     e
                 }
-                Attempt::Panicked => {
+                Err(_) => {
                     // The unwind guard inside the in-flight operation (or
                     // the catch_unwind boundary itself) already restored
                     // invariants; make sure the transaction is dead.

@@ -225,11 +225,9 @@ impl DglCore {
         locks
     }
 
-    /// §3.8, Table 3 row "UpdateScan": commit SIX on the granules that
-    /// cover the predicate (the leaf granules, where updatable objects
-    /// live), commit S on the remaining overlapping granules (the external
-    /// granules, which hold no objects), commit X on every qualifying
-    /// object.
+    /// §3.8, Table 3 row "UpdateScan": commit SIX on the covering (leaf)
+    /// granules, where updatable objects live, commit S on the rest (the
+    /// external granules), commit X on every qualifying object.
     pub(crate) fn update_scan_locks(&self, set: &OverlapSet, hits: &[RawHit<2>]) -> LockList {
         let mut locks = LockList::new();
         for g in &set.leaves {
@@ -263,23 +261,15 @@ impl DglCore {
     }
 
     /// §3.3–§3.5, Table 3 rows "Insert": the granule locks of an insert
-    /// attempt, read off its plan. (The commit X on the object name is
-    /// [`Self::object_name_lock`], taken before the duplicate probe.)
-    ///
-    /// * No split: commit IX on the granule that receives, and will
-    ///   cover, the object — the single commit-duration granule lock.
-    /// * Split: [`Self::insert_split_locks`].
-    /// * Granule change: short SIX on every shrinking external granule;
-    ///   growth compensation on the region the granule grows into (the
-    ///   modified policy, §3.4) or on the object (the base policy, §3.3,
-    ///   every insert).
-    /// * §3.3 self-inheritance: if `txn` holds commit S on a shrinking
-    ///   external granule (its own earlier scan), the region lost there is
-    ///   what the target grows into — commit S on the target too.
-    ///
-    /// `predicted` holds the page ids the split cascade will allocate
-    /// (sibling per splitting page, then the root half), so the "after
-    /// split" locks are acquired before the first byte changes.
+    /// attempt, read off its plan (the object's X is
+    /// [`Self::object_name_lock`]). Commit IX on the granule that will
+    /// cover the object, or the split row ([`Self::insert_split_locks`]);
+    /// short SIX on every shrinking external granule; growth compensation
+    /// over the region the granule grows into (§3.4), or over the object
+    /// on every insert under the base policy (§3.3). `predicted` holds the
+    /// page ids the split cascade will allocate (sibling per splitting
+    /// page, then the root half), so the "after split" locks are acquired
+    /// before the first byte changes.
     pub(crate) fn insert_locks(
         &self,
         txn: TxnId,
@@ -288,6 +278,9 @@ impl DglCore {
         predicted: &[PageId],
     ) -> LockList {
         let mut locks = LockList::new();
+        // §3.3 self-inheritance: if `txn` holds commit S on a shrinking
+        // external granule (its own earlier scan), the region lost there
+        // is what the target grows into — commit S on the target too.
         let self_holds_s_on_ext = plan
             .changed_ext
             .iter()
@@ -419,13 +412,10 @@ impl DglCore {
     }
 
     /// §3.7, Table 3 row "Delete (physical), orphan re-insertion": the
-    /// insert rows at short duration (the entry is already committed; the
-    /// locks only guard the structural motion) — short IX on the target,
-    /// or short SIX on each splitting page; short SIX on each shrinking
-    /// external granule; growth compensation — plus short SIX on
-    /// ext(target) when the orphan is an index entry, since a new child
-    /// shrinks its parent's external granule (an object only grows a
-    /// leaf granule).
+    /// insert rows at short duration (the entry is committed; the locks
+    /// only guard the structural motion), plus short SIX on ext(target)
+    /// for an index entry — a new child shrinks its parent's external
+    /// granule, where an object only grows a leaf granule.
     pub(crate) fn reinsert_locks(
         &self,
         tree: &RTree2,
@@ -449,9 +439,8 @@ impl DglCore {
     }
 
     /// §3.7, Table 3 row "Delete (physical), orphan explode": an orphan
-    /// whose home level no longer exists (the root shrank below it) is
-    /// dissolved into its objects, and its subtree's `pages` die — short
-    /// SIX on each, the elimination rule.
+    /// whose home level is gone dissolves into its objects and its
+    /// subtree's `pages` die — short SIX on each, as for elimination.
     pub(crate) fn explode_locks(pages: &[PageId]) -> LockList {
         let mut locks = LockList::new();
         Self::six_on_changing_pages(&mut locks, pages);
