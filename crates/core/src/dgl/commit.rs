@@ -32,11 +32,16 @@ pub(crate) enum UndoRecord {
 }
 
 /// One active transaction's record in [`DglCore::tm`]: its undo log, in
-/// push order, and how far its log records got.
+/// push order, how far its log records got, and whether it is a system
+/// transaction (a deferred deletion's, marked where it begins). The lock
+/// manager keeps its own system mark, for victim selection; this one lets
+/// a user operation's prologue refuse a system id in the one visit that
+/// finds the transaction active.
 #[derive(Debug, Default)]
 pub(crate) struct TxnRecord {
     pub(crate) undo: Vec<UndoRecord>,
     pub(crate) log: LogState,
+    pub(crate) system: bool,
 }
 
 /// A transaction's progress through the write-ahead log (`Unlogged`
@@ -84,7 +89,7 @@ impl Drop for UnwindRollback<'_> {
         // System transactions have their own cleanup (`SysCleanup`, then
         // the retry loop in `run_maintenance`); only user transactions roll
         // back here.
-        if self.core.tm.is_active(self.txn) && !self.core.lm.is_system(self.txn) {
+        if self.core.is_user_txn(self.txn) {
             self.core.obs.incr(Ctr::UnwindRollbacks);
             // Rollback itself must not escalate to a double-panic abort.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -205,14 +210,19 @@ impl DglCore {
     }
 
     pub(crate) fn check_active(&self, txn: TxnId) -> Result<(), TxnError> {
-        // System transactions (deferred physical deletions) are internal;
-        // their ids must not be reachable through the user-facing API —
-        // aborting one would kill a maintenance operation mid-flight.
-        if self.tm.is_active(txn) && !self.lm.is_system(txn) {
+        if self.is_user_txn(txn) {
             Ok(())
         } else {
             Err(TxnError::NotActive)
         }
+    }
+
+    /// Whether `txn` is an active user transaction. System transactions
+    /// (deferred physical deletions) are internal; their ids must not be
+    /// reachable through the user-facing API — aborting one would kill a
+    /// maintenance operation mid-flight.
+    fn is_user_txn(&self, txn: TxnId) -> bool {
+        self.tm.record(txn, |r| !r.system).unwrap_or(false)
     }
 
     /// Waits unconditionally for the lock that made a conditional attempt
@@ -238,7 +248,10 @@ impl DglCore {
         Err(err)
     }
 
-    /// Ends the current operation: releases short-duration locks.
+    /// Ends an operation some attempt of which requested a short-duration
+    /// lock: releases them. Of the user operations only an insert takes
+    /// short locks (Table 3, [`crate::locks`]); the others hold nothing
+    /// that ends with the operation, and skip the lock manager here.
     pub(crate) fn end_op(&self, txn: TxnId) {
         self.tm.end_operation(txn);
     }

@@ -22,9 +22,9 @@
 //! sessions. They are not out of sight: the re-insertion queue *is*
 //! [`Latched::orphans`](super::Latched), changed only in the exclusive
 //! latch session of the tree mutation it mirrors — filled where the entry
-//! is removed, popped where an orphan is re-linked, an index entry swapped
-//! for its objects where it is exploded. Lock-free snapshot scans search
-//! it beside the tree, so they never wait for a system operation.
+//! is removed, popped where an orphan is re-linked. Lock-free snapshot
+//! scans search it beside the tree, so they never wait for a system
+//! operation.
 //!
 //! System operations are serialized by a gate (at most one runs at a
 //! time; only they and checkpoints ever take it), are exempt from deadlock
@@ -68,11 +68,11 @@ use std::time::{Duration, Instant};
 use dgl_geom::Rect2;
 use dgl_lockmgr::{LockOutcome, RequestKind, TxnId};
 use dgl_obs::{Ctr, Hist};
-use dgl_rtree::{Entry, ObjectId, Orphan};
+use dgl_rtree::{ObjectId, Orphan};
 
 use crate::locks::Refused;
 
-use super::DglCore;
+use super::{DglCore, TxnRecord};
 
 /// Attempts (first run included) a deferred deletion gets before it is
 /// dropped and the failure surfaced through `quiesce`.
@@ -143,7 +143,10 @@ impl DglCore {
         // one writer.
         let _gate = self.deferred_gate.lock();
         self.assert_no_orphans();
-        let sys = self.tm.begin();
+        let sys = self.tm.begin_with(TxnRecord {
+            system: true,
+            ..TxnRecord::default()
+        });
         self.lm.set_system(sys);
         let mut cleanup = SysCleanup {
             core: self,
@@ -272,21 +275,27 @@ impl DglCore {
     }
 
     /// Phase 2 step: re-insert `orphan` (the back of the in-flight list)
-    /// with the Table 3 re-insertion locks, popping it in the session that
-    /// re-links it. An orphan whose home level no longer exists (the root
-    /// shrank below it) is exploded into its objects, which take its place
-    /// in the list.
+    /// at its home level with the Table 3 re-insertion locks, popping it
+    /// in the session that re-links it.
     fn deferred_reinsert_phase(&self, sys: TxnId, orphan: Orphan<2>) {
         loop {
             let latch = self.plan_latch();
             let tree = latch.tree();
-            // No plan: the orphan explodes, and its subtree's pages die.
-            let plan = (orphan.level <= tree.peek_node(tree.root()).level)
-                .then(|| tree.plan_insert_at(orphan.entry.mbr(), orphan.level));
-            let locks = match &plan {
-                Some(plan) => self.reinsert_locks(tree, plan, &orphan.entry),
-                None => Self::explode_locks(&subtree_pages(tree, &orphan.entry)),
-            };
+            // The home level still exists. An orphan comes from a node the
+            // condense pass eliminated, below the root. At minimum fill 1
+            // only an empty node is eliminated, leaving no orphan; at
+            // minimum fill >= 2 the one child a shrinking root absorbs is
+            // off the deletion path and keeps >= 2 entries, so the root
+            // drops one level at most. System operations are serialized by
+            // the gate, and inserts never lower the root.
+            let root_level = tree.peek_node(tree.root()).level;
+            assert!(
+                orphan.level <= root_level,
+                "orphan at level {} above the root's level {root_level}",
+                orphan.level
+            );
+            let plan = tree.plan_insert_at(orphan.entry.mbr(), orphan.level);
+            let locks = self.reinsert_locks(tree, &plan, &orphan.entry);
             if let Err(refused) = locks.try_acquire(&self.lm, sys) {
                 drop(latch);
                 self.system_wait(sys, refused);
@@ -296,11 +305,6 @@ impl DglCore {
                 continue;
             };
             apply.orphans().pop();
-            let Some(plan) = plan else {
-                let objects = apply.explode(orphan);
-                apply.orphans().extend(objects);
-                return;
-            };
             // An object orphan moves to a (possibly) different leaf —
             // refresh its index leaf hint, plus every entry displaced by
             // splits the re-insertion caused.
@@ -341,15 +345,4 @@ impl DglCore {
             }
         }
     }
-}
-
-/// All live pages of the subtree referenced by `entry` (none for objects).
-fn subtree_pages(tree: &dgl_rtree::RTree2, entry: &Entry<2>) -> Vec<dgl_pager::PageId> {
-    let mut out = Vec::new();
-    let mut stack: Vec<dgl_pager::PageId> = entry.child().into_iter().collect();
-    while let Some(p) = stack.pop() {
-        out.push(p);
-        stack.extend(tree.peek_node(p).children());
-    }
-    out
 }

@@ -66,8 +66,7 @@ use super::DglCore;
 ///
 /// `orphans` is the re-insertion queue of the one system operation in
 /// flight (§3.7): filled by the latch session that removes and condenses,
-/// popped by the session that re-links an entry, an index entry swapped
-/// for its objects by the session that explodes it. Living inside the
+/// popped by the session that re-links an entry. Living inside the
 /// latch makes the invariant structural — every change to the list shares
 /// an exclusive hold with the tree mutation it mirrors — so under any one
 /// shared hold *tree ∪ orphans ∪ dead list* is a partition of the

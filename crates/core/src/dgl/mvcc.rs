@@ -71,7 +71,7 @@ use dgl_lockmgr::{MixBuild, TxnId};
 use dgl_obs::{Ctr, Hist};
 use dgl_rtree::ObjectId;
 
-use crate::granules::snapshot_descent;
+use crate::granules::with_walk;
 use crate::ScanHit;
 
 use super::{DglCore, DglRTree, UndoRecord};
@@ -419,14 +419,16 @@ impl DglCore {
         // the shared latch excludes the structural removals that
         // retire entries, and commit stamping is atomic against this
         // snapshot's timestamp via the clock critical section.
-        let entries = snapshot_descent(&tree, &tree.orphans, query);
-        let mut hits = Vec::with_capacity(entries.len());
-        hits.extend(entries.into_iter().map(|(oid, rect, _tombstone)| ScanHit {
-            oid,
-            rect,
-            version: 0,
-        }));
         // Version 0 marks "nothing visible at `ts`": versions start at 1.
+        let mut hits = with_walk(|walk| {
+            walk.snapshot_hits(&tree, &tree.orphans, query, |oid, rect, _tombstone| {
+                ScanHit {
+                    oid,
+                    rect,
+                    version: 0,
+                }
+            })
+        });
         self.payloads.get_each(
             &mut hits,
             |h| &h.oid,

@@ -1,11 +1,20 @@
 //! Read operations: ReadSingle, ReadScan, UpdateScan (§3.8).
+//!
+//! A ReadScan attempt, under one shared-latch hold: walk the internal
+//! levels for the granule set, lock it, then read the overlapped leaves —
+//! fetched together first, then each read once, its hits built in the
+//! returned vector — and resolve versions from the payload table
+//! ([`crate::granules`]). A refused attempt reads no leaf. UpdateScan
+//! locks its hits' objects, so it reads the leaves before it locks
+//! ([`crate::granules::scan_descent`]). None of the three takes a short
+//! lock, so none has locks to release when it ends.
 
 use dgl_geom::Rect2;
 use dgl_lockmgr::TxnId;
 use dgl_obs::{Ctr, Hist, OpKind};
 use dgl_rtree::ObjectId;
 
-use crate::granules::{scan_descent, RawHit};
+use crate::granules::{scan_descent, with_walk};
 use crate::{ScanHit, TxnError};
 
 use super::DglCore;
@@ -63,7 +72,6 @@ impl DglCore {
             self.read_single_via_tree(oid, rect),
             "hash fast path diverged from the tree path for {oid}"
         );
-        self.end_op(txn);
         Ok(answer)
     }
 
@@ -86,16 +94,24 @@ impl DglCore {
     /// the predicate — leaf granules and external granules — the
     /// overlap-for-search half of the paper's policy. This is the
     /// operation phantom protection exists for.
+    ///
+    /// One attempt walks the internal levels for the granule set, locks
+    /// it, and only then reads the overlapped leaves, under the same
+    /// shared-latch hold: the latch pins the tree, so the leaves read are
+    /// the ones locked, and a refused attempt reads no leaf at all. The
+    /// hits are built in the returned vector, the only allocation
+    /// ([`crate::granules`]).
     pub(crate) fn read_scan_op(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
         let _op = self.begin_op(txn, OpKind::Scan, Ctr::ReadScans)?;
-        loop {
+        with_walk(|walk| loop {
             dgl_faults::failpoint!("dgl/plan" => {
                 self.rollback_now(txn);
                 TxnError::Injected
             });
             let tree = self.latch_shared();
-            let (set, raw) = scan_descent(&tree, &query);
-            if let Err(refused) = self.scan_locks(&set).try_acquire(&self.lm, txn) {
+            walk.granules(&tree, std::slice::from_ref(&query));
+            let locks = self.scan_locks(walk.leaves(), walk.externals());
+            if let Err(refused) = locks.try_acquire(&self.lm, txn) {
                 drop(tree);
                 self.wait_or_abort(txn, refused)?;
                 continue;
@@ -103,16 +119,13 @@ impl DglCore {
             // Versions only now: with the granule locks held, 2PL makes
             // every chain head either committed or this transaction's own
             // write, whatever its stamping state.
-            let mut hits = Vec::with_capacity(raw.len());
-            hits.extend(
-                raw.into_iter()
-                    .filter(Self::untombstoned)
-                    .map(|(oid, rect, _)| ScanHit {
-                        oid,
-                        rect,
-                        version: 1,
-                    }),
-            );
+            let mut hits = walk.read_leaves(&tree, &query, |oid, rect, tombstone| {
+                untombstoned(tombstone).then_some(ScanHit {
+                    oid,
+                    rect,
+                    version: 1,
+                })
+            });
             self.payloads.get_each(
                 &mut hits,
                 |h| &h.oid,
@@ -130,9 +143,8 @@ impl DglCore {
                 },
             );
             drop(tree);
-            self.end_op(txn);
             return Ok(hits);
-        }
+        })
     }
 
     /// UpdateScan: SIX on the granules that cover the predicate (the leaf
@@ -152,7 +164,7 @@ impl DglCore {
         loop {
             let tree = self.latch_shared();
             let (set, mut raw) = scan_descent(&tree, &query);
-            raw.retain(Self::untombstoned);
+            raw.retain(|(_, _, tombstone)| untombstoned(*tombstone));
             if let Err(refused) = self
                 .update_scan_locks(&set, &raw)
                 .try_acquire(&self.lm, txn)
@@ -175,15 +187,14 @@ impl DglCore {
                 });
             }
             drop(tree);
-            self.end_op(txn);
             return Ok(out);
         }
     }
+}
 
-    /// Locking-path visibility of a leaf entry: a tombstoned one is
-    /// logically deleted (by this transaction, or by a committed deleter
-    /// whose physical removal is still pending) and never returned.
-    fn untombstoned((_, _, tombstone): &RawHit<2>) -> bool {
-        tombstone.is_none()
-    }
+/// Locking-path visibility of a leaf entry: a tombstoned one is logically
+/// deleted (by this transaction, or by a committed deleter whose physical
+/// removal is still pending) and never returned.
+fn untombstoned(tombstone: Option<u64>) -> bool {
+    tombstone.is_none()
 }

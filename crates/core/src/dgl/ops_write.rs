@@ -38,9 +38,12 @@ impl DglCore {
         if self.payloads.contains_key(&oid) {
             // Keep the X lock: it makes the duplicate observation
             // repeatable for the rest of this transaction.
-            self.end_op(txn);
             return Err(TxnError::DuplicateObject);
         }
+        // Whether some attempt requested a short lock: an earlier
+        // attempt's short grants outlive its replan, and are released
+        // when the operation ends.
+        let mut short = false;
         loop {
             // Failpoint at the attempt boundary: no latch held, every
             // lock releasable — a clean place for chaos to abort (Error)
@@ -72,6 +75,7 @@ impl DglCore {
                     (latch, plan, predicted, locks)
                 }
             );
+            short |= locks.has_short();
             if let Err(refused) = locks.try_acquire(&self.lm, txn) {
                 drop(latch);
                 self.wait_or_abort(txn, refused)?;
@@ -134,7 +138,9 @@ impl DglCore {
             if plan.changes_granules() {
                 self.obs.incr(Ctr::GranuleChangingInserts);
             }
-            self.end_op(txn);
+            if short {
+                self.end_op(txn);
+            }
             return Ok(());
         }
     }
@@ -172,7 +178,10 @@ impl DglCore {
                 // Not found: "the deleter acquires S locks on all
                 // overlapping granules just like a ReadScan operation with
                 // the object as the scan predicate".
-                None => self.scan_locks(&overlapping_granules(latch.tree(), &[rect])),
+                None => {
+                    let set = overlapping_granules(latch.tree(), &[rect]);
+                    self.scan_locks(&set.leaves, &set.externals)
+                }
             };
             if let Err(refused) = locks.try_acquire(&self.lm, txn) {
                 drop(latch);
@@ -185,7 +194,6 @@ impl DglCore {
             // this same latch hold; the locks make the outcome repeatable.
             let Some((leaf, None)) = located else {
                 drop(latch);
-                self.end_op(txn);
                 return Ok(false);
             };
             // Tombstoning mutates the tree: validate the plan (leaf
@@ -216,7 +224,6 @@ impl DglCore {
                 self.rollback_now(txn);
                 return Err(e);
             }
-            self.end_op(txn);
             return Ok(true);
         }
     }
@@ -252,12 +259,10 @@ impl DglCore {
             // Absent, or tombstoned by a committed deleter: logically gone.
             let Some((_, None)) = located else {
                 drop(latch);
-                self.end_op(txn);
                 return Ok(false);
             };
             self.bump_version(txn, oid);
             drop(latch);
-            self.end_op(txn);
             return Ok(true);
         }
     }
@@ -301,9 +306,8 @@ mod tests {
         Rect2::new([x, y], [x + 0.01, y + 0.01])
     }
 
-    /// What a condensation explode leaves behind, made by hand: hints
-    /// naming a page the entry is no longer on — one freed, one another
-    /// leaf. Delete and update fall back to a descent, succeed, and repair
+    /// Stale hints, made by hand: hints naming a page the entry is no
+    /// longer on — one freed, one another leaf. Delete and update fall back to a descent, succeed, and repair
     /// the hint, so the next visit verifies without one.
     #[test]
     fn delete_and_update_through_a_stale_hint_fall_back_and_repair_it() {

@@ -108,8 +108,8 @@ impl DglCore {
                     self.obs.incr(Ctr::HashHits);
                     return Some((hint, tombstone));
                 }
-                // Stale hint (the entry moved without a reindex — e.g. a
-                // condensation explode): fall back and repair it. Not
+                // Stale hint (the entry moved without a reindex): fall
+                // back and repair it. Not
                 // `find_path`, because the entry may sit in a subtree a
                 // system operation holds disconnected mid-condense; it is
                 // still present and its leaf granule is still the right

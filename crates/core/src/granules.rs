@@ -1,4 +1,5 @@
-//! Granule overlap computation (§3.1 of the paper).
+//! Granule overlap computation (§3.1 of the paper), and the scan walks
+//! built on it.
 //!
 //! Given a query region (one or more boxes — the modified insertion policy
 //! queries the multi-box *growth region*), find every granule it overlaps:
@@ -16,14 +17,23 @@
 //! cover the entire embedded space (there are no non-leaf nodes to carry
 //! external granules), so every query overlaps it.
 //!
-//! The traversal counts page accesses per tree level — the measurement
-//! underlying the paper's Table 2.
+//! [`overlapping_granules`] counts page accesses per tree level — the
+//! measurement underlying the paper's Table 2.
 //!
-//! A scan needs the objects under those granules too, and gets both from
-//! one walk ([`scan_descent`]): the leaf granules *are* the leaves a region
-//! search would open, so reading each of them once — after the internal
-//! levels, still under the caller's one latch hold — completes the search
-//! without visiting an internal page twice.
+//! A scan needs the objects under those granules too. The leaf granules
+//! *are* the leaves a region search would open, so a [`Walk`] finds them
+//! over the internal levels first, and the caller locks before any leaf is
+//! read ([`Walk::granules`], then [`Walk::read_leaves`], under one latch
+//! hold). Reading the leaves starts with one uncounted load per leaf —
+//! independent of each other, so their cache misses overlap instead of
+//! queueing — and then reads each leaf once, building the caller's hits
+//! straight into the one vector it returns. The walk's own buffers (the
+//! DFS stack, the ext(T) pieces, the leaf and external lists) are kept
+//! per thread (`with_walk`), so a scan allocates its result and nothing
+//! else. A snapshot scan ([`Walk::snapshot_hits`]) runs the same recipe
+//! without the ext(T) test, over the tree and the in-flight orphans.
+
+use std::cell::Cell;
 
 use dgl_geom::{coverage::Pieces, Rect};
 use dgl_pager::PageId;
@@ -54,56 +64,16 @@ impl OverlapSet {
 /// Page reads are counted against the tree's I/O stats (this traversal is
 /// the extra I/O the paper's §3.4 measures).
 pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]) -> OverlapSet {
-    let mut out = OverlapSet {
-        accesses_per_level: vec![0; tree.height() as usize],
-        ..OverlapSet::default()
-    };
-    if queries.is_empty() {
-        return out;
+    let mut accesses_per_level = vec![0; tree.height() as usize];
+    let mut walk = Walk::default();
+    walk.granule_walk(tree, queries, |level| {
+        accesses_per_level[level as usize] += 1;
+    });
+    OverlapSet {
+        leaves: walk.leaves,
+        externals: walk.externals,
+        accesses_per_level,
     }
-    let root = tree.root();
-    if tree.height() == 1 {
-        // Degenerate tree: the root leaf granule covers the whole space.
-        out.leaves.push(root);
-        return out;
-    }
-    // DFS over internal nodes carrying each node's space (the root's space
-    // is the whole embedded world, per the paper's ext(root) definition).
-    let mut stack: Vec<(PageId, Rect<D>)> = vec![(root, tree.world())];
-    let mut pieces = Pieces::default();
-    // The rectangles of the children some query meets, one node at a time.
-    let mut met: Vec<Rect<D>> = Vec::new();
-    while let Some((pid, space)) = stack.pop() {
-        let node = tree.node(pid);
-        out.accesses_per_level[node.level as usize] += 1;
-        // One pass over the entries selects the children to descend into
-        // and keeps their rectangles for the ext(T) test below.
-        met.clear();
-        for e in &node.entries {
-            if let Entry::Child { mbr, child } = e {
-                if queries.iter().any(|q| q.intersects(mbr)) {
-                    met.push(*mbr);
-                    if node.level == 1 {
-                        out.leaves.push(*child);
-                    } else {
-                        stack.push((*child, *mbr));
-                    }
-                }
-            }
-        }
-        // External granule: any part of any query inside this node's space
-        // but outside all children. Only the met children take part: a
-        // child no query meets is disjoint from every `q ∩ T.space`, so it
-        // can neither contain nor cover any of it.
-        let ext_overlap = queries.iter().any(|q| {
-            q.intersection(&space)
-                .is_some_and(|clipped| !pieces.covers(&clipped, met.iter().copied()))
-        });
-        if ext_overlap {
-            out.externals.push(pid);
-        }
-    }
-    out
 }
 
 /// A leaf entry intersecting a scan's query — `(oid, rect, tombstone)`, as
@@ -111,10 +81,10 @@ pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]
 /// object, and at which version, is decided once its locks are held.
 pub type RawHit<const D: usize> = (ObjectId, Rect<D>, Option<u64>);
 
-/// A scan's one walk (Table 3, ReadScan and UpdateScan): the granules
-/// `query` overlaps **and** the leaf entries intersecting it — the same
-/// entries [`RTree::search`] returns — reading every overlapped page
-/// exactly once.
+/// UpdateScan's one walk (Table 3): the granules `query` overlaps **and**
+/// the leaf entries intersecting it — the same entries [`RTree::search`]
+/// returns — reading every overlapped page exactly once. Its X locks are
+/// on the hits, so it reads the leaves before it locks.
 pub fn scan_descent<const D: usize>(
     tree: &RTree<D>,
     query: &Rect<D>,
@@ -127,30 +97,200 @@ pub fn scan_descent<const D: usize>(
     (set, hits)
 }
 
-/// The hits-only form, for snapshot scans, which lock no granule: the
-/// tree from its root plus the entries a deferred deletion holds out of it
-/// right now — an object orphan by its rectangle, an index orphan by
-/// descending its still-live subtree.
-pub fn snapshot_descent<const D: usize>(
-    tree: &RTree<D>,
-    orphans: &[Orphan<D>],
-    query: &Rect<D>,
-) -> Vec<RawHit<D>> {
-    let mut hits = tree.search(query);
-    for orphan in orphans {
-        if !orphan.entry.mbr().intersects(query) {
-            continue;
+/// The buffers of a tree walk, and the leaf and external granules the
+/// last walk found. Kept from one walk to the next — per thread, for the
+/// protocol's scans — so that a walk allocates only while its buffers
+/// are still growing.
+#[derive(Debug, Default)]
+pub struct Walk<const D: usize> {
+    /// Internal pages still to open, each with its rectangle (its space,
+    /// for the ext(T) test).
+    stack: Vec<(PageId, Rect<D>)>,
+    /// The rectangles of the children some query meets, one node at a time.
+    met: Vec<Rect<D>>,
+    pieces: Pieces<D>,
+    leaves: Vec<PageId>,
+    externals: Vec<PageId>,
+}
+
+thread_local! {
+    /// This thread's walk over the protocol's two-dimensional trees.
+    static WALK: Cell<Walk<2>> = Cell::new(Walk::default());
+}
+
+/// Runs `f` with this thread's [`Walk`], whose buffers outlive the call.
+/// The walk is lent out, not borrowed: a nested call gets a fresh one,
+/// and a panic in `f` only costs the buffers.
+pub(crate) fn with_walk<T>(f: impl FnOnce(&mut Walk<2>) -> T) -> T {
+    let mut walk = WALK.take();
+    let out = f(&mut walk);
+    WALK.set(walk);
+    out
+}
+
+impl<const D: usize> Walk<D> {
+    /// The leaf granules the last walk found, in the order it found them.
+    pub fn leaves(&self) -> &[PageId] {
+        &self.leaves
+    }
+
+    /// The external granules the last [`Self::granules`] found.
+    pub fn externals(&self) -> &[PageId] {
+        &self.externals
+    }
+
+    /// The granules `queries` overlap — [`overlapping_granules`]' sets, in
+    /// its order, without the per-level counts. Reads the internal pages
+    /// whose space meets a query, each once, and no leaf.
+    pub fn granules(&mut self, tree: &RTree<D>, queries: &[Rect<D>]) {
+        self.granule_walk(tree, queries, |_| {});
+    }
+
+    /// The granule walk, calling `visit` with the level of every page it
+    /// reads.
+    fn granule_walk(&mut self, tree: &RTree<D>, queries: &[Rect<D>], mut visit: impl FnMut(u32)) {
+        self.leaves.clear();
+        self.externals.clear();
+        if queries.is_empty() {
+            return;
         }
-        match orphan.entry {
-            Entry::Object {
+        let root = tree.root();
+        if tree.height() == 1 {
+            // Degenerate tree: the root leaf granule covers the whole space.
+            self.leaves.push(root);
+            return;
+        }
+        // DFS over internal nodes carrying each node's space (the root's
+        // space is the whole embedded world, per the paper's ext(root)
+        // definition).
+        self.stack.push((root, tree.world()));
+        while let Some((pid, space)) = self.stack.pop() {
+            let node = tree.node(pid);
+            visit(node.level);
+            // One pass over the entries selects the children to descend
+            // into and keeps their rectangles for the ext(T) test below.
+            self.met.clear();
+            for e in &node.entries {
+                if let Entry::Child { mbr, child } = e {
+                    if queries.iter().any(|q| q.intersects(mbr)) {
+                        self.met.push(*mbr);
+                        if node.level == 1 {
+                            self.leaves.push(*child);
+                        } else {
+                            self.stack.push((*child, *mbr));
+                        }
+                    }
+                }
+            }
+            // External granule: any part of any query inside this node's
+            // space but outside all children. Only the met children take
+            // part: a child no query meets is disjoint from every
+            // `q ∩ T.space`, so it can neither contain nor cover any of it.
+            let ext_overlap = queries.iter().any(|q| {
+                q.intersection(&space)
+                    .is_some_and(|clipped| !self.pieces.covers(&clipped, self.met.iter().copied()))
+            });
+            if ext_overlap {
+                self.externals.push(pid);
+            }
+        }
+    }
+
+    /// Appends the leaf pages under the live page `start` whose rectangles
+    /// meet `query` — a region search's descent, with no ext(T) test.
+    /// Reads the internal pages it opens; a leaf `start` is not read here.
+    fn leaves_under(&mut self, tree: &RTree<D>, start: PageId, query: &Rect<D>) {
+        if tree.peek_node(start).is_leaf() {
+            self.leaves.push(start);
+            return;
+        }
+        self.stack.push((start, tree.world()));
+        while let Some((pid, _)) = self.stack.pop() {
+            let node = tree.node(pid);
+            for e in &node.entries {
+                if let Entry::Child { mbr, child } = e {
+                    if mbr.intersects(query) {
+                        if node.level == 1 {
+                            self.leaves.push(*child);
+                        } else {
+                            self.stack.push((*child, *mbr));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reads the leaves the last walk found, each once, and collects
+    /// `keep(oid, rect, tombstone)` of every entry meeting `query` where it
+    /// is `Some` — in leaf order, into one vector sized up front for every
+    /// entry on those leaves, so it never regrows.
+    ///
+    /// First one uncounted load of each leaf's first entry: the loads
+    /// depend on nothing but the leaf list, so their cache misses overlap,
+    /// and the counted reads that follow find the leaves in cache.
+    pub fn read_leaves<T>(
+        &self,
+        tree: &RTree<D>,
+        query: &Rect<D>,
+        mut keep: impl FnMut(ObjectId, Rect<D>, Option<u64>) -> Option<T>,
+    ) -> Vec<T> {
+        let mut bound = 0;
+        for leaf in &self.leaves {
+            let entries = &tree.peek_node(*leaf).entries;
+            bound += entries.len();
+            std::hint::black_box(entries.first().map(Entry::mbr));
+        }
+        let mut out = Vec::with_capacity(bound);
+        for leaf in &self.leaves {
+            tree.leaf_hits(*leaf, query, |oid, rect, tombstone| {
+                if let Some(hit) = keep(oid, rect, tombstone) {
+                    out.push(hit);
+                }
+            });
+        }
+        out
+    }
+
+    /// A snapshot scan's entries, as `make(oid, rect, tombstone)`: the
+    /// tree's from its root plus those a deferred deletion holds out of it
+    /// right now — an index orphan by descending its still-live subtree,
+    /// an object orphan by its rectangle. The leaves of both are found
+    /// first and read together ([`Self::read_leaves`]); no granule is
+    /// computed, since a snapshot scan locks none.
+    pub fn snapshot_hits<T>(
+        &mut self,
+        tree: &RTree<D>,
+        orphans: &[Orphan<D>],
+        query: &Rect<D>,
+        mut make: impl FnMut(ObjectId, Rect<D>, Option<u64>) -> T,
+    ) -> Vec<T> {
+        self.leaves.clear();
+        self.leaves_under(tree, tree.root(), query);
+        for orphan in orphans {
+            if let Entry::Child { mbr, child } = orphan.entry {
+                if mbr.intersects(query) {
+                    self.leaves_under(tree, child, query);
+                }
+            }
+        }
+        let mut hits = self.read_leaves(tree, query, |oid, rect, tombstone| {
+            Some(make(oid, rect, tombstone))
+        });
+        for orphan in orphans {
+            if let Entry::Object {
                 mbr,
                 oid,
                 tombstone,
-            } => hits.push((oid, mbr, tombstone)),
-            Entry::Child { child, .. } => tree.search_from(child, query, &mut hits),
+            } = orphan.entry
+            {
+                if mbr.intersects(query) {
+                    hits.push(make(oid, mbr, tombstone));
+                }
+            }
         }
+        hits
     }
-    hits
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 //! | Delete (logical); UpdateSingle | g: IX commit, object: X commit | [`DglCore::point_write_locks`] |
 //! | Delete (physical, §3.7) | leaf IX/SIX, dying pages and shrinking ext SIX, short | [`DglCore::physical_delete_locks`] |
 //! | Orphan re-insertion (§3.7) | the insert rules, short | [`DglCore::reinsert_locks`] |
-//! | Orphan explode (§3.7) | every page of the subtree: SIX short | [`DglCore::explode_locks`] |
 //!
 //! The rules several rows share are written once: short SIX on a page
 //! that splits or dies, short SIX on a shrinking external granule, and
@@ -104,6 +103,12 @@ impl LockList {
         }
     }
 
+    /// Whether any requirement is short-duration: only then does the
+    /// operation have locks to release when it ends.
+    pub fn has_short(&self) -> bool {
+        self.wants().iter().any(|((_, commit), _)| !commit)
+    }
+
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.wants().len()
@@ -168,8 +173,8 @@ impl DglCore {
     // --- the rules several rows share ----------------------------------
 
     /// Short SIX on each page that splits (§3.5) or dies (§3.7 node
-    /// elimination and orphan explode): no other transaction may hold any
-    /// lock on a granule while it changes identity.
+    /// elimination): no other transaction may hold any lock on a granule
+    /// while it changes identity.
     fn six_on_changing_pages(locks: &mut LockList, pages: &[PageId]) {
         for p in pages {
             locks.add(page(*p), SIX, Short);
@@ -214,12 +219,12 @@ impl DglCore {
     /// object, which "acquires S locks on all overlapping granules just
     /// like a ReadScan": commit S on every leaf and external granule the
     /// predicate overlaps.
-    pub(crate) fn scan_locks(&self, set: &OverlapSet) -> LockList {
+    pub(crate) fn scan_locks(&self, leaves: &[PageId], externals: &[PageId]) -> LockList {
         let mut locks = LockList::new();
-        for g in &set.leaves {
+        for g in leaves {
             locks.add(page(*g), S, Commit);
         }
-        for g in &set.externals {
+        for g in externals {
             locks.add(self.ext_res(*g), S, Commit);
         }
         locks
@@ -435,15 +440,6 @@ impl DglCore {
         if plan.grows {
             self.ix_on_growth(&mut locks, tree, &plan.growth, plan.target);
         }
-        locks
-    }
-
-    /// §3.7, Table 3 row "Delete (physical), orphan explode": an orphan
-    /// whose home level is gone dissolves into its objects and its
-    /// subtree's `pages` die — short SIX on each, as for elimination.
-    pub(crate) fn explode_locks(pages: &[PageId]) -> LockList {
-        let mut locks = LockList::new();
-        Self::six_on_changing_pages(&mut locks, pages);
         locks
     }
 }

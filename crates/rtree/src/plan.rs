@@ -97,8 +97,12 @@ impl<const D: usize> RTree<D> {
     /// (orphan re-insertion during condensation).
     ///
     /// # Panics
-    /// Panics if `level` exceeds the root level (callers handle that case
-    /// by exploding the orphan subtree into objects first).
+    /// Panics if `level` exceeds the root level, which an orphan's never
+    /// does: an orphan comes from an eliminated non-root node, and a delete
+    /// that leaves orphans lowers the root by one level at most (at minimum
+    /// fill 1 only empty nodes are eliminated; at >= 2 the one child a
+    /// shrinking root absorbs is off the deletion path and keeps >= 2
+    /// entries).
     pub fn plan_insert_at(&self, rect: Rect<D>, level: u32) -> InsertPlan<D> {
         let path = self.choose_path(rect, level);
         let target = *path.last().expect("path never empty");

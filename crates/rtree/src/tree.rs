@@ -141,7 +141,7 @@ impl<const D: usize> RTree<D> {
     /// Monotone structure-version counter: bumped by every mutation that
     /// could invalidate a previously computed [`InsertPlan`]/[`DeletePlan`]
     /// or a [`RTree::predicted_new_pages`] prediction — applied inserts and
-    /// deletes, orphan explosion, tombstone changes and raw entry removal.
+    /// deletes, tombstone changes and raw entry removal.
     ///
     /// The optimistic latch-coupling protocol plans under a *shared* tree
     /// latch, records this version, then revalidates it under the exclusive
@@ -361,6 +361,29 @@ impl<const D: usize> RTree<D> {
         }
     }
 
+    /// The object entries of the leaf page `leaf` that intersect `query`,
+    /// each handed to `hit` as `(oid, mbr, tombstone)` — one counted read
+    /// of one page, for a walk that found its leaves itself.
+    pub fn leaf_hits(
+        &self,
+        leaf: PageId,
+        query: &Rect<D>,
+        mut hit: impl FnMut(ObjectId, Rect<D>, Option<u64>),
+    ) {
+        for e in &self.node(leaf).entries {
+            if let Entry::Object {
+                mbr,
+                oid,
+                tombstone,
+            } = e
+            {
+                if mbr.intersects(query) {
+                    hit(*oid, *mbr, *tombstone);
+                }
+            }
+        }
+    }
+
     /// Exact lookup of `(oid, rect)`: returns the tombstone state if
     /// present.
     pub fn lookup(&self, oid: ObjectId, rect: Rect<D>) -> Option<Option<u64>> {
@@ -391,7 +414,7 @@ impl<const D: usize> RTree<D> {
     /// subtrees as orphans: pages inside an orphaned subtree are live but
     /// temporarily unreachable from the root. An entry covered by a
     /// commit-duration lock never leaves its leaf page during that window
-    /// (leaf elimination, explosion and leaf splits all take SIX, which
+    /// (leaf elimination and leaf splits take SIX, which
     /// conflicts with the holder's IX), so the store scan always finds it.
     pub fn locate_leaf(&self, oid: ObjectId, rect: Rect<D>) -> Option<PageId> {
         if let Some(path) = self.find_path(oid, rect) {
@@ -678,16 +701,9 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Re-inserts one orphan at its home level, exploding its subtree into
-    /// objects if the tree has shrunk below that level.
+    /// Re-inserts one orphan at its home level, which still exists
+    /// ([`RTree::plan_insert_at`]).
     pub fn reinsert_orphan(&mut self, orphan: Orphan<D>) {
-        if orphan.level > self.peek_node(self.root).level {
-            for o in self.explode(orphan) {
-                let plan = self.plan_insert(o.entry.mbr());
-                self.apply_insert(&plan, o.entry);
-            }
-            return;
-        }
         let plan = self.plan_insert_at(orphan.entry.mbr(), orphan.level);
         self.apply_reinsert(&plan, orphan.entry);
     }
@@ -701,26 +717,6 @@ impl<const D: usize> RTree<D> {
             self.object_count -= 1;
         }
         self.apply_insert(plan, entry)
-    }
-
-    /// Dissolves an orphaned subtree into its object entries, freeing its
-    /// pages.
-    pub fn explode(&mut self, orphan: Orphan<D>) -> Vec<Orphan<D>> {
-        match orphan.entry {
-            Entry::Object { .. } => vec![orphan],
-            Entry::Child { child, .. } => {
-                self.bump_version();
-                let node = self.store.dealloc(child);
-                let mut out = Vec::new();
-                for e in node.entries {
-                    out.extend(self.explode(Orphan {
-                        level: node.level.saturating_sub(1),
-                        entry: e,
-                    }));
-                }
-                out
-            }
-        }
     }
 
     /// Applies a planned physical delete: removes the entry, condenses the

@@ -1,10 +1,8 @@
-//! Edge cases of tree condensation: deep elimination cascades, root
-//! absorption chains, and the orphan-explosion fallback (an orphan whose
-//! home level no longer exists after the root shrank).
+//! Edge cases of tree condensation: deep elimination cascades and root
+//! absorption chains.
 
 use dgl_geom::{Rect, Rect2};
-use dgl_pager::PageId;
-use dgl_rtree::{Entry, Node, ObjectId, Orphan, RTree2, RTreeConfig};
+use dgl_rtree::{ObjectId, RTree2, RTreeConfig};
 
 fn r(lo: [f64; 2], hi: [f64; 2]) -> Rect2 {
     Rect2::new(lo, hi)
@@ -77,104 +75,4 @@ fn alternating_insert_delete_thrash_at_min_fill_boundary() {
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
     assert_eq!(tree.len(), 8);
-}
-
-#[test]
-fn explode_dissolves_a_subtree_into_objects() {
-    let (tree, _) = build(4, 60);
-    assert!(tree.height() >= 3);
-    // Detach a level-1 subtree entry by hand and explode it.
-    let root = tree.root();
-    let (child_page, child_mbr) = {
-        let root_node = tree.peek_node(root);
-        // Descend to a level-1 node.
-        let mut page = root_node.children().next().expect("root has children");
-        loop {
-            let n = tree.peek_node(page);
-            if n.level == 1 {
-                break;
-            }
-            page = n.children().next().expect("non-leaf has children");
-        }
-        (page, tree.peek_node(page).mbr().unwrap())
-    };
-    // Count objects underneath before exploding.
-    let objects_under = count_objects(&tree, child_page);
-    let pages_before = tree.pages().count();
-
-    // Simulate the orphan (as deferred re-insertion would see it) and
-    // explode it. NOTE: the entry is still referenced by its parent in
-    // this synthetic setup, so we only check the returned orphan set and
-    // page accounting of the explode itself on a detached clone.
-    let mut clone = rebuild_clone(&tree);
-    let orphan = Orphan {
-        entry: Entry::Child {
-            mbr: child_mbr,
-            child: child_page,
-        },
-        level: 2,
-    };
-    // Detach it from the parent first so the clone stays consistent.
-    detach(&mut clone, child_page);
-    let out = clone.explode(orphan);
-    assert_eq!(
-        out.len(),
-        objects_under,
-        "every object surfaces as an orphan"
-    );
-    assert!(out.iter().all(|o| matches!(o.entry, Entry::Object { .. })));
-    assert!(out.iter().all(|o| o.level == 0));
-    assert!(
-        clone.pages().count() < pages_before,
-        "exploded subtree pages are freed"
-    );
-    let _ = pages_before;
-}
-
-fn count_objects(tree: &RTree2, page: PageId) -> usize {
-    let mut stack = vec![page];
-    let mut n = 0;
-    while let Some(p) = stack.pop() {
-        let node = tree.peek_node(p);
-        for e in &node.entries {
-            match e {
-                Entry::Child { child, .. } => stack.push(*child),
-                Entry::Object { .. } => n += 1,
-            }
-        }
-    }
-    n
-}
-
-/// A deep copy of `tree` through its one constructor, `edit` applied to
-/// every page on the way (test surgery).
-fn copy_with(tree: &RTree2, mut edit: impl FnMut(PageId, &mut Node<2>)) -> RTree2 {
-    let mut slots = Vec::new();
-    for (pid, node) in tree.pages() {
-        let mut node = node.clone();
-        edit(pid, &mut node);
-        slots.resize(pid.0 as usize + 1, None);
-        slots[pid.0 as usize] = Some(node);
-    }
-    RTree2::from_slots(*tree.config(), tree.world(), tree.root(), tree.len(), slots)
-}
-
-fn rebuild_clone(tree: &RTree2) -> RTree2 {
-    copy_with(tree, |_, _| {})
-}
-
-/// Removes the parent entry referencing `child` (synthetic detach for the
-/// explosion test). The public mutation surface does not expose raw
-/// removal of child entries, so the parent is rewritten in a copy.
-fn detach(tree: &mut RTree2, child: PageId) {
-    let parent = tree
-        .pages()
-        .find(|(_, n)| n.children().any(|c| c == child))
-        .map(|(pid, _)| pid)
-        .expect("child has a parent");
-    *tree = copy_with(tree, |pid, node| {
-        if pid == parent {
-            node.entries.retain(|e| e.child() != Some(child));
-        }
-    });
 }

@@ -48,8 +48,14 @@ impl<R: Default> TxnManager<R> {
 
     /// Begins a new transaction.
     pub fn begin(&self) -> TxnId {
+        self.begin_with(R::default())
+    }
+
+    /// Begins a new transaction whose record is `record` from the start:
+    /// no caller can find it active with another.
+    pub fn begin_with(&self, record: R) -> TxnId {
         let id = self.lock_manager.domain().next_txn_id();
-        self.begin_as(id);
+        self.join(id, record);
         id
     }
 
@@ -60,7 +66,11 @@ impl<R: Default> TxnManager<R> {
     /// # Panics
     /// Panics if `id` is already active here.
     pub fn begin_as(&self, id: TxnId) {
-        let joined = self.active.lock().insert(id, R::default());
+        self.join(id, R::default());
+    }
+
+    fn join(&self, id: TxnId, record: R) {
+        let joined = self.active.lock().insert(id, record);
         assert!(joined.is_none(), "second begin of active transaction {id}");
         self.lock_manager.obs().incr(Ctr::TxnsStarted);
     }
