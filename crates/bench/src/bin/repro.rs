@@ -9,7 +9,6 @@
 //! 32,000, fewer transactions) for smoke runs.
 
 use dgl_bench::experiments::{ablation, connections, granule_change, table2, table4, zorder};
-use dgl_bench::report;
 use dgl_workload::OpMix;
 
 fn main() {
@@ -63,71 +62,17 @@ fn main() {
         println!("{}", zorder::render_sweep(&rows));
         println!("### False conflicts on spatially disjoint workloads\n");
         let fc = zorder::false_conflicts(if quick { 60 } else { 200 }, seed);
-        println!(
-            "{}",
-            report::markdown_table(
-                &["Scheme", "Lock waits", "Txns"],
-                &[
-                    vec![
-                        "granular (DGL)".into(),
-                        fc.dgl_waits.to_string(),
-                        fc.txns.to_string()
-                    ],
-                    vec![
-                        "z-order key-range".into(),
-                        fc.zorder_waits.to_string(),
-                        fc.txns.to_string()
-                    ],
-                ]
-            )
-        );
+        println!("{}", zorder::render_false_conflicts(&fc));
     }
 
     if all || which.contains(&"ablations") {
         println!("## Ablation — insertion policy (base vs modified, §3.4)\n");
-        let mut rows = Vec::new();
-        for fanout in [12usize, 24, 50, 100] {
-            let a = ablation::insertion_policy(n.min(8_000), fanout, seed);
-            rows.push(vec![
-                fanout.to_string(),
-                report::f2(a.base_reads_per_insert),
-                report::f2(a.modified_reads_per_insert),
-                report::pct(a.changing_fraction),
-            ]);
-        }
-        println!(
-            "{}",
-            report::markdown_table(
-                &[
-                    "Fanout",
-                    "Reads/insert (base)",
-                    "Reads/insert (modified)",
-                    "Granule-changing"
-                ],
-                &rows
-            )
-        );
+        let rows = ablation::insertion_policy_sweep(n.min(8_000), seed);
+        println!("{}", ablation::render_insertion_policy(&rows));
 
         println!("## Ablation — per-node vs single external granule (§3.1)\n");
         let a = ablation::external_granule(8, if quick { 40 } else { 150 }, seed);
-        println!(
-            "{}",
-            report::markdown_table(
-                &["Design", "Txns/s", "Waits/txn"],
-                &[
-                    vec![
-                        "per-node ext granules".into(),
-                        format!("{:.0}", a.per_node_txns_per_sec),
-                        report::f2(a.per_node_waits_per_txn),
-                    ],
-                    vec![
-                        "single ext granule (rejected)".into(),
-                        format!("{:.0}", a.coarse_txns_per_sec),
-                        report::f2(a.coarse_waits_per_txn),
-                    ],
-                ]
-            )
-        );
+        println!("{}", ablation::render_external_granule(&a));
     }
 
     if all || which.contains(&"connections") {

@@ -17,6 +17,8 @@ use dgl_rtree::{ObjectId, RTreeConfig};
 use dgl_workload::{Dataset, DatasetKind};
 use serde::Serialize;
 
+use crate::report;
+
 /// Result of the insertion-policy ablation.
 #[derive(Debug, Clone, Serialize)]
 pub struct PolicyAblation {
@@ -68,6 +70,38 @@ pub fn insertion_policy(n: usize, fanout: usize, seed: u64) -> PolicyAblation {
         modified_reads_per_insert: results[1].0,
         changing_fraction: results[1].1,
     }
+}
+
+/// The insertion-policy ablation at the paper's fanouts {12, 24, 50, 100}.
+pub fn insertion_policy_sweep(n: usize, seed: u64) -> Vec<PolicyAblation> {
+    [12usize, 24, 50, 100]
+        .into_iter()
+        .map(|fanout| insertion_policy(n, fanout, seed))
+        .collect()
+}
+
+/// Markdown rendering of the insertion-policy sweep.
+pub fn render_insertion_policy(rows: &[PolicyAblation]) -> String {
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|a| {
+            vec![
+                a.fanout.to_string(),
+                report::f2(a.base_reads_per_insert),
+                report::f2(a.modified_reads_per_insert),
+                report::pct(a.changing_fraction),
+            ]
+        })
+        .collect();
+    report::markdown_table(
+        &[
+            "Fanout",
+            "Reads/insert (base)",
+            "Reads/insert (modified)",
+            "Granule-changing",
+        ],
+        &body,
+    )
 }
 
 /// Result of the external-granule ablation.
@@ -179,6 +213,25 @@ pub fn external_granule(threads: u64, txns_per_thread: u64, seed: u64) -> Extern
         per_node_waits_per_txn: per_node.1,
         coarse_waits_per_txn: coarse.1,
     }
+}
+
+/// Markdown rendering of the external-granule ablation.
+pub fn render_external_granule(a: &ExternalGranuleAblation) -> String {
+    report::markdown_table(
+        &["Design", "Txns/s", "Waits/txn"],
+        &[
+            vec![
+                "per-node ext granules".into(),
+                format!("{:.0}", a.per_node_txns_per_sec),
+                report::f2(a.per_node_waits_per_txn),
+            ],
+            vec![
+                "single ext granule (rejected)".into(),
+                format!("{:.0}", a.coarse_txns_per_sec),
+                report::f2(a.coarse_waits_per_txn),
+            ],
+        ],
+    )
 }
 
 #[cfg(test)]

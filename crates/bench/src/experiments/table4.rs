@@ -109,7 +109,7 @@ pub fn protocols(fanout: usize) -> Vec<Arc<dyn TransactionalRTree>> {
 }
 
 /// Runs one protocol under the configured workload and collects metrics.
-pub fn run_protocol(
+fn run_protocol(
     db: Arc<dyn TransactionalRTree>,
     mix: OpMix,
     cfg: &Table4Config,

@@ -229,6 +229,25 @@ pub fn render_sweep(rows: &[LockOverheadRow]) -> String {
     )
 }
 
+/// Markdown rendering of the false-conflict measurement.
+pub fn render_false_conflicts(fc: &FalseConflictResult) -> String {
+    crate::report::markdown_table(
+        &["Scheme", "Lock waits", "Txns"],
+        &[
+            vec![
+                "granular (DGL)".into(),
+                fc.dgl_waits.to_string(),
+                fc.txns.to_string(),
+            ],
+            vec![
+                "z-order key-range".into(),
+                fc.zorder_waits.to_string(),
+                fc.txns.to_string(),
+            ],
+        ],
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

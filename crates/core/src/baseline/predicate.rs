@@ -91,11 +91,6 @@ impl PredicateRTree {
         }
     }
 
-    /// Current predicate-table size (testing aid).
-    pub fn predicate_count(&self) -> usize {
-        self.preds.lock().len()
-    }
-
     /// Waits until `rect` in `mode` conflicts with no predicate of another
     /// active transaction, then registers it.
     fn register_predicate(&self, txn: TxnId, rect: Rect2, mode: PredMode) -> Result<(), TxnError> {

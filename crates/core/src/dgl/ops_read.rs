@@ -5,16 +5,16 @@
 //! fetched together first, then each read once, its hits built in the
 //! returned vector — and resolve versions from the payload table
 //! ([`crate::granules`]). A refused attempt reads no leaf. UpdateScan
-//! locks its hits' objects, so it reads the leaves before it locks
-//! ([`crate::granules::scan_descent`]). None of the three takes a short
-//! lock, so none has locks to release when it ends.
+//! runs the same walk, but locks its hits' objects, so it reads the leaves
+//! before it locks. None of the three takes a short lock, so none has
+//! locks to release when it ends.
 
 use dgl_geom::Rect2;
 use dgl_lockmgr::TxnId;
 use dgl_obs::{Ctr, Hist, OpKind};
 use dgl_rtree::ObjectId;
 
-use crate::granules::{scan_descent, with_walk};
+use crate::granules::with_walk;
 use crate::{ScanHit, TxnError};
 
 use super::DglCore;
@@ -161,12 +161,19 @@ impl DglCore {
         // them as scans would break the "scans vanish from the wait
         // histogram" claim.
         let _op = self.begin_op(txn, OpKind::Write, Ctr::UpdateScans)?;
-        loop {
+        with_walk(|walk| loop {
             let tree = self.latch_shared();
-            let (set, mut raw) = scan_descent(&tree, &query);
-            raw.retain(|(_, _, tombstone)| untombstoned(*tombstone));
+            walk.granules(&tree, std::slice::from_ref(&query));
+            let mut hits = walk.read_leaves(&tree, &query, |oid, rect, tombstone| {
+                // The version is set below, once the locks are held.
+                untombstoned(tombstone).then_some(ScanHit {
+                    oid,
+                    rect,
+                    version: 0,
+                })
+            });
             if let Err(refused) = self
-                .update_scan_locks(&set, &raw)
+                .update_scan_locks(walk.leaves(), walk.externals(), &hits)
                 .try_acquire(&self.lm, txn)
             {
                 drop(tree);
@@ -177,18 +184,12 @@ impl DglCore {
             // guarantee the hit set cannot have changed. Every live tree
             // entry has a slot (inserts publish both together; recovery
             // seeds every restored entry).
-            let mut out = Vec::with_capacity(raw.len());
-            for (oid, rect, _) in raw {
-                let old = self.bump_version(txn, oid);
-                out.push(ScanHit {
-                    oid,
-                    rect,
-                    version: old + 1,
-                });
+            for h in &mut hits {
+                h.version = self.bump_version(txn, h.oid) + 1;
             }
             drop(tree);
-            return Ok(out);
-        }
+            return Ok(hits);
+        })
     }
 }
 

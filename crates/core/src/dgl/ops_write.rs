@@ -7,7 +7,7 @@ use dgl_rtree::{Entry, ObjectId};
 
 use dgl_obs::{span, Ctr, Hist, OpKind};
 
-use crate::granules::overlapping_granules;
+use crate::granules::with_walk;
 use crate::TxnError;
 
 use super::mvcc::VersionChain;
@@ -178,10 +178,10 @@ impl DglCore {
                 // Not found: "the deleter acquires S locks on all
                 // overlapping granules just like a ReadScan operation with
                 // the object as the scan predicate".
-                None => {
-                    let set = overlapping_granules(latch.tree(), &[rect]);
-                    self.scan_locks(&set.leaves, &set.externals)
-                }
+                None => with_walk(|walk| {
+                    walk.granules(latch.tree(), &[rect]);
+                    self.scan_locks(walk.leaves(), walk.externals())
+                }),
             };
             if let Err(refused) = locks.try_acquire(&self.lm, txn) {
                 drop(latch);

@@ -354,11 +354,6 @@ impl ShardedDglRTree {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The individual shards (tests, benchmarks).
     pub fn shard_handles(&self) -> &[DglRTree] {
         &self.shards

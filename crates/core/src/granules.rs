@@ -30,8 +30,10 @@
 //! straight into the one vector it returns. The walk's own buffers (the
 //! DFS stack, the ext(T) pieces, the leaf and external lists) are kept
 //! per thread (`with_walk`), so a scan allocates its result and nothing
-//! else. A snapshot scan ([`Walk::snapshot_hits`]) runs the same recipe
-//! without the ext(T) test, over the tree and the in-flight orphans.
+//! else. UpdateScan runs the same walk but reads its leaves before it
+//! locks, since its X locks are on the hits. A snapshot scan
+//! ([`Walk::snapshot_hits`]) runs the same recipe without the ext(T)
+//! test, over the tree and the in-flight orphans.
 
 use std::cell::Cell;
 
@@ -76,31 +78,10 @@ pub fn overlapping_granules<const D: usize>(tree: &RTree<D>, queries: &[Rect<D>]
     }
 }
 
-/// A leaf entry intersecting a scan's query — `(oid, rect, tombstone)`, as
-/// [`RTree::search`] yields them. Raw: whether the scanner may see the
-/// object, and at which version, is decided once its locks are held.
-pub type RawHit<const D: usize> = (ObjectId, Rect<D>, Option<u64>);
-
-/// UpdateScan's one walk (Table 3): the granules `query` overlaps **and**
-/// the leaf entries intersecting it — the same entries [`RTree::search`]
-/// returns — reading every overlapped page exactly once. Its X locks are
-/// on the hits, so it reads the leaves before it locks.
-pub fn scan_descent<const D: usize>(
-    tree: &RTree<D>,
-    query: &Rect<D>,
-) -> (OverlapSet, Vec<RawHit<D>>) {
-    let set = overlapping_granules(tree, std::slice::from_ref(query));
-    let mut hits = Vec::with_capacity(tree.config().max_entries);
-    for leaf in &set.leaves {
-        tree.search_from(*leaf, query, &mut hits);
-    }
-    (set, hits)
-}
-
 /// The buffers of a tree walk, and the leaf and external granules the
 /// last walk found. Kept from one walk to the next — per thread, for the
-/// protocol's scans — so that a walk allocates only while its buffers
-/// are still growing.
+/// protocol's scans and write-path granule queries — so that a walk
+/// allocates only while its buffers are still growing.
 #[derive(Debug, Default)]
 pub struct Walk<const D: usize> {
     /// Internal pages still to open, each with its rectangle (its space,

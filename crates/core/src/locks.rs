@@ -35,7 +35,8 @@ use dgl_pager::PageId;
 use dgl_rtree::{DeletePlan, Entry, InsertPlan, ObjectId, RTree2};
 
 use crate::dgl::{DglCore, InsertPolicy};
-use crate::granules::{overlapping_granules, OverlapSet, RawHit};
+use crate::granules::with_walk;
+use crate::ScanHit;
 
 /// A lock request the lock table refused: what the caller, its latch
 /// dropped, waits for unconditionally before it replans.
@@ -195,15 +196,17 @@ impl DglCore {
     /// itself excluded — so a scanner holding S on the space the target
     /// grows into blocks the growth.
     fn ix_on_growth(&self, locks: &mut LockList, tree: &RTree2, queries: &[Rect2], target: PageId) {
-        let set = overlapping_granules(tree, queries);
-        for g in set.leaves {
-            if g != target {
-                locks.add(page(g), IX, Short);
+        with_walk(|walk| {
+            walk.granules(tree, queries);
+            for g in walk.leaves() {
+                if *g != target {
+                    locks.add(page(*g), IX, Short);
+                }
             }
-        }
-        for g in set.externals {
-            locks.add(self.ext_res(g), IX, Short);
-        }
+            for g in walk.externals() {
+                locks.add(self.ext_res(*g), IX, Short);
+            }
+        });
     }
 
     // --- one function per (operation, case) ----------------------------
@@ -233,16 +236,21 @@ impl DglCore {
     /// §3.8, Table 3 row "UpdateScan": commit SIX on the covering (leaf)
     /// granules, where updatable objects live, commit S on the rest (the
     /// external granules), commit X on every qualifying object.
-    pub(crate) fn update_scan_locks(&self, set: &OverlapSet, hits: &[RawHit<2>]) -> LockList {
+    pub(crate) fn update_scan_locks(
+        &self,
+        leaves: &[PageId],
+        externals: &[PageId],
+        hits: &[ScanHit],
+    ) -> LockList {
         let mut locks = LockList::new();
-        for g in &set.leaves {
+        for g in leaves {
             locks.add(page(*g), SIX, Commit);
         }
-        for g in &set.externals {
+        for g in externals {
             locks.add(self.ext_res(*g), S, Commit);
         }
-        for (oid, ..) in hits {
-            locks.add(object(*oid), X, Commit);
+        for h in hits {
+            locks.add(object(h.oid), X, Commit);
         }
         locks
     }

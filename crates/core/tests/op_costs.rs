@@ -202,8 +202,56 @@ fn measure() -> Vec<(&'static str, f64)> {
         "deferred_deletion",
         (commit_with_deletes as f64 - begin_commit) / deletes as f64,
     ));
+
+    let t = db.begin();
+    let mut hits = 0;
+    rows.push((
+        "update_scan",
+        per_op(|_| hits += db.update_scan(t, rng.rect(SCAN_SIDE)).unwrap().len()),
+    ));
+    db.commit(t).unwrap();
+    assert!(
+        (30..=80).contains(&(hits / ROUNDS as usize)),
+        "the window should hold about fifty objects, held {}",
+        hits / ROUNDS as usize
+    );
+
+    let t = db.begin();
+    rows.push((
+        "absent_delete",
+        per_op(|r| {
+            let oid = 3 * OBJECTS + r;
+            assert_eq!(db.delete(t, ObjectId(oid), rect_of(oid)), Ok(false));
+        }),
+    ));
+    db.commit(t).unwrap();
+
+    rows.push(("splitting_insert", per_splitting_insert(&db)));
     db.validate().unwrap();
     rows
+}
+
+/// Mean allocations of the first `ROUNDS` inserts that split a node, from
+/// a stream of new objects in one transaction; the inserts that do not
+/// split run between them, unmeasured.
+fn per_splitting_insert(db: &DglRTree) -> f64 {
+    let t = db.begin();
+    let (mut measured, mut total) = (0, 0);
+    for oid in 4 * OBJECTS.. {
+        let rect = rect_of(oid);
+        let splits = db.with_tree(|tree| !tree.plan_insert(rect).split_pages.is_empty());
+        let before = allocs();
+        db.insert(t, ObjectId(oid), rect).unwrap();
+        if splits {
+            total += allocs() - before;
+            measured += 1;
+            if measured == ROUNDS {
+                break;
+            }
+        }
+    }
+    db.commit(t).unwrap();
+    total as f64 / ROUNDS as f64
 }
 
 const GOLDEN: &str = include_str!("op_costs.golden");

@@ -2,11 +2,13 @@
 //! replaced found — `overlapping_granules` for the Table-3 granules,
 //! `RTree::search` for the hits — while every overlapped page is read
 //! once:
-//! * UpdateScan's `scan_descent` yields granules and raw hits together;
-//! * ReadScan's `Walk` finds the granules first (`Walk::granules`), and
-//!   reads the leaves only after the caller locked them
-//!   (`Walk::read_leaves`), its leaf touch uncounted; on an index, the
-//!   scan's lock set is those granules and its hits the untombstoned ones;
+//! * the `Walk` finds the granules first (`Walk::granules`), reading only
+//!   internal pages, then reads each leaf once (`Walk::read_leaves`), its
+//!   leaf touch uncounted — every entry `RTree::search` finds, tombstones
+//!   included, in leaf order. ReadScan locks between the two steps;
+//!   UpdateScan locks after both, since its X locks are on the hits;
+//! * on an index, a ReadScan's lock set is those granules and its hits
+//!   the untombstoned ones;
 //! * the snapshot form (`Walk::snapshot_hits`) keeps *tree ∪ orphans* a
 //!   partition at every stage of a condensation.
 
@@ -15,30 +17,25 @@ mod common;
 use std::sync::Arc;
 
 use common::{wait_until, within_deadline};
-use dgl_core::granules::{overlapping_granules, scan_descent, RawHit, Walk};
+use dgl_core::granules::{overlapping_granules, Walk};
 use dgl_core::{DglConfig, DglRTree, Rect2, TransactionalRTree};
 use dgl_lockmgr::{LockMode, ResourceId};
-use dgl_pager::PageId;
 use dgl_rtree::{Entry, ObjectId, Orphan, RTree2, RTreeConfig};
 use proptest::prelude::*;
 
-type Hit = RawHit<2>;
+/// A leaf entry as `RTree::search` yields it: `(oid, rect, tombstone)`.
+type Hit = (ObjectId, Rect2, Option<u64>);
 
 fn by_oid(mut hits: Vec<Hit>) -> Vec<Hit> {
     hits.sort_by_key(|h| h.0);
     hits
 }
 
-fn sorted(mut pages: Vec<PageId>) -> Vec<PageId> {
-    pages.sort();
-    pages
-}
-
 fn reads(tree: &RTree2) -> u64 {
     tree.io_stats().snapshot().logical_reads
 }
 
-/// Both scan walks against both reference walks, and the read counts: the
+/// The scan walk against both reference walks, and the read counts: the
 /// internal pages whose space meets the query plus the leaf granules, each
 /// once — what `RTree::search` alone reads. `walk` is reused from call to
 /// call, as a thread's scratch walk is.
@@ -47,42 +44,40 @@ fn check(tree: &RTree2, walk: &mut Walk<2>, query: Rect2) {
     let r0 = reads(tree);
     let found = tree.search(&query);
     let r1 = reads(tree);
-    let (set, hits) = scan_descent(tree, &query);
-    let r2 = reads(tree);
+    let leaves = granules.leaves.len() as u64;
+    let pages_visited = granules.total_accesses() + leaves;
     assert_eq!(
-        sorted(set.leaves.clone()),
-        sorted(granules.leaves.clone()),
-        "{query:?}"
+        r1 - r0,
+        pages_visited,
+        "a search reads each overlapped page once"
     );
-    assert_eq!(
-        sorted(set.externals.clone()),
-        sorted(granules.externals.clone()),
-        "{query:?}"
-    );
-    assert_eq!(by_oid(hits), by_oid(found.clone()), "{query:?}");
-    let pages_visited = granules.accesses_per_level.iter().sum::<u64>() + set.leaves.len() as u64;
-    assert_eq!(r2 - r1, pages_visited, "one read per overlapped page");
-    assert_eq!(r2 - r1, r1 - r0, "no more than the bare search reads");
 
-    // ReadScan's walk: the granules in `overlapping_granules`' order, then
-    // the untombstoned hits, the leaf touch uncounted.
+    // The granules in `overlapping_granules`' order, from internal pages
+    // only.
     walk.granules(tree, &[query]);
-    let r3 = reads(tree);
+    let r2 = reads(tree);
     assert_eq!(walk.leaves(), &granules.leaves[..], "{query:?}");
     assert_eq!(walk.externals(), &granules.externals[..], "{query:?}");
     assert_eq!(
-        r3 - r2,
-        pages_visited - set.leaves.len() as u64,
+        r2 - r1,
+        pages_visited - leaves,
         "locking needs internal pages only"
     );
+
+    // Every entry the search finds, tombstones included, the leaf touch
+    // uncounted: no more than the bare search reads.
+    let all = walk.read_leaves(tree, &query, |oid, rect, tombstone| {
+        Some((oid, rect, tombstone))
+    });
+    let r3 = reads(tree);
+    assert_eq!(r3 - r2, leaves, "one counted read per leaf");
+    assert_eq!(r3 - r1, r1 - r0, "no more than the bare search reads");
+    assert_eq!(by_oid(all), by_oid(found.clone()), "{query:?}");
+
+    // The untombstoned ones, as both locking scans keep them.
     let live = walk.read_leaves(tree, &query, |oid, rect, tombstone| {
         tombstone.is_none().then_some((oid, rect, tombstone))
     });
-    assert_eq!(
-        reads(tree) - r3,
-        set.leaves.len() as u64,
-        "one counted read per leaf"
-    );
     let mut untombstoned = found;
     untombstoned.retain(|h| h.2.is_none());
     assert_eq!(by_oid(live), by_oid(untombstoned), "{query:?}");
@@ -164,15 +159,17 @@ fn lone_leaf_root_is_its_own_granule_and_read_once() {
     assert_eq!(tree.height(), 1);
     let r0 = reads(&tree);
     // Far from any data: the root leaf granule covers the whole space.
-    let (set, hits) = scan_descent(&tree, &Rect2::new([0.8, 0.8], [0.9, 0.9]));
-    assert_eq!((set.leaves, set.externals), (vec![tree.root()], vec![]));
+    let far = Rect2::new([0.8, 0.8], [0.9, 0.9]);
+    let mut walk = Walk::default();
+    walk.granules(&tree, &[far]);
+    assert_eq!(
+        (walk.leaves(), walk.externals()),
+        (&[tree.root()][..], &[][..])
+    );
+    let hits = walk.read_leaves(&tree, &far, |oid, _, _| Some(oid));
     assert!(hits.is_empty());
     assert_eq!(reads(&tree) - r0, 1);
-    check(
-        &tree,
-        &mut Walk::default(),
-        Rect2::new([0.0, 0.0], [0.55, 0.55]),
-    );
+    check(&tree, &mut walk, Rect2::new([0.0, 0.0], [0.55, 0.55]));
 }
 
 #[test]
@@ -188,11 +185,13 @@ fn uncovered_space_is_ext_root_alone() {
     assert!(tree.height() > 1);
     let middle = Rect2::new([0.45, 0.45], [0.55, 0.55]);
     let r0 = reads(&tree);
-    let (set, hits) = scan_descent(&tree, &middle);
-    assert!(set.leaves.is_empty() && hits.is_empty());
-    assert_eq!(set.externals, vec![tree.root()]);
+    let mut walk = Walk::default();
+    walk.granules(&tree, &[middle]);
+    let hits = walk.read_leaves(&tree, &middle, |oid, _, _| Some(oid));
+    assert!(walk.leaves().is_empty() && hits.is_empty());
+    assert_eq!(walk.externals(), &[tree.root()][..]);
     assert_eq!(reads(&tree) - r0, 1, "the root, and nothing under it");
-    check(&tree, &mut Walk::default(), middle);
+    check(&tree, &mut walk, middle);
 }
 
 // --- the snapshot form, mid-condensation -----------------------------------

@@ -139,15 +139,6 @@ impl<const D: usize> Pieces<D> {
     }
 }
 
-/// Whether any of the `queries` boxes escapes `⋃ rects`.
-///
-/// Used by the modified insertion policy, where the region a granule grew
-/// into (`difference(new_br, old_br)`) is a *list* of boxes and the
-/// protocol must find the granules overlapping that region.
-pub fn any_uncovered<const D: usize>(queries: &[Rect<D>], rects: &[Rect<D>]) -> bool {
-    queries.iter().any(|q| !covers(q, rects))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,16 +280,6 @@ mod tests {
                 + abc.map_or(0.0, |x| x.area())
         };
         assert!((res_area + union_area - q.area()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn any_uncovered_over_multiple_queries() {
-        let cover = [r([0.0, 0.0], [1.0, 1.0])];
-        let inside = r([0.2, 0.2], [0.8, 0.8]);
-        let outside = r([2.0, 2.0], [3.0, 3.0]);
-        assert!(!any_uncovered(&[inside], &cover));
-        assert!(any_uncovered(&[inside, outside], &cover));
-        assert!(!any_uncovered(&[], &cover));
     }
 
     #[test]

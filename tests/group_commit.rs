@@ -15,7 +15,7 @@ use granular_rtree::core::{
     DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree, TxnError,
 };
 use granular_rtree::lockmgr::LockManagerConfig;
-use granular_rtree::obs::Ctr;
+use granular_rtree::obs::{Ctr, Hist};
 use granular_rtree::rtree::{ObjectId, RTreeConfig};
 
 /// Keeps runs within this file from sharing directories.
@@ -72,25 +72,33 @@ fn config() -> DglConfig {
 /// through). The batch a flush writes is cut before that sleep, so the
 /// commits that arrive meanwhile queue for the next one whatever the
 /// host's scheduler does — without it, a loaded host that runs the
-/// committers one at a time can leave every batch at one commit. With
-/// no batching window, the sleep alone must outlast a starved
-/// committer's work between two commits: at 2 ms, a debug build under
-/// two busy loops on two vCPUs read 81 and 102 fsyncs in 150 runs; at
-/// 10 ms, at most 76.
+/// committers one at a time can leave every batch at one commit.
+///
+/// The committers never wait on each other's locks: the tree's fanout
+/// holds all N objects in one root leaf, so every insert takes only
+/// commit IX on that leaf (compatible with every other) and X on its own
+/// object — no split SIX, no growth compensation. A committer that waits
+/// on another's commit-duration lock is released only after that flush,
+/// and commits alone in the next one, so lock waits alone could push the
+/// count to the bound on a loaded host.
 #[test]
 fn concurrent_commits_batch_fsyncs_and_survive() {
-    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let dir = TempDir::new("batch");
-    let cfg = config();
-    let db = Arc::new(DglRTree::open(dir.path(), cfg.clone()).expect("open"));
-    let slow_flush = dgl_faults::register("wal/fsync", FaultSpec::delay(Duration::from_millis(10)));
-
     const THREADS: u64 = 8;
     const TXNS: u64 = 20;
     const N: u64 = THREADS * TXNS;
 
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = TempDir::new("batch");
+    let cfg = DglConfig {
+        rtree: RTreeConfig::with_fanout(N as usize),
+        ..config()
+    };
+    let db = Arc::new(DglRTree::open(dir.path(), cfg.clone()).expect("open"));
+    let slow_flush = dgl_faults::register("wal/fsync", FaultSpec::delay(Duration::from_millis(10)));
+
     let fsyncs_before = db.obs().ctr(Ctr::WalFsyncs);
     let grouped_before = db.obs().ctr(Ctr::WalGroupCommitCommits);
+    let waits_before = db.obs().hist(Hist::LockWait).count;
 
     let barrier = Arc::new(Barrier::new(THREADS as usize));
     let acked: Vec<BTreeMap<u64, Rect2>> = std::thread::scope(|s| {
@@ -126,6 +134,12 @@ fn concurrent_commits_batch_fsyncs_and_survive() {
     });
 
     drop(slow_flush);
+    assert_eq!(db.with_tree(|tree| tree.height()), 1, "one root leaf");
+    assert_eq!(
+        db.obs().hist(Hist::LockWait).count,
+        waits_before,
+        "the storm's committers must not wait on each other's locks"
+    );
     let fsyncs = db.obs().ctr(Ctr::WalFsyncs) - fsyncs_before;
     let grouped = db.obs().ctr(Ctr::WalGroupCommitCommits) - grouped_before;
     eprintln!("group commit: {N} commits, {fsyncs} fsyncs, {grouped} commits counted grouped");
