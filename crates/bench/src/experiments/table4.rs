@@ -189,10 +189,7 @@ fn run_protocol(
     let elapsed = start.elapsed().as_secs_f64();
 
     // Protocol-specific costs, all from the protocol's one registry.
-    let obs = db
-        .obs_registry()
-        .expect("every Table-4 protocol keeps a registry")
-        .snapshot();
+    let obs = db.obs_registry().snapshot();
     let lock_requests = obs.lock_requests();
     let waits = obs.hist(Hist::LockWait).count;
     let predicate_checks = obs.ctr(Ctr::PredicateChecks);

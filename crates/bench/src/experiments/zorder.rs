@@ -62,7 +62,7 @@ pub fn lock_overhead_sweep(n: usize, seed: u64) -> Vec<LockOverheadRow> {
             .into_iter()
             .enumerate()
         {
-            let obs = db.obs_registry().expect("both protocols keep a registry");
+            let obs = db.obs_registry();
             let before = obs.snapshot();
             let mut state = seed | 1;
             for _ in 0..SCANS {
@@ -189,11 +189,7 @@ pub fn false_conflicts(txns_per_side: u64, seed: u64) -> FalseConflictResult {
             });
         })
         .unwrap();
-        waits[i] = db
-            .obs_registry()
-            .expect("both protocols keep a registry")
-            .hist(Hist::LockWait)
-            .count;
+        waits[i] = db.obs_registry().hist(Hist::LockWait).count;
     }
     FalseConflictResult {
         dgl_waits: waits[0],

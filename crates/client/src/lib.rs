@@ -1,32 +1,26 @@
 //! Client side of the dgl-proto wire protocol.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`Client`] — one blocking connection: a method per request kind,
 //!   strict request/response alternation.
 //! - [`Pipeline`] — batches requests on a [`Client`] and collects the
 //!   in-order responses in one round trip (the server processes a
 //!   connection's frames strictly in order and echoes request ids).
-//! - [`RemoteTree`] — a [`TransactionalRTree`] over a connection pool,
-//!   so the workload driver, the transaction executor and the phantom
-//!   oracle run unchanged against a server across the network.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use dgl_core::{ScanHit, TransactionalRTree, TxnError, TxnId};
+use dgl_core::ScanHit;
 use dgl_geom::Rect2;
 use dgl_proto::{
     read_frame, write_frame, ErrorCode, FrameError, Request, Response, WireError,
     MAX_RESPONSE_FRAME, PROTO_VERSION,
 };
-use dgl_rtree::ObjectId;
-use parking_lot::Mutex;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -365,180 +359,5 @@ impl Pipeline<'_> {
             out.push(resp);
         }
         Ok(out)
-    }
-}
-
-/// A [`TransactionalRTree`] whose operations travel over the wire.
-///
-/// Transactions map to pooled connections: `begin` claims a connection
-/// (sessions own one transaction each), operations route to it by
-/// transaction id, commit/abort returns it to the pool. Test/bench
-/// harness: transport failures and protocol desyncs panic rather than
-/// masquerade as transaction outcomes.
-pub struct RemoteTree {
-    addr: String,
-    free: Mutex<Vec<Client>>,
-    busy: Mutex<HashMap<u64, Client>>,
-}
-
-impl RemoteTree {
-    /// Creates a pool against `addr` (connections are opened on demand).
-    pub fn connect(addr: impl Into<String>) -> RemoteTree {
-        RemoteTree {
-            addr: addr.into(),
-            free: Mutex::new(Vec::new()),
-            busy: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn claim(&self) -> Client {
-        if let Some(c) = self.free.lock().pop() {
-            return c;
-        }
-        Client::connect(&self.addr[..]).expect("remote tree: connect")
-    }
-
-    fn release(&self, client: Client) {
-        self.free.lock().push(client);
-    }
-
-    /// Runs `f` on the connection owning `txn`. The connection is
-    /// checked out for the duration (transactions are single-threaded
-    /// per the trait contract) and stays bound to `txn` unless the
-    /// operation failed, which ends the transaction.
-    fn with_txn<T>(
-        &self,
-        txn: u64,
-        f: impl FnOnce(&mut Client) -> Result<T>,
-    ) -> std::result::Result<T, TxnError> {
-        let mut client = match self.busy.lock().remove(&txn) {
-            Some(c) => c,
-            None => return Err(TxnError::NotActive),
-        };
-        match f(&mut client) {
-            Ok(v) => {
-                self.busy.lock().insert(txn, client);
-                Ok(v)
-            }
-            Err(e) => {
-                // Server-side op failure: the transaction is dead and
-                // the connection reusable. Anything else is a harness
-                // failure — fail loudly.
-                let mapped = map_txn_error(&e);
-                self.release(client);
-                Err(mapped)
-            }
-        }
-    }
-
-    /// Ends `txn` (commit or abort), returning its connection to the
-    /// pool whatever the outcome.
-    fn finish_txn(
-        &self,
-        txn: u64,
-        f: impl FnOnce(&mut Client) -> Result<()>,
-    ) -> std::result::Result<(), TxnError> {
-        let mut client = match self.busy.lock().remove(&txn) {
-            Some(c) => c,
-            None => return Err(TxnError::NotActive),
-        };
-        let out = f(&mut client);
-        self.release(client);
-        out.map_err(|e| map_txn_error(&e))
-    }
-}
-
-/// Maps a wire error to the embedded-library error the executor and
-/// workload driver understand. Session-level retryable codes fold into
-/// the nearest [`TxnError`]; transport errors panic (harness contract).
-fn map_txn_error(e: &ClientError) -> TxnError {
-    match e {
-        ClientError::Server { code, .. } => match code.to_txn_error() {
-            Some(t) => t,
-            None => match code {
-                ErrorCode::TxnTimedOut => TxnError::Timeout,
-                ErrorCode::Internal => TxnError::Injected,
-                ErrorCode::NotInTransaction | ErrorCode::TxnMismatch => TxnError::NotActive,
-                other => panic!("remote tree: unexpected server error {other}: {e}"),
-            },
-        },
-        other => panic!("remote tree: transport failure: {other}"),
-    }
-}
-
-impl TransactionalRTree for RemoteTree {
-    fn begin(&self) -> TxnId {
-        let mut client = self.claim();
-        match client.begin() {
-            Ok(txn) => {
-                self.busy.lock().insert(txn, client);
-                TxnId(txn)
-            }
-            Err(e) => panic!("remote tree: begin failed: {e}"),
-        }
-    }
-
-    fn commit(&self, txn: TxnId) -> std::result::Result<(), TxnError> {
-        self.finish_txn(txn.0, |c| c.commit(txn.0))
-    }
-
-    fn abort(&self, txn: TxnId) -> std::result::Result<(), TxnError> {
-        self.finish_txn(txn.0, |c| c.abort(txn.0))
-    }
-
-    fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> std::result::Result<(), TxnError> {
-        self.with_txn(txn.0, |c| c.insert(txn.0, oid.0, rect))
-    }
-
-    fn delete(
-        &self,
-        txn: TxnId,
-        oid: ObjectId,
-        rect: Rect2,
-    ) -> std::result::Result<bool, TxnError> {
-        self.with_txn(txn.0, |c| c.delete(txn.0, oid.0, rect))
-    }
-
-    fn read_single(
-        &self,
-        txn: TxnId,
-        oid: ObjectId,
-        rect: Rect2,
-    ) -> std::result::Result<Option<u64>, TxnError> {
-        self.with_txn(txn.0, |c| c.read_single(txn.0, oid.0, rect))
-    }
-
-    fn update_single(
-        &self,
-        txn: TxnId,
-        oid: ObjectId,
-        rect: Rect2,
-    ) -> std::result::Result<bool, TxnError> {
-        self.with_txn(txn.0, |c| c.update(txn.0, oid.0, rect))
-    }
-
-    fn read_scan(&self, txn: TxnId, query: Rect2) -> std::result::Result<Vec<ScanHit>, TxnError> {
-        self.with_txn(txn.0, |c| c.search(txn.0, query))
-    }
-
-    fn update_scan(&self, txn: TxnId, query: Rect2) -> std::result::Result<Vec<ScanHit>, TxnError> {
-        self.with_txn(txn.0, |c| c.update_scan(txn.0, query))
-    }
-
-    fn len(&self) -> usize {
-        let mut client = self.claim();
-        let n = client.count().expect("remote tree: count");
-        self.release(client);
-        n as usize
-    }
-
-    fn validate(&self) -> std::result::Result<(), String> {
-        // Validation runs in-process on the server's backend; over the
-        // wire the observable contract is the protocol itself.
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "dgl-net"
     }
 }

@@ -157,7 +157,7 @@ impl TransactionalRTree for ObjectOnlyRTree {
         "object-only (unsound)"
     }
 
-    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
-        Some(self.inner.obs())
+    fn obs_registry(&self) -> &std::sync::Arc<dgl_obs::Registry> {
+        self.inner.obs()
     }
 }

@@ -295,7 +295,7 @@ impl TransactionalRTree for PredicateRTree {
         "predicate (GiST-style)"
     }
 
-    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
-        Some(self.inner.obs())
+    fn obs_registry(&self) -> &std::sync::Arc<dgl_obs::Registry> {
+        self.inner.obs()
     }
 }

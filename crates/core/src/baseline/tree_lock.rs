@@ -151,7 +151,7 @@ impl TransactionalRTree for TreeLockRTree {
         "tree-lock"
     }
 
-    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
-        Some(self.inner.obs())
+    fn obs_registry(&self) -> &std::sync::Arc<dgl_obs::Registry> {
+        self.inner.obs()
     }
 }

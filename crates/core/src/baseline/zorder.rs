@@ -273,8 +273,8 @@ impl TransactionalRTree for ZOrderRTree {
         "zorder-krl"
     }
 
-    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
-        Some(self.inner.obs())
+    fn obs_registry(&self) -> &std::sync::Arc<dgl_obs::Registry> {
+        self.inner.obs()
     }
 }
 

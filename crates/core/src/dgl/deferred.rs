@@ -14,9 +14,12 @@
 //!    own plan/lock/apply cycle with the insert rules (plus a short SIX on
 //!    the target node when the orphan is an index entry, since inserting a
 //!    child shrinks that node's external granule);
-//! 4. only then releases its short locks — so any *locking* scanner whose
+//! 4. only then releases its short locks — so a *locking* scanner whose
 //!    predicate could observe the in-flight orphans is held at an
-//!    SIX-locked granule until the subtree is whole again.
+//!    SIX-locked granule until the subtree is whole again. The exception
+//!    is the page of an index orphan (a surviving leaf cut loose with its
+//!    eliminated parent): those locks do not cover it, so a locking scan
+//!    can miss it (ROADMAP item 0(a), DESIGN.md §13).
 //!
 //! Between steps 2 and 3 the orphans are out of the tree for several latch
 //! sessions. They are not out of sight: the re-insertion queue *is*

@@ -420,14 +420,7 @@ impl TransactionalRTree for DglRTree {
         }
     }
 
-    fn quiesce(&self) {
-        // The trait method is infallible; a maintenance failure is
-        // surfaced via `validate` and the inherent fallible
-        // [`DglRTree::quiesce`].
-        let _ = DglRTree::quiesce(self);
-    }
-
-    fn obs_registry(&self) -> Option<&Arc<Registry>> {
-        Some(&self.core.obs)
+    fn obs_registry(&self) -> &Arc<Registry> {
+        &self.core.obs
     }
 }

@@ -836,12 +836,8 @@ impl TransactionalRTree for ShardedDglRTree {
         "dgl-sharded"
     }
 
-    fn quiesce(&self) {
-        let _ = ShardedDglRTree::quiesce(self);
-    }
-
-    fn obs_registry(&self) -> Option<&Arc<Registry>> {
-        Some(&self.obs)
+    fn obs_registry(&self) -> &Arc<Registry> {
+        &self.obs
     }
 }
 

@@ -109,14 +109,13 @@ static RUN_SALT: AtomicU64 = AtomicU64::new(0);
 pub struct TxnExecutor<'a> {
     db: &'a dyn TransactionalRTree,
     policy: RetryPolicy,
-    obs: Option<&'a Registry>,
+    obs: &'a Registry,
     rng_state: std::cell::Cell<u64>,
 }
 
 impl<'a> TxnExecutor<'a> {
     /// Creates an executor over `db`. Attempt/backoff accounting goes to
-    /// the protocol's registry when it has one
-    /// (see [`TransactionalRTree::obs_registry`]).
+    /// the protocol's registry (see [`TransactionalRTree::obs_registry`]).
     pub fn new(db: &'a dyn TransactionalRTree, policy: RetryPolicy) -> Self {
         let salt = RUN_SALT
             .fetch_add(1, Ordering::Relaxed)
@@ -124,7 +123,7 @@ impl<'a> TxnExecutor<'a> {
         Self {
             db,
             policy,
-            obs: db.obs_registry().map(|r| &**r),
+            obs: db.obs_registry(),
             rng_state: std::cell::Cell::new((policy.jitter_seed ^ salt) | 1),
         }
     }
@@ -219,9 +218,7 @@ impl<'a> TxnExecutor<'a> {
             return;
         }
         let jittered = nanos / 2 + self.next_rand() % (nanos / 2 + 1);
-        if let Some(obs) = self.obs {
-            obs.record(Hist::ExecBackoff, jittered);
-        }
+        self.obs.record(Hist::ExecBackoff, jittered);
         std::thread::sleep(Duration::from_nanos(jittered));
     }
 
@@ -236,9 +233,7 @@ impl<'a> TxnExecutor<'a> {
     }
 
     fn incr(&self, ctr: Ctr) {
-        if let Some(obs) = self.obs {
-            obs.incr(ctr);
-        }
+        self.obs.incr(ctr);
     }
 }
 

@@ -83,21 +83,10 @@ pub trait TransactionalRTree: Send + Sync {
     /// Protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// Marks a quiescent point: every committed transaction's deferred
-    /// work has run by the time its `commit` returned, so this waits for
-    /// nothing. The default does nothing. Maintenance *failures* (a
-    /// deferred deletion that exhausted its retry budget) are surfaced
-    /// through [`validate`](Self::validate) and, for protocols that
-    /// expose one, an inherent fallible `quiesce`.
-    fn quiesce(&self) {}
-
     /// The protocol's observability registry — the one place its lock
-    /// requests, operation counts, retries and latencies are recorded
-    /// (`None` for a remote handle with no local state). Generic drivers
-    /// ([`TxnExecutor`](crate::TxnExecutor)) record attempt/backoff
+    /// requests, operation counts, retries and latencies are recorded.
+    /// [`TxnExecutor`](crate::TxnExecutor) records attempt/backoff
     /// accounting into it; benches and the paper tables read it through
     /// [`RegistrySnapshot::since`](dgl_obs::RegistrySnapshot::since).
-    fn obs_registry(&self) -> Option<&std::sync::Arc<dgl_obs::Registry>> {
-        None
-    }
+    fn obs_registry(&self) -> &std::sync::Arc<dgl_obs::Registry>;
 }

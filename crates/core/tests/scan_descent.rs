@@ -197,7 +197,8 @@ fn uncovered_space_is_ext_root_alone() {
 // --- the snapshot form, mid-condensation -----------------------------------
 
 /// The snapshot walk's entries and reads, against the walks it replaced: a
-/// search from the root, and from every index orphan meeting the query.
+/// search from the root, and a counted walk under every index orphan
+/// meeting the query.
 fn snapshot_check(
     tree: &RTree2,
     walk: &mut Walk<2>,
@@ -214,7 +215,24 @@ fn snapshot_check(
                     oid,
                     tombstone,
                 } => reference.push((oid, mbr, tombstone)),
-                Entry::Child { child, .. } => tree.search_from(child, query, &mut reference),
+                Entry::Child { child, .. } => {
+                    let mut stack = vec![child];
+                    while let Some(pid) = stack.pop() {
+                        for e in &tree.node(pid).entries {
+                            match *e {
+                                Entry::Child { mbr, child } if mbr.intersects(query) => {
+                                    stack.push(child)
+                                }
+                                Entry::Object {
+                                    mbr,
+                                    oid,
+                                    tombstone,
+                                } if mbr.intersects(query) => reference.push((oid, mbr, tombstone)),
+                                _ => {}
+                            }
+                        }
+                    }
+                }
             }
         }
     }

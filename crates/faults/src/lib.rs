@@ -135,7 +135,6 @@ mod imp {
 
     static ARMED: AtomicUsize = AtomicUsize::new(0);
     static TOTAL_FIRES: AtomicU64 = AtomicU64::new(0);
-    static TOTAL_HITS: AtomicU64 = AtomicU64::new(0);
 
     fn registry() -> MutexGuard<'static, HashMap<String, SiteState>> {
         static REGISTRY: OnceLock<Mutex<HashMap<String, SiteState>>> = OnceLock::new();
@@ -187,11 +186,6 @@ mod imp {
         TOTAL_FIRES.load(Ordering::Relaxed)
     }
 
-    /// Total hook evaluations that found their site armed (cumulative).
-    pub fn total_hits() -> u64 {
-        TOTAL_HITS.load(Ordering::Relaxed)
-    }
-
     /// `(hits, fires)` of an armed site, or `None` if not armed.
     pub fn site_stats(name: &str) -> Option<(u64, u64)> {
         registry().get(name).map(|s| (s.hits, s.fires))
@@ -219,7 +213,6 @@ mod imp {
             let mut sites = registry();
             let site = sites.get_mut(name)?;
             site.hits += 1;
-            TOTAL_HITS.fetch_add(1, Ordering::Relaxed);
             if site.fires >= site.spec.max_fires {
                 return None;
             }
@@ -251,8 +244,7 @@ mod imp {
 
 #[cfg(feature = "enabled")]
 pub use imp::{
-    eval, register, site_stats, total_fires, total_hits, FaultGuard, FaultKind, FaultSpec,
-    InjectedFault,
+    eval, register, site_stats, total_fires, FaultGuard, FaultKind, FaultSpec, InjectedFault,
 };
 
 /// Failpoint hook. `failpoint!(name)` evaluates the site (delays and

@@ -20,6 +20,3 @@ mod rect;
 
 pub use point::Point;
 pub use rect::{Rect, Rect2};
-
-/// A 2-D point, the common case in the paper's experiments.
-pub type Point2 = Point<2>;

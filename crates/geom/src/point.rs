@@ -1,9 +1,8 @@
-use crate::Rect;
-
 /// A point in `D`-dimensional space.
 ///
-/// Points are the degenerate case of [`Rect`]: the paper's "point data"
-/// experiments index points by storing them as zero-extent rectangles.
+/// Points are the degenerate case of [`Rect`](crate::Rect): the paper's
+/// "point data" experiments index points by storing them as zero-extent
+/// rectangles.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point<const D: usize> {
     /// Coordinate along each dimension.
@@ -14,16 +13,6 @@ impl<const D: usize> Point<D> {
     /// Creates a point from its coordinates.
     pub const fn new(coords: [f64; D]) -> Self {
         Self { coords }
-    }
-
-    /// The origin (all coordinates zero).
-    pub const fn origin() -> Self {
-        Self { coords: [0.0; D] }
-    }
-
-    /// Converts the point to a zero-extent rectangle.
-    pub fn to_rect(&self) -> Rect<D> {
-        Rect::new(self.coords, self.coords)
     }
 
     /// Squared Euclidean distance to another point.
@@ -47,27 +36,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn point_to_rect_is_degenerate() {
-        let p = Point::new([1.0, 2.0]);
-        let r = p.to_rect();
-        assert_eq!(r.lo, [1.0, 2.0]);
-        assert_eq!(r.hi, [1.0, 2.0]);
-        assert_eq!(r.area(), 0.0);
-        assert!(r.contains_point(&p));
-    }
-
-    #[test]
     fn dist2_is_squared_euclidean() {
         let a = Point::new([0.0, 0.0]);
         let b = Point::new([3.0, 4.0]);
         assert_eq!(a.dist2(&b), 25.0);
         assert_eq!(b.dist2(&a), 25.0);
         assert_eq!(a.dist2(&a), 0.0);
-    }
-
-    #[test]
-    fn origin_is_all_zero() {
-        let o = Point::<3>::origin();
-        assert_eq!(o.coords, [0.0; 3]);
     }
 }

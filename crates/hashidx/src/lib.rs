@@ -26,12 +26,12 @@
 //! worth having. The seed is per map and per process: object ids arrive
 //! from clients, who must not be able to aim them at one bucket.
 //!
-//! Iteration (`for_each`, `for_each_mut`, `retain`) locks stripes one at
-//! a time: the view is per-stripe consistent, not a global atomic
-//! snapshot. Callers that need cross-stripe atomicity must provide it
-//! externally (the DGL core runs commit-timestamp stamping inside the
-//! commit clock's critical section, and structural removals under the
-//! exclusive tree latch, for exactly this reason).
+//! Iteration (`for_each`, `retain`) locks stripes one at a time: the
+//! view is per-stripe consistent, not a global atomic snapshot. Callers
+//! that need cross-stripe atomicity must provide it externally (the DGL
+//! core runs commit-timestamp stamping inside the commit clock's
+//! critical section, and structural removals under the exclusive tree
+//! latch, for exactly this reason).
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -252,19 +252,6 @@ impl<K: Hash + Eq, V> StripedMap<K, V> {
         guard.get_mut(key).map(f)
     }
 
-    /// Runs `f` mutably on the value for `key`, inserting
-    /// `default()` first if absent.
-    pub fn update_or_insert_with<R>(
-        &self,
-        key: K,
-        default: impl FnOnce() -> V,
-        f: impl FnOnce(&mut V) -> R,
-    ) -> R {
-        let mut guard = self.stripe(&key).lock();
-        let _held = HeldGuard::enter();
-        f(guard.entry(key).or_insert_with(default))
-    }
-
     /// Inserts `value`, returning the previous value if any.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         self.stripe(&key).lock().insert(key, value)
@@ -296,17 +283,6 @@ impl<K: Hash + Eq, V> StripedMap<K, V> {
             let guard = s.lock();
             let _held = HeldGuard::enter();
             for (k, v) in guard.iter() {
-                f(k, v);
-            }
-        }
-    }
-
-    /// Visits every entry mutably, one stripe at a time.
-    pub fn for_each_mut(&self, mut f: impl FnMut(&K, &mut V)) {
-        for s in &self.stripes {
-            let mut guard = s.lock();
-            let _held = HeldGuard::enter();
-            for (k, v) in guard.iter_mut() {
                 f(k, v);
             }
         }
@@ -346,30 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn update_or_insert_with_creates_then_updates() {
-        let m: StripedMap<u64, u64> = StripedMap::new();
-        let v = m.update_or_insert_with(
-            3,
-            || 10,
-            |v| {
-                *v += 1;
-                *v
-            },
-        );
-        assert_eq!(v, 11);
-        let v = m.update_or_insert_with(
-            3,
-            || 999,
-            |v| {
-                *v += 1;
-                *v
-            },
-        );
-        assert_eq!(v, 12);
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
     fn iteration_sees_every_stripe() {
         let m: StripedMap<u64, u64> = StripedMap::new();
         // Enough keys that every stripe almost surely gets some.
@@ -380,10 +332,9 @@ mod tests {
         let mut sum = 0u64;
         m.for_each(|_, v| sum += *v);
         assert_eq!(sum, (0..1_000u64).map(|k| k * 2).sum());
-        m.for_each_mut(|_, v| *v += 1);
         m.retain(|k, _| k % 2 == 0);
         assert_eq!(m.len(), 500);
-        assert_eq!(m.get(&4, |v| *v), Some(9));
+        assert_eq!(m.get(&4, |v| *v), Some(8));
         assert_eq!(m.get(&5, |v| *v), None);
     }
 

@@ -16,124 +16,30 @@ use std::collections::VecDeque;
 #[cfg(feature = "full")]
 pub const EVENT_RING_CAPACITY: usize = 65_536;
 
-/// Every latency histogram the workspace records into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Hist {
-    /// Nanoseconds a lock request spent queued before grant/abort.
-    LockWait,
-    /// Nanoseconds the short exclusive tree latch was held
-    /// (validate + apply).
-    LatchHold,
-    /// Nanoseconds spent in the shared-latch planning phase of a write.
-    PlanPhase,
-    /// Nanoseconds from commit entry to lock release.
-    Commit,
-    /// Nanoseconds one deferred deletion takes from its first attempt to
-    /// physical completion (retries included).
-    MaintDrain,
-    /// Nanoseconds slept by the executor's abort-retry backoff.
-    ExecBackoff,
-    /// Nanoseconds per WAL flush batch (write + `fsync`).
-    WalFsync,
-    /// Nanoseconds per replayed operation during crash recovery.
-    WalReplay,
-    /// Lock-wait nanoseconds attributed to region scans
-    /// ([`OpKind::Scan`](crate::OpKind::Scan)).
-    /// Sibling breakdown of [`Hist::LockWait`]: the same wait is recorded
-    /// into both, so the per-kind histograms partition the total.
-    LockWaitScan,
-    /// Lock-wait nanoseconds attributed to point reads
-    /// ([`OpKind::Point`](crate::OpKind::Point)).
-    LockWaitPoint,
-    /// Lock-wait nanoseconds attributed to write operations
-    /// ([`OpKind::Write`](crate::OpKind::Write)).
-    LockWaitWrite,
-    /// Server-side nanoseconds per network scan request
-    /// (Search/UpdateScan/SnapshotScan), decode to reply enqueued.
-    NetReqScan,
-    /// Server-side nanoseconds per network point request
-    /// (ReadSingle/SnapshotRead/Count).
-    NetReqPoint,
-    /// Server-side nanoseconds per network write request
-    /// (Insert/Delete/Update).
-    NetReqWrite,
-    /// Server-side nanoseconds per network transaction-control request
-    /// (Begin/Commit/Abort/BeginSnapshot/EndSnapshot).
-    NetReqTxn,
-    /// Nanoseconds per hash-index point lookup (hit or miss; the O(1)
-    /// path `read_single` and snapshot point reads take instead of a
-    /// tree traversal).
-    HashLookup,
-}
-
-impl Hist {
-    /// All histograms, in export order.
-    pub const ALL: [Hist; 16] = [
-        Hist::LockWait,
-        Hist::LatchHold,
-        Hist::PlanPhase,
-        Hist::Commit,
-        Hist::MaintDrain,
-        Hist::ExecBackoff,
-        Hist::WalFsync,
-        Hist::WalReplay,
-        Hist::LockWaitScan,
-        Hist::LockWaitPoint,
-        Hist::LockWaitWrite,
-        Hist::NetReqScan,
-        Hist::NetReqPoint,
-        Hist::NetReqWrite,
-        Hist::NetReqTxn,
-        Hist::HashLookup,
-    ];
-
-    /// Stable metric name (also the Prometheus/JSON key, prefixed
-    /// `dgl_` on export).
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::LockWait => "lock_wait_nanos",
-            Hist::LatchHold => "x_latch_hold_nanos",
-            Hist::PlanPhase => "plan_phase_nanos",
-            Hist::Commit => "commit_nanos",
-            Hist::MaintDrain => "maint_drain_nanos",
-            Hist::ExecBackoff => "exec_backoff_nanos",
-            Hist::WalFsync => "wal_fsync_nanos",
-            Hist::WalReplay => "wal_replay_nanos",
-            Hist::LockWaitScan => "lock_wait_scan_nanos",
-            Hist::LockWaitPoint => "lock_wait_point_nanos",
-            Hist::LockWaitWrite => "lock_wait_write_nanos",
-            Hist::NetReqScan => "net_request_scan_nanos",
-            Hist::NetReqPoint => "net_request_point_nanos",
-            Hist::NetReqWrite => "net_request_write_nanos",
-            Hist::NetReqTxn => "net_request_txn_nanos",
-            Hist::HashLookup => "hash_lookup_nanos",
-        }
-    }
-
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// Declares [`Ctr`] from one list — variant, doc and stable export name
-/// — so the enum, [`Ctr::ALL`] and [`Ctr::name`] cannot drift apart.
-/// Export order is declaration order; append, never reorder or rename.
-macro_rules! counters {
-    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
-        /// Every monotonic counter the workspace records into.
+/// Declares a metric enum ([`Hist`], [`Ctr`]) from one list — variant,
+/// doc and stable export name — so the enum, its `ALL` and its `name`
+/// cannot drift apart. Export order is declaration order; append, never
+/// reorder or rename.
+macro_rules! metric_enum {
+    (
+        $(#[$ty_doc:meta])* enum $ty:ident;
+        $(#[$name_doc:meta])* fn name;
+        $($(#[$doc:meta])* $variant:ident => $name:literal,)+
+    ) => {
+        $(#[$ty_doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub enum Ctr {
+        pub enum $ty {
             $($(#[$doc])* $variant,)+
         }
 
-        impl Ctr {
-            /// All counters, in export order.
-            pub const ALL: [Ctr; [$($name),+].len()] = [$(Ctr::$variant),+];
+        impl $ty {
+            /// Every variant, in export order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$variant),+];
 
-            /// Stable metric name (exported as `dgl_<name>_total`).
+            $(#[$name_doc])*
             pub fn name(self) -> &'static str {
                 match self {
-                    $(Ctr::$variant => $name,)+
+                    $($ty::$variant => $name,)+
                 }
             }
 
@@ -144,7 +50,64 @@ macro_rules! counters {
     };
 }
 
-counters! {
+metric_enum! {
+    /// Every latency histogram the workspace records into.
+    enum Hist;
+    /// Stable metric name (also the Prometheus/JSON key, prefixed
+    /// `dgl_` on export).
+    fn name;
+    /// Nanoseconds a lock request spent queued before grant/abort.
+    LockWait => "lock_wait_nanos",
+    /// Nanoseconds the short exclusive tree latch was held
+    /// (validate + apply).
+    LatchHold => "x_latch_hold_nanos",
+    /// Nanoseconds spent in the shared-latch planning phase of a write.
+    PlanPhase => "plan_phase_nanos",
+    /// Nanoseconds from commit entry to lock release.
+    Commit => "commit_nanos",
+    /// Nanoseconds one deferred deletion takes from its first attempt to
+    /// physical completion (retries included).
+    MaintDrain => "maint_drain_nanos",
+    /// Nanoseconds slept by the executor's abort-retry backoff.
+    ExecBackoff => "exec_backoff_nanos",
+    /// Nanoseconds per WAL flush batch (write + `fsync`).
+    WalFsync => "wal_fsync_nanos",
+    /// Nanoseconds per replayed operation during crash recovery.
+    WalReplay => "wal_replay_nanos",
+    /// Lock-wait nanoseconds attributed to region scans
+    /// ([`OpKind::Scan`](crate::OpKind::Scan)).
+    /// Sibling breakdown of [`Hist::LockWait`]: the same wait is recorded
+    /// into both, so the per-kind histograms partition the total.
+    LockWaitScan => "lock_wait_scan_nanos",
+    /// Lock-wait nanoseconds attributed to point reads
+    /// ([`OpKind::Point`](crate::OpKind::Point)).
+    LockWaitPoint => "lock_wait_point_nanos",
+    /// Lock-wait nanoseconds attributed to write operations
+    /// ([`OpKind::Write`](crate::OpKind::Write)).
+    LockWaitWrite => "lock_wait_write_nanos",
+    /// Server-side nanoseconds per network scan request
+    /// (Search/UpdateScan/SnapshotScan), decode to reply enqueued.
+    NetReqScan => "net_request_scan_nanos",
+    /// Server-side nanoseconds per network point request
+    /// (ReadSingle/SnapshotRead/Count).
+    NetReqPoint => "net_request_point_nanos",
+    /// Server-side nanoseconds per network write request
+    /// (Insert/Delete/Update).
+    NetReqWrite => "net_request_write_nanos",
+    /// Server-side nanoseconds per network transaction-control request
+    /// (Begin/Commit/Abort/BeginSnapshot/EndSnapshot).
+    NetReqTxn => "net_request_txn_nanos",
+    /// Nanoseconds per hash-index point lookup (hit or miss; the O(1)
+    /// path `read_single` and snapshot point reads take instead of a
+    /// tree traversal).
+    HashLookup => "hash_lookup_nanos",
+}
+
+metric_enum! {
+    /// Every monotonic counter the workspace records into.
+    enum Ctr;
+    /// Stable metric name (exported as `dgl_<name>_total`).
+    fn name;
     /// Short-duration lock requests (Table 2's cheap majority).
     LockReqShort => "lock_requests_short",
     /// Commit-duration lock requests (held to commit; Table 2's

@@ -11,10 +11,9 @@ const OBS_READ_BATCH: u64 = 64;
 /// I/O accounting for a page store.
 ///
 /// Logical reads are counted with relaxed atomics so read paths stay
-/// cheap. Whether a read would have hit a buffer pool is not this type's
-/// question: Table 2 replays its traversals through a stand-alone
-/// [`BufferPool`](crate::BufferPool). Experiments that need per-phase
-/// numbers take a [`StatsSnapshot`] before and after and subtract.
+/// cheap. Whether a read would have hit a buffer is not this type's
+/// question. Experiments that need per-phase numbers take a
+/// [`StatsSnapshot`] before and after and subtract.
 #[derive(Debug)]
 pub struct IoStats {
     logical_reads: AtomicU64,
@@ -101,13 +100,6 @@ impl IoStats {
             allocations: self.allocations.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.logical_reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.allocations.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Default for IoStats {
@@ -121,13 +113,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_read_is_counted_and_reset_zeroes() {
+    fn every_read_is_counted() {
         let stats = IoStats::new();
         stats.record_read();
         stats.record_read();
         assert_eq!(stats.snapshot().logical_reads, 2);
-        stats.reset();
-        assert_eq!(stats.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

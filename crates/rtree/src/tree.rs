@@ -316,23 +316,8 @@ impl<const D: usize> RTree<D> {
         // One leaf's worth up front: a scan of a few dozen hits never
         // regrows its result.
         let mut out = Vec::with_capacity(self.config.max_entries);
-        self.search_from(self.root, query, &mut out);
-        out
-    }
-
-    /// [`RTree::search`] over the subtree rooted at the live page `start`,
-    /// appending to `out`. `start` need not be reachable from the root: the
-    /// subtree under an orphaned index entry stays intact (and live) while
-    /// a deferred deletion holds it out of the tree. A leaf `start` reads
-    /// that one page and allocates nothing.
-    pub fn search_from(
-        &self,
-        start: PageId,
-        query: &Rect<D>,
-        out: &mut Vec<(ObjectId, Rect<D>, Option<u64>)>,
-    ) {
         let mut stack = Vec::new();
-        let mut next = Some(start);
+        let mut next = Some(self.root);
         while let Some(pid) = next {
             let node = self.node(pid);
             if !node.is_leaf() {
@@ -359,6 +344,7 @@ impl<const D: usize> RTree<D> {
             }
             next = stack.pop();
         }
+        out
     }
 
     /// The object entries of the leaf page `leaf` that intersect `query`,

@@ -97,21 +97,6 @@ impl Dataset {
         }
     }
 
-    /// The paper's point dataset: 32,000 uniform points.
-    pub fn paper_points(seed: u64) -> Self {
-        Self::generate(DatasetKind::UniformPoints, 32_000, seed)
-    }
-
-    /// The paper's spatial dataset: 32,000 uniform rectangles, 5 % average
-    /// extent per dimension.
-    pub fn paper_rects(seed: u64) -> Self {
-        Self::generate(
-            DatasetKind::UniformRects { mean_extent: 0.05 },
-            32_000,
-            seed,
-        )
-    }
-
     /// Number of objects.
     pub fn len(&self) -> usize {
         self.objects.len()
@@ -198,11 +183,5 @@ mod tests {
         for p in &first_cluster {
             assert!(c0.dist2(p).sqrt() < 0.2, "cluster members stay close");
         }
-    }
-
-    #[test]
-    fn paper_datasets_have_paper_sizes() {
-        assert_eq!(Dataset::paper_points(1).len(), 32_000);
-        assert_eq!(Dataset::paper_rects(1).len(), 32_000);
     }
 }

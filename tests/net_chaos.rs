@@ -178,7 +178,6 @@ fn injected_faults_surface_as_typed_errors_not_drops() {
     // (asserted per-client above), and the backend converges to
     // exactly the committed content.
     let tree = server.backend().tree();
-    tree.quiesce();
     tree.validate().expect("invariants after chaos");
     assert_eq!(
         tree.len(),

@@ -262,7 +262,6 @@ fn oracle_run(server: &Server, seed: u64) {
 
     // Anti-vacuity via the in-process handle: invariants hold and the
     // final region content equals the committed history.
-    server.backend().tree().quiesce();
     server.backend().tree().validate().expect("tree invariants");
     let mut expected = inside_oids;
     for (ins, dels) in &writer_outs {

@@ -275,7 +275,6 @@ fn oracle_run(seed: u64, fanout: usize) {
     .unwrap();
 
     // End state: preload ∪ inside-inserts − deletes, physically applied.
-    TransactionalRTree::quiesce(&*db);
     db.validate().expect("tree invariants");
     let mut expected = inside_oids.clone();
     for (ins, dels) in &writer_outs {
@@ -694,7 +693,6 @@ fn sharded_oracle_run(seed: u64, shards: usize) {
     );
 
     // End state across all shards: preload ∪ inside-inserts − deletes.
-    TransactionalRTree::quiesce(&*db);
     db.validate().expect("sharded invariants");
     let mut expected = inside_oids;
     for (ins, dels) in &writer_outs {
@@ -1015,7 +1013,7 @@ fn version_gc_reclaims_below_watermark_and_respects_pins() {
     let txn = db.begin();
     assert!(db.delete(txn, gone, gone_rect).expect("delete"));
     db.commit(txn).expect("delete commit");
-    TransactionalRTree::quiesce(&*db);
+    db.quiesce().expect("the deferred deletion was applied");
 
     // The deleted object left the tree but its history is retained on
     // the dead list for the pinned snapshot.
