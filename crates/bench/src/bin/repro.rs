@@ -53,6 +53,8 @@ fn main() {
             let rows = table4::run_comparison(mix, &cfg);
             println!("{}", table4::render(&rows));
         }
+        println!("### Costs per transaction at one thread\n");
+        println!("{}", table4::render_costs(&table4::one_thread_costs()));
     }
 
     if all || which.contains(&"zorder") {

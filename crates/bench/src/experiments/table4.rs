@@ -12,8 +12,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dgl_core::baseline::{PredicateConfig, PredicateRTree, TreeLockRTree};
-use dgl_core::{DglConfig, DglRTree, InsertPolicy, TransactionalRTree};
+use dgl_core::baseline::{ObjectOnlyRTree, PredicateRTree, TreeLockRTree, ZOrderRTree};
+use dgl_core::{DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree};
 use dgl_lockmgr::LockManagerConfig;
 use dgl_obs::{Ctr, Hist};
 use dgl_rtree::RTreeConfig;
@@ -66,12 +66,14 @@ pub struct ProtocolMetrics {
     pub txns_per_sec: f64,
     /// Transactions aborted (deadlock/timeout victims) per commit.
     pub abort_rate: f64,
-    /// Lock-manager requests per committed transaction.
+    /// Lock-manager requests per committed transaction (the preload's
+    /// requests are not counted).
     pub lock_requests_per_txn: f64,
     /// Lock waits per committed transaction.
     pub waits_per_txn: f64,
     /// Predicate-rectangle comparisons per committed transaction
-    /// (predicate locking only; 0 elsewhere).
+    /// (predicate locking only; 0 elsewhere; the preload's are not
+    /// counted).
     pub predicate_checks_per_txn: f64,
     /// Total wall-clock seconds.
     pub elapsed_secs: f64,
@@ -95,14 +97,14 @@ pub fn protocols(fanout: usize) -> Vec<Arc<dyn TransactionalRTree>> {
             lock: lock.clone(),
             ..Default::default()
         })),
-        Arc::new(PredicateRTree::new(PredicateConfig {
-            rtree: RTreeConfig::with_fanout(fanout),
-            lock: lock.clone(),
-            ..Default::default()
-        })),
+        Arc::new(PredicateRTree::new(
+            RTreeConfig::with_fanout(fanout),
+            Rect2::unit(),
+            lock.clone(),
+        )),
         Arc::new(TreeLockRTree::new(
             RTreeConfig::with_fanout(fanout),
-            dgl_core::Rect2::unit(),
+            Rect2::unit(),
             lock,
         )),
     ]
@@ -128,6 +130,10 @@ fn run_protocol(
         }
         db.commit(t).unwrap();
     }
+    // The preload is one transaction of `preload` inserts; its requests
+    // and predicate checks (quadratic in `preload`: every insert checks
+    // the transaction's own earlier predicates) are not the workload's.
+    let before = db.obs_registry().snapshot();
 
     let start = Instant::now();
     let (commits, aborts): (u64, u64) = crossbeam::scope(|s| {
@@ -189,7 +195,7 @@ fn run_protocol(
     let elapsed = start.elapsed().as_secs_f64();
 
     // Protocol-specific costs, all from the protocol's one registry.
-    let obs = db.obs_registry().snapshot();
+    let obs = db.obs_registry().snapshot().since(&before);
     let lock_requests = obs.lock_requests();
     let waits = obs.hist(Hist::LockWait).count;
     let predicate_checks = obs.ctr(Ctr::PredicateChecks);
@@ -210,6 +216,69 @@ pub fn run_comparison(mix: OpMix, cfg: &Table4Config) -> Vec<ProtocolMetrics> {
         .into_iter()
         .map(|db| run_protocol(db, mix, cfg))
         .collect()
+}
+
+/// Table 4's protocols plus the Z-order and object-only baselines.
+fn all_protocols(fanout: usize) -> Vec<Arc<dyn TransactionalRTree>> {
+    let mut all = protocols(fanout);
+    all.push(Arc::new(ZOrderRTree::new(
+        RTreeConfig::with_fanout(fanout),
+        Rect2::unit(),
+        LockManagerConfig::default(),
+    )));
+    all.push(Arc::new(ObjectOnlyRTree::new(
+        RTreeConfig::with_fanout(fanout),
+        Rect2::unit(),
+        LockManagerConfig::default(),
+    )));
+    all
+}
+
+/// Every protocol's lock requests and predicate checks per committed
+/// transaction at one thread, for the read-mostly and write-heavy mixes
+/// (default [`Table4Config`] otherwise). With one thread nothing waits or
+/// aborts, so the counts are a function of the seed alone.
+pub fn one_thread_costs() -> Vec<[ProtocolMetrics; 2]> {
+    let cfg = Table4Config {
+        threads: 1,
+        ..Default::default()
+    };
+    all_protocols(cfg.fanout)
+        .into_iter()
+        .zip(all_protocols(cfg.fanout))
+        .map(|(a, b)| {
+            [
+                run_protocol(a, OpMix::read_mostly(), &cfg),
+                run_protocol(b, OpMix::write_heavy(), &cfg),
+            ]
+        })
+        .collect()
+}
+
+/// Markdown rendering of [`one_thread_costs`].
+pub fn render_costs(rows: &[[ProtocolMetrics; 2]]) -> String {
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|[read, write]| {
+            vec![
+                read.protocol.clone(),
+                crate::report::f2(read.lock_requests_per_txn),
+                crate::report::f2(read.predicate_checks_per_txn),
+                crate::report::f2(write.lock_requests_per_txn),
+                crate::report::f2(write.predicate_checks_per_txn),
+            ]
+        })
+        .collect();
+    crate::report::markdown_table(
+        &[
+            "Protocol",
+            "Read-mostly lock reqs/txn",
+            "Read-mostly pred checks/txn",
+            "Write-heavy lock reqs/txn",
+            "Write-heavy pred checks/txn",
+        ],
+        &body,
+    )
 }
 
 /// Markdown rendering of a comparison.

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dgl_core::baseline::{ZOrderConfig, ZOrderRTree};
+use dgl_core::baseline::ZOrderRTree;
 use dgl_core::{DglConfig, DglRTree, ObjectId, Rect2, TransactionalRTree};
 use dgl_lockmgr::LockManagerConfig;
 use dgl_obs::Hist;
@@ -42,10 +42,11 @@ pub fn lock_overhead_sweep(n: usize, seed: u64) -> Vec<LockOverheadRow> {
         rtree: RTreeConfig::with_fanout(50),
         ..Default::default()
     });
-    let zorder = ZOrderRTree::new(ZOrderConfig {
-        rtree: RTreeConfig::with_fanout(50),
-        ..Default::default()
-    });
+    let zorder = ZOrderRTree::new(
+        RTreeConfig::with_fanout(50),
+        Rect2::unit(),
+        LockManagerConfig::default(),
+    );
     for db in [&dgl as &dyn TransactionalRTree, &zorder] {
         let t = db.begin();
         for (oid, rect) in &dataset.objects {
@@ -116,13 +117,13 @@ pub fn false_conflicts(txns_per_side: u64, seed: u64) -> FalseConflictResult {
     let mut waits = [0u64; 2];
     for (i, coarse) in [false, true].into_iter().enumerate() {
         let db: Arc<dyn TransactionalRTree> = if coarse {
-            Arc::new(ZOrderRTree::new(ZOrderConfig {
-                rtree: RTreeConfig::with_fanout(24),
-                lock: LockManagerConfig {
+            Arc::new(ZOrderRTree::new(
+                RTreeConfig::with_fanout(24),
+                Rect2::unit(),
+                LockManagerConfig {
                     wait_timeout: Duration::from_secs(10),
                 },
-                ..Default::default()
-            }))
+            ))
         } else {
             Arc::new(DglRTree::new(DglConfig {
                 rtree: RTreeConfig::with_fanout(24),

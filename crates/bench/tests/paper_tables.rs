@@ -6,12 +6,13 @@
 //! the fresh block, ready to paste in place of the old one (and then the
 //! verdict beside it has to be re-read against the new numbers).
 //!
-//! Tables that depend on threads and wall-clock time (Table 4, the
-//! external-granule ablation, the §2 false-conflict counts) are not
-//! here: EXPERIMENTS.md labels them with the core count and commit they
-//! were measured on.
+//! Tables that depend on threads and wall-clock time (Table 4's
+//! eight-thread runs, the external-granule ablation, the §2
+//! false-conflict counts) are not here: EXPERIMENTS.md labels them with
+//! the core count and commit they were measured on. Table 4's per-
+//! transaction costs at one thread are counts, and are pinned.
 
-use dgl_bench::experiments::{ablation, granule_change, table2, zorder};
+use dgl_bench::experiments::{ablation, granule_change, table2, table4, zorder};
 
 const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
 
@@ -68,5 +69,13 @@ fn insertion_policy_ablation_matches_experiments_md() {
     check(
         "insertion-policy",
         ablation::render_insertion_policy(&ablation::insertion_policy_sweep(N_SMALL, SEED)),
+    );
+}
+
+#[test]
+fn table4_one_thread_costs_match_experiments_md() {
+    check(
+        "table4-costs",
+        table4::render_costs(&table4::one_thread_costs()),
     );
 }

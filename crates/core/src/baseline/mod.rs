@@ -1,4 +1,4 @@
-//! Comparator protocols.
+//! Comparator protocols: one engine, four lock rules.
 //!
 //! * [`TreeLockRTree`] — whole-index S/X locking, the Postgres behaviour
 //!   the paper's footnote 1 describes ("requires transactions to lock the
@@ -16,7 +16,11 @@
 //!   demonstrate it actually catches phantoms (a test that cannot fail
 //!   proves nothing).
 //!
-//! All baselines perform physical deletes immediately (their coarse region
+//! Each is a [`Baseline`] over its [`Protocol`]: the engine runs the
+//! operations, the undo log and the lock-or-rollback rule; a protocol
+//! states only the region locks each operation takes, whether objects
+//! are locked too, and what it releases when a transaction ends. All
+//! baselines perform physical deletes immediately (their coarse region
 //! protection makes the paper's logical/deferred split unnecessary) and
 //! undo by re-inserting.
 
@@ -25,26 +29,93 @@ mod predicate;
 mod tree_lock;
 mod zorder;
 
-pub use object_only::ObjectOnlyRTree;
-pub use predicate::{PredicateConfig, PredicateRTree};
-pub use tree_lock::TreeLockRTree;
-pub use zorder::{ZOrderConfig, ZOrderRTree};
+pub use object_only::{ObjectOnly, ObjectOnlyRTree};
+pub use predicate::{Predicate, PredicateRTree};
+pub use tree_lock::{TreeLock, TreeLockRTree};
+pub use zorder::{ZOrder, ZOrderRTree};
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
 use dgl_geom::Rect2;
-use dgl_lockmgr::{LockManager, LockManagerConfig, TxnId};
+use dgl_lockmgr::{
+    LockDuration::Commit,
+    LockManager, LockManagerConfig,
+    LockMode::{self, S, X},
+    LockOutcome, RequestKind, ResourceId, TxnId,
+};
+use dgl_obs::{Ctr, Hist};
 use dgl_rtree::{ObjectId, RTree2, RTreeConfig};
 use dgl_txn::TxnManager;
 
-use crate::{ScanHit, TxnError};
+use crate::{ScanHit, TransactionalRTree, TxnError};
+
+/// The operation a region lock protects, passed to [`Protocol::region`]
+/// with the operation's rectangle (the object's, or the query's).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// [`TransactionalRTree::insert`].
+    Insert,
+    /// [`TransactionalRTree::delete`].
+    Delete,
+    /// [`TransactionalRTree::read_single`].
+    ReadSingle,
+    /// [`TransactionalRTree::update_single`].
+    UpdateSingle,
+    /// [`TransactionalRTree::read_scan`].
+    ReadScan,
+    /// [`TransactionalRTree::update_scan`].
+    UpdateScan,
+}
+
+/// Which objects an operation locks, on top of its region locks
+/// (commit duration: S on a read object, X on a written one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObjectLocks {
+    /// None: the region lock covers every object.
+    None,
+    /// The object a point operation names, and each hit an update scan
+    /// writes. A read scan's hits are covered by its region lock.
+    Touched,
+    /// As `Touched`, and S on each read-scan hit after it is read: the
+    /// only guard a protocol without region locks has.
+    TouchedAndScanned,
+}
+
+/// A comparator's lock rule: everything that tells one baseline from
+/// another.
+pub trait Protocol: Send + Sync + Sized {
+    /// The protocol's name in reports.
+    const NAME: &'static str;
+
+    /// The objects operations lock besides their regions.
+    const OBJECT_LOCKS: ObjectLocks;
+
+    /// The protocol's state over an index of `world`.
+    fn new(world: Rect2) -> Self;
+
+    /// Takes the region locks `op` on `rect` needs, before the operation
+    /// reads or writes the tree. A refusal has rolled the transaction
+    /// back.
+    fn region(db: &Baseline<Self>, txn: TxnId, op: Op, rect: &Rect2) -> Result<(), TxnError>;
+
+    /// Releases what the protocol holds outside the lock manager, once
+    /// `txn` has committed or rolled back.
+    fn release(&self, _txn: TxnId) {}
+
+    /// How many entries the protocol holds outside the lock manager (all
+    /// must be released when no transaction is active).
+    fn held(&self) -> usize {
+        0
+    }
+}
 
 /// Undo records for the baselines (physical-immediate deletes).
 #[derive(Debug)]
-pub(crate) enum BaseUndo {
+enum BaseUndo {
     Insert {
         oid: ObjectId,
         rect: Rect2,
@@ -60,16 +131,18 @@ pub(crate) enum BaseUndo {
     },
 }
 
-/// State shared by all baseline protocols.
-pub(crate) struct BaseInner {
-    pub tree: RwLock<RTree2>,
-    pub lm: Arc<LockManager>,
+/// An R-tree under the comparator protocol `P`.
+pub struct Baseline<P> {
+    tree: RwLock<RTree2>,
+    lm: Arc<LockManager>,
     /// The active transactions, each with its undo log.
-    pub tm: TxnManager<Vec<BaseUndo>>,
-    pub payloads: Mutex<HashMap<ObjectId, u64>>,
+    tm: TxnManager<Vec<BaseUndo>>,
+    payloads: Mutex<HashMap<ObjectId, u64>>,
+    protocol: P,
 }
 
-impl BaseInner {
+impl<P: Protocol> Baseline<P> {
+    /// Creates an empty index.
     pub fn new(rtree: RTreeConfig, world: Rect2, lock: LockManagerConfig) -> Self {
         // The lock manager's own registry is the protocol's one telemetry
         // sink: op counts and commit latency land next to its lock waits.
@@ -79,15 +152,11 @@ impl BaseInner {
             tm: TxnManager::with_records(Arc::clone(&lm)),
             lm,
             payloads: Mutex::new(HashMap::new()),
+            protocol: P::new(world),
         }
     }
 
-    /// The protocol's telemetry sink (the lock manager's registry).
-    pub fn obs(&self) -> &Arc<dgl_obs::Registry> {
-        self.lm.obs()
-    }
-
-    pub fn check_active(&self, txn: TxnId) -> Result<(), TxnError> {
+    fn check_active(&self, txn: TxnId) -> Result<(), TxnError> {
         if self.tm.is_active(txn) {
             Ok(())
         } else {
@@ -95,11 +164,43 @@ impl BaseInner {
         }
     }
 
-    /// Rolls the transaction back: undoes physical changes in reverse,
-    /// then releases locks and retires the id.
-    pub fn rollback_now(&self, txn: TxnId) {
+    /// Checks that `txn` is active and counts the operation.
+    fn start(&self, txn: TxnId, op: Ctr) -> Result<(), TxnError> {
+        self.check_active(txn)?;
+        self.lm.obs().incr(op);
+        Ok(())
+    }
+
+    /// A commit-duration lock on `res`; a deadlock or timeout rolls the
+    /// transaction back.
+    fn lock(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<(), TxnError> {
+        let err = match self
+            .lm
+            .lock(txn, res, mode, Commit, RequestKind::Unconditional)
         {
-            // The log is taken under the write latch, which `do_insert`
+            LockOutcome::Granted => return Ok(()),
+            LockOutcome::Deadlock => TxnError::Deadlock,
+            LockOutcome::Timeout => TxnError::Timeout,
+            LockOutcome::WouldBlock => unreachable!("unconditional request"),
+        };
+        self.rollback(txn);
+        Err(err)
+    }
+
+    /// Locks the object `oid` when the protocol locks objects.
+    fn lock_object(&self, txn: TxnId, oid: ObjectId, mode: LockMode) -> Result<(), TxnError> {
+        if P::OBJECT_LOCKS == ObjectLocks::None {
+            return Ok(());
+        }
+        self.lock(txn, ResourceId::Object(oid.0), mode)
+    }
+
+    /// Rolls the transaction back: undoes physical changes in reverse,
+    /// releases its locks, retires the id, then releases what the
+    /// protocol holds for it.
+    fn rollback(&self, txn: TxnId) {
+        {
+            // The log is taken under the write latch, which `insert`
             // checks reservations under: a deleted id stays reserved
             // until its re-insertion below is visible.
             let mut tree = self.tree.write();
@@ -123,6 +224,7 @@ impl BaseInner {
             }
         }
         self.tm.abort(txn);
+        self.protocol.release(txn);
     }
 
     fn push_undo(&self, txn: TxnId, rec: BaseUndo) {
@@ -133,7 +235,8 @@ impl BaseInner {
 
     /// Search returning visible hits with payload versions. The baselines
     /// never tombstone, so everything found is visible.
-    pub fn hits(&self, tree: &RTree2, query: &Rect2) -> Vec<ScanHit> {
+    fn hits(&self, query: &Rect2) -> Vec<ScanHit> {
+        let tree = self.tree.read();
         let payloads = self.payloads.lock();
         tree.search(query)
             .into_iter()
@@ -145,22 +248,44 @@ impl BaseInner {
             .collect()
     }
 
-    pub fn validate_impl(&self) -> Result<(), String> {
-        let tree = self.tree.read();
-        tree.validate(false).map_err(|e| e.to_string())?;
-        let payloads = self.payloads.lock();
-        if tree.all_objects().len() != payloads.len() {
-            return Err(format!(
-                "payload map {} vs tree objects {}",
-                payloads.len(),
-                tree.all_objects().len()
-            ));
-        }
+    /// Bumps an object's payload version. Returns the new version, or
+    /// None if absent.
+    fn bump(&self, txn: TxnId, oid: ObjectId) -> Option<u64> {
+        let mut payloads = self.payloads.lock();
+        let slot = payloads.get_mut(&oid)?;
+        let old_version = *slot;
+        *slot = old_version + 1;
+        self.push_undo(txn, BaseUndo::Update { oid, old_version });
+        Some(old_version + 1)
+    }
+}
+
+impl<P: Protocol> TransactionalRTree for Baseline<P> {
+    fn begin(&self) -> TxnId {
+        self.tm.begin()
+    }
+
+    fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
+        self.check_active(txn)?;
+        let start = Instant::now();
+        self.tm.commit(txn);
+        self.protocol.release(txn);
+        self.lm
+            .obs()
+            .record(Hist::Commit, start.elapsed().as_nanos() as u64);
         Ok(())
     }
 
-    /// Physical insert with duplicate check (under the write latch).
-    pub fn do_insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
+    fn abort(&self, txn: TxnId) -> Result<(), TxnError> {
+        self.check_active(txn)?;
+        self.rollback(txn);
+        Ok(())
+    }
+
+    fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
+        self.start(txn, Ctr::Inserts)?;
+        P::region(self, txn, Op::Insert, &rect)?;
+        self.lock_object(txn, oid, X)?;
         let mut tree = self.tree.write();
         if self.payloads.lock().contains_key(&oid) {
             return Err(TxnError::DuplicateObject);
@@ -183,32 +308,86 @@ impl BaseInner {
         Ok(())
     }
 
-    /// Physical delete (under the write latch). Returns whether the
-    /// object existed.
-    pub fn do_delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> bool {
+    fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
+        self.start(txn, Ctr::Deletes)?;
+        P::region(self, txn, Op::Delete, &rect)?;
+        self.lock_object(txn, oid, X)?;
         let mut tree = self.tree.write();
         if !tree.delete(oid, rect) {
-            return false;
+            return Ok(false);
         }
         let version = self.payloads.lock().remove(&oid).unwrap_or(1);
         self.push_undo(txn, BaseUndo::Delete { oid, rect, version });
-        true
+        Ok(true)
     }
 
-    /// Bumps an object's payload version (under any latch). Returns the
-    /// new version, or None if absent.
-    pub fn do_update(&self, txn: TxnId, oid: ObjectId) -> Option<u64> {
-        let mut payloads = self.payloads.lock();
-        let slot = payloads.get_mut(&oid)?;
-        let old = *slot;
-        *slot = old + 1;
-        self.push_undo(
-            txn,
-            BaseUndo::Update {
-                oid,
-                old_version: old,
-            },
-        );
-        Some(old + 1)
+    fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
+        self.start(txn, Ctr::ReadSingles)?;
+        P::region(self, txn, Op::ReadSingle, &rect)?;
+        self.lock_object(txn, oid, S)?;
+        let tree = self.tree.read();
+        Ok(match tree.lookup(oid, rect) {
+            Some(_) => self.payloads.lock().get(&oid).copied(),
+            None => None,
+        })
+    }
+
+    fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
+        self.start(txn, Ctr::UpdateSingles)?;
+        P::region(self, txn, Op::UpdateSingle, &rect)?;
+        self.lock_object(txn, oid, X)?;
+        let present = self.tree.read().lookup(oid, rect).is_some();
+        Ok(present && self.bump(txn, oid).is_some())
+    }
+
+    fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
+        self.start(txn, Ctr::ReadScans)?;
+        P::region(self, txn, Op::ReadScan, &query)?;
+        let hits = self.hits(&query);
+        if P::OBJECT_LOCKS == ObjectLocks::TouchedAndScanned {
+            for h in &hits {
+                self.lock_object(txn, h.oid, S)?;
+            }
+        }
+        Ok(hits)
+    }
+
+    fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
+        self.start(txn, Ctr::UpdateScans)?;
+        P::region(self, txn, Op::UpdateScan, &query)?;
+        let mut hits = self.hits(&query);
+        for h in &mut hits {
+            self.lock_object(txn, h.oid, X)?;
+            if let Some(v) = self.bump(txn, h.oid) {
+                h.version = v;
+            }
+        }
+        Ok(hits)
+    }
+
+    fn len(&self) -> usize {
+        self.tree.read().len()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let tree = self.tree.read();
+        tree.validate(false).map_err(|e| e.to_string())?;
+        let objects = tree.all_objects().len();
+        let payloads = self.payloads.lock().len();
+        if objects != payloads {
+            return Err(format!("payload map {payloads} vs tree objects {objects}"));
+        }
+        if self.protocol.held() > 0 && self.tm.active_count() == 0 {
+            return Err(format!("{} leaked entries", P::NAME));
+        }
+        Ok(())
+    }
+
+    fn name(&self) -> &'static str {
+        P::NAME
+    }
+
+    fn obs_registry(&self) -> &Arc<dgl_obs::Registry> {
+        self.lm.obs()
     }
 }

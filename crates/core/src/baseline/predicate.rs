@@ -19,18 +19,15 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use dgl_geom::Rect2;
-use dgl_lockmgr::{
-    LockDuration::Commit,
-    LockManagerConfig,
-    LockMode::{self, S, X},
-    LockOutcome, RequestKind, ResourceId, TxnId,
-};
+use dgl_lockmgr::TxnId;
 use dgl_obs::Ctr;
-use dgl_rtree::{ObjectId, RTreeConfig};
 
-use crate::{ScanHit, TransactionalRTree, TxnError};
+use crate::TxnError;
 
-use super::BaseInner;
+use super::{Baseline, ObjectLocks, Op, Protocol};
+
+/// GiST-style predicate-locking R-tree.
+pub type PredicateRTree = Baseline<Predicate>;
 
 /// Predicate access mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,101 +45,66 @@ struct PredEntry {
     mode: PredMode,
 }
 
-/// Configuration for [`PredicateRTree`].
-#[derive(Debug, Clone)]
-pub struct PredicateConfig {
-    /// R-tree shape.
-    pub rtree: RTreeConfig,
-    /// Embedded space.
-    pub world: Rect2,
-    /// Lock manager configuration (object locks).
-    pub lock: LockManagerConfig,
-}
-
 /// How long a predicate wait may last before the transaction is aborted
 /// (predicate waits resolve deadlocks by timeout; short, so symmetric
 /// conflicts resolve fast).
 const PREDICATE_TIMEOUT: Duration = Duration::from_millis(400);
 
-impl Default for PredicateConfig {
-    fn default() -> Self {
-        Self {
-            rtree: RTreeConfig::default(),
-            world: Rect2::unit(),
-            lock: LockManagerConfig::default(),
-        }
-    }
-}
-
-/// GiST-style predicate-locking R-tree.
-pub struct PredicateRTree {
-    inner: BaseInner,
+/// The predicate table of [`PredicateRTree`], and its lock rule.
+pub struct Predicate {
     preds: Mutex<Vec<PredEntry>>,
     preds_changed: Condvar,
 }
 
-impl PredicateRTree {
-    /// Creates an empty index.
-    pub fn new(config: PredicateConfig) -> Self {
-        Self {
-            inner: BaseInner::new(config.rtree, config.world, config.lock),
-            preds: Mutex::new(Vec::new()),
-            preds_changed: Condvar::new(),
-        }
-    }
-
-    /// Waits until `rect` in `mode` conflicts with no predicate of another
-    /// active transaction, then registers it.
-    fn register_predicate(&self, txn: TxnId, rect: Rect2, mode: PredMode) -> Result<(), TxnError> {
-        self.register_predicates(txn, &[(rect, mode)])
-    }
-
-    /// Atomically registers a *set* of predicates: waits until none of
-    /// them conflicts, then installs them all. Operations needing both a
-    /// Read and a Write predicate (delete, update-scan) must use this —
-    /// registering them one at a time creates the classic upgrade
-    /// deadlock (two update-scans each install Read, then mutually block
-    /// on Write), which, with predicate waits resolved only by timeout,
-    /// stalls both transactions for the full timeout.
+impl Predicate {
+    /// Atomically registers predicates on `rect` in each of `modes`: waits
+    /// until none of them conflicts, then installs them all. Operations
+    /// needing both a Read and a Write predicate (delete, update-scan)
+    /// must register them together — registering them one at a time
+    /// creates the classic upgrade deadlock (two update-scans each install
+    /// Read, then mutually block on Write), which, with predicate waits
+    /// resolved only by timeout, stalls both transactions for the full
+    /// timeout.
     ///
     /// Conflict rule: a Read predicate conflicts with an overlapping
     /// Write predicate of another transaction and vice versa (Read/Read
     /// and Write/Write do not conflict; direct object conflicts are the
     /// object locks' business).
-    fn register_predicates(
-        &self,
+    fn register(
+        db: &Baseline<Self>,
         txn: TxnId,
-        wanted: &[(Rect2, PredMode)],
+        rect: &Rect2,
+        modes: &[PredMode],
     ) -> Result<(), TxnError> {
+        let this = &db.protocol;
         let deadline = Instant::now() + PREDICATE_TIMEOUT;
-        let mut table = self.preds.lock();
+        let mut table = this.preds.lock();
         loop {
             let mut checks = 0u64;
             let conflict = table.iter().any(|p| {
-                wanted.iter().any(|(rect, mode)| {
+                modes.iter().any(|mode| {
                     checks += 1;
                     p.txn != txn && p.mode != *mode && p.rect.intersects(rect)
                 })
             });
-            self.inner.obs().add(Ctr::PredicateChecks, checks);
+            db.lm.obs().add(Ctr::PredicateChecks, checks);
             if !conflict {
-                for (rect, mode) in wanted {
+                for &mode in modes {
                     table.push(PredEntry {
                         txn,
                         rect: *rect,
-                        mode: *mode,
+                        mode,
                     });
                 }
                 return Ok(());
             }
-            if self
+            if this
                 .preds_changed
                 .wait_until(&mut table, deadline)
                 .timed_out()
             {
                 drop(table);
-                self.inner.rollback_now(txn);
-                self.drop_predicates(txn);
+                db.rollback(txn);
                 // Predicate waits are resolved by timeout, not a waits-for
                 // graph; symmetric workloads (every transaction scans then
                 // inserts into the same region) otherwise stampede: all
@@ -156,146 +118,43 @@ impl PredicateRTree {
             }
         }
     }
+}
 
-    fn drop_predicates(&self, txn: TxnId) {
+impl Protocol for Predicate {
+    const NAME: &'static str = "predicate (GiST-style)";
+    const OBJECT_LOCKS: ObjectLocks = ObjectLocks::Touched;
+
+    fn new(_world: Rect2) -> Self {
+        Self {
+            preds: Mutex::new(Vec::new()),
+            preds_changed: Condvar::new(),
+        }
+    }
+
+    fn region(db: &Baseline<Self>, txn: TxnId, op: Op, rect: &Rect2) -> Result<(), TxnError> {
+        use PredMode::{Read, Write};
+        let modes: &[PredMode] = match op {
+            Op::ReadSingle | Op::UpdateSingle => return Ok(()),
+            Op::Insert => &[Write],
+            Op::ReadScan => &[Read],
+            // A delete both *reads* the region (it verifies presence or
+            // absence — the not-found answer must be repeatable) and
+            // writes it; an update scan needs a repeatable hit set and
+            // must keep other scans from reading past it (SIX-equivalent).
+            // Both pairs install atomically to avoid the upgrade deadlock.
+            Op::Delete | Op::UpdateScan => &[Read, Write],
+        };
+        Self::register(db, txn, rect, modes)
+    }
+
+    fn release(&self, txn: TxnId) {
         let mut table = self.preds.lock();
         table.retain(|p| p.txn != txn);
         drop(table);
         self.preds_changed.notify_all();
     }
 
-    fn obj_lock(&self, txn: TxnId, oid: ObjectId, mode: LockMode) -> Result<(), TxnError> {
-        match self.inner.lm.lock(
-            txn,
-            ResourceId::Object(oid.0),
-            mode,
-            Commit,
-            RequestKind::Unconditional,
-        ) {
-            LockOutcome::Granted => Ok(()),
-            LockOutcome::Deadlock => {
-                self.inner.rollback_now(txn);
-                self.drop_predicates(txn);
-                Err(TxnError::Deadlock)
-            }
-            LockOutcome::Timeout => {
-                self.inner.rollback_now(txn);
-                self.drop_predicates(txn);
-                Err(TxnError::Timeout)
-            }
-            LockOutcome::WouldBlock => unreachable!("unconditional request"),
-        }
-    }
-}
-
-impl TransactionalRTree for PredicateRTree {
-    fn begin(&self) -> TxnId {
-        self.inner.tm.begin()
-    }
-
-    fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.tm.commit(txn);
-        self.drop_predicates(txn);
-        Ok(())
-    }
-
-    fn abort(&self, txn: TxnId) -> Result<(), TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.rollback_now(txn);
-        self.drop_predicates(txn);
-        Ok(())
-    }
-
-    fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::Inserts);
-        self.register_predicate(txn, rect, PredMode::Write)?;
-        self.obj_lock(txn, oid, X)?;
-        match self.inner.do_insert(txn, oid, rect) {
-            Ok(()) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::Deletes);
-        // A delete both *reads* the region (it verifies presence/absence —
-        // the not-found answer must be repeatable) and writes it; the pair
-        // installs atomically to avoid the upgrade deadlock.
-        self.register_predicates(txn, &[(rect, PredMode::Read), (rect, PredMode::Write)])?;
-        self.obj_lock(txn, oid, X)?;
-        Ok(self.inner.do_delete(txn, oid, rect))
-    }
-
-    fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::ReadSingles);
-        self.obj_lock(txn, oid, S)?;
-        let tree = self.inner.tree.read();
-        Ok(match tree.lookup(oid, rect) {
-            Some(_) => self.inner.payloads.lock().get(&oid).copied(),
-            None => None,
-        })
-    }
-
-    fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::UpdateSingles);
-        self.obj_lock(txn, oid, X)?;
-        let present = self.inner.tree.read().lookup(oid, rect).is_some();
-        if !present {
-            return Ok(false);
-        }
-        Ok(self.inner.do_update(txn, oid).is_some())
-    }
-
-    fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::ReadScans);
-        self.register_predicate(txn, query, PredMode::Read)?;
-        let tree = self.inner.tree.read();
-        Ok(self.inner.hits(&tree, &query))
-    }
-
-    fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::UpdateScans);
-        // SIX-equivalent: both a read predicate (repeatable hit set) and a
-        // write predicate (other scans must not read past us), installed
-        // atomically to avoid the upgrade deadlock.
-        self.register_predicates(txn, &[(query, PredMode::Read), (query, PredMode::Write)])?;
-        let mut hits = {
-            let tree = self.inner.tree.read();
-            self.inner.hits(&tree, &query)
-        };
-        for h in &mut hits {
-            self.obj_lock(txn, h.oid, X)?;
-            if let Some(v) = self.inner.do_update(txn, h.oid) {
-                h.version = v;
-            }
-        }
-        Ok(hits)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.tree.read().len()
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        self.inner.validate_impl()?;
-        if !self.preds.lock().is_empty() && self.inner.tm.active_count() == 0 {
-            return Err("predicate table leaked entries".into());
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "predicate (GiST-style)"
-    }
-
-    fn obs_registry(&self) -> &std::sync::Arc<dgl_obs::Registry> {
-        self.inner.obs()
+    fn held(&self) -> usize {
+        self.preds.lock().len()
     }
 }

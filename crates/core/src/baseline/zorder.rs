@@ -21,35 +21,24 @@
 //! containing it — conflicts are never missed. The cost is the converse:
 //! disjoint rectangles frequently have overlapping Z-intervals (the
 //! curve's jumps), so transactions conflict without any spatial overlap.
-//! `zorder_granules_locked` in the statistics counts locks per operation;
-//! the `zorder` experiment in `dgl-bench` sweeps query sizes against the
+//! The lock manager's request counters count the granules locked; the
+//! `zorder` experiment in `dgl-bench` sweeps query sizes against the
 //! granular protocol.
 
 use dgl_geom::Rect2;
 use dgl_lockmgr::{
-    LockDuration::Commit,
-    LockManagerConfig,
-    LockMode::{self, IX, S, X},
-    LockOutcome, RequestKind, ResourceId, TxnId,
+    LockMode::{IX, S},
+    ResourceId, TxnId,
 };
-use dgl_obs::Ctr;
-use dgl_rtree::{ObjectId, RTreeConfig};
 
-use crate::{ScanHit, TransactionalRTree, TxnError};
+use crate::TxnError;
 
-use super::BaseInner;
+use super::{Baseline, ObjectLocks, Op, Protocol};
 
-/// Configuration for [`ZOrderRTree`].
-#[derive(Debug, Clone)]
-pub struct ZOrderConfig {
-    /// R-tree shape (data access is still an R-tree; only the *locking*
-    /// uses the superimposed order).
-    pub rtree: RTreeConfig,
-    /// Embedded space.
-    pub world: Rect2,
-    /// Lock manager configuration.
-    pub lock: LockManagerConfig,
-}
+/// An R-tree protected by key-range locks over a Z-order of the space.
+/// Data access is still an R-tree; only the *locking* uses the
+/// superimposed order.
+pub type ZOrderRTree = Baseline<ZOrder>;
 
 /// Grid resolution exponent: the space is a `2^k × 2^k` cell grid.
 const GRID_BITS: u32 = 8;
@@ -57,16 +46,6 @@ const GRID_BITS: u32 = 8;
 /// Number of key-range granules the Z-axis is divided into (a power of
 /// two ≤ `4^GRID_BITS`).
 const RANGE_GRANULES: u64 = 1024;
-
-impl Default for ZOrderConfig {
-    fn default() -> Self {
-        Self {
-            rtree: RTreeConfig::default(),
-            world: Rect2::unit(),
-            lock: LockManagerConfig::default(),
-        }
-    }
-}
 
 /// Interleaves the low `bits` bits of `x` and `y` (Morton code).
 fn z_value(x: u32, y: u32, bits: u32) -> u64 {
@@ -78,21 +57,12 @@ fn z_value(x: u32, y: u32, bits: u32) -> u64 {
     z
 }
 
-/// An R-tree protected by key-range locks over a Z-order of the space.
-pub struct ZOrderRTree {
-    inner: BaseInner,
+/// The key-range lock rule of [`ZOrderRTree`] over its embedded space.
+pub struct ZOrder {
     world: Rect2,
 }
 
-impl ZOrderRTree {
-    /// Creates an empty index.
-    pub fn new(config: ZOrderConfig) -> Self {
-        Self {
-            inner: BaseInner::new(config.rtree, config.world, config.lock),
-            world: config.world,
-        }
-    }
-
+impl ZOrder {
     /// Grid coordinate of a world coordinate along one dimension.
     fn cell_coord(&self, v: f64, d: usize) -> u32 {
         let lo = self.world.lo[d];
@@ -126,155 +96,37 @@ impl ZOrderRTree {
         let per = cells / RANGE_GRANULES;
         (zlo / per)..=(zhi / per)
     }
-
-    /// Locks every key-range granule covering `rect` in `mode`.
-    fn lock_range(&self, txn: TxnId, rect: &Rect2, mode: LockMode) -> Result<(), TxnError> {
-        for g in self.granules_for(rect) {
-            // Key-range granules live in the object namespace offset by a
-            // high tag bit so they never collide with object ids.
-            let res = ResourceId::Object(1 << 63 | g);
-            match self
-                .inner
-                .lm
-                .lock(txn, res, mode, Commit, RequestKind::Unconditional)
-            {
-                LockOutcome::Granted => {}
-                LockOutcome::Deadlock => {
-                    self.inner.rollback_now(txn);
-                    return Err(TxnError::Deadlock);
-                }
-                LockOutcome::Timeout => {
-                    self.inner.rollback_now(txn);
-                    return Err(TxnError::Timeout);
-                }
-                LockOutcome::WouldBlock => unreachable!("unconditional request"),
-            }
-        }
-        Ok(())
-    }
-
-    fn obj_lock(&self, txn: TxnId, oid: ObjectId, mode: LockMode) -> Result<(), TxnError> {
-        match self.inner.lm.lock(
-            txn,
-            ResourceId::Object(oid.0),
-            mode,
-            Commit,
-            RequestKind::Unconditional,
-        ) {
-            LockOutcome::Granted => Ok(()),
-            LockOutcome::Deadlock => {
-                self.inner.rollback_now(txn);
-                Err(TxnError::Deadlock)
-            }
-            LockOutcome::Timeout => {
-                self.inner.rollback_now(txn);
-                Err(TxnError::Timeout)
-            }
-            LockOutcome::WouldBlock => unreachable!("unconditional request"),
-        }
-    }
 }
 
-impl TransactionalRTree for ZOrderRTree {
-    fn begin(&self) -> TxnId {
-        self.inner.tm.begin()
+impl Protocol for ZOrder {
+    const NAME: &'static str = "zorder-krl";
+    const OBJECT_LOCKS: ObjectLocks = ObjectLocks::Touched;
+
+    fn new(world: Rect2) -> Self {
+        Self { world }
     }
 
-    fn commit(&self, txn: TxnId) -> Result<(), TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.tm.commit(txn);
-        Ok(())
-    }
-
-    fn abort(&self, txn: TxnId) -> Result<(), TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.rollback_now(txn);
-        Ok(())
-    }
-
-    fn insert(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<(), TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::Inserts);
-        self.lock_range(txn, &rect, IX)?;
-        self.obj_lock(txn, oid, X)?;
-        self.inner.do_insert(txn, oid, rect)
-    }
-
-    fn delete(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::Deletes);
-        // Like the granular protocol's absent-delete: the presence check
-        // is a read of the range, so take S as well as IX (supremum SIX
-        // is computed by the lock manager).
-        self.lock_range(txn, &rect, S)?;
-        self.lock_range(txn, &rect, IX)?;
-        self.obj_lock(txn, oid, X)?;
-        Ok(self.inner.do_delete(txn, oid, rect))
-    }
-
-    fn read_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<Option<u64>, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::ReadSingles);
-        self.obj_lock(txn, oid, S)?;
-        let tree = self.inner.tree.read();
-        Ok(match tree.lookup(oid, rect) {
-            Some(_) => self.inner.payloads.lock().get(&oid).copied(),
-            None => None,
-        })
-    }
-
-    fn update_single(&self, txn: TxnId, oid: ObjectId, rect: Rect2) -> Result<bool, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::UpdateSingles);
-        self.lock_range(txn, &rect, IX)?;
-        self.obj_lock(txn, oid, X)?;
-        let present = self.inner.tree.read().lookup(oid, rect).is_some();
-        if !present {
-            return Ok(false);
-        }
-        Ok(self.inner.do_update(txn, oid).is_some())
-    }
-
-    fn read_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::ReadScans);
-        self.lock_range(txn, &query, S)?;
-        let tree = self.inner.tree.read();
-        Ok(self.inner.hits(&tree, &query))
-    }
-
-    fn update_scan(&self, txn: TxnId, query: Rect2) -> Result<Vec<ScanHit>, TxnError> {
-        self.inner.check_active(txn)?;
-        self.inner.obs().incr(Ctr::UpdateScans);
-        self.lock_range(txn, &query, S)?;
-        self.lock_range(txn, &query, IX)?;
-        let mut hits = {
-            let tree = self.inner.tree.read();
-            self.inner.hits(&tree, &query)
+    /// Locks every key-range granule covering `rect`: S to read the
+    /// range, IX to write in it.
+    fn region(db: &Baseline<Self>, txn: TxnId, op: Op, rect: &Rect2) -> Result<(), TxnError> {
+        let modes: &[_] = match op {
+            Op::ReadSingle => &[],
+            Op::ReadScan => &[S],
+            Op::Insert | Op::UpdateSingle => &[IX],
+            // A delete's presence check (like the granular protocol's
+            // absent-delete) and an update scan's hit set are reads of
+            // the range, so they take S as well as IX (supremum SIX is
+            // computed by the lock manager).
+            Op::Delete | Op::UpdateScan => &[S, IX],
         };
-        for h in &mut hits {
-            self.obj_lock(txn, h.oid, X)?;
-            if let Some(v) = self.inner.do_update(txn, h.oid) {
-                h.version = v;
+        for &mode in modes {
+            for g in db.protocol.granules_for(rect) {
+                // Key-range granules live in the object namespace offset
+                // by a high tag bit so they never collide with object ids.
+                db.lock(txn, ResourceId::Object(1 << 63 | g), mode)?;
             }
         }
-        Ok(hits)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.tree.read().len()
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        self.inner.validate_impl()
-    }
-
-    fn name(&self) -> &'static str {
-        "zorder-krl"
-    }
-
-    fn obs_registry(&self) -> &std::sync::Arc<dgl_obs::Registry> {
-        self.inner.obs()
+        Ok(())
     }
 }
 
@@ -313,7 +165,7 @@ mod tests {
     fn intersecting_rects_share_a_granule() {
         // Soundness of the scheme: spatial overlap implies granule-set
         // overlap, for a sample of rectangle pairs.
-        let db = ZOrderRTree::new(ZOrderConfig::default());
+        let db = ZOrder::new(Rect2::unit());
         let mut state = 7u64;
         let mut rnd = move || {
             state ^= state << 13;
@@ -345,7 +197,7 @@ mod tests {
     fn large_scans_lock_many_granules() {
         // The paper's overhead claim: region queries lock ranges far
         // beyond their spatial extent.
-        let db = ZOrderRTree::new(ZOrderConfig::default());
+        let db = ZOrder::new(Rect2::unit());
         let small = Rect2::new([0.4, 0.4], [0.41, 0.41]);
         let large = Rect2::new([0.1, 0.1], [0.9, 0.9]);
         let n_small = db.granules_for(&small).count();
@@ -361,7 +213,7 @@ mod tests {
         // A thin rectangle straddling the space's center line touches
         // cells whose Z-values span nearly the whole curve — the false
         // coverage at the heart of the paper's §2 argument.
-        let db = ZOrderRTree::new(ZOrderConfig::default());
+        let db = ZOrder::new(Rect2::unit());
         let thin = Rect2::new([0.49, 0.49], [0.51, 0.51]);
         let frac = db.granules_for(&thin).count() as f64 / RANGE_GRANULES as f64;
         assert!(

@@ -26,12 +26,15 @@
 //! * [`DglRTree`] — the paper's protocol over `dgl-rtree`, with both the
 //!   base *cover-for-insert / overlap-for-search* policy and the §3.4
 //!   **modified insertion policy** ([`InsertPolicy`]).
-//! * [`baseline`] — three comparators: Postgres-style whole-index locking
+//! * [`baseline`] — four comparators, one engine
+//!   ([`baseline::Baseline`]) each over its own lock rule
+//!   ([`baseline::Protocol`]): Postgres-style whole-index locking
 //!   ([`baseline::TreeLockRTree`]), GiST-style predicate locking
 //!   ([`baseline::PredicateRTree`], the approach of Kornacker et al. that
-//!   §4/Table 4 compares against), and an intentionally unsound
-//!   object-locks-only variant ([`baseline::ObjectOnlyRTree`]) used to
-//!   prove that the phantom tests can actually detect phantoms.
+//!   §4/Table 4 compares against), Z-order key-range locking
+//!   ([`baseline::ZOrderRTree`], the §2 straw man), and an intentionally
+//!   unsound object-locks-only variant ([`baseline::ObjectOnlyRTree`])
+//!   used to prove that the phantom tests can actually detect phantoms.
 //! * [`TransactionalRTree`] — the common operation interface (the paper's
 //!   six operations: Insert, Delete, ReadSingle, ReadScan, UpdateSingle,
 //!   UpdateScan) so workloads and benchmarks run unchanged over every

@@ -5,9 +5,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dgl_core::baseline::{
-    ObjectOnlyRTree, PredicateConfig, PredicateRTree, TreeLockRTree, ZOrderConfig, ZOrderRTree,
-};
+use dgl_core::baseline::{ObjectOnlyRTree, PredicateRTree, TreeLockRTree, ZOrderRTree};
 use dgl_core::{DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree};
 use dgl_lockmgr::{LockDuration, LockManagerConfig, LockMode};
 use dgl_obs::{Event, Res};
@@ -102,16 +100,16 @@ pub fn sound_protocols(fanout: usize) -> Vec<Arc<dyn TransactionalRTree>> {
             Rect2::unit(),
             lock_config(5_000),
         )),
-        Arc::new(PredicateRTree::new(PredicateConfig {
-            rtree: RTreeConfig::with_fanout(fanout),
-            world: Rect2::unit(),
-            lock: lock_config(5_000),
-        })),
-        Arc::new(ZOrderRTree::new(ZOrderConfig {
-            rtree: RTreeConfig::with_fanout(fanout),
-            world: Rect2::unit(),
-            lock: lock_config(5_000),
-        })),
+        Arc::new(PredicateRTree::new(
+            RTreeConfig::with_fanout(fanout),
+            Rect2::unit(),
+            lock_config(5_000),
+        )),
+        Arc::new(ZOrderRTree::new(
+            RTreeConfig::with_fanout(fanout),
+            Rect2::unit(),
+            lock_config(5_000),
+        )),
     ]
 }
 

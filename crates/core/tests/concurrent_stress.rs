@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{dgl, ids, lock_config};
-use dgl_core::baseline::{PredicateConfig, PredicateRTree, TreeLockRTree};
+use dgl_core::baseline::{PredicateRTree, TreeLockRTree};
 use dgl_core::{InsertPolicy, ObjectId, Rect2, TransactionalRTree, TxnError};
 use dgl_obs::{Ctr, Hist};
 use dgl_rtree::RTreeConfig;
@@ -209,11 +209,11 @@ fn stress_tree_lock() {
 #[test]
 fn stress_predicate_locking() {
     stress(
-        Arc::new(PredicateRTree::new(PredicateConfig {
-            rtree: RTreeConfig::with_fanout(6),
-            world: Rect2::unit(),
-            lock: lock_config(20_000),
-        })),
+        Arc::new(PredicateRTree::new(
+            RTreeConfig::with_fanout(6),
+            Rect2::unit(),
+            lock_config(20_000),
+        )),
         6,
         40,
     );

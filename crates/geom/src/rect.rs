@@ -115,11 +115,6 @@ impl<const D: usize> Rect<D> {
         (0..D).all(|d| self.lo[d] <= other.lo[d] && other.hi[d] <= self.hi[d])
     }
 
-    /// Whether the point `p` lies inside the (closed) rectangle.
-    pub fn contains_point(&self, p: &Point<D>) -> bool {
-        (0..D).all(|d| self.lo[d] <= p.coords[d] && p.coords[d] <= self.hi[d])
-    }
-
     /// The smallest rectangle containing both `self` and `other`.
     pub fn union(&self, other: &Self) -> Self {
         let mut lo = [0.0; D];

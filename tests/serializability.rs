@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use granular_rtree::core::baseline::{
-    PredicateConfig, PredicateRTree, TreeLockRTree, ZOrderConfig, ZOrderRTree,
-};
+use granular_rtree::core::baseline::{PredicateRTree, TreeLockRTree, ZOrderRTree};
 use granular_rtree::core::{
     DglConfig, DglRTree, InsertPolicy, Rect2, TransactionalRTree, TxnError,
 };
@@ -121,19 +119,21 @@ fn tree_lock_is_serializable() {
 
 #[test]
 fn predicate_locking_is_serializable() {
-    assert_serializable_counts(Arc::new(PredicateRTree::new(PredicateConfig {
-        rtree: RTreeConfig::with_fanout(6),
-        ..Default::default()
-    })));
+    assert_serializable_counts(Arc::new(PredicateRTree::new(
+        RTreeConfig::with_fanout(6),
+        Rect2::unit(),
+        LockManagerConfig::default(),
+    )));
 }
 
 #[test]
 fn zorder_key_range_locking_is_serializable() {
     // Sound (if slow): spatial overlap always implies Z-interval overlap.
-    assert_serializable_counts(Arc::new(ZOrderRTree::new(ZOrderConfig {
-        rtree: RTreeConfig::with_fanout(6),
-        ..Default::default()
-    })));
+    assert_serializable_counts(Arc::new(ZOrderRTree::new(
+        RTreeConfig::with_fanout(6),
+        Rect2::unit(),
+        LockManagerConfig::default(),
+    )));
 }
 
 #[test]
